@@ -1111,37 +1111,66 @@ let experiment_recovery () =
     "expected shape: every logged record replayed, recovery certified\n\
      (flattened vs naive agreement on every recovered extent)."
 
-(* {1 CHAOS: the resilience fabric under seeded fault schedules} *)
+(* {1 CHAOS and PCHAOS: the delivery engine under seeded fault schedules}
+
+   One runner for both entries.  CHAOS drives the in-process transport
+   (virtual clock) through random flaky/outage schedules; PCHAOS drives
+   forked worker processes with real SIGKILLs and, on every fourth
+   schedule, the orchestrator itself dying at an armed journal crash
+   point and recovering from the delivery journal.  Both heal, drain
+   the dead letters, and require every schedule to converge to the
+   failure-free store. *)
 
 module Daemon = Mirror_daemon.Daemon
 module Standard = Mirror_daemon.Standard
 module Faults = Mirror_daemon.Faults
 
-(* Ingest a small scene set through a supervised orchestrator built
-   over the given daemon set; returns the orchestrator and its run
-   report (restarting after simulated process crashes). *)
-let chaos_pipeline ~scenes ~daemons =
-  let orch = Mirror_daemon.Orchestrator.create ~daemons () in
+let chaos_scenes =
+  Synth.corpus (Prng.create 31) ~n:2 ~width:16 ~height:16 ~annotated_fraction:0.8 ()
+
+let chaos_url i = Printf.sprintf "img://%d" i
+
+(* In process: the default configuration.  Worker processes run on the
+   wall clock, so breakers reopen in milliseconds and a stranded backlog
+   expires in two seconds. *)
+let chaos_config procs =
+  if procs = 0 then Orchestrator.default_config
+  else
+    {
+      Orchestrator.default_config with
+      Orchestrator.procs;
+      ttl = 2.0;
+      breaker =
+        {
+          Mirror_daemon.Supervisor.failure_threshold = 3;
+          base_backoff = 0.004;
+          max_backoff = 0.05;
+          jitter = 0.2;
+        };
+    }
+
+let chaos_ingest orch =
   Array.iteri
     (fun i (s : Synth.scene) ->
-      let url = Printf.sprintf "img://%d" i in
       let annotation = Option.map (String.concat " ") s.Synth.caption in
-      Mirror_daemon.Orchestrator.ingest_image orch ~doc:i ~url ?annotation s.Synth.image)
-    scenes;
-  Mirror_daemon.Orchestrator.complete_collection orch;
+      Orchestrator.ingest_image orch ~doc:i ~url:(chaos_url i) ?annotation s.Synth.image)
+    chaos_scenes;
+  Orchestrator.complete_collection orch
+
+(* Run to completion, restarting after in-process handler crashes. *)
+let chaos_run orch =
   let rec attempt n =
-    match Mirror_daemon.Orchestrator.run orch with
+    match Orchestrator.run orch with
     | report -> report
     | exception Faults.Crash _ when n < 10 -> attempt (n + 1)
   in
-  (orch, attempt 0)
+  attempt 0
 
 (* A store digest sufficient to witness convergence: what each daemon
    deposited, per document. *)
 let chaos_digest orch =
   let module Store = Mirror_daemon.Store in
-  let store = (Mirror_daemon.Orchestrator.ctx orch).Daemon.store in
-  let docs = Store.docs store in
+  let store = (Orchestrator.ctx orch).Daemon.store in
   let per_doc =
     List.map
       (fun doc ->
@@ -1149,22 +1178,74 @@ let chaos_digest orch =
           Option.map List.length (Store.segments store ~doc),
           Store.text store ~doc,
           List.sort compare (Store.visual_words store ~doc) ))
-      docs
+      (Store.docs store)
   in
   (per_doc, Store.clustered_spaces store, Store.thesaurus store <> None)
 
+type chaos_tally = {
+  mutable schedules : int;
+  mutable quiesced : int;
+  mutable converged : int;
+  mutable dead : int;
+  mutable redelivered : int;
+  mutable rounds : float list;
+}
+
+let chaos_tally () =
+  { schedules = 0; quiesced = 0; converged = 0; dead = 0; redelivered = 0; rounds = [] }
+
+(* Heal, drain the dead letters, and score convergence. *)
+let chaos_converge tally ~baseline orch =
+  tally.dead <- tally.dead + List.length (Orchestrator.dead_letters orch);
+  let rec go n =
+    tally.redelivered <- tally.redelivered + Orchestrator.redeliver orch;
+    let r = chaos_run orch in
+    if n < 10 && ((not r.Orchestrator.quiescent) || Orchestrator.dead_letters orch <> [])
+    then go (n + 1)
+  in
+  go 0;
+  tally.schedules <- tally.schedules + 1;
+  if chaos_digest orch = baseline then tally.converged <- tally.converged + 1
+
+(* The shared runner: one schedule of daemon faults (transient until
+   [healed]) and worker SIGKILLs [(round, slot)] on [procs] workers. *)
+let chaos_schedule tally ~baseline ~procs ?(kills = []) ~healed daemons =
+  let orch = Orchestrator.create ~daemons ~config:(chaos_config procs) () in
+  chaos_ingest orch;
+  Orchestrator.set_tick_hook orch
+    (Some
+       (fun round ->
+         List.iter
+           (fun (at, slot) -> if round = at then ignore (Orchestrator.kill_worker orch slot))
+           kills));
+  let report = chaos_run orch in
+  Orchestrator.set_tick_hook orch None;
+  tally.rounds <- float_of_int report.Orchestrator.rounds :: tally.rounds;
+  if report.Orchestrator.quiescent then tally.quiesced <- tally.quiesced + 1;
+  healed := true;
+  chaos_converge tally ~baseline orch;
+  Orchestrator.shutdown orch;
+  orch
+
+let chaos_baseline procs =
+  let orch = Orchestrator.create ~config:(chaos_config procs) () in
+  chaos_ingest orch;
+  assert (chaos_run orch).Orchestrator.quiescent;
+  Orchestrator.shutdown orch;
+  chaos_digest orch
+
+let chaos_fail name (tally : chaos_tally) =
+  if tally.converged <> tally.schedules then begin
+    Printf.printf "%s: %d/%d schedules failed to converge\n" name
+      (tally.schedules - tally.converged) tally.schedules;
+    exit 1
+  end
+
 let experiment_chaos () =
-  section "CHAOS: supervision fabric under seeded fault schedules";
+  section "CHAOS: in-process delivery under seeded fault schedules";
   let schedules = if quick then 40 else 150 in
-  let scenes = Synth.corpus (Prng.create 31) ~n:2 ~width:16 ~height:16 ~annotated_fraction:0.8 () in
-  let baseline_orch, baseline = chaos_pipeline ~scenes ~daemons:(Standard.all ()) in
-  assert baseline.Orchestrator.quiescent;
-  let baseline_digest = chaos_digest baseline_orch in
-  let quiesced = ref 0 in
-  let converged = ref 0 in
-  let dead_total = ref 0 in
-  let redelivered_total = ref 0 in
-  let rounds = ref [] in
+  let baseline = chaos_baseline 0 in
+  let tally = chaos_tally () in
   for seed = 0 to schedules - 1 do
     let g = Prng.create (0xC4A05 + seed) in
     let healed = ref false in
@@ -1175,71 +1256,51 @@ let experiment_chaos () =
           | 0 ->
             let rate = 0.2 +. Prng.float g 0.6 in
             let gd = Prng.split g in
-            Faults.switched
-              (fun () -> (not !healed) && Prng.float gd 1.0 < rate)
-              d
+            Faults.switched (fun () -> (not !healed) && Prng.float gd 1.0 < rate) d
           | 1 -> Faults.switched (fun () -> not !healed) d
           | _ -> d)
         (Standard.all ())
     in
-    let orch, report = chaos_pipeline ~scenes ~daemons in
-    rounds := float_of_int report.Orchestrator.rounds :: !rounds;
-    if report.Orchestrator.quiescent then incr quiesced;
-    healed := true;
-    (* drain the dead letters now that every fault is gone *)
-    let rec recover n =
-      let re = Mirror_daemon.Orchestrator.redeliver orch in
-      redelivered_total := !redelivered_total + re;
-      let r = Mirror_daemon.Orchestrator.run orch in
-      if
-        n < 10
-        && ((not r.Orchestrator.quiescent)
-           || Mirror_daemon.Orchestrator.dead_letters orch <> [])
-      then recover (n + 1)
-    in
-    dead_total := !dead_total + List.length (Mirror_daemon.Orchestrator.dead_letters orch);
-    recover 0;
-    if chaos_digest orch = baseline_digest then incr converged
+    ignore (chaos_schedule tally ~baseline ~procs:0 ~healed daemons)
   done;
-  let rounds_p50 = Mirror_util.Stat.median (Array.of_list !rounds) in
+  let rounds_p50 = Mirror_util.Stat.median (Array.of_list tally.rounds) in
   (* degraded-run overhead: ingest with one permanently broken
      non-critical daemon vs the failure-free pipeline *)
-  let clean_s = seconds_per_run (fun () -> chaos_pipeline ~scenes ~daemons:(Standard.all ())) in
+  let pipeline daemons =
+    let orch = Orchestrator.create ~daemons () in
+    chaos_ingest orch;
+    chaos_run orch
+  in
+  let clean_s = seconds_per_run (fun () -> pipeline (Standard.all ())) in
   let degraded_s =
     seconds_per_run (fun () ->
-        let daemons =
-          List.map
-            (fun (d : Daemon.t) ->
-              if d.Daemon.name = "annotation-indexer" then Faults.broken d else d)
-            (Standard.all ())
-        in
-        chaos_pipeline ~scenes ~daemons)
+        pipeline
+          (List.map
+             (fun (d : Daemon.t) ->
+               if d.Daemon.name = "annotation-indexer" then Faults.broken d else d)
+             (Standard.all ())))
   in
   let t =
     Tablefmt.create ~title:(Printf.sprintf "%d seeded fault schedules" schedules)
       [ ("measure", Tablefmt.Left); ("value", Tablefmt.Right) ]
   in
   Tablefmt.add_row t [ "schedules"; Tablefmt.cell_int schedules ];
-  Tablefmt.add_row t [ "quiesced first run"; Tablefmt.cell_int !quiesced ];
-  Tablefmt.add_row t [ "converged after redelivery"; Tablefmt.cell_int !converged ];
-  Tablefmt.add_row t [ "dead letters (total)"; Tablefmt.cell_int !dead_total ];
-  Tablefmt.add_row t [ "redelivered (total)"; Tablefmt.cell_int !redelivered_total ];
+  Tablefmt.add_row t [ "quiesced first run"; Tablefmt.cell_int tally.quiesced ];
+  Tablefmt.add_row t [ "converged after redelivery"; Tablefmt.cell_int tally.converged ];
+  Tablefmt.add_row t [ "dead letters (total)"; Tablefmt.cell_int tally.dead ];
+  Tablefmt.add_row t [ "redelivered (total)"; Tablefmt.cell_int tally.redelivered ];
   Tablefmt.add_row t [ "rounds to quiesce (p50)"; Tablefmt.cell_float ~prec:1 rounds_p50 ];
   Tablefmt.add_row t [ "failure-free run (ms)"; ms clean_s ];
   Tablefmt.add_row t [ "degraded run (ms)"; ms degraded_s ];
   Tablefmt.print t;
-  if !converged <> schedules then begin
-    Printf.printf "CHAOS: %d/%d schedules failed to converge\n" (schedules - !converged)
-      schedules;
-    exit 1
-  end;
+  chaos_fail "CHAOS" tally;
   record_entry "CHAOS"
     [
       ("schedules", Json.Int schedules);
-      ("quiesced", Json.Int !quiesced);
-      ("converged", Json.Int !converged);
-      ("dead_letters", Json.Int !dead_total);
-      ("redelivered", Json.Int !redelivered_total);
+      ("quiesced", Json.Int tally.quiesced);
+      ("converged", Json.Int tally.converged);
+      ("dead_letters", Json.Int tally.dead);
+      ("redelivered", Json.Int tally.redelivered);
       ("rounds_p50", Json.Float rounds_p50);
       ("clean_ms", json_ms clean_s);
       ("degraded_ms", json_ms degraded_s);
@@ -1249,148 +1310,62 @@ let experiment_chaos () =
      after healing and redelivery; the degraded run costs little more than\n\
      the clean one (the breaker sheds the downed daemon's work)."
 
-(* {1 PCHAOS: the multi-process fabric under kill-based chaos}
-
-   The same pipeline as CHAOS, but the daemons live in forked worker
-   processes and the faults are real: SIGKILLed workers mid-run, and —
-   on every fourth schedule — the orchestrator process itself dying at
-   an armed journal crash point and recovering its delivery state from
-   the WAL-backed delivery journal.  The entry records the SIGKILLs
-   sent, the process restarts, the dead letters replayed and the
-   journal-recovery wall time; the validator requires every schedule
-   to converge to the failure-free store. *)
-
 let experiment_pchaos () =
-  section "PCHAOS: multi-process fabric under kill-based chaos";
+  section "PCHAOS: worker-process delivery under kill-based chaos";
   if not Sys.unix then begin
     record_entry "PCHAOS" [ ("skipped", Json.Bool true) ];
-    print_endline "skipped: the process fabric needs POSIX fork/pipes/signals"
+    print_endline "skipped: worker processes need POSIX fork/pipes/signals"
   end
   else begin
     let module Fabric = Mirror_fabric.Fabric in
-    let module Supervisor = Mirror_daemon.Supervisor in
     let module Media = Mirror_daemon.Media in
     let schedules = if quick then 10 else 40 in
-    let config procs =
-      {
-        Fabric.default_config with
-        Fabric.procs;
-        ttl = 2.0;
-        breaker =
-          {
-            Supervisor.failure_threshold = 3;
-            base_backoff = 0.004;
-            max_backoff = 0.05;
-            jitter = 0.2;
-          };
-        max_retries = 2;
-        poll = 0.004;
-      }
-    in
-    let scenes =
-      Synth.corpus (Prng.create 31) ~n:2 ~width:16 ~height:16
-        ~annotated_fraction:0.8 ()
-    in
-    let url_of i = Printf.sprintf "img://%d" i in
-    let ingest fab =
-      Array.iteri
-        (fun i (s : Synth.scene) ->
-          let annotation = Option.map (String.concat " ") s.Synth.caption in
-          Fabric.ingest_image fab ~doc:i ~url:(url_of i) ?annotation s.Synth.image)
-        scenes;
-      Fabric.complete_collection fab
-    in
-    let digest fab =
-      let module Store = Mirror_daemon.Store in
-      let store = (Fabric.ctx fab).Daemon.store in
-      ( List.map
-          (fun doc ->
-            ( doc,
-              Option.map List.length (Store.segments store ~doc),
-              Store.text store ~doc,
-              List.sort compare (Store.visual_words store ~doc) ))
-          (Store.docs store),
-        Store.clustered_spaces store,
-        Store.thesaurus store <> None )
-    in
-    let baseline =
-      let fab = Fabric.create ~config:(config 2) () in
-      ingest fab;
-      let report = Fabric.run fab in
-      assert report.Fabric.quiescent;
-      let d = digest fab in
-      Fabric.shutdown fab;
-      d
-    in
-    let killed = ref 0 in
-    let deaths = ref 0 in
-    let restarts = ref 0 in
-    let dead_total = ref 0 in
-    let redelivered_total = ref 0 in
+    let baseline = chaos_baseline 2 in
+    let tally = chaos_tally () in
+    let killed = ref 0 and deaths = ref 0 and restarts = ref 0 in
     let crashes = ref 0 in
     let recovery_ms = ref [] in
-    let converged = ref 0 in
-    let drain fab =
-      let rec go n =
-        let re = Fabric.redeliver fab in
-        redelivered_total := !redelivered_total + re;
-        let r = Fabric.run fab in
-        if n < 10 && ((not r.Fabric.quiescent) || Fabric.dead_letters fab <> [])
-        then go (n + 1)
-      in
-      go 0
-    in
     let crash_points =
       [| "fabric.route"; "fabric.done"; "fabric.settled"; "fabric.checkpoint.meta" |]
     in
     for seed = 0 to schedules - 1 do
-      Mirror_daemon.Faults.reset_faults ();
+      Faults.reset_faults ();
       if seed mod 4 = 3 then begin
         (* orchestrator-crash schedule: the parent dies at a journal
            crash point and recovers from the delivery journal *)
         let dir = Filename.temp_file "mirror-bench-pchaos" ".db" in
         Sys.remove dir;
         Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-        let fab, _ =
-          match
-            Fabric.open_durable ~config:(config 2) ~seed ~checkpoint_every:8
-              ~dir ()
-          with
-          | Ok v -> v
+        let open_ ?checkpoint_every () =
+          match Fabric.open_durable ~config:(chaos_config 2) ~seed ?checkpoint_every ~dir () with
+          | Ok (orch, _) -> orch
           | Error e -> failwith e
         in
-        ingest fab;
-        Mirror_daemon.Faults.arm_crash
+        let orch = open_ ~checkpoint_every:8 () in
+        chaos_ingest orch;
+        Faults.arm_crash
           crash_points.(seed / 4 mod Array.length crash_points)
           ~after:(5 + (seed * 3 mod 15));
         let crashed =
-          match Fabric.run fab with
-          | _ -> false
-          | exception Mirror_daemon.Faults.Crash _ -> true
+          match Orchestrator.run orch with _ -> false | exception Faults.Crash _ -> true
         in
-        Mirror_daemon.Faults.reset_faults ();
-        if crashed then begin
-          incr crashes;
-          let t0 = Trace.now () in
-          let fab2, _ =
-            match Fabric.open_durable ~config:(config 2) ~seed ~dir () with
-            | Ok v -> v
-            | Error e -> failwith e
-          in
-          recovery_ms := (1000.0 *. (Trace.now () -. t0)) :: !recovery_ms;
-          let media = (Fabric.ctx fab2).Daemon.media in
-          Array.iteri
-            (fun i (s : Synth.scene) -> Media.put media ~url:(url_of i) s.Synth.image)
-            scenes;
-          dead_total := !dead_total + List.length (Fabric.dead_letters fab2);
-          drain fab2;
-          if digest fab2 = baseline then incr converged;
-          Fabric.shutdown fab2
-        end
-        else begin
-          if digest fab = baseline then incr converged;
-          Fabric.shutdown fab
-        end
+        Faults.reset_faults ();
+        let orch =
+          if not crashed then orch
+          else begin
+            incr crashes;
+            let t0 = Trace.now () in
+            let orch2 = open_ () in
+            recovery_ms := (1000.0 *. (Trace.now () -. t0)) :: !recovery_ms;
+            let media = (Orchestrator.ctx orch2).Daemon.media in
+            Array.iteri
+              (fun i (s : Synth.scene) -> Media.put media ~url:(chaos_url i) s.Synth.image)
+              chaos_scenes;
+            orch2
+          end
+        in
+        chaos_converge tally ~baseline orch;
+        Orchestrator.shutdown orch
       end
       else begin
         (* kill schedule: SIGKILL live workers while the pipeline runs;
@@ -1410,37 +1385,17 @@ let experiment_pchaos () =
               (Standard.all ())
           else Standard.all ()
         in
-        let fab = Fabric.create ~daemons ~config:(config procs) ~seed () in
-        ingest fab;
         let kills =
-          List.init (1 + Prng.int g 3) (fun _ ->
-              (2 + Prng.int g 12, Prng.int g procs))
+          List.init (1 + Prng.int g 3) (fun _ -> (2 + Prng.int g 12, Prng.int g procs))
         in
-        Fabric.set_tick_hook fab
-          (Some
-             (fun turn ->
-               List.iter
-                 (fun (at, slot) ->
-                   if turn = at then ignore (Fabric.kill_worker fab slot))
-                 kills));
-        ignore (Fabric.run fab);
-        Fabric.set_tick_hook fab None;
-        healed := true;
-        dead_total := !dead_total + List.length (Fabric.dead_letters fab);
-        drain fab;
-        if digest fab = baseline then incr converged;
-        Fabric.shutdown fab;
-        (* cumulative per-fabric counters, read once everything —
-           including the shutdown path — has settled *)
-        killed := !killed + Fabric.kills fab;
-        deaths := !deaths + Fabric.deaths fab;
-        restarts := !restarts + Fabric.restarts fab
+        let orch = chaos_schedule tally ~baseline ~procs ~kills ~healed daemons in
+        killed := !killed + Orchestrator.kills orch;
+        deaths := !deaths + Orchestrator.deaths orch;
+        restarts := !restarts + Orchestrator.restarts orch
       end
     done;
     let recovery_p50 =
-      match !recovery_ms with
-      | [] -> 0.0
-      | l -> Mirror_util.Stat.median (Array.of_list l)
+      match !recovery_ms with [] -> 0.0 | l -> Mirror_util.Stat.median (Array.of_list l)
     in
     let t =
       Tablefmt.create
@@ -1452,17 +1407,13 @@ let experiment_pchaos () =
     Tablefmt.add_row t [ "worker deaths observed"; Tablefmt.cell_int !deaths ];
     Tablefmt.add_row t [ "processes restarted"; Tablefmt.cell_int !restarts ];
     Tablefmt.add_row t [ "orchestrator crashes"; Tablefmt.cell_int !crashes ];
-    Tablefmt.add_row t [ "dead letters replayed"; Tablefmt.cell_int !dead_total ];
-    Tablefmt.add_row t [ "redelivered (total)"; Tablefmt.cell_int !redelivered_total ];
+    Tablefmt.add_row t [ "dead letters replayed"; Tablefmt.cell_int tally.dead ];
+    Tablefmt.add_row t [ "redelivered (total)"; Tablefmt.cell_int tally.redelivered ];
     Tablefmt.add_row t
       [ "journal recovery (ms, p50)"; Tablefmt.cell_float ~prec:2 recovery_p50 ];
-    Tablefmt.add_row t [ "converged"; Tablefmt.cell_int !converged ];
+    Tablefmt.add_row t [ "converged"; Tablefmt.cell_int tally.converged ];
     Tablefmt.print t;
-    if !converged <> schedules then begin
-      Printf.printf "PCHAOS: %d/%d schedules failed to converge\n"
-        (schedules - !converged) schedules;
-      exit 1
-    end;
+    chaos_fail "PCHAOS" tally;
     record_entry "PCHAOS"
       [
         ("schedules", Json.Int schedules);
@@ -1470,10 +1421,10 @@ let experiment_pchaos () =
         ("deaths", Json.Int !deaths);
         ("restarts", Json.Int !restarts);
         ("orchestrator_crashes", Json.Int !crashes);
-        ("dead_letters", Json.Int !dead_total);
-        ("redelivered", Json.Int !redelivered_total);
+        ("dead_letters", Json.Int tally.dead);
+        ("redelivered", Json.Int tally.redelivered);
         ("recovery_ms_p50", Json.Float recovery_p50);
-        ("converged", Json.Int !converged);
+        ("converged", Json.Int tally.converged);
       ];
     print_endline
       "expected shape: every schedule converges to the failure-free store —\n\

@@ -608,8 +608,9 @@ let daemons_lint_cmd =
 (* {2 daemons health / deadletters / redeliver}
 
    Run the §5 ingest pipeline (optionally with injected faults) under
-   the supervision fabric and report on it.  The virtual clock makes
-   the whole exercise instantaneous and deterministic. *)
+   supervision and report on it.  In process the virtual clock makes
+   the whole exercise instantaneous and deterministic; with --procs N
+   the daemons run in worker processes on the wall clock. *)
 
 let parse_flaky spec =
   match String.index_opt spec ':' with
@@ -621,9 +622,11 @@ let parse_flaky spec =
     | Some r when r >= 0.0 && r <= 1.0 -> (name, r)
     | _ -> failwith (Printf.sprintf "bad --flaky rate %S (expected 0..1)" rate))
 
-(* Build the faulted pipeline and run it; returns the orchestrator,
-   the report and the heal switches of the broken daemons. *)
-let run_faulted_pipeline ~images ~seed ~broken ~flaky =
+(* Build the faulted pipeline on the chosen transport (journaled
+   through [--durable DIR] when given) and run it; returns the
+   orchestrator, the report and the heal switches of the broken
+   daemons. *)
+let run_faulted_pipeline ~images ~seed ~broken ~flaky ~procs ~durable =
   let open Mirror_daemon in
   let flaky = List.map parse_flaky flaky in
   let g = Prng.create (seed + 1) in
@@ -647,7 +650,15 @@ let run_faulted_pipeline ~images ~seed ~broken ~flaky =
           | None -> d)
       (Standard.all ())
   in
-  let orch = Orchestrator.create ~daemons () in
+  let config = { Orchestrator.default_config with Orchestrator.procs } in
+  let orch =
+    match durable with
+    | None -> Orchestrator.create ~daemons ~config ()
+    | Some dir -> (
+      match Mirror_fabric.Fabric.open_durable ~daemons ~config ~dir () with
+      | Ok (orch, _) -> orch
+      | Error e -> failwith (Printf.sprintf "cannot open journal %s: %s" dir e))
+  in
   let scenes = Synth.corpus (Prng.create seed) ~n:images ~width:32 ~height:32 () in
   Array.iteri
     (fun i s ->
@@ -659,10 +670,23 @@ let run_faulted_pipeline ~images ~seed ~broken ~flaky =
   let report = Orchestrator.run orch in
   (orch, report, !heals)
 
+(* Run the faulted pipeline and hand it to the command's verdict [k];
+   the workers and the journal are shut down whatever [k] returns. *)
+let with_faulted_pipeline ~images ~seed ~broken ~flaky ~procs ~durable k =
+  let open Mirror_daemon in
+  match run_faulted_pipeline ~images ~seed ~broken ~flaky ~procs ~durable with
+  | exception Failure e ->
+    Printf.eprintf "error: %s\n" e;
+    1
+  | orch, report, heals ->
+    Fun.protect ~finally:(fun () -> Orchestrator.shutdown orch) (fun () -> k orch report heals)
+
 let print_pipeline_summary (report : Mirror_daemon.Orchestrator.report) =
   let open Mirror_daemon in
-  Printf.printf "rounds %d, quiescent %b, pending %d, dead letters %d\n"
+  Printf.printf
+    "rounds %d, quiescent %b, pending %d, deaths %d, restarts %d, dead letters %d\n"
     report.Orchestrator.rounds report.Orchestrator.quiescent report.Orchestrator.pending
+    report.Orchestrator.deaths report.Orchestrator.restarts
     (List.length report.Orchestrator.dead_letters);
   if report.Orchestrator.degraded <> [] then
     Printf.printf "degraded: %s\n" (String.concat ", " report.Orchestrator.degraded)
@@ -675,66 +699,7 @@ let health_exit ~quiescent ~degraded ~dead_letters =
   else if degraded <> [] then 2
   else 0
 
-(* The multi-process variant of {!run_faulted_pipeline}: same faulted
-   daemon set, but hosted in forked worker processes under the fabric
-   (optionally journaling through [--durable DIR]). *)
-let run_faulted_fabric ~images ~seed ~broken ~flaky ~procs ~durable =
-  let open Mirror_daemon in
-  let module Fabric = Mirror_fabric.Fabric in
-  let flaky = List.map parse_flaky flaky in
-  let g = Prng.create (seed + 1) in
-  let known = List.map (fun (d : Daemon.t) -> d.Daemon.name) (Standard.all ()) in
-  List.iter
-    (fun n ->
-      if not (List.mem n known) then failwith (Printf.sprintf "unknown daemon %S" n))
-    (broken @ List.map fst flaky);
-  let heals = ref [] in
-  let daemons =
-    List.map
-      (fun (d : Daemon.t) ->
-        if List.mem d.Daemon.name broken then begin
-          let d', heal = Faults.breakable d in
-          heals := heal :: !heals;
-          d'
-        end
-        else
-          match List.assoc_opt d.Daemon.name flaky with
-          | Some rate -> Faults.flaky (Prng.split g) ~rate d
-          | None -> d)
-      (Standard.all ())
-  in
-  let config = { Fabric.default_config with Fabric.procs } in
-  let fab =
-    match durable with
-    | None -> Fabric.create ~daemons ~config ()
-    | Some dir -> (
-      match Fabric.open_durable ~daemons ~config ~dir () with
-      | Ok (fab, _) -> fab
-      | Error e -> failwith (Printf.sprintf "cannot open journal %s: %s" dir e))
-  in
-  let scenes = Synth.corpus (Prng.create seed) ~n:images ~width:32 ~height:32 () in
-  Array.iteri
-    (fun i s ->
-      let url = Printf.sprintf "img://%d" i in
-      let annotation = Option.map (String.concat " ") s.Synth.caption in
-      Fabric.ingest_image fab ~doc:i ~url ?annotation s.Synth.image)
-    scenes;
-  Fabric.complete_collection fab;
-  let report = Fabric.run fab in
-  (fab, report, !heals)
-
-let print_fabric_summary fab (report : Mirror_fabric.Fabric.report) =
-  let module Fabric = Mirror_fabric.Fabric in
-  Printf.printf
-    "turns %d, quiescent %b, pending %d, deaths %d, restarts %d, dead letters %d\n"
-    report.Fabric.turns report.Fabric.quiescent report.Fabric.pending
-    report.Fabric.deaths report.Fabric.restarts
-    (List.length (Fabric.dead_letters fab));
-  if report.Fabric.degraded <> [] then
-    Printf.printf "degraded: %s\n" (String.concat ", " report.Fabric.degraded)
-
-let print_worker_table fab =
-  let module Fabric = Mirror_fabric.Fabric in
+let print_worker_table orch =
   let t =
     Mirror_util.Tablefmt.create
       [
@@ -751,104 +716,49 @@ let print_worker_table fab =
           (match pid with Some p -> string_of_int p | None -> "dead");
           String.concat ", " hosted;
         ])
-    (Fabric.workers fab);
+    (Mirror_daemon.Orchestrator.workers orch);
   Mirror_util.Tablefmt.print t
-
-let daemons_health_fabric ~images ~seed ~broken ~flaky ~procs ~durable =
-  let open Mirror_daemon in
-  let module Fabric = Mirror_fabric.Fabric in
-  match run_faulted_fabric ~images ~seed ~broken ~flaky ~procs ~durable with
-  | exception Failure e ->
-    Printf.eprintf "error: %s\n" e;
-    1
-  | fab, report, _ ->
-    let sup = Fabric.supervisor fab in
-    let bus = (Fabric.ctx fab).Daemon.bus in
-    let t =
-      Mirror_util.Tablefmt.create
-        [
-          ("daemon", Mirror_util.Tablefmt.Left);
-          ("breaker", Mirror_util.Tablefmt.Left);
-          ("handled", Mirror_util.Tablefmt.Right);
-          ("failures", Mirror_util.Tablefmt.Right);
-          ("queued", Mirror_util.Tablefmt.Right);
-          ("dead", Mirror_util.Tablefmt.Right);
-        ]
-    in
-    List.iter
-      (fun (s : Fabric.stats) ->
-        let name = s.Fabric.name in
-        Mirror_util.Tablefmt.add_row t
-          [
-            name;
-            Supervisor.state_to_string (Supervisor.state sup name);
-            string_of_int s.Fabric.handled;
-            string_of_int s.Fabric.failures;
-            string_of_int (Bus.pending_for bus ~name);
-            string_of_int
-              (List.length
-                 (List.filter
-                    (fun (e : Deadletter.entry) ->
-                      String.equal e.Deadletter.daemon name)
-                    (Fabric.dead_letters fab)));
-          ])
-      report.Fabric.stats;
-    Mirror_util.Tablefmt.print t;
-    print_worker_table fab;
-    print_fabric_summary fab report;
-    let code =
-      health_exit ~quiescent:report.Fabric.quiescent
-        ~degraded:report.Fabric.degraded
-        ~dead_letters:(List.length (Fabric.dead_letters fab))
-    in
-    Fabric.shutdown fab;
-    code
 
 let daemons_health_main images seed broken flaky procs durable =
   let open Mirror_daemon in
-  if procs > 0 then
-    daemons_health_fabric ~images ~seed ~broken ~flaky ~procs ~durable
-  else
-  match run_faulted_pipeline ~images ~seed ~broken ~flaky with
-  | exception Failure e ->
-    Printf.eprintf "error: %s\n" e;
-    1
-  | orch, report, _ ->
-    let sup = Orchestrator.supervisor orch in
-    let bus = (Orchestrator.ctx orch).Daemon.bus in
-    let t =
-      Mirror_util.Tablefmt.create
+  with_faulted_pipeline ~images ~seed ~broken ~flaky ~procs ~durable
+  @@ fun orch report _ ->
+  let sup = Orchestrator.supervisor orch in
+  let bus = (Orchestrator.ctx orch).Daemon.bus in
+  let letters = Orchestrator.dead_letters orch in
+  let t =
+    Mirror_util.Tablefmt.create
+      [
+        ("daemon", Mirror_util.Tablefmt.Left);
+        ("breaker", Mirror_util.Tablefmt.Left);
+        ("handled", Mirror_util.Tablefmt.Right);
+        ("failures", Mirror_util.Tablefmt.Right);
+        ("queued", Mirror_util.Tablefmt.Right);
+        ("dead", Mirror_util.Tablefmt.Right);
+      ]
+  in
+  List.iter
+    (fun (s : Orchestrator.daemon_stats) ->
+      let name = s.Orchestrator.name in
+      Mirror_util.Tablefmt.add_row t
         [
-          ("daemon", Mirror_util.Tablefmt.Left);
-          ("breaker", Mirror_util.Tablefmt.Left);
-          ("handled", Mirror_util.Tablefmt.Right);
-          ("failures", Mirror_util.Tablefmt.Right);
-          ("queued", Mirror_util.Tablefmt.Right);
-          ("dead", Mirror_util.Tablefmt.Right);
-        ]
-    in
-    List.iter
-      (fun (s : Orchestrator.daemon_stats) ->
-        let name = s.Orchestrator.name in
-        Mirror_util.Tablefmt.add_row t
-          [
-            name;
-            Supervisor.state_to_string (Supervisor.state sup name);
-            string_of_int s.Orchestrator.handled;
-            string_of_int s.Orchestrator.failures;
-            string_of_int (Bus.pending_for bus ~name);
-            string_of_int
-              (List.length
-                 (List.filter
-                    (fun (e : Deadletter.entry) -> String.equal e.Deadletter.daemon name)
-                    (Orchestrator.dead_letters orch)));
-          ])
-      report.Orchestrator.stats;
-    Mirror_util.Tablefmt.print t;
-    print_pipeline_summary report;
-    health_exit ~quiescent:report.Orchestrator.quiescent
-      ~degraded:report.Orchestrator.degraded
-      ~dead_letters:(List.length (Orchestrator.dead_letters orch))
+          name;
+          Supervisor.state_to_string (Supervisor.state sup name);
+          string_of_int s.Orchestrator.handled;
+          string_of_int s.Orchestrator.failures;
+          string_of_int (Bus.pending_for bus ~name);
+          string_of_int
+            (List.length
+               (List.filter
+                  (fun (e : Deadletter.entry) -> String.equal e.Deadletter.daemon name)
+                  letters));
+        ])
+    report.Orchestrator.stats;
+  Mirror_util.Tablefmt.print t;
+  if procs > 0 then print_worker_table orch;
+  print_pipeline_summary report;
+  health_exit ~quiescent:report.Orchestrator.quiescent ~degraded:report.Orchestrator.degraded
+    ~dead_letters:(List.length letters)
 
 (* [daemons deadletters --durable DIR] inspects a crashed (or live)
    instance's delivery journal read-only — no pipeline is run. *)
@@ -880,16 +790,13 @@ let deadletters_inspect dir =
       (List.length dead);
     if dead = [] then 0 else 3
 
-let daemons_deadletters_main images seed broken flaky durable =
+let daemons_deadletters_main images seed broken flaky procs durable =
   let open Mirror_daemon in
   match durable with
   | Some dir -> deadletters_inspect dir
-  | None -> (
-  match run_faulted_pipeline ~images ~seed ~broken ~flaky with
-  | exception Failure e ->
-    Printf.eprintf "error: %s\n" e;
-    1
-  | orch, report, _ ->
+  | None ->
+    with_faulted_pipeline ~images ~seed ~broken ~flaky ~procs ~durable:None
+    @@ fun orch report _ ->
     let letters = Orchestrator.dead_letters orch in
     List.iter
       (fun (e : Deadletter.entry) ->
@@ -900,47 +807,21 @@ let daemons_deadletters_main images seed broken flaky durable =
       letters;
     Printf.printf "%d dead letter(s)\n" (List.length letters);
     print_pipeline_summary report;
-    if letters = [] then 0 else 1)
-
-let daemons_redeliver_fabric ~images ~seed ~broken ~flaky ~procs ~durable ~probe =
-  let module Fabric = Mirror_fabric.Fabric in
-  match run_faulted_fabric ~images ~seed ~broken ~flaky ~procs ~durable with
-  | exception Failure e ->
-    Printf.eprintf "error: %s\n" e;
-    1
-  | fab, report, heals ->
-    print_fabric_summary fab report;
-    List.iter (fun heal -> heal true) heals;
-    let n = Fabric.redeliver ~probe fab in
-    Printf.printf "healed %d daemon(s), redelivered %d message(s)\n"
-      (List.length heals) n;
-    let report2 = Fabric.run fab in
-    print_fabric_summary fab report2;
-    let left = List.length (Fabric.dead_letters fab) in
-    Printf.printf "%d dead letter(s) remaining\n" left;
-    let code = if report2.Fabric.quiescent && left = 0 then 0 else 1 in
-    Fabric.shutdown fab;
-    code
+    if letters = [] then 0 else 1
 
 let daemons_redeliver_main images seed broken flaky procs durable probe =
   let open Mirror_daemon in
-  if procs > 0 then
-    daemons_redeliver_fabric ~images ~seed ~broken ~flaky ~procs ~durable ~probe
-  else
-  match run_faulted_pipeline ~images ~seed ~broken ~flaky with
-  | exception Failure e ->
-    Printf.eprintf "error: %s\n" e;
-    1
-  | orch, report, heals ->
-    print_pipeline_summary report;
-    List.iter (fun heal -> heal true) heals;
-    let n = Orchestrator.redeliver ~probe orch in
-    Printf.printf "healed %d daemon(s), redelivered %d message(s)\n" (List.length heals) n;
-    let report2 = Orchestrator.run orch in
-    print_pipeline_summary report2;
-    let left = List.length (Orchestrator.dead_letters orch) in
-    Printf.printf "%d dead letter(s) remaining\n" left;
-    if report2.Orchestrator.quiescent && left = 0 then 0 else 1
+  with_faulted_pipeline ~images ~seed ~broken ~flaky ~procs ~durable
+  @@ fun orch report heals ->
+  print_pipeline_summary report;
+  List.iter (fun heal -> heal true) heals;
+  let n = Orchestrator.redeliver ~probe orch in
+  Printf.printf "healed %d daemon(s), redelivered %d message(s)\n" (List.length heals) n;
+  let report2 = Orchestrator.run orch in
+  print_pipeline_summary report2;
+  let left = List.length (Orchestrator.dead_letters orch) in
+  Printf.printf "%d dead letter(s) remaining\n" left;
+  if report2.Orchestrator.quiescent && left = 0 then 0 else 1
 
 let images_arg =
   let doc = "Synthetic images to ingest." in
@@ -960,16 +841,16 @@ let flaky_arg =
 
 let procs_arg =
   let doc =
-    "Host the daemons in $(docv) forked worker processes (the multi-process \
-     fabric) instead of in-process; 0 keeps the in-process orchestrator."
+    "Run the daemons in $(docv) forked worker processes (on the wall clock) \
+     instead of in process (on a virtual clock); 0 keeps them in process."
   in
   Arg.(value & opt int 0 & info [ "procs" ] ~docv:"N" ~doc)
 
 let fab_durable_arg =
   let doc =
-    "Journal the delivery state machine and store writes through $(docv) \
-     (multi-process fabric only); for $(b,deadletters), inspect an existing \
-     journal read-only instead of running the pipeline."
+    "Journal the delivery state machine and store writes through $(docv); \
+     for $(b,deadletters), inspect an existing journal read-only instead of \
+     running the pipeline."
   in
   Arg.(value & opt (some string) None & info [ "durable" ] ~docv:"DIR" ~doc)
 
@@ -994,7 +875,7 @@ let daemons_deadletters_cmd =
   Cmd.v (Cmd.info "deadletters" ~doc)
     Term.(
       const daemons_deadletters_main $ images_arg $ fault_seed_arg $ break_arg
-      $ flaky_arg $ fab_durable_arg)
+      $ flaky_arg $ procs_arg $ fab_durable_arg)
 
 let probe_arg =
   let doc =

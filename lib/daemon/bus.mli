@@ -63,8 +63,8 @@ val set_route_hook : t -> (string -> delivery -> unit) option -> unit
 (** Observe every routing decision: called with the subscriber name
     and the fresh delivery each time {!publish} (or {!requeue})
     enqueues a copy — before any overflow handling, so a delivery that
-    is immediately stalled or shed is still observed.  The process
-    fabric journals these as in-flight records; {!inject} deliberately
+    is immediately stalled or shed is still observed.  A journaled
+    orchestrator records these as in-flight deliveries; {!inject} deliberately
     bypasses the hook. *)
 
 val publish : t -> message -> unit

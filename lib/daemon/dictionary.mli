@@ -27,3 +27,23 @@ val history : t -> string -> (string * string) list
 
 val extents : t -> string list
 (** Registered extents, sorted. *)
+
+(** {1 Write capture}
+
+    Same discipline as {!Store}'s: a daemon runs against a replica
+    dictionary, its changes are captured as {!op} values, and the
+    orchestrator applies them to the authoritative dictionary when the
+    delivery settles. *)
+
+type op =
+  | Registered of { name : string; schema : string; owner : string }
+  | Evolved of { name : string; schema : string; by : string }
+
+val set_sync : t -> (op -> unit) option -> unit
+(** Install (or clear) the write-capture hook. *)
+
+val apply : t -> op -> unit
+(** Apply a captured change without re-emitting it. *)
+
+val copy : t -> t
+(** An independent copy (no capture hook). *)

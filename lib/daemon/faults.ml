@@ -72,14 +72,43 @@ let breakable (d : Daemon.t) =
   let down = ref true in
   (switched (fun () -> !down) d, fun up -> down := not up)
 
+(* A call counter shared with every process forked after its
+   creation (a shared file mapping, unlinked at once), so "the N-th
+   call" means the N-th call anywhere: a fault that fired in a worker
+   process does not fire again in the process that replaces it.  Only
+   one process runs a given daemon at a time, so no increment races. *)
+let shared_counter () =
+  let path = Filename.temp_file "mirror-faults" ".count" in
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o600 in
+  Sys.remove path;
+  let calls =
+    Bigarray.array1_of_genarray (Unix.map_file fd Bigarray.int Bigarray.c_layout true [| 1 |])
+  in
+  Unix.close fd;
+  calls.{0} <- 0;
+  fun () ->
+    calls.{0} <- calls.{0} + 1;
+    calls.{0}
+
 let crashing ~at_call (d : Daemon.t) =
   if at_call < 1 then invalid_arg "Faults.crashing: at_call must be positive";
-  let calls = ref 0 in
+  let next = shared_counter () in
   {
     d with
     Daemon.handle =
       (fun ctx m ->
-        incr calls;
-        if !calls = at_call then raise (Crash ("daemon " ^ d.Daemon.name))
+        if next () = at_call then raise (Crash ("daemon " ^ d.Daemon.name))
         else d.Daemon.handle ctx m);
+  }
+
+let fails_after_writing ~at_call (d : Daemon.t) =
+  if at_call < 1 then invalid_arg "Faults.fails_after_writing: at_call must be positive";
+  let next = shared_counter () in
+  {
+    d with
+    Daemon.handle =
+      (fun ctx m ->
+        let n = next () in
+        let out = d.Daemon.handle ctx m in
+        if n = at_call then failwith failure_message else out);
   }

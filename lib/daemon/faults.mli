@@ -23,8 +23,15 @@ val breakable : Daemon.t -> Daemon.t * (bool -> unit)
 
 val crashing : at_call:int -> Daemon.t -> Daemon.t
 (** Raises {!Crash} on exactly the [at_call]-th handled message (then
-    behaves normally) — the orchestrator treats this as a simulated
-    process death, not a retryable daemon failure. *)
+    behaves normally) — the orchestrator treats this as a process
+    death, not a retryable daemon failure.  Calls are counted across
+    every worker process forked after the wrapper was made, so the
+    crash happens once even when it kills the process that ran it. *)
+
+val fails_after_writing : at_call:int -> Daemon.t -> Daemon.t
+(** Runs the real handler on every message, then raises on exactly
+    the [at_call]-th (counted like {!crashing}) — a daemon failure
+    that leaves partial writes behind in the replica it ran on. *)
 
 val failure_message : string
 (** The message carried by injected failures (stable for tests). *)

@@ -1,4 +1,4 @@
-(** Drives the open distributed architecture.
+(** Drives the open distributed architecture: the one delivery engine.
 
     Owns the bus/media/dictionary/store context, ingests footage
     (publishing the corresponding messages) and then pumps the bus in
@@ -8,64 +8,113 @@
     {!Deadletter} queue with its cause, from which {!redeliver} can
     replay it once the target is healthy again.
 
-    Time is injectable ({!Mirror_util.Clock}); by default a virtual
-    clock advances one tick per round, so breaker backoff and message
-    deadlines are deterministic and tests never sleep.
+    {b Transports.}  [config.procs] chooses where handlers run.  At
+    [0] they run in this process, one after another, each daemon
+    handling at most the deliveries queued at its turn in the round.
+    At [N >= 1] the daemons are striped over [N] forked worker
+    processes ({!Proc}) that speak the {!Transport} line protocol; one
+    delivery is in flight per process, and a round waits for replies.
+    Either way a handler runs against a {e replica} of the store and
+    dictionary (kept in step across worker slots by one op log), and
+    every delivery is {e settled} by the same code: its captured
+    writes, publications and dictionary changes reach this
+    orchestrator's context only when it succeeds, and are dropped
+    when it fails.  A replica that ran a failed delivery which wrote
+    anything is refreshed from the authoritative store before it
+    serves again (re-forked, or copied in process), so a retry can
+    never see — or double-apply — a partial write.
 
-    Failure taxonomy: an exception from a handler is a {e daemon}
+    {b Time} is injectable ({!Mirror_util.Clock}).  By default a
+    virtual clock advances one tick per round in process, so breaker
+    backoff and message deadlines are deterministic and tests never
+    sleep; worker processes run on the monotonic wall clock — real
+    processes die in real time.
+
+    {b Failure taxonomy.}  An exception from a handler is a {e daemon}
     failure — retried, then dead-lettered with the exception text.
-    {!Faults.Crash}, [Out_of_memory] and [Stack_overflow] are {e not}
-    daemon failures: the in-flight delivery is requeued and the
-    exception re-raised to the caller (the supervision analogue of a
-    process crash — state survives in [t]; call {!run} again to
-    restart). *)
+    {!Faults.Crash}, [Out_of_memory] and [Stack_overflow] are {e
+    process} deaths.  In process the delivery is requeued and the
+    exception re-raised to the caller after the round (state survives
+    in [t]; call {!run} again to restart).  A worker process that dies
+    ([SIGKILL] included) is seen as EOF on its pipe: its delivery is
+    failed, its hosted daemons' breakers trip at once, and a fresh
+    process replaces it when a breaker half-opens.
+
+    {b Journal.}  An optional {!journal} (the durable one is
+    [Mirror_fabric.Dlog], opened by [Mirror_fabric.Fabric.open_durable])
+    records every routing decision, settlement, dead letter and
+    redelivery, on either transport, so a crashed orchestrator can be
+    recovered exactly. *)
 
 type config = {
+  procs : int;  (** Worker processes; [0] runs the handlers in process. *)
   ttl : float;
       (** Message deadline: a delivery still queued [ttl] clock
           seconds after it was first considered is dead-lettered as
           expired (so a downed daemon's backlog drains to the
           dead-letter queue instead of burning retry attempts). *)
-  tick : float;  (** Virtual-clock advance per round. *)
   capacity : int option;  (** Per-subscriber bus queue bound. *)
   policy : Bus.overflow_policy;
   breaker : Supervisor.config;
   barriers : (string * string list) list;
       (** [(topic, awaits)]: a delivery on [topic] is held while any
-          [awaits] topic has pending deliveries or dead letters.  The
-          default holds ["collection.complete"] until segmentation
-          (["image.new"]) and feature extraction (["segments.ready"])
-          have resolved, so the clusterer never runs on a partial
-          feature store. *)
+          [awaits] topic has queued or in-flight deliveries or dead
+          letters.  The default holds ["collection.complete"] until
+          segmentation (["image.new"]) and feature extraction
+          (["segments.ready"]) have resolved, so the clusterer never
+          runs on a partial feature store. *)
+  max_retries : int;
+      (** Extra attempts per {e delivery} (each enqueued copy has its
+          own budget; a worker death counts as an attempt). *)
 }
 
 val default_config : config
-(** ttl 30s, tick 1s, capacity 256, [Backpressure], default breaker,
-    the ["collection.complete"] barrier. *)
+(** In process, ttl 30s, capacity 256, [Backpressure], default
+    breaker, the ["collection.complete"] barrier, 2 retries. *)
 
 type daemon_stats = {
   name : string;
   handled : int;  (** Messages successfully processed. *)
   produced : int;  (** Messages published as a result. *)
-  failures : int;  (** Raised handlings (each attempt counts). *)
-  cpu_seconds : float;  (** Processor time inside the handler. *)
+  failures : int;  (** Failed handlings (each attempt counts). *)
+  cpu_seconds : float;
+      (** Processor time inside the handler (a worker reports its own
+          figure with each terminator). *)
 }
 
 type report = {
   rounds : int;
   quiescent : bool;
-      (** True when no deliveries remain queued for any daemon.  A
-          false report is honest about why: [pending] counts the
-          backlog (livelock guard hit, breaker still open, or a
-          barrier held by dead letters). *)
-  pending : int;  (** Deliveries still queued when the run stopped. *)
+      (** True when no deliveries remain queued or in flight for any
+          daemon.  A false report is honest about why: [pending]
+          counts the backlog (livelock guard hit, breaker still open,
+          or a barrier held by dead letters). *)
+  pending : int;  (** Deliveries still queued or in flight when the run stopped. *)
   degraded : string list;
       (** Daemons that ended the run unhealthy: breaker not closed,
           or dead letters addressed to them.  Empty for a clean run. *)
   stats : daemon_stats list;  (** In daemon registration order;
           cumulative across runs of the same orchestrator. *)
   dead_letters : Deadletter.entry list;  (** Added during this run. *)
+  deaths : int;  (** Worker processes that died during this run. *)
+  restarts : int;  (** Processes forked during this run to replace them. *)
 }
+
+type journal = {
+  routed : string -> Bus.delivery -> unit;
+      (** A delivery was enqueued for the named daemon. *)
+  settled : string -> Bus.delivery -> unit;  (** It was handled. *)
+  dead : Deadletter.entry -> unit;  (** It was dead-lettered. *)
+  redelivered : Deadletter.entry -> unit;  (** A dead letter went back on the bus. *)
+  atomically : (unit -> unit) -> unit;
+      (** Run a settlement (its store writes, reached through the
+          store's own journal hook, its routes and its [settled]) as
+          one atomic group. *)
+  sync : unit -> unit;  (** Group commit, once per round. *)
+  abandon : unit -> unit;  (** The orchestrator is dying: stop writing. *)
+  close : unit -> unit;  (** Clean shutdown. *)
+}
+(** Where the delivery state machine is recorded. *)
 
 type t
 
@@ -74,15 +123,18 @@ val create :
   ?clock:Mirror_util.Clock.t ->
   ?seed:int ->
   ?config:config ->
+  ?journal:journal ->
   unit ->
   t
 (** Fresh context with the given daemons subscribed ([Standard.all] by
     default) and the ["ImageLibrary"] extent registered in the
-    dictionary.  [clock] defaults to a fresh virtual clock; [seed]
-    (default 7901) drives the breakers' deterministic jitter. *)
+    dictionary.  [clock] defaults to a fresh virtual clock in process
+    and the monotonic wall clock with worker processes; [seed]
+    (default 7901) drives the breakers' deterministic jitter.  No
+    process is forked before {!run}. *)
 
 val ctx : t -> Daemon.ctx
-(** The underlying context (media server, store, dictionary, bus). *)
+(** The authoritative context (media server, store, dictionary, bus). *)
 
 val clock : t -> Mirror_util.Clock.t
 val supervisor : t -> Supervisor.t
@@ -118,17 +170,20 @@ val formulated : t -> (string * float) list option
 (** Pop the client's next formulation answer (concept, belief) — the
     interactive query-formulation round trip of §5.1. *)
 
-val run :
-  ?max_retries:int -> ?max_rounds:int -> ?trace:Mirror_util.Trace.t -> t -> report
-(** Pump messages until quiescence, the livelock guard, or a stall no
-    amount of time can fix.  [max_retries] (default 2) extra attempts
-    per {e delivery} (each enqueued copy has its own budget);
-    [max_rounds] (default 1000) guards against livelock.  Daemons
-    whose breaker is open are skipped (their backlog waits, then
-    expires); a half-open breaker admits a single probe delivery.
+val run : ?max_rounds:int -> ?trace:Mirror_util.Trace.t -> t -> report
+(** Refresh every replica (fresh worker processes capture the current
+    state, ingested media included), then pump messages until
+    quiescence, the livelock guard, or a stall no amount of time can
+    fix.  [max_rounds] (default 1000 in process, 100000 with worker
+    processes, whose rounds are reply events) guards against livelock.
+    Daemons whose breaker is open are skipped (their backlog waits,
+    then expires); a half-open breaker admits a single probe delivery.
+    Worker processes are left running for inspection until the next
+    run or {!shutdown}.
 
     [trace] records an ["orchestrator.run"] span with one child per
-    round, per-daemon spans beneath, and zero-duration ["breaker"]
+    round, per-daemon spans beneath (around the in-process handling,
+    or a worker delivery's settlement), and zero-duration ["breaker"]
     events on breaker transitions.  When the {!Mirror_util.Metrics}
     registry is enabled, per-daemon
     ["daemon.<name>.handled"/".failures"/".ms"/".depth"] metrics,
@@ -136,5 +191,39 @@ val run :
     ["bus.*"] counters are recorded.
 
     @raise Faults.Crash (and re-raises [Out_of_memory] /
-    [Stack_overflow]) after requeueing the in-flight delivery — see
-    the failure taxonomy above. *)
+    [Stack_overflow]) after requeueing an in-process handler's
+    delivery — see the failure taxonomy above.  Any other exception
+    escaping the loop (e.g. an armed journal crash point) kills the
+    workers and abandons the journal before propagating. *)
+
+val shutdown : t -> unit
+(** Quit the worker processes gracefully and close the journal. *)
+
+(** {1 Recovery, fault injection and introspection} *)
+
+val adopt_dead_letter : t -> Deadletter.entry -> unit
+(** Put a recovered dead letter in the queue without journaling it. *)
+
+val set_tick_hook : t -> (int -> unit) option -> unit
+(** Called at the start of every round with its number — the chaos
+    suites' fault-injection point. *)
+
+val kill_worker : t -> int -> bool
+(** [SIGKILL] the process in slot [id]; false if there is none.  The
+    death is observed (EOF) on the next round. *)
+
+val workers : t -> (int * int option * string list) list
+(** Per worker slot: (id, live pid, hosted daemon names).  Empty in
+    process. *)
+
+val state_keys : t -> (string * int) list * (string * int * string) list
+(** Live (daemon, seq) pending keys — queued and in flight — and
+    (daemon, seq, cause tag) dead letters, both sorted; directly
+    comparable with [Mirror_fabric.Dlog.state_keys] for exact-recovery
+    checks. *)
+
+val deaths : t -> int
+val restarts : t -> int
+val kills : t -> int
+(** Cumulative worker deaths observed, replacement forks, and
+    {!kill_worker} signals sent. *)

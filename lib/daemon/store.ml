@@ -36,6 +36,22 @@ let create () =
     sync = None;
   }
 
+let copy t =
+  let visual = Hashtbl.create (Hashtbl.length t.visual) in
+  Hashtbl.iter (fun doc bag -> Hashtbl.replace visual doc (Hashtbl.copy bag)) t.visual;
+  {
+    t with
+    urls = Hashtbl.copy t.urls;
+    segs = Hashtbl.copy t.segs;
+    feats = Hashtbl.copy t.feats;
+    spaces = Hashtbl.copy t.spaces;
+    models = Hashtbl.copy t.models;
+    texts = Hashtbl.copy t.texts;
+    visual;
+    journal = None;
+    sync = None;
+  }
+
 let set_journal t j = t.journal <- j
 let log t tag payload = match t.journal with None -> () | Some f -> f tag payload
 let set_sync t s = t.sync <- s
@@ -210,9 +226,9 @@ let evidence t =
     (docs t)
 
 let apply t op =
-  (* Apply a captured write without re-capturing it (the fabric's
-     sync fan-out must not echo); the durability journal still fires,
-     so worker-originated writes reach the parent's WAL. *)
+  (* Apply a captured write without re-capturing it (the op log's
+     fan-out must not echo); the durability journal still fires, so
+     settled writes reach the orchestrator's WAL. *)
   let saved = t.sync in
   t.sync <- None;
   Fun.protect

@@ -11,6 +11,10 @@ type t
 val create : unit -> t
 (** Empty store. *)
 
+val copy : t -> t
+(** An independent copy of the contents, with no journal or sync hook
+    — how the in-process transport refreshes a daemon's replica. *)
+
 (** {1 Documents} *)
 
 val register_doc : t -> doc:int -> url:string -> unit
@@ -88,10 +92,11 @@ val replay : t -> string -> string -> (unit, string) result
     never re-journals (and never fires the sync hook).  Errors on a
     malformed or unknown record. *)
 
-(** {1 Write capture (process-fabric sync)}
+(** {1 Write capture}
 
-    A worker process hosts a fork-copied store; its handlers' writes
-    must reach the parent (and from there the other workers).  When a
+    A daemon runs against a replica store (a copy in process, a
+    fork-copy in a worker process); its writes must reach the
+    orchestrator's store, and from there the other replicas.  When a
     sync hook is installed, {e every} mutator emits the write it just
     applied as a self-contained {!op} value — pure data, safe to
     [Marshal] between forks of the same binary.  {!apply} is the

@@ -1,4 +1,4 @@
-(* Line-framed wire protocol between the fabric parent and a worker
+(* Line-framed wire protocol between the orchestrator and a worker
    process.  Same discipline as lib/serve's Protocol: one frame per
    line, fields separated by single spaces, every field escaped so
    arbitrary bytes (marshalled store ops, exception texts with
@@ -7,13 +7,12 @@
 type request =
   | Sync of string
   | Deliver of { seq : int; daemon : string; message : Bus.message }
-  | Quit
 
 type reply =
   | Op of string
   | Pub of Bus.message
-  | Done of int
-  | Fail of int * string
+  | Done of int * float
+  | Fail of int * float * string
 
 (* {1 Field escaping}
 
@@ -58,6 +57,11 @@ let fields line = String.split_on_char ' ' line |> List.map unescape
 let int_field name s =
   match int_of_string_opt s with
   | Some i -> i
+  | None -> raise (Bad (Printf.sprintf "bad %s field %S" name s))
+
+let float_field name s =
+  match float_of_string_opt s with
+  | Some f -> f
   | None -> raise (Bad (Printf.sprintf "bad %s field %S" name s))
 
 (* {1 Framing} *)
@@ -106,7 +110,6 @@ let request_to_line = function
     Buffer.add_string buf (escape daemon);
     add_message buf message;
     Buffer.contents buf
-  | Quit -> "quit"
 
 let request_of_line line =
   match fields line with
@@ -121,7 +124,6 @@ let request_of_line line =
               message = parse_message "deliver" rest;
             })
      with Bad m -> Error m)
-  | [ "quit" ] -> Ok Quit
   | verb :: _ -> Error (Printf.sprintf "unknown request frame %S" verb)
   | [] -> Error "empty request frame"
   | exception Bad m -> Error m
@@ -133,17 +135,18 @@ let reply_to_line = function
     Buffer.add_string buf "pub";
     add_message buf m;
     Buffer.contents buf
-  | Done seq -> "done " ^ string_of_int seq
-  | Fail (seq, msg) -> Printf.sprintf "fail %d %s" seq (escape msg)
+  | Done (seq, cpu) -> Printf.sprintf "done %d %h" seq cpu
+  | Fail (seq, cpu, msg) -> Printf.sprintf "fail %d %h %s" seq cpu (escape msg)
 
 let reply_of_line line =
   match fields line with
   | [ "op"; blob ] -> Ok (Op blob)
   | "pub" :: rest -> ( try Ok (Pub (parse_message "pub" rest)) with Bad m -> Error m)
-  | [ "done"; seq ] -> (
-    try Ok (Done (int_field "seq" seq)) with Bad m -> Error m)
-  | [ "fail"; seq; msg ] -> (
-    try Ok (Fail (int_field "seq" seq, msg)) with Bad m -> Error m)
+  | [ "done"; seq; cpu ] -> (
+    try Ok (Done (int_field "seq" seq, float_field "cpu" cpu)) with Bad m -> Error m)
+  | [ "fail"; seq; cpu; msg ] -> (
+    try Ok (Fail (int_field "seq" seq, float_field "cpu" cpu, msg))
+    with Bad m -> Error m)
   | verb :: _ -> Error (Printf.sprintf "unknown reply frame %S" verb)
   | [] -> Error "empty reply frame"
   | exception Bad m -> Error m
@@ -151,9 +154,8 @@ let reply_of_line line =
 (* {1 Channel IO}
 
    Writers flush per frame: a frame is the unit of progress, and the
-   peer's select loop must see it as soon as it exists.  Readers map
-   EOF to [None] — on the parent side that is the worker-death
-   signal. *)
+   peer's select loop must see it as soon as it exists.  The worker
+   maps EOF to [None]: the orchestrator went away. *)
 
 let write_line oc line =
   output_string oc line;
@@ -163,20 +165,10 @@ let write_line oc line =
 let send_request oc r = write_line oc (request_to_line r)
 let send_reply oc r = write_line oc (reply_to_line r)
 
-let read_line_opt ic = try Some (input_line ic) with End_of_file -> None
-
 let recv_request ic =
-  match read_line_opt ic with
-  | None -> None
-  | Some line -> (
+  match input_line ic with
+  | exception End_of_file -> None
+  | line -> (
     match request_of_line line with
     | Ok r -> Some r
     | Error m -> raise (Bad ("request: " ^ m)))
-
-let recv_reply ic =
-  match read_line_opt ic with
-  | None -> None
-  | Some line -> (
-    match reply_of_line line with
-    | Ok r -> Some r
-    | Error m -> raise (Bad ("reply: " ^ m)))

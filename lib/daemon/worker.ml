@@ -1,58 +1,78 @@
-type exit_reason = Quit | Orphaned | Fatal of exn
+type write = Store_op of Store.op | Dict_op of Dictionary.op
+type verdict = Handled | Failed of string | Fatal of exn
 
-(* Same taxonomy as the orchestrator: these are process deaths, not
-   daemon failures — the worker must die without replying so the
-   parent sees EOF, exactly as if the process had been killed. *)
+type outcome = {
+  writes : write list;
+  pubs : Bus.message list;
+  cpu : float;
+  verdict : verdict;
+}
+
+type exit_reason = Closed | Fatal of exn
+
+(* Process deaths, not daemon failures: in process the orchestrator
+   requeues and re-raises, in a worker the process dies without a
+   reply so the orchestrator sees EOF, exactly as if it were killed. *)
 let is_fatal = function
   | Faults.Crash _ | Out_of_memory | Stack_overflow -> true
   | _ -> false
 
-let marshal_op (op : Store.op) = Marshal.to_string op []
+let apply (ctx : Daemon.ctx) = function
+  | Store_op op -> Store.apply ctx.Daemon.store op
+  | Dict_op op -> Dictionary.apply ctx.Daemon.dict op
 
-let unmarshal_op blob : Store.op =
+let marshal (w : write) = Marshal.to_string w []
+
+let unmarshal blob : write =
   (* Same-binary fork IPC only: the blob never touches disk and both
      ends are the same executable image, so Marshal is sound here. *)
   Marshal.from_string blob 0
 
+let handle (ctx : Daemon.ctx) (d : Daemon.t) message =
+  let writes = ref [] in
+  let capture w = writes := w :: !writes in
+  Store.set_sync ctx.Daemon.store (Some (fun op -> capture (Store_op op)));
+  Dictionary.set_sync ctx.Daemon.dict (Some (fun op -> capture (Dict_op op)));
+  let t0 = Sys.time () in
+  let pubs, (verdict : verdict) =
+    match d.Daemon.handle ctx message with
+    | out -> (out, Handled)
+    | exception e when is_fatal e -> ([], Fatal e)
+    | exception e -> ([], Failed (Printexc.to_string e))
+  in
+  let cpu = Sys.time () -. t0 in
+  Store.set_sync ctx.Daemon.store None;
+  Dictionary.set_sync ctx.Daemon.dict None;
+  { writes = List.rev !writes; pubs; cpu; verdict }
+
 let serve ic oc daemons ~(ctx : Daemon.ctx) =
   let by_name = Hashtbl.create 16 in
   List.iter (fun (d : Daemon.t) -> Hashtbl.replace by_name d.Daemon.name d) daemons;
-  let result = ref Quit in
-  let running = ref true in
-  while !running do
+  let send = Transport.send_reply oc in
+  let rec loop () =
     match Transport.recv_request ic with
-    | None ->
-      (* Parent went away (crashed or closed us out): nothing useful
-         left to do — our writes would go nowhere. *)
-      result := Orphaned;
-      running := false
-    | Some Transport.Quit ->
-      result := Quit;
-      running := false
-    | Some (Transport.Sync blob) -> Store.apply ctx.Daemon.store (unmarshal_op blob)
+    | None -> Closed
+    | Some (Transport.Sync blob) ->
+      apply ctx (unmarshal blob);
+      loop ()
     | Some (Transport.Deliver { seq; daemon; message }) -> (
       match Hashtbl.find_opt by_name daemon with
-      | None -> Transport.send_reply oc (Transport.Fail (seq, "daemon not hosted here"))
+      | None ->
+        send (Transport.Fail (seq, 0.0, "daemon not hosted here"));
+        loop ()
       | Some d -> (
-        (* Stream each store write out as it happens: if we are killed
-           mid-handling, the parent has the prefix — harmless, every op
-           is a completed write, and the delivery itself is requeued. *)
-        Store.set_sync ctx.Daemon.store
-          (Some (fun op -> Transport.send_reply oc (Transport.Op (marshal_op op))));
-        let finish () = Store.set_sync ctx.Daemon.store None in
-        match d.Daemon.handle ctx message with
-        | out ->
-          finish ();
-          List.iter (fun m -> Transport.send_reply oc (Transport.Pub m)) out;
-          Transport.send_reply oc (Transport.Done seq)
-        | exception e when is_fatal e ->
-          finish ();
-          (* No reply: die so the parent observes a real process
-             death (EOF + waitpid), the recovery unit of the fabric. *)
-          result := Fatal e;
-          running := false
-        | exception e ->
-          finish ();
-          Transport.send_reply oc (Transport.Fail (seq, Printexc.to_string e))))
-  done;
-  !result
+        let o = handle ctx d message in
+        match o.verdict with
+        | Fatal e -> Fatal e
+        | Handled | Failed _ ->
+          (* A failed delivery's writes travel too: they are discarded,
+             but tell the orchestrator this replica is now dirty. *)
+          List.iter (fun w -> send (Transport.Op (marshal w))) o.writes;
+          (match o.verdict with
+          | Failed text -> send (Transport.Fail (seq, o.cpu, text))
+          | _ ->
+            List.iter (fun m -> send (Transport.Pub m)) o.pubs;
+            send (Transport.Done (seq, o.cpu)));
+          loop ()))
+  in
+  loop ()

@@ -1,32 +1,58 @@
-(** A worker process's request loop.
+(** Running one delivery against a replica, and a worker process's
+    request loop.
 
-    The fabric forks one process per worker; the child calls {!serve}
-    over the pipe pair and the hosted daemons, against its fork-copied
-    {!Daemon.ctx}.  Handlers run unchanged — their store writes are
-    captured via {!Store.set_sync} and streamed back as [Op] frames,
-    their returned messages as [Pub] frames, and each delivery is
-    terminated by [Done]/[Fail].
+    {!handle} is shared by both transports: it runs a daemon's handler
+    against a replica context and captures everything the handler
+    did — store and dictionary writes (through the {!Store.set_sync} /
+    {!Dictionary.set_sync} hooks) and returned messages — without
+    letting any of it reach the orchestrator.  The orchestrator
+    settles the {!outcome}: on success the writes are applied to the
+    authoritative store and the messages published; on failure they
+    are dropped.  In process the outcome is passed as a value; in a
+    worker process {!serve} streams it back as [Op]/[Pub] frames and
+    a [Done]/[Fail] terminator. *)
 
-    This module is pure protocol logic over channels (testable
-    in-process with a pipe); fork/exec/waitpid live in
-    [Mirror_fabric.Fabric]. *)
+type write =
+  | Store_op of Store.op
+  | Dict_op of Dictionary.op  (** One captured write. *)
+
+type verdict =
+  | Handled
+  | Failed of string  (** A daemon failure, with the exception text. *)
+  | Fatal of exn
+      (** {!Faults.Crash}, [Out_of_memory] or [Stack_overflow]: a
+          process death, not a daemon failure. *)
+
+type outcome = {
+  writes : write list;  (** In the order performed. *)
+  pubs : Bus.message list;  (** Returned messages ([[]] unless handled). *)
+  cpu : float;  (** Processor seconds inside the handler. *)
+  verdict : verdict;
+}
+
+val handle : Daemon.ctx -> Daemon.t -> Bus.message -> outcome
+(** Run the handler against [ctx] (a replica), capturing its effects.
+    Never raises for a handler exception. *)
+
+val apply : Daemon.ctx -> write -> unit
+(** Apply a captured write to a context without re-capturing it. *)
+
+val marshal : write -> string
+(** Marshal a write for the wire.  Only sound between forks of the
+    same binary — never persist these blobs. *)
+
+val unmarshal : string -> write
 
 type exit_reason =
-  | Quit  (** The parent sent [Quit]; exit 0. *)
-  | Orphaned  (** EOF from the parent (it crashed or dropped us). *)
+  | Closed
+      (** EOF on the request pipe: the orchestrator stopped us (or
+          died); exit 0. *)
   | Fatal of exn
-      (** A handler raised {!Faults.Crash} / [Out_of_memory] /
-          [Stack_overflow].  No [Fail] reply was sent: the caller must
-          exit immediately (without flushing inherited buffers) so the
-          parent observes a real process death. *)
+      (** A handler died ({!verdict} [Fatal]).  No reply was sent: the
+          caller must exit immediately (without flushing inherited
+          buffers) so the orchestrator observes a real process death. *)
 
 val serve :
   in_channel -> out_channel -> Daemon.t list -> ctx:Daemon.ctx -> exit_reason
-(** Process requests until [Quit], EOF, or a fatal exception.
-    @raise Transport.Bad on a malformed frame from the parent. *)
-
-val marshal_op : Store.op -> string
-(** Marshal a store op for the wire.  Only sound between forks of the
-    same binary — never persist these blobs. *)
-
-val unmarshal_op : string -> Store.op
+(** Process requests until EOF or a fatal handler exception.
+    @raise Transport.Bad on a malformed frame from the orchestrator. *)

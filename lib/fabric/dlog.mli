@@ -1,4 +1,4 @@
-(** The fabric's durable delivery journal.
+(** The orchestrator's durable delivery journal.
 
     One write-ahead log (reusing {!Mirror_store.Wal}'s segmented
     CRC-framed format and {!Mirror_store.Record}'s codec) carries two
@@ -72,7 +72,7 @@ val redeliver : t -> daemon:string -> seq:int -> unit
 val atomically : t -> (unit -> 'a) -> 'a
 (** Run the thunk with event appends buffered, then commit everything
     it journaled as one [Fab_atomic] WAL frame — the whole group
-    survives a crash or none of it does.  The fabric wraps a
+    survives a crash or none of it does.  The orchestrator wraps a
     delivery's settlement (store ops, downstream routes, the
     [Fab_done]) this way.  The in-memory view updates eagerly; if the
     thunk raises, nothing reaches disk and the instance must be

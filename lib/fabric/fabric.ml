@@ -1,95 +1,9 @@
-module Clock = Mirror_util.Clock
 module Bus = Mirror_daemon.Bus
-module Daemon = Mirror_daemon.Daemon
-module Media = Mirror_daemon.Media
-module Dictionary = Mirror_daemon.Dictionary
 module Store = Mirror_daemon.Store
-module Supervisor = Mirror_daemon.Supervisor
 module Deadletter = Mirror_daemon.Deadletter
-module Standard = Mirror_daemon.Standard
-module Transport = Mirror_daemon.Transport
-module Worker = Mirror_daemon.Worker
+module Orchestrator = Mirror_daemon.Orchestrator
 module Faults = Mirror_daemon.Faults
 module Record = Mirror_store.Record
-
-type config = {
-  procs : int;
-  ttl : float;
-  capacity : int option;
-  policy : Bus.overflow_policy;
-  breaker : Supervisor.config;
-  barriers : (string * string list) list;
-  max_retries : int;
-  poll : float;
-}
-
-let default_config =
-  {
-    procs = 2;
-    ttl = 30.0;
-    capacity = Some 256;
-    policy = Bus.Backpressure;
-    breaker = Supervisor.default_config;
-    barriers = [ ("collection.complete", [ "image.new"; "segments.ready" ]) ];
-    max_retries = 2;
-    poll = 0.02;
-  }
-
-(* One worker slot.  The slot (its id and hosted daemons) is fixed;
-   the process occupying it changes across restarts. *)
-type worker = {
-  id : int;
-  hosted : Daemon.t list;
-  buf : Buffer.t;  (* unframed reply bytes from the current process *)
-  mutable pid : int;
-  mutable rfd : Unix.file_descr;  (* replies, raw (see the select note) *)
-  mutable oc : out_channel;  (* requests *)
-  mutable alive : bool;
-  mutable inflight : (string * Bus.delivery) option;
-  mutable staged : Transport.reply list;  (* Op/Pub since Deliver, reversed *)
-  mutable synced : int;  (* op-log cursor already sent to this process *)
-  mutable spawns : int;
-}
-
-type daemon_tally = { mutable t_handled : int; mutable t_failures : int }
-
-type t = {
-  config : config;
-  daemons : Daemon.t list;
-  context : Daemon.ctx;
-  clk : Clock.t;
-  sup : Supervisor.t;
-  dlq : Deadletter.t;
-  dlog : Dlog.t option;
-  workers : worker array;
-  host_of : (string, int) Hashtbl.t;  (* daemon name -> worker slot *)
-  tallies : (string, daemon_tally) Hashtbl.t;
-  (* Store ops seen this run, as (origin slot, marshalled blob): -1 =
-     the parent itself.  Each worker has a cursor into this log and is
-     caught up (skipping its own ops) before every dispatch. *)
-  mutable ops : (int * string) array;
-  mutable nops : int;
-  mutable tick_hook : (int -> unit) option;
-  mutable deaths : int;
-  mutable restarts : int;
-  mutable kills : int;
-}
-
-type stats = { name : string; handled : int; failures : int }
-
-type report = {
-  turns : int;
-  quiescent : bool;
-  pending : int;
-  degraded : string list;
-  deaths : int;  (** Worker processes that died during this run. *)
-  restarts : int;  (** Fresh processes forked mid-run to replace them. *)
-  stats : stats list;
-  dead_letters : Deadletter.entry list;
-}
-
-let initial_schema =
-  "SET< TUPLE< Atomic<URL>: source, Atomic<Text>: annotation, Atomic<Image>: image > >"
 
 let fab_cause_of = function
   | Deadletter.Failed e -> Record.Fab_failed e
@@ -111,158 +25,72 @@ let fab_route_of name (d : Bus.delivery) =
     attempts = d.Bus.attempts;
   }
 
-let push_op t origin blob =
-  if t.nops = Array.length t.ops then begin
-    let bigger = Array.make (max 64 (2 * t.nops)) (0, "") in
-    Array.blit t.ops 0 bigger 0 t.nops;
-    t.ops <- bigger
-  end;
-  t.ops.(t.nops) <- (origin, blob);
-  t.nops <- t.nops + 1
+let message_of (fr : Record.fab_route) =
+  { Bus.topic = fr.Record.topic; subject = fr.Record.subject; payload = fr.Record.payload }
 
-let add_dead t name delivery cause =
-  Deadletter.add t.dlq
-    { Deadletter.daemon = name; delivery; cause; at = Clock.now t.clk };
-  match t.dlog with
-  | Some dl ->
-    Dlog.dead dl ~daemon:name ~seq:delivery.Bus.seq ~cause:(fab_cause_of cause)
-      ~at:(Clock.now t.clk)
-  | None -> ()
-
-let make ?daemons ?clock ?(seed = 7901) ?(config = default_config) ~dlog () =
-  if config.procs < 1 then invalid_arg "Fabric: procs must be positive";
-  let daemons = match daemons with Some ds -> ds | None -> Standard.all () in
-  let clk = match clock with Some c -> c | None -> Clock.mono () in
-  let context =
-    {
-      Daemon.bus = Bus.create ?capacity:config.capacity ~policy:config.policy ();
-      media = Media.create ();
-      dict = Dictionary.create ();
-      store = Store.create ();
-    }
-  in
-  Dictionary.register context.Daemon.dict ~name:"ImageLibrary" ~schema:initial_schema
-    ~owner:"application";
-  let host_of = Hashtbl.create 16 in
-  let tallies = Hashtbl.create 16 in
-  List.iteri
-    (fun i (d : Daemon.t) ->
-      Hashtbl.replace host_of d.Daemon.name (i mod config.procs);
-      Hashtbl.replace tallies d.Daemon.name { t_handled = 0; t_failures = 0 };
-      List.iter
-        (fun topic -> Bus.subscribe context.Daemon.bus ~topic ~name:d.Daemon.name)
-        d.Daemon.topics)
-    daemons;
-  let workers =
-    Array.init config.procs (fun id ->
-        {
-          id;
-          hosted =
-            List.filter (fun (d : Daemon.t) -> Hashtbl.find host_of d.Daemon.name = id)
-              daemons;
-          buf = Buffer.create 4096;
-          pid = -1;
-          rfd = Unix.stdin;
-          oc = stdout;
-          alive = false;
-          inflight = None;
-          staged = [];
-          synced = 0;
-          spawns = 0;
-        })
-  in
-  let dlq = Deadletter.create () in
-  let sup = Supervisor.create ~config:config.breaker ~clock:clk ~seed () in
-  let t =
-    {
-      config;
-      daemons;
-      context;
-      clk;
-      sup;
-      dlq;
-      dlog;
-      workers;
-      host_of;
-      tallies;
-      ops = [||];
-      nops = 0;
-      tick_hook = None;
-      deaths = 0;
-      restarts = 0;
-      kills = 0;
-    }
-  in
-  Bus.set_overflow_handler context.Daemon.bus
-    (Some
-       (fun name delivery -> add_dead t name delivery Deadletter.Overflow));
-  (* Every parent-side store write enters the op log so workers can be
-     caught up; [Store.apply] of a worker's op suppresses this hook
-     (no echo), those ops are pushed explicitly with their origin. *)
-  Store.set_sync context.Daemon.store
-    (Some (fun op -> push_op t (-1) (Worker.marshal_op op)));
-  (match dlog with
-  | None -> ()
-  | Some dl ->
-    Store.set_journal context.Daemon.store
-      (Some (fun tag payload -> Dlog.store_op dl ~tag ~payload));
-    (* Journal every routing decision for hosted daemons (other
-       subscribers, e.g. a client inbox, are not fabric-recovered). *)
-    Bus.set_route_hook context.Daemon.bus
-      (Some
-         (fun name d ->
-           if Hashtbl.mem host_of name then Dlog.route dl (fab_route_of name d))));
-  t
-
-let create ?daemons ?clock ?seed ?config () =
-  make ?daemons ?clock ?seed ?config ~dlog:None ()
+let journal dl =
+  {
+    Orchestrator.routed = (fun name d -> Dlog.route dl (fab_route_of name d));
+    settled = (fun name d -> Dlog.done_ dl ~daemon:name ~seq:d.Bus.seq);
+    dead =
+      (fun (e : Deadletter.entry) ->
+        Dlog.dead dl ~daemon:e.Deadletter.daemon ~seq:e.Deadletter.delivery.Bus.seq
+          ~cause:(fab_cause_of e.Deadletter.cause) ~at:e.Deadletter.at);
+    redelivered =
+      (fun (e : Deadletter.entry) ->
+        Dlog.redeliver dl ~daemon:e.Deadletter.daemon ~seq:e.Deadletter.delivery.Bus.seq);
+    (* A crash leaves either the delivery pending with no effects, or
+       done with all of them — never effects without the [Fab_done]. *)
+    atomically =
+      (fun f ->
+        Dlog.atomically dl f;
+        Faults.crash_hit "fabric.settled");
+    sync = (fun () -> Dlog.sync dl);
+    abandon = (fun () -> Dlog.abandon dl);
+    close = (fun () -> Dlog.close dl);
+  }
 
 let ( let* ) = Result.bind
 
 let open_durable ?daemons ?clock ?seed ?config ?checkpoint_every ~dir () =
-  let* dl, recovery = Dlog.open_ ?checkpoint_every ~dir () in
-  let t = make ?daemons ?clock ?seed ?config ~dlog:(Some dl) () in
+  let* dl, _ = Dlog.open_ ?checkpoint_every ~dir () in
+  let t = Orchestrator.create ?daemons ?clock ?seed ?config ~journal:(journal dl) () in
+  let ctx = Orchestrator.ctx t in
+  Store.set_journal ctx.Mirror_daemon.Daemon.store
+    (Some (fun tag payload -> Dlog.store_op dl ~tag ~payload));
   (* Rebuild the metadata store first (the journal interleaves store
      writes ahead of the delivery records that depend on them), then
      re-materialize pending deliveries on the bus and dead letters in
-     the queue.  [Store.replay] suppresses both hooks, [Bus.inject]
-     bypasses the route hook: replaying {e from} the journal must not
-     write back into it. *)
+     the queue.  [Store.replay] suppresses the store's hooks,
+     [Bus.inject] bypasses the route hook and [adopt_dead_letter] the
+     journal: replaying {e from} the journal must not write back into
+     it. *)
   let* () =
     List.fold_left
       (fun acc (tag, payload) ->
         let* () = acc in
         Result.map_error
-          (fun e -> Printf.sprintf "fabric recovery: store record %S: %s" tag e)
-          (Store.replay t.context.Daemon.store tag payload))
+          (fun e -> Printf.sprintf "journal recovery: store record %S: %s" tag e)
+          (Store.replay ctx.Mirror_daemon.Daemon.store tag payload))
       (Ok ()) (Dlog.store_history dl)
   in
+  let bus = ctx.Mirror_daemon.Daemon.bus in
   List.iter
     (fun (fr : Record.fab_route) ->
       ignore
-        (Bus.inject t.context.Daemon.bus ~name:fr.Record.daemon ~seq:fr.Record.seq
-           ~attempts:fr.Record.attempts
-           {
-             Bus.topic = fr.Record.topic;
-             subject = fr.Record.subject;
-             payload = fr.Record.payload;
-           }))
+        (Bus.inject bus ~name:fr.Record.daemon ~seq:fr.Record.seq
+           ~attempts:fr.Record.attempts (message_of fr)))
     (Dlog.pending dl);
   List.iter
     (fun ((fr : Record.fab_route), cause, at) ->
-      Bus.reserve t.context.Daemon.bus ~seq:fr.Record.seq;
-      Deadletter.add t.dlq
+      Bus.reserve bus ~seq:fr.Record.seq;
+      Orchestrator.adopt_dead_letter t
         {
           Deadletter.daemon = fr.Record.daemon;
           delivery =
             {
               Bus.seq = fr.Record.seq;
-              message =
-                {
-                  Bus.topic = fr.Record.topic;
-                  subject = fr.Record.subject;
-                  payload = fr.Record.payload;
-                };
+              message = message_of fr;
               attempts = fr.Record.attempts;
               deadline = None;
             };
@@ -270,554 +98,4 @@ let open_durable ?daemons ?clock ?seed ?config ?checkpoint_every ~dir () =
           at;
         })
     (Dlog.dead_letters dl);
-  Ok (t, recovery)
-
-let ctx t = t.context
-let clock t = t.clk
-let supervisor t = t.sup
-let dead_letters t = Deadletter.entries t.dlq
-let set_tick_hook t h = t.tick_hook <- h
-
-let workers t =
-  Array.to_list
-    (Array.map
-       (fun w ->
-         ( w.id,
-           (if w.alive then Some w.pid else None),
-           List.map (fun (d : Daemon.t) -> d.Daemon.name) w.hosted ))
-       t.workers)
-
-let pending_deliveries t =
-  List.fold_left
-    (fun acc (d : Daemon.t) ->
-      acc + Bus.pending_for t.context.Daemon.bus ~name:d.Daemon.name)
-    0 t.daemons
-  + Array.fold_left
-      (fun acc w -> acc + match w.inflight with Some _ -> 1 | None -> 0)
-      0 t.workers
-
-let degraded t =
-  List.filter_map
-    (fun (d : Daemon.t) ->
-      let name = d.Daemon.name in
-      if
-        Supervisor.state t.sup name <> Supervisor.Closed
-        || Deadletter.for_daemon t.dlq name <> []
-      then Some name
-      else None)
-    t.daemons
-
-(* {1 Process plumbing} *)
-
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* Fork one process into slot [w].  The child gets fork-copies of the
-   whole context (bus, media, dictionary, store) — it only ever uses
-   the store and media, and its store hooks are cleared so captured
-   ops come exclusively from [Worker.serve]'s per-delivery hook. *)
-let spawn t w =
-  let req_r, req_w = Unix.pipe () in
-  let rep_r, rep_w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-    Unix.close req_w;
-    Unix.close rep_r;
-    (* Drop the parent-side ends of every sibling: a copy held here
-       would keep a sibling's pipes open after it (or the parent)
-       dies, hiding the EOF that is the fabric's crash signal. *)
-    Array.iter
-      (fun (o : worker) ->
-        if o.id <> w.id && o.alive then begin
-          close_quiet o.rfd;
-          close_quiet (Unix.descr_of_out_channel o.oc)
-        end)
-      t.workers;
-    let code =
-      try
-        Store.set_journal t.context.Daemon.store None;
-        Store.set_sync t.context.Daemon.store None;
-        let ic = Unix.in_channel_of_descr req_r in
-        let oc = Unix.out_channel_of_descr rep_w in
-        match Worker.serve ic oc w.hosted ~ctx:t.context with
-        | Worker.Quit -> 0
-        | Worker.Orphaned -> 2
-        | Worker.Fatal _ -> 70
-      with _ -> 71
-    in
-    (* Never return into the parent's code, and never flush inherited
-       buffers: [_exit], not [exit]. *)
-    Unix._exit code
-  | pid ->
-    Unix.close req_r;
-    Unix.close rep_w;
-    Unix.set_nonblock rep_r;
-    w.pid <- pid;
-    w.rfd <- rep_r;
-    w.oc <- Unix.out_channel_of_descr req_w;
-    w.alive <- true;
-    w.inflight <- None;
-    w.staged <- [];
-    Buffer.clear w.buf;
-    (* Fork copied the parent's store as of now, so the new process
-       starts fully caught up. *)
-    w.synced <- t.nops;
-    w.spawns <- w.spawns + 1
-
-(* A worker process is gone: reap it, requeue (or exhaust) whatever it
-   was handling, and trip the breakers of everything it hosted so the
-   backlog waits for the restart instead of burning attempts. *)
-let mark_dead (t : t) w =
-  if w.alive then begin
-    w.alive <- false;
-    t.deaths <- t.deaths + 1;
-    close_quiet w.rfd;
-    (* [close_out] would leave the channel open (and registered for the
-       at-exit flush) if the flush hits the dead worker's pipe;
-       [close_out_noerr] unregisters it regardless. *)
-    close_out_noerr w.oc;
-    (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
-    Buffer.clear w.buf;
-    (* Whatever the dying process said since its last terminator is
-       discarded: a delivery's writes land atomically on [Done] or not
-       at all, so the retry cannot double-apply them. *)
-    w.staged <- [];
-    (match w.inflight with
-    | None -> ()
-    | Some (name, dv) ->
-      w.inflight <- None;
-      let tally = Hashtbl.find t.tallies name in
-      tally.t_failures <- tally.t_failures + 1;
-      Supervisor.failure t.sup name;
-      if dv.Bus.attempts <= t.config.max_retries then
-        Bus.requeue_delivery t.context.Daemon.bus ~name dv
-      else
-        add_dead t name dv
-          (Deadletter.Failed (Printf.sprintf "worker process %d died" w.pid)));
-    List.iter (fun (d : Daemon.t) -> Supervisor.trip_now t.sup d.Daemon.name) w.hosted
-  end
-
-let kill_worker (t : t) id =
-  if id < 0 || id >= Array.length t.workers then false
-  else
-    let w = t.workers.(id) in
-    if not w.alive then false
-    else begin
-      (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-      t.kills <- t.kills + 1;
-      true
-    end
-
-let send t w req =
-  try
-    Transport.send_request w.oc req;
-    true
-  with Sys_error _ ->
-    (* Broken pipe: the process died under us.  EOF handling would
-       find this too; do it now so the delivery is not stranded. *)
-    mark_dead t w;
-    false
-
-let catch_up t w =
-  let i = ref w.synced in
-  let ok = ref true in
-  while !ok && !i < t.nops do
-    let origin, blob = t.ops.(!i) in
-    if origin <> w.id then ok := send t w (Transport.Sync blob);
-    if !ok then begin
-      incr i;
-      w.synced <- !i
-    end
-  done;
-  !ok
-
-(* {1 The event loop} *)
-
-let barrier_held t (m : Bus.message) =
-  match List.assoc_opt m.Bus.topic t.config.barriers with
-  | None -> false
-  | Some awaits ->
-    List.exists
-      (fun topic ->
-        Bus.pending_by_topic t.context.Daemon.bus ~topic > 0
-        || Deadletter.exists_topic t.dlq topic
-        || Array.exists
-             (fun w ->
-               match w.inflight with
-               | Some (_, dv) -> String.equal dv.Bus.message.Bus.topic topic
-               | None -> false)
-             t.workers)
-      awaits
-
-(* Stamp fresh deliveries with their TTL deadline and expire overdue
-   ones — same discipline as the in-process orchestrator, on the
-   monotonic wall clock. *)
-let sweep_daemon t name =
-  let now = Clock.now t.clk in
-  let expired =
-    Bus.sweep t.context.Daemon.bus ~name ~keep:(fun (dv : Bus.delivery) ->
-        match dv.Bus.deadline with
-        | None ->
-          dv.Bus.deadline <- Some (now +. t.config.ttl);
-          true
-        | Some dl -> dl > now)
-  in
-  List.iter
-    (fun dv ->
-      add_dead t name dv
-        (Deadletter.Expired (Supervisor.state_to_string (Supervisor.state t.sup name))))
-    expired
-
-(* Hand the next eligible delivery to an idle worker.  One delivery in
-   flight per process: a half-open breaker's single dispatch is
-   naturally the probe. *)
-let dispatch t w =
-  if w.alive && w.inflight = None then
-    let rec try_daemons = function
-      | [] -> ()
-      | (d : Daemon.t) :: rest ->
-        let name = d.Daemon.name in
-        if
-          Supervisor.allow t.sup name
-          && Bus.queued t.context.Daemon.bus ~name > 0
-        then (
-          match Bus.fetch_delivery t.context.Daemon.bus ~name with
-          | None -> try_daemons rest
-          | Some dv ->
-            if barrier_held t dv.Bus.message then begin
-              Bus.requeue_delivery t.context.Daemon.bus ~name dv;
-              try_daemons rest
-            end
-            else begin
-              dv.Bus.attempts <- dv.Bus.attempts + 1;
-              if
-                catch_up t w
-                && send t w
-                     (Transport.Deliver
-                        { seq = dv.Bus.seq; daemon = name; message = dv.Bus.message })
-              then w.inflight <- Some (name, dv)
-              else
-                (* The process died while we were talking to it; the
-                   delivery goes back (its attempt counts). *)
-                Bus.requeue_delivery t.context.Daemon.bus ~name dv
-            end)
-        else try_daemons rest
-    in
-    try_daemons w.hosted
-
-(* Settlement is transactional per delivery: [Op]/[Pub] frames are
-   staged and land only when the [Done] terminator arrives.  A worker
-   killed mid-delivery (or a handler that raised after partial writes)
-   therefore leaves no trace in the parent, and the retry cannot
-   double-apply a non-idempotent op like [O_visual]. *)
-let settle_reply t w reply =
-  match reply with
-  | Transport.Op _ | Transport.Pub _ -> w.staged <- reply :: w.staged
-  | Transport.Done seq -> (
-    match w.inflight with
-    | Some (name, dv) when dv.Bus.seq = seq ->
-      w.inflight <- None;
-      let commit () =
-        List.iter
-          (function
-            | Transport.Op blob ->
-              (* Applying to the parent store fires the durability
-                 journal but not the sync hook; other workers get it
-                 via the op log. *)
-              Store.apply t.context.Daemon.store (Worker.unmarshal_op blob);
-              push_op t w.id blob
-            | Transport.Pub m -> Bus.publish t.context.Daemon.bus m
-            | Transport.Done _ | Transport.Fail _ -> ())
-          (List.rev w.staged);
-        w.staged <- [];
-        let tally = Hashtbl.find t.tallies name in
-        tally.t_handled <- tally.t_handled + 1;
-        Supervisor.success t.sup name;
-        match t.dlog with
-        | Some dl -> Dlog.done_ dl ~daemon:name ~seq
-        | None -> ()
-      in
-      (* The settlement is one atomic journal group: a crash leaves
-         either the delivery pending with no effects, or done with all
-         of them — never effects without the [Fab_done]. *)
-      (match t.dlog with
-      | Some dl ->
-        Dlog.atomically dl commit;
-        Faults.crash_hit "fabric.settled"
-      | None -> commit ())
-    | _ -> raise (Transport.Bad (Printf.sprintf "unexpected done for #%d" seq)))
-  | Transport.Fail (seq, text) -> (
-    match w.inflight with
-    | Some (name, dv) when dv.Bus.seq = seq ->
-      w.inflight <- None;
-      w.staged <- [];
-      let tally = Hashtbl.find t.tallies name in
-      tally.t_failures <- tally.t_failures + 1;
-      Supervisor.failure t.sup name;
-      if dv.Bus.attempts <= t.config.max_retries then
-        Bus.requeue_delivery t.context.Daemon.bus ~name dv
-      else add_dead t name dv (Deadletter.Failed text)
-    | _ -> raise (Transport.Bad (Printf.sprintf "unexpected fail for #%d" seq)))
-
-(* Drain complete reply lines out of [w.buf].  Bytes stay buffered
-   here, never in an [in_channel]: select must only report an fd ready
-   when a read would actually return data. *)
-let settle_buffer t w =
-  let rec next_line () =
-    let s = Buffer.contents w.buf in
-    match String.index_opt s '\n' with
-    | None -> ()
-    | Some i ->
-      let line = String.sub s 0 i in
-      Buffer.clear w.buf;
-      Buffer.add_substring w.buf s (i + 1) (String.length s - i - 1);
-      (match Transport.reply_of_line line with
-      | Ok r -> settle_reply t w r
-      | Error e -> raise (Transport.Bad e));
-      if w.alive then next_line ()
-  in
-  next_line ()
-
-let read_worker t w =
-  let chunk = Bytes.create 65536 in
-  let rec drain () =
-    match Unix.read w.rfd chunk 0 (Bytes.length chunk) with
-    | 0 -> mark_dead t w
-    | n ->
-      Buffer.add_subbytes w.buf chunk 0 n;
-      drain ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      mark_dead t w
-  in
-  drain ();
-  if w.alive then settle_buffer t w
-  else
-    (* Settle what the dying process managed to say before EOF: ops
-       and publications are valid up to the torn tail; the terminator
-       never arrived, so the in-flight delivery was already requeued
-       by [mark_dead]. *)
-    ()
-
-(* A dead slot is respawned once its hosted breakers' backoff has
-   elapsed (the [Open] → [Half_open] transition is the restart
-   signal), and only if there is work left for it. *)
-let maybe_respawn (t : t) w =
-  if (not w.alive) && w.pid >= 0 then
-    let has_work =
-      List.exists
-        (fun (d : Daemon.t) ->
-          Bus.pending_for t.context.Daemon.bus ~name:d.Daemon.name > 0)
-        w.hosted
-    in
-    let ready =
-      List.exists
-        (fun (d : Daemon.t) ->
-          match Supervisor.state t.sup d.Daemon.name with
-          | Supervisor.Open _ -> false
-          | Supervisor.Closed | Supervisor.Half_open -> true)
-        w.hosted
-    in
-    if has_work && ready then begin
-      spawn t w;
-      t.restarts <- t.restarts + 1
-    end
-
-let quit_workers t =
-  Array.iter
-    (fun w ->
-      if w.alive then begin
-        ignore (send t w Transport.Quit);
-        if w.alive then begin
-          close_out_noerr w.oc;
-          (* Collect the exit; anything still stuck gets the axe. *)
-          (match Unix.waitpid [] w.pid with
-          | _ -> ()
-          | exception Unix.Unix_error _ -> (
-            try
-              Unix.kill w.pid Sys.sigkill;
-              ignore (Unix.waitpid [] w.pid)
-            with Unix.Unix_error _ -> ()));
-          close_quiet w.rfd;
-          w.alive <- false;
-          w.inflight <- None;
-          Buffer.clear w.buf
-        end
-      end)
-    t.workers
-
-let kill_all t =
-  Array.iter
-    (fun w ->
-      if w.alive then begin
-        (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
-        close_quiet w.rfd;
-        close_out_noerr w.oc;
-        w.alive <- false;
-        w.inflight <- None;
-        Buffer.clear w.buf
-      end)
-    t.workers
-
-let shutdown t =
-  let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  Fun.protect
-    ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev_pipe)
-    (fun () -> quit_workers t);
-  match t.dlog with Some dl -> Dlog.close dl | None -> ()
-
-let run ?(max_turns = 100_000) (t : t) =
-  let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  (* Fresh processes every run: fork captures the current parent state
-     (media ingested since the last run included), and the intra-run
-     op log can restart from empty. *)
-  quit_workers t;
-  t.nops <- 0;
-  t.ops <- [||];
-  Array.iter (fun w -> spawn t w) t.workers;
-  let deaths0 = t.deaths and restarts0 = t.restarts in
-  let dead_before = Deadletter.count t.dlq in
-  let turns = ref 0 in
-  let finish () =
-    Sys.set_signal Sys.sigpipe prev_pipe;
-    match t.dlog with Some dl -> Dlog.sync dl | None -> ()
-  in
-  (try
-     while pending_deliveries t > 0 && !turns < max_turns do
-       incr turns;
-       (match t.tick_hook with Some f -> f !turns | None -> ());
-       List.iter (fun (d : Daemon.t) -> sweep_daemon t d.Daemon.name) t.daemons;
-       Array.iter (fun w -> maybe_respawn t w) t.workers;
-       Array.iter (fun w -> dispatch t w) t.workers;
-       let fds =
-         Array.fold_left (fun acc w -> if w.alive then w.rfd :: acc else acc) []
-           t.workers
-       in
-       let busy = Array.exists (fun w -> w.inflight <> None) t.workers in
-       (* Block only while an answer is owed; otherwise a short poll —
-          time has to pass for TTL expiry and breaker reopening. *)
-       let timeout = if busy then 1.0 else t.config.poll in
-       (match Unix.select fds [] [] timeout with
-       | readable, _, _ ->
-         List.iter
-           (fun fd ->
-             match
-               Array.find_opt (fun w -> w.alive && w.rfd == fd) t.workers
-             with
-             | Some w -> read_worker t w
-             | None -> ())
-           readable
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-       match t.dlog with Some dl -> Dlog.sync dl | None -> ()
-     done
-   with e ->
-     (* The orchestrator itself is dying (e.g. an armed fabric crash
-        point).  Take the workers down hard and leave the journal
-        exactly as-is — recovery replays it. *)
-     kill_all t;
-     (match t.dlog with Some dl -> Dlog.abandon dl | None -> ());
-     Sys.set_signal Sys.sigpipe prev_pipe;
-     raise e);
-  finish ();
-  let pending = pending_deliveries t in
-  let dead_letters =
-    let rec drop n l =
-      if n = 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
-    in
-    drop dead_before (Deadletter.entries t.dlq)
-  in
-  {
-    turns = !turns;
-    quiescent = pending = 0;
-    pending;
-    degraded = degraded t;
-    deaths = t.deaths - deaths0;
-    restarts = t.restarts - restarts0;
-    stats =
-      List.map
-        (fun (d : Daemon.t) ->
-          let tally = Hashtbl.find t.tallies d.Daemon.name in
-          { name = d.Daemon.name;
-            handled = tally.t_handled;
-            failures = tally.t_failures })
-        t.daemons;
-    dead_letters;
-  }
-
-(* {1 Redelivery} *)
-
-let redeliver ?daemon ?(probe = false) t =
-  let letters = Deadletter.take ?daemon t.dlq in
-  List.iter
-    (fun (e : Deadletter.entry) ->
-      (match t.dlog with
-      | Some dl ->
-        (* One atomic journal record per letter: a crash in this loop
-           loses nothing — replayed letters are pending again, the
-           rest are still dead. *)
-        Dlog.redeliver dl ~daemon:e.Deadletter.daemon ~seq:e.Deadletter.delivery.Bus.seq
-      | None -> ());
-      if probe then Supervisor.probe t.sup e.Deadletter.daemon
-      else Supervisor.reset t.sup e.Deadletter.daemon;
-      let d = e.Deadletter.delivery in
-      d.Bus.attempts <- 0;
-      d.Bus.deadline <- None;
-      Bus.requeue_delivery t.context.Daemon.bus ~name:e.Deadletter.daemon d)
-    letters;
-  (match t.dlog with Some dl -> Dlog.sync dl | None -> ());
-  List.length letters
-
-(* {1 Ingestion (same surface as the in-process orchestrator)} *)
-
-let ingest_image t ~doc ~url ?annotation img =
-  Media.put t.context.Daemon.media ~url img;
-  Store.register_doc t.context.Daemon.store ~doc ~url;
-  Bus.publish t.context.Daemon.bus
-    { Bus.topic = "image.new"; subject = doc; payload = [ ("url", url) ] };
-  match annotation with
-  | None -> ()
-  | Some text ->
-    Bus.publish t.context.Daemon.bus
-      { Bus.topic = "annotation.new"; subject = doc; payload = [ ("text", text) ] }
-
-let complete_collection t =
-  Bus.publish t.context.Daemon.bus
-    { Bus.topic = "collection.complete"; subject = -1; payload = [] }
-
-(* {1 Introspection for the CLI and tests} *)
-
-let state_keys t =
-  ( List.sort compare
-      (List.concat_map
-         (fun (d : Daemon.t) ->
-           let name = d.Daemon.name in
-           let acc = ref [] in
-           let keep (dv : Bus.delivery) =
-             acc := (name, dv.Bus.seq) :: !acc;
-             true
-           in
-           ignore (Bus.sweep t.context.Daemon.bus ~name ~keep);
-           let inflight =
-             Array.to_list t.workers
-             |> List.filter_map (fun w ->
-                    match w.inflight with
-                    | Some (n, dv) when String.equal n name -> Some (name, dv.Bus.seq)
-                    | _ -> None)
-           in
-           inflight @ !acc)
-         t.daemons),
-    List.sort compare
-      (List.map
-         (fun (e : Deadletter.entry) ->
-           ( e.Deadletter.daemon,
-             e.Deadletter.delivery.Bus.seq,
-             match e.Deadletter.cause with
-             | Deadletter.Failed _ -> "failed"
-             | Deadletter.Expired _ -> "expired"
-             | Deadletter.Overflow -> "overflow" ))
-         (Deadletter.entries t.dlq)) )
-
-let deaths (t : t) = t.deaths
-let restarts (t : t) = t.restarts
-let kills (t : t) = t.kills
-let dlog t = t.dlog
+  Ok (t, dl)

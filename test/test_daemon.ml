@@ -224,8 +224,10 @@ let test_orchestrator_livelock_guard () =
 
 (* {1 Full pipeline (figure 1)} *)
 
-let build_pipeline ?(n = 6) ?daemons () =
-  let orch = Orchestrator.create ?daemons () in
+let retries n = { Orchestrator.default_config with Orchestrator.max_retries = n }
+
+let build_pipeline ?(n = 6) ?daemons ?config () =
+  let orch = Orchestrator.create ?daemons ?config () in
   let g = Prng.create 42 in
   let scenes = Synth.corpus g ~n ~width:32 ~height:32 ~annotated_fraction:0.8 () in
   Array.iteri
@@ -270,13 +272,61 @@ let test_pipeline_products () =
   (* thesaurus built *)
   Alcotest.(check bool) "thesaurus" true (Store.thesaurus store <> None)
 
+let transport procs = { Orchestrator.default_config with Orchestrator.procs }
+
+(* The clusterer evolves the schema in its replica's dictionary; the
+   change is settled with its delivery on both transports. *)
 let test_pipeline_schema_evolution () =
-  let orch, _ = build_pipeline () in
-  ignore (Orchestrator.run orch);
-  let dict = (Orchestrator.ctx orch).Daemon.dict in
-  let history = Dictionary.history dict "ImageLibrary" in
-  Alcotest.(check int) "two schema versions" 2 (List.length history);
-  Alcotest.(check string) "evolved by clusterer" "autoclass" (snd (List.nth history 1))
+  List.iter
+    (fun procs ->
+      let orch, _ = build_pipeline ~config:(transport procs) () in
+      ignore (Orchestrator.run orch);
+      Orchestrator.shutdown orch;
+      let dict = (Orchestrator.ctx orch).Daemon.dict in
+      let history = Dictionary.history dict "ImageLibrary" in
+      Alcotest.(check int) (Printf.sprintf "procs %d: two schema versions" procs) 2
+        (List.length history);
+      Alcotest.(check string)
+        (Printf.sprintf "procs %d: evolved by clusterer" procs)
+        "autoclass" (snd (List.nth history 1)))
+    [ 0; 2 ]
+
+(* A handler that writes and then fails must leave no trace.  Its
+   writes are dropped at settlement and the replica it ran on is
+   refreshed before the retry, so the store equals the failure-free
+   run's: visual words are tf-additive, and the thesaurus daemon (on
+   the clusterer's worker at procs 1) reads them from its replica. *)
+let test_failed_delivery_leaves_no_partial_writes () =
+  let run ?daemons procs =
+    let orch, _ = build_pipeline ~n:3 ?daemons ~config:(transport procs) () in
+    let report = Orchestrator.run orch in
+    Orchestrator.shutdown orch;
+    let label = Printf.sprintf "procs %d: %s" procs in
+    Alcotest.(check bool) (label "quiescent") true report.Orchestrator.quiescent;
+    Alcotest.(check int) (label "no dead letters") 0
+      (List.length report.Orchestrator.dead_letters);
+    let store = (Orchestrator.ctx orch).Daemon.store in
+    ( List.map (fun doc -> (doc, Store.visual_words store ~doc)) (Store.docs store),
+      Store.clustered_spaces store,
+      Store.thesaurus store )
+  in
+  let baseline = run 0 in
+  List.iter
+    (fun procs ->
+      let daemons =
+        List.map
+          (fun (d : Daemon.t) ->
+            if d.Daemon.name = "autoclass" then Faults.fails_after_writing ~at_call:1 d
+            else d)
+          (Standard.all ())
+      in
+      let per_doc, spaces, thesaurus = run ~daemons procs in
+      let b_per_doc, b_spaces, b_thesaurus = baseline in
+      let label = Printf.sprintf "procs %d: %s equal the failure-free run's" procs in
+      Alcotest.(check bool) (label "visual words") true (per_doc = b_per_doc);
+      Alcotest.(check (list string)) (label "clustered spaces") b_spaces spaces;
+      Alcotest.(check bool) (label "thesaurus") true (thesaurus = b_thesaurus))
+    [ 0; 1; 2 ]
 
 let test_pipeline_annotations_indexed () =
   let orch, scenes = build_pipeline () in
@@ -301,8 +351,8 @@ let test_pipeline_flaky_daemon_retries () =
         if d.Daemon.name = "segmenter" then Faults.flaky g ~rate:0.4 d else d)
       (Standard.all ())
   in
-  let orch, _ = build_pipeline ~daemons () in
-  let report = Orchestrator.run ~max_retries:10 orch in
+  let orch, _ = build_pipeline ~daemons ~config:(retries 10) () in
+  let report = Orchestrator.run orch in
   let seg = List.find (fun s -> s.Orchestrator.name = "segmenter") report.Orchestrator.stats in
   Alcotest.(check bool) "some failures injected" true (seg.Orchestrator.failures > 0);
   Alcotest.(check int) "all images still segmented" 6 seg.Orchestrator.handled;
@@ -316,8 +366,8 @@ let test_pipeline_broken_daemon_dead_letters () =
         if d.Daemon.name = "annotation-indexer" then Faults.broken d else d)
       (Standard.all ())
   in
-  let orch, scenes = build_pipeline ~daemons () in
-  let report = Orchestrator.run ~max_retries:1 orch in
+  let orch, scenes = build_pipeline ~daemons ~config:(retries 1) () in
+  let report = Orchestrator.run orch in
   let annotated =
     Array.to_list scenes |> List.filter (fun s -> s.Synth.caption <> None) |> List.length
   in
@@ -353,9 +403,9 @@ let test_degraded_run_is_cheap () =
         if d.Daemon.name = "annotation-indexer" then Faults.broken d else d)
       (Standard.all ())
   in
-  let orch, scenes = build_pipeline ~daemons () in
   let max_retries = 50 in
-  let report = Orchestrator.run ~max_retries orch in
+  let orch, scenes = build_pipeline ~daemons ~config:(retries max_retries) () in
+  let report = Orchestrator.run orch in
   let annotated =
     Array.to_list scenes |> List.filter (fun s -> s.Synth.caption <> None) |> List.length
   in
@@ -538,12 +588,12 @@ let test_flaky_dead_letter_ordering () =
   let sink =
     Faults.flaky g ~rate:0.5 (Daemon.make ~name:"sink" ~topics:[ "t" ] (fun _ _ -> []))
   in
-  let orch = Orchestrator.create ~daemons:[ sink ] () in
+  let orch = Orchestrator.create ~daemons:[ sink ] ~config:(retries 0) () in
   let bus = (Orchestrator.ctx orch).Daemon.bus in
   for i = 0 to 19 do
     Bus.publish bus { Bus.topic = "t"; subject = i; payload = [] }
   done;
-  let report = Orchestrator.run ~max_retries:0 orch in
+  let report = Orchestrator.run orch in
   let dead = report.Orchestrator.dead_letters in
   Alcotest.(check bool) "seed injects some failures" true (dead <> []);
   let sink_stats = List.find (fun s -> s.Orchestrator.name = "sink") report.Orchestrator.stats in
@@ -575,12 +625,12 @@ let test_duplicate_message_budgets () =
   let failing =
     Daemon.make ~name:"sink" ~topics:[ "t" ] (fun _ _ -> failwith "nope")
   in
-  let orch = Orchestrator.create ~daemons:[ failing ] () in
+  let orch = Orchestrator.create ~daemons:[ failing ] ~config:(retries 1) () in
   let bus = (Orchestrator.ctx orch).Daemon.bus in
   let m = { Bus.topic = "t"; subject = 7; payload = [] } in
   Bus.publish bus m;
   Bus.publish bus m;
-  let report = Orchestrator.run ~max_retries:1 orch in
+  let report = Orchestrator.run orch in
   Alcotest.(check int) "both duplicates dead-lettered" 2
     (List.length report.Orchestrator.dead_letters);
   List.iter
@@ -598,13 +648,13 @@ let test_duplicate_message_budgets () =
     report.Orchestrator.dead_letters
 
 let test_missing_media_dead_letters () =
-  let orch = Orchestrator.create () in
+  let orch = Orchestrator.create ~config:(retries 1) () in
   let ctx = Orchestrator.ctx orch in
   (* announce a document whose footage the media server never received *)
   Store.register_doc ctx.Daemon.store ~doc:0 ~url:"http://gone";
   Bus.publish ctx.Daemon.bus
     { Bus.topic = "image.new"; subject = 0; payload = [ ("url", "http://gone") ] };
-  let report = Orchestrator.run ~max_retries:1 orch in
+  let report = Orchestrator.run orch in
   Alcotest.(check bool) "segmenter dead-letters the message" true
     (List.exists
        (fun (e : Deadletter.entry) -> e.Deadletter.daemon = "segmenter")
@@ -688,5 +738,7 @@ let () =
           Alcotest.test_case "stats shape" `Quick test_pipeline_stats_shape;
           Alcotest.test_case "missing media dead-letters" `Quick test_missing_media_dead_letters;
           Alcotest.test_case "interactive query formulation" `Quick test_query_formulation_round_trip;
+          Alcotest.test_case "failed delivery leaves no partial writes" `Quick
+            test_failed_delivery_leaves_no_partial_writes;
         ] );
     ]

@@ -1,22 +1,26 @@
-(* Kill-based chaos suite for the multi-process daemon fabric.
+(* Seeded chaos for the delivery engine, over both transports.
 
-   Where test_chaos.ml exercises the in-process supervision loop with
-   simulated faults, this suite runs the same pipeline across real
-   forked worker processes and injects real failures: SIGKILLed
-   workers mid-run, handler exceptions crossing the pipe protocol, and
-   orchestrator (parent) self-crashes at armed fabric crash points,
-   recovered through the durable delivery journal.
+   Each schedule wraps the standard daemon set in a random mix of
+   faults — flaky failure rates, outage windows that last until the
+   harness heals them, and one-shot process crashes — and, with worker
+   processes, also SIGKILLs live workers at early rounds.  It drives
+   the full ingest pipeline and checks three invariants:
 
-   The invariants are the same three as the in-process suite —
-   accounting (nothing vanishes), honesty (never "quiescent" with a
-   backlog), convergence (after healing and redelivery the store
-   equals the failure-free store) — plus a fourth: after an
-   orchestrator crash, the recovered pending/dead-letter state is
-   exactly the journaled one (no delivery lost or duplicated).
+   (a) accounting: every delivery enqueued for a daemon is eventually
+       handled, dead-lettered with a cause, or still pending — queued
+       or in flight (nothing vanishes);
+   (b) honesty: a run either reaches quiescence or reports a positive
+       backlog (never "quiescent" with work outstanding);
+   (c) convergence: once the faults are healed and the dead letters
+       redelivered, the store equals the failure-free run's store.
 
-   The whole suite is POSIX-only (fork/pipes/signals); on other
-   platforms it reduces to a skip.  The in-runtest slice runs a
-   subset of the seeds; set MIRROR_PCHAOS_FULL=1 for all 500. *)
+   In process everything is deterministic (a virtual clock, seeded
+   Prngs), so a failing schedule is reproducible by its seed alone.
+   The process suite adds a fourth invariant: after an orchestrator
+   crash at an armed journal crash point, the recovered pending /
+   dead-letter state is exactly the journaled one.  It is POSIX-only
+   (fork/pipes/signals) and runs a 50-seed slice; set
+   MIRROR_PCHAOS_FULL=1 for all 500. *)
 
 module Prng = Mirror_util.Prng
 module Synth = Mirror_mm.Synth
@@ -24,15 +28,18 @@ module Bus = Mirror_daemon.Bus
 module Daemon = Mirror_daemon.Daemon
 module Media = Mirror_daemon.Media
 module Store = Mirror_daemon.Store
+module Standard = Mirror_daemon.Standard
 module Faults = Mirror_daemon.Faults
 module Supervisor = Mirror_daemon.Supervisor
 module Deadletter = Mirror_daemon.Deadletter
+module Orchestrator = Mirror_daemon.Orchestrator
 module Fabric = Mirror_fabric.Fabric
 module Dlog = Mirror_fabric.Dlog
 
 let posix = Sys.unix
+let schedules = 500
 
-let schedules =
+let process_schedules =
   match Sys.getenv_opt "MIRROR_PCHAOS_FULL" with Some _ -> 500 | None -> 50
 
 let ok = function Ok v -> v | Error e -> Alcotest.fail e
@@ -50,49 +57,52 @@ let with_temp_dir f =
   Sys.remove dir;
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-(* Small real-time windows: a killed worker's breaker reopens in
-   milliseconds and a stranded backlog expires in a couple of seconds,
-   so a full schedule stays fast without ever sleeping in the test. *)
-let fast_config ?(procs = 2) () =
-  {
-    Fabric.default_config with
-    procs;
-    ttl = 2.0;
-    breaker =
-      {
-        Supervisor.failure_threshold = 3;
-        base_backoff = 0.004;
-        max_backoff = 0.05;
-        jitter = 0.2;
-      };
-    max_retries = 2;
-    poll = 0.004;
-  }
+(* In process: the default configuration on its virtual clock.  Worker
+   processes run on the wall clock, so they get small real-time
+   windows: a killed worker's breaker reopens in milliseconds and a
+   stranded backlog expires in a couple of seconds, so a schedule stays
+   fast without ever sleeping in the test. *)
+let config procs =
+  if procs = 0 then Orchestrator.default_config
+  else
+    {
+      Orchestrator.default_config with
+      procs;
+      ttl = 2.0;
+      breaker =
+        {
+          Supervisor.failure_threshold = 3;
+          base_backoff = 0.004;
+          max_backoff = 0.05;
+          jitter = 0.2;
+        };
+    }
 
+(* One tiny corpus shared by every schedule: the suite exercises
+   supervision, not the media pipeline, so the images are as small as
+   the daemons accept. *)
 let scenes =
   Synth.corpus (Prng.create 97) ~n:2 ~width:16 ~height:16 ~annotated_fraction:0.8 ()
 
-let url_of i = Printf.sprintf "pchaos://%d" i
+let url_of i = Printf.sprintf "chaos://%d" i
 
-let ingest fab =
+let ingest orch =
   Array.iteri
     (fun i (s : Synth.scene) ->
       let annotation = Option.map (String.concat " ") s.Synth.caption in
-      Fabric.ingest_image fab ~doc:i ~url:(url_of i) ?annotation s.Synth.image)
+      Orchestrator.ingest_image orch ~doc:i ~url:(url_of i) ?annotation s.Synth.image)
     scenes;
-  Fabric.complete_collection fab
+  Orchestrator.complete_collection orch
 
 (* The media server is a separate party in the architecture — footage
    is not part of the metadata journal.  After an orchestrator crash
    the harness plays that party and re-serves the footage. *)
-let reingest_media fab =
-  let media = (Fabric.ctx fab).Daemon.media in
-  Array.iteri
-    (fun i (s : Synth.scene) -> Media.put media ~url:(url_of i) s.Synth.image)
-    scenes
+let reingest_media orch =
+  let media = (Orchestrator.ctx orch).Daemon.media in
+  Array.iteri (fun i (s : Synth.scene) -> Media.put media ~url:(url_of i) s.Synth.image) scenes
 
-let digest fab =
-  let store = (Fabric.ctx fab).Daemon.store in
+let digest orch =
+  let store = (Orchestrator.ctx orch).Daemon.store in
   let per_doc =
     List.map
       (fun doc ->
@@ -104,177 +114,233 @@ let digest fab =
   in
   (per_doc, Store.clustered_spaces store, Store.thesaurus store)
 
+(* Run to completion, restarting after in-process handler crashes
+   (orchestrator state survives a Faults.Crash; re-running resumes). *)
+let run_with_restarts orch =
+  let rec attempt n =
+    match Orchestrator.run orch with
+    | report -> report
+    | exception Faults.Crash _ when n < 20 -> attempt (n + 1)
+  in
+  attempt 0
+
 let baseline =
   lazy
-    (let fab = Fabric.create ~config:(fast_config ()) () in
-     ingest fab;
-     let report = Fabric.run fab in
-     Fabric.shutdown fab;
-     assert report.Fabric.quiescent;
-     digest fab)
+    (let orch = Orchestrator.create () in
+     ingest orch;
+     assert (run_with_restarts orch).Orchestrator.quiescent;
+     digest orch)
 
 (* Invariant (a): per daemon, deliveries in = handled + dead + live
    pending (queued or in flight). *)
-let check_accounting ~seed fab (stats : Fabric.stats list) =
-  let bus = (Fabric.ctx fab).Daemon.bus in
-  let live_pending, _ = Fabric.state_keys fab in
+let check_accounting ~seed orch (report : Orchestrator.report) =
+  let bus = (Orchestrator.ctx orch).Daemon.bus in
+  let live_pending, _ = Orchestrator.state_keys orch in
   List.iter
-    (fun (s : Fabric.stats) ->
-      let name = s.Fabric.name in
+    (fun (s : Orchestrator.daemon_stats) ->
+      let name = s.Orchestrator.name in
       let delivered = Bus.delivered_to bus ~name in
       let dead =
         List.length
           (List.filter
              (fun (e : Deadletter.entry) -> e.Deadletter.daemon = name)
-             (Fabric.dead_letters fab))
+             (Orchestrator.dead_letters orch))
       in
-      let pending =
-        List.length (List.filter (fun (n, _) -> n = name) live_pending)
-      in
-      if delivered <> s.Fabric.handled + dead + pending then
+      let pending = List.length (List.filter (fun (n, _) -> n = name) live_pending) in
+      if delivered <> s.Orchestrator.handled + dead + pending then
         Alcotest.failf
           "schedule %d: %s loses deliveries: %d in <> %d handled + %d dead + %d pending"
-          seed name delivered s.Fabric.handled dead pending)
-    stats
+          seed name delivered s.Orchestrator.handled dead pending)
+    report.Orchestrator.stats
 
-let check_honesty ~seed (report : Fabric.report) =
-  if report.Fabric.quiescent && report.Fabric.pending > 0 then
+(* Invariant (b). *)
+let check_honesty ~seed (report : Orchestrator.report) =
+  if report.Orchestrator.quiescent && report.Orchestrator.pending > 0 then
     Alcotest.failf "schedule %d: claims quiescence with %d pending" seed
-      report.Fabric.pending;
-  if (not report.Fabric.quiescent) && report.Fabric.pending = 0 then
+      report.Orchestrator.pending;
+  if (not report.Orchestrator.quiescent) && report.Orchestrator.pending = 0 then
     Alcotest.failf "schedule %d: claims a backlog it does not have" seed
 
-(* Heal and drain: redeliver dead letters (probing on even seeds,
-   force-closing on odd) and re-run until clean. *)
-let recover_to_convergence ~seed fab =
-  let rec go n last =
-    if
-      n > 12
-      || ((last : Fabric.report).Fabric.quiescent && Fabric.dead_letters fab = [])
-    then last
-    else begin
-      ignore (Fabric.redeliver ~probe:(seed mod 2 = 0) fab);
-      go (n + 1) (Fabric.run fab)
-    end
+(* Heal and drain: redeliver dead letters and re-run until clean.
+   Without [probing], up to 11 force-closing redeliver+run passes.
+   With [probing], one plain run first (a worker death may still hold
+   work back), then up to 13 passes that re-admit dead letters through
+   a half-open probe on even seeds and force-close on odd ones. *)
+let recover_to_convergence ~probing ~seed orch =
+  let clean (r : Orchestrator.report) =
+    r.Orchestrator.quiescent && Orchestrator.dead_letters orch = []
   in
-  let final = go 0 (Fabric.run fab) in
-  if not final.Fabric.quiescent then
+  let probe = probing && seed mod 2 = 0 in
+  let passes = if probing then 13 else 11 in
+  let rec go n =
+    ignore (Orchestrator.redeliver ~probe orch);
+    let r = run_with_restarts orch in
+    if n + 1 < passes && not (clean r) then go (n + 1) else r
+  in
+  let final =
+    if not probing then go 0
+    else
+      let r = run_with_restarts orch in
+      if clean r then r else go 0
+  in
+  if not final.Orchestrator.quiescent then
     Alcotest.failf "schedule %d: never quiesced after healing" seed;
-  if Fabric.dead_letters fab <> [] then
+  if Orchestrator.dead_letters orch <> [] then
     Alcotest.failf "schedule %d: dead letters survived redelivery" seed;
   final
 
-(* {1 Baseline behaviour} *)
+(* {1 The schedule generator} *)
+
+type schedule = {
+  daemons : Daemon.t list;
+  healed : bool ref;  (* every fault is transient with respect to it *)
+  procs : int;
+  kills : (int * int) list;  (* (round, worker slot) SIGKILLs *)
+}
+
+let schedule ~processes seed =
+  let g = Prng.create (0x5EED + (seed * 7919)) in
+  let healed = ref false in
+  let crashes = ref 0 in
+  let daemons =
+    List.map
+      (fun (d : Daemon.t) ->
+        match Prng.int g 5 with
+        | 0 ->
+          let rate = 0.2 +. Prng.float g 0.6 in
+          let gd = Prng.split g in
+          Faults.switched (fun () -> (not !healed) && Prng.float gd 1.0 < rate) d
+        | 1 -> Faults.switched (fun () -> not !healed) d
+        | 2 when !crashes < 2 ->
+          (* one-shot process death partway through *)
+          incr crashes;
+          Faults.crashing ~at_call:(1 + Prng.int g 3) d
+        | _ -> d)
+      (Standard.all ())
+  in
+  if not processes then { daemons; healed; procs = 0; kills = [] }
+  else
+    let procs = 2 + Prng.int g 2 in
+    let kills = List.init (1 + Prng.int g 3) (fun _ -> (2 + Prng.int g 12, Prng.int g procs)) in
+    { daemons; healed; procs; kills }
+
+let run_schedule ~processes seed =
+  let s = schedule ~processes seed in
+  let orch = Orchestrator.create ~daemons:s.daemons ~config:(config s.procs) () in
+  ingest orch;
+  Orchestrator.set_tick_hook orch
+    (Some
+       (fun round ->
+         List.iter
+           (fun (at, slot) -> if round = at then ignore (Orchestrator.kill_worker orch slot))
+           s.kills));
+  let report = run_with_restarts orch in
+  Orchestrator.set_tick_hook orch None;
+  check_honesty ~seed report;
+  check_accounting ~seed orch report;
+  s.healed := true;
+  let final = recover_to_convergence ~probing:processes ~seed orch in
+  check_accounting ~seed orch final;
+  if digest orch <> Lazy.force baseline then
+    Alcotest.failf "schedule %d: store did not converge to the failure-free state" seed;
+  Orchestrator.shutdown orch
+
+(* {1 In process} *)
+
+(* A schedule with no faults at all must look exactly like the
+   baseline — guards the harness itself. *)
+let test_chaos_null_schedule () =
+  let orch = Orchestrator.create () in
+  ingest orch;
+  let report = Orchestrator.run orch in
+  Alcotest.(check bool) "quiescent" true report.Orchestrator.quiescent;
+  Alcotest.(check int) "no dead letters" 0 (List.length report.Orchestrator.dead_letters);
+  Alcotest.(check bool) "digest matches baseline" true (digest orch = Lazy.force baseline)
+
+let test_chaos_schedules () =
+  for seed = 0 to schedules - 1 do
+    run_schedule ~processes:false seed
+  done
+
+(* {1 Worker processes} *)
 
 let test_null_schedule () =
   if posix then begin
-    let fab = Fabric.create ~config:(fast_config ~procs:3 ()) () in
-    ingest fab;
-    let report = Fabric.run fab in
-    check_honesty ~seed:(-1) report;
-    Alcotest.(check bool) "quiescent" true report.Fabric.quiescent;
-    Alcotest.(check int) "no deaths" 0 report.Fabric.deaths;
-    Alcotest.(check int) "no dead letters" 0 (List.length report.Fabric.dead_letters);
-    check_accounting ~seed:(-1) fab report.Fabric.stats;
-    Alcotest.(check bool) "digest matches baseline" true
-      (digest fab = Lazy.force baseline);
-    Fabric.shutdown fab
-  end
-
-(* The fabric and the in-process orchestrator must agree on the final
-   store: process isolation is an execution strategy, not a semantic
-   change. *)
-let test_agrees_with_orchestrator () =
-  if posix then begin
-    let module Orchestrator = Mirror_daemon.Orchestrator in
-    let orch = Orchestrator.create () in
-    Array.iteri
-      (fun i (s : Synth.scene) ->
-        let annotation = Option.map (String.concat " ") s.Synth.caption in
-        Orchestrator.ingest_image orch ~doc:i ~url:(url_of i) ?annotation
-          s.Synth.image)
-      scenes;
-    Orchestrator.complete_collection orch;
+    let orch = Orchestrator.create ~config:(config 3) () in
+    ingest orch;
     let report = Orchestrator.run orch in
-    assert report.Orchestrator.quiescent;
-    let store = (Orchestrator.ctx orch).Daemon.store in
-    let orch_digest =
-      ( List.map
-          (fun doc ->
-            ( doc,
-              Option.map List.length (Store.segments store ~doc),
-              Store.text store ~doc,
-              List.sort compare (Store.visual_words store ~doc) ))
-          (Store.docs store),
-        Store.clustered_spaces store,
-        Store.thesaurus store )
-    in
-    Alcotest.(check bool) "fabric = orchestrator" true
-      (orch_digest = Lazy.force baseline)
+    check_honesty ~seed:(-1) report;
+    Alcotest.(check bool) "quiescent" true report.Orchestrator.quiescent;
+    Alcotest.(check int) "no deaths" 0 report.Orchestrator.deaths;
+    Alcotest.(check int) "no dead letters" 0 (List.length report.Orchestrator.dead_letters);
+    check_accounting ~seed:(-1) orch report;
+    Alcotest.(check bool) "digest matches baseline" true (digest orch = Lazy.force baseline);
+    Orchestrator.shutdown orch
   end
 
-(* {1 Kill schedules: SIGKILL real worker processes mid-pipeline} *)
-
-let run_kill_schedule seed =
-  let g = Prng.create (0xF0B + (seed * 7919)) in
-  let procs = 2 + Prng.int g 2 in
-  let fab = Fabric.create ~config:(fast_config ~procs ()) ~seed () in
-  ingest fab;
-  (* 1–3 SIGKILLs at early turns, while the pipeline is busy. *)
-  let kills =
-    List.init (1 + Prng.int g 3) (fun _ -> (2 + Prng.int g 12, Prng.int g procs))
-  in
-  Fabric.set_tick_hook fab
-    (Some
-       (fun turn ->
-         List.iter
-           (fun (at, slot) ->
-             if turn = at then ignore (Fabric.kill_worker fab slot))
-           kills));
-  let report = Fabric.run fab in
-  Fabric.set_tick_hook fab None;
-  check_honesty ~seed report;
-  check_accounting ~seed fab report.Fabric.stats;
-  let final = recover_to_convergence ~seed fab in
-  check_accounting ~seed fab final.Fabric.stats;
-  if digest fab <> Lazy.force baseline then
-    Alcotest.failf "schedule %d: store did not converge to the failure-free state"
-      seed;
-  Fabric.shutdown fab
+(* Process isolation is an execution strategy, not a semantic change:
+   one worker hosting every daemon, or several, end on the in-process
+   store. *)
+let test_agrees_with_orchestrator () =
+  if posix then
+    List.iter
+      (fun procs ->
+        let orch = Orchestrator.create ~config:(config procs) () in
+        ingest orch;
+        let report = Orchestrator.run orch in
+        assert report.Orchestrator.quiescent;
+        Orchestrator.shutdown orch;
+        Alcotest.(check bool)
+          (Printf.sprintf "%d worker(s) = in process" procs)
+          true
+          (digest orch = Lazy.force baseline);
+        (* the workers' handler CPU crosses the pipe with each [done] *)
+        Alcotest.(check bool)
+          (Printf.sprintf "%d worker(s): handler CPU reported" procs)
+          true
+          (List.fold_left
+             (fun acc (s : Orchestrator.daemon_stats) -> acc +. s.Orchestrator.cpu_seconds)
+             0.0 report.Orchestrator.stats
+          > 0.0))
+      [ 1; 2 ]
 
 let test_kill_schedules () =
   if posix then
-    for seed = 0 to schedules - 1 do
-      run_kill_schedule seed
+    for seed = 0 to process_schedules - 1 do
+      run_schedule ~processes:true seed
     done
 
-(* {1 Durable fabric: journal round trip} *)
+(* {1 The durable journal, on both transports} *)
 
 let test_durable_round_trip () =
   if posix then
-    with_temp_dir @@ fun dir ->
-    Faults.reset_faults ();
-    let fab, _ = ok (Fabric.open_durable ~config:(fast_config ()) ~dir ()) in
-    ingest fab;
-    let report = Fabric.run fab in
-    assert report.Fabric.quiescent;
-    let d = digest fab in
-    Fabric.shutdown fab;
-    let fab2, _ = ok (Fabric.open_durable ~config:(fast_config ()) ~dir ()) in
-    let pending, dead = Fabric.state_keys fab2 in
-    Alcotest.(check bool) "no pending after clean shutdown" true (pending = []);
-    Alcotest.(check bool) "no dead letters after clean shutdown" true (dead = []);
-    Alcotest.(check bool) "store survives the round trip" true (digest fab2 = d);
-    Fabric.shutdown fab2
+    List.iter
+      (fun procs ->
+        with_temp_dir @@ fun dir ->
+        Faults.reset_faults ();
+        let orch, _ = ok (Fabric.open_durable ~config:(config procs) ~dir ()) in
+        ingest orch;
+        assert (Orchestrator.run orch).Orchestrator.quiescent;
+        let d = digest orch in
+        Orchestrator.shutdown orch;
+        let orch2, _ = ok (Fabric.open_durable ~config:(config procs) ~dir ()) in
+        let pending, dead = Orchestrator.state_keys orch2 in
+        let label = Printf.sprintf "procs %d: %s" procs in
+        Alcotest.(check bool) (label "no pending after clean shutdown") true (pending = []);
+        Alcotest.(check bool) (label "no dead letters after clean shutdown") true (dead = []);
+        Alcotest.(check bool) (label "store survives the round trip") true (digest orch2 = d);
+        Orchestrator.shutdown orch2)
+      [ 0; 2 ]
 
 (* {1 Orchestrator crash schedules}
 
-   The parent process itself dies at an armed fabric crash point
+   The orchestrator itself dies at an armed journal crash point
    (journal append, settlement commit, checkpoint protocol step);
    recovery from the journal must land on a state that still converges
    to the failure-free store — a lost delivery would leave the
    pipeline incomplete, a duplicated one would double-apply the
-   tf-additive visual-word ops and corrupt the digest. *)
+   tf-additive visual-word ops and corrupt the digest.  Every seed
+   runs on both transports: in process and on two workers. *)
 
 let crash_points =
   [|
@@ -288,54 +354,46 @@ let crash_points =
     "fabric.checkpoint.gc";
   |]
 
-let run_crash_schedule seed =
+let run_crash_schedule ~procs seed =
   with_temp_dir @@ fun dir ->
   Faults.reset_faults ();
   let g = Prng.create (0xCAFE + (seed * 31)) in
-  let config = fast_config ~procs:2 () in
+  let config = config procs in
   let checkpoint_every = 4 + Prng.int g 8 in
-  let fab, _ =
-    ok (Fabric.open_durable ~config ~seed ~checkpoint_every ~dir ())
-  in
-  ingest fab;
+  let orch, _ = ok (Fabric.open_durable ~config ~seed ~checkpoint_every ~dir ()) in
+  ingest orch;
   let point = crash_points.(Prng.int g (Array.length crash_points)) in
   Faults.arm_crash point ~after:(Prng.int g 25);
   let crashed =
-    match Fabric.run fab with
-    | _ -> false
-    | exception Faults.Crash _ -> true
+    match Orchestrator.run orch with _ -> false | exception Faults.Crash _ -> true
   in
   Faults.reset_faults ();
   if not crashed then begin
     (* the armed point never fired this schedule — still a clean run *)
-    if digest fab <> Lazy.force baseline then
-      Alcotest.failf "schedule %d: clean run diverged" seed;
-    Fabric.shutdown fab
+    if digest orch <> Lazy.force baseline then
+      Alcotest.failf "schedule %d, procs %d: clean run diverged" seed procs;
+    Orchestrator.shutdown orch
   end
   else begin
     (* [run] killed the workers and abandoned the journal before
        re-raising; the directory is now exactly a crashed instance. *)
-    let fab2, _ = ok (Fabric.open_durable ~config ~seed ~dir ()) in
-    reingest_media fab2;
-    (match Fabric.dlog fab2 with
-    | Some dl ->
-      if Fabric.state_keys fab2 <> Dlog.state_keys dl then
-        Alcotest.failf "schedule %d: recovered live state diverges from journal"
-          seed
-    | None -> assert false);
-    let final = recover_to_convergence ~seed fab2 in
+    let orch2, dl = ok (Fabric.open_durable ~config ~seed ~dir ()) in
+    reingest_media orch2;
+    if Orchestrator.state_keys orch2 <> Dlog.state_keys dl then
+      Alcotest.failf "schedule %d, procs %d: recovered live state diverges from journal" seed
+        procs;
+    let final = recover_to_convergence ~probing:true ~seed orch2 in
     check_honesty ~seed final;
-    if digest fab2 <> Lazy.force baseline then
-      Alcotest.failf
-        "schedule %d: post-crash recovery did not converge (point %s)" seed
-        point;
-    Fabric.shutdown fab2
+    if digest orch2 <> Lazy.force baseline then
+      Alcotest.failf "schedule %d, procs %d: post-crash recovery did not converge (point %s)"
+        seed procs point;
+    Orchestrator.shutdown orch2
   end
 
 let test_crash_schedules () =
   if posix then
-    for seed = 0 to (schedules / 5) - 1 do
-      run_crash_schedule seed
+    for seed = 0 to (process_schedules / 5) - 1 do
+      List.iter (fun procs -> run_crash_schedule ~procs seed) [ 0; 2 ]
     done
 
 (* {1 Crash mid-redelivery: the exactness acceptance test}
@@ -349,79 +407,71 @@ let test_crash_schedules () =
 
 let echo_daemon () =
   Daemon.make ~name:"echo" ~topics:[ "echo.in" ] (fun ctx msg ->
-      Store.add_visual_words ctx.Daemon.store ~doc:msg.Bus.subject
-        [ ("echoed", 1.0) ];
+      Store.add_visual_words ctx.Daemon.store ~doc:msg.Bus.subject [ ("echoed", 1.0) ];
       [])
 
 let test_crash_mid_redelivery () =
   if posix then
     with_temp_dir @@ fun dir ->
     Faults.reset_faults ();
-    let config = fast_config ~procs:2 () in
+    let config = config 2 in
     let daemon, _heal = Faults.breakable (echo_daemon ()) in
-    let fab, _ = ok (Fabric.open_durable ~daemons:[ daemon ] ~config ~dir ()) in
-    let ctx = Fabric.ctx fab in
+    let orch, dl = ok (Fabric.open_durable ~daemons:[ daemon ] ~config ~dir ()) in
+    let ctx = Orchestrator.ctx orch in
     for i = 0 to 4 do
-      Store.register_doc ctx.Daemon.store ~doc:i
-        ~url:(Printf.sprintf "echo://%d" i);
+      Store.register_doc ctx.Daemon.store ~doc:i ~url:(Printf.sprintf "echo://%d" i);
       Bus.publish ctx.Daemon.bus { Bus.topic = "echo.in"; subject = i; payload = [] }
     done;
-    let report = Fabric.run fab in
-    assert report.Fabric.quiescent;
-    let _, dead0 = Fabric.state_keys fab in
+    assert (Orchestrator.run orch).Orchestrator.quiescent;
+    let _, dead0 = Orchestrator.state_keys orch in
     Alcotest.(check int) "all five dead-lettered" 5 (List.length dead0);
     Faults.arm_crash "fabric.redeliver" ~after:2;
-    (match Fabric.redeliver fab with
+    (match Orchestrator.redeliver orch with
     | _ -> Alcotest.fail "redelivery should have crashed"
     | exception Faults.Crash _ -> ());
     Faults.reset_faults ();
     (* the instance dies here: kill its workers, leave the journal as-is *)
     List.iter
-      (fun (id, pid, _) ->
-        if pid <> None then ignore (Fabric.kill_worker fab id))
-      (Fabric.workers fab);
-    (match Fabric.dlog fab with Some dl -> Dlog.abandon dl | None -> assert false);
+      (fun (id, pid, _) -> if pid <> None then ignore (Orchestrator.kill_worker orch id))
+      (Orchestrator.workers orch);
+    Dlog.abandon dl;
     (* recover with a healed incarnation of the daemon *)
     let daemon2, heal2 = Faults.breakable (echo_daemon ()) in
-    let fab2, _ =
-      ok (Fabric.open_durable ~daemons:[ daemon2 ] ~config ~dir ())
-    in
+    let orch2, dl2 = ok (Fabric.open_durable ~daemons:[ daemon2 ] ~config ~dir ()) in
     heal2 true;
-    let pending', dead' = Fabric.state_keys fab2 in
-    Alcotest.(check int) "exactly three letters replayed to pending" 3
-      (List.length pending');
+    let pending', dead' = Orchestrator.state_keys orch2 in
+    Alcotest.(check int) "exactly three letters replayed to pending" 3 (List.length pending');
     Alcotest.(check int) "exactly two letters still dead" 2 (List.length dead');
-    let keys =
-      List.sort compare
-        (pending' @ List.map (fun (n, s, _) -> (n, s)) dead')
-    in
+    let keys = List.sort compare (pending' @ List.map (fun (n, s, _) -> (n, s)) dead') in
     let keys0 = List.sort compare (List.map (fun (n, s, _) -> (n, s)) dead0) in
     Alcotest.(check bool) "no letter lost or duplicated" true (keys = keys0);
-    (match Fabric.dlog fab2 with
-    | Some dl ->
-      Alcotest.(check bool) "live state equals journal state" true
-        (Fabric.state_keys fab2 = Dlog.state_keys dl)
-    | None -> assert false);
+    Alcotest.(check bool) "live state equals journal state" true
+      (Orchestrator.state_keys orch2 = Dlog.state_keys dl2);
     (* drain the replayed three, then redeliver and drain the rest *)
-    let r1 = Fabric.run fab2 in
-    assert r1.Fabric.quiescent;
-    ignore (Fabric.redeliver fab2);
-    let r2 = Fabric.run fab2 in
-    assert r2.Fabric.quiescent;
-    let pending'', dead'' = Fabric.state_keys fab2 in
+    assert (Orchestrator.run orch2).Orchestrator.quiescent;
+    ignore (Orchestrator.redeliver orch2);
+    assert (Orchestrator.run orch2).Orchestrator.quiescent;
+    let pending'', dead'' = Orchestrator.state_keys orch2 in
     Alcotest.(check bool) "all drained" true (pending'' = [] && dead'' = []);
-    let store = (Fabric.ctx fab2).Daemon.store in
+    let store = (Orchestrator.ctx orch2).Daemon.store in
     for i = 0 to 4 do
       Alcotest.(check bool)
         (Printf.sprintf "doc %d handled exactly once" i)
         true
         (Store.visual_words store ~doc:i = [ ("echoed", 1.0) ])
     done;
-    Fabric.shutdown fab2
+    Orchestrator.shutdown orch2
 
 let () =
   Alcotest.run "mirror_pchaos"
     [
+      ( "chaos",
+        [
+          Alcotest.test_case "null schedule" `Quick test_chaos_null_schedule;
+          Alcotest.test_case
+            (Printf.sprintf "%d seeded fault schedules" schedules)
+            `Quick test_chaos_schedules;
+        ] );
       ( "pchaos",
         [
           Alcotest.test_case "null schedule" `Quick test_null_schedule;
@@ -429,9 +479,7 @@ let () =
             test_agrees_with_orchestrator;
           Alcotest.test_case "kill schedules (slice)" `Quick test_kill_schedules;
           Alcotest.test_case "durable round trip" `Quick test_durable_round_trip;
-          Alcotest.test_case "orchestrator crash schedules" `Quick
-            test_crash_schedules;
-          Alcotest.test_case "crash mid-redelivery is exact" `Quick
-            test_crash_mid_redelivery;
+          Alcotest.test_case "orchestrator crash schedules" `Quick test_crash_schedules;
+          Alcotest.test_case "crash mid-redelivery is exact" `Quick test_crash_mid_redelivery;
         ] );
     ]
