@@ -1,5 +1,5 @@
 (* bench-smoke validator: check that BENCH_core.json parses and carries
-   a well-formed entry for every core experiment (E1–E5).  Run by
+   a well-formed entry for every core experiment (E1–E6).  Run by
    `dune build @bench-smoke`; exits non-zero on any problem so the
    alias fails loudly. *)
 
@@ -58,6 +58,34 @@ let () =
         die "E4 trace_ablation lacks trace_off_ms"
     | _ -> die "E4 entry lacks trace_ablation")
   | None -> ());
+  (* E6 must carry the three retrieval modes with their quality, and
+     show the paper's dual-coding claim: combining the text and image
+     codings is no worse (MAP) than the better of the two alone *)
+  (match find "E6" with
+  | None -> die "no entry for the retrieval-quality experiment (E6)"
+  | Some e ->
+    let modes =
+      match Option.bind (Json.member "modes" e) Json.to_list with
+      | Some ms -> ms
+      | None -> die "E6 entry lacks modes"
+    in
+    let mode_field label f =
+      let is_label m = Option.bind (Json.member "mode" m) Json.to_str = Some label in
+      match List.find_opt is_label modes with
+      | None -> die "E6 entry lacks the %s mode" label
+      | Some m -> (
+        match Option.bind (Json.member f m) Json.to_float with
+        | Some v when Float.is_finite v && v >= 0.0 && v <= 1.0 -> v
+        | _ -> die "E6 %s mode lacks a %s in [0, 1]" label f)
+    in
+    List.iter
+      (fun label -> ignore (mode_field label "p_at_5"))
+      [ "text-only"; "image-only"; "dual" ];
+    let text = mode_field "text-only" "map" and image = mode_field "image-only" "map" in
+    let dual = mode_field "dual" "map" in
+    if dual < Float.max text image then
+      die "E6 dual-coding MAP %.3f is below the better single coding (text %.3f, image %.3f)"
+        dual text image);
   (* the RECOVERY entry must show a real replay: records redone,
      positive throughput, and the post-recovery certification pass *)
   (match find "RECOVERY" with

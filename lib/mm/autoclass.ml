@@ -13,21 +13,34 @@ type model = {
 let var_floor = 1e-4
 let log_two_pi = log (2.0 *. (4.0 *. atan 1.0))
 
+(* The parts of the log densities that depend only on the parameters:
+   [log weights.(c)], and [log_two_pi +. log var.(i)] per component and
+   dimension.  Computed once per parameter set, not once per point. *)
+type norms = { log_weights : float array; log_norms : float array array }
+
+let norms weights variances =
+  {
+    log_weights = Array.map log weights;
+    log_norms = Array.map (Array.map (fun v -> log_two_pi +. log v)) variances;
+  }
+
 (* Log density of point [x] under component [c]. *)
-let component_logpdf means variances c x =
-  let mu = means.(c) and var = variances.(c) in
+let component_logpdf nm means variances c x =
+  let mu = means.(c) and var = variances.(c) and norm = nm.log_norms.(c) in
   let d = Array.length x in
   let acc = ref 0.0 in
   for i = 0 to d - 1 do
     let diff = x.(i) -. mu.(i) in
-    acc := !acc -. (0.5 *. (log_two_pi +. log var.(i) +. (diff *. diff /. var.(i))))
+    acc := !acc -. (0.5 *. (norm.(i) +. (diff *. diff /. var.(i))))
   done;
   !acc
 
+(* Per-component joint log densities [log p(c) + log p(x | c)]. *)
+let log_terms nm means variances x =
+  Array.mapi (fun c lw -> lw +. component_logpdf nm means variances c x) nm.log_weights
+
 let point_log_mixture weights means variances x =
-  let k = Array.length weights in
-  let terms = Array.init k (fun c -> log weights.(c) +. component_logpdf means variances c x) in
-  Vecmath.log_sum_exp terms
+  Vecmath.log_sum_exp (log_terms (norms weights variances) means variances x)
 
 let em_run g ~k ~max_iter ~tol points =
   let n = Array.length points in
@@ -62,10 +75,9 @@ let em_run g ~k ~max_iter ~tol points =
     incr iter;
     (* E step. *)
     let ll = ref 0.0 in
+    let nm = norms weights variances in
     for i = 0 to n - 1 do
-      let terms =
-        Array.init k (fun c -> log weights.(c) +. component_logpdf means variances c points.(i))
-      in
+      let terms = log_terms nm means variances points.(i) in
       let lse = Vecmath.log_sum_exp terms in
       ll := !ll +. lse;
       for c = 0 to k - 1 do
@@ -102,8 +114,9 @@ let em_run g ~k ~max_iter ~tol points =
   done;
   (* Final log-likelihood under the last parameters. *)
   let final_ll = ref 0.0 in
+  let nm = norms weights variances in
   for i = 0 to n - 1 do
-    final_ll := !final_ll +. point_log_mixture weights means variances points.(i)
+    final_ll := !final_ll +. Vecmath.log_sum_exp (log_terms nm means variances points.(i))
   done;
   { k; weights; means; variances; loglik = !final_ll; loglik_trace = List.rev !trace }
 
@@ -141,9 +154,7 @@ let select g ?(kmin = 2) ?(kmax = 8) ?(restarts = 2) points =
   snd (Option.get !best)
 
 let posterior m x =
-  let terms =
-    Array.init m.k (fun c -> log m.weights.(c) +. component_logpdf m.means m.variances c x)
-  in
+  let terms = log_terms (norms m.weights m.variances) m.means m.variances x in
   let lse = Vecmath.log_sum_exp terms in
   Array.map (fun t -> exp (t -. lse)) terms
 

@@ -25,31 +25,46 @@ let kernel ~theta ~wavelength =
   let n = Float.of_int (size * size) in
   Array.map (Array.map (fun v -> v -. (sum /. n))) k
 
-let bank = lazy (
-  Array.to_list orientations
-  |> List.concat_map (fun theta ->
-         Array.to_list wavelengths
-         |> List.map (fun wavelength -> kernel ~theta ~wavelength)))
+let side = (2 * kernel_radius) + 1
 
+(* The bank as flat row-major [side * side] tap arrays, in the order
+   feature pairs are laid out: orientation-major, then wavelength. *)
+let bank =
+  lazy
+    (Array.to_list orientations
+    |> List.concat_map (fun theta ->
+           Array.to_list wavelengths
+           |> List.map (fun wavelength ->
+                  let k = kernel ~theta ~wavelength in
+                  Float.Array.init (side * side) (fun t -> k.(t / side).(t mod side))))
+    |> Array.of_list)
+
+(* Each kernel is convolved over the region's luminance with its borders
+   clamped to the region, so small regions still work.  The clamped
+   frame is built once ([Image.gray_patch] with pad [kernel_radius]); the
+   window of pixel (x, y) then starts at patch offset [y * stride + x].
+   Floating-point order is part of the feature definition: each response
+   sums its taps row by row from 0.0, and [sum]/[sumsq] run over the
+   pixels in row-major order — no reassociation, no fma. *)
 let extract img (r : Segment.region) =
-  let kernels = Lazy.force bank in
-  let x0 = r.Segment.x and y0 = r.Segment.y and w = r.Segment.w and h = r.Segment.h in
-  (* Luminance patch with clamped borders so small regions still work. *)
-  let at x y =
-    let cx = max x0 (min (x0 + w - 1) x) and cy = max y0 (min (y0 + h - 1) y) in
-    Image.gray_at img ~x:cx ~y:cy
-  in
+  let w = r.Segment.w and h = r.Segment.h in
+  let stride = w + (2 * kernel_radius) in
+  let lum = Image.gray_patch img ~x:r.Segment.x ~y:r.Segment.y ~w ~h ~pad:kernel_radius in
+  let n = Float.of_int (w * h) in
   let feats = Array.make dims 0.0 in
-  List.iteri
+  Array.iteri
     (fun ki k ->
       let sum = ref 0.0 and sumsq = ref 0.0 in
-      let count = w * h in
-      for y = y0 to y0 + h - 1 do
-        for x = x0 to x0 + w - 1 do
+      for y = 0 to h - 1 do
+        for x = 0 to w - 1 do
           let resp = ref 0.0 in
-          for dj = -kernel_radius to kernel_radius do
-            for di = -kernel_radius to kernel_radius do
-              resp := !resp +. (k.(dj + kernel_radius).(di + kernel_radius) *. at (x + di) (y + dj))
+          for dj = 0 to side - 1 do
+            (* In bounds: (y + dj) * stride + x + di < (h + 2 radius) * stride. *)
+            let row = ((y + dj) * stride) + x and krow = dj * side in
+            for di = 0 to side - 1 do
+              resp :=
+                !resp
+                +. (Float.Array.unsafe_get k (krow + di) *. Float.Array.unsafe_get lum (row + di))
             done
           done;
           let m = Float.abs !resp in
@@ -57,10 +72,9 @@ let extract img (r : Segment.region) =
           sumsq := !sumsq +. (m *. m)
         done
       done;
-      let n = Float.of_int count in
       let mean = !sum /. n in
       let var = Float.max 0.0 ((!sumsq /. n) -. (mean *. mean)) in
       feats.(2 * ki) <- mean;
       feats.((2 * ki) + 1) <- sqrt var)
-    kernels;
+    (Lazy.force bank);
   feats

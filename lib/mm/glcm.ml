@@ -6,12 +6,15 @@ let quantize v =
   max 0 (min (levels - 1) q)
 
 let matrix img (r : Segment.region) ~dx ~dy =
+  let w = r.Segment.w and h = r.Segment.h in
+  let lum = Image.gray_patch img ~x:r.Segment.x ~y:r.Segment.y ~w ~h ~pad:0 in
   let m = Array.make_matrix levels levels 0.0 in
   let total = ref 0.0 in
-  for y = r.Segment.y to r.Segment.y + r.Segment.h - 1 - abs dy do
-    for x = r.Segment.x to r.Segment.x + r.Segment.w - 1 - abs dx do
-      let a = quantize (Image.gray_at img ~x ~y) in
-      let b = quantize (Image.gray_at img ~x:(x + dx) ~y:(y + dy)) in
+  (* Pairs whose both ends lie in the region, scanned row-major. *)
+  for y = Int.max 0 (-dy) to h - 1 - Int.max 0 dy do
+    for x = Int.max 0 (-dx) to w - 1 - Int.max 0 dx do
+      let a = quantize (Float.Array.get lum ((y * w) + x)) in
+      let b = quantize (Float.Array.get lum (((y + dy) * w) + x + dx)) in
       (* symmetric GLCM *)
       m.(a).(b) <- m.(a).(b) +. 1.0;
       m.(b).(a) <- m.(b).(a) +. 1.0;

@@ -47,6 +47,23 @@ let gray_at img ~x ~y =
   let i = index img ~x ~y in
   luminance img.red.(i) img.green.(i) img.blue.(i)
 
+let gray_patch img ~x ~y ~w ~h ~pad =
+  if w <= 0 || h <= 0 || pad < 0 || x < 0 || y < 0 || x + w > img.width || y + h > img.height
+  then
+    invalid_arg
+      (Printf.sprintf "Image.gray_patch: %dx%d+%d+%d (pad %d) out of %dx%d" w h x y pad
+         img.width img.height);
+  let stride = w + (2 * pad) in
+  let patch = Float.Array.create (stride * (h + (2 * pad))) in
+  for py = 0 to h + (2 * pad) - 1 do
+    let row = (y + Int.max 0 (Int.min (h - 1) (py - pad))) * img.width in
+    for px = 0 to stride - 1 do
+      let i = row + x + Int.max 0 (Int.min (w - 1) (px - pad)) in
+      Float.Array.set patch ((py * stride) + px) (luminance img.red.(i) img.green.(i) img.blue.(i))
+    done
+  done;
+  patch
+
 let mean_color img =
   let n = Float.of_int (img.width * img.height) in
   let sum a = Array.fold_left ( +. ) 0.0 a in

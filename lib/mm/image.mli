@@ -32,6 +32,16 @@ val gray : t -> float array
 val gray_at : t -> x:int -> y:int -> float
 (** Luminance of one pixel. *)
 
+val gray_patch : t -> x:int -> y:int -> w:int -> h:int -> pad:int -> Float.Array.t
+(** Luminance of the [w]x[h] rectangle at ([x], [y]), row-major with
+    stride [w + 2 pad], framed by [pad] rows and columns on every side
+    that repeat the nearest pixel of the rectangle (clamp to the
+    rectangle's edge, not the image's).  Each value is bitwise equal to
+    {!gray_at} of the pixel it stands for, so feature extractors read
+    the patch instead of bounds-checking and recomputing per pixel.
+    @raise Invalid_argument if the rectangle is empty or leaves the image,
+    or [pad < 0]. *)
+
 val mean_color : t -> float * float * float
 (** Average of each channel. *)
 

@@ -5,12 +5,14 @@ let dims = 5
 let nparams = 5 (* 4 neighbours + bias *)
 
 let extract img (r : Segment.region) =
-  let x0 = r.Segment.x and y0 = r.Segment.y and w = r.Segment.w and h = r.Segment.h in
-  let at x y = Image.gray_at img ~x ~y in
+  let w = r.Segment.w and h = r.Segment.h in
+  let lum = Image.gray_patch img ~x:r.Segment.x ~y:r.Segment.y ~w ~h ~pad:0 in
+  (* Region-relative coordinates. *)
+  let at x y = Float.Array.get lum ((y * w) + x) in
   let fallback () =
     let gs = ref [] in
-    for y = y0 to y0 + h - 1 do
-      for x = x0 to x0 + w - 1 do
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
         gs := at x y :: !gs
       done
     done;
@@ -23,8 +25,8 @@ let extract img (r : Segment.region) =
     let xtx = Array.make_matrix nparams nparams 0.0 in
     let xty = Array.make nparams 0.0 in
     let n = ref 0 in
-    for y = y0 + 1 to y0 + h - 1 do
-      for x = x0 + 1 to x0 + w - 2 do
+    for y = 1 to h - 1 do
+      for x = 1 to w - 2 do
         let row = [| at (x - 1) y; at x (y - 1); at (x - 1) (y - 1); at (x + 1) (y - 1); 1.0 |] in
         let target = at x y in
         incr n;
@@ -48,8 +50,8 @@ let extract img (r : Segment.region) =
       | Some a ->
         (* Residual stddev. *)
         let ss = ref 0.0 in
-        for y = y0 + 1 to y0 + h - 1 do
-          for x = x0 + 1 to x0 + w - 2 do
+        for y = 1 to h - 1 do
+          for x = 1 to w - 2 do
             let row =
               [| at (x - 1) y; at x (y - 1); at (x - 1) (y - 1); at (x + 1) (y - 1); 1.0 |]
             in

@@ -544,6 +544,540 @@ let prop_posterior_distribution =
           && Array.for_all (fun v -> v >= 0.0 && v <= 1.0 +. 1e-9) post)
         pts)
 
+(* {1 Bitwise oracles}
+
+   The feature extractors read a region luminance patch and AutoClass
+   hoists the parameter-only parts of its log densities out of the
+   per-point loop.  Both rewrites must leave every output bit unchanged:
+   feature bits feed AutoClass, whose clusters become the visual words
+   and the thesaurus.  The modules below are the per-pixel / per-point
+   definitions the rewrites replaced, kept as oracles. *)
+
+module Old_gabor = struct
+  let kernel_radius = 4
+
+  let bank =
+    lazy
+      (Array.to_list Gabor.orientations
+      |> List.concat_map (fun theta ->
+             Array.to_list Gabor.wavelengths
+             |> List.map (fun wavelength -> Gabor.kernel ~theta ~wavelength)))
+
+  let extract img (r : Segment.region) =
+    let kernels = Lazy.force bank in
+    let x0 = r.Segment.x and y0 = r.Segment.y and w = r.Segment.w and h = r.Segment.h in
+    (* Luminance patch with clamped borders so small regions still work. *)
+    let at x y =
+      let cx = max x0 (min (x0 + w - 1) x) and cy = max y0 (min (y0 + h - 1) y) in
+      Image.gray_at img ~x:cx ~y:cy
+    in
+    let feats = Array.make Gabor.dims 0.0 in
+    List.iteri
+      (fun ki k ->
+        let sum = ref 0.0 and sumsq = ref 0.0 in
+        let count = w * h in
+        for y = y0 to y0 + h - 1 do
+          for x = x0 to x0 + w - 1 do
+            let resp = ref 0.0 in
+            for dj = -kernel_radius to kernel_radius do
+              for di = -kernel_radius to kernel_radius do
+                resp := !resp +. (k.(dj + kernel_radius).(di + kernel_radius) *. at (x + di) (y + dj))
+              done
+            done;
+            let m = Float.abs !resp in
+            sum := !sum +. m;
+            sumsq := !sumsq +. (m *. m)
+          done
+        done;
+        let n = Float.of_int count in
+        let mean = !sum /. n in
+        let var = Float.max 0.0 ((!sumsq /. n) -. (mean *. mean)) in
+        feats.(2 * ki) <- mean;
+        feats.((2 * ki) + 1) <- sqrt var)
+      kernels;
+    feats
+end
+
+module Old_glcm = struct
+  let levels = 8
+
+  let quantize v =
+    let q = int_of_float (v *. Float.of_int levels) in
+    max 0 (min (levels - 1) q)
+
+  let matrix img (r : Segment.region) ~dx ~dy =
+    let m = Array.make_matrix levels levels 0.0 in
+    let total = ref 0.0 in
+    for y = r.Segment.y to r.Segment.y + r.Segment.h - 1 - abs dy do
+      for x = r.Segment.x to r.Segment.x + r.Segment.w - 1 - abs dx do
+        let a = quantize (Image.gray_at img ~x ~y) in
+        let b = quantize (Image.gray_at img ~x:(x + dx) ~y:(y + dy)) in
+        (* symmetric GLCM *)
+        m.(a).(b) <- m.(a).(b) +. 1.0;
+        m.(b).(a) <- m.(b).(a) +. 1.0;
+        total := !total +. 2.0
+      done
+    done;
+    if !total > 0.0 then
+      for i = 0 to levels - 1 do
+        for j = 0 to levels - 1 do
+          m.(i).(j) <- m.(i).(j) /. !total
+        done
+      done;
+    m
+
+  let stats m =
+    let contrast = ref 0.0
+    and energy = ref 0.0
+    and entropy = ref 0.0
+    and homogeneity = ref 0.0 in
+    let mu_i = ref 0.0 and mu_j = ref 0.0 in
+    for i = 0 to levels - 1 do
+      for j = 0 to levels - 1 do
+        let p = m.(i).(j) in
+        let d = Float.of_int (i - j) in
+        contrast := !contrast +. (p *. d *. d);
+        energy := !energy +. (p *. p);
+        if p > 0.0 then entropy := !entropy -. (p *. log p);
+        homogeneity := !homogeneity +. (p /. (1.0 +. Float.abs d));
+        mu_i := !mu_i +. (Float.of_int i *. p);
+        mu_j := !mu_j +. (Float.of_int j *. p)
+      done
+    done;
+    let var_i = ref 0.0 and var_j = ref 0.0 and cov = ref 0.0 in
+    for i = 0 to levels - 1 do
+      for j = 0 to levels - 1 do
+        let p = m.(i).(j) in
+        let di = Float.of_int i -. !mu_i and dj = Float.of_int j -. !mu_j in
+        var_i := !var_i +. (p *. di *. di);
+        var_j := !var_j +. (p *. dj *. dj);
+        cov := !cov +. (p *. di *. dj)
+      done
+    done;
+    let correlation =
+      let denom = sqrt (!var_i *. !var_j) in
+      if denom < 1e-12 then 0.0 else !cov /. denom
+    in
+    [| !contrast; !energy; !entropy; !homogeneity; correlation |]
+
+  let extract img r =
+    let east = stats (matrix img r ~dx:1 ~dy:0) in
+    let south = stats (matrix img r ~dx:0 ~dy:1) in
+    Array.append east south
+end
+
+module Old_mrf = struct
+  module Vecmath = Mirror_util.Vecmath
+  module Stat = Mirror_util.Stat
+
+  let nparams = 5
+
+  let extract img (r : Segment.region) =
+    let x0 = r.Segment.x and y0 = r.Segment.y and w = r.Segment.w and h = r.Segment.h in
+    let at x y = Image.gray_at img ~x ~y in
+    let fallback () =
+      let gs = ref [] in
+      for y = y0 to y0 + h - 1 do
+        for x = x0 to x0 + w - 1 do
+          gs := at x y :: !gs
+        done
+      done;
+      let arr = Array.of_list !gs in
+      [| 0.0; 0.0; 0.0; 0.0; (if Array.length arr = 0 then 0.0 else Stat.stddev arr) |]
+    in
+    if w < 3 || h < 3 then fallback ()
+    else begin
+      let xtx = Array.make_matrix nparams nparams 0.0 in
+      let xty = Array.make nparams 0.0 in
+      let n = ref 0 in
+      for y = y0 + 1 to y0 + h - 1 do
+        for x = x0 + 1 to x0 + w - 2 do
+          let row = [| at (x - 1) y; at x (y - 1); at (x - 1) (y - 1); at (x + 1) (y - 1); 1.0 |] in
+          let target = at x y in
+          incr n;
+          for i = 0 to nparams - 1 do
+            for j = 0 to nparams - 1 do
+              xtx.(i).(j) <- xtx.(i).(j) +. (row.(i) *. row.(j))
+            done;
+            xty.(i) <- xty.(i) +. (row.(i) *. target)
+          done
+        done
+      done;
+      if !n < nparams then fallback ()
+      else begin
+        for i = 0 to nparams - 1 do
+          xtx.(i).(i) <- xtx.(i).(i) +. 1e-6
+        done;
+        match Vecmath.solve xtx xty with
+        | None -> fallback ()
+        | Some a ->
+          let ss = ref 0.0 in
+          for y = y0 + 1 to y0 + h - 1 do
+            for x = x0 + 1 to x0 + w - 2 do
+              let row =
+                [| at (x - 1) y; at x (y - 1); at (x - 1) (y - 1); at (x + 1) (y - 1); 1.0 |]
+              in
+              let pred = Vecmath.dot row a in
+              let e = at x y -. pred in
+              ss := !ss +. (e *. e)
+            done
+          done;
+          [| a.(0); a.(1); a.(2); a.(3); sqrt (!ss /. Float.of_int !n) |]
+      end
+    end
+end
+
+module Old_fractal = struct
+  let gray_levels = 256.0
+
+  let box_counts img (r : Segment.region) =
+    let m = min r.Segment.w r.Segment.h in
+    let sizes = List.filter (fun s -> s <= m / 2 && s >= 2) [ 2; 3; 4; 6; 8; 12; 16 ] in
+    List.map
+      (fun s ->
+        let h' = Float.of_int s *. gray_levels /. Float.of_int m in
+        let nr = ref 0.0 in
+        let bx = ref r.Segment.x in
+        while !bx + s <= r.Segment.x + r.Segment.w do
+          let by = ref r.Segment.y in
+          while !by + s <= r.Segment.y + r.Segment.h do
+            let mn = ref infinity and mx = ref neg_infinity in
+            for y = !by to !by + s - 1 do
+              for x = !bx to !bx + s - 1 do
+                let g = Image.gray_at img ~x ~y *. (gray_levels -. 1.0) in
+                if g < !mn then mn := g;
+                if g > !mx then mx := g
+              done
+            done;
+            let l = Float.of_int (int_of_float (!mn /. h')) in
+            let k = Float.of_int (int_of_float (!mx /. h')) in
+            nr := !nr +. (k -. l +. 1.0);
+            by := !by + s
+          done;
+          bx := !bx + s
+        done;
+        (s, !nr))
+      sizes
+
+  let extract img (r : Segment.region) =
+    let counts = box_counts img r in
+    if List.length counts < 2 then [| 2.0; 0.0 |]
+    else begin
+      let m = Float.of_int (min r.Segment.w r.Segment.h) in
+      let points =
+        List.filter_map
+          (fun (s, nr) ->
+            if nr <= 0.0 then None
+            else Some (log (m /. Float.of_int s), log nr))
+          counts
+      in
+      let dim =
+        match points with
+        | [] | [ _ ] -> 2.0
+        | _ ->
+          let xs = Array.of_list (List.map fst points) in
+          let ys = Array.of_list (List.map snd points) in
+          let mx = Mirror_util.Stat.mean xs and my = Mirror_util.Stat.mean ys in
+          let num = ref 0.0 and den = ref 0.0 in
+          Array.iteri
+            (fun i x ->
+              num := !num +. ((x -. mx) *. (ys.(i) -. my));
+              den := !den +. ((x -. mx) *. (x -. mx)))
+            xs;
+          if !den < 1e-12 then 2.0 else !num /. !den
+      in
+      let s = 4 in
+      let masses = ref [] in
+      if min r.Segment.w r.Segment.h >= s then begin
+        let bx = ref r.Segment.x in
+        while !bx + s <= r.Segment.x + r.Segment.w do
+          let by = ref r.Segment.y in
+          while !by + s <= r.Segment.y + r.Segment.h do
+            let mass = ref 0.0 in
+            for y = !by to !by + s - 1 do
+              for x = !bx to !bx + s - 1 do
+                mass := !mass +. Image.gray_at img ~x ~y
+              done
+            done;
+            masses := !mass :: !masses;
+            by := !by + s
+          done;
+          bx := !bx + s
+        done
+      end;
+      let lac =
+        match !masses with
+        | [] | [ _ ] -> 0.0
+        | ms ->
+          let arr = Array.of_list ms in
+          let mean = Mirror_util.Stat.mean arr in
+          if mean < 1e-12 then 0.0 else Mirror_util.Stat.variance arr /. (mean *. mean)
+      in
+      [| dim; lac |]
+    end
+end
+
+module Old_autoclass = struct
+  module Vecmath = Mirror_util.Vecmath
+
+  let var_floor = 1e-4
+  let log_two_pi = log (2.0 *. (4.0 *. atan 1.0))
+
+  let component_logpdf means variances c x =
+    let mu = means.(c) and var = variances.(c) in
+    let d = Array.length x in
+    let acc = ref 0.0 in
+    for i = 0 to d - 1 do
+      let diff = x.(i) -. mu.(i) in
+      acc := !acc -. (0.5 *. (log_two_pi +. log var.(i) +. (diff *. diff /. var.(i))))
+    done;
+    !acc
+
+  let point_log_mixture weights means variances x =
+    let k = Array.length weights in
+    let terms = Array.init k (fun c -> log weights.(c) +. component_logpdf means variances c x) in
+    Vecmath.log_sum_exp terms
+
+  let em_run g ~k ~max_iter ~tol points =
+    let n = Array.length points in
+    let d = Array.length points.(0) in
+    let km = Kmeans.run g ~k points in
+    let k = Array.length km.Kmeans.centroids in
+    let weights = Array.make k (1.0 /. Float.of_int k) in
+    let means = Array.map Array.copy km.Kmeans.centroids in
+    let variances = Array.init k (fun _ -> Array.make d 1.0) in
+    let counts = Array.make k 0 in
+    Array.iteri (fun i c -> counts.(c) <- counts.(c) + 1; ignore i) km.Kmeans.assign;
+    for c = 0 to k - 1 do
+      let acc = Array.make d 0.0 in
+      Array.iteri
+        (fun i p ->
+          if km.Kmeans.assign.(i) = c then
+            Array.iteri (fun j v -> acc.(j) <- acc.(j) +. ((v -. means.(c).(j)) ** 2.0)) p)
+        points;
+      for j = 0 to d - 1 do
+        variances.(c).(j) <-
+          Float.max var_floor (if counts.(c) > 0 then acc.(j) /. Float.of_int counts.(c) else 1.0)
+      done
+    done;
+    let resp = Array.make_matrix n k 0.0 in
+    let trace = ref [] in
+    let prev_ll = ref neg_infinity in
+    let iter = ref 0 in
+    let continue = ref true in
+    while !continue && !iter < max_iter do
+      incr iter;
+      let ll = ref 0.0 in
+      for i = 0 to n - 1 do
+        let terms =
+          Array.init k (fun c -> log weights.(c) +. component_logpdf means variances c points.(i))
+        in
+        let lse = Vecmath.log_sum_exp terms in
+        ll := !ll +. lse;
+        for c = 0 to k - 1 do
+          resp.(i).(c) <- exp (terms.(c) -. lse)
+        done
+      done;
+      trace := !ll :: !trace;
+      for c = 0 to k - 1 do
+        let nc = ref 0.0 in
+        for i = 0 to n - 1 do
+          nc := !nc +. resp.(i).(c)
+        done;
+        let nc = Float.max !nc 1e-10 in
+        weights.(c) <- nc /. Float.of_int n;
+        let mu = Array.make d 0.0 in
+        for i = 0 to n - 1 do
+          Vecmath.axpy resp.(i).(c) points.(i) mu
+        done;
+        means.(c) <- Vecmath.scale (1.0 /. nc) mu;
+        let var = Array.make d 0.0 in
+        for i = 0 to n - 1 do
+          for j = 0 to d - 1 do
+            let diff = points.(i).(j) -. means.(c).(j) in
+            var.(j) <- var.(j) +. (resp.(i).(c) *. diff *. diff)
+          done
+        done;
+        for j = 0 to d - 1 do
+          variances.(c).(j) <- Float.max var_floor (var.(j) /. nc)
+        done
+      done;
+      if !ll -. !prev_ll < tol && !iter > 1 then continue := false;
+      prev_ll := !ll
+    done;
+    let final_ll = ref 0.0 in
+    for i = 0 to n - 1 do
+      final_ll := !final_ll +. point_log_mixture weights means variances points.(i)
+    done;
+    {
+      Autoclass.k;
+      weights;
+      means;
+      variances;
+      loglik = !final_ll;
+      loglik_trace = List.rev !trace;
+    }
+
+  let fit g ~k ?(restarts = 2) ?(max_iter = 60) ?(tol = 1e-5) points =
+    let best = ref None in
+    for _ = 1 to max 1 restarts do
+      let m = em_run g ~k ~max_iter ~tol points in
+      match !best with
+      | Some b when b.Autoclass.loglik >= m.Autoclass.loglik -> ()
+      | _ -> best := Some m
+    done;
+    Option.get !best
+
+  let select g ?(kmin = 2) ?(kmax = 8) ?(restarts = 2) points =
+    let n = Array.length points in
+    let kmin = max 1 (min kmin n) and kmax = max 1 (min kmax n) in
+    let best = ref None in
+    for k = kmin to max kmin kmax do
+      let m = fit g ~k ~restarts points in
+      let score = Autoclass.bic m ~n in
+      match !best with
+      | Some (bscore, _) when bscore <= score -> ()
+      | _ -> best := Some (score, m)
+    done;
+    snd (Option.get !best)
+
+  let posterior (m : Autoclass.model) x =
+    let terms =
+      Array.init m.k (fun c -> log m.weights.(c) +. component_logpdf m.means m.variances c x)
+    in
+    let lse = Vecmath.log_sum_exp terms in
+    Array.map (fun t -> exp (t -. lse)) terms
+end
+
+let check_bits what expected actual =
+  if Array.length expected <> Array.length actual then
+    Alcotest.failf "%s: %d components, the reference definition gives %d" what
+      (Array.length actual) (Array.length expected);
+  Array.iteri
+    (fun i e ->
+      if Int64.bits_of_float e <> Int64.bits_of_float actual.(i) then
+        Alcotest.failf "%s: component %d is %h, the reference definition gives %h" what i
+          actual.(i) e)
+    expected
+
+let region_name (r : Segment.region) = Printf.sprintf "%dx%d+%d+%d" r.w r.h r.x r.y
+
+(* Every segmentation region of small seeded corpora, square and not. *)
+let corpus_regions () =
+  let corpus ~seed ~width ~height =
+    Synth.corpus (Prng.create seed) ~n:4 ~width ~height ()
+    |> Array.to_list
+    |> List.concat_map (fun s ->
+           let img = s.Synth.image in
+           List.map (fun r -> (img, r)) (Segment.segment_flat img))
+  in
+  List.concat_map (fun seed -> corpus ~seed ~width:48 ~height:48) [ 1; 2; 3 ]
+  @ corpus ~seed:4 ~width:56 ~height:40
+
+(* Regions at the corners of the definition: smaller than the 9x9 Gabor
+   kernel, one pixel thick, flush with each image border, whole image,
+   and away from the origin. *)
+let edge_regions () =
+  let img = (Synth.scene (Prng.create 11) ~width:48 ~height:48 ()).Synth.image in
+  List.map
+    (fun (x, y, w, h) -> (img, { Segment.x; y; w; h }))
+    [
+      (0, 0, 1, 1); (47, 47, 1, 1); (20, 13, 1, 1); (5, 3, 1, 20); (3, 5, 20, 1);
+      (10, 10, 3, 3); (0, 10, 12, 15); (36, 10, 12, 15); (10, 0, 15, 12); (10, 36, 15, 12);
+      (0, 0, 48, 48); (17, 9, 13, 21);
+    ]
+
+let test_gray_patch () =
+  let img = (Synth.scene (Prng.create 5) ~width:20 ~height:10 ()).Synth.image in
+  let x0 = 3 and y0 = 2 and w = 4 and h = 5 and pad = 2 in
+  let p = Image.gray_patch img ~x:x0 ~y:y0 ~w ~h ~pad in
+  let stride = w + (2 * pad) in
+  Alcotest.(check int) "size" (stride * (h + (2 * pad))) (Float.Array.length p);
+  for py = 0 to h + (2 * pad) - 1 do
+    for px = 0 to stride - 1 do
+      let x = x0 + max 0 (min (w - 1) (px - pad)) and y = y0 + max 0 (min (h - 1) (py - pad)) in
+      check_bits
+        (Printf.sprintf "patch (%d,%d)" px py)
+        [| Image.gray_at img ~x ~y |]
+        [| Float.Array.get p ((py * stride) + px) |]
+    done
+  done;
+  List.iter
+    (fun (x, y, w, h) ->
+      match Image.gray_patch img ~x ~y ~w ~h ~pad:0 with
+      | _ -> Alcotest.failf "%dx%d+%d+%d accepted" w h x y
+      | exception Invalid_argument _ -> ())
+    [ (0, 0, 0, 1); (0, 0, 21, 1); (-1, 0, 2, 2); (19, 9, 2, 1); (0, 9, 1, 2) ]
+
+let check_extractor name old_extract extract () =
+  let regions = corpus_regions () @ edge_regions () in
+  List.iter
+    (fun (img, r) ->
+      check_bits (Printf.sprintf "%s %s" name (region_name r)) (old_extract img r) (extract img r))
+    regions
+
+let test_glcm_matrix_oracle () =
+  List.iter
+    (fun (img, r) ->
+      List.iter
+        (fun (dx, dy) ->
+          check_bits
+            (Printf.sprintf "glcm matrix %s (%d,%d)" (region_name r) dx dy)
+            (Array.concat (Array.to_list (Old_glcm.matrix img r ~dx ~dy)))
+            (Array.concat (Array.to_list (Glcm.matrix img r ~dx ~dy))))
+        [ (1, 0); (0, 1); (1, 1); (2, 0) ])
+    (corpus_regions () @ edge_regions ())
+
+let test_fractal_box_counts_oracle () =
+  List.iter
+    (fun (img, r) ->
+      let split counts = (List.map fst counts, Array.of_list (List.map snd counts)) in
+      let old_sizes, old_n = split (Old_fractal.box_counts img r) in
+      let sizes, n = split (Fractal.box_counts img r) in
+      Alcotest.(check (list int)) "box sizes" old_sizes sizes;
+      check_bits ("box counts " ^ region_name r) old_n n)
+    (corpus_regions () @ edge_regions ())
+
+(* The six feature spaces of a seeded corpus, clustered as the AutoClass
+   daemon clusters them. *)
+let test_autoclass_oracle () =
+  let scenes = Synth.corpus (Prng.create 1) ~n:12 ~width:48 ~height:48 () in
+  let check_model what (a : Autoclass.model) (b : Autoclass.model) =
+    Alcotest.(check int) (what ^ ": k") a.k b.k;
+    check_bits (what ^ ": weights") a.weights b.weights;
+    check_bits (what ^ ": means") (Array.concat (Array.to_list a.means))
+      (Array.concat (Array.to_list b.means));
+    check_bits (what ^ ": variances") (Array.concat (Array.to_list a.variances))
+      (Array.concat (Array.to_list b.variances));
+    check_bits (what ^ ": loglik") [| a.loglik |] [| b.loglik |];
+    check_bits (what ^ ": trace") (Array.of_list a.loglik_trace) (Array.of_list b.loglik_trace)
+  in
+  List.iteri
+    (fun i (f : Features.t) ->
+      let points =
+        Array.to_list scenes
+        |> List.concat_map (fun s ->
+               let img = s.Synth.image in
+               List.map (f.extract img) (Segment.segment_flat img))
+        |> Array.of_list
+      in
+      let old_m = Old_autoclass.select (Prng.create (100 + i)) ~kmin:2 ~kmax:6 ~restarts:1 points in
+      let m = Autoclass.select (Prng.create (100 + i)) ~kmin:2 ~kmax:6 ~restarts:1 points in
+      check_model f.name old_m m;
+      Array.iter
+        (fun p ->
+          check_bits (f.name ^ ": posterior") (Old_autoclass.posterior old_m p)
+            (Autoclass.posterior m p);
+          check_bits (f.name ^ ": log density")
+            [| Old_autoclass.point_log_mixture old_m.weights old_m.means old_m.variances p |]
+            [| Autoclass.log_density m p |])
+        points)
+    Features.all;
+  let blobs = two_blobs (Prng.create 7) 90 in
+  check_model "two blobs, 2 restarts"
+    (Old_autoclass.select (Prng.create 8) ~kmin:1 ~kmax:4 blobs)
+    (Autoclass.select (Prng.create 8) ~kmin:1 ~kmax:4 blobs)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "mirror_mm"
@@ -555,6 +1089,7 @@ let () =
           Alcotest.test_case "bounds check" `Quick test_image_bounds;
           Alcotest.test_case "gray" `Quick test_gray;
           Alcotest.test_case "rgb->hsv" `Quick test_hsv;
+          Alcotest.test_case "gray patch" `Quick test_gray_patch;
         ] );
       ( "synth",
         [
@@ -604,6 +1139,18 @@ let () =
           Alcotest.test_case "posterior sums to 1" `Quick test_autoclass_posterior_sums;
           Alcotest.test_case "BIC selects 2 blobs" `Quick test_autoclass_select_finds_two;
           Alcotest.test_case "classification separates" `Quick test_autoclass_classify_separates;
+        ] );
+      ( "bitwise oracle",
+        [
+          Alcotest.test_case "gabor" `Quick
+            (check_extractor "gabor" Old_gabor.extract Gabor.extract);
+          Alcotest.test_case "glcm" `Quick (check_extractor "glcm" Old_glcm.extract Glcm.extract);
+          Alcotest.test_case "glcm matrix" `Quick test_glcm_matrix_oracle;
+          Alcotest.test_case "mrf" `Quick (check_extractor "mrf" Old_mrf.extract Mrf.extract);
+          Alcotest.test_case "fractal" `Quick
+            (check_extractor "fractal" Old_fractal.extract Fractal.extract);
+          Alcotest.test_case "fractal box counts" `Quick test_fractal_box_counts_oracle;
+          Alcotest.test_case "autoclass select" `Quick test_autoclass_oracle;
         ] );
       ( "ppm",
         [
