@@ -1126,39 +1126,69 @@ let aggr_all op b =
       aggr_finish op acc
   end
 
-let group_rank ?(desc = false) ~link key =
-  let val_of = first_position_index key.hd in
+(* Position of each [link] row's value in [key]: the first [key] row
+   with the same head, or -1.  Oid/int heads of one kind are matched
+   without boxing (by position arithmetic on a dense key head). *)
+let key_positions link key =
   let n = count link in
+  match (link.hd, key.hd) with
+  | Column.O lh, Column.O kh | Column.I lh, Column.I kh -> (
+    match dense_base kh with
+    | Some base ->
+      let nk = Array.length kh in
+      Array.init n (fun i ->
+          let j = lh.(i) - base in
+          if j >= 0 && j < nk then j else -1)
+    | None ->
+      let first = Hashtbl.create (Array.length kh) in
+      for j = Array.length kh - 1 downto 0 do
+        Hashtbl.replace first kh.(j) j
+      done;
+      Array.init n (fun i -> Option.value ~default:(-1) (Hashtbl.find_opt first lh.(i))))
+  | _ ->
+    let first = first_position_index key.hd in
+    Array.init n (fun i ->
+        Option.value ~default:(-1) (AtomTbl.find_opt first (head_at link i)))
+
+(* The order is total: link tail, then key value (present before
+   missing; [desc] flips present values), then row position.  Each
+   row's tail and value are read once, not once per comparison; int/oid
+   groups with float keys sort on unboxed arrays. *)
+let group_rank ?(desc = false) ~link key =
+  let n = count link in
+  let pos = key_positions link key in
   let idx = Array.init n (fun i -> i) in
-  let value i =
-    match AtomTbl.find_opt val_of (head_at link i) with
-    | Some j -> Some (tail_at key j)
-    | None -> None
+  let by_value c_val i j =
+    match (pos.(i) >= 0, pos.(j) >= 0) with
+    | true, true -> if desc then c_val j i else c_val i j
+    | true, false -> -1
+    | false, true -> 1
+    | false, false -> 0
   in
-  let cmp i j =
-    let c = Atom.compare (tail_at link i) (tail_at link j) in
-    if c <> 0 then c
-    else
-      let c =
-        match (value i, value j) with
-        | Some a, Some b -> if desc then Atom.compare b a else Atom.compare a b
-        | Some _, None -> -1
-        | None, Some _ -> 1
-        | None, None -> 0
-      in
-      if c <> 0 then c else Int.compare i j
+  let ranks = Array.make n 0 in
+  let sort_and_rank c_tail c_val =
+    Array.stable_sort
+      (fun i j ->
+        let c = c_tail i j in
+        if c <> 0 then c
+        else
+          let c = by_value c_val i j in
+          if c <> 0 then c else Int.compare i j)
+      idx;
+    for k = 1 to n - 1 do
+      if c_tail idx.(k) idx.(k - 1) = 0 then ranks.(k) <- ranks.(k - 1) + 1
+    done
   in
-  Array.sort cmp idx;
-  let hb = Column.Builder.create (hty link) in
-  let tb = Column.Builder.create Atom.TInt in
-  let rank = ref 0 in
-  for k = 0 to n - 1 do
-    let i = idx.(k) in
-    if k > 0 && not (Atom.equal (tail_at link i) (tail_at link idx.(k - 1))) then rank := 0;
-    Column.Builder.add hb (head_at link i);
-    Column.Builder.add tb (Atom.Int !rank);
-    incr rank
-  done;
-  { hd = Column.Builder.finish hb; tl = Column.Builder.finish tb }
+  (match (link.tl, key.tl) with
+  | (Column.I lt | Column.O lt), Column.F kt ->
+    let v = Array.map (fun p -> if p >= 0 then kt.(p) else 0.0) pos in
+    sort_and_rank (fun i j -> Int.compare lt.(i) lt.(j)) (fun i j -> Float.compare v.(i) v.(j))
+  | _ ->
+    let tails = Array.init n (tail_at link) in
+    let v = Array.map (fun p -> if p >= 0 then tail_at key p else Atom.Int 0) pos in
+    sort_and_rank
+      (fun i j -> Atom.compare tails.(i) tails.(j))
+      (fun i j -> Atom.compare v.(i) v.(j)));
+  { hd = Column.gather link.hd idx; tl = Column.I ranks }
 
 let histogram b = group_aggr Count (reverse b)

@@ -66,6 +66,8 @@ let queries =
     "join[THIS1.a = THIS2.b](R, R)";
     "join[THIS1.a < THIS2.a; x, y](R, R)";
     "semijoin[THIS1.a = THIS2.a and THIS1.b < THIS2.b](R, R)";
+    "count(semijoin[THIS1.a = THIS2.a + 1](R, R))";
+    "semijoin[THIS1 = THIS2 + 1]({1, 2, 3}, {2, 3})";
     "map[union(THIS.s, {1, 9})](R)";
     "map[diff(THIS.s, {2})](R)";
     "map[inter(THIS.s, {2, 4})](R)";

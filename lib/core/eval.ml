@@ -13,11 +13,11 @@ type report = {
   memo_hits : int;
   par_ops : int;
   par_morsels : int;
-  bound_est_rows : int;
-  bound_est_bytes : int;
-  bound_peak_bytes : int option;
+  bounds : bounds Lazy.t;
   actual_bytes : int;
 }
+
+and bounds = { est_rows : int; est_bytes : int; peak_bytes : int option }
 
 (* {1 Reification}
 
@@ -144,16 +144,19 @@ let query ?(cse = true) ?(optimize = true) ?(specialize = true) ?(check = false)
       match differential with
       | Error msg -> Error ("differential check: " ^ msg)
       | Ok () -> (
-        (* static resource bounds over the optimised bundle: feeds the
-           report's envelope, the morsel-sizing hint and (via the
-           session's admission oracle) any [?max_bytes] budget *)
-        let bounds =
-          Trace.with_span trace "boundcheck" (fun () ->
-              Boundcheck.analyze (Plancheck.boundcheck_env storage)
-                (Plancheck.shape_plans shape))
+        (* static resource bounds over the optimised bundle, analysed
+           only when read: by the morsel sizing below (so eagerly when a
+           domain pool is configured) or the report's [bounds].  A
+           [?max_bytes] budget does not need them: the session's
+           admission oracle bounds each root itself. *)
+        let analysis =
+          lazy
+            (Trace.with_span trace "boundcheck" (fun () ->
+                 Boundcheck.analyze (Plancheck.boundcheck_env storage)
+                   (Plancheck.shape_plans shape)))
         in
         let node_est plan =
-          match Mil.Tbl.find_opt bounds.Boundcheck.per_node plan with
+          match Mil.Tbl.find_opt (Lazy.force analysis).Boundcheck.per_node plan with
           | Some c -> Some c.Boundcheck.est
           | None -> None
         in
@@ -166,6 +169,7 @@ let query ?(cse = true) ?(optimize = true) ?(specialize = true) ?(check = false)
           match Parkernel.default_pool () with
           | None -> None
           | Some pool ->
+            ignore (Lazy.force analysis);
             let v =
               Mirror_bat.Effcheck.analyze (Plancheck.effcheck_env ())
                 (Plancheck.shape_plans shape)
@@ -218,10 +222,17 @@ let query ?(cse = true) ?(optimize = true) ?(specialize = true) ?(check = false)
         with
         | value ->
           let stats = Mil.stats session in
-          let bound_est_rows =
-            List.fold_left
-              (fun acc p -> acc + Option.value ~default:0 (node_est p))
-              0 (Plancheck.shape_plans shape)
+          let bounds =
+            lazy
+              (let resident = (Lazy.force analysis).Boundcheck.resident in
+               {
+                 est_rows =
+                   List.fold_left
+                     (fun acc p -> acc + Option.value ~default:0 (node_est p))
+                     0 (Plancheck.shape_plans shape);
+                 est_bytes = resident.Boundcheck.fp_est;
+                 peak_bytes = resident.Boundcheck.fp_hi;
+               })
           in
           Ok
             {
@@ -233,9 +244,7 @@ let query ?(cse = true) ?(optimize = true) ?(specialize = true) ?(check = false)
               memo_hits = stats.Mil.memo_hits;
               par_ops = stats.Mil.par_ops;
               par_morsels = stats.Mil.par_morsels;
-              bound_est_rows;
-              bound_est_bytes = bounds.Boundcheck.resident.Boundcheck.fp_est;
-              bound_peak_bytes = bounds.Boundcheck.resident.Boundcheck.fp_hi;
+              bounds;
               actual_bytes = Mil.resident_bytes session;
             }
         | exception Failure msg -> Error msg
@@ -297,6 +306,8 @@ let explain_analyze ?(optimize = true) ?(cse = true) ?max_bytes storage expr =
   match query ~cse ~optimize ~trace ?max_bytes storage expr with
   | Error e -> Error e
   | Ok report ->
+    (* analysed now, so its span joins the tree rendered below *)
+    let bounds = Lazy.force report.bounds in
     let buf = Buffer.create 1024 in
     Buffer.add_string buf
       (Printf.sprintf "result type: %s\nplan: %d bats, %d nodes; executed %d, memo hits %d\n"
@@ -337,9 +348,9 @@ let explain_analyze ?(optimize = true) ?(cse = true) ?max_bytes storage expr =
            (List.length v.Mirror_bat.Effcheck.hazards)));
     (* static resource envelope vs what the session actually held *)
     Buffer.add_string buf
-      (Printf.sprintf "bounds: est %d rows / %s, peak %s (actual %s)\n" report.bound_est_rows
-         (fmt_bytes report.bound_est_bytes)
-         (match report.bound_peak_bytes with Some b -> fmt_bytes b | None -> "unbounded")
+      (Printf.sprintf "bounds: est %d rows / %s, peak %s (actual %s)\n" bounds.est_rows
+         (fmt_bytes bounds.est_bytes)
+         (match bounds.peak_bytes with Some b -> fmt_bytes b | None -> "unbounded")
          (fmt_bytes report.actual_bytes));
     Buffer.add_char buf '\n';
     Buffer.add_string buf (Trace.render trace);

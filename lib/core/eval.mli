@@ -18,16 +18,22 @@ type report = {
           {!Mirror_bat.Parkernel.default_pool} is configured and the
           Effcheck verdict licensed the plan). *)
   par_morsels : int;  (** Morsels scheduled across those operators. *)
-  bound_est_rows : int;
-      (** {!Mirror_bat.Boundcheck} row estimate summed over the
-          bundle's root plans. *)
-  bound_est_bytes : int;  (** Estimated resident footprint of the DAG. *)
-  bound_peak_bytes : int option;
-      (** Sound upper bound on the resident footprint; [None] when an
-          undeclared foreign leaves the plan unbounded. *)
+  bounds : bounds Lazy.t;
+      (** {!Mirror_bat.Boundcheck}'s static envelope of the bundle.
+          Analysed when first forced (or during the query, when a
+          {!Mirror_bat.Parkernel.default_pool} needs its row estimates
+          to size morsels); nothing on the plain query path reads it. *)
   actual_bytes : int;
       (** Bytes actually held by the session's memo after execution
           ({!Mirror_bat.Mil.resident_bytes}). *)
+}
+
+and bounds = {
+  est_rows : int;  (** Row estimate summed over the bundle's root plans. *)
+  est_bytes : int;  (** Estimated resident footprint of the DAG. *)
+  peak_bytes : int option;
+      (** Sound upper bound on the resident footprint; [None] when an
+          undeclared foreign leaves the plan unbounded. *)
 }
 
 val query :
@@ -50,8 +56,10 @@ val query :
     against its inferred property envelope.  [trace] (default
     {!Mirror_util.Trace.null}) records one span per pipeline phase —
     ["typecheck"], ["optimize"], ["flatten.compile"], ["milopt"],
-    ["boundcheck"], ["execute"] — with the kernel's per-operator spans
-    nested under ["execute"].  [max_bytes] sets the session's admission
+    ["execute"] — with the kernel's per-operator spans nested under
+    ["execute"] — plus ["boundcheck"] whenever the bounds are analysed
+    (before ["execute"] under a domain pool, else when [bounds] is
+    first forced).  [max_bytes] sets the session's admission
     budget: a plan whose {!Mirror_bat.Boundcheck} peak envelope exceeds
     it (or is unbounded) is refused before evaluation and reported as
     an [Error]. *)

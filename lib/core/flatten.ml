@@ -215,11 +215,22 @@ let rec compile_env env expr =
     let link2, elem2 = as_set "flatten (inner)" elem in
     Shape.Set { link = Mil.Join (link2, link1); elem = elem2 }
   | Expr.Join { v1; v2; pred; left; right; l1; l2 } ->
-    let link', t1, t2, _ = compile_pairs env ~v1 ~v2 ~pred ~left ~right in
+    let s1 = operand env "join (left)" left and s2 = operand env "join (right)" right in
+    let link', t1, t2, _ = compile_pairs env ~v1 ~v2 ~pred s1 s2 in
     Shape.Set { link = link'; elem = Shape.Tuple [ (l1, t1); (l2, t2) ] }
   | Expr.Semijoin { v1; v2; pred; left; right } ->
-    let l1link, elem1 = as_set "semijoin (left)" (compile_env env left) in
-    let survivors_left = semijoin_witnesses env ~v1 ~v2 ~pred ~left ~right in
+    (* each operand is compiled once and shared by every use below: a
+       set literal numbers its elements from a fresh oid base per
+       compilation, so a second copy would never match the first *)
+    let ((l1link, elem1, _) as s1) = operand env "semijoin (left)" left in
+    let s2 = operand env "semijoin (right)" right in
+    let survivors_left =
+      match hash_semijoin env ~v1 ~v2 ~pred s1 s2 with
+      | Some survivors -> survivors
+      | None ->
+        let _, _, _, surviving_pairs = compile_pairs env ~v1 ~v2 ~pred s1 s2 in
+        Mil.UniqueHead (Mil.Reverse surviving_pairs)
+    in
     Shape.Set
       {
         link = Mil.Semijoin (l1link, survivors_left);
@@ -280,57 +291,100 @@ let rec compile_env env expr =
       let shapes = List.map (compile_env env) args in
       E.op_flatten (flat_env env) ~op ~arg_tys ~raw:args ~args:shapes)
 
+(* A compiled set operand of a join or semijoin: (link, elements,
+   element type). *)
+and operand env what e =
+  let link, elem = as_set what (compile_env env e) in
+  (link, elem, elem_type env e)
+
+(* The key of one operand, [elem -> key], compiled under that operand's
+   own element domain. *)
+and compile_key env v (link, elem, tv) key_expr =
+  let env' =
+    {
+      env with
+      vars = (v, elem) :: rebase_vars env link;
+      tvars = (v, tv) :: env.tvars;
+      dom = Mil.Mirror link;
+    }
+  in
+  as_atomic "join key" (compile_env env' key_expr)
+
+(* [Some (kl, kr)] when the conjunct [c] is an equality [a = b] whose
+   sides depend on one binder each ([THIS1.k = THIS2.k], either
+   orientation) and have the same atomic type: [kl] over [v1], [kr]
+   over [v2].  Mixed int/float keys are left to the cross product,
+   where [Bat.apply_cmp] promotes numerically; a hash on their raw
+   atoms would never match. *)
+and equi_key env ~v1 ~v2 (_, _, t1) (_, _, t2) c =
+  let depends_only_on v e = List.for_all (fun fv -> fv = v) (Expr.free_vars e) in
+  let key_type v tv e = infer { env with tvars = (v, tv) :: env.tvars } e in
+  let same_atomic ka kb =
+    match (key_type v1 t1 ka, key_type v2 t2 kb) with
+    | Types.Atomic x, Types.Atomic y -> x = y
+    | _ -> false
+  in
+  match c with
+  | Expr.Binop (Bat.CmpOp Bat.Eq, a, b)
+    when depends_only_on v1 a && depends_only_on v2 b && same_atomic a b ->
+    Some (a, b)
+  | Expr.Binop (Bat.CmpOp Bat.Eq, a, b)
+    when depends_only_on v2 a && depends_only_on v1 b && same_atomic b a ->
+    Some (b, a)
+  | _ -> None
+
+(* A top-level semijoin whose whole predicate is one equi-key
+   conjunct needs no pairs: the surviving left elements are those whose
+   key occurs among the right keys, one hash probe per element,
+   [Reverse (Semijoin (Reverse kl, Reverse kr))] (heads: left elements).
+   At the top level every element lives in context @0, so no context
+   check is needed either.
+
+   This is exactly the cross-product-and-filter result.  The keys have
+   one atomic type, and on same-typed atoms [Bat.semijoin]'s membership
+   test agrees with [Bat.apply_cmp Eq]: int and oid keys compare as
+   machine ints on both paths; str and bool keys by structural
+   equality, which is [compare = 0]; flt keys by [Float.equal], which
+   is [Float.compare = 0] (so nan matches nan and -0.0 matches 0.0,
+   as [apply_cmp] has it), and [Hashtbl.hash] maps every nan to one
+   hash and -0.0 to the hash of 0.0, so equal keys share a bucket.
+
+   Anything else — extra conjuncts, nested contexts, mismatched key
+   types, [~specialize:false] — answers [None] and takes the pair path
+   of [compile_pairs]. *)
+and hash_semijoin env ~v1 ~v2 ~pred s1 s2 =
+  if not (env.specialize && env.dom = root_dom) then None
+  else
+    match equi_key env ~v1 ~v2 s1 s2 pred with
+    | None -> None
+    | Some (kl_expr, kr_expr) ->
+      let kl = compile_key env v1 s1 kl_expr in
+      let kr = compile_key env v2 s2 kr_expr in
+      Some (Mil.Reverse (Mil.Semijoin (Mil.Reverse kl, Mil.Reverse kr)))
+
 (* Pairs of left x right elements within each context, predicate
    applied; returns (surviving pair link, filtered left elems, filtered
    right elems, surviving pair_l).  Pair oids are fresh.
 
-   When the predicate contains an equality conjunct whose sides depend
-   on one binder each ([THIS1.k = THIS2.k]), candidate pairs come from
-   a hash join on the key columns instead of the full cross product —
-   the equi-join specialisation.  The full predicate (and, for nested
-   joins, context equality) still filters the candidates, so semantics
-   are unchanged. *)
-and compile_pairs env ~v1 ~v2 ~pred ~left ~right =
-  let l1link, elem1 = as_set "join (left)" (compile_env env left) in
-  let l2link, elem2 = as_set "join (right)" (compile_env env right) in
-  let t1 = elem_type env left and t2 = elem_type env right in
+   When the predicate contains an equi-key conjunct ({!equi_key}),
+   candidate pairs come from a hash join on the key columns instead of
+   the full cross product — the equi-join specialisation.  The full
+   predicate (and, for nested joins, context equality) still filters
+   the candidates, so semantics are unchanged. *)
+and compile_pairs env ~v1 ~v2 ~pred ((l1link, elem1, t1) as s1) ((l2link, elem2, t2) as s2) =
   let rec conjuncts = function
     | Expr.Binop (Bat.And, a, b) -> conjuncts a @ conjuncts b
     | e -> [ e ]
   in
-  let depends_only_on v e =
-    List.for_all (fun fv -> fv = v) (Expr.free_vars e)
-  in
   let equi =
-    if env.specialize then
-      List.find_map
-        (function
-          | Expr.Binop (Bat.CmpOp Bat.Eq, a, b)
-            when depends_only_on v1 a && depends_only_on v2 b ->
-            Some (a, b)
-          | Expr.Binop (Bat.CmpOp Bat.Eq, a, b)
-            when depends_only_on v2 a && depends_only_on v1 b ->
-            Some (b, a)
-          | _ -> None)
-        (conjuncts pred)
+    if env.specialize then List.find_map (equi_key env ~v1 ~v2 s1 s2) (conjuncts pred)
     else None
-  in
-  let compile_key v tv link elem key_expr =
-    let env' =
-      {
-        env with
-        vars = (v, elem) :: rebase_vars env link;
-        tvars = (v, tv) :: env.tvars;
-        dom = Mil.Mirror link;
-      }
-    in
-    as_atomic "join key" (compile_env env' key_expr)
   in
   let cross, need_ctx_check =
     match equi with
     | Some (kl_expr, kr_expr) ->
-      let kl = compile_key v1 t1 l1link elem1 kl_expr in
-      let kr = compile_key v2 t2 l2link elem2 kr_expr in
+      let kl = compile_key env v1 s1 kl_expr in
+      let kr = compile_key env v2 s2 kr_expr in
       (Mil.Join (kl, Mil.Reverse kr), true)
     | None -> (Mil.Join (l1link, Mil.Reverse l2link), false)
   in
@@ -364,10 +418,6 @@ and compile_pairs env ~v1 ~v2 ~pred ~left ~right =
     filter_shape r1 survivors,
     filter_shape r2 survivors,
     Mil.Semijoin (pair_l, survivors) )
-
-and semijoin_witnesses env ~v1 ~v2 ~pred ~left ~right =
-  let _, _, _, surviving_pairs = compile_pairs env ~v1 ~v2 ~pred ~left ~right in
-  Mil.UniqueHead (Mil.Reverse surviving_pairs)
 
 and elem_type env src =
   match infer env src with

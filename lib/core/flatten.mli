@@ -35,10 +35,13 @@ val compile :
   Expr.t ->
   Extension.planshape
 (** Compile a closed, well-typed expression.  [specialize] (default
-    true) enables physical specialisations such as the hash equi-join
-    (an equality conjunct in a join predicate restricts candidate pairs
-    by a key join rather than the full cross product); disable it for
-    the optimisation-ablation experiments.  [check] (default false)
+    true) enables physical specialisations: the hash equi-join (an
+    equality conjunct between same-typed keys in a join predicate
+    restricts candidate pairs by a key join rather than the full cross
+    product), and the hash semijoin (a top-level semijoin whose whole
+    predicate is such a conjunct keeps the left elements whose key
+    occurs on the right, with no pairs at all); disable it for the
+    optimisation-ablation experiments.  [check] (default false)
     runs the {!Mirror_bat.Milcheck} plan verifier over every emitted
     plan against the storage catalog and extension registry, then
     {!Moacheck.validate} (translation validation of the bundle against

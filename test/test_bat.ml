@@ -285,6 +285,130 @@ let test_group_rank () =
   Alcotest.(check int) "worst" 2 (rank_of 12);
   Alcotest.(check int) "other group restarts" 0 (rank_of 13)
 
+(* The group_rank kernel as it was before per-row values were
+   precomputed: one hash lookup and two boxed reads per comparison.
+   Kept verbatim (module paths qualified, the record built with
+   [make]) as the oracle the rewritten
+   kernel must match row for row. *)
+module Old_group_rank = struct
+  open Bat
+
+  module AtomTbl = Hashtbl.Make (struct
+    type t = Atom.t
+
+    let equal = Atom.equal
+    let hash = Atom.hash
+  end)
+
+  let first_position_index c =
+    let tbl = AtomTbl.create (Column.length c) in
+    for i = 0 to Column.length c - 1 do
+      let v = Column.get c i in
+      if not (AtomTbl.mem tbl v) then AtomTbl.add tbl v i
+    done;
+    tbl
+
+  let group_rank ?(desc = false) ~link key =
+    let val_of = first_position_index (head key) in
+    let n = count link in
+    let idx = Array.init n (fun i -> i) in
+    let value i =
+      match AtomTbl.find_opt val_of (head_at link i) with
+      | Some j -> Some (tail_at key j)
+      | None -> None
+    in
+    let cmp i j =
+      let c = Atom.compare (tail_at link i) (tail_at link j) in
+      if c <> 0 then c
+      else
+        let c =
+          match (value i, value j) with
+          | Some a, Some b -> if desc then Atom.compare b a else Atom.compare a b
+          | Some _, None -> -1
+          | None, Some _ -> 1
+          | None, None -> 0
+        in
+        if c <> 0 then c else Int.compare i j
+    in
+    Array.sort cmp idx;
+    let hb = Column.Builder.create (hty link) in
+    let tb = Column.Builder.create Atom.TInt in
+    let rank = ref 0 in
+    for k = 0 to n - 1 do
+      let i = idx.(k) in
+      if k > 0 && not (Atom.equal (tail_at link i) (tail_at link idx.(k - 1))) then rank := 0;
+      Column.Builder.add hb (head_at link i);
+      Column.Builder.add tb (Atom.Int !rank);
+      incr rank
+    done;
+    make (Column.Builder.finish hb) (Column.Builder.finish tb)
+end
+
+(* Row for row against the oracle: both directions, ties, missing keys
+   (and keys for no element), several groups, nan and -0.0 keys, dense
+   and scattered key heads, and the non-float fallback (int, str keys;
+   int-tailed and str-tailed groups; mismatched head kinds). *)
+let test_group_rank_oracle () =
+  let g = Mirror_util.Prng.create 7 in
+  let floats = [| 1.0; 2.5; -0.0; 0.0; Float.nan; Float.infinity; -3.0; 2.5 |] in
+  let case name ~link ~key =
+    List.iter
+      (fun desc ->
+        let label = Printf.sprintf "%s desc=%b" name desc in
+        let expected = Old_group_rank.group_rank ~desc ~link key in
+        let actual = Bat.group_rank ~desc ~link key in
+        check_bat label expected actual;
+        Alcotest.(check bool) (label ^ ": same column kinds") true
+          (Column.ty (Bat.head actual) = Column.ty (Bat.head expected)))
+      [ false; true ]
+  in
+  let gen_link ~n ~groups ~tail =
+    Bat.of_pairs Atom.TOid (Atom.type_of (tail 0))
+      (List.init n (fun i -> (oid (100 + i), tail (Mirror_util.Prng.int g groups))))
+  in
+  for round = 0 to 39 do
+    let n = Mirror_util.Prng.int g 40 in
+    let groups = 1 + Mirror_util.Prng.int g 4 in
+    let link = gen_link ~n ~groups ~tail:oid in
+    (* keys for a random subset of the elements plus strays; dense when
+       every element has one, in order *)
+    let dense = round mod 3 = 0 in
+    let heads =
+      if dense then List.init n (fun i -> 100 + i)
+      else
+        List.filter (fun _ -> Mirror_util.Prng.int g 4 > 0) (List.init n (fun i -> 100 + i))
+        @ [ 999; 100 ]
+    in
+    let fkey =
+      Bat.of_pairs Atom.TOid Atom.TFlt
+        (List.map
+           (fun h -> (oid h, flt floats.(Mirror_util.Prng.int g (Array.length floats))))
+           heads)
+    in
+    case (Printf.sprintf "float keys, round %d" round) ~link ~key:fkey;
+    let ikey =
+      Bat.of_pairs Atom.TOid Atom.TInt
+        (List.map (fun h -> (oid h, int (Mirror_util.Prng.int g 5))) heads)
+    in
+    case (Printf.sprintf "int keys, round %d" round) ~link ~key:ikey;
+    let skey =
+      Bat.of_pairs Atom.TOid Atom.TStr
+        (List.map (fun h -> (oid h, str (String.make 1 "abc".[Mirror_util.Prng.int g 3]))) heads)
+    in
+    case (Printf.sprintf "str keys, round %d" round) ~link ~key:skey;
+    let int_groups = gen_link ~n ~groups ~tail:int in
+    case (Printf.sprintf "int-tailed groups, round %d" round) ~link:int_groups ~key:fkey;
+    let str_groups = gen_link ~n ~groups ~tail:(fun k -> str (string_of_int k)) in
+    case (Printf.sprintf "str-tailed groups, round %d" round) ~link:str_groups ~key:fkey;
+    (* int heads never match oid heads: every element ranks as missing *)
+    let int_headed =
+      Bat.of_pairs Atom.TInt Atom.TFlt
+        (List.map (fun (h, t) -> (int (Atom.as_oid h), t)) (Bat.to_pairs fkey))
+    in
+    case (Printf.sprintf "mismatched head kinds, round %d" round) ~link ~key:int_headed
+  done;
+  case "empty" ~link:(bat_oo []) ~key:(Bat.of_pairs Atom.TOid Atom.TFlt [])
+
 let test_histogram () =
   let b = bat_os [ (0, "a"); (1, "b"); (2, "a") ] in
   let h = Bat.histogram b in
@@ -801,6 +925,7 @@ let () =
           Alcotest.test_case "aggr_all" `Quick test_aggr_all;
           Alcotest.test_case "float group sum" `Quick test_float_group_sum;
           Alcotest.test_case "group_rank" `Quick test_group_rank;
+          Alcotest.test_case "group_rank matches the old kernel" `Quick test_group_rank_oracle;
           Alcotest.test_case "histogram" `Quick test_histogram;
         ] );
       ( "catalog",

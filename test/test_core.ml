@@ -697,6 +697,187 @@ let prop_equivalence =
           | Error e -> QCheck.Test.fail_reportf "%s: %s" src e)
         battery)
 
+(* {1 Equality semijoins and joins}
+
+   A top-level semijoin whose predicate is one equality between
+   same-typed keys compiles to a hash semijoin on the key columns;
+   every other semijoin (extra conjuncts, nested contexts, mixed key
+   types, [~specialize:false]) keeps the pair path.  Both must match
+   [Naive] bit for bit, flt payloads included. *)
+
+let keyed_type =
+  Types.Set
+    (Types.Tuple
+       [
+         ("k", Types.Atomic Atom.TInt);
+         ("f", Types.Atomic Atom.TFlt);
+         ("s", Types.Atomic Atom.TStr);
+         ("t", Types.Atomic Atom.TBool);
+       ])
+
+let keyed k f s t =
+  Value.Tup
+    [
+      ("k", Value.int k);
+      ("f", Value.Atom (Atom.Flt f));
+      ("s", Value.Atom (Atom.Str s));
+      ("t", Value.Atom (Atom.Bool t));
+    ]
+
+(* R (the default rows) plus A and B, whose int, str and bool keys
+   repeat and whose flt keys include nan, 0.0 and -0.0, and the empty E *)
+let keyed_storage () =
+  let st = storage_with default_rows in
+  let define name rows =
+    ok (Storage.define st ~name keyed_type);
+    ignore (ok (Storage.load st ~name rows))
+  in
+  define "A"
+    [
+      keyed 1 1.0 "a" true;
+      keyed 2 2.0 "b" false;
+      keyed 2 Float.nan "b" true;
+      keyed 3 (-0.0) "c" false;
+      keyed 4 0.0 "a" true;
+      keyed 5 2.5 "d" false;
+    ];
+  define "B"
+    [
+      keyed 2 2.0 "b" true;
+      keyed 2 Float.nan "x" true;
+      keyed 3 0.0 "c" true;
+      keyed 0 (-0.0) "a" true;
+      keyed 7 3.5 "b" true;
+    ];
+  define "E" [];
+  st
+
+(* A value rendered with every flt as its bit pattern and every set
+   sorted, so -0.0 vs 0.0 and nan payloads count as differences. *)
+let rec value_bits = function
+  | Value.Atom (Atom.Flt f) -> Printf.sprintf "f%Lx" (Int64.bits_of_float f)
+  | Value.Atom a -> Atom.to_string a
+  | Value.Tup fields ->
+    "<" ^ String.concat "," (List.map (fun (l, v) -> l ^ ":" ^ value_bits v) fields) ^ ">"
+  | Value.VSet items -> "{" ^ String.concat "," (List.sort compare (List.map value_bits items)) ^ "}"
+  | Value.Xv { ext; items; _ } -> ext ^ "[" ^ String.concat "," (List.map value_bits items) ^ "]"
+
+let rec has_unique_head plan =
+  match plan with
+  | Mirror_bat.Mil.UniqueHead _ -> true
+  | p -> List.exists has_unique_head (Mirror_bat.Mil.children p)
+
+(* Does the compiled plan materialise pairs (the [UniqueHead] over
+   surviving pairs), or probe key columns only? *)
+let uses_pairs ?specialize st expr =
+  let found = ref false in
+  Mirror_core.Shape.iter
+    (fun p -> if has_unique_head p then found := true)
+    (Flatten.compile ?specialize st expr);
+  !found
+
+let check_bitwise st src =
+  let expr = parse_q src in
+  let expected = value_bits (Naive.eval st expr) in
+  List.iter
+    (fun (label, run) ->
+      match run expr with
+      | Error e -> Alcotest.failf "%s [%s]: %s" src label e
+      | Ok (r : Eval.report) ->
+        Alcotest.(check string) (Printf.sprintf "%s [%s]" src label) expected (value_bits r.Eval.value))
+    [
+      ("default", fun e -> Eval.query st e);
+      ("no-optimize", fun e -> Eval.query ~optimize:false st e);
+      ("no-specialize", fun e -> Eval.query ~specialize:false st e);
+      ("checked", fun e -> Eval.query ~check:true st e);
+    ]
+
+let hash_semijoins =
+  [
+    "semijoin[THIS1.k = THIS2.k](A, B)";
+    "semijoin[THIS1.k = THIS2.k](A, A)";
+    "semijoin[THIS1.k = THIS2.k + 1](A, B)";
+    "semijoin[THIS1.k * 2 = THIS2.k](A, B)";
+    "semijoin[THIS2.k = THIS1.k - 1](A, B)";
+    "semijoin[THIS2.k + 3 = THIS1.k](A, B)";
+    "count(semijoin[THIS1.k = THIS2.k + 1](A, A))";
+    "semijoin[THIS1.s = THIS2.s](A, B)";
+    "semijoin[THIS1.t = THIS2.t](A, B)";
+    "semijoin[THIS1.t = (not THIS2.t)](B, A)";
+    "semijoin[THIS1.f = THIS2.f](A, B)";
+    "semijoin[THIS1.f = THIS2.f](B, A)";
+    "semijoin[THIS1.f = THIS2.f * -1.0](A, B)";
+    "semijoin[THIS1.f * 0.0 = THIS2.f](A, B)";
+    "map[THIS.s](semijoin[THIS1.k = THIS2.k](A, B))";
+    "semijoin[THIS1.k = THIS2.k](A, E)";
+    "semijoin[THIS1.k = THIS2.k](E, A)";
+    "semijoin[THIS1.k = THIS2.k](E, E)";
+    "semijoin[THIS1.a = THIS2.a + 1](R, R)";
+    (* set-literal operands, on either side *)
+    "semijoin[THIS1 = THIS2 + 1]({1, 2, 3}, {2, 3})";
+    "semijoin[THIS1 = THIS2]({'a', 'b'}, {'b'})";
+    "semijoin[THIS1 = THIS2.k](select[THIS > 1]({1, 2, 3}), A)";
+    "semijoin[THIS1.k = THIS2](A, {2, 5, 2})";
+    "semijoin[THIS1 = THIS2.f]({0.0, 1.0, 4.0}, B)";
+    "count(semijoin[THIS1 = THIS2]({1, 1, 2}, {1}))";
+  ]
+
+let pair_semijoins =
+  [
+    (* extra conjuncts *)
+    "semijoin[THIS1.k = THIS2.k and THIS1.f < THIS2.f](A, B)";
+    "semijoin[THIS1.k = THIS2.k and THIS1.s = 'b'](A, B)";
+    "semijoin[THIS1.a = THIS2.a and THIS1.b < THIS2.b](R, R)";
+    (* nested contexts *)
+    "map[count(semijoin[THIS1 = THIS2 + 1](THIS.s, THIS.s))](R)";
+    "map[x: count(semijoin[y, z: y = z.a](x.s, R))](R)";
+    (* mixed int/flt keys *)
+    "semijoin[THIS1.k = THIS2.f](A, B)";
+    "semijoin[THIS1.f = THIS2.k](A, B)";
+    "count(semijoin[THIS1 = THIS2]({1, 2, 3}, {2.0, 3.5}))";
+    (* no equality at all *)
+    "semijoin[THIS1.k < THIS2.k](A, B)";
+  ]
+
+let test_hash_semijoin_matches_naive () =
+  let st = keyed_storage () in
+  List.iter
+    (fun src ->
+      check_bitwise st src;
+      let e = parse_q src in
+      Alcotest.(check bool) (src ^ ": no pairs") false (uses_pairs st e);
+      Alcotest.(check bool) (src ^ ": pairs without specialize") true
+        (uses_pairs ~specialize:false st e))
+    hash_semijoins
+
+let test_pair_semijoin_fallback () =
+  let st = keyed_storage () in
+  List.iter
+    (fun src ->
+      check_bitwise st src;
+      Alcotest.(check bool) (src ^ ": pair path") true (uses_pairs st (parse_q src)))
+    pair_semijoins
+
+(* Equi-joins hash only same-typed keys; int = flt keys take the cross
+   product, where the comparison promotes numerically. *)
+let test_equi_join_key_types () =
+  let st = keyed_storage () in
+  List.iter (check_bitwise st)
+    [
+      "count(join[THIS1.k = THIS2.f](A, B))";
+      "join[THIS1.f = THIS2.k](A, B)";
+      "join[THIS1.k = THIS2.k](A, B)";
+      "join[THIS1.f = THIS2.f](A, B)";
+      "join[THIS1.s = THIS2.s and THIS1.k = THIS2.f](A, B)";
+      "count(join[THIS1 = THIS2 + 1]({1, 2, 3}, {2, 3}))";
+      "map[count(join[THIS1 = THIS2 + 0.0](THIS.s, THIS.s))](R)";
+    ];
+  Alcotest.(check (result string string))
+    "int = flt join count" (Ok "2")
+    (Result.map
+       (fun r -> Value.to_string r.Eval.value)
+       (Eval.query st (parse_q "count(join[THIS1.k = THIS2.f](A, B))")))
+
 (* {1 Eval reports and explain} *)
 
 let test_eval_report () =
@@ -1136,6 +1317,12 @@ let () =
           Alcotest.test_case "battery on default data" `Quick test_battery_equivalence;
           Alcotest.test_case "battery on empty extent" `Quick test_battery_equivalence_empty;
           Alcotest.test_case "battery on single row" `Quick test_battery_equivalence_single;
+        ] );
+      ( "equi-keys",
+        [
+          Alcotest.test_case "hash semijoin matches naive" `Quick test_hash_semijoin_matches_naive;
+          Alcotest.test_case "pair-path fallback" `Quick test_pair_semijoin_fallback;
+          Alcotest.test_case "equi-join key types" `Quick test_equi_join_key_types;
         ] );
       ( "eval",
         [

@@ -205,7 +205,8 @@ let test_deterministic () =
          envelope (Moaprop.value_ok);
      (d) Flatten.compile succeeds and Moacheck.validate certifies the
          flattening: the logical envelope intersects the Milcheck
-         physical envelope on every BAT of the bundle.
+         physical envelope on every BAT of the bundle;
+     (e) Eval.query, the flattened pipeline, returns the Naive result.
 
    Deliberately excluded constructs: Div/Pow (division by a randomly
    zero constant; float rounding), Log/Exp/Sqrt (NaN domains), Mul
@@ -222,6 +223,7 @@ module Typecheck = Mirror_core.Typecheck
 module Moacheck = Mirror_core.Moacheck
 module Moaprop = Mirror_core.Moaprop
 module Naive = Mirror_core.Naive
+module Eval = Mirror_core.Eval
 module Flatten = Mirror_core.Flatten
 module Storage = Mirror_core.Storage
 module Corpus = Mirror_core.Corpus
@@ -255,6 +257,17 @@ let moa_lit g = function
   | Atom.TBool -> Expr.lit_bool (Prng.bool g)
   | Atom.TOid -> Expr.lit_int 0 (* never requested *)
 
+(* A literal set of [n] numbers; flt elements are small halves, so
+   they meet int elements of other operands exactly. *)
+let moa_lit_set g base n =
+  let ty = Types.Set (Types.Atomic base) in
+  let item () =
+    match base with
+    | Atom.TFlt -> Value.Atom (Atom.Flt (Float.of_int (Prng.int g 24 - 12) /. 2.0))
+    | _ -> Value.Atom (Atom.Int (Prng.int g 60 - 30))
+  in
+  { expr = Expr.Lit (Value.VSet (List.init n (fun _ -> item ())), ty); ty }
+
 let int_fields ty =
   match ty with
   | Types.Tuple fs ->
@@ -273,11 +286,10 @@ let moa_generators : (string * (Prng.t -> mentry list -> mentry option)) array =
     ( "lit_set",
       fun g _ ->
         let n = Prng.int g 6 in
-        if Prng.bool g then
-          let v = Value.VSet (List.init n (fun _ -> Value.Atom (Atom.Int (Prng.int g 60 - 30)))) in
-          Some { expr = Expr.Lit (v, Types.Set (Types.Atomic Atom.TInt));
-                 ty = Types.Set (Types.Atomic Atom.TInt) }
-        else
+        match Prng.int g 3 with
+        | 0 -> Some (moa_lit_set g Atom.TInt n)
+        | 1 -> Some (moa_lit_set g Atom.TFlt n)
+        | _ ->
           let ws = List.init n (fun _ -> Prng.choose g words) in
           Some { expr = Expr.lit_str_set ws; ty = Types.Set (Types.Atomic Atom.TStr) } );
     ( "aggr",
@@ -431,13 +443,39 @@ let moa_generators : (string * (Prng.t -> mentry list -> mentry option)) array =
                match set_elem e.ty with Some (Types.Set _) -> true | _ -> false)) );
     ( "join",
       fun g pool ->
-        Option.bind (pick g pool atom_set) (fun a ->
+        (* either operand may be a fresh set literal, and numeric
+           element types may differ (int = flt keys) *)
+        let operand want =
+          let literal =
+            match want with None -> true | Some t -> is_num_ty t
+          in
+          if literal && Prng.int g 3 = 0 then
+            Some (moa_lit_set g (Prng.choose g [| Atom.TInt; Atom.TFlt |]) (Prng.int g 6))
+          else
+            pick g pool (fun e ->
+                match (want, set_elem e.ty) with
+                | None, Some t -> is_atomic_ty t
+                | Some ta, Some tb ->
+                  is_atomic_ty tb && (Types.equal ta tb || (is_num_ty ta && is_num_ty tb))
+                | _, None -> false)
+        in
+        Option.bind (operand None) (fun a ->
+            let ea = Option.get (set_elem a.ty) in
             Option.map
               (fun b ->
-                let ea = Option.get (set_elem a.ty) and eb = Option.get (set_elem b.ty) in
+                let eb = Option.get (set_elem b.ty) in
                 let v1 = fresh_var () and v2 = fresh_var () in
-                let c = Prng.choose g Bat.[| Eq; Ne; Lt; Le; Gt; Ge |] in
-                let pred = Expr.Binop (Bat.CmpOp c, Expr.Var v1, Expr.Var v2) in
+                let c = Prng.choose g Bat.[| Eq; Eq; Ne; Lt; Le; Gt; Ge |] in
+                (* a computed key on one side, in either orientation *)
+                let key v t =
+                  if is_num_ty t && Prng.int g 3 = 0 then
+                    Expr.Binop (Bat.Add, Expr.Var v, Expr.lit_int (Prng.int g 5 - 2))
+                  else Expr.Var v
+                in
+                let pred =
+                  if Prng.bool g then Expr.Binop (Bat.CmpOp c, key v1 ea, key v2 eb)
+                  else Expr.Binop (Bat.CmpOp c, key v2 eb, key v1 ea)
+                in
                 let node =
                   if Prng.bool g then
                     Expr.Join
@@ -448,10 +486,7 @@ let moa_generators : (string * (Prng.t -> mentry list -> mentry option)) array =
                 | Expr.Join _ ->
                   { expr = node; ty = Types.Set (Types.Tuple [ ("l", ea); ("r", eb) ]) }
                 | _ -> { expr = node; ty = a.ty })
-              (pick g pool (fun e ->
-                   match (set_elem a.ty, set_elem e.ty) with
-                   | Some ta, Some tb -> Types.equal ta tb && is_atomic_ty tb
-                   | _ -> false))) );
+              (operand (Some ea))) );
     ( "tolist",
       fun g pool ->
         Option.map
@@ -550,6 +585,12 @@ let moa_check st tenv menv { expr; ty } =
     | Error ds ->
       moa_failf expr "translation validation failed: %s"
         (String.concat "; " (List.map Moaprop.diag_to_string ds))));
+  (match Eval.query st expr with
+  | Error msg -> moa_failf expr "flattened evaluation failed: %s" msg
+  | Ok r ->
+    if not (Value.equal v r.Eval.value) then
+      moa_failf expr "evaluators disagree\n  naive:     %s\n  flattened: %s" (Value.to_string v)
+        (Value.to_string r.Eval.value));
   v
 
 let test_moa_fuzz () =
