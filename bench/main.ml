@@ -1317,7 +1317,6 @@ let experiment_pchaos () =
     print_endline "skipped: worker processes need POSIX fork/pipes/signals"
   end
   else begin
-    let module Fabric = Mirror_fabric.Fabric in
     let module Media = Mirror_daemon.Media in
     let schedules = if quick then 10 else 40 in
     let baseline = chaos_baseline 2 in
@@ -1326,7 +1325,7 @@ let experiment_pchaos () =
     let crashes = ref 0 in
     let recovery_ms = ref [] in
     let crash_points =
-      [| "fabric.route"; "fabric.done"; "fabric.settled"; "fabric.checkpoint.meta" |]
+      [| "fabric.route"; "fabric.done"; "fabric.settled"; "checkpoint.meta" |]
     in
     for seed = 0 to schedules - 1 do
       Faults.reset_faults ();
@@ -1336,9 +1335,13 @@ let experiment_pchaos () =
         let dir = Filename.temp_file "mirror-bench-pchaos" ".db" in
         Sys.remove dir;
         Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-        let open_ ?checkpoint_every () =
-          match Fabric.open_durable ~config:(chaos_config 2) ~seed ?checkpoint_every ~dir () with
-          | Ok (orch, _) -> orch
+        let open_ ?(checkpoint_every = 0) () =
+          let config = { Durable.default_config with Durable.checkpoint_every } in
+          match
+            Result.bind (Durable.open_ ~config ~dir ()) (fun (d, (_ : Durable.recovery)) ->
+                Durable.orchestrator ~config:(chaos_config 2) ~seed d)
+          with
+          | Ok orch -> orch
           | Error e -> failwith e
         in
         let orch = open_ ~checkpoint_every:8 () in

@@ -423,9 +423,8 @@ let print_status (s : Durable.status) =
   Printf.printf "log              %d segment(s), %d byte(s)\n" s.Durable.segments
     s.Durable.log_bytes;
   if s.Durable.wal_appends > 0 then
-    Printf.printf "group commit     %d append(s), %d fsync(s), %d batch(es), %.2f fsync/commit\n"
-      s.Durable.wal_appends s.Durable.wal_fsyncs s.Durable.wal_batches
-      s.Durable.fsyncs_per_commit;
+    Printf.printf "commits          %d append(s), %d fsync(s)\n" s.Durable.wal_appends
+      s.Durable.wal_fsyncs;
   match s.Durable.last_error with
   | None -> ()
   | Some e -> Printf.printf "last error       %s\n" e
@@ -655,9 +654,15 @@ let run_faulted_pipeline ~images ~seed ~broken ~flaky ~procs ~durable =
     match durable with
     | None -> Orchestrator.create ~daemons ~config ()
     | Some dir -> (
-      match Mirror_fabric.Fabric.open_durable ~daemons ~config ~dir () with
-      | Ok (orch, _) -> orch
-      | Error e -> failwith (Printf.sprintf "cannot open journal %s: %s" dir e))
+      let fail e = failwith (Printf.sprintf "cannot open journal %s: %s" dir e) in
+      match Durable.open_ ~dir () with
+      | Error e -> fail e
+      | Ok (d, (_ : Durable.recovery)) -> (
+        match Durable.orchestrator ~daemons ~config d with
+        | Ok orch -> orch
+        | Error e ->
+          Durable.abandon d;
+          fail e))
   in
   let scenes = Synth.corpus (Prng.create seed) ~n:images ~width:32 ~height:32 () in
   Array.iteri
@@ -764,11 +769,11 @@ let daemons_health_main images seed broken flaky procs durable =
    instance's delivery journal read-only — no pipeline is run. *)
 let deadletters_inspect dir =
   let module Record = Mirror_store.Record in
-  match Mirror_fabric.Dlog.inspect ~dir with
+  match Durable.deliveries ~dir with
   | Error e ->
     Printf.eprintf "error: cannot read journal %s: %s\n" dir e;
     1
-  | Ok (pending, dead) ->
+  | Ok { Durable.pending; dead_letters } ->
     List.iter
       (fun (r : Record.fab_route) ->
         Printf.printf "pending  %-20s %-20s subject %-4d seq %-5d attempts %d\n"
@@ -777,18 +782,13 @@ let deadletters_inspect dir =
       pending;
     List.iter
       (fun ((r : Record.fab_route), cause, _at) ->
-        let cause =
-          match (cause : Record.fab_cause) with
-          | Record.Fab_failed e -> Printf.sprintf "failed: %s" e
-          | Record.Fab_expired s -> Printf.sprintf "expired (%s)" s
-          | Record.Fab_overflow -> "overflow"
-        in
         Printf.printf "dead     %-20s %-20s subject %-4d seq %-5d %s\n"
-          r.Record.daemon r.Record.topic r.Record.subject r.Record.seq cause)
-      dead;
+          r.Record.daemon r.Record.topic r.Record.subject r.Record.seq
+          (Mirror_daemon.Deadletter.cause_to_string cause))
+      dead_letters;
     Printf.printf "%d pending, %d dead letter(s) journaled\n" (List.length pending)
-      (List.length dead);
-    if dead = [] then 0 else 3
+      (List.length dead_letters);
+    if dead_letters = [] then 0 else 3
 
 let daemons_deadletters_main images seed broken flaky procs durable =
   let open Mirror_daemon in

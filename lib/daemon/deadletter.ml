@@ -5,6 +5,8 @@ let cause_to_string = function
   | Expired st -> "expired while target " ^ st
   | Overflow -> "shed by full queue"
 
+let cause_tag = function Failed _ -> "failed" | Expired _ -> "expired" | Overflow -> "overflow"
+
 type entry = {
   daemon : string;
   delivery : Bus.delivery;

@@ -18,6 +18,9 @@ type cause =
 
 val cause_to_string : cause -> string
 
+val cause_tag : cause -> string
+(** ["failed"] / ["expired"] / ["overflow"]. *)
+
 type entry = {
   daemon : string;  (** The subscriber that could not be served. *)
   delivery : Bus.delivery;

@@ -43,7 +43,15 @@ val set_sync : t -> (op -> unit) option -> unit
 (** Install (or clear) the write-capture hook. *)
 
 val apply : t -> op -> unit
-(** Apply a captured change without re-emitting it. *)
+(** Apply a captured change without re-emitting it (the durability
+    journal still fires). *)
 
 val copy : t -> t
-(** An independent copy (no capture hook). *)
+(** An independent copy (no capture or journal hook). *)
+
+(** {1 Durability journal} *)
+
+val set_journal : t -> (op -> unit) option -> unit
+(** Install (or clear) the journal hook: every change, captured or
+    applied, is reported to it after it took effect.  The durable
+    orchestrator journals settled schema evolution through it. *)

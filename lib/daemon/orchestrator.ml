@@ -51,7 +51,6 @@ type journal = {
   dead : Deadletter.entry -> unit;
   redelivered : Deadletter.entry -> unit;
   atomically : (unit -> unit) -> unit;
-  sync : unit -> unit;
   abandon : unit -> unit;
   close : unit -> unit;
 }
@@ -273,16 +272,13 @@ let state_keys t =
           match s.inflight with Some (n, dv, _) -> (n, dv.Bus.seq) :: acc | None -> acc)
         [] t.slots
   in
-  let tag = function
-    | Deadletter.Failed _ -> "failed"
-    | Deadletter.Expired _ -> "expired"
-    | Deadletter.Overflow -> "overflow"
-  in
   ( List.sort compare pending,
     List.sort compare
       (List.map
          (fun (e : Deadletter.entry) ->
-           (e.Deadletter.daemon, e.Deadletter.delivery.Bus.seq, tag e.Deadletter.cause))
+           ( e.Deadletter.daemon,
+             e.Deadletter.delivery.Bus.seq,
+             Deadletter.cause_tag e.Deadletter.cause ))
          (Deadletter.entries t.dlq)) )
 
 let redeliver ?daemon ?(probe = false) t =
@@ -305,7 +301,6 @@ let redeliver ?daemon ?(probe = false) t =
       Bus.requeue_delivery t.context.Daemon.bus ~name:e.Deadletter.daemon d;
       if Metrics.enabled () then Metrics.incr "deadletter.redelivered")
     letters;
-  Option.iter (fun j -> j.sync ()) t.journal;
   List.length letters
 
 let ingest_image t ~doc ~url ?annotation img =
@@ -410,6 +405,7 @@ let spawn t slot =
            writes leave only as captured [Op] frames. *)
         Store.set_journal c.Daemon.store None;
         Store.set_sync c.Daemon.store None;
+        Dictionary.set_journal c.Daemon.dict None;
         Dictionary.set_sync c.Daemon.dict None;
         match Worker.serve ic oc slot.hosted ~ctx:{ c with Daemon.bus = Bus.create () } with
         | Worker.Closed -> 0
@@ -745,7 +741,6 @@ let run ?max_rounds ?(trace = Trace.null) t =
             ~attrs:
               [ ("attempts", string_of_int !attempts); ("dead", string_of_int dead_delta) ]
             trace;
-          Option.iter (fun j -> j.sync ()) t.journal;
           if Clock.is_virtual t.clk then Clock.advance t.clk tick;
           (* Keep pumping while the round did something, a delivery is
              in flight, or an unhealthy breaker guards pending work:
@@ -784,7 +779,6 @@ let run ?max_rounds ?(trace = Trace.null) t =
         stop_workers t ~kill:true;
         Option.iter (fun j -> j.abandon ()) t.journal;
         raise e);
-  Option.iter (fun j -> j.sync ()) t.journal;
   (match !fatal with Some e -> raise e | None -> ());
   let stats =
     List.map

@@ -41,10 +41,13 @@
     process replaces it when a breaker half-opens.
 
     {b Journal.}  An optional {!journal} (the durable one is
-    [Mirror_fabric.Dlog], opened by [Mirror_fabric.Fabric.open_durable])
-    records every routing decision, settlement, dead letter and
-    redelivery, on either transport, so a crashed orchestrator can be
-    recovered exactly. *)
+    [Mirror_store.Durable.journal], wired up by
+    [Mirror_store.Durable.orchestrator]) records every routing
+    decision, settlement, dead letter and redelivery, on either
+    transport, so a crashed orchestrator can be recovered exactly.
+    Each event is a commit of its own, durable before the call
+    returns, except inside {!journal.atomically}, whose whole group is
+    one commit. *)
 
 type config = {
   procs : int;  (** Worker processes; [0] runs the handlers in process. *)
@@ -107,10 +110,10 @@ type journal = {
   dead : Deadletter.entry -> unit;  (** It was dead-lettered. *)
   redelivered : Deadletter.entry -> unit;  (** A dead letter went back on the bus. *)
   atomically : (unit -> unit) -> unit;
-      (** Run a settlement (its store writes, reached through the
-          store's own journal hook, its routes and its [settled]) as
-          one atomic group. *)
-  sync : unit -> unit;  (** Group commit, once per round. *)
+      (** Run a settlement (its store and dictionary writes, reached
+          through their own journal hooks, its routes and its
+          [settled]) as one atomic group, durable before it returns:
+          the settlement's publications are delivered only after. *)
   abandon : unit -> unit;  (** The orchestrator is dying: stop writing. *)
   close : unit -> unit;  (** Clean shutdown. *)
 }
@@ -219,8 +222,8 @@ val workers : t -> (int * int option * string list) list
 val state_keys : t -> (string * int) list * (string * int * string) list
 (** Live (daemon, seq) pending keys — queued and in flight — and
     (daemon, seq, cause tag) dead letters, both sorted; directly
-    comparable with [Mirror_fabric.Dlog.state_keys] for exact-recovery
-    checks. *)
+    comparable with [Mirror_store.Durable.state_keys] for
+    exact-recovery checks. *)
 
 val deaths : t -> int
 val restarts : t -> int

@@ -239,37 +239,43 @@ let describe_outcome = function
   | Mirror.Deleted (n, k) -> Printf.sprintf "deleted %d from %s" k n
   | Mirror.Evaluated v -> "= " ^ Value.to_string v
 
-(* Group commit: apply every batched write to the live database (each
-   statement journals through the durable WAL), pay one fsync for the
-   whole batch, and only then publish a single new version — writes
-   become visible to readers together, and only once durable. *)
+(* Group commit: apply every batched write to the live database as one
+   durable group (its statements' records travel in one WAL frame,
+   fsynced once), and only then publish a single new version — writes
+   become visible to readers together, and only once durable.  A
+   failed commit acknowledges nothing and publishes nothing. *)
 let commit t =
   match List.rev t.batch with
   | [] -> false
   | items ->
     t.batch <- [];
-    let applied =
-      List.map (fun (s, rid, src) -> (s, rid, Mirror.exec_program ~bindings:t.bindings t.mir src)) items
+    let exec () =
+      List.map
+        (fun (s, rid, src) -> (s, rid, Mirror.exec_program ~bindings:t.bindings t.mir src))
+        items
     in
-    let dur_err =
-      match t.durable with
-      | None -> None
-      | Some d -> ( match Durable.sync d with Ok () -> None | Error e -> Some e)
-    in
-    let v = Version.publish t.versions (Mirror.storage t.mir) in
+    let run () = match t.durable with None -> exec () | Some d -> Durable.atomically d exec in
+    (match run () with
+    | exception Sys_error e ->
+      List.iter
+        (fun (s, rid, _) -> deliver t s rid (Error (Exec_error ("group commit failed: " ^ e))))
+        items
+    | applied ->
+      let v = Version.publish t.versions (Mirror.storage t.mir) in
+      List.iter
+        (fun (s, rid, res) ->
+          let reply =
+            match res with
+            | Error e -> Error (Exec_error e)
+            | Ok outcomes ->
+              t.writes <- t.writes + 1;
+              Ok
+                (Executed
+                   { version = Version.id v; outcomes = List.map describe_outcome outcomes })
+          in
+          deliver t s rid reply)
+        applied);
     t.batches <- t.batches + 1;
-    List.iter
-      (fun (s, rid, res) ->
-        let reply =
-          match (dur_err, res) with
-          | Some e, _ -> Error (Exec_error ("group commit fsync failed: " ^ e))
-          | None, Error e -> Error (Exec_error e)
-          | None, Ok outcomes ->
-            t.writes <- t.writes + 1;
-            Ok (Executed { version = Version.id v; outcomes = List.map describe_outcome outcomes })
-        in
-        deliver t s rid reply)
-      applied;
     gc_versions t;
     true
 

@@ -10,11 +10,10 @@
       batch, and a session that {!request-Pin}s keeps one frozen view
       across many queries while writers commit past it.
     - {e group-committed writes}: write programs from all sessions are
-      batched; a commit applies the batch to the live database (each
-      statement journaled through the {!Mirror_store.Durable} WAL),
-      pays {e one} fsync for the whole batch ({!Mirror_store.Durable.sync}),
-      and only then publishes a single new version — durability before
-      visibility, one version per batch.
+      batched; a commit applies the batch to the live database as one
+      {!Mirror_store.Durable.atomically} group (one WAL frame, {e one}
+      fsync for the whole batch), and only then publishes a single new
+      version — durability before visibility, one version per batch.
     - {e admission control}: session count and per-session request
       queues are bounded (overflow is a structured
       {!error-Admission_refused}, never a hang), every query carries a

@@ -38,14 +38,22 @@ let split_lines pending data =
 
 let run ?config ?bindings ?durable ?(stop = fun () -> false) ~socket mir =
   let t = Serve.local ?config ?bindings ?durable mir in
-  (try if Sys.file_exists socket then Sys.remove socket with Sys_error _ -> ());
+  (* Bind a sibling path and rename it into place only once the socket
+     listens: a client that waits for the file to appear can connect
+     the moment it does, never into a bound-but-not-listening socket. *)
+  let staging = socket ^ ".tmp" in
+  List.iter
+    (fun p -> try if Sys.file_exists p then Sys.remove p with Sys_error _ -> ())
+    [ socket; staging ];
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match
-    Unix.bind listen_fd (Unix.ADDR_UNIX socket);
-    Unix.listen listen_fd 16
+    Unix.bind listen_fd (Unix.ADDR_UNIX staging);
+    Unix.listen listen_fd 16;
+    Unix.rename staging socket
   with
   | exception Unix.Unix_error (err, _, _) ->
     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+    (try Sys.remove staging with Sys_error _ -> ());
     Error (Printf.sprintf "cannot listen on %s: %s" socket (Unix.error_message err))
   | () ->
     let conns = ref [] in

@@ -15,7 +15,8 @@ val run :
   socket:string ->
   Mirror_core.Mirror.t ->
   (unit, string) result
-(** Listen on [socket] (an existing file there is replaced) and serve
+(** Listen on [socket] (an existing file there is replaced; the file
+    appears only once the socket accepts connections) and serve
     until [stop] (polled between select rounds, default never) turns
     true; then close every connection and remove the socket.  [Error]
     for a socket that cannot be bound.  [config]/[bindings]/[durable]

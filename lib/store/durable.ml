@@ -6,6 +6,12 @@ module Expr = Mirror_core.Expr
 module Naive = Mirror_core.Naive
 module Eval = Mirror_core.Eval
 module Value = Mirror_core.Value
+module Bus = Mirror_daemon.Bus
+module Daemon = Mirror_daemon.Daemon
+module Deadletter = Mirror_daemon.Deadletter
+module Dictionary = Mirror_daemon.Dictionary
+module Orchestrator = Mirror_daemon.Orchestrator
+module Store = Mirror_daemon.Store
 module Faults = Mirror_daemon.Faults
 module Crc32 = Mirror_util.Crc32
 module Fsx = Mirror_util.Fsx
@@ -26,28 +32,40 @@ type recovery = {
   store_ops : (string * string) list;
 }
 
+type dead = { route : Record.fab_route; cause : Deadletter.cause; at : float }
+
+(* What the log holds beyond Storage: [Persist.save] captures schema
+   and catalog only, so everything else a record changes lives here —
+   the Feedback/Store_op/Dict_op history (whose effects sit in session
+   side state: [Mirror.t.adapt], the daemon store, the dictionary) and
+   the delivery state machine's pending and dead-letter sets.  Every
+   snapshot carries all of it in its side-state file, so checkpoint GC
+   never deletes the only copy. *)
+type state = {
+  mutable side : Record.t list;  (* Feedback/Store_op/Dict_op history, newest first *)
+  pending : (string * int, Record.fab_route) Hashtbl.t;
+  dead : (string * int, dead) Hashtbl.t;
+}
+
+let fresh_state () = { side = []; pending = Hashtbl.create 64; dead = Hashtbl.create 16 }
+
 type t = {
   dir : string;
   config : config;
   mir : Mirror.t;
+  st : state;
   mutable wal : Wal.t;
   mutable checkpoint_lsn : int;
-  mutable since : int;
-  mutable side : Record.t list;
-      (* Feedback/Store_op history, newest first.  [Persist.save] only
-         captures [Storage]; the effects of these records live in
-         session side state ([Mirror.t.adapt], the daemon store) that
-         the snapshot cannot see, so their full history is carried in
-         every snapshot's side-state file — otherwise checkpoint GC
-         would delete the only copy. *)
+  mutable since : int;  (* commits since the checkpoint *)
+  mutable group : Record.t list option;  (* Some (reversed) inside {!atomically} *)
   mutable in_checkpoint : bool;
   mutable last_error : string option;
   mutable closed : bool;
   mutable trace : Trace.t;
   mutable wal_hist : Wal.stats;
       (* counters of retired log writers: [checkpoint] replaces [wal]
-         with a fresh one, so lifetime group-commit stats are the sum
-         of this and the live writer's counters *)
+         with a fresh one, so lifetime stats are the sum of this and
+         the live writer's counters *)
 }
 
 let mirror t = t.mir
@@ -130,56 +148,104 @@ let read_meta dir =
     | Some lsn, Some next_store -> Ok (snap, lsn, next_store)
     | _ -> Error "CHECKPOINT has non-numeric fields")
 
+(* {1 The one transition function}
+
+   [apply ~redo st r] interprets a record against the side state.  The
+   live path and both replay sources (a snapshot's side state, the log
+   suffix) go through it, which is what makes "recovery reconstructs
+   the journaled state exactly" structural rather than hoped-for.
+   Records whose effect lives in the database itself (Define, Replace,
+   and Feedback's adaptation) are also handed to [redo]: a no-op on
+   the live path, where the effect has already happened.  An
+   inconsistent transition (a dead letter for an unknown delivery)
+   means a corrupt or foreign log: fail loudly. *)
+let rec apply ~redo st r =
+  match r with
+  | Record.Define _ | Record.Replace _ -> redo r
+  | Record.Feedback _ ->
+    st.side <- r :: st.side;
+    redo r
+  | Record.Store_op _ | Record.Dict_op _ ->
+    st.side <- r :: st.side;
+    Ok ()
+  | Record.Fab_atomic rs ->
+    List.fold_left
+      (fun acc r ->
+        let* () = acc in
+        apply ~redo st r)
+      (Ok ()) rs
+  | Record.Fab_route fr ->
+    Hashtbl.replace st.pending (fr.Record.daemon, fr.Record.seq) fr;
+    Ok ()
+  | Record.Fab_done { daemon; seq } ->
+    Hashtbl.remove st.pending (daemon, seq);
+    Ok ()
+  | Record.Fab_dead { daemon; seq; cause; at } -> (
+    match Hashtbl.find_opt st.pending (daemon, seq) with
+    | Some route ->
+      Hashtbl.remove st.pending (daemon, seq);
+      Hashtbl.replace st.dead (daemon, seq) { route; cause; at };
+      Ok ()
+    | None -> Error (Printf.sprintf "dead letter for unknown delivery #%d @ %s" seq daemon))
+  | Record.Fab_redeliver { daemon; seq } -> (
+    match Hashtbl.find_opt st.dead (daemon, seq) with
+    | Some d ->
+      Hashtbl.remove st.dead (daemon, seq);
+      Hashtbl.replace st.pending (daemon, seq) { d.route with Record.attempts = 0 };
+      Ok ()
+    | None -> Error (Printf.sprintf "redeliver of unknown dead letter #%d @ %s" seq daemon))
+
+let no_redo (_ : Record.t) = Ok ()
+
+let sorted_bindings tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
+
 (* {1 The snapshot side-state file}
 
-   [Persist.save] captures Storage (schema + catalog) only.  Feedback
-   and Store_op records act on state outside Storage — thesaurus
-   adaptation in [Mirror.t.adapt], the daemon pipeline store — which
-   recovery rebuilds by replaying the records themselves.  So that
-   checkpoint GC can still truncate the log, each snapshot carries the
-   full Feedback/Store_op history to date as [side.log] inside the
-   snapshot directory: WAL-framed records, written and fsynced before
-   the snapshot rename, hence covered by the CHECKPOINT commit point.
-   Recovery's history is then always (snapshot side state) ++ (side
-   records replayed from the log suffix). *)
+   [side.log] inside each snapshot directory: WAL-framed records,
+   written and fsynced before the snapshot rename, hence covered by
+   the CHECKPOINT commit point.  It holds the side history, oldest
+   first, then the delivery state as the records that rebuild it — a
+   [Fab_route] per pending delivery, a [Fab_route] and [Fab_dead] per
+   dead letter — read back through {!apply} like any log suffix. *)
 
 let side_file snap_dir = Filename.concat snap_dir "side.log"
 
-let write_side snap_dir side =
+let side_records st =
+  List.rev st.side
+  @ List.map (fun (_, fr) -> Record.Fab_route fr) (sorted_bindings st.pending)
+  @ List.concat_map
+      (fun ((daemon, seq), d) ->
+        [ Record.Fab_route d.route; Record.Fab_dead { daemon; seq; cause = d.cause; at = d.at } ])
+      (sorted_bindings st.dead)
+
+let write_side snap_dir st =
   let oc = open_out_bin (side_file snap_dir) in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      List.iter (fun r -> output_bytes oc (Wal.frame (Record.encode r))) side;
+      List.iter (fun r -> output_bytes oc (Wal.frame (Record.encode r))) (side_records st);
       Fsx.fsync_out oc)
 
-let read_side snap_dir =
+let read_side snap_dir ~redo st =
   match read_file (side_file snap_dir) with
   | exception Sys_error _ when not (Sys.file_exists (side_file snap_dir)) ->
     (* a bare [Persist.save] snapshot (no durable session) has no side
        state; the file is present, if empty, on every snapshot this
        module writes *)
-    Ok []
+    Ok ()
   | exception Sys_error e -> Error ("snapshot side state: " ^ e)
   | src ->
-    let* frames =
-      Result.map_error (fun e -> "snapshot side state: " ^ e) (Wal.parse_frames src)
-    in
-    List.fold_left
-      (fun acc payload ->
-        let* records = acc in
-        let* r =
-          Result.map_error (fun e -> "snapshot side state: " ^ e) (Record.decode payload)
-        in
-        match r with
-        | Record.Feedback _ | Record.Store_op _ -> Ok (r :: records)
-        | Record.Define _ | Record.Replace _ ->
-          Error "snapshot side state holds a storage record"
-        | Record.Fab_route _ | Record.Fab_done _ | Record.Fab_dead _
-        | Record.Fab_redeliver _ | Record.Fab_atomic _ ->
-          Error "snapshot side state holds a fabric record")
-      (Ok []) frames
-    |> Result.map List.rev
+    Result.map_error
+      (fun e -> "snapshot side state: " ^ e)
+      (let* frames = Wal.parse_frames src in
+       List.fold_left
+         (fun acc payload ->
+           let* () = acc in
+           let* r = Record.decode payload in
+           match r with
+           | Record.Define _ | Record.Replace _ -> Error "holds a storage record"
+           | _ -> apply ~redo st r)
+         (Ok ()) frames)
 
 (* {1 Checkpointing}
 
@@ -191,7 +257,7 @@ let read_side snap_dir =
       then fsync the directory — the commit;
    3. delete old snapshots and every log segment, oldest first (every
       logged record is now covered by the snapshot — storage records
-      by the [Persist.save] state, side records by [side.log] — and
+      by the [Persist.save] state, the rest by [side.log] — and
       oldest-first keeps any crash remnant a contiguous suffix the
       replayer accepts);
    4. start a fresh segment at [lsn + 1].
@@ -199,14 +265,14 @@ let read_side snap_dir =
    crash after 2 leaves at worst orphan files that the next
    checkpoint's GC removes. *)
 
-let commit_checkpoint ~dir ~wal_config ~stor ~side ~lsn ~old_wal =
+let commit_checkpoint ~dir ~wal_config ~stor ~st ~lsn ~old_wal =
   Faults.crash_hit "checkpoint.begin";
   let snap = snap_name lsn in
   let snap_path = Filename.concat dir snap in
   let tmp = snap_path ^ ".tmp" in
   rm_rf tmp;
   let* () = Persist.save stor ~dir:tmp in
-  write_side tmp side;
+  write_side tmp st;
   Faults.crash_hit "checkpoint.snapshot";
   if Sys.file_exists snap_path then rm_rf snap_path;
   Sys.rename tmp snap_path;
@@ -237,6 +303,7 @@ let commit_checkpoint ~dir ~wal_config ~stor ~side ~lsn ~old_wal =
 
 let checkpoint t =
   if t.closed then Error "durable store is closed"
+  else if t.group <> None then Error "checkpoint inside an open group"
   else begin
     t.in_checkpoint <- true;
     Fun.protect
@@ -255,8 +322,8 @@ let checkpoint t =
           result
         in
         match
-          commit_checkpoint ~dir:t.dir ~wal_config:t.config.wal ~stor:(storage t)
-            ~side:(List.rev t.side) ~lsn:(Wal.next_lsn t.wal - 1) ~old_wal:(Some t.wal)
+          commit_checkpoint ~dir:t.dir ~wal_config:t.config.wal ~stor:(storage t) ~st:t.st
+            ~lsn:(Wal.next_lsn t.wal - 1) ~old_wal:(Some t.wal)
         with
         | exception Sys_error e -> fin (Error e)
         | exception e ->
@@ -272,34 +339,57 @@ let checkpoint t =
           fin (Ok ()))
   end
 
-(* {1 The journal hooks} *)
+(* {1 Commits}
 
-let log_record t r =
-  (* Fabric records live in the fabric's own delivery journal
-     ([Mirror_fabric.Dlog]), never in the database log. *)
-  (match r with
-  | Record.Fab_route _ | Record.Fab_done _ | Record.Fab_dead _ | Record.Fab_redeliver _ | Record.Fab_atomic _
-    ->
-    invalid_arg "Durable.log_record: fabric record in the database log"
-  | Record.Define _ | Record.Replace _ | Record.Feedback _ | Record.Store_op _ -> ());
+   The one fsync rule: a commit — one record journaled outside a
+   group, or one whole {!atomically} group — is appended as one frame
+   and fsynced before the call returns.  Nothing else fsyncs the log
+   but a segment roll, a checkpoint and close. *)
+
+let commit t r =
   let lsn = Wal.append t.wal (Record.encode r) in
-  (match r with
-  | Record.Feedback _ | Record.Store_op _ -> t.side <- r :: t.side
-  | Record.Define _ | Record.Replace _ | Record.Fab_route _ | Record.Fab_done _
-  | Record.Fab_dead _ | Record.Fab_redeliver _ | Record.Fab_atomic _ -> ());
+  Wal.sync t.wal;
   Trace.event ~attrs:[ ("lsn", string_of_int lsn) ] t.trace "wal.append";
   t.since <- t.since + 1;
   if t.config.checkpoint_every > 0 && t.since >= t.config.checkpoint_every && not t.in_checkpoint
   then
-    (* This hook runs inside Result-returning callers (Storage.define/
+    (* Commits run inside Result-returning callers (Storage.define/
        load, feedback) after their in-memory mutation applied, so an
-       auto-checkpoint failure must not raise through them.  The record
-       itself is already appended — durability holds, only the log
-       truncation failed — so stash the error ([status] surfaces it)
-       and let the next append or the close-time checkpoint retry. *)
+       auto-checkpoint failure must not raise through them.  The
+       commit itself is durable — only the log truncation failed — so
+       stash the error ([status] surfaces it) and let the next commit
+       or the close-time checkpoint retry. *)
     match checkpoint t with
     | Ok () -> ()
     | Error e -> t.last_error <- Some ("auto-checkpoint: " ^ e)
+
+let log_record t r =
+  (match apply ~redo:no_redo t.st r with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Durable: inconsistent record: " ^ e));
+  match t.group with Some rs -> t.group <- Some (r :: rs) | None -> commit t r
+
+let atomically t f =
+  match t.group with
+  | Some _ -> f ()
+  | None ->
+    if t.closed then raise (Sys_error "durable store is closed");
+    t.group <- Some [];
+    let v =
+      match f () with
+      | v -> v
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        t.group <- None;
+        Printexc.raise_with_backtrace e bt
+    in
+    let rs = Option.value ~default:[] t.group in
+    t.group <- None;
+    (match rs with
+    | [] -> ()
+    | [ r ] -> commit t r
+    | rs -> commit t (Record.Fab_atomic (List.rev rs)));
+    v
 
 let install_hooks t =
   Storage.set_journal (storage t)
@@ -314,18 +404,59 @@ let store_journal t tag payload = log_record t (Record.Store_op { tag; payload }
 
 (* {1 Open / recover} *)
 
-let no_recovery = { replayed = 0; wal_end = Wal.Clean; feedback = []; store_ops = [] }
+let recovery_of st ~replayed ~wal_end =
+  let hist = List.rev st.side in
+  {
+    replayed;
+    wal_end;
+    feedback =
+      List.filter_map
+        (function
+          | Record.Feedback { query; judgements } -> Some (query, judgements) | _ -> None)
+        hist;
+    store_ops =
+      List.filter_map
+        (function Record.Store_op { tag; payload } -> Some (tag, payload) | _ -> None)
+        hist;
+  }
 
-let mk t_dir config mir wal ~side ~checkpoint_lsn ~since =
+(* Rebuild the side state of the snapshot [snap] (covering the log up
+   to [lsn]) plus the log suffix.  Read-only. *)
+let replay_dir ~dir ~snap ~lsn ~redo =
+  let st = fresh_state () in
+  let* () = read_side (Filename.concat dir snap) ~redo st in
+  let replayed = ref 0 in
+  let apply_err = ref None in
+  let f rec_lsn payload =
+    if !apply_err = None then
+      match
+        let* r = Record.decode payload in
+        incr replayed;
+        apply ~redo st r
+      with
+      | Ok () -> ()
+      | Error e -> apply_err := Some (Printf.sprintf "record %d: %s" rec_lsn e)
+  in
+  let* next, wal_end = Wal.replay ~dir:(wal_dir dir) ~from_lsn:(lsn + 1) ~f in
+  let* () =
+    match wal_end with
+    | Wal.Corrupt msg -> Error ("WAL corruption: " ^ msg)
+    | Wal.Clean | Wal.Torn _ -> Ok ()
+  in
+  let* () = match !apply_err with Some e -> Error e | None -> Ok () in
+  Ok (st, next, recovery_of st ~replayed:!replayed ~wal_end)
+
+let mk dir config mir st wal ~checkpoint_lsn =
   let t =
     {
-      dir = t_dir;
+      dir;
       config;
       mir;
+      st;
       wal;
       checkpoint_lsn;
-      since;
-      side = List.rev side;
+      since = 0;
+      group = None;
       in_checkpoint = false;
       last_error = None;
       closed = false;
@@ -341,97 +472,49 @@ let init_fresh ~dir ~(config : config) =
   | false -> Sys.mkdir dir 0o755
   | true -> if not (Sys.is_directory dir) then failwith (dir ^ " is not a directory"));
   let mir = Mirror.create () in
+  let st = fresh_state () in
   let* wal, lsn =
-    commit_checkpoint ~dir ~wal_config:config.wal ~stor:(Mirror.storage mir) ~side:[]
-      ~lsn:0 ~old_wal:None
+    commit_checkpoint ~dir ~wal_config:config.wal ~stor:(Mirror.storage mir) ~st ~lsn:0
+      ~old_wal:None
   in
-  Ok (mk dir config mir wal ~side:[] ~checkpoint_lsn:lsn ~since:0, no_recovery)
+  Ok (mk dir config mir st wal ~checkpoint_lsn:lsn, recovery_of st ~replayed:0 ~wal_end:Wal.Clean)
 
 let recover ~dir ~(config : config) =
   let* snap, lsn, next_store = read_meta dir in
-  let snap_path = Filename.concat dir snap in
   let* stor =
     Result.map_error
       (fun e -> Printf.sprintf "snapshot %s: %s" snap e)
-      (Persist.load ~dir:snap_path)
+      (Persist.load ~dir:(Filename.concat dir snap))
   in
   Storage.bump_store_base stor (next_store - 1);
   let mir = Mirror.of_storage stor in
-  (* The snapshot's side-state file restores the Feedback/Store_op
-     history the log no longer holds (their effects are invisible to
-     Persist); the log suffix then appends to it. *)
-  let* snap_side = read_side snap_path in
-  let replayed = ref 0 in
-  let feedback = ref [] in
-  let store_ops = ref [] in
-  let side = ref [] in
-  let note_side r =
-    side := r :: !side;
-    match r with
-    | Record.Feedback { query; judgements } ->
-      Mirror.replay_feedback mir ~query ~judgements;
-      feedback := (query, judgements) :: !feedback
-    | Record.Store_op { tag; payload } -> store_ops := (tag, payload) :: !store_ops
-    | Record.Define _ | Record.Replace _ | Record.Fab_route _ | Record.Fab_done _
-    | Record.Fab_dead _ | Record.Fab_redeliver _ | Record.Fab_atomic _ -> ()
+  let redo r =
+    Result.map_error
+      (fun e -> Printf.sprintf "redo of %s: %s" (Record.describe r) e)
+      (match r with
+      | Record.Define (name, ty) -> Storage.define stor ~name ty
+      | Record.Replace (name, rows) -> Result.map ignore (Storage.load stor ~name rows)
+      | Record.Feedback { query; judgements } ->
+        Mirror.replay_feedback mir ~query ~judgements;
+        Ok ()
+      | _ -> Ok ())
   in
-  List.iter note_side snap_side;
-  let apply_err = ref None in
-  let apply rec_lsn payload =
-    if !apply_err = None then begin
-      let fail fmt = Printf.ksprintf (fun m -> apply_err := Some m) fmt in
-      match Record.decode payload with
-      | Error e -> fail "record %d: %s" rec_lsn e
-      | Ok r -> (
-        incr replayed;
-        match r with
-        | Record.Define (name, ty) -> (
-          match Storage.define stor ~name ty with
-          | Ok () -> ()
-          | Error e -> fail "redo of record %d (%s): %s" rec_lsn (Record.describe r) e)
-        | Record.Replace (name, rows) -> (
-          match Storage.load stor ~name rows with
-          | Ok (_ : int list) -> ()
-          | Error e -> fail "redo of record %d (%s): %s" rec_lsn (Record.describe r) e)
-        | Record.Feedback _ | Record.Store_op _ -> note_side r
-        | Record.Fab_route _ | Record.Fab_done _ | Record.Fab_dead _
-        | Record.Fab_redeliver _ | Record.Fab_atomic _ ->
-          fail "record %d: fabric record in the database log" rec_lsn)
-    end
-  in
-  let* next, wal_end = Wal.replay ~dir:(wal_dir dir) ~from_lsn:(lsn + 1) ~f:apply in
-  let* () =
-    match wal_end with
-    | Wal.Corrupt msg -> Error ("WAL corruption: " ^ msg)
-    | Wal.Clean | Wal.Torn _ -> Ok ()
-  in
-  let* () = match !apply_err with Some e -> Error e | None -> Ok () in
-  let recovery =
-    {
-      replayed = !replayed;
-      wal_end;
-      feedback = List.rev !feedback;
-      store_ops = List.rev !store_ops;
-    }
-  in
+  let* st, next, recovery = replay_dir ~dir ~snap ~lsn ~redo in
   (* A replayed suffix or a torn tail leaves the log ahead of (or
      damaged behind) the snapshot: fold it into a fresh checkpoint so
      the store always restarts from a clean prefix.  The pre-commit
      disk state is untouched until the new CHECKPOINT renames in, so a
      crash during this re-checkpoint just recovers again. *)
-  let side = List.rev !side in
-  if !replayed > 0 || wal_end <> Wal.Clean then begin
+  if recovery.replayed > 0 || recovery.wal_end <> Wal.Clean then
     (* the log's last good record is [next - 1]: make the fresh
        snapshot claim exactly that prefix *)
     let* wal, ck_lsn =
-      commit_checkpoint ~dir ~wal_config:config.wal ~stor ~side ~lsn:(next - 1)
-        ~old_wal:None
+      commit_checkpoint ~dir ~wal_config:config.wal ~stor ~st ~lsn:(next - 1) ~old_wal:None
     in
-    Ok (mk dir config mir wal ~side ~checkpoint_lsn:ck_lsn ~since:0, recovery)
-  end
+    Ok (mk dir config mir st wal ~checkpoint_lsn:ck_lsn, recovery)
   else
     let wal = Wal.create ~config:config.wal ~dir:(wal_dir dir) ~start_lsn:next () in
-    Ok (mk dir config mir wal ~side ~checkpoint_lsn:lsn ~since:0, recovery)
+    Ok (mk dir config mir st wal ~checkpoint_lsn:lsn, recovery)
 
 let open_ ?(config = default_config) ~dir () =
   let t0 = Trace.now () in
@@ -463,18 +546,7 @@ type status = {
   last_error : string option;
   wal_appends : int;
   wal_fsyncs : int;
-  wal_batches : int;
-  fsyncs_per_commit : float;
 }
-
-let wal_stats t = Wal.add_stats t.wal_hist (Wal.stats t.wal)
-
-let sync t =
-  if t.closed then Error "durable store is closed"
-  else
-    match Wal.sync t.wal with
-    | () -> Ok ()
-    | exception Sys_error e -> Error e
 
 let log_stats dir =
   let segs = Wal.segments ~dir:(wal_dir dir) in
@@ -490,7 +562,7 @@ let log_stats dir =
 
 let status t =
   let segments, log_bytes = log_stats t.dir in
-  let ws = wal_stats t in
+  let ws = Wal.add_stats t.wal_hist (Wal.stats t.wal) in
   {
     next_lsn = Wal.next_lsn t.wal;
     checkpoint_lsn = t.checkpoint_lsn;
@@ -501,9 +573,6 @@ let status t =
     last_error = t.last_error;
     wal_appends = ws.Wal.appends;
     wal_fsyncs = ws.Wal.fsyncs;
-    wal_batches = ws.Wal.batches;
-    fsyncs_per_commit =
-      (if ws.Wal.appends = 0 then 0. else float_of_int ws.Wal.fsyncs /. float_of_int ws.Wal.appends);
   }
 
 let inspect ~dir =
@@ -524,10 +593,32 @@ let inspect ~dir =
         (* offline: the writer counters live in the owning process *)
         wal_appends = 0;
         wal_fsyncs = 0;
-        wal_batches = 0;
-        fsyncs_per_commit = 0.;
       },
       wal_end )
+
+type deliveries = {
+  pending : Record.fab_route list;
+  dead_letters : (Record.fab_route * Deadletter.cause * float) list;
+}
+
+let deliveries_of (st : state) =
+  {
+    pending = List.map snd (sorted_bindings st.pending);
+    dead_letters = List.map (fun (_, d) -> (d.route, d.cause, d.at)) (sorted_bindings st.dead);
+  }
+
+let deliveries ~dir =
+  let* snap, lsn, (_ : int) = read_meta dir in
+  let* st, (_ : int), (_ : recovery) = replay_dir ~dir ~snap ~lsn ~redo:no_redo in
+  Ok (deliveries_of st)
+
+let state_keys t =
+  let d = deliveries_of t.st in
+  ( List.map (fun (r : Record.fab_route) -> (r.Record.daemon, r.Record.seq)) d.pending,
+    List.map
+      (fun ((r : Record.fab_route), cause, _) ->
+        (r.Record.daemon, r.Record.seq, Deadletter.cause_tag cause))
+      d.dead_letters )
 
 let certify t =
   let stor = storage t in
@@ -555,22 +646,119 @@ let certify t =
   in
   each (Storage.extents stor)
 
+let release t =
+  Storage.set_journal (storage t) None;
+  Mirror.set_feedback_hook t.mir None;
+  (try Wal.close t.wal with Sys_error _ -> ());
+  t.group <- None;
+  t.closed <- true
+
 let close t =
   if not t.closed then begin
     (* A failed close-time checkpoint loses nothing: every record is
        still in the log (plus the last snapshot's side state), so the
        next open replays it. *)
     (match checkpoint t with Ok () | (Error (_ : string)) -> ());
-    Storage.set_journal (storage t) None;
-    Mirror.set_feedback_hook t.mir None;
-    (try Wal.close t.wal with Sys_error _ -> ());
-    t.closed <- true
+    release t
   end
 
-let abandon t =
-  if not t.closed then begin
-    Storage.set_journal (storage t) None;
-    Mirror.set_feedback_hook t.mir None;
-    (try Wal.close t.wal with Sys_error _ -> ());
-    t.closed <- true
-  end
+let abandon t = if not t.closed then release t
+
+(* {1 The delivery journal} *)
+
+let journal t =
+  let event point r =
+    log_record t r;
+    Faults.crash_hit point
+  in
+  {
+    Orchestrator.routed =
+      (fun daemon (d : Bus.delivery) ->
+        let m = d.Bus.message in
+        event "fabric.route"
+          (Record.Fab_route
+             {
+               Record.daemon;
+               seq = d.Bus.seq;
+               topic = m.Bus.topic;
+               subject = m.Bus.subject;
+               payload = m.Bus.payload;
+               attempts = d.Bus.attempts;
+             }));
+    settled =
+      (fun daemon d -> event "fabric.done" (Record.Fab_done { daemon; seq = d.Bus.seq }));
+    dead =
+      (fun { Deadletter.daemon; delivery; cause; at } ->
+        event "fabric.dead" (Record.Fab_dead { daemon; seq = delivery.Bus.seq; cause; at }));
+    redelivered =
+      (fun e ->
+        event "fabric.redeliver"
+          (Record.Fab_redeliver
+             { daemon = e.Deadletter.daemon; seq = e.Deadletter.delivery.Bus.seq }));
+    (* A crash leaves either the delivery pending with no effects, or
+       done with all of them — never effects without the [Fab_done]. *)
+    atomically =
+      (fun f ->
+        atomically t f;
+        Faults.crash_hit "fabric.settled");
+    abandon = (fun () -> abandon t);
+    close = (fun () -> close t);
+  }
+
+let message_of (fr : Record.fab_route) =
+  { Bus.topic = fr.Record.topic; subject = fr.Record.subject; payload = fr.Record.payload }
+
+let orchestrator ?daemons ?clock ?seed ?config t =
+  let orch = Orchestrator.create ?daemons ?clock ?seed ?config ~journal:(journal t) () in
+  let ctx = Orchestrator.ctx orch in
+  (* Rebuild the metadata store and the dictionary from their
+     histories first, then re-materialize pending deliveries on the
+     bus and dead letters in the queue.  The store and dictionary
+     hooks go in only afterwards, [Bus.inject] bypasses the route hook
+     and [adopt_dead_letter] the journal: replaying {e from} the log
+     must not write back into it. *)
+  let* () =
+    List.fold_left
+      (fun acc r ->
+        let* () = acc in
+        match r with
+        | Record.Store_op { tag; payload } ->
+          Result.map_error
+            (fun e -> Printf.sprintf "journal recovery: store record %S: %s" tag e)
+            (Store.replay ctx.Daemon.store tag payload)
+        | Record.Dict_op op -> (
+          match Dictionary.apply ctx.Daemon.dict op with
+          | () -> Ok ()
+          | exception (Invalid_argument _ | Not_found) ->
+            Error ("journal recovery: cannot replay " ^ Record.describe r))
+        | _ -> Ok ())
+      (Ok ()) (List.rev t.st.side)
+  in
+  Store.set_journal ctx.Daemon.store (Some (store_journal t));
+  Dictionary.set_journal ctx.Daemon.dict (Some (fun op -> log_record t (Record.Dict_op op)));
+  let bus = ctx.Daemon.bus in
+  let d = deliveries_of t.st in
+  List.iter
+    (fun (fr : Record.fab_route) ->
+      ignore
+        (Bus.inject bus ~name:fr.Record.daemon ~seq:fr.Record.seq ~attempts:fr.Record.attempts
+           (message_of fr)))
+    d.pending;
+  List.iter
+    (fun ((fr : Record.fab_route), cause, at) ->
+      Bus.reserve bus ~seq:fr.Record.seq;
+      Orchestrator.adopt_dead_letter orch
+        {
+          Deadletter.daemon = fr.Record.daemon;
+          delivery =
+            {
+              Bus.seq = fr.Record.seq;
+              message = message_of fr;
+              attempts = fr.Record.attempts;
+              deadline = None;
+            };
+          cause;
+          at;
+        })
+    d.dead_letters;
+  Ok orch

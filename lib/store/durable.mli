@@ -1,42 +1,52 @@
 (** The durable metadata store: checkpoint + write-ahead log + redo
-    recovery around a {!Mirror_core.Mirror} database.
+    recovery around a {!Mirror_core.Mirror} database and, when an
+    orchestrator is built over it ({!orchestrator}), the daemons'
+    delivery state — one log for the whole of Fig. 1's metadata
+    database.
 
     On-disk layout of a durable database directory:
 
     {v
     <dir>/CHECKPOINT          commit record: snapshot name, LSN, oid base
     <dir>/snap.<lsn>/         Persist.save snapshot as of that LSN
-    <dir>/snap.<lsn>/side.log full Feedback/Store_op history to date
+    <dir>/snap.<lsn>/side.log everything else the log has changed (below)
     <dir>/wal/                log segments (see Wal)
     v}
 
-    The protocol follows the classic checkpoint+redo recipe: every
-    completed logical update appends one {!Record.t} to the log; a
-    checkpoint writes a fresh snapshot beside the old one and then
-    atomically renames the [CHECKPOINT] metadata file — the single
-    commit point, made durable by fsyncing file contents before each
-    rename and the directory after — before garbage-collecting old
-    snapshots and segments.  Storage records are covered by the
-    snapshot's [Persist.save] state; [Feedback]/[Store_op] records act
-    on session side state the snapshot cannot see, so their entire
-    history rides along in the snapshot's [side.log] and is never lost
-    to log truncation.  {!open_} recovers by loading the snapshot the
-    [CHECKPOINT] names, restoring the side-state history, redoing the
-    log suffix, and (because a torn tail or replayed records leave the
-    log ahead of the snapshot) checkpointing again, so an opened store
-    always starts from a clean prefix. *)
+    {b Commits.}  Every completed logical update journals one
+    {!Record.t}.  A commit is one record journaled outside a group, or
+    one {!atomically} group (a single [Fab_atomic] frame); it is
+    appended as one frame and fsynced before the call returns.
+    Nothing else fsyncs the log but a segment roll, a checkpoint and
+    {!close}.
+
+    {b Checkpoints} follow the classic checkpoint+redo recipe: a fresh
+    snapshot is written beside the old one, then the [CHECKPOINT]
+    metadata file is atomically renamed — the single commit point,
+    made durable by fsyncing file contents before each rename and the
+    directory after — before old snapshots and segments are
+    garbage-collected.  Storage records are covered by the snapshot's
+    [Persist.save] state.  The rest act on state the snapshot cannot
+    see, so the snapshot's [side.log] carries it: the whole
+    Feedback / Store_op / Dict_op history, and the pending and
+    dead-letter deliveries.  {!open_} recovers by loading the snapshot
+    the [CHECKPOINT] names, restoring the side state, redoing the log
+    suffix through the same transition function the live path uses,
+    and (because a torn tail or replayed records leave the log ahead
+    of the snapshot) checkpointing again, so an opened store always
+    starts from a clean prefix. *)
 
 type config = {
   wal : Wal.config;
   checkpoint_every : int;
-      (** auto-checkpoint after this many logged records; 0 = manual
+      (** auto-checkpoint after this many commits; 0 = manual
           checkpoints only *)
 }
 
 val default_config : config
 
 type recovery = {
-  replayed : int;  (** log records redone on top of the snapshot *)
+  replayed : int;  (** log frames redone on top of the snapshot *)
   wal_end : Wal.replay_end;  (** how the scanned log ended *)
   feedback : (string * (string * bool) list) list;
       (** the {e complete} relevance-judgement history (query,
@@ -63,7 +73,8 @@ val open_ : ?config:config -> dir:string -> unit -> (t * recovery, string) resul
 
 val mirror : t -> Mirror_core.Mirror.t
 (** The live database.  All mutations through it (Moa programs,
-    [Storage] loads, feedback) are journaled automatically. *)
+    [Storage] loads, feedback) are journaled automatically, each a
+    commit unless inside {!atomically}. *)
 
 val storage : t -> Mirror_core.Storage.t
 (** Shorthand for [Mirror.storage (mirror t)]. *)
@@ -72,9 +83,19 @@ val store_journal : t -> string -> string -> unit
 (** Journal hook for the daemon pipeline's metadata store: pass as
     [?journal] to {!Mirror_core.Mirror.build_image_library}. *)
 
+val atomically : t -> (unit -> 'a) -> 'a
+(** Run the thunk with its journaled records buffered, then commit
+    them as one [Fab_atomic] frame (a lone record travels bare) and
+    one fsync: the whole group survives a crash or none of it does.
+    Nested groups flatten into the outer one; no checkpoint runs
+    inside a group.  If the thunk raises, nothing it journaled
+    reaches the log and the store must be {!abandon}ed.
+    @raise Sys_error on a closed store (before running the thunk) or
+    when the commit cannot be written or fsynced (see {!Wal.sync}). *)
+
 val set_trace : t -> Mirror_util.Trace.t -> unit
 (** Attach a trace: checkpoints become ["wal.checkpoint"] spans and
-    each append a ["wal.append"] event (default {!Mirror_util.Trace.null}). *)
+    each commit a ["wal.append"] event (default {!Mirror_util.Trace.null}). *)
 
 val checkpoint : t -> (unit, string) result
 (** Snapshot now and truncate the log.  Crash points
@@ -84,7 +105,7 @@ val checkpoint : t -> (unit, string) result
 type status = {
   next_lsn : int;
   checkpoint_lsn : int;
-  since_checkpoint : int;  (** records logged since the checkpoint *)
+  since_checkpoint : int;  (** commits logged since the checkpoint *)
   segments : int;
   log_bytes : int;
   snapshot : string;  (** current snapshot directory name *)
@@ -93,31 +114,18 @@ type status = {
           cleared by a later successful checkpoint.  Auto-checkpoints
           run inside journal hooks, whose Result-returning callers
           must not see an exception for an operation that already
-          applied and logged; failures land here instead (the log
+          applied and committed; failures land here instead (the log
           keeps everything, so nothing is lost — compaction is merely
           deferred). *)
-  wal_appends : int;  (** records logged over the store's lifetime *)
-  wal_fsyncs : int;  (** fsync calls paid for them *)
-  wal_batches : int;  (** group commits (fsyncs covering >= 1 record) *)
-  fsyncs_per_commit : float;
-      (** [wal_fsyncs / wal_appends] (0 before any append): 1.0 under
-          record-at-a-time commit, below 1.0 once group commit batches
-          several appends per fsync.  Counters span checkpoint-time
-          writer swaps; {!inspect} reports them as zero (they live in
-          the owning process, not on disk). *)
+  wal_appends : int;  (** frames logged over the store's lifetime *)
+  wal_fsyncs : int;
+      (** fsync calls paid for them: one per commit, plus segment
+          rolls, checkpoints and close.  Both counters span
+          checkpoint-time writer swaps; {!inspect} reports them as
+          zero (they live in the owning process, not on disk). *)
 }
 
 val status : t -> status
-
-val wal_stats : t -> Wal.stats
-(** Lifetime group-commit counters (live writer plus every writer
-    retired by a checkpoint). *)
-
-val sync : t -> (unit, string) result
-(** Force an fsync of the log now, regardless of [fsync_batch] — the
-    serving tier's group-commit point: batch several journaled writes,
-    [sync], and only then publish their effects.  [Error] on a
-    poisoned writer (see {!Wal.sync}) or a closed store. *)
 
 val inspect : dir:string -> (status * Wal.replay_end, string) result
 (** Read-only view of a durable directory without opening it: parse
@@ -131,6 +139,51 @@ val certify : t -> (unit, string) result
     execute it (flattened kernel vs naive object-at-a-time), so a
     recovered database that would answer queries differently from its
     logical contents is rejected. *)
+
+(** {1 The delivery journal} *)
+
+val journal : t -> Mirror_daemon.Orchestrator.journal
+(** The orchestrator's delivery state machine journaled into this
+    log: routes, settlements ({!atomically}, with the writes they
+    apply), dead letters and redeliveries, each a commit.  Crash
+    points ["fabric.route"/"done"/"dead"/"redeliver"/"settled"] follow
+    each event. *)
+
+val orchestrator :
+  ?daemons:Mirror_daemon.Daemon.t list ->
+  ?clock:Mirror_util.Clock.t ->
+  ?seed:int ->
+  ?config:Mirror_daemon.Orchestrator.config ->
+  t ->
+  (Mirror_daemon.Orchestrator.t, string) result
+(** Build an orchestrator (on either transport) that journals through
+    {!journal}, its store writes and dictionary changes included.  If
+    the store was recovered from a crashed instance, the store and
+    dictionary histories are replayed into the fresh context first,
+    journaled in-flight deliveries go back on the bus (original
+    sequence ids and attempt counts) and dead letters back into the
+    queue — the exact state the crashed instance had journaled.
+    Footage is not journaled: the media server is a separate party,
+    and the caller re-serves it.  {!Mirror_daemon.Orchestrator.shutdown}
+    closes the store.  Build at most one per store. *)
+
+type deliveries = {
+  pending : Record.fab_route list;  (** sorted by (daemon, seq) *)
+  dead_letters : (Record.fab_route * Mirror_daemon.Deadletter.cause * float) list;
+      (** (route, cause, time), sorted by (daemon, seq) *)
+}
+
+val deliveries : dir:string -> (deliveries, string) result
+(** Read-only recovery of a directory's pending and dead-letter sets
+    (for [daemons deadletters]): snapshot side state plus log suffix,
+    without writing anything. *)
+
+val state_keys : t -> (string * int) list * (string * int * string) list
+(** Canonical fingerprint of the journaled delivery state — pending
+    keys and (daemon, seq, cause tag) of each dead letter, both
+    sorted — comparable with {!Mirror_daemon.Orchestrator.state_keys}. *)
+
+(** {1 Closing} *)
 
 val close : t -> unit
 (** Checkpoint (best effort) and release the log. *)

@@ -2,8 +2,8 @@ module Atom = Mirror_bat.Atom
 module Types = Mirror_core.Types
 module Value = Mirror_core.Value
 module Parser = Mirror_core.Parser
-
-type fab_cause = Fab_failed of string | Fab_expired of string | Fab_overflow
+module Deadletter = Mirror_daemon.Deadletter
+module Dictionary = Mirror_daemon.Dictionary
 
 type fab_route = {
   daemon : string;
@@ -19,9 +19,10 @@ type t =
   | Replace of string * Value.t list
   | Feedback of { query : string; judgements : (string * bool) list }
   | Store_op of { tag : string; payload : string }
+  | Dict_op of Dictionary.op
   | Fab_route of fab_route
   | Fab_done of { daemon : string; seq : int }
-  | Fab_dead of { daemon : string; seq : int; cause : fab_cause; at : float }
+  | Fab_dead of { daemon : string; seq : int; cause : Deadletter.cause; at : float }
   | Fab_redeliver of { daemon : string; seq : int }
   | Fab_atomic of t list
 
@@ -102,6 +103,12 @@ let rec encode r =
     Buffer.add_char buf 'N';
     add_str buf tag;
     add_str buf payload
+  | Dict_op (Dictionary.Registered { name; schema; owner }) ->
+    Buffer.add_string buf "Er";
+    List.iter (add_str buf) [ name; schema; owner ]
+  | Dict_op (Dictionary.Evolved { name; schema; by }) ->
+    Buffer.add_string buf "Ee";
+    List.iter (add_str buf) [ name; schema; by ]
   | Fab_route { daemon; seq; topic; subject; payload; attempts } ->
     Buffer.add_char buf 'Q';
     add_str buf daemon;
@@ -124,13 +131,13 @@ let rec encode r =
     add_str buf daemon;
     add_int buf seq;
     (match cause with
-    | Fab_failed msg ->
+    | Deadletter.Failed msg ->
       Buffer.add_char buf 'f';
       add_str buf msg
-    | Fab_expired st ->
+    | Deadletter.Expired st ->
       Buffer.add_char buf 'e';
       add_str buf st
-    | Fab_overflow -> Buffer.add_char buf 'o');
+    | Deadletter.Overflow -> Buffer.add_char buf 'o');
     Buffer.add_int64_le buf (Int64.bits_of_float at)
   | Fab_redeliver { daemon; seq } ->
     Buffer.add_char buf 'B';
@@ -245,6 +252,19 @@ let rec decode payload =
       let tag = read_str c in
       let payload = read_str c in
       Ok (Store_op { tag; payload })
+    | 'E' -> (
+      match read_char c with
+      | 'r' ->
+        let name = read_str c in
+        let schema = read_str c in
+        let owner = read_str c in
+        Ok (Dict_op (Dictionary.Registered { name; schema; owner }))
+      | 'e' ->
+        let name = read_str c in
+        let schema = read_str c in
+        let by = read_str c in
+        Ok (Dict_op (Dictionary.Evolved { name; schema; by }))
+      | ch -> Error (Printf.sprintf "unknown dictionary change %C" ch))
     | 'Q' ->
       let daemon = read_str c in
       let seq = read_int c in
@@ -268,9 +288,9 @@ let rec decode payload =
       let seq = read_int c in
       let cause =
         match read_char c with
-        | 'f' -> Fab_failed (read_str c)
-        | 'e' -> Fab_expired (read_str c)
-        | 'o' -> Fab_overflow
+        | 'f' -> Deadletter.Failed (read_str c)
+        | 'e' -> Deadletter.Expired (read_str c)
+        | 'o' -> Deadletter.Overflow
         | ch -> raise (Bad (Printf.sprintf "unknown dead-letter cause %C" ch))
       in
       need c 8;
@@ -302,16 +322,14 @@ let describe = function
     Printf.sprintf "feedback %S (%d judgements)" query (List.length judgements)
   | Store_op { tag; payload } ->
     Printf.sprintf "store-op %s (%d bytes)" tag (String.length payload)
+  | Dict_op (Dictionary.Registered { name; owner; _ }) ->
+    Printf.sprintf "dict-op register %s by %s" name owner
+  | Dict_op (Dictionary.Evolved { name; by; _ }) ->
+    Printf.sprintf "dict-op evolve %s by %s" name by
   | Fab_route { daemon; seq; topic; _ } ->
     Printf.sprintf "fab-route #%d %s -> %s" seq topic daemon
   | Fab_done { daemon; seq } -> Printf.sprintf "fab-done #%d @ %s" seq daemon
   | Fab_dead { daemon; seq; cause; _ } ->
-    let c =
-      match cause with
-      | Fab_failed _ -> "failed"
-      | Fab_expired _ -> "expired"
-      | Fab_overflow -> "overflow"
-    in
-    Printf.sprintf "fab-dead #%d @ %s (%s)" seq daemon c
+    Printf.sprintf "fab-dead #%d @ %s (%s)" seq daemon (Deadletter.cause_tag cause)
   | Fab_redeliver { daemon; seq } -> Printf.sprintf "fab-redeliver #%d @ %s" seq daemon
   | Fab_atomic rs -> Printf.sprintf "fab-atomic (%d records)" (List.length rs)

@@ -3,23 +3,16 @@
     The log is *logical*: each record describes one completed update
     at the storage-manager level (extent DDL, whole-extent replacement
     — the copying DML discipline of {!Mirror_core.Storage} makes that
-    the natural granularity), one relevance-feedback judgement, or one
-    opaque daemon-store write.  Redo is idempotent by construction:
-    [Replace] carries the complete post-state of the extent, so
+    the natural granularity), one relevance-feedback judgement, one
+    opaque daemon-store write, one data-dictionary change, or one step
+    of the orchestrator's delivery state machine.  Redo is idempotent
+    by construction: [Replace] carries the complete post-state of the extent, so
     applying a record twice (or applying it to a state that already
     includes it) converges to the same database.
 
     The codec round-trips exactly: floats travel as their IEEE-754
     bits, strings length-prefixed, so a replayed database is
     bit-for-bit the one that was logged. *)
-
-type fab_cause = Fab_failed of string | Fab_expired of string | Fab_overflow
-(** Why a delivery was dead-lettered — mirrors
-    {!Mirror_daemon.Deadletter.cause} without depending on it (this
-    library sits {e below} the fabric in the dependency order).
-    [Fab_failed] carries the raising exception's text (arbitrary
-    bytes, newlines included); [Fab_expired] the breaker state at
-    expiry. *)
 
 type fab_route = {
   daemon : string;  (** Destination subscriber. *)
@@ -41,22 +34,34 @@ type t =
   | Store_op of { tag : string; payload : string }
       (** A daemon metadata-store write ({!Mirror_daemon.Store}
           journal record), kept opaque here. *)
+  | Dict_op of Mirror_daemon.Dictionary.op
+      (** A settled data-dictionary change (schema evolution). *)
   | Fab_route of fab_route
       (** A delivery was routed to a daemon (now pending). *)
   | Fab_done of { daemon : string; seq : int }
       (** The delivery was handled (or dropped); no longer pending. *)
-  | Fab_dead of { daemon : string; seq : int; cause : fab_cause; at : float }
-      (** The pending delivery moved to the dead-letter queue. *)
+  | Fab_dead of {
+      daemon : string;
+      seq : int;
+      cause : Mirror_daemon.Deadletter.cause;
+      at : float;
+    }
+      (** The pending delivery moved to the dead-letter queue.  A
+          [Failed] cause carries the raising exception's text
+          (arbitrary bytes, newlines included), [Expired] the breaker
+          state at expiry. *)
   | Fab_redeliver of { daemon : string; seq : int }
       (** The dead letter moved back to pending with a fresh retry
           budget — one atomic record, so a crash between "take" and
           "requeue" can neither lose nor duplicate the letter. *)
   | Fab_atomic of t list
-      (** A group of records that commits as one WAL frame — the
-          fabric journals a delivery's settlement (store writes,
-          downstream routes, the [Fab_done]) this way, so a crash can
-          lose the whole settlement or none of it, never leave the
-          delivery pending with its effects already applied. *)
+      (** A group of records that commits as one WAL frame
+          ({!Durable.atomically}).  The orchestrator journals a
+          delivery's settlement (store and dictionary writes,
+          downstream routes, the [Fab_done]) this way, and the serving
+          tier a write batch, so a crash loses the whole group or none
+          of it — never a delivery left pending with its effects
+          already applied, nor half a batch. *)
 
 val encode : t -> string
 (** Serialise to the WAL payload form. *)

@@ -3,9 +3,9 @@ module Faults = Mirror_daemon.Faults
 module Fsx = Mirror_util.Fsx
 module Metrics = Mirror_util.Metrics
 
-type config = { segment_bytes : int; fsync_batch : int }
+type config = { segment_bytes : int }
 
-let default_config = { segment_bytes = 1 lsl 20; fsync_batch = 1 }
+let default_config = { segment_bytes = 1 lsl 20 }
 
 (* Frames over [max_record] are rejected on both sides: the writer
    never produces them, so on replay an implausible length field is
@@ -27,16 +27,10 @@ let segments ~dir =
 
 (* {1 Appending} *)
 
-type stats = { appends : int; fsyncs : int; batches : int }
+type stats = { appends : int; fsyncs : int }
 
-let zero_stats = { appends = 0; fsyncs = 0; batches = 0 }
-
-let add_stats a b =
-  {
-    appends = a.appends + b.appends;
-    fsyncs = a.fsyncs + b.fsyncs;
-    batches = a.batches + b.batches;
-  }
+let zero_stats = { appends = 0; fsyncs = 0 }
+let add_stats a b = { appends = a.appends + b.appends; fsyncs = a.fsyncs + b.fsyncs }
 
 type t = {
   dir : string;
@@ -44,11 +38,10 @@ type t = {
   mutable oc : out_channel;
   mutable seg_bytes : int;
   mutable next : int;
-  mutable unsynced : int;
+  mutable dirty : bool;  (* appended since the last fsync *)
   mutable broken : string option;
   mutable appends : int;
   mutable fsyncs : int;
-  mutable batches : int;
 }
 
 let open_segment dir first_lsn =
@@ -66,14 +59,13 @@ let create ?(config = default_config) ~dir ~start_lsn () =
     oc = open_segment dir start_lsn;
     seg_bytes = 0;
     next = start_lsn;
-    unsynced = 0;
+    dirty = false;
     broken = None;
     appends = 0;
     fsyncs = 0;
-    batches = 0;
   }
 
-let stats t = { appends = t.appends; fsyncs = t.fsyncs; batches = t.batches }
+let stats t = { appends = t.appends; fsyncs = t.fsyncs }
 
 let next_lsn t = t.next
 
@@ -94,11 +86,12 @@ let sync t =
      t.broken <- Some m;
      raise (Sys_error m));
   t.fsyncs <- t.fsyncs + 1;
-  if t.unsynced > 0 then t.batches <- t.batches + 1;
-  t.unsynced <- 0
+  t.dirty <- false
 
+(* A segment is left (rolled or closed) fsynced; with the owner
+   syncing every commit there is nothing left to sync. *)
 let roll t =
-  sync t;
+  if t.dirty then sync t;
   close_out t.oc;
   t.oc <- open_segment t.dir t.next;
   t.seg_bytes <- 0
@@ -125,9 +118,9 @@ let append t payload =
   t.seg_bytes <- t.seg_bytes + Bytes.length b;
   let lsn = t.next in
   t.next <- lsn + 1;
-  t.unsynced <- t.unsynced + 1;
   t.appends <- t.appends + 1;
-  if t.unsynced >= t.config.fsync_batch then sync t else flush t.oc;
+  t.dirty <- true;
+  flush t.oc;
   if Metrics.enabled () then begin
     Metrics.incr "wal.append";
     Metrics.incr ~by:(Bytes.length b) "wal.bytes"
@@ -138,7 +131,7 @@ let close t =
   match t.broken with
   | Some _ -> close_out_noerr t.oc
   | None ->
-    sync t;
+    if t.dirty then sync t;
     close_out t.oc
 
 (* Strict scan of a framed byte string (no torn-tail allowance): used

@@ -20,26 +20,19 @@
 
 type config = {
   segment_bytes : int;  (** roll to a new segment past this size *)
-  fsync_batch : int;
-      (** group commit: fsync once per this many appends (1 = every
-          record; the OS-level write still happens on every append) *)
 }
 
 val default_config : config
-(** 1 MiB segments, fsync on every append. *)
+(** 1 MiB segments. *)
 
-(** {1 Appending} *)
+(** {1 Appending}
+
+    An append only writes (the frame reaches the OS); the writer's
+    owner decides when to {!sync}.  {!Durable} syncs once per commit. *)
 
 type stats = {
   appends : int;  (** records appended through this writer *)
   fsyncs : int;  (** successful fsync calls *)
-  batches : int;
-      (** fsyncs that made at least one append durable — a {e group
-          commit}.  With [fsync_batch = 1] this tracks [appends]; with
-          a larger batch (or explicit {!sync} calls covering several
-          appends) [appends / batches] is the mean group size and
-          [fsyncs / appends] the mean fsyncs paid per committed
-          record. *)
 }
 
 val zero_stats : stats
@@ -62,7 +55,7 @@ val create : ?config:config -> dir:string -> start_lsn:int -> unit -> t
 
 val append : t -> string -> int
 (** Append one record, returning its LSN.  The frame is flushed to the
-    OS on every append and fsynced per {!config.fsync_batch}.  Honours
+    OS, not fsynced.  Honours
     {!Mirror_daemon.Faults.write_allowance}: a torn-write fault writes
     a prefix of the frame and raises {!Mirror_daemon.Faults.Crash}.
     Raises [Sys_error] on a poisoned writer (see {!sync}). *)
@@ -71,15 +64,15 @@ val next_lsn : t -> int
 (** LSN the next {!append} will return. *)
 
 val sync : t -> unit
-(** Flush and fsync now, regardless of batching.  A failed fsync
-    raises [Sys_error] {e and poisons the writer} — after one failure
-    the kernel may have dropped the dirty pages while reporting the
-    error only once, so a later fsync succeeding proves nothing;
-    every subsequent {!append}/{!sync} raises too.  The unsynced
-    counter is {e not} reset on failure. *)
+(** Flush and fsync now.  A failed fsync raises [Sys_error] {e and
+    poisons the writer} — after one failure the kernel may have
+    dropped the dirty pages while reporting the error only once, so a
+    later fsync succeeding proves nothing; every subsequent
+    {!append}/{!sync} raises too. *)
 
 val close : t -> unit
-(** Sync and close the current segment.  A poisoned writer is closed
+(** Close the current segment, syncing it first if anything appended
+    is not yet fsynced (a segment roll does the same).  A poisoned writer is closed
     without the final sync (its appends are not durable anyway). *)
 
 val frame : string -> bytes

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Pin the exit codes of `mirror_cli daemons health|redeliver|deadletters`
-# on both delivery transports (in process and forked workers), and check
-# that `--durable DIR` journals on both.
+# on both delivery transports (in process and forked workers), check
+# that `--durable DIR` journals on both, and that the journal is the
+# durable store's one log (`deadletters` and `wal status` read it).
 #
 #   usage: cli_exit_codes.sh PATH/TO/mirror_cli.exe
 #
@@ -13,18 +14,25 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 n=0
 
-# check WANT ARGS... — run in the background, record a mismatch
+# run WANT ARGS... — record a mismatch as fail.$n
+run() {
+  want=$1
+  shift
+  "$cli" "$@" >/dev/null 2>&1
+  got=$?
+  if [ "$got" != "$want" ]; then
+    echo "mirror_cli $*: exit $got, expected $want" >"$tmp/fail.$n"
+  fi
+}
+
+# check WANT ARGS... — in the background; expect WANT ARGS... — now
 check() {
   n=$((n + 1))
-  (
-    want=$1
-    shift
-    "$cli" "$@" >/dev/null 2>&1
-    got=$?
-    if [ "$got" != "$want" ]; then
-      echo "mirror_cli $*: exit $got, expected $want" >"$tmp/fail.$n"
-    fi
-  ) &
+  run "$@" &
+}
+expect() {
+  n=$((n + 1))
+  run "$@"
 }
 
 for procs in 0 2; do
@@ -44,6 +52,12 @@ for procs in 0 2; do
       >"$tmp/fail.journal$procs"
   fi
 done
+
+# One on-disk format: the dead letters a durable run journals are read
+# back offline from the same log, which `wal status` accepts.
+expect 3 daemons health --break annotation-indexer --procs 0 --durable "$tmp/one"
+expect 3 daemons deadletters --durable "$tmp/one"
+expect 0 wal status "$tmp/one"
 
 status=0
 for f in "$tmp"/fail.*; do

@@ -33,8 +33,8 @@ module Faults = Mirror_daemon.Faults
 module Supervisor = Mirror_daemon.Supervisor
 module Deadletter = Mirror_daemon.Deadletter
 module Orchestrator = Mirror_daemon.Orchestrator
-module Fabric = Mirror_fabric.Fabric
-module Dlog = Mirror_fabric.Dlog
+module Dictionary = Mirror_daemon.Dictionary
+module Durable = Mirror_store.Durable
 
 let posix = Sys.unix
 let schedules = 500
@@ -43,6 +43,13 @@ let process_schedules =
   match Sys.getenv_opt "MIRROR_PCHAOS_FULL" with Some _ -> 500 | None -> 50
 
 let ok = function Ok v -> v | Error e -> Alcotest.fail e
+
+(* Open (or recover) the durable store in [dir] and build the
+   orchestrator that journals through it. *)
+let open_durable ?daemons ?(checkpoint_every = 0) ~config ?seed ~dir () =
+  let config' = { Durable.default_config with Durable.checkpoint_every } in
+  let d, (_ : Durable.recovery) = ok (Durable.open_ ~config:config' ~dir ()) in
+  (ok (Durable.orchestrator ?daemons ~config ?seed d), d)
 
 let rec rm_rf path =
   match Sys.is_directory path with
@@ -123,6 +130,11 @@ let run_with_restarts orch =
     | exception Faults.Crash _ when n < 20 -> attempt (n + 1)
   in
   attempt 0
+
+(* Every extent's schema history in the data dictionary. *)
+let dictionary orch =
+  let dict = (Orchestrator.ctx orch).Daemon.dict in
+  List.map (fun name -> (name, Dictionary.history dict name)) (Dictionary.extents dict)
 
 let baseline =
   lazy
@@ -318,12 +330,12 @@ let test_durable_round_trip () =
       (fun procs ->
         with_temp_dir @@ fun dir ->
         Faults.reset_faults ();
-        let orch, _ = ok (Fabric.open_durable ~config:(config procs) ~dir ()) in
+        let orch, _ = open_durable ~config:(config procs) ~dir () in
         ingest orch;
         assert (Orchestrator.run orch).Orchestrator.quiescent;
         let d = digest orch in
         Orchestrator.shutdown orch;
-        let orch2, _ = ok (Fabric.open_durable ~config:(config procs) ~dir ()) in
+        let orch2, _ = open_durable ~config:(config procs) ~dir () in
         let pending, dead = Orchestrator.state_keys orch2 in
         let label = Printf.sprintf "procs %d: %s" procs in
         Alcotest.(check bool) (label "no pending after clean shutdown") true (pending = []);
@@ -347,11 +359,11 @@ let crash_points =
     "fabric.route";
     "fabric.done";
     "fabric.settled";
-    "fabric.checkpoint.snapshot";
-    "fabric.checkpoint.rename";
-    "fabric.checkpoint.meta";
-    "fabric.checkpoint.commit";
-    "fabric.checkpoint.gc";
+    "checkpoint.snapshot";
+    "checkpoint.rename";
+    "checkpoint.meta";
+    "checkpoint.commit";
+    "checkpoint.gc";
   |]
 
 let run_crash_schedule ~procs seed =
@@ -360,7 +372,7 @@ let run_crash_schedule ~procs seed =
   let g = Prng.create (0xCAFE + (seed * 31)) in
   let config = config procs in
   let checkpoint_every = 4 + Prng.int g 8 in
-  let orch, _ = ok (Fabric.open_durable ~config ~seed ~checkpoint_every ~dir ()) in
+  let orch, _ = open_durable ~config ~seed ~checkpoint_every ~dir () in
   ingest orch;
   let point = crash_points.(Prng.int g (Array.length crash_points)) in
   Faults.arm_crash point ~after:(Prng.int g 25);
@@ -377,9 +389,9 @@ let run_crash_schedule ~procs seed =
   else begin
     (* [run] killed the workers and abandoned the journal before
        re-raising; the directory is now exactly a crashed instance. *)
-    let orch2, dl = ok (Fabric.open_durable ~config ~seed ~dir ()) in
+    let orch2, d = open_durable ~config ~seed ~dir () in
     reingest_media orch2;
-    if Orchestrator.state_keys orch2 <> Dlog.state_keys dl then
+    if Orchestrator.state_keys orch2 <> Durable.state_keys d then
       Alcotest.failf "schedule %d, procs %d: recovered live state diverges from journal" seed
         procs;
     let final = recover_to_convergence ~probing:true ~seed orch2 in
@@ -388,6 +400,52 @@ let run_crash_schedule ~procs seed =
       Alcotest.failf "schedule %d, procs %d: post-crash recovery did not converge (point %s)"
         seed procs point;
     Orchestrator.shutdown orch2
+  end
+
+(* The data dictionary is journaled with the settlement that changes
+   it: whichever settlement the orchestrator dies after, the recovered
+   instance ends with the uncrashed run's schema history — the
+   clusterer's evolution neither lost nor applied twice.  In process
+   every settlement is a crash point; on two workers every fifth. *)
+let test_crash_keeps_dictionary () =
+  if posix then begin
+    let uncrashed =
+      let orch = Orchestrator.create () in
+      ingest orch;
+      assert (run_with_restarts orch).Orchestrator.quiescent;
+      dictionary orch
+    in
+    List.iter
+      (fun (procs, stride) ->
+        let config = config procs in
+        let rec from k =
+          let crashed =
+            with_temp_dir @@ fun dir ->
+            Faults.reset_faults ();
+            let orch, _ = open_durable ~config ~dir () in
+            ingest orch;
+            Faults.arm_crash "fabric.settled" ~after:k;
+            let orch, crashed =
+              match Orchestrator.run orch with
+              | _ -> (orch, false)
+              | exception Faults.Crash _ ->
+                Faults.reset_faults ();
+                let orch2, _ = open_durable ~config ~dir () in
+                reingest_media orch2;
+                ignore (recover_to_convergence ~probing:true ~seed:k orch2);
+                (orch2, true)
+            in
+            Faults.reset_faults ();
+            if dictionary orch <> uncrashed then
+              Alcotest.failf "procs %d, crash after settlement %d: dictionary history diverges"
+                procs k;
+            Orchestrator.shutdown orch;
+            crashed
+          in
+          if crashed then from (k + stride)
+        in
+        from 0)
+      [ (0, 1); (2, 5) ]
   end
 
 let test_crash_schedules () =
@@ -416,7 +474,7 @@ let test_crash_mid_redelivery () =
     Faults.reset_faults ();
     let config = config 2 in
     let daemon, _heal = Faults.breakable (echo_daemon ()) in
-    let orch, dl = ok (Fabric.open_durable ~daemons:[ daemon ] ~config ~dir ()) in
+    let orch, d = open_durable ~daemons:[ daemon ] ~config ~dir () in
     let ctx = Orchestrator.ctx orch in
     for i = 0 to 4 do
       Store.register_doc ctx.Daemon.store ~doc:i ~url:(Printf.sprintf "echo://%d" i);
@@ -434,10 +492,10 @@ let test_crash_mid_redelivery () =
     List.iter
       (fun (id, pid, _) -> if pid <> None then ignore (Orchestrator.kill_worker orch id))
       (Orchestrator.workers orch);
-    Dlog.abandon dl;
+    Durable.abandon d;
     (* recover with a healed incarnation of the daemon *)
     let daemon2, heal2 = Faults.breakable (echo_daemon ()) in
-    let orch2, dl2 = ok (Fabric.open_durable ~daemons:[ daemon2 ] ~config ~dir ()) in
+    let orch2, d2 = open_durable ~daemons:[ daemon2 ] ~config ~dir () in
     heal2 true;
     let pending', dead' = Orchestrator.state_keys orch2 in
     Alcotest.(check int) "exactly three letters replayed to pending" 3 (List.length pending');
@@ -446,7 +504,7 @@ let test_crash_mid_redelivery () =
     let keys0 = List.sort compare (List.map (fun (n, s, _) -> (n, s)) dead0) in
     Alcotest.(check bool) "no letter lost or duplicated" true (keys = keys0);
     Alcotest.(check bool) "live state equals journal state" true
-      (Orchestrator.state_keys orch2 = Dlog.state_keys dl2);
+      (Orchestrator.state_keys orch2 = Durable.state_keys d2);
     (* drain the replayed three, then redeliver and drain the rest *)
     assert (Orchestrator.run orch2).Orchestrator.quiescent;
     ignore (Orchestrator.redeliver orch2);
@@ -481,5 +539,7 @@ let () =
           Alcotest.test_case "durable round trip" `Quick test_durable_round_trip;
           Alcotest.test_case "orchestrator crash schedules" `Quick test_crash_schedules;
           Alcotest.test_case "crash mid-redelivery is exact" `Quick test_crash_mid_redelivery;
+          Alcotest.test_case "orchestrator crash keeps the dictionary" `Quick
+            test_crash_keeps_dictionary;
         ] );
     ]

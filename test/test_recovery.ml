@@ -324,7 +324,7 @@ let test_missing_segment_detected () =
       let config =
         {
           Durable.default_config with
-          Durable.wal = { Wal.default_config with Wal.segment_bytes = 32 };
+          Durable.wal = { Wal.segment_bytes = 32 };
         }
       in
       (match Durable.open_ ~config ~dir () with
@@ -490,43 +490,137 @@ let test_side_state_survives_auto_checkpoint () =
           r.Durable.feedback;
         Durable.close t)
 
-(* {1 Group-commit observability}
+(* {1 Commits and fsyncs}
 
-   With [fsync_batch = 8] a run of journaled writes must pay well
-   under one fsync per committed record, the explicit [Durable.sync]
-   must close the open batch, and the counters must survive the
-   checkpoint-time writer swap (the durable store accumulates retired
-   writers' stats). *)
+   A commit is one record journaled outside a group, or one
+   [atomically] group; each is one frame and one fsync, paid before
+   the call returns.  The counters must survive the checkpoint-time
+   writer swap (the durable store accumulates retired writers'
+   stats). *)
 let test_group_commit_stats () =
   with_temp_dir (fun dir ->
-      let config =
-        {
-          Durable.default_config with
-          Durable.wal = { Wal.default_config with Wal.fsync_batch = 8 };
-        }
-      in
-      match Durable.open_ ~config ~dir () with
-      | Error e -> Alcotest.fail e
-      | Ok (t, _) ->
-        apply_durable t (Exec (Printf.sprintf "define T as %s;" schema_src));
-        for i = 1 to 20 do
-          apply_durable t (Exec (Printf.sprintf "insert into T tuple(a: %d, s: {%d});" i i))
-        done;
-        ok (Durable.sync t);
-        let s = Durable.status t in
-        Alcotest.(check int) "every journaled record counted" 21 s.Durable.wal_appends;
-        Alcotest.(check bool) "group commit: fewer fsyncs than appends" true
-          (s.Durable.wal_fsyncs < s.Durable.wal_appends);
-        Alcotest.(check bool) "at least one batch closed" true (s.Durable.wal_batches >= 1);
-        Alcotest.(check bool) "mean fsyncs per commit below 1" true
-          (s.Durable.fsyncs_per_commit < 1.0);
-        ok (Durable.checkpoint t);
-        let s' = Durable.status t in
-        Alcotest.(check int) "appends survive the checkpoint writer swap" 21
-          s'.Durable.wal_appends;
-        Alcotest.(check bool) "fsyncs accumulate across the swap" true
-          (s'.Durable.wal_fsyncs >= s.Durable.wal_fsyncs);
-        Durable.close t)
+      let t, _ = ok (Durable.open_ ~dir ()) in
+      let s0 = Durable.status t in
+      apply_durable t (Exec (Printf.sprintf "define T as %s;" schema_src));
+      for i = 1 to 20 do
+        apply_durable t (Exec (Printf.sprintf "insert into T tuple(a: %d, s: {%d});" i i))
+      done;
+      let s = Durable.status t in
+      Alcotest.(check int) "N single-record commits: N appends" 21
+        (s.Durable.wal_appends - s0.Durable.wal_appends);
+      Alcotest.(check int) "N single-record commits: N fsyncs" 21
+        (s.Durable.wal_fsyncs - s0.Durable.wal_fsyncs);
+      Durable.atomically t (fun () ->
+          for i = 21 to 28 do
+            apply_durable t (Exec (Printf.sprintf "insert into T tuple(a: %d, s: {%d});" i i))
+          done);
+      let s' = Durable.status t in
+      Alcotest.(check int) "a group of N records is one append" 1
+        (s'.Durable.wal_appends - s.Durable.wal_appends);
+      Alcotest.(check int) "a group of N records is one fsync" 1
+        (s'.Durable.wal_fsyncs - s.Durable.wal_fsyncs);
+      Durable.atomically t ignore;
+      Alcotest.(check int) "an empty group costs nothing" s'.Durable.wal_fsyncs
+        (Durable.status t).Durable.wal_fsyncs;
+      ok (Durable.checkpoint t);
+      let s'' = Durable.status t in
+      Alcotest.(check int) "appends survive the checkpoint writer swap"
+        s'.Durable.wal_appends s''.Durable.wal_appends;
+      Alcotest.(check bool) "fsyncs accumulate across the swap" true
+        (s''.Durable.wal_fsyncs >= s'.Durable.wal_fsyncs);
+      Durable.close t;
+      (* the group replays as a whole *)
+      let t, r = ok (Durable.open_ ~dir ()) in
+      Alcotest.(check int) "clean reopen replays nothing" 0 r.Durable.replayed;
+      (match Eval.query_value (Durable.storage t) (Expr.Extent "T") with
+      | Ok (Mirror_core.Value.VSet rows) ->
+        Alcotest.(check int) "every grouped insert recovered" 28 (List.length rows)
+      | Ok _ | Error _ -> Alcotest.fail "cannot read T back");
+      Durable.close t)
+
+(* {1 The serving tier's group commit} *)
+
+module Serve = Mirror_serve.Serve
+
+let serve_writes d srcs =
+  let ok_serve r = ok (Result.map_error Serve.error_to_string r) in
+  let sv = Serve.local ~durable:d (Durable.mirror d) in
+  let s = ok_serve (Serve.open_session sv) in
+  List.iter (fun src -> ignore (ok_serve (Serve.submit sv s (Serve.Exec src)) : int)) srcs;
+  Serve.drain sv;
+  List.iter
+    (fun (_, reply) ->
+      match reply with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "write refused: %s" (Serve.error_to_string e))
+    (Serve.replies s)
+
+(* A Serve batch of k writes (each a delete and an insert, so 2k
+   records) costs one frame and one fsync. *)
+let test_serve_batch_one_fsync () =
+  with_temp_dir (fun dir ->
+      let d, _ = ok (Durable.open_ ~dir ()) in
+      apply_durable d (Exec (Printf.sprintf "define T as %s;" schema_src));
+      let s0 = Durable.status d in
+      let k = 5 in
+      serve_writes d
+        (List.init k (fun i ->
+             Printf.sprintf "delete from T where THIS.a = %d; insert into T tuple(a: %d, s: {%d});"
+               i i i));
+      let s1 = Durable.status d in
+      Alcotest.(check int) "one append per batch" 1
+        (s1.Durable.wal_appends - s0.Durable.wal_appends);
+      Alcotest.(check int) "one fsync per batch" 1
+        (s1.Durable.wal_fsyncs - s0.Durable.wal_fsyncs);
+      Durable.close d)
+
+(* Tear the Serve batch's frame — in its header, at the header/payload
+   boundary, every 32 bytes through the payload, one byte short:
+   recovery holds none of the batch and every earlier acknowledged
+   write. *)
+let test_serve_batch_torn () =
+  let define = Printf.sprintf "define T as %s;" schema_src in
+  let acked = [ "insert into T tuple(a: 1, s: {1});"; "insert into T tuple(a: 2, s: {2});" ] in
+  let batch = [ "insert into T tuple(a: 3, s: {3});"; "delete from T where THIS.a = 1;" ] in
+  let expected =
+    let m = Mirror.create () in
+    List.iter (fun src -> apply_plain m (Exec src)) (define :: acked);
+    fingerprint (Mirror.storage m)
+  in
+  let setup dir =
+    let d, _ = ok (Durable.open_ ~dir ()) in
+    apply_durable d (Exec define);
+    serve_writes d acked;
+    d
+  in
+  let frame_bytes =
+    with_temp_dir (fun dir ->
+        let d = setup dir in
+        let b0 = (Durable.status d).Durable.log_bytes in
+        serve_writes d batch;
+        let b1 = (Durable.status d).Durable.log_bytes in
+        Durable.abandon d;
+        b1 - b0)
+  in
+  List.iter
+    (fun bytes ->
+      with_temp_dir (fun dir ->
+          let d = setup dir in
+          Faults.arm_torn_write ~bytes;
+          (match serve_writes d batch with
+          | () -> Alcotest.failf "torn at byte %d: no crash fired" bytes
+          | exception Faults.Crash _ -> ());
+          Faults.reset_faults ();
+          Durable.abandon d;
+          let d, _ = ok (Durable.open_ ~dir ()) in
+          Alcotest.(check string)
+            (Printf.sprintf "torn at byte %d/%d: none of the batch, all before it" bytes
+               frame_bytes)
+            expected
+            (fingerprint (Durable.storage d));
+          Durable.close d))
+    (List.sort_uniq compare
+       ((frame_bytes - 1) :: 4 :: 8 :: List.init ((frame_bytes / 32) + 1) (fun i -> i * 32)))
 
 (* {1 The 500-seed crash fuzzer} *)
 
@@ -550,9 +644,9 @@ let test_crash_fuzz () =
         recover_and_check ~what ~dir fps)
   done
 
-(* {1 Fabric delivery-journal records}
+(* {1 Delivery-journal records}
 
-   The process fabric journals its delivery state machine through the
+   The orchestrator journals its delivery state machine through the
    same WAL; dead-letter causes carry arbitrary exception text
    (newlines, backslashes, the line protocol's escape characters), so
    the codec must round-trip every byte, and a torn tail must degrade
@@ -560,7 +654,9 @@ let test_crash_fuzz () =
    records. *)
 
 module Record = Mirror_store.Record
-module Dlog = Mirror_fabric.Dlog
+module Bus = Mirror_daemon.Bus
+module Deadletter = Mirror_daemon.Deadletter
+module Dictionary = Mirror_daemon.Dictionary
 
 let nasty_texts =
   [
@@ -587,10 +683,9 @@ let fab_route ?(attempts = 0) ~seq () =
 let test_fab_record_round_trips () =
   let causes =
     List.concat_map
-      (fun text ->
-        [ Record.Fab_failed text; Record.Fab_expired text ])
+      (fun text -> [ Deadletter.Failed text; Deadletter.Expired text ])
       nasty_texts
-    @ [ Record.Fab_overflow ]
+    @ [ Deadletter.Overflow ]
   in
   let records =
     List.concat
@@ -612,6 +707,14 @@ let test_fab_record_round_trips () =
             ];
           Record.Fab_atomic [];
         ];
+        List.concat_map
+          (fun text ->
+            [
+              Record.Dict_op
+                (Dictionary.Registered { name = text; schema = text; owner = "app\n" });
+              Record.Dict_op (Dictionary.Evolved { name = "Lib"; schema = text; by = text });
+            ])
+          nasty_texts;
       ]
   in
   List.iter
@@ -635,16 +738,29 @@ let test_fab_record_round_trips () =
    error. *)
 let test_fab_dead_letter_torn_tail () =
   with_temp_dir @@ fun dir ->
-  let cause = Record.Fab_failed "Failure(\"injected\nfault \\with escapes\")" in
-  let t, _ = ok (Dlog.open_ ~dir ()) in
-  Dlog.route t (fab_route ~seq:1 ());
-  Dlog.route t { (fab_route ~seq:2 ()) with Record.daemon = "autoclass" };
-  (match cause with
-  | Record.Fab_failed _ ->
-    Dlog.dead t ~daemon:"thesaurus" ~seq:1 ~cause ~at:1786300001.25
-  | _ -> assert false);
-  Dlog.sync t;
-  Dlog.abandon t;
+  let text = "Failure(\"injected\nfault \\with escapes\")" in
+  let d, _ = ok (Durable.open_ ~dir ()) in
+  let j = Durable.journal d in
+  let delivery (fr : Record.fab_route) =
+    {
+      Bus.seq = fr.Record.seq;
+      message =
+        { Bus.topic = fr.Record.topic; subject = fr.Record.subject; payload = fr.Record.payload };
+      attempts = fr.Record.attempts;
+      deadline = None;
+    }
+  in
+  let first = delivery (fab_route ~seq:1 ()) in
+  j.Mirror_daemon.Orchestrator.routed "thesaurus" first;
+  j.Mirror_daemon.Orchestrator.routed "autoclass" (delivery (fab_route ~seq:2 ()));
+  j.Mirror_daemon.Orchestrator.dead
+    {
+      Deadletter.daemon = "thesaurus";
+      delivery = first;
+      cause = Deadletter.Failed text;
+      at = 1786300001.25;
+    };
+  Durable.abandon d;
   let wal_dir = Filename.concat dir "wal" in
   let seg =
     match Array.to_list (Sys.readdir wal_dir) |> List.sort compare |> List.rev with
@@ -668,17 +784,16 @@ let test_fab_dead_letter_torn_tail () =
     let oc = open_out_bin seg in
     output_string oc (String.sub pristine 0 cut);
     close_out oc;
-    match Dlog.inspect ~dir with
+    match Durable.deliveries ~dir with
     | Error e -> Alcotest.failf "torn at byte %d/%d: %s" cut len e
-    | Ok (pending, dead) ->
+    | Ok { Durable.pending; dead_letters } ->
       let keys =
-        ( List.map (fun (r : Record.fab_route) -> (r.Record.daemon, r.Record.seq))
-            pending
+        ( List.map (fun (r : Record.fab_route) -> (r.Record.daemon, r.Record.seq)) pending
           |> List.sort compare,
           List.map
             (fun ((r : Record.fab_route), c, _) ->
-              (r.Record.daemon, r.Record.seq, Dlog.cause_tag c))
-            dead )
+              (r.Record.daemon, r.Record.seq, Deadletter.cause_tag c))
+            dead_letters )
       in
       if not (List.mem keys expected) then
         Alcotest.failf "torn at byte %d/%d recovers a non-prefix state" cut len;
@@ -687,10 +802,9 @@ let test_fab_dead_letter_torn_tail () =
         if keys <> List.nth expected 3 then
           Alcotest.failf "untorn journal lost records";
         (* the nasty cause text survived the WAL byte-for-byte *)
-        match dead with
-        | [ (_, Record.Fab_failed text, at) ] ->
-          Alcotest.(check string)
-            "cause text intact" "Failure(\"injected\nfault \\with escapes\")" text;
+        match dead_letters with
+        | [ (_, Deadletter.Failed text', at) ] ->
+          Alcotest.(check string) "cause text intact" text text';
           Alcotest.(check (float 1e-9)) "timestamp intact" 1786300001.25 at
         | _ -> Alcotest.fail "wrong dead letter shape"
       end
@@ -730,7 +844,12 @@ let () =
             test_side_state_survives_auto_checkpoint;
         ] );
       ( "group-commit",
-        [ Alcotest.test_case "batching stats observable" `Quick test_group_commit_stats ] );
+        [
+          Alcotest.test_case "batching stats observable" `Quick test_group_commit_stats;
+          Alcotest.test_case "a serve batch is one fsync" `Quick test_serve_batch_one_fsync;
+          Alcotest.test_case "a torn serve batch is all or nothing" `Quick
+            test_serve_batch_torn;
+        ] );
       ( "fabric-journal",
         [
           Alcotest.test_case "fab records round-trip nasty bytes" `Quick

@@ -238,6 +238,40 @@ let read_lines fd want =
   done;
   List.rev !lines
 
+(* The socket file appears only once the server listens: a client
+   that connects the moment the file exists, with no retry, is never
+   refused — many times in a row, against a fresh server each time. *)
+let test_socket_ready_when_visible () =
+  with_temp_dir (fun dir ->
+      Sys.mkdir dir 0o755;
+      let socket = Filename.concat dir "serve.sock" in
+      for round = 1 to 50 do
+        let stop = Atomic.make false in
+        let server =
+          Domain.spawn (fun () ->
+              Server.run ~stop:(fun () -> Atomic.get stop) ~socket (Mirror.create ()))
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            Atomic.set stop true;
+            ok (Domain.join server))
+          (fun () ->
+            let deadline = Unix.gettimeofday () +. 10.0 in
+            while not (Sys.file_exists socket) do
+              if Unix.gettimeofday () > deadline then Alcotest.fail "socket never appeared";
+              Domain.cpu_relax ()
+            done;
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                match Unix.connect fd (Unix.ADDR_UNIX socket) with
+                | () -> ()
+                | exception Unix.Unix_error (e, _, _) ->
+                  Alcotest.failf "round %d: connect as soon as the socket appeared: %s" round
+                    (Unix.error_message e)))
+      done)
+
 let test_socket_roundtrip () =
   with_temp_dir (fun dir ->
       Sys.mkdir dir 0o755;
@@ -574,6 +608,8 @@ let () =
           Alcotest.test_case "read budget refusal is structured" `Quick test_read_budget;
           Alcotest.test_case "unix-socket roundtrip with cache hit" `Quick
             test_socket_roundtrip;
+          Alcotest.test_case "socket file appears only once listening" `Quick
+            test_socket_ready_when_visible;
         ] );
       ( "chaos",
         [
