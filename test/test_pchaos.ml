@@ -430,8 +430,10 @@ let test_crash_keeps_dictionary () =
               | _ -> (orch, false)
               | exception Faults.Crash _ ->
                 Faults.reset_faults ();
-                let orch2, _ = open_durable ~config ~dir () in
+                let orch2, d = open_durable ~config ~dir () in
                 reingest_media orch2;
+                if Orchestrator.state_keys orch2 <> Durable.state_keys d then
+                  Alcotest.failf "procs %d, crash after settlement %d: live state diverges" procs k;
                 ignore (recover_to_convergence ~probing:true ~seed:k orch2);
                 (orch2, true)
             in
