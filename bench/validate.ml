@@ -87,7 +87,8 @@ let () =
       die "E6 dual-coding MAP %.3f is below the better single coding (text %.3f, image %.3f)"
         dual text image);
   (* the RECOVERY entry must show a real replay: records redone,
-     positive throughput, and the post-recovery certification pass *)
+     positive throughput, the post-recovery certification pass, and a
+     linear reopen *)
   (match find "RECOVERY" with
   | None -> die "no entry for the crash-recovery experiment (RECOVERY)"
   | Some e ->
@@ -103,7 +104,13 @@ let () =
     | _ -> die "RECOVERY entry lacks replay_records_per_s");
     (match Json.member "certified" e with
     | Some (Json.Bool true) -> ()
-    | _ -> die "RECOVERY run was not certified"));
+    | _ -> die "RECOVERY run was not certified");
+    (* reopen is linear in the stored documents *)
+    let field f = Option.bind (Json.member f e) Json.to_float in
+    match (field "reopen_n_ms", field "reopen_2n_ms") with
+    | Some n, Some n2 when n > 0.0 ->
+      if n2 /. n > 2.5 then die "RECOVERY reopen_2n_ms / reopen_n_ms = %.2f > 2.5" (n2 /. n)
+    | _ -> die "RECOVERY entry lacks reopen_n_ms / reopen_2n_ms");
   (* the CHAOS entry must show the fault schedules actually converged:
      every schedule healed back to the failure-free store, and the
      recovery machinery (dead-letter queue + redelivery) saw traffic *)

@@ -164,23 +164,15 @@ module VEC = struct
       bundle [ link'; Mil.Join (m2, dim); Mil.Join (m2, value) ]
     | _ -> failwith "VEC: malformed bundle"
 
-  let reify ~lookup ~recurse:_ ~meta:_ ~bats ~subs:_ ~ctx =
+  let reify ~members ~atom ~recurse:_ ~meta:_ ~bats ~subs:_ ~ctx =
     match bats with
     | [ link; dim; value ] ->
-      let link_b = lookup link and dim_b = lookup dim and value_b = lookup value in
-      let dims = Hashtbl.create 16 and vals = Hashtbl.create 16 in
-      Bat.iter (fun o d -> Hashtbl.replace dims (Atom.as_oid o) (Atom.as_int d)) dim_b;
-      Bat.iter (fun o x -> Hashtbl.replace vals (Atom.as_oid o) (Atom.as_float x)) value_b;
-      let entries = ref [] in
-      Bat.iter
-        (fun o c ->
-          if Atom.as_oid c = ctx then
-            match (Hashtbl.find_opt dims (Atom.as_oid o), Hashtbl.find_opt vals (Atom.as_oid o)) with
-            | Some d, Some x -> entries := (d, x) :: !entries
-            | _ -> ())
-        link_b;
-      let sorted = List.sort compare !entries in
-      vec_value (Array.of_list (List.map snd sorted))
+      members link ctx
+      |> List.map (fun o -> (Atom.as_int (atom dim o), Atom.as_float (atom value o)))
+      |> List.sort compare
+      |> List.map snd
+      |> Array.of_list
+      |> vec_value
     | _ -> failwith "VEC: malformed bundle"
 
   let restore _env ~recurse:_ ~path ~ty_args:_ =

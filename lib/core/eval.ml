@@ -24,7 +24,8 @@ and bounds = { est_rows : int; est_bytes : int; peak_bytes : int option }
    Rebuilding logical values from evaluated BATs needs two indexes per
    BAT: head oid -> first tail (atomic payloads) and tail oid -> heads
    (set links, queried by parent).  Both are cached per evaluated
-   BAT. *)
+   BAT and shared with extension [reify]s, so rebuilding every context
+   of an extent costs one pass per BAT. *)
 
 type reifier = {
   lookup : Mil.t -> Bat.t;
@@ -66,21 +67,26 @@ let link_index r plan =
     Mil.Tbl.add r.link_idx plan idx;
     idx
 
+(* staged: [atom r plan] finds the index once, then probes per oid *)
+let atom r plan =
+  let idx = atom_index r plan in
+  fun ctx ->
+    match Hashtbl.find_opt idx ctx with
+    | Some a -> a
+    | None -> failwith (Printf.sprintf "reify: no value for context @%d" ctx)
+
+let members r link ctx = Option.value ~default:[] (Hashtbl.find_opt (link_index r link) ctx)
+
 let rec reify_at r shape ctx =
   match shape with
-  | Shape.Atomic plan -> (
-    match Hashtbl.find_opt (atom_index r plan) ctx with
-    | Some a -> Value.Atom a
-    | None ->
-      failwith (Printf.sprintf "reify: no value for context @%d" ctx))
+  | Shape.Atomic plan -> Value.Atom (atom r plan ctx)
   | Shape.Tuple fields ->
     Value.Tup (List.map (fun (l, s) -> (l, reify_at r s ctx)) fields)
   | Shape.Set { link; elem } ->
-    let members = Option.value ~default:[] (Hashtbl.find_opt (link_index r link) ctx) in
-    Value.VSet (List.map (fun e -> reify_at r elem e) members)
+    Value.VSet (List.map (fun e -> reify_at r elem e) (members r link ctx))
   | Shape.Xstruct { ext; meta; bats; subs } ->
     let (module E : Extension.S) = Extension.find_exn ext in
-    E.reify ~lookup:r.lookup ~recurse:(reify_at r) ~meta ~bats ~subs ~ctx
+    E.reify ~members:(members r) ~atom:(atom r) ~recurse:(reify_at r) ~meta ~bats ~subs ~ctx
 
 let reify ~lookup shape = reify_at (make_reifier lookup) shape 0
 

@@ -160,40 +160,15 @@ module E = struct
     | "tf", _ -> fail "tf: malformed flattened operands"
     | _, _ -> fail "CONTREP: bad operands for %s" op
 
-  let materialize env ~recurse:_ ~path ~ty_args:_ ~dom =
-    let space = env.Extension.space_create path in
-    let total =
-      List.fold_left (fun acc (_, v) -> acc + List.length (Value.contrep_bag v)) 0 dom
-    in
-    let base = env.Extension.fresh_store total in
-    let next = ref base in
-    let hb = Column.Builder.create Atom.TOid in
-    let cb = Column.Builder.create Atom.TOid in
-    let tb = Column.Builder.create Atom.TStr in
-    let fb = Column.Builder.create Atom.TFlt in
-    let lh = Column.Builder.create Atom.TOid in
-    let lt = Column.Builder.create Atom.TFlt in
-    List.iter
-      (fun (ctx, v) ->
-        let bag = Value.contrep_bag v in
-        ignore (Space.add_doc space ~doc:ctx bag);
-        List.iter
-          (fun (term, tf) ->
-            Column.Builder.add_oid hb !next;
-            incr next;
-            Column.Builder.add_oid cb ctx;
-            Column.Builder.add tb (Atom.Str term);
-            Column.Builder.add_float fb tf)
-          bag;
-        Column.Builder.add_oid lh ctx;
-        Column.Builder.add_float lt (Space.doc_len space ctx))
-      dom;
-    let heads = Column.Builder.finish hb in
-    (* Build the inverted index the physical getBL fast path uses and
-       key it to this head column's physical identity. *)
+  (* Register each (context, bag) with the statistics space, in order,
+     then build the inverted index (term -> context -> summed tf) the
+     physical getBL fast path uses, keyed to the occurrence head
+     column's physical identity. *)
+  let index_space space ~heads docs =
     let postings : (string, (int, float) Hashtbl.t) Hashtbl.t = Hashtbl.create 256 in
     List.iter
-      (fun (ctx, v) ->
+      (fun (ctx, bag) ->
+        ignore (Space.add_doc space ~doc:ctx bag);
         List.iter
           (fun (term, tf) ->
             let per_ctx =
@@ -206,23 +181,44 @@ module E = struct
             in
             let prev = Option.value ~default:0.0 (Hashtbl.find_opt per_ctx ctx) in
             Hashtbl.replace per_ctx ctx (prev +. tf))
-          (Value.contrep_bag v))
-      dom;
-    Space.set_index space ~heads:(Column.oid_exn heads) ~postings;
+          bag)
+      docs;
+    Space.set_index space ~heads ~postings
+
+  let stored path =
+    bundle ~meta:[ path ]
+      ~bats:(List.map (fun suffix -> Mil.Get (path ^ suffix)) [ "#ctx"; "#term"; "#tf"; "#len" ])
+
+  let materialize env ~recurse:_ ~path ~ty_args:_ ~dom =
+    let space = env.Extension.space_create path in
+    let docs = List.map (fun (ctx, v) -> (ctx, Value.contrep_bag v)) dom in
+    let total = List.fold_left (fun acc (_, bag) -> acc + List.length bag) 0 docs in
+    let next = ref (env.Extension.fresh_store total) in
+    let hb = Column.Builder.create Atom.TOid in
+    let cb = Column.Builder.create Atom.TOid in
+    let tb = Column.Builder.create Atom.TStr in
+    let fb = Column.Builder.create Atom.TFlt in
+    List.iter
+      (fun (ctx, bag) ->
+        List.iter
+          (fun (term, tf) ->
+            Column.Builder.add_oid hb !next;
+            incr next;
+            Column.Builder.add_oid cb ctx;
+            Column.Builder.add tb (Atom.Str term);
+            Column.Builder.add_float fb tf)
+          bag)
+      docs;
+    let heads = Column.Builder.finish hb in
+    index_space space ~heads:(Column.oid_exn heads) docs;
     let cat = env.Extension.catalog in
     Mirror_bat.Catalog.put cat (path ^ "#ctx") (Bat.make heads (Column.Builder.finish cb));
     Mirror_bat.Catalog.put cat (path ^ "#term") (Bat.make heads (Column.Builder.finish tb));
     Mirror_bat.Catalog.put cat (path ^ "#tf") (Bat.make heads (Column.Builder.finish fb));
     Mirror_bat.Catalog.put cat (path ^ "#len")
-      (Bat.make (Column.Builder.finish lh) (Column.Builder.finish lt));
-    bundle ~meta:[ path ]
-      ~bats:
-        [
-          Mil.Get (path ^ "#ctx");
-          Mil.Get (path ^ "#term");
-          Mil.Get (path ^ "#tf");
-          Mil.Get (path ^ "#len");
-        ]
+      (Bat.of_pairs Atom.TOid Atom.TFlt
+         (List.map (fun (ctx, _) -> (Atom.Oid ctx, Atom.Flt (Space.doc_len space ctx))) docs));
+    stored path
 
   (* Candidate-list style filtering (after Monet): every CONTREP
      consumer — getBL, tf, clen, and the link re-alignments of
@@ -247,25 +243,13 @@ module E = struct
       bundle ~meta ~bats:[ ctx'; Mil.Join (m2, term); Mil.Join (m2, tf); Mil.Join (m, len) ]
     | _ -> invalid_arg "CONTREP.rebase_flat: malformed bundle"
 
-  let reify ~lookup ~recurse:_ ~meta ~bats ~subs:_ ~ctx =
+  let reify ~members ~atom ~recurse:_ ~meta ~bats ~subs:_ ~ctx =
     match bats with
     | [ ctx_p; term_p; tf_p; _len_p ] ->
-      let ctx_bat = lookup ctx_p and term_bat = lookup term_p and tf_bat = lookup tf_p in
-      let term_of = Hashtbl.create (Bat.count term_bat) in
-      Bat.iter (fun o t -> Hashtbl.replace term_of (Atom.as_oid o) (Atom.as_string t)) term_bat;
-      let tf_of = Hashtbl.create (Bat.count tf_bat) in
-      Bat.iter (fun o f -> Hashtbl.replace tf_of (Atom.as_oid o) (Atom.as_float f)) tf_bat;
-      let bag = ref [] in
-      Bat.iter
-        (fun o c ->
-          if Atom.as_oid c = ctx then
-            match
-              (Hashtbl.find_opt term_of (Atom.as_oid o), Hashtbl.find_opt tf_of (Atom.as_oid o))
-            with
-            | Some term, Some tf -> bag := (term, tf) :: !bag
-            | _ -> ())
-        ctx_bat;
-      Value.contrep ?space:(match meta with s :: _ -> Some s | [] -> None) (List.rev !bag)
+      let term = atom term_p and tf = atom tf_p in
+      Value.contrep
+        ?space:(match meta with s :: _ -> Some s | [] -> None)
+        (List.map (fun o -> (Atom.as_string (term o), Atom.as_float (tf o))) (members ctx_p ctx))
     | _ -> invalid_arg "CONTREP.reify: malformed bundle"
 
   let restore env ~recurse:_ ~path ~ty_args:_ =
@@ -276,14 +260,15 @@ module E = struct
       | None -> failwith (Printf.sprintf "CONTREP.restore: missing catalog entry %s%s" path suffix)
     in
     let occ_ctx = get "#ctx" and occ_term = get "#term" and occ_tf = get "#tf" in
-    ignore (get "#len");
+    let occ_len = get "#len" and n = Bat.count occ_ctx in
+    if Bat.count occ_term <> n || Bat.count occ_tf <> n then
+      failwith (Printf.sprintf "CONTREP.restore: %s#term or #tf is not aligned with #ctx" path);
     (* Rebuild the statistics space by replaying the documents in
        context order (first appearance), then the inverted index keyed
        to the loaded head column. *)
     let space = env.Extension.space_create path in
     let order = ref [] in
     let bags : (int, (string * float) list) Hashtbl.t = Hashtbl.create 64 in
-    let n = Bat.count occ_ctx in
     for i = 0 to n - 1 do
       let ctx = Atom.as_oid (Bat.tail_at occ_ctx i) in
       let term = Atom.as_string (Bat.tail_at occ_term i) in
@@ -295,7 +280,6 @@ module E = struct
         order := ctx :: !order)
     done;
     (* contexts with an empty representation appear only in #len *)
-    let len_bat = get "#len" in
     Bat.iter
       (fun ctx _ ->
         let c = Atom.as_oid ctx in
@@ -303,35 +287,11 @@ module E = struct
           Hashtbl.add bags c [];
           order := c :: !order
         end)
-      len_bat;
-    let postings : (string, (int, float) Hashtbl.t) Hashtbl.t = Hashtbl.create 256 in
-    List.iter
-      (fun ctx ->
-        let bag = List.rev (Hashtbl.find bags ctx) in
-        ignore (Space.add_doc space ~doc:ctx bag);
-        List.iter
-          (fun (term, tf) ->
-            let per_ctx =
-              match Hashtbl.find_opt postings term with
-              | Some h -> h
-              | None ->
-                let h = Hashtbl.create 8 in
-                Hashtbl.add postings term h;
-                h
-            in
-            let prev = Option.value ~default:0.0 (Hashtbl.find_opt per_ctx ctx) in
-            Hashtbl.replace per_ctx ctx (prev +. tf))
-          bag)
-      (List.rev !order);
-    Space.set_index space ~heads:(Column.oid_exn (Bat.head occ_ctx)) ~postings;
-    bundle ~meta:[ path ]
-      ~bats:
-        [
-          Mil.Get (path ^ "#ctx");
-          Mil.Get (path ^ "#term");
-          Mil.Get (path ^ "#tf");
-          Mil.Get (path ^ "#len");
-        ]
+      occ_len;
+    index_space space
+      ~heads:(Column.oid_exn (Bat.head occ_ctx))
+      (List.rev_map (fun ctx -> (ctx, List.rev (Hashtbl.find bags ctx))) !order);
+    stored path
 
   (* Metrics wrapper shared by both belief operators: count calls and
      produced rows, and record wall-time per call as a histogram.  The

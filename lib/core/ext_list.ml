@@ -164,25 +164,15 @@ module E = struct
         }
     | _ -> invalid_arg "LIST.rebase_flat: malformed bundle"
 
-  let reify ~lookup ~recurse ~meta:_ ~bats ~subs ~ctx =
+  let reify ~members ~atom ~recurse ~meta:_ ~bats ~subs ~ctx =
     match (bats, subs) with
     | [ link; pos ], [ elem ] ->
-      let link_bat = lookup link and pos_bat = lookup pos in
-      let pos_of = Hashtbl.create (Bat.count pos_bat) in
-      Bat.iter (fun e p -> Hashtbl.replace pos_of (Atom.as_oid e) (Atom.as_int p)) pos_bat;
-      let members = ref [] in
-      Bat.iter
-        (fun e parent -> if Atom.as_oid parent = ctx then members := Atom.as_oid e :: !members)
-        link_bat;
-      let ordered =
-        List.sort
-          (fun a b ->
-            Int.compare
-              (Option.value ~default:max_int (Hashtbl.find_opt pos_of a))
-              (Option.value ~default:max_int (Hashtbl.find_opt pos_of b)))
-          (List.rev !members)
-      in
-      Value.vlist (List.map (fun e -> recurse elem e) ordered)
+      let pos = atom pos in
+      members link ctx
+      |> List.map (fun e -> (Atom.as_int (pos e), e))
+      |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+      |> List.map (fun (_, e) -> recurse elem e)
+      |> Value.vlist
     | _ -> invalid_arg "LIST.reify: malformed bundle"
 
   let restore env ~recurse ~path ~ty_args =

@@ -55,7 +55,8 @@ module type S = sig
     planshape
 
   val reify :
-    lookup:(Mirror_bat.Mil.t -> Mirror_bat.Bat.t) ->
+    members:(Mirror_bat.Mil.t -> int -> int list) ->
+    atom:(Mirror_bat.Mil.t -> int -> Mirror_bat.Atom.t) ->
     recurse:(planshape -> int -> Value.t) ->
     meta:string list ->
     bats:Mirror_bat.Mil.t list ->

@@ -94,14 +94,20 @@ module type S = sig
       ctx (possibly duplicating old contexts). *)
 
   val reify :
-    lookup:(Mirror_bat.Mil.t -> Mirror_bat.Bat.t) ->
+    members:(Mirror_bat.Mil.t -> int -> int list) ->
+    atom:(Mirror_bat.Mil.t -> int -> Mirror_bat.Atom.t) ->
     recurse:(planshape -> int -> Value.t) ->
     meta:string list ->
     bats:Mirror_bat.Mil.t list ->
     subs:planshape list ->
     ctx:int ->
     Value.t
-  (** Rebuild the logical value of one context from evaluated BATs. *)
+  (** Rebuild the logical value of one context from evaluated BATs,
+      through the reifier's shared indexes (built once per evaluated
+      BAT, not once per context): [members link c] is the heads of
+      [link]'s rows whose tail is [c], in row order; [atom bat o] is
+      the tail of [bat]'s first row with head [o], and fails with
+      ["reify: no value for context @o"] when there is none. *)
 
   val restore :
     store_env ->

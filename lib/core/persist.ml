@@ -82,19 +82,17 @@ let load ~dir =
         match stmt with
         | Parser.Query _ | Parser.Let _ | Parser.Insert _ | Parser.Delete _ ->
           Error "schema file contains a non-define statement"
-        | Parser.Define (name, ty) -> (
+        | Parser.Define (name, ty) ->
+          Result.map_error (Printf.sprintf "extent %S: %s" name)
+          @@
           let* shape = Storage.define_restored storage ~name ty in
           (* recover the logical rows for the naive evaluator *)
           match Eval.reify ~lookup:(Mil.exec (session ())) shape with
           | Value.VSet rows ->
             Storage.set_rows storage ~name rows;
             Ok ()
-          | other ->
-            Error
-              (Printf.sprintf "extent %S reified to a non-set value %s" name
-                 (Value.to_string other))
-          | exception Failure e -> Error e
-          | exception Invalid_argument e -> Error e
-          | exception Not_found -> Error ("missing catalog entries for extent " ^ name)))
+          | other -> Error ("reified to a non-set value " ^ Value.to_string other)
+          | exception (Failure e | Invalid_argument e) -> Error e
+          | exception Not_found -> Error "missing catalog entries")
       (Ok ()) stmts
     |> Result.map (fun () -> storage)

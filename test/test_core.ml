@@ -1116,12 +1116,36 @@ let with_temp_dir f =
       end)
     (fun () -> f dir)
 
+(* Every extent's logical rows (the naive evaluator's view, rebuilt by
+   reification at load) survive the round trip, in order. *)
+let same_rows st st2 =
+  List.for_all
+    (fun name ->
+      Option.equal (List.equal Value.equal) (Storage.extent_rows st name)
+        (Storage.extent_rows st2 name))
+    (Storage.extents st)
+
+(* [~rendered] compares rows as printed: the catalog keeps floats to 12
+   significant digits (Atom.pp), so computed feature weights come back
+   equal only at that precision. *)
+let check_rows ?(rendered = false) st st2 =
+  List.iter
+    (fun name ->
+      let what = "rows of " ^ name in
+      let rows st = Storage.extent_rows st name in
+      if rendered then
+        let text st = Option.map (List.map Value.to_string) (rows st) in
+        Alcotest.(check (option (list string))) what (text st) (text st2)
+      else Alcotest.(check (option (list value_testable))) what (rows st) (rows st2))
+    (Storage.extents st)
+
 let test_persist_round_trip () =
   with_temp_dir (fun dir ->
       let st = storage_with default_rows in
       ok (Persist.save st ~dir);
       let st2 = ok (Persist.load ~dir) in
       Alcotest.(check (list string)) "extents" (Storage.extents st) (Storage.extents st2);
+      check_rows st st2;
       (* every battery query gives identical results on the loaded DB,
          through both evaluators *)
       List.iter
@@ -1170,6 +1194,7 @@ let test_persist_demo_library () =
       let before = ok (Mirror.run_query m ~bindings qsrc) in
       ok (Persist.save (Mirror.storage m) ~dir);
       let m2 = Mirror.of_storage (ok (Persist.load ~dir)) in
+      check_rows ~rendered:true (Mirror.storage m) (Mirror.storage m2);
       let after = ok (Mirror.run_query m2 ~bindings qsrc) in
       Alcotest.check value_testable "paper ranking survives persistence" before after;
       (* the image CONTREP space also came back *)
@@ -1188,7 +1213,8 @@ let prop_persist_round_trip =
           let st = storage_with rows in
           (match Persist.save st ~dir with Ok () -> () | Error e -> failwith e);
           let st2 = match Persist.load ~dir with Ok s -> s | Error e -> failwith e in
-          List.for_all
+          same_rows st st2
+          && List.for_all
             (fun src ->
               let e = parse_q src in
               match (Eval.query_value st e, Eval.query_value st2 e) with

@@ -138,22 +138,10 @@ module MSET = struct
         }
     | _ -> failwith "MSET: malformed bundle"
 
-  let reify ~lookup ~recurse:_ ~meta:_ ~bats ~subs:_ ~ctx =
+  let reify ~members ~atom ~recurse:_ ~meta:_ ~bats ~subs:_ ~ctx =
     match bats with
     | [ link; v; mult ] ->
-      let link_b = lookup link and v_b = lookup v and mult_b = lookup mult in
-      let v_of = Hashtbl.create 16 and n_of = Hashtbl.create 16 in
-      Bat.iter (fun o a -> Hashtbl.replace v_of (Atom.as_oid o) a) v_b;
-      Bat.iter (fun o n -> Hashtbl.replace n_of (Atom.as_oid o) (Atom.as_int n)) mult_b;
-      let out = ref [] in
-      Bat.iter
-        (fun o c ->
-          if Atom.as_oid c = ctx then
-            match (Hashtbl.find_opt v_of (Atom.as_oid o), Hashtbl.find_opt n_of (Atom.as_oid o)) with
-            | Some a, Some n -> out := (a, n) :: !out
-            | _ -> ())
-        link_b;
-      mset_value (List.rev !out)
+      mset_value (List.map (fun o -> (atom v o, Atom.as_int (atom mult o))) (members link ctx))
     | _ -> failwith "MSET: malformed bundle"
 
   let restore _env ~recurse:_ ~path ~ty_args:_ =

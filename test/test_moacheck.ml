@@ -199,7 +199,7 @@ module Brk : Extension.S = struct
   let materialize _ ~recurse:_ ~path:_ ~ty_args:_ ~dom:_ = failwith "BRK is not storable"
   let filter_flat ~recurse:_ ~meta:_ ~bats:_ ~subs:_ ~survivors:_ = failwith "BRK bundles"
   let rebase_flat _ ~recurse:_ ~meta:_ ~bats:_ ~subs:_ ~m:_ = failwith "BRK bundles"
-  let reify ~lookup:_ ~recurse:_ ~meta:_ ~bats:_ ~subs:_ ~ctx:_ = failwith "BRK bundles"
+  let reify ~members:_ ~atom:_ ~recurse:_ ~meta:_ ~bats:_ ~subs:_ ~ctx:_ = failwith "BRK bundles"
   let restore _ ~recurse:_ ~path:_ ~ty_args:_ = failwith "BRK is not storable"
   let foreign_ops = []
   let foreign_sigs = []

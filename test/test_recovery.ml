@@ -811,6 +811,49 @@ let test_fab_dead_letter_torn_tail () =
   done;
   assert !seen_full
 
+(* Reopening after [insert]/[delete_where] redoes a WAL suffix on top of
+   the snapshot; every extent's logical rows, CONTREP bags and LIST
+   order included, must come back equal and in order. *)
+let test_rows_survive_replayed_suffix () =
+  with_temp_dir (fun dir ->
+      let module Value = Mirror_core.Value in
+      let contrep = Types.Xt ("CONTREP", [ Types.Atomic Mirror_bat.Atom.TStr ]) in
+      let ty =
+        Types.Set
+          (Types.Tuple
+             [
+               ("k", Types.Atomic Mirror_bat.Atom.TInt);
+               ("c", contrep);
+               ("xs", Types.Xt ("LIST", [ Types.Atomic Mirror_bat.Atom.TInt ]));
+             ])
+      in
+      let row k bag xs =
+        Value.Tup
+          [
+            ("k", Value.int k);
+            ("c", Value.contrep bag);
+            ("xs", Value.vlist (List.map Value.int xs));
+          ]
+      in
+      let t, _ = ok (Durable.open_ ~dir ()) in
+      let st = Durable.storage t in
+      ok (Storage.define st ~name:"T" ty);
+      ignore (ok (Storage.load st ~name:"T" [ row 1 [ ("cat", 2.0) ] [ 3; 1 ]; row 2 [] [] ]));
+      ok (Durable.checkpoint t);
+      ignore (ok (Storage.insert st ~name:"T" [ row 3 [ ("dog", 1.0); ("cat", 0.5) ] [ 2; 2; 7 ] ]));
+      ignore (ok (Storage.delete_where st ~name:"T" (fun v -> Value.field_exn v "k" = Value.int 1)));
+      let before = List.map (fun n -> (n, Storage.extent_rows st n)) (Storage.extents st) in
+      Durable.abandon t;
+      let t2, r = ok (Durable.open_ ~dir ()) in
+      Alcotest.(check bool) "a WAL suffix was replayed" true (r.Durable.replayed > 0);
+      let st2 = Durable.storage t2 in
+      let value = Alcotest.testable Value.pp Value.equal in
+      List.iter
+        (fun (n, rows) ->
+          Alcotest.(check (option (list value))) ("rows of " ^ n) rows (Storage.extent_rows st2 n))
+        before;
+      Durable.close t2)
+
 let () =
   Alcotest.run "recovery"
     [
@@ -842,6 +885,8 @@ let () =
             test_side_state_survives_checkpoint_crash;
           Alcotest.test_case "side state survives auto-checkpoints" `Quick
             test_side_state_survives_auto_checkpoint;
+          Alcotest.test_case "rows survive a replayed WAL suffix" `Quick
+            test_rows_survive_replayed_suffix;
         ] );
       ( "group-commit",
         [
