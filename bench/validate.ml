@@ -196,14 +196,16 @@ let () =
     | Some (Json.Int 0) -> ()
     | Some (Json.Int n) -> die "VET found %d effcheck hazard(s) over the corpus" n
     | _ -> die "VET entry lacks the effcheck.hazards counter");
-    (match counter "boundcheck.plans" with
+    (match counter "milcheck.plans" with
     | Some (Json.Int n) when n > 0 -> ()
-    | Some (Json.Int _) -> die "VET analyzed zero plans with boundcheck"
-    | _ -> die "VET entry lacks the boundcheck.plans counter"));
+    | Some (Json.Int _) -> die "VET analyzed zero plans"
+    | _ -> die "VET entry lacks the milcheck.plans counter"));
   (* the BOUND entry must carry one row per workload query with a
      finite, >= 1 estimation error ratio — the envelope may be loose
-     but never degenerate (soundness itself is asserted inside the
-     harness, which aborts on any violation before recording) *)
+     but never degenerate — and a finite peak bound within 100x of the
+     bytes actually held, so a byte budget can admit the workload
+     (soundness itself is asserted inside the harness, which aborts on
+     any violation before recording) *)
   (match find "BOUND" with
   | None -> die "no entry for the resource-bound experiment (BOUND)"
   | Some b ->
@@ -218,6 +220,15 @@ let () =
         | Some r when Float.is_finite r && r >= 1.0 -> ()
         | Some r -> die "BOUND row has a degenerate error ratio %f" r
         | None -> die "BOUND row lacks error_ratio")
+      rows;
+    List.iter
+      (fun row ->
+        let field f = Option.bind (Json.member f row) Json.to_int in
+        match (field "peak_bytes", field "actual_bytes") with
+        | Some peak, Some actual when peak <= 100 * actual -> ()
+        | Some peak, Some actual ->
+          die "BOUND row's peak %d bytes is over 100x the %d bytes held" peak actual
+        | _ -> die "BOUND row lacks a finite peak_bytes or actual_bytes")
       rows;
     List.iter
       (fun f ->

@@ -112,11 +112,11 @@ let print_result = function
 
 (* {1 Static analysis (lint / explain --check)} *)
 
-(* All three layers of static checking over one query — the Moa-level
-   shape analyzer (Moacheck), the MIL-level envelope lint (Milcheck via
-   Plancheck.vet and lint_shape) and the effect-and-aliasing hazard
-   lint (Effcheck) — through the shared Lintreport backend.  Returns 0
-   when no error-severity problem was found. *)
+(* Every layer of static checking over one query — the Moa-level shape
+   analyzer (Moacheck), and the MIL bundle's one analysis read as
+   envelope lint (Milcheck), effect-and-aliasing hazards (Effcheck) and
+   resource bounds (Boundcheck) — through the shared Lintreport
+   backend.  Returns 0 when no error-severity problem was found. *)
 let lint_query st src =
   let q = Lintreport.check_src st src in
   Lintreport.print_query q;
@@ -245,12 +245,12 @@ let explain_main check db src =
               let prop, _ = Moacheck.infer menv expr in
               Printf.printf "-- moa envelope: %s\n" (Moaprop.to_string prop);
               let shape = Shape.map Milopt.rewrite shape in
-              let env = Plancheck.env_of_storage st in
+              let analysis = Storage.analyze st shape in
               List.iteri
                 (fun i p ->
-                  let prop, _ = Milcheck.infer env p in
-                  Printf.printf "-- bat %d infers %s\n" (i + 1) (Milprop.to_string prop))
-                (Plancheck.shape_plans shape);
+                  Printf.printf "-- bat %d infers %s\n" (i + 1)
+                    (Milprop.to_string (Milcheck.prop analysis p)))
+                (Shape.plans shape);
               print_endline "check: ok";
               0))))
 

@@ -179,9 +179,6 @@ module VEC = struct
     bundle [ Mil.Get (path ^ "#in"); Mil.Get (path ^ "#dim"); Mil.Get (path ^ "#val") ]
 
   let foreign_ops = []
-  let foreign_sigs = []
-  let foreign_effects = []
-  let foreign_bounds = []
 
   (* Sound defaults for the Moa-level analyzer: claim nothing about
      operator results or the flattened bundle. *)

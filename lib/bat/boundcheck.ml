@@ -1,101 +1,111 @@
-(* Static resource bounds over MIL plans: per-node cardinality/bytes
-   cost envelopes plus whole-plan footprints (memo residency and a
-   last-use-refcount liveness peak).  See boundcheck.mli for the
-   model; Milcheck supplies the sound row intervals, this layer adds
-   point estimates and byte tracking on top of the same DAG walk. *)
+(* Whole-plan byte footprints over an analysed bundle — memo residency
+   and a last-use-refcount liveness peak — and the per-root bound
+   behind the session admission gate.  Row intervals, estimates and
+   cell widths are Milcheck's per-node facts; see boundcheck.mli. *)
 
 module P = Milprop
-
-type rowbytes = { rb_est : int; rb_max : int option }
-
-type cost = { rows : P.card; est : int; head : rowbytes; tail : rowbytes }
+open Milcheck
 
 type footprint = { fp_lo : int; fp_est : int; fp_hi : int option }
 
-type plan_bounds = {
-  per_node : cost Mil.Tbl.t;
-  resident : footprint;
-  reclaim : footprint;
-  diags : Milcheck.diag list;
-}
-
-type foreign_bound = cost list -> cost
-
-type env = {
-  milenv : Milcheck.env;
-  get_bat : string -> Bat.t option;
-  foreign_bound : string -> foreign_bound option;
-}
-
-let env_of_catalog ?foreign ?foreign_bound catalog =
-  {
-    milenv = Milcheck.env_of_catalog ?foreign catalog;
-    get_bat = Catalog.find catalog;
-    foreign_bound = Option.value ~default:(fun _ -> None) foreign_bound;
-  }
-
-(* {1 Saturating byte arithmetic}
-
-   Cardinality upper bounds can be astronomically large (card_mul
-   saturates); byte products must not wrap around into negatives. *)
-
-let sadd a b =
-  let s = a + b in
-  if s < 0 then max_int else s
-
-let smul a b = if a = 0 || b = 0 then 0 else if a > max_int / b then max_int else a * b
+type bounds = { resident : footprint; reclaim : footprint; diags : diag list }
 
 let opt_map2 f a b = match (a, b) with Some x, Some y -> Some (f x y) | _ -> None
 
-(* {1 Per-cell byte widths} *)
+let bytes_lo f = P.smul f.prop.P.card.P.lo 16
+let bytes_est f = P.smul f.est (f.head_rb.rb_est + f.tail_rb.rb_est)
 
-let fixed_rb = { rb_est = 8; rb_max = Some 8 }
-let unknown_rb = { rb_est = 8; rb_max = None }
-
-let atom_rb = function
-  | Atom.Str s -> { rb_est = 8 + String.length s; rb_max = Some (8 + String.length s) }
-  | _ -> fixed_rb
-
-(* Type-directed width when no provenance is available: every
-   fixed-width representation costs exactly its slot; strings (or an
-   unknown type, which could be a string) are unbounded. *)
-let rb_of_ty = function
-  | Some Atom.TStr | None -> unknown_rb
-  | Some _ -> fixed_rb
-
-(* Exact widths of a materialised column (Get leaves, literals). *)
-let col_rb col =
-  match col with
-  | Column.S a ->
-    let n = Array.length a in
-    let total = Column.bytes col in
-    let mx = Array.fold_left (fun m s -> max m (8 + String.length s)) 8 a in
-    { rb_est = (if n = 0 then 8 else (total + n - 1) / n); rb_max = Some mx }
-  | _ -> fixed_rb
-
-let rb_union a b =
-  { rb_est = max a.rb_est b.rb_est; rb_max = opt_map2 max a.rb_max b.rb_max }
-
-(* String concatenation: payloads add, the 8-byte slot is counted once. *)
-let rb_concat a b =
-  {
-    rb_est = a.rb_est + b.rb_est - 8;
-    rb_max = opt_map2 (fun x y -> sadd x y - 8) a.rb_max b.rb_max;
-  }
-
-(* {1 Node sizes} *)
-
-let clamp (c : P.card) est =
-  let est = max c.P.lo est in
-  match c.P.hi with Some h -> min h est | None -> est
-
-let bytes_lo c = smul c.rows.P.lo 16
-let bytes_est c = smul c.est (c.head.rb_est + c.tail.rb_est)
-
-let bytes_hi c =
-  match (c.rows.P.hi, c.head.rb_max, c.tail.rb_max) with
-  | Some r, Some h, Some t -> Some (smul r (h + t))
+let bytes_hi f =
+  match (f.prop.P.card.P.hi, f.head_rb.rb_max, f.tail_rb.rb_max) with
+  | Some r, Some h, Some t -> Some (P.smul r (h + t))
   | _ -> None
+
+let zero = { fp_lo = 0; fp_est = 0; fp_hi = Some 0 }
+
+(* Residency: every distinct node held to the end of the bundle. *)
+let resident nodes =
+  List.fold_left
+    (fun acc f ->
+      {
+        fp_lo = P.sadd acc.fp_lo (bytes_lo f);
+        fp_est = P.sadd acc.fp_est (bytes_est f);
+        fp_hi = opt_map2 P.sadd acc.fp_hi (bytes_hi f);
+      })
+    zero nodes
+
+(* Liveness: a node is materialised when evaluated and reclaimed when
+   its last consumer has finished; roots stay pinned.  Refcounts count
+   DAG edges (a parent consuming the same child twice holds two
+   references, released together when the parent completes). *)
+let reclaim nodes roots ~bounded =
+  let refs = Hashtbl.create 64 in
+  let bump (f : fact) =
+    Hashtbl.replace refs f.id (1 + Option.value ~default:0 (Hashtbl.find_opt refs f.id))
+  in
+  List.iter (fun f -> Array.iter bump f.kids) nodes;
+  List.iter bump roots;
+  let live = ref zero and peak = ref zero in
+  let shift sign f =
+    let step cur delta = max 0 (cur + (sign * delta)) in
+    live :=
+      {
+        fp_lo = step !live.fp_lo (bytes_lo f);
+        fp_est = step !live.fp_est (bytes_est f);
+        fp_hi = (if bounded then opt_map2 step !live.fp_hi (bytes_hi f) else None);
+      }
+  in
+  List.iter
+    (fun f ->
+      shift 1 f;
+      peak :=
+        {
+          fp_lo = max !peak.fp_lo !live.fp_lo;
+          fp_est = max !peak.fp_est !live.fp_est;
+          fp_hi = opt_map2 max !peak.fp_hi !live.fp_hi;
+        };
+      Array.iter
+        (fun (k : fact) ->
+          let n = Hashtbl.find refs k.id - 1 in
+          Hashtbl.replace refs k.id n;
+          if n = 0 then shift (-1) k)
+        f.kids)
+    nodes;
+  if bounded then !peak else { !peak with fp_hi = None }
+
+let footprints (t : Milcheck.t) =
+  let resident = resident t.nodes in
+  let roots = List.map (Mil.Tbl.find t.table) t.roots in
+  let undeclared name =
+    match t.env.foreign name with Some { f_rows = Some _; _ } -> false | _ -> true
+  in
+  let diags =
+    List.filter_map
+      (fun f ->
+        match f.node with
+        | Mil.Foreign { name; _ } when undeclared name ->
+          Some
+            {
+              severity = Warning;
+              path = f.path;
+              op = Mil.op_name f.node;
+              message =
+                Printf.sprintf
+                  "foreign operator %S declares no resource bounds — the plan is unbounded" name;
+            }
+        | _ -> None)
+      t.nodes
+  in
+  { resident; reclaim = reclaim t.nodes roots ~bounded:(resident.fp_hi <> None); diags }
+
+let admission (t : Milcheck.t) root =
+  match Mil.Tbl.find_opt t.table root with
+  | None -> None
+  | Some f ->
+    let sub = reachable f in
+    if List.exists (fun (f : fact) -> errors f.diags <> []) sub then None
+    else
+      let r = resident sub in
+      Some (r.fp_est, r.fp_hi)
 
 let bat_bytes b = Column.bytes (Bat.head b) + Column.bytes (Bat.tail b)
 
@@ -109,321 +119,3 @@ let bats_bytes bats =
     end
   in
   List.fold_left (fun acc b -> acc + col (Bat.head b) + col (Bat.tail b)) 0 bats
-
-let cost_rows ?est rows =
-  let est =
-    match est with
-    | Some e -> e
-    | None -> ( (* midpoint heuristic: lo when unbounded above *)
-      match rows.P.hi with Some h -> (rows.P.lo + h) / 2 | None -> rows.P.lo)
-  in
-  { rows; est = clamp rows est; head = fixed_rb; tail = fixed_rb }
-
-(* {1 The cost walk} *)
-
-type ctx = {
-  env : env;
-  props : P.t Mil.Tbl.t;  (* Milcheck's shared inference memo *)
-  costs : cost Mil.Tbl.t;
-  mutable diags : Milcheck.diag list;  (* reverse emission order *)
-}
-
-let emit ctx severity path plan fmt =
-  Printf.ksprintf
-    (fun message ->
-      ctx.diags <-
-        { Milcheck.severity; path; op = Mil.op_name plan; message } :: ctx.diags)
-    fmt
-
-let prop_of ctx plan =
-  match Mil.Tbl.find_opt ctx.props plan with Some p -> p | None -> P.unknown
-
-let rec cost_at ctx path plan =
-  match Mil.Tbl.find_opt ctx.costs plan with
-  | Some c -> c
-  | None ->
-    let c = cost_raw ctx path plan in
-    (* Self-consistency: the estimate must live inside the sound
-       interval.  Unreachable by construction (every rule clamps);
-       checked so a future rule cannot silently break the contract. *)
-    let c =
-      if c.est < c.rows.P.lo || match c.rows.P.hi with Some h -> c.est > h | None -> false
-      then begin
-        emit ctx Milcheck.Error path plan
-          "row estimate %d escapes the sound interval %d..%s" c.est c.rows.P.lo
-          (match c.rows.P.hi with Some h -> string_of_int h | None -> "*");
-        { c with est = clamp c.rows c.est }
-      end
-      else c
-    in
-    Mil.Tbl.add ctx.costs plan c;
-    c
-
-(* Intersection of two sound intervals is sound — used to tighten
-   Milcheck's interval with bounds derived from the children's cost
-   envelopes, which can be sharper below a declared foreign bound
-   (Milcheck only knows the foreign's static signature). *)
-and inter (a : P.card) (b : P.card) =
-  {
-    P.lo = max a.P.lo b.P.lo;
-    hi =
-      (match (a.P.hi, b.P.hi) with
-      | Some x, Some y -> Some (min x y)
-      | (Some _ as h), None | None, h -> h);
-  }
-
-and cost_raw ctx path plan =
-  let prop = prop_of ctx plan in
-  let rows = prop.P.card in
-  let child slot q = cost_at ctx (path ^ slot ^ "/" ^ Mil.op_name q) q in
-  let only q = child "" q in
-  (* The common case: rows estimated from one input, head and tail
-     widths carried per column.  [sound] is a child-derived interval to
-     intersect with Milcheck's: exact input rows for row-preserving
-    ops, [0..input hi] for subsets, sums/products for combiners. *)
-  let mk ?sound est head tail =
-    let rows = match sound with Some s -> inter rows s | None -> rows in
-    { rows; est = clamp rows est; head; tail }
-  in
-  let subset_of (c : cost) = { P.lo = 0; hi = c.rows.P.hi } in
-  match plan with
-  | Mil.Get name -> (
-    match ctx.env.get_bat name with
-    | Some b -> mk (Bat.count b) (col_rb (Bat.head b)) (col_rb (Bat.tail b))
-    | None -> mk rows.P.lo (rb_of_ty prop.P.hty) (rb_of_ty prop.P.tty))
-  | Mil.Lit { pairs; _ } ->
-    let fold side =
-      List.fold_left
-        (fun acc pair -> rb_union acc (atom_rb (side pair)))
-        fixed_rb pairs
-    in
-    mk (List.length pairs) (fold fst) (fold snd)
-  | Mil.Reverse p ->
-    let c = only p in
-    mk ~sound:c.rows c.est c.tail c.head
-  | Mil.Mirror p ->
-    let c = only p in
-    mk ~sound:c.rows c.est c.head c.head
-  | Mil.Mark (p, _) ->
-    let c = only p in
-    mk ~sound:c.rows c.est c.head fixed_rb
-  | Mil.NumberHead (p, _) ->
-    let c = only p in
-    mk ~sound:c.rows c.est fixed_rb c.head
-  | Mil.NumberTail (p, _) ->
-    let c = only p in
-    mk ~sound:c.rows c.est fixed_rb c.tail
-  | Mil.Project (p, a) ->
-    let c = only p in
-    mk ~sound:c.rows c.est c.head (atom_rb a)
-  | Mil.Calc1 (_, p) ->
-    let c = only p in
-    (* All unary results are fixed width (not/neg/abs/log/…). *)
-    mk ~sound:c.rows c.est c.head fixed_rb
-  | Mil.CalcConst (op, p, a) ->
-    let c = only p in
-    mk ~sound:c.rows c.est c.head (calc_tail op c.tail (atom_rb a) prop.P.tty)
-  | Mil.ConstCalc (op, a, p) ->
-    let c = only p in
-    mk ~sound:c.rows c.est c.head (calc_tail op (atom_rb a) c.tail prop.P.tty)
-  | Mil.Calc2 (op, l, r) ->
-    let cl = child ":l" l and cr = child ":r" r in
-    mk
-      ~sound:{ (P.card_mul cl.rows cr.rows) with P.lo = 0 }
-      (min cl.est cr.est) cl.head (calc_tail op cl.tail cr.tail prop.P.tty)
-  | Mil.SelectCmp (p, c, _) ->
-    let cp = only p in
-    let est =
-      match c with
-      | Bat.Eq -> cp.est / 10
-      | Bat.Ne -> cp.est * 9 / 10
-      | Bat.Lt | Bat.Le | Bat.Gt | Bat.Ge -> cp.est / 3
-    in
-    mk ~sound:(subset_of cp) est cp.head cp.tail
-  | Mil.SelectRange (p, _, _) ->
-    let cp = only p in
-    mk ~sound:(subset_of cp) (cp.est / 4) cp.head cp.tail
-  | Mil.SelectBool p ->
-    let cp = only p in
-    mk ~sound:(subset_of cp) (cp.est / 2) cp.head cp.tail
-  | Mil.Join (l, r) ->
-    let cl = child ":l" l and cr = child ":r" r in
-    let rprop = prop_of ctx r in
-    let est =
-      if rprop.P.head_key then cl.est
-      else smul cl.est cr.est / max 1 (max cl.est cr.est)
-    in
-    mk ~sound:{ (P.card_mul cl.rows cr.rows) with P.lo = 0 } est cl.head cr.tail
-  | Mil.LeftOuterJoin (l, r, d) ->
-    let cl = child ":l" l and cr = child ":r" r in
-    mk cl.est cl.head (rb_union cr.tail (atom_rb d))
-  | Mil.Semijoin (l, r) | Mil.Antijoin (l, r) | Mil.PairInter (l, r) | Mil.PairDiff (l, r)
-    ->
-    let cl = child ":l" l and _ = child ":r" r in
-    mk ~sound:(subset_of cl) (cl.est / 2) cl.head cl.tail
-  | Mil.Kunion (l, r) | Mil.PairUnion (l, r) ->
-    let cl = child ":l" l and cr = child ":r" r in
-    mk
-      ~sound:{ (P.card_add cl.rows cr.rows) with P.lo = 0 }
-      (sadd cl.est (cr.est / 2)) (rb_union cl.head cr.head) (rb_union cl.tail cr.tail)
-  | Mil.Append (l, r) ->
-    let cl = child ":l" l and cr = child ":r" r in
-    mk
-      ~sound:{ (P.card_add cl.rows cr.rows) with P.lo = 0 }
-      (sadd cl.est cr.est) (rb_union cl.head cr.head) (rb_union cl.tail cr.tail)
-  | Mil.Unique p | Mil.UniqueHead p ->
-    let c = only p in
-    mk ~sound:(subset_of c) (c.est / 2) c.head c.tail
-  | Mil.GroupAggr (op, p) ->
-    let c = only p in
-    mk ~sound:(subset_of c) (c.est / 2) c.head (aggr_tail op c prop.P.tty)
-  | Mil.AggrAll (op, p) ->
-    let c = only p in
-    mk 1 fixed_rb (aggr_tail op c prop.P.tty)
-  | Mil.GroupRank { link; key; _ } ->
-    let cl = child ":link" link and _ = child ":key" key in
-    mk ~sound:cl.rows cl.est cl.head fixed_rb
-  | Mil.SortTail (p, _) ->
-    let c = only p in
-    mk ~sound:c.rows c.est c.head c.tail
-  | Mil.Slice (p, _, _) | Mil.TopN (p, _, _) ->
-    let c = only p in
-    (* clamp does the real work: the interval already carries the
-       pos/len arithmetic from Milcheck. *)
-    mk ~sound:(subset_of c) c.est c.head c.tail
-  | Mil.Foreign { name; args; _ } -> (
-    let arg_costs = List.mapi (fun i a -> child (Printf.sprintf ":%d" i) a) args in
-    match ctx.env.foreign_bound name with
-    | Some f ->
-      let c = f arg_costs in
-      { c with est = clamp c.rows c.est }
-    | None ->
-      emit ctx Milcheck.Warning path plan
-        "foreign operator %S declares no resource bounds — the plan is unbounded" name;
-      { rows = P.any_card; est = 0; head = unknown_rb; tail = unknown_rb })
-
-(* Element-wise binary results: fixed width unless the result is a
-   string — concatenation for Add, either operand for min/max. *)
-and calc_tail op l r tty =
-  match tty with
-  | Some Atom.TStr -> (
-    match op with
-    | Bat.Add -> rb_concat l r
-    | Bat.MinOp | Bat.MaxOp -> rb_union l r
-    | _ -> unknown_rb)
-  | Some _ -> fixed_rb
-  | None -> unknown_rb
-
-(* Aggregate results: min/max return a member of the group; sum over
-   strings concatenates up to every input row's payload into one cell. *)
-and aggr_tail op (c : cost) tty =
-  match (op, tty) with
-  | Bat.Sum, Some Atom.TStr ->
-    {
-      rb_est = c.tail.rb_est;
-      rb_max =
-        opt_map2 (fun rhi m -> sadd 8 (smul rhi (m - 8))) c.rows.P.hi c.tail.rb_max;
-    }
-  | (Bat.Min | Bat.Max), _ -> c.tail
-  | _, (Some Atom.TStr | None) -> unknown_rb
-  | _, Some _ -> fixed_rb
-
-(* {1 Whole-plan footprints} *)
-
-(* Distinct nodes in evaluation order: post-order, first visit — the
-   order the memoising executor materialises them. *)
-let schedule roots =
-  let seen = Mil.Tbl.create 64 in
-  let order = ref [] in
-  let rec go p =
-    if not (Mil.Tbl.mem seen p) then begin
-      Mil.Tbl.add seen p ();
-      List.iter go (Mil.children p);
-      order := p :: !order
-    end
-  in
-  List.iter go roots;
-  List.rev !order
-
-let footprints costs nodes roots =
-  let cost n = Mil.Tbl.find costs n in
-  (* Residency: every distinct node held to the end of the bundle. *)
-  let resident =
-    List.fold_left
-      (fun acc n ->
-        let c = cost n in
-        {
-          fp_lo = sadd acc.fp_lo (bytes_lo c);
-          fp_est = sadd acc.fp_est (bytes_est c);
-          fp_hi = opt_map2 sadd acc.fp_hi (bytes_hi c);
-        })
-      { fp_lo = 0; fp_est = 0; fp_hi = Some 0 }
-      nodes
-  in
-  (* Liveness: a node is materialised when evaluated and reclaimed when
-     its last consumer has finished; roots stay pinned.  Refcounts
-     count DAG edges (a parent consuming the same child twice holds two
-     references, released together when the parent completes). *)
-  let refs = Mil.Tbl.create 64 in
-  let bump p by =
-    Mil.Tbl.replace refs p (by + Option.value ~default:0 (Mil.Tbl.find_opt refs p))
-  in
-  List.iter (fun n -> List.iter (fun c -> bump c 1) (Mil.children n)) nodes;
-  List.iter (fun r -> bump r 1) roots;
-  let bounded = resident.fp_hi <> None in
-  let live = ref { fp_lo = 0; fp_est = 0; fp_hi = Some 0 } in
-  let peak = ref !live in
-  let shift sign c =
-    let f cur delta = max 0 (cur + (sign * delta)) in
-    live :=
-      {
-        fp_lo = f !live.fp_lo (bytes_lo c);
-        fp_est = f !live.fp_est (bytes_est c);
-        fp_hi =
-          (if bounded then
-             opt_map2 (fun cur h -> max 0 (cur + (sign * h))) !live.fp_hi (bytes_hi c)
-           else None);
-      }
-  in
-  List.iter
-    (fun n ->
-      shift 1 (cost n);
-      peak :=
-        {
-          fp_lo = max !peak.fp_lo !live.fp_lo;
-          fp_est = max !peak.fp_est !live.fp_est;
-          fp_hi = opt_map2 max !peak.fp_hi !live.fp_hi;
-        };
-      List.iter
-        (fun ch ->
-          let k = Mil.Tbl.find refs ch - 1 in
-          Mil.Tbl.replace refs ch k;
-          if k = 0 then shift (-1) (cost ch))
-        (Mil.children n))
-    nodes;
-  let reclaim = if bounded then !peak else { !peak with fp_hi = None } in
-  (resident, reclaim)
-
-let analyze env plans =
-  if Mirror_util.Metrics.enabled () then
-    Mirror_util.Metrics.incr ~by:(List.length plans) "boundcheck.plans";
-  let props, pdiags = Milcheck.infer_table env.milenv plans in
-  let ctx = { env; props; costs = Mil.Tbl.create 64; diags = [] } in
-  List.iter (fun plan -> ignore (cost_at ctx (Mil.op_name plan) plan)) plans;
-  let nodes = schedule plans in
-  let resident, reclaim = footprints ctx.costs nodes plans in
-  { per_node = ctx.costs; resident; reclaim; diags = pdiags @ List.rev ctx.diags }
-
-(* {1 The admission oracle} *)
-
-let oracle ?foreign ?foreign_bound () catalog plan =
-  let env = env_of_catalog ?foreign ?foreign_bound catalog in
-  let b = analyze env [ plan ] in
-  match Milcheck.errors b.diags with
-  | _ :: _ -> None
-  | [] -> Some (b.resident.fp_est, b.resident.fp_hi)
-
-(* Catalog-only default: budgeted sessions work out of the box for
-   extension-free plans; Bootstrap upgrades this with the registry's
-   foreign signatures and bounds. *)
-let () = Mil.set_bound_oracle (oracle ())

@@ -1,61 +1,25 @@
-(** Static resource-bound analysis of MIL plans — the fourth analyzer
-    layer ([Moacheck] certifies logical shape, [Milcheck] physical
-    properties, [Effcheck] effects and aliasing; [Boundcheck] answers
-    "how much memory can this query ever need").
+(** Static resource bounds of MIL plan bundles: "how much memory can
+    this query ever need".
 
-    The analyzer walks the CSE'd plan DAG once and computes, per
-    distinct operator node, a {!cost} envelope: the sound cardinality
-    interval inherited from {!Milcheck}'s inference, a point {e row
-    estimate} derived from per-constructor selectivity rules (always
-    clamped into the sound interval, so estimates can be wrong but
-    never inconsistent), and per-cell byte widths for both columns —
-    8 bytes per cell for every fixed-width representation, 8 plus the
-    tracked payload bound for strings, matching {!Column.bytes} on the
-    measured side.
-
-    On top of the per-node costs it derives two whole-plan footprints:
+    {!Milcheck}'s walk gives every distinct node its sound row
+    interval, a point row estimate inside it, and per-cell byte widths
+    for both columns — 8 bytes per cell for every fixed-width
+    representation, 8 plus the tracked payload bound for strings,
+    matching {!Column.bytes} on the measured side.  This module sums
+    them into whole-bundle footprints:
     {ul
-    {- {!plan_bounds.resident} — the sum over all distinct DAG nodes,
-       the envelope of the real executor, which memoises every
-       intermediate for the session's lifetime ({!Mil.resident_bytes}
-       is the measured counterpart it must bound from above);}
-    {- {!plan_bounds.reclaim} — a liveness simulation of the same
-       evaluation order under last-use reference counting (each
-       intermediate freed once its last consumer has run, roots pinned),
-       the peak a reclaiming executor would reach — always ≤ resident,
-       and the number a scheduler should use once eager reclamation
-       exists.}}
+    {- {!bounds.resident} — the sum over all distinct DAG nodes, the
+       envelope of the real executor, which memoises every intermediate
+       for the session's lifetime ({!Mil.resident_bytes} is the
+       measured counterpart it must bound from above);}
+    {- {!bounds.reclaim} — a liveness simulation of the same evaluation
+       order under last-use reference counting (each intermediate freed
+       once its last consumer has run, roots pinned), the peak a
+       reclaiming executor would reach — always ≤ resident.}}
 
-    [Foreign] operators declare their bounds through the extension
-    registry ([Extension.foreign_bound]); an undeclared foreign
-    degrades the plan to an unbounded envelope with a [Warning]
-    diagnostic rather than an error.
-
-    The first consumer is the {!Mil.session} admission gate: this
-    module installs itself as the {!Mil.set_bound_oracle} at link time
-    (catalog-only knowledge), and [Bootstrap.ensure] upgrades the
-    oracle with the extension registry's foreign bounds. *)
-
-type rowbytes = {
-  rb_est : int;  (** Estimated bytes per cell (slot + payload). *)
-  rb_max : int option;
-      (** Sound per-cell upper bound; [None] when unbounded (strings of
-          unknown provenance). *)
-}
-(** Per-cell byte width of one column.  Every cell costs its 8-byte
-    slot; string cells add their payload, tracked through the
-    constructors (subsets preserve it, concatenation sums it, unions
-    take the max). *)
-
-type cost = {
-  rows : Milprop.card;  (** Sound row interval (from {!Milcheck}). *)
-  est : int;
-      (** Point row estimate, clamped into [rows] — per-constructor
-          selectivity rules applied to the children's estimates. *)
-  head : rowbytes;
-  tail : rowbytes;
-}
-(** The cost envelope of one operator node. *)
+    A [Foreign] operator whose declaration has no row rule leaves the
+    bundle unbounded, with a [Warning].  {!admission} is the bound the
+    {!Mil.session} admission gate consults per root. *)
 
 type footprint = {
   fp_lo : int;  (** Sound lower bound, bytes (slots only, payload-free). *)
@@ -64,53 +28,28 @@ type footprint = {
 }
 (** A bytes envelope for a whole plan (or bundle). *)
 
-type plan_bounds = {
-  per_node : cost Mil.Tbl.t;
-      (** The cost of every distinct subplan of every analyzed root. *)
+type bounds = {
   resident : footprint;
-      (** Memo residency: the sum of every distinct node's size — what
-          the retain-everything CSE executor holds once all roots have
-          run.  [fp_lo] bounds the nominal (un-deduplicated) sum;
-          physical column sharing can only push the measured figure
-          below it, never above [fp_hi]. *)
+      (** Memo residency: the sum of every distinct node's size.
+          [fp_lo] bounds the nominal (un-deduplicated) sum; physical
+          column sharing can only push the measured figure below it,
+          never above [fp_hi]. *)
   reclaim : footprint;
-      (** Peak of the last-use-refcount liveness simulation: the high
-          water mark of a reclaiming executor over the same evaluation
-          order, roots held to the end. *)
+      (** Peak of the last-use-refcount liveness simulation over the
+          same evaluation order, roots held to the end. *)
   diags : Milcheck.diag list;
-      (** {!Milcheck} inference diagnostics for the bundle, plus this
-          layer's own: [Warning] per undeclared foreign bound, [Error]
-          if an estimate ever escapes its sound interval (an analyzer
-          bug; checked defensively). *)
+      (** A [Warning] per foreign operator without a row rule. *)
 }
 
-type foreign_bound = cost list -> cost
-(** The registry-declared cost rule of a [Foreign] operator: the
-    operator's envelope as a function of its plan arguments' envelopes.
-    Like [Milprop.foreign_sig.fs_result], soundness is the extension's
-    contract. *)
+val footprints : Milcheck.t -> bounds
+(** The footprints of the whole analysed bundle. *)
 
-type env = {
-  milenv : Milcheck.env;  (** Property inference environment. *)
-  get_bat : string -> Bat.t option;
-      (** The materialised BAT behind a catalog name, used to measure
-          exact string payload widths for [Get] leaves.  [None] falls
-          back to type-directed widths (strings unbounded). *)
-  foreign_bound : string -> foreign_bound option;
-}
-
-val env_of_catalog :
-  ?foreign:(string -> Milprop.foreign_sig option) ->
-  ?foreign_bound:(string -> foreign_bound option) ->
-  Catalog.t ->
-  env
-(** Environment over a bare catalog; both foreign lookups default to
-    knowing no operators. *)
-
-val analyze : env -> Mil.t list -> plan_bounds
-(** Analyze a bundle of root plans as one shared DAG (mirroring the
-    executor's cross-plan CSE within a session).  Bumps the
-    ["boundcheck.plans"] metric per root when metrics are enabled. *)
+val admission : Milcheck.t -> Mil.t -> (int * int option) option
+(** [(resident est, resident hi)] of one root's sub-DAG, read from the
+    bundle's table — equal to the residency of analysing the root
+    alone, since facts are context-free.  [None] when the root is not
+    in the bundle or its sub-DAG has verifier errors (the admission
+    gate then refuses, fail-closed). *)
 
 val bat_bytes : Bat.t -> int
 (** {!Column.bytes} over both columns — the measured size of one
@@ -120,21 +59,3 @@ val bats_bytes : Bat.t list -> int
 (** Total measured bytes of a set of BATs, physically shared columns
     counted once (the executor's reverse/mirror results alias their
     input's arrays). *)
-
-val cost_rows : ?est:int -> Milprop.card -> cost
-(** Convenience for extension [foreign_bounds]: a cost with the given
-    row interval, fixed-width (8-byte) cells, and [est] (default the
-    interval's midpoint heuristic) clamped into the interval. *)
-
-val oracle :
-  ?foreign:(string -> Milprop.foreign_sig option) ->
-  ?foreign_bound:(string -> foreign_bound option) ->
-  unit ->
-  Catalog.t ->
-  Mil.t ->
-  (int * int option) option
-(** Build a {!Mil.set_bound_oracle} function: analyzes the plan against
-    the catalog and returns [(resident est, resident hi)], or [None]
-    when the analysis itself reported errors (unbound names, malformed
-    plans — the admission gate then refuses, fail-closed).  A default
-    [oracle ()] (no foreign knowledge) is installed at link time. *)

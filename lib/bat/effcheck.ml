@@ -1,204 +1,21 @@
-(* Effect-and-aliasing analysis over MIL plans, plus the runtime
-   sanitizer.  See effcheck.mli for the model; the signatures below
-   are derived from bat.ml's actual allocation behaviour and must be
-   kept in sync with it (the sanitizer exists to catch drift). *)
+(* Effect-and-aliasing verdicts over an analysed bundle, plus the
+   runtime sanitizer.  The effect signatures and column provenance are
+   part of Milcheck's per-node fact; this module reads them.  See
+   effcheck.mli for the model. *)
 
-type col = Head | Tail
-
-type source = Input of int * col | CatalogCol of string * col
-
-type alias = { sources : source list; maybe_fresh : bool }
-
-type eff = {
-  head : alias;
-  tail : alias;
-  reads : (int * col) list;
-  writes : (int * col) list;
-  cat_read : string option;
-  impure : string option;
-  undeclared : bool;
-}
-
-type foreign_eff = { fe_pure : bool; fe_shares : bool; fe_writes : bool }
-
-let pure_foreign = { fe_pure = true; fe_shares = false; fe_writes = false }
-
-type env = { foreign : string -> foreign_eff option }
-
-let env ?(foreign = fun _ -> None) () = { foreign }
-
-(* {1 Per-constructor signatures} *)
-
-let fresh = { sources = []; maybe_fresh = true }
-let shared src = { sources = [ src ]; maybe_fresh = false }
-let both_cols n = List.concat (List.init n (fun i -> [ (i, Head); (i, Tail) ]))
-
-let signature env plan =
-  let pure =
-    {
-      head = fresh;
-      tail = fresh;
-      reads = [];
-      writes = [];
-      cat_read = None;
-      impure = None;
-      undeclared = false;
-    }
-  in
-  match plan with
-  | Mil.Get name ->
-    {
-      pure with
-      head = shared (CatalogCol (name, Head));
-      tail = shared (CatalogCol (name, Tail));
-      cat_read = Some name;
-    }
-  | Mil.Lit _ -> pure
-  | Mil.Reverse _ ->
-    { pure with head = shared (Input (0, Tail)); tail = shared (Input (0, Head)) }
-  | Mil.Mirror _ ->
-    { pure with head = shared (Input (0, Head)); tail = shared (Input (0, Head)) }
-  | Mil.Mark _ -> { pure with head = shared (Input (0, Head)) }
-  | Mil.NumberHead _ -> { pure with tail = shared (Input (0, Head)) }
-  | Mil.NumberTail _ -> { pure with tail = shared (Input (0, Tail)) }
-  | Mil.Project _ -> { pure with head = shared (Input (0, Head)) }
-  | Mil.Calc1 _ | Mil.CalcConst _ | Mil.ConstCalc _ ->
-    { pure with head = shared (Input (0, Head)); reads = [ (0, Tail) ] }
-  | Mil.Calc2 _ ->
-    (* The row-aligned fast path keeps the left head; the generic
-       path rebuilds both columns. *)
-    {
-      pure with
-      head = { sources = [ Input (0, Head) ]; maybe_fresh = true };
-      reads = both_cols 2;
-    }
-  | Mil.SelectCmp _ | Mil.SelectRange _ | Mil.SelectBool _
-  | Mil.Unique _ | Mil.UniqueHead _
-  | Mil.GroupAggr _
-  | Mil.SortTail _ | Mil.Slice _ | Mil.TopN _ ->
-    { pure with reads = [ (0, Head); (0, Tail) ] }
-  | Mil.AggrAll _ -> { pure with reads = [ (0, Tail) ] }
-  | Mil.Semijoin _ | Mil.Antijoin _ ->
-    (* Gathers both columns of the left side, probes right heads. *)
-    { pure with reads = [ (0, Head); (0, Tail); (1, Head) ] }
-  | Mil.Join _ | Mil.LeftOuterJoin _
-  | Mil.Kunion _ | Mil.PairUnion _ | Mil.PairDiff _ | Mil.PairInter _
-  | Mil.Append _ | Mil.GroupRank _ ->
-    { pure with reads = both_cols 2 }
-  | Mil.Foreign { name; args; _ } -> (
-    let n = List.length args in
-    let share_all =
-      {
-        sources = List.map (fun (i, c) -> Input (i, c)) (both_cols n);
-        maybe_fresh = true;
-      }
-    in
-    match env.foreign name with
-    | Some fe ->
-      {
-        head = (if fe.fe_shares then share_all else fresh);
-        tail = (if fe.fe_shares then share_all else fresh);
-        reads = both_cols n;
-        writes = (if fe.fe_writes then both_cols n else []);
-        cat_read = None;
-        impure = (if fe.fe_pure then None else Some name);
-        undeclared = false;
-      }
-    | None ->
-      (* Worst case: aliases everything, mutates everything, has
-         external effects. *)
-      {
-        head = share_all;
-        tail = share_all;
-        reads = both_cols n;
-        writes = both_cols n;
-        cat_read = None;
-        impure = Some name;
-        undeclared = true;
-      })
-
-(* {1 Sharing graph and verdicts} *)
-
-module ISet = Set.Make (Int)
-
-(* One distinct DAG node.  Origins are allocation sites: non-negative
-   ints encode (node id, column) pairs, negative ints encode catalog
-   columns (which are always shared — the store itself holds them). *)
-type info = {
-  id : int;
-  plan : Mil.t;
-  path : string;
-  eff : eff;
-  kids : info array;
-  head_orig : ISet.t;
-  tail_orig : ISet.t;
-}
+open Milcheck
 
 type verdict = {
   nodes : int;
   shared_columns : int;
   partitions : int;
-  hazards : Milcheck.diag list;
+  hazards : diag list;
   safe : Mil.t -> bool;
 }
 
-let slot_path path i n k =
-  let slot = if n = 1 then "" else ":" ^ string_of_int i in
-  path ^ slot ^ "/" ^ Mil.op_name k
-
-let kid_orig (k : info) = function Head -> k.head_orig | Tail -> k.tail_orig
-
-let analyze env plans =
-  let infos : info Mil.Tbl.t = Mil.Tbl.create 64 in
-  let order = ref [] in
-  (* post-order, reversed *)
-  let next_id = ref 0 in
-  let cat_origin = Hashtbl.create 8 in
-  let catalog_origin name c =
-    match Hashtbl.find_opt cat_origin (name, c) with
-    | Some o -> o
-    | None ->
-      let o = -(Hashtbl.length cat_origin + 1) in
-      Hashtbl.add cat_origin (name, c) o;
-      o
-  in
-  let rec visit path plan =
-    match Mil.Tbl.find_opt infos plan with
-    | Some i -> i
-    | None ->
-      let kid_plans = Mil.children plan in
-      let n = List.length kid_plans in
-      let kids =
-        Array.of_list (List.mapi (fun i k -> visit (slot_path path i n k) k) kid_plans)
-      in
-      let id = !next_id in
-      incr next_id;
-      let eff = signature env plan in
-      let resolve al bit =
-        let base = if al.maybe_fresh then ISet.singleton ((2 * id) + bit) else ISet.empty in
-        List.fold_left
-          (fun acc -> function
-            | Input (i, c) -> ISet.union acc (kid_orig kids.(i) c)
-            | CatalogCol (nm, c) -> ISet.add (catalog_origin nm c) acc)
-          base al.sources
-      in
-      let info =
-        {
-          id;
-          plan;
-          path;
-          eff;
-          kids;
-          head_orig = resolve eff.head 0;
-          tail_orig = resolve eff.tail 1;
-        }
-      in
-      Mil.Tbl.add infos plan info;
-      order := info :: !order;
-      info
-  in
-  List.iter (fun p -> ignore (visit (Mil.op_name p) p)) plans;
-  let all = List.rev !order in
+let verdict (t : Milcheck.t) =
+  let all = t.nodes in
+  let n = List.length all in
   (* Reference counts per origin: a column slot is shared when one of
      its origins is a catalog column or is reachable from two or more
      slots of the DAG. *)
@@ -221,44 +38,44 @@ let analyze env plans =
   in
   (* Hazard lint. *)
   let hazards = ref [] in
-  let add severity (i : info) fmt =
+  let add severity (i : fact) fmt =
     Printf.ksprintf
       (fun message ->
-        hazards :=
-          { Milcheck.severity; path = i.path; op = Mil.op_name i.plan; message } :: !hazards)
+        hazards := { severity; path = i.path; op = Mil.op_name i.node; message } :: !hazards)
       fmt
   in
-  let written_origins (i : info) =
+  let written_origins (i : fact) =
     List.fold_left
-      (fun acc (k, c) -> ISet.union acc (kid_orig i.kids.(k) c))
+      (fun acc (k, c) ->
+        ISet.union acc (match c with Head -> i.kids.(k).head_orig | Tail -> i.kids.(k).tail_orig))
       ISet.empty i.eff.writes
   in
   List.iter
     (fun i ->
       if i.eff.undeclared then
-        add Milcheck.Error i
+        add Error i
           "foreign operator has no effect declaration — assumed to alias and mutate its \
-           arguments; add it to the extension's foreign_effects"
+           arguments; declare it in the extension's foreign_ops"
       else begin
         (match i.eff.writes with
         | [] -> ()
         | ws ->
           let target = written_origins i in
           if ISet.exists (fun o -> o < 0) target then
-            add Milcheck.Error i
+            add Error i
               "mutation under sharing: writes argument columns aliasing the catalog — the \
                store itself would change"
           else if ISet.exists origin_shared target then
-            add Milcheck.Error i
+            add Error i
               "mutation under sharing: writes argument columns that other plan nodes alias"
           else
-            add Milcheck.Warning i
+            add Warning i
               "declares a write effect on %d private column(s) — the algebra assumes pure \
                producers; a memoised result would expose the mutation"
               (List.length ws));
         match i.eff.impure with
         | Some name ->
-          add Milcheck.Warning i
+          add Warning i
             "effectful operator %S under a memoising executor — a memo hit elides its side \
              effect"
             name
@@ -295,15 +112,15 @@ let analyze env plans =
   in
   (match first_unordered impures with
   | Some (a, b) ->
-    add Milcheck.Warning b
+    add Warning b
       "non-commutable effect ordering: %s and %s are not ancestor-related, so rewrites \
        and memoisation give their effects no fixed order"
-      (Mil.op_name a.plan) (Mil.op_name b.plan)
+      (Mil.op_name a.node) (Mil.op_name b.node)
   | None -> ());
   (* Partition the DAG: writers conflict with every observer of the
      written columns, and effectful operators serialise with each
      other.  Everything left is provably independent. *)
-  let parent = Array.init !next_id (fun i -> i) in
+  let parent = Array.init n (fun i -> i) in
   let rec find i = if parent.(i) = i then i else (parent.(i) <- find parent.(i); parent.(i)) in
   let union a b =
     let ra = find a and rb = find b in
@@ -330,7 +147,7 @@ let analyze env plans =
     all;
   let partitions =
     let roots = Hashtbl.create 16 in
-    for i = 0 to !next_id - 1 do
+    for i = 0 to n - 1 do
       Hashtbl.replace roots (find i) ()
     done;
     Hashtbl.length roots
@@ -346,21 +163,19 @@ let analyze env plans =
         Hashtbl.replace unsafe_roots (find i.id) ())
     all;
   let safe plan =
-    match Mil.Tbl.find_opt infos plan with
+    match Mil.Tbl.find_opt t.table plan with
     | Some i -> not (Hashtbl.mem unsafe_roots (find i.id))
     | None -> false
   in
-  let v = { nodes = !next_id; shared_columns; partitions; hazards; safe } in
+  let v = { nodes = n; shared_columns; partitions; hazards; safe } in
   if Mirror_util.Metrics.enabled () then begin
-    Mirror_util.Metrics.incr ~by:(List.length plans) "effcheck.plans";
+    Mirror_util.Metrics.incr ~by:(List.length t.roots) "effcheck.plans";
     Mirror_util.Metrics.incr ~by:v.nodes "effcheck.nodes";
     Mirror_util.Metrics.incr ~by:v.partitions "effcheck.partitions";
     Mirror_util.Metrics.incr ~by:v.shared_columns "effcheck.shared_columns";
     Mirror_util.Metrics.incr ~by:(List.length hazards) "effcheck.hazards"
   end;
   v
-
-let lint env plan = (analyze env [ plan ]).hazards
 
 (* {1 Runtime sanitizer} *)
 
@@ -383,7 +198,7 @@ end)
 type tag = { t_origin : string; t_fp : int }
 
 type sanitizer = {
-  s_env : env;
+  s_env : Milcheck.env;
   s_session : Mil.session;
   s_cols : tag Coltbl.t;  (* provenance + fingerprint per physical column *)
   s_done : Bat.t Mil.Tbl.t;  (* nodes already checked *)
@@ -435,15 +250,13 @@ let rec sexec san path plan =
   match Mil.Tbl.find_opt san.s_done plan with
   | Some b -> b
   | None ->
-    let kid_plans = Mil.children plan in
-    let n = List.length kid_plans in
     let kid_bats =
-      Array.of_list (List.mapi (fun i k -> sexec san (slot_path path i n k) k) kid_plans)
+      Array.of_list (List.map (fun (p, k) -> sexec san p k) (Milcheck.kid_paths path plan))
     in
     (* The children's results sit in the session memo, so this only
        evaluates the node itself. *)
     let b = Mil.exec san.s_session plan in
-    let eff = signature san.s_env plan in
+    let eff = Milcheck.signature san.s_env plan in
     let resolve = function
       | Input (i, Head) -> Some (Bat.head kid_bats.(i))
       | Input (i, Tail) -> Some (Bat.tail kid_bats.(i))

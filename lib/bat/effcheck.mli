@@ -1,6 +1,5 @@
-(** Effect-and-aliasing analysis over MIL plans — the third analyzer
-    layer, after the logical envelopes ({!Moacheck} in the core) and
-    the physical envelopes ({!Milcheck}).
+(** Effect-and-aliasing verdicts over an analysed plan bundle, and the
+    runtime effect sanitizer.
 
     The BAT algebra reads as if every operator were a pure producer of
     fresh columns, but the kernel is deliberately not: [reverse],
@@ -13,83 +12,16 @@
 
     This module makes the contract checkable from both sides:
 
-    - {b statically}: {!signature} gives every constructor an effect
-      signature (columns read, columns shared with inputs, catalog
-      reads, writes and external effects for [Foreign]); {!analyze}
-      builds the aliasing graph of a plan bundle under CSE, lints for
-      hazards, and partitions the DAG into provably independent groups
-      — the safe-partition count is the static precondition for a
+    - {b statically}: {!Milcheck}'s walk gives every node an effect
+      signature and the provenance of its result columns; {!verdict}
+      reads them to lint for hazards and to partition the DAG into
+      provably independent groups — the static precondition for the
       domain-parallel executor;
     - {b dynamically}: a {!type-sanitizer} wraps the executor, tags
       every materialised column with its provenance (allocation site or
       catalog entry), checks each operator's observed aliasing is
       contained in its signature, and fingerprints columns so any
       in-place write is caught at {!finish}. *)
-
-type col = Head | Tail
-
-type source =
-  | Input of int * col  (** A column of the n-th plan argument. *)
-  | CatalogCol of string * col  (** A column of a catalog entry. *)
-
-type alias = {
-  sources : source list;
-      (** Input/catalog columns the result column may be physically
-          identical to ([[]] = never shared). *)
-  maybe_fresh : bool;
-      (** The operator may also allocate this column (always true when
-          [sources = []]; [Calc2] is shared-or-fresh depending on the
-          alignment fast path). *)
-}
-
-type eff = {
-  head : alias;  (** Provenance of the result's head column. *)
-  tail : alias;  (** Provenance of the result's tail column. *)
-  reads : (int * col) list;
-      (** Input columns whose {e cells} the operator inspects (sharing
-          a column without looking at it, as [mark] does, is not a
-          read). *)
-  writes : (int * col) list;
-      (** Input columns the operator may mutate — empty for every
-          kernel constructor, possibly non-empty for [Foreign]. *)
-  cat_read : string option;  (** Catalog entry consulted ([Get]). *)
-  impure : string option;
-      (** [Some name] when the operator has external effects and must
-          not be elided or reordered ([Foreign] with [fe_pure =
-          false], or undeclared). *)
-  undeclared : bool;
-      (** A [Foreign] operator with no registered {!foreign_eff};
-          treated as worst-case (aliases and mutates everything). *)
-}
-
-type foreign_eff = {
-  fe_pure : bool;
-      (** No external effects: eliding a call (memo hit) or reordering
-          calls is unobservable. *)
-  fe_shares : bool;
-      (** Result columns may be physically shared with argument
-          columns. *)
-  fe_writes : bool;  (** May mutate argument columns in place. *)
-}
-(** Effect declaration for one [Foreign] operator, registered by the
-    owning extension alongside its {!Milprop.foreign_sig}. *)
-
-val pure_foreign : foreign_eff
-(** [{ fe_pure = true; fe_shares = false; fe_writes = false }] — a
-    pure producer of fresh columns, the declaration almost every
-    well-behaved operator wants. *)
-
-type env = { foreign : string -> foreign_eff option }
-
-val env : ?foreign:(string -> foreign_eff option) -> unit -> env
-(** Analysis environment; [foreign] resolves [Foreign] effect
-    declarations (default: none registered). *)
-
-val signature : env -> Mil.t -> eff
-(** The effect signature of the plan's {e root} operator, derived from
-    the kernel's actual sharing behaviour (e.g. [Reverse] shares both
-    columns swapped, [Mirror] aliases its input head twice, selections
-    always gather fresh columns). *)
 
 type verdict = {
   nodes : int;  (** Distinct DAG nodes after CSE over the bundle. *)
@@ -99,30 +31,24 @@ type verdict = {
   partitions : int;
       (** Number of provably independent node groups: nodes in
           different partitions touch no common mutable state and their
-          effects commute, so a parallel executor may evaluate them
-          concurrently (dataflow dependencies aside).  Equal to
-          [nodes] for a pure plan. *)
+          effects commute.  Equal to [nodes] for a pure plan. *)
   hazards : Milcheck.diag list;
       (** Mutation-under-sharing and undeclared-effect errors,
           effectful-op-under-memoization and non-commutable-reordering
           warnings. *)
   safe : Mil.t -> bool;
-      (** [safe plan] holds when [plan] is a node of the analyzed
+      (** [safe plan] holds when [plan] is a node of the analysed
           bundle whose whole partition is effect-free (no writes, no
           impure operators, no undeclared foreigns) — the static
           licence for the executor to run that node's operator
           data-parallel ({!Parkernel}).  Unknown plans are unsafe. *)
 }
 
-val analyze : env -> Mil.t list -> verdict
-(** Analyze a plan bundle as one CSE-shared DAG (structurally equal
-    subplans are one node, as in the executor's memo table).  When the
+val verdict : Milcheck.t -> verdict
+(** The verdict over the analysed bundle.  When the
     {!Mirror_util.Metrics} registry is enabled, bumps the
     ["effcheck.plans"], ["effcheck.nodes"], ["effcheck.partitions"],
     ["effcheck.shared_columns"] and ["effcheck.hazards"] counters. *)
-
-val lint : env -> Mil.t -> Milcheck.diag list
-(** [(analyze env [plan]).hazards]. *)
 
 (** {1 Runtime sanitizer} *)
 
@@ -133,7 +59,7 @@ exception Violation of string
 
 type sanitizer
 
-val sanitizer : env -> Mil.session -> sanitizer
+val sanitizer : Milcheck.env -> Mil.session -> sanitizer
 (** A sanitizing wrapper over [session].  The session must have CSE
     enabled (the sanitizer's provenance map assumes the memo table's
     sharing; @raise Invalid_argument otherwise).  Catalog columns are

@@ -109,6 +109,8 @@ end)
 
 type par = { pool : Parkernel.pool; safe : t -> bool; morsel : t -> int option }
 
+type budget = { max_bytes : int; bound : t -> (int * int option) option }
+
 type session = {
   catalog : Catalog.t;
   foreign : foreign_fn;
@@ -117,7 +119,7 @@ type session = {
   st : stats;
   tr : Mirror_util.Trace.t;
   par : par option;
-  max_bytes : int option;
+  budget : budget option;
   admitted : unit Tbl.t;  (* roots that passed the admission gate *)
 }
 
@@ -128,25 +130,11 @@ exception Admission_refused of {
   budget : int;
 }
 
-(* The resource-bound oracle behind the [?max_bytes] admission gate:
-   given the catalog and a root plan, the static (estimate, peak upper
-   bound in bytes) of executing it — or [None] when no analysis is
-   available.  The default knows nothing (sessions with a budget then
-   refuse every plan, fail-closed); [Boundcheck] installs the real
-   analyzer at link time, and [Bootstrap.ensure] upgrades it to one
-   that knows the extension registry's foreign bounds.  A global ref,
-   not a session field, because the analyzer lives upstairs and
-   sessions are opened all over. *)
-let bound_oracle : (Catalog.t -> t -> (int * int option) option) ref =
-  ref (fun _ _ -> None)
-
-let set_bound_oracle f = bound_oracle := f
-
 let no_foreign ~name ~args:_ ~meta:_ =
   failwith (Printf.sprintf "Mil: unknown foreign operator %S" name)
 
 let session ?(cse = true) ?(trace = Mirror_util.Trace.null) ?(foreign = no_foreign) ?par
-    ?max_bytes catalog =
+    ?budget catalog =
   {
     catalog;
     foreign;
@@ -155,7 +143,7 @@ let session ?(cse = true) ?(trace = Mirror_util.Trace.null) ?(foreign = no_forei
     st = { evaluated = 0; memo_hits = 0; rows_produced = 0; par_ops = 0; par_morsels = 0 };
     tr = trace;
     par;
-    max_bytes;
+    budget;
     admitted = Tbl.create 8;
   }
 
@@ -351,16 +339,16 @@ and eval_raw s plan =
     | _ -> s.foreign ~name ~args ~meta)
 
 (* Admission gate: when the session has a byte budget, a root plan runs
-   only if the bound oracle can produce a finite peak envelope that
-   fits.  Unbounded plans (oracle unavailable, undeclared foreigns, …)
-   are refused — fail-closed, since the budget exists to protect the
+   only if the budget's bound gives it a finite peak envelope that
+   fits.  Unbounded plans (unanalysed, undeclared foreign rows, …) are
+   refused — fail-closed, since the budget exists to protect the
    machine.  Each distinct root is vetted once per session. *)
 let admit s plan =
-  match s.max_bytes with
+  match s.budget with
   | None -> ()
   | Some _ when Tbl.mem s.admitted plan -> ()
-  | Some budget -> (
-    match !bound_oracle s.catalog plan with
+  | Some { max_bytes = budget; bound } -> (
+    match bound plan with
     | Some (_, Some peak) when peak <= budget ->
       if Mirror_util.Metrics.enabled () then Mirror_util.Metrics.incr "mil.admission.ok";
       Tbl.add s.admitted plan ()

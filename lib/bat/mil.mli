@@ -89,31 +89,32 @@ type session
 
 exception Admission_refused of {
   op : string;  (** {!op_name} of the refused root plan. *)
-  est_bytes : int;  (** The oracle's point estimate of peak bytes. *)
+  est_bytes : int;  (** The bound's point estimate of peak bytes. *)
   peak_bytes : int option;
       (** Static peak upper bound; [None] when the plan is unbounded
-          (or no oracle is installed) — refused regardless of budget. *)
+          or unanalysed — refused regardless of budget. *)
   budget : int;  (** The session's [max_bytes]. *)
 }
-(** Raised by {!exec} when a session opened with [?max_bytes] is asked
+(** Raised by {!exec} when a session opened with a [?budget] is asked
     to run a plan whose static peak-memory envelope exceeds the budget
     (or cannot be bounded at all). *)
 
-val set_bound_oracle : (Catalog.t -> t -> (int * int option) option) -> unit
-(** Install the resource-bound oracle behind the admission gate:
-    [(estimate, peak upper bound)] in bytes for executing a root plan
-    against a catalog, or [None] when the plan cannot be analyzed.  The
-    default oracle knows nothing, so budgeted sessions fail closed
-    until [Boundcheck] (linked) registers the real analyzer;
-    [Bootstrap.ensure] upgrades it with the extension registry's
-    foreign bounds. *)
+type budget = {
+  max_bytes : int;  (** The byte budget. *)
+  bound : t -> (int * int option) option;
+      (** [(estimate, peak upper bound)] in bytes of executing a root
+          plan, or [None] when the plan cannot be analysed (refused,
+          fail-closed) — typically [Boundcheck.admission] over the
+          analysed bundle the roots come from. *)
+}
+(** The admission gate of a session. *)
 
 val session :
   ?cse:bool ->
   ?trace:Mirror_util.Trace.t ->
   ?foreign:foreign_fn ->
   ?par:par ->
-  ?max_bytes:int ->
+  ?budget:budget ->
   Catalog.t ->
   session
 (** Open a session.  [cse] (default [true]) controls whether the memo
@@ -127,10 +128,10 @@ val session :
     [par] (default: none, fully sequential) enables morsel-parallel
     operator execution gated on its {!type-par} predicate; parallel
     executions add a ["par=<domains>d/<morsels>m"] attribute to their
-    span and bump ["mil.par.ops"] / ["mil.par.morsels"].  [max_bytes]
+    span and bump ["mil.par.ops"] / ["mil.par.morsels"].  [budget]
     (default: unlimited) arms the admission gate: every distinct root
-    handed to {!exec} is first vetted against the bound oracle, and
-    plans whose static peak-memory envelope exceeds the budget — or
+    handed to {!exec} is first vetted against the budget's bound, and
+    plans whose static peak-memory envelope exceeds [max_bytes] — or
     cannot be bounded — raise {!Admission_refused} before any operator
     runs.  Admissions bump ["mil.admission.ok"]/["mil.admission.refused"]
     when metrics are enabled. *)

@@ -12,8 +12,6 @@ type t = {
   card : card;
 }
 
-type foreign_sig = { fs_arity : int; fs_meta_min : int; fs_result : t }
-
 let any_card = { lo = 0; hi = None }
 
 let unknown =
@@ -64,9 +62,19 @@ let card_upto c = { lo = 0; hi = c.hi }
 let card_min_hi c n =
   { lo = min c.lo n; hi = (match c.hi with Some h -> Some (min h n) | None -> Some n) }
 
+let card_meet a b =
+  let hi = match (a.hi, b.hi) with Some x, Some y -> Some (min x y) | h, None | None, h -> h in
+  { lo = max a.lo b.lo; hi }
+
 let card_intersects a b =
   (match b.hi with Some h -> a.lo <= h | None -> true)
   && match a.hi with Some h -> b.lo <= h | None -> true
+
+let sadd a b =
+  let s = a + b in
+  if s < 0 then max_int else s
+
+let smul a b = if a = 0 || b = 0 then 0 else if a > max_int / b then max_int else a * b
 
 let is_empty p = p.card.hi = Some 0
 

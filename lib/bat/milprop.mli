@@ -2,8 +2,9 @@
 
     MonetDB kept per-BAT properties (key-ness, ordering, density) both
     for safety and for algorithm selection; this module is the Mirror
-    kernel's equivalent, used by {!Milcheck} as the abstract value of a
-    subplan.  A property record is an {e envelope}: every flag set and
+    kernel's equivalent, and the envelope part of {!Milcheck}'s
+    per-node fact — its interval is the only row interval any analyzer
+    keeps.  A property record is an {e envelope}: every flag set and
     every bound stated must hold of the BAT the subplan evaluates to.
     [false] / [None] always mean "unknown", never "known false", so
     {!unknown} is the lattice top and inference only ever errs towards
@@ -24,15 +25,6 @@ type t = {
   sorted_tail : bool;  (** Tails non-decreasing. *)
   card : card;
 }
-
-type foreign_sig = {
-  fs_arity : int;  (** Exact number of plan arguments. *)
-  fs_meta_min : int;  (** Minimum number of meta strings. *)
-  fs_result : t;  (** Envelope of the operator's result. *)
-}
-(** The registry-declared signature of a {!Mil.Foreign} physical
-    operator (extensions declare these alongside their dispatch
-    functions; see [Extension.foreign_signature]). *)
 
 val unknown : t
 (** No guarantees at all (the lattice top). *)
@@ -59,8 +51,16 @@ val card_upto : card -> card
 val card_min_hi : card -> int -> card
 (** Clamp both bounds to at most [n] ([slice], [topn]). *)
 
+val card_meet : card -> card -> card
+(** Intersection of two sound intervals (itself sound). *)
+
 val card_intersects : card -> card -> bool
 (** Do two envelopes admit a common cardinality? *)
+
+val sadd : int -> int -> int
+val smul : int -> int -> int
+(** Saturating non-negative arithmetic for row estimates and byte
+    counts: results clamp to [max_int] instead of wrapping. *)
 
 val is_empty : t -> bool
 (** Statically known to produce no rows ([hi = Some 0]). *)

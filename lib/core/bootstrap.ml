@@ -1,9 +1,3 @@
 let ensure () =
   Ext_list.register ();
-  Ext_contrep.register ();
-  (* Upgrade the admission oracle from Boundcheck's catalog-only
-     default to one that knows the registry's foreign signatures and
-     cost rules, so budgeted sessions can admit extension plans. *)
-  Mirror_bat.Mil.set_bound_oracle
-    (Mirror_bat.Boundcheck.oracle ~foreign:Extension.foreign_signature
-       ~foreign_bound:Extension.foreign_bound ())
+  Ext_contrep.register ()

@@ -2,6 +2,8 @@ module Mil = Mirror_bat.Mil
 module Bat = Mirror_bat.Bat
 module Atom = Mirror_bat.Atom
 module Parkernel = Mirror_bat.Parkernel
+module Milcheck = Mirror_bat.Milcheck
+module Effcheck = Mirror_bat.Effcheck
 module Boundcheck = Mirror_bat.Boundcheck
 
 type report = {
@@ -13,6 +15,7 @@ type report = {
   memo_hits : int;
   par_ops : int;
   par_morsels : int;
+  analysis : Milcheck.t Lazy.t;
   bounds : bounds Lazy.t;
   actual_bytes : int;
 }
@@ -150,67 +153,66 @@ let query ?(cse = true) ?(optimize = true) ?(specialize = true) ?(check = false)
       match differential with
       | Error msg -> Error ("differential check: " ^ msg)
       | Ok () -> (
-        (* static resource bounds over the optimised bundle, analysed
-           only when read: by the morsel sizing below (so eagerly when a
-           domain pool is configured) or the report's [bounds].  A
-           [?max_bytes] budget does not need them: the session's
-           admission oracle bounds each root itself. *)
+        (* the one static analysis of the optimised bundle (envelopes,
+           effects, row estimates, cell widths), analysed only when
+           read: by the parallel licence and morsel sizing below (so
+           eagerly when a domain pool is configured), the admission
+           budget, the checked executor, or the report's [bounds] *)
         let analysis =
-          lazy
-            (Trace.with_span trace "boundcheck" (fun () ->
-                 Boundcheck.analyze (Plancheck.boundcheck_env storage)
-                   (Plancheck.shape_plans shape)))
+          lazy (Trace.with_span trace "boundcheck" (fun () -> Storage.analyze storage shape))
         in
         let node_est plan =
-          match Mil.Tbl.find_opt (Lazy.force analysis).Boundcheck.per_node plan with
-          | Some c -> Some c.Boundcheck.est
-          | None -> None
+          Option.map
+            (fun (f : Milcheck.fact) -> f.Milcheck.est)
+            (Mil.Tbl.find_opt (Lazy.force analysis).Milcheck.table plan)
         in
         (* parallel licence: a domain pool (when [--domains] asked for
            one) plus the Effcheck verdict over this very bundle — only
            operators whose partition is provably effect-free may run
-           morsel-parallel.  Boundcheck's row estimate sizes the
-           morsels, clamped inside the configured knobs. *)
+           morsel-parallel.  The row estimate sizes the morsels,
+           clamped inside the configured knobs. *)
         let par =
           match Parkernel.default_pool () with
           | None -> None
           | Some pool ->
-            ignore (Lazy.force analysis);
-            let v =
-              Mirror_bat.Effcheck.analyze (Plancheck.effcheck_env ())
-                (Plancheck.shape_plans shape)
-            in
+            let v = Effcheck.verdict (Lazy.force analysis) in
             let morsel plan =
               match node_est plan with
               | Some est when est > 0 ->
                 Some (Parkernel.morsel_for ~domains:(Parkernel.size pool) est)
               | _ -> None
             in
-            Some { Mil.pool; safe = v.Mirror_bat.Effcheck.safe; morsel }
+            Some { Mil.pool; safe = v.Effcheck.safe; morsel }
+        in
+        (* each root is admitted on its resident bytes, read from the
+           same table *)
+        let budget =
+          Option.map
+            (fun max_bytes ->
+              { Mil.max_bytes; bound = Boundcheck.admission (Lazy.force analysis) })
+            max_bytes
         in
         let session =
           Mil.session ~cse ~trace
             ~foreign:(Extension.foreign_dispatch (Storage.eval_env storage))
-            ?par ?max_bytes (Storage.catalog storage)
+            ?par ?budget (Storage.catalog storage)
         in
-        (* Under [check], the checked executor verifies each node's
+        (* Under [check], the checked executor verifies each root's
            envelope and — when the memo table is on — the effect
            sanitizer first evaluates the node through the same session
            (so the checked pass gets memo hits) while verifying its
            observed aliasing against the Effcheck signature. *)
         let sanitizer =
           if check && cse then
-            Some (Mirror_bat.Effcheck.sanitizer (Plancheck.effcheck_env ()) session)
+            Some (Effcheck.sanitizer (Lazy.force analysis).Milcheck.env session)
           else None
         in
         let lookup =
           if check then (
-            let checked =
-              Mirror_bat.Milcheck.exec_checked (Plancheck.env_of_storage storage) session
-            in
+            let checked = Milcheck.exec_checked (Lazy.force analysis) session in
             fun plan ->
               (match sanitizer with
-              | Some san -> ignore (Mirror_bat.Effcheck.exec san plan)
+              | Some san -> ignore (Effcheck.exec san plan)
               | None -> ());
               checked plan)
           else Mil.exec session
@@ -218,9 +220,7 @@ let query ?(cse = true) ?(optimize = true) ?(specialize = true) ?(check = false)
         match
           Trace.with_span trace "execute" (fun () ->
               let value = reify ~lookup shape in
-              (match sanitizer with
-              | Some san -> Mirror_bat.Effcheck.finish san
-              | None -> ());
+              Option.iter Effcheck.finish sanitizer;
               let stats = Mil.stats session in
               Trace.attr trace "evaluated" (string_of_int stats.Mil.evaluated);
               Trace.attr trace "memo_hits" (string_of_int stats.Mil.memo_hits);
@@ -230,12 +230,12 @@ let query ?(cse = true) ?(optimize = true) ?(specialize = true) ?(check = false)
           let stats = Mil.stats session in
           let bounds =
             lazy
-              (let resident = (Lazy.force analysis).Boundcheck.resident in
+              (let resident = (Boundcheck.footprints (Lazy.force analysis)).Boundcheck.resident in
                {
                  est_rows =
                    List.fold_left
                      (fun acc p -> acc + Option.value ~default:0 (node_est p))
-                     0 (Plancheck.shape_plans shape);
+                     0 (Shape.plans shape);
                  est_bytes = resident.Boundcheck.fp_est;
                  peak_bytes = resident.Boundcheck.fp_hi;
                })
@@ -250,12 +250,13 @@ let query ?(cse = true) ?(optimize = true) ?(specialize = true) ?(check = false)
               memo_hits = stats.Mil.memo_hits;
               par_ops = stats.Mil.par_ops;
               par_morsels = stats.Mil.par_morsels;
+              analysis;
               bounds;
               actual_bytes = Mil.resident_bytes session;
             }
         | exception Failure msg -> Error msg
         | exception Invalid_argument msg -> Error msg
-        | exception Mirror_bat.Effcheck.Violation msg -> Error ("effect sanitizer: " ^ msg)
+        | exception Effcheck.Violation msg -> Error ("effect sanitizer: " ^ msg)
         | exception Mil.Admission_refused { op; est_bytes; peak_bytes; budget } ->
           Error
             (Printf.sprintf
@@ -335,23 +336,16 @@ let explain_analyze ?(optimize = true) ?(cse = true) ?max_bytes storage expr =
         Buffer.add_string buf
           (Printf.sprintf "parallel: 0 operators (pool of %d domains idle)\n"
              (Parkernel.domains ())));
-    (* effect-and-aliasing verdict over the same (optimised) bundle:
-       how much of the DAG a domain-parallel executor could run
+    (* effect-and-aliasing verdict over the bundle just executed: how
+       much of the DAG a domain-parallel executor could run
        concurrently *)
-    (match Flatten.compile storage (if optimize then Optimize.rewrite expr else expr) with
-    | exception _ -> ()
-    | shape ->
-      let shape = if optimize then Shape.map Mirror_bat.Milopt.rewrite shape else shape in
-      let v =
-        Mirror_bat.Effcheck.analyze (Plancheck.effcheck_env ()) (Plancheck.shape_plans shape)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "parallelism: %d safe partition%s over %d distinct operators (%d shared columns, %d hazards)\n"
-           v.Mirror_bat.Effcheck.partitions
-           (if v.Mirror_bat.Effcheck.partitions = 1 then "" else "s")
-           v.Mirror_bat.Effcheck.nodes v.Mirror_bat.Effcheck.shared_columns
-           (List.length v.Mirror_bat.Effcheck.hazards)));
+    let v = Effcheck.verdict (Lazy.force report.analysis) in
+    Buffer.add_string buf
+      (Printf.sprintf
+         "parallelism: %d safe partition%s over %d distinct operators (%d shared columns, %d hazards)\n"
+         v.Effcheck.partitions
+         (if v.Effcheck.partitions = 1 then "" else "s")
+         v.Effcheck.nodes v.Effcheck.shared_columns (List.length v.Effcheck.hazards));
     (* static resource envelope vs what the session actually held *)
     Buffer.add_string buf
       (Printf.sprintf "bounds: est %d rows / %s, peak %s (actual %s)\n" bounds.est_rows

@@ -18,11 +18,13 @@ type report = {
           {!Mirror_bat.Parkernel.default_pool} is configured and the
           Effcheck verdict licensed the plan). *)
   par_morsels : int;  (** Morsels scheduled across those operators. *)
+  analysis : Mirror_bat.Milcheck.t Lazy.t;
+      (** The one static analysis of the executed bundle.  Analysed
+          when first forced, or during the query when a
+          {!Mirror_bat.Parkernel.default_pool}, a [max_bytes] budget or
+          [check] reads it; nothing on the plain query path does. *)
   bounds : bounds Lazy.t;
-      (** {!Mirror_bat.Boundcheck}'s static envelope of the bundle.
-          Analysed when first forced (or during the query, when a
-          {!Mirror_bat.Parkernel.default_pool} needs its row estimates
-          to size morsels); nothing on the plain query path reads it. *)
+      (** {!Mirror_bat.Boundcheck}'s footprints over [analysis]. *)
   actual_bytes : int;
       (** Bytes actually held by the session's memo after execution
           ({!Mirror_bat.Mil.resident_bytes}). *)
@@ -57,12 +59,13 @@ val query :
     {!Mirror_util.Trace.null}) records one span per pipeline phase —
     ["typecheck"], ["optimize"], ["flatten.compile"], ["milopt"],
     ["execute"] — with the kernel's per-operator spans nested under
-    ["execute"] — plus ["boundcheck"] whenever the bounds are analysed
-    (before ["execute"] under a domain pool, else when [bounds] is
-    first forced).  [max_bytes] sets the session's admission
-    budget: a plan whose {!Mirror_bat.Boundcheck} peak envelope exceeds
-    it (or is unbounded) is refused before evaluation and reported as
-    an [Error]. *)
+    ["execute"] — plus ["boundcheck"] whenever the bundle is analysed
+    (before ["execute"] under a domain pool, a budget or [check], else
+    when [analysis] or [bounds] is first forced).  [max_bytes] sets the
+    session's admission budget: a root whose resident envelope, read
+    from the bundle's analysis ({!Mirror_bat.Boundcheck.admission}),
+    exceeds it (or is unbounded) is refused before evaluation and
+    reported as an [Error]. *)
 
 val query_value : Storage.t -> Expr.t -> (Value.t, string) result
 (** Just the value. *)

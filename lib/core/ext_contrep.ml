@@ -2,6 +2,8 @@ module Mil = Mirror_bat.Mil
 module Bat = Mirror_bat.Bat
 module Atom = Mirror_bat.Atom
 module Column = Mirror_bat.Column
+module Milprop = Mirror_bat.Milprop
+module Milcheck = Mirror_bat.Milcheck
 module Space = Mirror_ir.Space
 module Vocab = Mirror_ir.Vocab
 module Belief = Mirror_ir.Belief
@@ -331,66 +333,47 @@ module E = struct
       | _, Error e -> failwith ("contrep_getblnet: " ^ e))
     | _ -> failwith "contrep_getblnet: malformed physical operands"
 
+  (* Both operators build fresh (ctx oid, belief) columns from the
+     space's statistics, never aliasing or touching their argument
+     columns.  getbl emits one row per context of [dom] and [qlink]
+     entry attached to it, so heads repeat: at most [qlink] rows when
+     [dom]'s contexts are distinct, else [dom] x [qlink].  getblnet
+     folds the whole query into one belief per context. *)
   let foreign_ops =
-    [ ("contrep_getbl", getbl_foreign); ("contrep_getblnet", getblnet_foreign) ]
-
-  (* Both operators yield (ctx oid, belief) rows.  getbl emits one row
-     per context × query term, so heads repeat; getblnet folds the
-     whole query into one belief per context, so heads are keys. *)
-  let foreign_sigs =
-    let belief_result ~head_key =
+    let decl ~arity ~meta_min ~head_key rows =
       {
-        Mirror_bat.Milprop.unknown with
-        Mirror_bat.Milprop.hty = Some Atom.TOid;
-        tty = Some Atom.TFlt;
-        head_key;
+        Milcheck.f_arity = arity;
+        f_meta_min = meta_min;
+        f_result = { Milprop.unknown with hty = Some Atom.TOid; tty = Some Atom.TFlt; head_key };
+        f_pure = true;
+        f_shares = false;
+        f_writes = false;
+        f_rows = Some rows;
       }
+    in
+    let getbl_rows (args : Milcheck.fact list) =
+      match args with
+      | [ _; _; _; _; dom; qlink; _ ] ->
+        if dom.prop.head_key then (Milprop.card_upto qlink.prop.card, qlink.est)
+        else (Milprop.card_mul dom.prop.card qlink.prop.card, Milprop.smul dom.est qlink.est)
+      | _ -> (Milprop.any_card, 0)
+    in
+    let getblnet_rows (args : Milcheck.fact list) =
+      match args with
+      | [ _; _; _; _; dom ] -> (Milprop.card_upto dom.prop.card, dom.est)
+      | _ -> (Milprop.any_card, 0)
     in
     [
       ( "contrep_getbl",
         {
-          Mirror_bat.Milprop.fs_arity = 7;
-          fs_meta_min = 1;
-          fs_result = belief_result ~head_key:false;
+          Extension.run = getbl_foreign;
+          decl = decl ~arity:7 ~meta_min:1 ~head_key:false getbl_rows;
         } );
       ( "contrep_getblnet",
         {
-          Mirror_bat.Milprop.fs_arity = 5;
-          fs_meta_min = 2;
-          fs_result = belief_result ~head_key:true;
+          Extension.run = getblnet_foreign;
+          decl = decl ~arity:5 ~meta_min:2 ~head_key:true getblnet_rows;
         } );
-    ]
-
-  (* Both operators build fresh (ctx, belief) columns from the space's
-     statistics; they never alias or touch their argument columns. *)
-  let foreign_effects =
-    [
-      ("contrep_getbl", Mirror_bat.Effcheck.pure_foreign);
-      ("contrep_getblnet", Mirror_bat.Effcheck.pure_foreign);
-    ]
-
-  (* Cost rules for the same operators, all rows fixed-width
-     (oid, flt).  getbl emits at most one row per context × query
-     term; getblnet folds the query into at most one belief per
-     context. *)
-  let foreign_bounds =
-    let module B = Mirror_bat.Boundcheck in
-    let module MP = Mirror_bat.Milprop in
-    let smul a b = if a = 0 || b = 0 then 0 else if a > max_int / b then max_int else a * b in
-    [
-      ( "contrep_getbl",
-        fun args ->
-          match args with
-          | [ _occ_ctx; _occ_term; _occ_tf; _len; dom; _qlink; qval ] ->
-            B.cost_rows ~est:(smul dom.B.est qval.B.est)
-              (MP.card_mul dom.B.rows qval.B.rows)
-          | _ -> B.cost_rows MP.any_card );
-      ( "contrep_getblnet",
-        fun args ->
-          match args with
-          | [ _occ_ctx; _occ_term; _occ_tf; _len; dom ] ->
-            B.cost_rows ~est:dom.B.est { MP.lo = 0; hi = dom.B.rows.MP.hi }
-          | _ -> B.cost_rows MP.any_card );
     ]
 
   (* Bounds on the per-occurrence tf values, when the receiver's

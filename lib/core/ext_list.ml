@@ -191,9 +191,6 @@ module E = struct
       }
 
   let foreign_ops = []
-  let foreign_sigs = []
-  let foreign_effects = []
-  let foreign_bounds = []
 
   let op_envelope ~op ~args ~ty ~top =
     match (op, args) with

@@ -13,6 +13,11 @@ type store_env = {
   space_create : string -> Mirror_ir.Space.t;
 }
 
+type foreign = {
+  run : eval_env -> args:Mirror_bat.Bat.t list -> meta:string list -> Mirror_bat.Bat.t;
+  decl : Mirror_bat.Milcheck.foreign;
+}
+
 module type S = sig
   val name : string
   val arity : int
@@ -75,12 +80,7 @@ module type S = sig
       by {!materialize} under [path], reading back from the catalog in
       [store_env].  Used when loading a persisted database. *)
 
-  val foreign_ops :
-    (string * (eval_env -> args:Mirror_bat.Bat.t list -> meta:string list -> Mirror_bat.Bat.t)) list
-
-  val foreign_sigs : (string * Mirror_bat.Milprop.foreign_sig) list
-  val foreign_effects : (string * Mirror_bat.Effcheck.foreign_eff) list
-  val foreign_bounds : (string * Mirror_bat.Boundcheck.foreign_bound) list
+  val foreign_ops : (string * foreign) list
 
   val op_envelope :
     op:string -> args:Moaprop.t list -> ty:Types.t -> top:(Types.t -> Moaprop.t) -> Moaprop.t
@@ -132,33 +132,15 @@ let find_op op = Hashtbl.find_opt by_op op
 let registered () =
   List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) by_name [])
 
-let foreign_signature name =
+let find_foreign name =
   Hashtbl.fold
     (fun _ (module E : S) acc ->
-      match acc with Some _ -> acc | None -> List.assoc_opt name E.foreign_sigs)
+      match acc with Some _ -> acc | None -> List.assoc_opt name E.foreign_ops)
     by_name None
 
-let foreign_effect name =
-  Hashtbl.fold
-    (fun _ (module E : S) acc ->
-      match acc with Some _ -> acc | None -> List.assoc_opt name E.foreign_effects)
-    by_name None
-
-let foreign_bound name =
-  Hashtbl.fold
-    (fun _ (module E : S) acc ->
-      match acc with Some _ -> acc | None -> List.assoc_opt name E.foreign_bounds)
-    by_name None
+let foreign_decl name = Option.map (fun f -> f.decl) (find_foreign name)
 
 let foreign_dispatch env ~name ~args ~meta =
-  let handler =
-    Hashtbl.fold
-      (fun _ (module E : S) acc ->
-        match acc with
-        | Some _ -> acc
-        | None -> List.assoc_opt name E.foreign_ops)
-      by_name None
-  in
-  match handler with
-  | Some f -> f env ~args ~meta
+  match find_foreign name with
+  | Some f -> f.run env ~args ~meta
   | None -> failwith (Printf.sprintf "Mirror: unknown physical operator %S" name)

@@ -33,6 +33,20 @@ type store_env = {
 }
 (** What materialisation may use. *)
 
+type foreign = {
+  run : eval_env -> args:Mirror_bat.Bat.t list -> meta:string list -> Mirror_bat.Bat.t;
+      (** The operator itself. *)
+  decl : Mirror_bat.Milcheck.foreign;
+      (** Its one static declaration — plan-argument arity, minimum
+          meta-string count, result envelope, effect (purity, whether
+          result columns may alias or arguments be mutated) and row
+          rule — read by every analysis through {!foreign_decl}.  The
+          verifier rejects a plan calling an operator no extension
+          declares; well-behaved operators are pure ([f_pure = true],
+          [f_shares = f_writes = false]). *)
+}
+(** One physical operator contributed by an extension. *)
+
 module type S = sig
   val name : string
   (** Structure name as it appears in types ("LIST", "CONTREP", …). *)
@@ -120,34 +134,10 @@ module type S = sig
       by {!materialize} under [path], reading back from the catalog in
       [store_env].  Used when loading a persisted database. *)
 
-  val foreign_ops :
-    (string * (eval_env -> args:Mirror_bat.Bat.t list -> meta:string list -> Mirror_bat.Bat.t)) list
+  val foreign_ops : (string * foreign) list
   (** Physical operators this extension contributes to the kernel
-      (dispatched from {!Mil.Foreign} nodes). *)
-
-  val foreign_sigs : (string * Mirror_bat.Milprop.foreign_sig) list
-  (** Static signatures for the same operators — plan-argument arity,
-      minimum meta-string count and the result's property envelope —
-      consulted by the {!Mirror_bat.Milcheck} plan verifier.  Every
-      name in {!foreign_ops} should be covered; an operator without a
-      signature is rejected by verification. *)
-
-  val foreign_effects : (string * Mirror_bat.Effcheck.foreign_eff) list
-  (** Effect declarations for the same operators — purity, whether
-      result columns may alias argument columns, whether arguments may
-      be mutated — consulted by the {!Mirror_bat.Effcheck} analyzer and
-      sanitizer.  An operator without a declaration is treated as
-      worst-case (aliases and mutates everything) and flagged as an
-      error by the hazard lint; well-behaved operators declare
-      {!Mirror_bat.Effcheck.pure_foreign}. *)
-
-  val foreign_bounds : (string * Mirror_bat.Boundcheck.foreign_bound) list
-  (** Resource-bound declarations for the same operators — the result's
-      cost envelope as a function of the plan arguments' envelopes —
-      consulted by the {!Mirror_bat.Boundcheck} analyzer and the
-      session admission gate.  An operator without a declaration
-      degrades the plan to an unbounded envelope with a lint
-      [Warning] (and refusal under any [?max_bytes] budget). *)
+      (dispatched from {!Mirror_bat.Mil.Foreign} nodes), each declared
+      once. *)
 
   val op_envelope :
     op:string -> args:Moaprop.t list -> ty:Types.t -> top:(Types.t -> Moaprop.t) -> Moaprop.t
@@ -206,17 +196,7 @@ val foreign_dispatch : eval_env -> Mirror_bat.Mil.foreign_fn
 (** The kernel-level dispatch function combining every registered
     extension's physical operators. *)
 
-val foreign_signature : string -> Mirror_bat.Milprop.foreign_sig option
-(** The registry-declared static signature of a physical operator,
-    searched across every registered extension — the [foreign] half of
-    a {!Mirror_bat.Milcheck.env}. *)
-
-val foreign_effect : string -> Mirror_bat.Effcheck.foreign_eff option
-(** The registry-declared effect of a physical operator, searched
-    across every registered extension — the [foreign] half of an
-    {!Mirror_bat.Effcheck.env}. *)
-
-val foreign_bound : string -> Mirror_bat.Boundcheck.foreign_bound option
-(** The registry-declared cost rule of a physical operator, searched
-    across every registered extension — the [foreign_bound] half of a
-    {!Mirror_bat.Boundcheck.env}. *)
+val foreign_decl : string -> Mirror_bat.Milcheck.foreign option
+(** The declaration of a physical operator, searched across every
+    registered extension — the [foreign] half of a
+    {!Mirror_bat.Milcheck.env}. *)

@@ -426,23 +426,6 @@ and elem_type env src =
 
 exception Ill_formed of string
 
-let verify_shape storage shape =
-  (* the analyzer env is built inline (catalog + registry signatures)
-     rather than through Plancheck, which depends on this module *)
-  let env =
-    Mirror_bat.Milcheck.env_of_catalog ~foreign:Extension.foreign_signature
-      (Storage.catalog storage)
-  in
-  Shape.iter
-    (fun plan ->
-      match Mirror_bat.Milcheck.verify env plan with
-      | Ok _ -> ()
-      | Error ds ->
-        raise
-          (Ill_formed
-             (String.concat "; " (List.map Mirror_bat.Milcheck.diag_to_string ds))))
-    shape
-
 let compile ?(specialize = true) ?(check = false) ?(trace = Mirror_util.Trace.null)
     storage expr =
   let shape =
@@ -454,10 +437,17 @@ let compile ?(specialize = true) ?(check = false) ?(trace = Mirror_util.Trace.nu
         shape)
   in
   if check then begin
-    Mirror_util.Trace.with_span trace "flatten.verify" (fun () ->
-        verify_shape storage shape);
+    let analysis =
+      Mirror_util.Trace.with_span trace "flatten.verify" (fun () ->
+          let a = Storage.analyze storage shape in
+          match Mirror_bat.Milcheck.verify a with
+          | Ok () -> a
+          | Error ds ->
+            raise
+              (Ill_formed (String.concat "; " (List.map Mirror_bat.Milcheck.diag_to_string ds))))
+    in
     Mirror_util.Trace.with_span trace "flatten.validate" (fun () ->
-        match Moacheck.validate storage expr shape with
+        match Moacheck.validate storage expr analysis shape with
         | Ok () -> ()
         | Error ds ->
           raise

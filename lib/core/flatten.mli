@@ -42,10 +42,10 @@ val compile :
     predicate is such a conjunct keeps the left elements whose key
     occurs on the right, with no pairs at all); disable it for the
     optimisation-ablation experiments.  [check] (default false)
-    runs the {!Mirror_bat.Milcheck} plan verifier over every emitted
-    plan against the storage catalog and extension registry, then
-    {!Moacheck.validate} (translation validation of the bundle against
-    the logical envelope).  [trace] records ["flatten.compile"] (with a
+    analyses the emitted bundle once ({!Mirror_bat.Milcheck}, against
+    the storage catalog and extension registry), verifies it, then runs
+    {!Moacheck.validate} over the same analysis (translation validation
+    of the bundle against the logical envelope).  [trace] records ["flatten.compile"] (with a
     ["bats"] attribute), ["flatten.verify"] and ["flatten.validate"]
     spans.
     @raise Unsupported

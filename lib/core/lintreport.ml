@@ -46,24 +46,17 @@ let check st ~src expr =
     | exception Flatten.Unsupported e -> failed_query src ("flatten: " ^ e)
     | shape ->
       let moa = Moacheck.lint (Moacheck.env_of_storage st) expr in
-      let shape = Shape.map Mirror_bat.Milopt.rewrite shape in
-      let mil = Plancheck.lint_shape (Plancheck.env_of_storage st) shape in
-      let verdict =
-        Effcheck.analyze (Plancheck.effcheck_env ()) (Plancheck.shape_plans shape)
-      in
-      let bounds =
-        Boundcheck.analyze (Plancheck.boundcheck_env st) (Plancheck.shape_plans shape)
-      in
+      let analysis = Storage.analyze st (Shape.map Mirror_bat.Milopt.rewrite shape) in
+      let mil = Milcheck.lint analysis in
+      let verdict = Effcheck.verdict analysis in
+      let bounds = Boundcheck.footprints analysis in
       (* The effect layer is strict: any hazard fails the query, not
          just error severity — a warning-level hazard still blocks the
          parallel-executor precondition the corpus gate protects.  The
-         bound layer fails on errors only: an unbounded-foreign warning
-         degrades the envelope without invalidating the plan. *)
+         bound layer only warns: an unbounded-foreign warning degrades
+         the envelope without invalidating the plan. *)
       let failed =
-        Moaprop.errors moa <> []
-        || Milcheck.errors mil <> []
-        || verdict.Effcheck.hazards <> []
-        || Milcheck.errors bounds.Boundcheck.diags <> []
+        Moaprop.errors moa <> [] || Milcheck.errors mil <> [] || verdict.Effcheck.hazards <> []
       in
       {
         src;

@@ -2,13 +2,13 @@
     CLI's [lint] command (text and [--json] output) and the test
     suite's schema checks.
 
-    One {!query} record carries everything all four analyzer layers
-    said about one query: the Moa-level shape lint ({!Moacheck}), the
-    MIL-level envelope lint ({!Mirror_bat.Milcheck}), the
-    effect-and-aliasing hazards ({!Mirror_bat.Effcheck}) and the
-    resource-bound diagnostics ({!Mirror_bat.Boundcheck}), plus the
-    Effcheck parallelism verdict (distinct nodes, safe partitions,
-    shared column slots) and the Boundcheck footprint summary. *)
+    One {!query} record carries everything the analyzers said about one
+    query: the Moa-level shape lint ({!Moacheck}) and, from the
+    optimised MIL bundle's one analysis, the envelope lint
+    ({!Mirror_bat.Milcheck}), the effect-and-aliasing hazards and
+    parallelism verdict — distinct nodes, safe partitions, shared
+    column slots — ({!Mirror_bat.Effcheck}) and the resource-bound
+    warnings and footprint summary ({!Mirror_bat.Boundcheck}). *)
 
 type query = {
   src : string;  (** The query text as given. *)
@@ -18,7 +18,7 @@ type query = {
   moa : Moaprop.diag list;
   mil : Mirror_bat.Milcheck.diag list;
   eff : Mirror_bat.Milcheck.diag list;  (** Effcheck hazards. *)
-  bound : Mirror_bat.Milcheck.diag list;  (** Boundcheck diagnostics. *)
+  bound : Mirror_bat.Milcheck.diag list;  (** Boundcheck warnings. *)
   nodes : int;  (** Distinct plan-DAG nodes after CSE. *)
   partitions : int;  (** Provably independent node groups. *)
   shared_columns : int;
@@ -30,11 +30,11 @@ type query = {
       (** Estimated peak under eager last-use reclamation (liveness
           simulation over the DAG schedule). *)
   failed : bool;
-      (** [error] set, any error-severity [moa]/[mil]/[bound]
-          diagnostic, or {e any} Effcheck hazard — the effect layer is
-          strict so the corpus gate catches new hazards of every
-          severity; the bound layer tolerates warnings (undeclared
-          foreigns degrade to unbounded without failing). *)
+      (** [error] set, any error-severity [moa]/[mil] diagnostic, or
+          {e any} Effcheck hazard — the effect layer is strict so the
+          corpus gate catches new hazards of every severity; the bound
+          layer only warns (undeclared foreign rows degrade to
+          unbounded without failing). *)
 }
 
 type t = { queries : query list; failures : int }

@@ -657,19 +657,16 @@ let lint env expr =
 
 (* Both sides over-approximate the same concrete BAT: the logical side
    maps the Moa envelope onto the bundle skeleton, the physical side is
-   [Milcheck]'s inference over the compiled plan.  If the two envelopes
+   [Milcheck]'s analysis of the compiled bundle.  If the two envelopes
    don't intersect (per [Milprop.compatible]) no BAT can satisfy both,
    which certifies a broken flattening rule. *)
-let validate storage expr shape =
+let validate storage expr analysis shape =
   let env = env_of_storage storage in
   let prop, diags = infer env expr in
   match Moaprop.errors diags with
   | _ :: _ as es -> Stdlib.Error es
   | [] ->
     if Metrics.enabled () then Metrics.incr "moacheck.validations";
-    let menv =
-      Milcheck.env_of_catalog ~foreign:Extension.foreign_signature (Storage.catalog storage)
-    in
     let bad = ref [] in
     let fail path op fmt =
       Printf.ksprintf
@@ -679,7 +676,7 @@ let validate storage expr shape =
     in
     let check path expected plan =
       if Metrics.enabled () then Metrics.incr "moacheck.envelope_checks";
-      let inferred, _ = Milcheck.infer menv plan in
+      let inferred = Milcheck.prop analysis plan in
       if not (P.compatible expected inferred) then
         fail path (Mil.op_name plan)
           "flattening broke the envelope: logical side expects %s, physical plan infers %s"

@@ -43,7 +43,13 @@ val lint : env -> Expr.t -> Moaprop.diag list
     queries. *)
 
 val validate :
-  Storage.t -> Expr.t -> Extension.planshape -> (unit, Moaprop.diag list) result
+  Storage.t ->
+  Expr.t ->
+  Mirror_bat.Milcheck.t ->
+  Extension.planshape ->
+  (unit, Moaprop.diag list) result
 (** Translation validation of a compiled bundle against the logical
-    envelope (see above).  Counts each envelope comparison in the
-    [moacheck.envelope_checks] metric when metrics are enabled. *)
+    envelope (see above), reading the physical envelopes from the
+    bundle's analysis (which must cover every plan of the shape).
+    Counts each envelope comparison in the [moacheck.envelope_checks]
+    metric when metrics are enabled. *)

@@ -1,36 +1,8 @@
-module Mil = Mirror_bat.Mil
 module Milopt = Mirror_bat.Milopt
 module Milcheck = Mirror_bat.Milcheck
 module Milprop = Mirror_bat.Milprop
-module Effcheck = Mirror_bat.Effcheck
-module Boundcheck = Mirror_bat.Boundcheck
 
-let env_of_storage storage =
-  Milcheck.env_of_catalog ~foreign:Extension.foreign_signature (Storage.catalog storage)
-
-let effcheck_env () = Effcheck.env ~foreign:Extension.foreign_effect ()
-
-let boundcheck_env storage =
-  Boundcheck.env_of_catalog ~foreign:Extension.foreign_signature
-    ~foreign_bound:Extension.foreign_bound (Storage.catalog storage)
-
-let shape_plans shape =
-  let acc = ref [] in
-  Shape.iter (fun p -> acc := p :: !acc) shape;
-  List.rev !acc
-
-let verify_shape env shape =
-  let bad = ref [] in
-  Shape.iter
-    (fun plan ->
-      match Milcheck.verify env plan with
-      | Ok _ -> ()
-      | Error ds -> bad := !bad @ ds)
-    shape;
-  match !bad with [] -> Ok () | ds -> Error ds
-
-let lint_shape env shape =
-  List.concat_map (Milcheck.lint env) (shape_plans shape)
+let ( let* ) = Result.bind
 
 (* {1 Differential checking} *)
 
@@ -59,22 +31,18 @@ and zip_all xs ys =
             Option.map (fun ps -> ps @ rest) (zip_shapes x y)))
       (List.combine xs ys) (Some [])
 
-let compatible_pair env ~stage k (before, after) =
-  let pb, _ = Milcheck.infer env before in
-  let pa, _ = Milcheck.infer env after in
-  if Milprop.compatible pb pa then Ok ()
-  else
-    Error
-      (Printf.sprintf "%s changed the envelope of bundle plan %d: %s vs %s" stage k
-         (Milprop.to_string pb) (Milprop.to_string pa))
-
-let check_pairs env ~stage pairs =
+(* Every (before, after) pair must keep a compatible envelope, each
+   side read from its own bundle's analysis. *)
+let check_pairs ~stage before after pairs =
   let rec go k = function
     | [] -> Ok ()
-    | pair :: rest -> (
-      match compatible_pair env ~stage k pair with
-      | Ok () -> go (k + 1) rest
-      | Error _ as e -> e)
+    | (b, a) :: rest ->
+      let pb = Milcheck.prop before b and pa = Milcheck.prop after a in
+      if Milprop.compatible pb pa then go (k + 1) rest
+      else
+        Error
+          (Printf.sprintf "%s changed the envelope of bundle plan %d: %s vs %s" stage k
+             (Milprop.to_string pb) (Milprop.to_string pa))
   in
   go 0 pairs
 
@@ -85,28 +53,26 @@ let check_pairs env ~stage pairs =
      envelopes);
    - physical: every plan vs its [Milopt.rewrite] image. *)
 let differential ?(specialize = true) storage expr =
-  let env = env_of_storage storage in
-  match Flatten.compile ~specialize storage expr with
-  | exception Flatten.Unsupported msg -> Error ("unoptimized compile: " ^ msg)
-  | shape0 -> (
-    let milopt_pairs shape =
-      List.map (fun p -> (p, Milopt.rewrite p)) (shape_plans shape)
-    in
-    let physical shape label =
-      check_pairs env ~stage:("Milopt.rewrite (" ^ label ^ ")") (milopt_pairs shape)
-    in
-    match Flatten.compile ~specialize storage (Optimize.rewrite expr) with
-    | exception Flatten.Unsupported msg -> Error ("optimized compile: " ^ msg)
-    | shape1 -> (
-      match zip_shapes shape0 shape1 with
-      | None -> Error "Optimize.rewrite changed the bundle's shape skeleton"
-      | Some pairs -> (
-        match check_pairs env ~stage:"Optimize.rewrite" pairs with
-        | Error _ as e -> e
-        | Ok () -> (
-          match physical shape0 "unoptimized" with
-          | Error _ as e -> e
-          | Ok () -> physical shape1 "optimized"))))
+  let compile label expr =
+    match Flatten.compile ~specialize storage expr with
+    | exception Flatten.Unsupported msg -> Error (label ^ " compile: " ^ msg)
+    | shape -> Ok (shape, Storage.analyze storage shape)
+  in
+  let physical (shape, a) label =
+    let rewritten = Shape.map Milopt.rewrite shape in
+    check_pairs ~stage:("Milopt.rewrite (" ^ label ^ ")") a
+      (Storage.analyze storage rewritten)
+      (List.combine (Shape.plans shape) (Shape.plans rewritten))
+  in
+  let* ((shape0, a0) as unoptimized) = compile "unoptimized" expr in
+  let* ((shape1, a1) as optimized) = compile "optimized" (Optimize.rewrite expr) in
+  let* pairs =
+    Option.to_result ~none:"Optimize.rewrite changed the bundle's shape skeleton"
+      (zip_shapes shape0 shape1)
+  in
+  let* () = check_pairs ~stage:"Optimize.rewrite" a0 a1 pairs in
+  let* () = physical unoptimized "unoptimized" in
+  physical optimized "optimized"
 
 (* {1 Whole-query vetting} *)
 
@@ -115,33 +81,27 @@ let diags_to_string ds = String.concat "; " (List.map Milcheck.diag_to_string ds
 let moa_diags_to_string ds = String.concat "; " (List.map Moaprop.diag_to_string ds)
 
 let vet ?(specialize = true) storage expr =
-  match Typecheck.infer (Storage.typecheck_env storage) expr with
-  | Error e -> Error ("typecheck: " ^ Typecheck.diag_to_string e)
-  | Ok _ -> (
-    match Moacheck.verify (Moacheck.env_of_storage storage) expr with
-    | Error ds -> Error ("moacheck: " ^ moa_diags_to_string ds)
-    | Ok _ -> (
-      match Flatten.compile ~specialize storage expr with
-      | exception Flatten.Unsupported msg -> Error ("flatten: " ^ msg)
-      | shape -> (
-        let env = env_of_storage storage in
-        match verify_shape env shape with
-        | Error ds -> Error ("verify: " ^ diags_to_string ds)
-        | Ok () -> (
-          let verdict = Effcheck.analyze (effcheck_env ()) (shape_plans shape) in
-          let errors =
-            List.filter (fun d -> d.Milcheck.severity = Milcheck.Error) verdict.Effcheck.hazards
-          in
-          match errors with
-          | _ :: _ -> Error ("effcheck: " ^ diags_to_string errors)
-          | [] -> (
-            (* Resource-bound consistency: estimates must sit inside
-               the sound intervals (an Error diagnostic otherwise) —
-               undeclared-foreign warnings pass vetting. *)
-            let bounds = Boundcheck.analyze (boundcheck_env storage) (shape_plans shape) in
-            match Milcheck.errors bounds.Boundcheck.diags with
-            | _ :: _ as ds -> Error ("boundcheck: " ^ diags_to_string ds)
-            | [] -> (
-              match Moacheck.validate storage expr shape with
-              | Error ds -> Error ("validate: " ^ moa_diags_to_string ds)
-              | Ok () -> differential ~specialize storage expr))))))
+  let stage name to_string r = Result.map_error (fun e -> name ^ ": " ^ to_string e) r in
+  let* _ =
+    stage "typecheck" Typecheck.diag_to_string
+      (Typecheck.infer (Storage.typecheck_env storage) expr)
+  in
+  let* _ =
+    stage "moacheck" moa_diags_to_string
+      (Moacheck.verify (Moacheck.env_of_storage storage) expr)
+  in
+  let* shape =
+    match Flatten.compile ~specialize storage expr with
+    | exception Flatten.Unsupported msg -> Error ("flatten: " ^ msg)
+    | shape -> Ok shape
+  in
+  (* one analysis of the bundle serves every stage below *)
+  let a = Storage.analyze storage shape in
+  let* () = stage "verify" diags_to_string (Milcheck.verify a) in
+  let* () =
+    match Milcheck.errors (Mirror_bat.Effcheck.verdict a).hazards with
+    | [] -> Ok ()
+    | errors -> Error ("effcheck: " ^ diags_to_string errors)
+  in
+  let* () = stage "validate" moa_diags_to_string (Moacheck.validate storage expr a shape) in
+  differential ~specialize storage expr

@@ -1,55 +1,26 @@
-(** Bundle-level plan checking — {!Mirror_bat.Milcheck} lifted over
-    {!Shape.t} plan bundles and wired to the storage manager and the
-    extension registry.
+(** Bundle-level plan checking over {!Mirror_bat.Milcheck}'s one
+    analysis per bundle ({!Storage.analyze}).
 
-    Three entry points mirror the analyzer's three consumers: bundle
-    verification ({!verify_shape}), bundle linting ({!lint_shape}) and
-    the differential checker ({!differential}) asserting that
+    The differential checker ({!differential}) asserts that
     [Optimize.rewrite] and [Milopt.rewrite] preserve every plan's
-    inferred type/shape/cardinality envelope.  {!vet} strings them
-    together for statically vetting a whole query (used by the CLI
-    [lint] command and the bench workloads). *)
-
-val env_of_storage : Storage.t -> Mirror_bat.Milcheck.env
-(** Analyzer environment over a storage manager's catalog, with
-    [Foreign] signatures resolved through {!Extension.foreign_signature}. *)
-
-val effcheck_env : unit -> Mirror_bat.Effcheck.env
-(** Effect-analysis environment with [Foreign] effect declarations
-    resolved through {!Extension.foreign_effect}. *)
-
-val boundcheck_env : Storage.t -> Mirror_bat.Boundcheck.env
-(** Resource-bound environment over a storage manager's catalog, with
-    [Foreign] signatures and cost rules resolved through the extension
-    registry. *)
-
-val shape_plans : Extension.planshape -> Mirror_bat.Mil.t list
-(** The bundle's plans in {!Shape.iter} order. *)
-
-val verify_shape :
-  Mirror_bat.Milcheck.env ->
-  Extension.planshape ->
-  (unit, Mirror_bat.Milcheck.diag list) result
-(** Run the plan verifier over every plan of a bundle; [Error] collects
-    every error diagnostic across the bundle. *)
-
-val lint_shape :
-  Mirror_bat.Milcheck.env -> Extension.planshape -> Mirror_bat.Milcheck.diag list
-(** All lint diagnostics across the bundle. *)
+    inferred type/shape/cardinality envelope.  {!vet} statically vets a
+    whole query (used by the CLI [lint] command and the bench
+    workloads). *)
 
 val differential :
   ?specialize:bool -> Storage.t -> Expr.t -> (unit, string) result
 (** [differential storage expr] compiles [expr] before and after
     [Optimize.rewrite], checks the two bundles have the same shape
     skeleton with pairwise-compatible envelopes, and checks every plan
-    stays envelope-compatible with its [Milopt.rewrite] image. *)
+    stays envelope-compatible with its [Milopt.rewrite] image.  Each
+    bundle is analysed once. *)
 
 val vet : ?specialize:bool -> Storage.t -> Expr.t -> (unit, string) result
 (** Full static vetting of one query: typecheck, {!Moacheck.verify} the
-    logical envelope, compile, verify the bundle, run the
-    {!Mirror_bat.Effcheck} aliasing analysis (failing on hazard
-    errors), run {!Moacheck.validate} (translation validation of the
-    flattening), then the differential checker.  [Ok ()] means every
+    logical envelope, compile, then — all from one analysis of the
+    bundle — verify it, fail on {!Mirror_bat.Effcheck} hazard errors
+    and run {!Moacheck.validate} (translation validation of the
+    flattening); finally the differential checker.  [Ok ()] means every
     stage passed. *)
 
 val diags_to_string : Mirror_bat.Milcheck.diag list -> string

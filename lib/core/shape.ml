@@ -26,7 +26,9 @@ let rec iter f = function
     List.iter f bats;
     List.iter (iter f) subs
 
-let count_bats shape =
-  let n = ref 0 in
-  iter (fun _ -> incr n) shape;
-  !n
+let plans shape =
+  let acc = ref [] in
+  iter (fun p -> acc := p :: !acc) shape;
+  List.rev !acc
+
+let count_bats shape = List.length (plans shape)

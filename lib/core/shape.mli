@@ -26,5 +26,8 @@ val map : ('b -> 'c) -> 'b t -> 'c t
 val iter : ('b -> unit) -> 'b t -> unit
 (** Visit every BAT slot. *)
 
+val plans : 'b t -> 'b list
+(** The BAT slots in {!iter} order. *)
+
 val count_bats : 'b t -> int
 (** Number of BAT slots in the bundle. *)

@@ -61,6 +61,11 @@ let space_create t name =
 
 let eval_env t = { Extension.space = space_find t }
 
+let analyze t shape =
+  Mirror_bat.Milcheck.analyze
+    (Mirror_bat.Milcheck.env ~foreign:Extension.foreign_decl t.cat)
+    (Shape.plans shape)
+
 let store_env t =
   { Extension.catalog = t.cat; fresh_store = fresh_store t; space_create = space_create t }
 

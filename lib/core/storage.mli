@@ -58,6 +58,10 @@ val eval_env : t -> Extension.eval_env
 (** Environment handed to naive extension evaluation and physical
     operators. *)
 
+val analyze : t -> Extension.planshape -> Mirror_bat.Milcheck.t
+(** The one analysis of a plan bundle, against the catalog, with
+    [Foreign] operators resolved through {!Extension.foreign_decl}. *)
+
 val fresh_query_base : t -> int
 (** Allocate an oid range for query-time [mark]/[number] operators.
     Ranges are wide (2^32) and disjoint from storage oids. *)

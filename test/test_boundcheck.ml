@@ -1,12 +1,15 @@
-(* Boundcheck: static resource-bound analysis over MIL plans.
+(* Boundcheck: static resource bounds over analysed MIL bundles.
 
    Covers the per-constructor selectivity rules (estimates clamped
    into the sound cardinality interval), string payload tracking,
    degradation to an unbounded envelope on foreigns without a declared
-   cost rule, the liveness simulation on diamond DAGs (reclaim peak
+   row rule, the liveness simulation on diamond DAGs (reclaim peak
    strictly below memo residency), the session admission gate
-   (accept / refuse / fail-closed on unbounded plans) and the
-   mirror-lint/v2 JSON report over the example corpus. *)
+   (accept / refuse / fail-closed on unbounded plans; per-root bounds
+   read from a bundle's table equal to analysing the root alone), the
+   tightness and soundness of the bounds above CONTREP's getbl
+   operator, and the mirror-lint/v2 JSON report over the example
+   corpus. *)
 
 module Atom = Mirror_bat.Atom
 module Bat = Mirror_bat.Bat
@@ -18,6 +21,18 @@ module Boundcheck = Mirror_bat.Boundcheck
 module Jsonx = Mirror_util.Jsonx
 module Corpus = Mirror_core.Corpus
 module Lintreport = Mirror_core.Lintreport
+module Mirror = Mirror_core.Mirror
+module Storage = Mirror_core.Storage
+module Shape = Mirror_core.Shape
+module Flatten = Mirror_core.Flatten
+module Optimize = Mirror_core.Optimize
+module Parser = Mirror_core.Parser
+module Eval = Mirror_core.Eval
+module Expr = Mirror_core.Expr
+module Value = Mirror_core.Value
+module Extension = Mirror_core.Extension
+module Index = Mirror_ir.Index
+module Prng = Mirror_util.Prng
 
 let oid i = Atom.Oid i
 
@@ -30,33 +45,31 @@ let fixture () =
     [ (oid 0, Atom.Str "a"); (oid 1, Atom.Str "bc"); (oid 2, Atom.Str "a") ];
   cat
 
-let analyze_one ?foreign ?foreign_bound cat plan =
-  let env = Boundcheck.env_of_catalog ?foreign ?foreign_bound cat in
-  Boundcheck.analyze env [ plan ]
+let analyze_one ?foreign cat plan = Milcheck.analyze (Milcheck.env ?foreign cat) [ plan ]
 
-let cost_of bounds plan =
-  match Mil.Tbl.find_opt bounds.Boundcheck.per_node plan with
-  | Some c -> c
-  | None -> Alcotest.failf "no cost computed for %s" (Mil.op_name plan)
+let cost_of a plan =
+  match Mil.Tbl.find_opt a.Milcheck.table plan with
+  | Some f -> f
+  | None -> Alcotest.failf "no fact computed for %s" (Mil.op_name plan)
 
-let check_consistent bounds =
-  Mil.Tbl.iter
-    (fun plan (c : Boundcheck.cost) ->
-      if c.Boundcheck.est < c.Boundcheck.rows.Milprop.lo then
-        Alcotest.failf "%s: est %d below lo %d" (Mil.op_name plan) c.Boundcheck.est
-          c.Boundcheck.rows.Milprop.lo;
-      match c.Boundcheck.rows.Milprop.hi with
-      | Some hi when c.Boundcheck.est > hi ->
-        Alcotest.failf "%s: est %d above hi %d" (Mil.op_name plan) c.Boundcheck.est hi
+let check_consistent a =
+  List.iter
+    (fun (f : Milcheck.fact) ->
+      let rows = f.Milcheck.prop.Milprop.card in
+      if f.Milcheck.est < rows.Milprop.lo then
+        Alcotest.failf "%s: est %d below lo %d" f.Milcheck.path f.Milcheck.est rows.Milprop.lo;
+      match rows.Milprop.hi with
+      | Some hi when f.Milcheck.est > hi ->
+        Alcotest.failf "%s: est %d above hi %d" f.Milcheck.path f.Milcheck.est hi
       | _ -> ())
-    bounds.Boundcheck.per_node
+    a.Milcheck.nodes
 
 (* {1 Selectivity rules} *)
 
 let test_selectivity () =
   let cat = fixture () in
   let ints = Mil.Get "ints" in
-  let est plan = (cost_of (analyze_one cat plan) plan).Boundcheck.est in
+  let est plan = (cost_of (analyze_one cat plan) plan).Milcheck.est in
   Alcotest.(check int) "Get is exact" 16 (est ints);
   Alcotest.(check int) "equality keeps ~1/10" 1 (est (Mil.SelectCmp (ints, Bat.Eq, Atom.Int 7)));
   Alcotest.(check int) "range cmp keeps ~1/3" 5 (est (Mil.SelectCmp (ints, Bat.Lt, Atom.Int 7)));
@@ -65,52 +78,61 @@ let test_selectivity () =
   let all = Mil.AggrAll (Bat.Count, ints) in
   let b = analyze_one cat all in
   let c = cost_of b all in
-  Alcotest.(check int) "aggr-all is one row" 1 c.Boundcheck.est;
+  Alcotest.(check int) "aggr-all is one row" 1 c.Milcheck.est;
+  let rows = c.Milcheck.prop.Milprop.card in
   Alcotest.(check (pair int (option int)))
     "aggr-all interval is exact" (1, Some 1)
-    (c.Boundcheck.rows.Milprop.lo, c.Boundcheck.rows.Milprop.hi);
+    (rows.Milprop.lo, rows.Milprop.hi);
   (* estimates never escape the sound interval, and the layer says so *)
   let big =
     Mil.Join (Mil.SelectCmp (ints, Bat.Ge, Atom.Int 3), Mil.Reverse (Mil.Unique ints))
   in
-  let bounds = analyze_one cat big in
-  check_consistent bounds;
+  let a = analyze_one cat big in
+  check_consistent a;
   Alcotest.(check int) "no bound-layer errors" 0
-    (List.length (Milcheck.errors bounds.Boundcheck.diags))
+    (List.length
+       (Milcheck.errors (a.Milcheck.diags @ (Boundcheck.footprints a).Boundcheck.diags)))
 
 let test_string_payload () =
   let cat = fixture () in
   let strs = Mil.Get "strs" in
   let c = cost_of (analyze_one cat strs) strs in
   Alcotest.(check (option int)) "head cells are fixed slots" (Some 8)
-    c.Boundcheck.head.Boundcheck.rb_max;
+    c.Milcheck.head_rb.Milcheck.rb_max;
   (* longest payload is "bc": 8-byte slot + 2 bytes *)
   Alcotest.(check (option int)) "string cell bound tracks the longest payload" (Some 10)
-    c.Boundcheck.tail.Boundcheck.rb_max;
+    c.Milcheck.tail_rb.Milcheck.rb_max;
   (* a fresh-tail op over strings keeps the bound finite *)
   let marked = Mil.Mark (strs, 100) in
   let cm = cost_of (analyze_one cat marked) marked in
   Alcotest.(check (option int)) "mark resets the tail to a fixed slot" (Some 8)
-    cm.Boundcheck.tail.Boundcheck.rb_max
+    cm.Milcheck.tail_rb.Milcheck.rb_max
 
 (* {1 Foreigns: declared rule vs unbounded degradation} *)
 
-let probe_sig =
+(* a pure one-argument operator with no row rule *)
+let probe_decl =
   {
-    Milprop.fs_arity = 1;
-    fs_meta_min = 0;
-    fs_result = { Milprop.unknown with hty = Some Atom.TOid; tty = Some Atom.TInt };
+    Milcheck.f_arity = 1;
+    f_meta_min = 0;
+    f_result = { Milprop.unknown with hty = Some Atom.TOid; tty = Some Atom.TInt };
+    f_pure = true;
+    f_shares = false;
+    f_writes = false;
+    f_rows = None;
   }
-
-let probe_foreign = function "t_probe" -> Some probe_sig | _ -> None
 
 let probe_plan = Mil.Foreign { name = "t_probe"; args = [ Mil.Get "ints" ]; meta = [] }
 
+let probe_footprints decl =
+  let foreign = function "t_probe" -> Some decl | _ -> None in
+  let a = analyze_one ~foreign (fixture ()) probe_plan in
+  (a, Boundcheck.footprints a)
+
 let test_foreign_unbounded () =
-  let cat = fixture () in
-  let bounds = analyze_one ~foreign:probe_foreign cat probe_plan in
+  let a, bounds = probe_footprints probe_decl in
   Alcotest.(check int) "no errors: degradation is a warning" 0
-    (List.length (Milcheck.errors bounds.Boundcheck.diags));
+    (List.length (Milcheck.errors (a.Milcheck.diags @ bounds.Boundcheck.diags)));
   Alcotest.(check bool) "warning emitted for the undeclared bound" true
     (List.exists
        (fun d -> d.Milcheck.severity = Milcheck.Warning)
@@ -119,21 +141,17 @@ let test_foreign_unbounded () =
     bounds.Boundcheck.resident.Boundcheck.fp_hi
 
 let test_foreign_declared () =
-  let cat = fixture () in
-  let rule args =
-    match args with
-    | [ (a : Boundcheck.cost) ] -> Boundcheck.cost_rows ~est:a.Boundcheck.est a.Boundcheck.rows
-    | _ -> Boundcheck.cost_rows Milprop.any_card
+  let rule = function
+    | [ (arg : Milcheck.fact) ] -> (arg.Milcheck.prop.Milprop.card, arg.Milcheck.est)
+    | _ -> (Milprop.any_card, 0)
   in
-  let bounds =
-    analyze_one ~foreign:probe_foreign
-      ~foreign_bound:(function "t_probe" -> Some rule | _ -> None)
-      cat probe_plan
-  in
+  let a, bounds = probe_footprints { probe_decl with Milcheck.f_rows = Some rule } in
   Alcotest.(check bool) "declared rule keeps the plan bounded" true
     (bounds.Boundcheck.resident.Boundcheck.fp_hi <> None);
   Alcotest.(check bool) "no warnings either" true
-    (List.for_all (fun d -> d.Milcheck.severity <> Milcheck.Warning) bounds.Boundcheck.diags)
+    (List.for_all
+       (fun d -> d.Milcheck.severity <> Milcheck.Warning)
+       (a.Milcheck.diags @ bounds.Boundcheck.diags))
 
 (* {1 Liveness: diamonds and chains} *)
 
@@ -143,7 +161,8 @@ let test_diamond_liveness () =
   let x = Mil.CalcConst (Bat.Add, base, Atom.Int 1) in
   let y = Mil.CalcConst (Bat.Mul, base, Atom.Int 2) in
   let top = Mil.Calc2 (Bat.Add, x, y) in
-  let bounds = analyze_one cat top in
+  let a = analyze_one cat top in
+  let bounds = Boundcheck.footprints a in
   let r = bounds.Boundcheck.resident and q = bounds.Boundcheck.reclaim in
   (* four distinct 16-row nodes, 16 bytes per row *)
   Alcotest.(check int) "memo residency sums every distinct node" 1024 r.Boundcheck.fp_est;
@@ -155,10 +174,14 @@ let test_diamond_liveness () =
   | Some qh, Some rh -> Alcotest.(check bool) "hi bounds ordered" true (qh <= rh)
   | _ -> Alcotest.fail "kernel-only diamond must be bounded");
   (* sharing: analyzing the diamond is cheaper than two independent copies *)
-  let solo = cost_of bounds base in
-  Alcotest.(check int) "shared base counted once" 16 solo.Boundcheck.est
+  let solo = cost_of a base in
+  Alcotest.(check int) "shared base counted once" 16 solo.Milcheck.est
 
 (* {1 Admission gate} *)
+
+(* a session budget whose bound reads the analysis of [plan] alone *)
+let budget cat max_bytes plan =
+  { Mil.max_bytes; bound = Boundcheck.admission (analyze_one cat plan) }
 
 let test_admission () =
   let cat = fixture () in
@@ -167,10 +190,10 @@ let test_admission () =
   let s = Mil.session cat in
   ignore (Mil.exec s plan);
   (* generous budget: admitted *)
-  let s = Mil.session ~max_bytes:1_000_000 cat in
+  let s = Mil.session ~budget:(budget cat 1_000_000 plan) cat in
   Alcotest.(check int) "admitted under a generous budget" 16 (Bat.count (Mil.exec s plan));
   (* starved budget: refused with the structured diagnostic *)
-  let s = Mil.session ~max_bytes:8 cat in
+  let s = Mil.session ~budget:(budget cat 8 plan) cat in
   (match Mil.exec s plan with
   | _ -> Alcotest.fail "admitted a plan over budget"
   | exception Mil.Admission_refused { peak_bytes; budget; _ } ->
@@ -178,14 +201,128 @@ let test_admission () =
     (match peak_bytes with
     | Some p -> Alcotest.(check bool) "peak really exceeds the budget" true (p > 8)
     | None -> Alcotest.fail "kernel-only plan should have a finite peak"));
-  (* fail-closed: a foreign the oracle knows nothing about is refused
-     even under a generous budget *)
+  (* fail-closed: a foreign the analysis knows nothing about is
+     refused even under a generous budget *)
   let foreign ~name:_ ~args ~meta:_ = List.hd args in
-  let s = Mil.session ~foreign ~max_bytes:1_000_000 cat in
+  let s = Mil.session ~foreign ~budget:(budget cat 1_000_000 probe_plan) cat in
   match Mil.exec s probe_plan with
   | _ -> Alcotest.fail "admitted an unanalyzable foreign plan"
   | exception Mil.Admission_refused { peak_bytes; _ } ->
     Alcotest.(check (option int)) "refused as unbounded" None peak_bytes
+
+(* Per-root admission reads each root's resident bytes from the bundle
+   table; facts are context-free, so that must equal analysing the
+   root alone — for every root of every corpus bundle. *)
+let test_admission_per_root () =
+  Mirror_core.Bootstrap.ensure ();
+  let st = Corpus.storage () in
+  List.iter
+    (fun src ->
+      let expr = Result.get_ok (Parser.parse_expr src) in
+      let shape = Flatten.compile st (Optimize.rewrite expr) in
+      let shape = Shape.map Mirror_bat.Milopt.rewrite shape in
+      let bundle = Storage.analyze st shape in
+      List.iter
+        (fun root ->
+          let alone = Storage.analyze st (Shape.Atomic root) in
+          let show = function
+            | Some (est, hi) ->
+              Printf.sprintf "%d/%s" est (match hi with Some h -> string_of_int h | None -> "*")
+            | None -> "refused"
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s: root %s" src (Mil.op_name root))
+            (show (Boundcheck.admission alone root))
+            (show (Boundcheck.admission bundle root)))
+        (Shape.plans shape))
+    Corpus.queries
+
+(* {1 CONTREP getbl: tight and sound row bounds} *)
+
+(* The bench's docs workload: one CONTREP annotation per document over
+   a Zipf-distributed 150-word vocabulary. *)
+let docs ~n =
+  let m = Mirror.create () in
+  let g = Prng.create (77 + n) in
+  let weights = Array.init 150 (fun i -> 1.0 /. Float.of_int (i + 1)) in
+  let word () = Printf.sprintf "w%d" (Prng.sample_weighted g weights) in
+  let row i =
+    let words = List.init (10 + Prng.int g 20) (fun _ -> word ()) in
+    Value.Tup
+      [
+        ("source", Value.str (Printf.sprintf "img://%d" i));
+        ("year", Value.int (1990 + Prng.int g 12));
+        ("annotation", Value.contrep (Mirror_ir.Tokenize.bag_of_words words));
+      ]
+  in
+  let schema =
+    "define Docs as SET< TUPLE< Atomic<URL>: source, Atomic<int>: year, CONTREP<Text>: \
+     annotation > >;"
+  in
+  ignore (Result.get_ok (Mirror.exec_program m schema));
+  ignore (Result.get_ok (Mirror.load m ~name:"Docs" (List.init n row)));
+  Mirror.storage m
+
+(* The join above getbl is key-aware and getbl's row rule reads its
+   arguments' facts, so the peak envelope stays within two orders of
+   magnitude of the bytes the session actually held. *)
+let test_getbl_peak () =
+  Mirror_core.Bootstrap.ensure ();
+  let st = docs ~n:64 in
+  let src = "map[sum(getBL(THIS.annotation, query, stats))](Docs)" in
+  let bindings = [ ("query", Expr.lit_str_set [ "w5"; "w12" ]) ] in
+  let expr = Result.get_ok (Parser.parse_expr ~bindings src) in
+  let r = Result.get_ok (Eval.query st expr) in
+  (match (Lazy.force r.Eval.bounds).Eval.peak_bytes with
+  | None -> Alcotest.fail "getBL query left unbounded"
+  | Some peak ->
+    if peak > 100 * r.Eval.actual_bytes then
+      Alcotest.failf "peak %d B is over 100x the %d B actually held" peak r.Eval.actual_bytes);
+  (* so a budget of 100x the held bytes admits the paper's query *)
+  match Eval.query ~max_bytes:(100 * r.Eval.actual_bytes) st expr with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "budgeted getBL query: %s" e
+
+(* getbl emits one row per qlink entry of each dom context: one
+   context, one query value and three qlink rows sharing its head make
+   three rows, which the analysed interval must admit. *)
+let test_getbl_rows_sound () =
+  Mirror_core.Bootstrap.ensure ();
+  let idx = Index.create "lib" in
+  Index.add_doc idx ~doc:0 [ ("cat", 2.0) ];
+  let cat = Catalog.create () in
+  let occ_ctx, occ_term, occ_tf, len = Index.to_bats idx ~base:1000 in
+  let put name b = Catalog.put cat name b in
+  put "occ_ctx" occ_ctx;
+  put "occ_term" occ_term;
+  put "occ_tf" occ_tf;
+  put "len" len;
+  put "dom" (Bat.of_pairs Atom.TOid Atom.TOid [ (oid 0, oid 0) ]);
+  put "qval" (Bat.of_pairs Atom.TOid Atom.TStr [ (oid 10, Atom.Str "cat") ]);
+  put "qlink" (Bat.of_pairs Atom.TOid Atom.TOid (List.init 3 (fun _ -> (oid 10, oid 0))));
+  let plan =
+    Mil.Foreign
+      {
+        name = "contrep_getbl";
+        args =
+          List.map
+            (fun n -> Mil.Get n)
+            [ "occ_ctx"; "occ_term"; "occ_tf"; "len"; "dom"; "qlink"; "qval" ];
+        meta = [ "lib" ];
+      }
+  in
+  let a = analyze_one ~foreign:Extension.foreign_decl cat plan in
+  let space = Index.space idx in
+  let session =
+    Mil.session
+      ~foreign:(Extension.foreign_dispatch { Extension.space = (fun _ -> Some space) })
+      cat
+  in
+  let actual = Bat.count (Mil.exec session plan) in
+  Alcotest.(check int) "three rows" 3 actual;
+  match (Milcheck.prop a plan).Milprop.card.Milprop.hi with
+  | Some hi when hi < actual -> Alcotest.failf "declared hi %d below the %d actual rows" hi actual
+  | _ -> ()
 
 (* {1 mirror-lint/v2 over the example corpus} *)
 
@@ -277,7 +414,18 @@ let () =
         ] );
       ( "liveness",
         [ Alcotest.test_case "diamond DAG reclaim peak" `Quick test_diamond_liveness ] );
-      ("admission", [ Alcotest.test_case "accept, refuse, fail-closed" `Quick test_admission ]);
+      ( "admission",
+        [
+          Alcotest.test_case "accept, refuse, fail-closed" `Quick test_admission;
+          Alcotest.test_case "per-root bounds from the bundle table" `Quick
+            test_admission_per_root;
+        ] );
+      ( "getbl",
+        [
+          Alcotest.test_case "peak within 100x of actual at 64 docs" `Quick test_getbl_peak;
+          Alcotest.test_case "row rule admits repeated qlink entries" `Quick
+            test_getbl_rows_sound;
+        ] );
       ( "report",
         [
           Alcotest.test_case "mirror-lint/v2 round-trip" `Quick test_lint_v2_roundtrip;

@@ -15,6 +15,7 @@ module Column = Mirror_bat.Column
 module Catalog = Mirror_bat.Catalog
 module Mil = Mirror_bat.Mil
 module Milcheck = Mirror_bat.Milcheck
+module Milprop = Mirror_bat.Milprop
 module Effcheck = Mirror_bat.Effcheck
 module Corpus = Mirror_core.Corpus
 module Lintreport = Mirror_core.Lintreport
@@ -38,6 +39,22 @@ let fixture () =
   c
 
 let ints = Mil.Get "ints"
+
+(* a one-argument foreign declaration with the given effect *)
+let decl ~pure ~writes =
+  {
+    Milcheck.f_arity = 1;
+    f_meta_min = 0;
+    f_result = Milprop.unknown;
+    f_pure = pure;
+    f_shares = false;
+    f_writes = writes;
+    f_rows = None;
+  }
+
+let env ?(foreign = fun _ -> None) () = Milcheck.env ~foreign (fixture ())
+let verdict env plans = Effcheck.verdict (Milcheck.analyze env plans)
+let hazards env plan = (verdict env [ plan ]).Effcheck.hazards
 
 (* {1 CSE physical sharing} *)
 
@@ -70,7 +87,7 @@ let test_analyze_pure () =
   let shared = Mil.Reverse ints in
   let p1 = Mil.SortTail (shared, false) in
   let p2 = Mil.Slice (shared, 0, 4) in
-  let v = Effcheck.analyze (Effcheck.env ()) [ p1; p2 ] in
+  let v = verdict (env ()) [ p1; p2 ] in
   Alcotest.(check int) "CSE merges the shared subplan" 4 v.Effcheck.nodes;
   Alcotest.(check (list string)) "no hazards in a kernel-only bundle" []
     (List.map Milcheck.diag_to_string v.Effcheck.hazards);
@@ -81,7 +98,7 @@ let test_analyze_pure () =
 
 let test_undeclared_foreign () =
   let plan = Mil.Foreign { name = "mystery"; args = [ ints ]; meta = [] } in
-  match Effcheck.lint (Effcheck.env ()) plan with
+  match hazards (env ()) plan with
   | [ d ] ->
     Alcotest.(check bool) "error severity" true (d.Milcheck.severity = Milcheck.Error);
     Alcotest.(check bool) "mentions the missing declaration" true
@@ -92,34 +109,32 @@ let test_undeclared_foreign () =
    — as an error here, because the written argument aliases the
    catalog through mirror. *)
 let test_declared_writer_static () =
-  let eff = { Effcheck.fe_pure = false; fe_shares = false; fe_writes = true } in
-  let env =
-    Effcheck.env ~foreign:(fun n -> if n = "scribble" then Some eff else None) ()
-  in
+  let eff = decl ~pure:false ~writes:true in
+  let env = env ~foreign:(fun n -> if n = "scribble" then Some eff else None) () in
   let plan = Mil.Foreign { name = "scribble"; args = [ Mil.Mirror ints ]; meta = [] } in
-  let ds = Effcheck.lint env plan in
+  let ds = hazards env plan in
   let errors = List.filter (fun d -> d.Milcheck.severity = Milcheck.Error) ds in
   Alcotest.(check int) "mutation under sharing is an error" 1 (List.length errors);
   Alcotest.(check bool) "names the catalog" true
     (contains ~sub:"catalog" (List.hd errors).Milcheck.message);
   (* and the effectful node serialises the whole DAG it touches *)
-  let v = Effcheck.analyze env [ plan ] in
+  let v = verdict env [ plan ] in
   Alcotest.(check bool) "writer collapses partitions" true
     (v.Effcheck.partitions < v.Effcheck.nodes)
 
 let test_unordered_effects () =
-  let eff = { Effcheck.fe_pure = false; fe_shares = false; fe_writes = false } in
+  let eff = decl ~pure:false ~writes:false in
   let env =
-    Effcheck.env ~foreign:(fun n -> if String.length n > 3 && String.sub n 0 4 = "emit" then Some eff else None) ()
+    env ~foreign:(fun n -> if String.length n > 3 && String.sub n 0 4 = "emit" then Some eff else None) ()
   in
   let emit name arg = Mil.Foreign { name; args = [ arg ]; meta = [] } in
   let plan = Mil.Join (emit "emit_a" ints, emit "emit_b" (Mil.Get "link")) in
-  let ds = Effcheck.lint env plan in
+  let ds = hazards env plan in
   Alcotest.(check bool) "flags the non-commutable sibling effects" true
     (List.exists
        (fun d -> contains ~sub:"non-commutable" d.Milcheck.message)
        ds);
-  let v = Effcheck.analyze env [ plan ] in
+  let v = verdict env [ plan ] in
   (* both effectful nodes land in one partition *)
   Alcotest.(check int) "effects serialise together" (v.Effcheck.nodes - 1)
     v.Effcheck.partitions
@@ -128,7 +143,7 @@ let test_unordered_effects () =
 
 let test_sanitizer_benign () =
   let catalog = fixture () in
-  let san = Effcheck.sanitizer (Effcheck.env ()) (Mil.session catalog) in
+  let san = Effcheck.sanitizer (env ()) (Mil.session catalog) in
   (* aliasing-heavy kernel plans over shared subplans and the catalog *)
   let plans =
     [
@@ -147,7 +162,7 @@ let test_sanitizer_requires_cse () =
   let session = Mil.session ~cse:false (fixture ()) in
   Alcotest.check_raises "refuses a session without CSE"
     (Invalid_argument "Effcheck.sanitizer: the session must have CSE enabled") (fun () ->
-      ignore (Effcheck.sanitizer (Effcheck.env ()) session))
+      ignore (Effcheck.sanitizer (env ()) session))
 
 (* A test-only operator that mutates its argument column in place,
    lying about it (declared pure): the static analyzer believes the
@@ -159,14 +174,11 @@ let test_sanitizer_catches_mutation () =
     Column.set (Bat.tail arg) 0 (Atom.Int 999);
     Bat.of_pairs (Bat.hty arg) (Bat.tty arg) (Bat.to_pairs arg)
   in
-  let env =
-    Effcheck.env
-      ~foreign:(fun n -> if n = "evil_scribble" then Some Effcheck.pure_foreign else None)
-      ()
-  in
+  let pure = decl ~pure:true ~writes:false in
+  let env = env ~foreign:(fun n -> if n = "evil_scribble" then Some pure else None) () in
   let plan = Mil.Foreign { name = "evil_scribble"; args = [ ints ]; meta = [] } in
   Alcotest.(check (list string)) "the lie passes the static lint" []
-    (List.map Milcheck.diag_to_string (Effcheck.lint env plan));
+    (List.map Milcheck.diag_to_string (hazards env plan));
   let san = Effcheck.sanitizer env (Mil.session ~foreign:mutate catalog) in
   (match Effcheck.exec san plan with
   | _ -> Alcotest.fail "sanitizer accepted an in-place mutation"
@@ -179,11 +191,8 @@ let test_sanitizer_catches_mutation () =
 let test_sanitizer_catches_aliasing () =
   let catalog = fixture () in
   let leak ~name:_ ~args ~meta:_ = List.hd args in
-  let env =
-    Effcheck.env
-      ~foreign:(fun n -> if n = "evil_alias" then Some Effcheck.pure_foreign else None)
-      ()
-  in
+  let pure = decl ~pure:true ~writes:false in
+  let env = env ~foreign:(fun n -> if n = "evil_alias" then Some pure else None) () in
   let plan = Mil.Foreign { name = "evil_alias"; args = [ ints ]; meta = [] } in
   let san = Effcheck.sanitizer env (Mil.session ~foreign:leak catalog) in
   match Effcheck.exec san plan with

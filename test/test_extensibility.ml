@@ -154,9 +154,6 @@ module MSET = struct
       }
 
   let foreign_ops = []
-  let foreign_sigs = []
-  let foreign_effects = []
-  let foreign_bounds = []
 
   (* Sound defaults for the Moa-level analyzer: claim nothing about
      operator results or the flattened bundle. *)

@@ -37,12 +37,13 @@ let failf plan fmt =
     fmt
 
 (* property (a): verified envelope contains the executed result *)
-let check_envelope env catalog plan =
-  match Milcheck.verify env plan with
+let check_envelope a catalog plan =
+  match Milcheck.verify a with
   | Error ds ->
     failf plan "analyzer rejected a generated plan: %s"
       (String.concat "; " (List.map Milcheck.diag_to_string ds))
-  | Ok inferred -> (
+  | Ok () -> (
+    let inferred = Milcheck.prop a plan in
     let b = Mil.exec (Mil.session catalog) plan in
     match Milprop.envelope_ok ~inferred ~actual:(Milprop.of_bat b) with
     | Ok () -> b
@@ -82,8 +83,8 @@ let check_trace catalog plan b =
    plans, and the runtime sanitizer — fed every generated plan through
    one shared CSE session, so cross-plan physical sharing accumulates —
    accepts the observed aliasing and produces the same result *)
-let check_effects eenv san plan b =
-  (match Effcheck.lint eenv plan with
+let check_effects a san plan b =
+  (match (Effcheck.verdict a).Effcheck.hazards with
   | [] -> ()
   | ds ->
     failf plan "effect hazards on a kernel-only plan: %s"
@@ -96,38 +97,39 @@ let check_effects eenv san plan b =
 (* property (e): the resource envelope is sound and consistent.  Every
    node of the plan is executed through one shared CSE session (memo
    hits across plans, like the sanitizer's); actual per-node row counts
-   must sit inside Boundcheck's sound intervals and the measured bytes
-   of this plan's materialised nodes (physically shared columns counted
-   once) must stay under the resident upper bound. *)
-let check_bounds benv bsess plan =
-  let bounds = Boundcheck.analyze benv [ plan ] in
+   must sit inside the analysis's sound intervals and the measured
+   bytes of this plan's materialised nodes (physically shared columns
+   counted once) must stay under the resident upper bound. *)
+let check_bounds a bsess plan =
+  let bounds = Boundcheck.footprints a in
   (match bounds.Boundcheck.diags with
   | [] -> ()
   | ds ->
     failf plan "bound diagnostics on a kernel-only plan: %s"
       (String.concat "; " (List.map Milcheck.diag_to_string ds)));
   let bats = ref [] in
-  Mil.Tbl.iter
-    (fun node (c : Boundcheck.cost) ->
+  List.iter
+    (fun (f : Milcheck.fact) ->
+      let node = f.Milcheck.node and rows = f.Milcheck.prop.Milprop.card in
       let b = Mil.exec bsess node in
       bats := b :: !bats;
       let n = Bat.count b in
-      if n < c.Boundcheck.rows.Milprop.lo then
+      if n < rows.Milprop.lo then
         failf plan "node %s: %d rows below the sound lo %d" (Mil.op_name node) n
-          c.Boundcheck.rows.Milprop.lo;
-      (match c.Boundcheck.rows.Milprop.hi with
+          rows.Milprop.lo;
+      (match rows.Milprop.hi with
       | Some hi when n > hi ->
         failf plan "node %s: %d rows above the sound hi %d" (Mil.op_name node) n hi
       | _ -> ());
-      if c.Boundcheck.est < c.Boundcheck.rows.Milprop.lo then
+      if f.Milcheck.est < rows.Milprop.lo then
         failf plan "node %s: estimate %d below the sound lo" (Mil.op_name node)
-          c.Boundcheck.est;
-      match c.Boundcheck.rows.Milprop.hi with
-      | Some hi when c.Boundcheck.est > hi ->
+          f.Milcheck.est;
+      match rows.Milprop.hi with
+      | Some hi when f.Milcheck.est > hi ->
         failf plan "node %s: estimate %d above the sound hi %d" (Mil.op_name node)
-          c.Boundcheck.est hi
+          f.Milcheck.est hi
       | _ -> ())
-    bounds.Boundcheck.per_node;
+    a.Milcheck.nodes;
   match bounds.Boundcheck.resident.Boundcheck.fp_hi with
   | Some hi ->
     let measured = Boundcheck.bats_bytes !bats in
@@ -137,10 +139,8 @@ let check_bounds benv bsess plan =
 
 let test_fuzz () =
   let catalog = fixture () in
-  let env = Milcheck.env_of_catalog catalog in
-  let eenv = Effcheck.env () in
-  let san = Effcheck.sanitizer eenv (Mil.session catalog) in
-  let benv = Boundcheck.env_of_catalog catalog in
+  let env = Milcheck.env catalog in
+  let san = Effcheck.sanitizer env (Mil.session catalog) in
   let bsess = Mil.session catalog in
   let g = Prng.create 20260807 in
   let seed_pool =
@@ -154,11 +154,13 @@ let test_fuzz () =
   let pooled = ref 0 in
   for _ = 1 to plans_to_generate do
     let plan, hty, tty = generate g !pool in
-    let b = check_envelope env catalog plan in
+    (* one analysis per plan serves properties (a), (d) and (e) *)
+    let a = Milcheck.analyze env [ plan ] in
+    let b = check_envelope a catalog plan in
     check_rewrite catalog plan b;
     check_trace catalog plan b;
-    check_effects eenv san plan b;
-    check_bounds benv bsess plan;
+    check_effects a san plan b;
+    check_bounds a bsess plan;
     if Bat.count b <= max_pool_rows then begin
       pool := { plan; hty; tty } :: !pool;
       incr pooled
@@ -580,7 +582,7 @@ let moa_check st tenv menv { expr; ty } =
   | exception Flatten.Unsupported msg -> moa_failf expr "expression does not flatten: %s" msg
   | exception Flatten.Ill_formed msg -> moa_failf expr "compile rejected: %s" msg
   | shape -> (
-    match Moacheck.validate st expr shape with
+    match Moacheck.validate st expr (Storage.analyze st shape) shape with
     | Ok () -> ()
     | Error ds ->
       moa_failf expr "translation validation failed: %s"

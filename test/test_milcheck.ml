@@ -55,17 +55,22 @@ let fixture_catalog () =
   put "flts" Atom.TOid Atom.TFlt [ (oid 0, Atom.Flt 1.5); (oid 1, Atom.Flt 2.5) ];
   cat
 
-let test_sig =
+let test_decl =
   {
-    Milprop.fs_arity = 1;
-    fs_meta_min = 1;
-    fs_result = { Milprop.unknown with hty = Some Atom.TOid; tty = Some Atom.TFlt };
+    Milcheck.f_arity = 1;
+    f_meta_min = 1;
+    f_result = { Milprop.unknown with hty = Some Atom.TOid; tty = Some Atom.TFlt };
+    f_pure = true;
+    f_shares = false;
+    f_writes = false;
+    f_rows = None;
   }
 
 let fixture_env cat =
-  Milcheck.env_of_catalog
-    ~foreign:(function "t_probe" -> Some test_sig | _ -> None)
-    cat
+  Milcheck.env ~foreign:(function "t_probe" -> Some test_decl | _ -> None) cat
+
+(* the one analysis of a single-root bundle *)
+let analyze env plan = Milcheck.analyze env [ plan ]
 
 let fixture_foreign ~name ~args ~meta:_ =
   match (name, args) with
@@ -152,8 +157,8 @@ let test_verify_well_formed () =
   let env = fixture_env (fixture_catalog ()) in
   List.iter
     (fun plan ->
-      match Milcheck.verify env plan with
-      | Ok _ -> ()
+      match Milcheck.verify (analyze env plan) with
+      | Ok () -> ()
       | Error ds ->
         Alcotest.failf "plan %s rejected: %s" (Mil.op_name plan) (Plancheck.diags_to_string ds))
     well_formed_plans
@@ -162,9 +167,11 @@ let test_verify_ill_formed () =
   let env = fixture_env (fixture_catalog ()) in
   List.iter
     (fun (label, plan) ->
-      match Milcheck.verify env plan with
-      | Ok p ->
-        Alcotest.failf "%s accepted with envelope %s" label (Milprop.to_string p)
+      let a = analyze env plan in
+      match Milcheck.verify a with
+      | Ok () ->
+        Alcotest.failf "%s accepted with envelope %s" label
+          (Milprop.to_string (Milcheck.prop a plan))
       | Error _ -> ())
     ill_formed_plans
 
@@ -176,31 +183,20 @@ let test_exec_checked_sound () =
   let session = Mil.session ~foreign:fixture_foreign cat in
   List.iter
     (fun plan ->
-      match Milcheck.exec_checked env session plan with
+      match Milcheck.exec_checked (analyze env plan) session plan with
       | _ -> ()
       | exception Failure msg -> Alcotest.failf "%s: %s" (Mil.op_name plan) msg)
     well_formed_plans
 
-(* A lying environment must be caught by the checked executor. *)
+(* A stale analysis must be caught by the checked executor: analysed
+   against a catalog whose "ints" has two distinct tails, executed
+   against the fixture's four (two of them equal). *)
 let test_exec_checked_catches_violation () =
-  let cat = fixture_catalog () in
-  (* claim tail-key (false: two tails are 20) and an impossible bound *)
-  let lying =
-    {
-      Milcheck.get =
-        (fun _ ->
-          Some
-            {
-              Milprop.unknown with
-              hty = Some Atom.TOid;
-              tty = Some Atom.TInt;
-              tail_key = true;
-              card = { Milprop.lo = 0; hi = Some 2 };
-            });
-      foreign = (fun _ -> None);
-    }
-  in
-  let session = Mil.session cat in
+  let stale = Catalog.create () in
+  Catalog.put stale "ints"
+    (Bat.of_pairs Atom.TOid Atom.TInt [ (Atom.Oid 0, Atom.Int 1); (Atom.Oid 1, Atom.Int 2) ]);
+  let lying = analyze (Milcheck.env stale) (Mil.Get "ints") in
+  let session = Mil.session (fixture_catalog ()) in
   match Milcheck.exec_checked lying session (Mil.Get "ints") with
   | _ -> Alcotest.fail "envelope violation not detected"
   | exception Failure _ -> ()
@@ -208,13 +204,14 @@ let test_exec_checked_catches_violation () =
 let test_warnings () =
   let env = fixture_env (fixture_catalog ()) in
   let warnings plan =
-    let _, ds = Milcheck.infer env plan in
-    List.filter (fun d -> d.Milcheck.severity = Milcheck.Warning) ds
+    List.filter
+      (fun d -> d.Milcheck.severity = Milcheck.Warning)
+      (analyze env plan).Milcheck.diags
   in
   let expect_warning label plan =
     if warnings plan = [] then Alcotest.failf "%s: expected a warning" label;
-    match Milcheck.verify env plan with
-    | Ok _ -> ()
+    match Milcheck.verify (analyze env plan) with
+    | Ok () -> ()
     | Error ds -> Alcotest.failf "%s: warnings must not reject (%s)" label (Plancheck.diags_to_string ds)
   in
   expect_warning "semijoin head mismatch" (Mil.Semijoin (Mil.Get "ints", Mil.Reverse (Mil.Get "ints")));
@@ -228,7 +225,7 @@ let test_lint_smells () =
   let env = fixture_env (fixture_catalog ()) in
   let g = Mil.Get "ints" in
   let expect_diag label plan needle =
-    let ds = Milcheck.lint env plan in
+    let ds = Milcheck.lint (analyze env plan) in
     if not (List.exists (fun d -> contains ~needle d.Milcheck.message) ds)
     then
       Alcotest.failf "%s: no diagnostic mentioning %S in: %s" label needle
@@ -263,15 +260,13 @@ let golden_cases =
 
 let test_property_golden () =
   let st = Corpus.storage () in
-  let env = Plancheck.env_of_storage st in
   List.iter
     (fun (src, expected) ->
       let shape = Flatten.compile st (Optimize.rewrite (parse_q src)) in
       let shape = Shape.map Milopt.rewrite shape in
+      let a = Storage.analyze st shape in
       let actual =
-        List.map
-          (fun p -> Milprop.to_string (fst (Milcheck.infer env p)))
-          (Plancheck.shape_plans shape)
+        List.map (fun p -> Milprop.to_string (Milcheck.prop a p)) (Shape.plans shape)
       in
       Alcotest.(check (list string)) src expected actual)
     golden_cases

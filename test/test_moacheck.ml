@@ -202,9 +202,6 @@ module Brk : Extension.S = struct
   let reify ~members:_ ~atom:_ ~recurse:_ ~meta:_ ~bats:_ ~subs:_ ~ctx:_ = failwith "BRK bundles"
   let restore _ ~recurse:_ ~path:_ ~ty_args:_ = failwith "BRK is not storable"
   let foreign_ops = []
-  let foreign_sigs = []
-  let foreign_effects = []
-  let foreign_bounds = []
 
   let prop_flat ~ctx ~prop:_ ~meta:_ ~nbats ~nsubs =
     (List.init nbats (fun _ -> None), List.init nsubs (fun _ -> (Moaprop.Unknown, ctx)))
@@ -229,7 +226,7 @@ let test_broken_rule () =
   ignore (infer_ok e);
   (* validation sees the physical bundle disagree *)
   let shape = Flatten.compile st e in
-  (match Moacheck.validate st e shape with
+  (match Moacheck.validate st e (Mirror_core.Storage.analyze st shape) shape with
   | Ok () -> Alcotest.fail "validate certified a broken flattening rule"
   | Error ds ->
     Alcotest.(check bool) "mismatch names the flattening" true

@@ -29,6 +29,8 @@ module Bat = Mirror_bat.Bat
 module Column = Mirror_bat.Column
 module Catalog = Mirror_bat.Catalog
 module Mil = Mirror_bat.Mil
+module Milprop = Mirror_bat.Milprop
+module Milcheck = Mirror_bat.Milcheck
 module Effcheck = Mirror_bat.Effcheck
 module Parkernel = Mirror_bat.Parkernel
 
@@ -42,12 +44,16 @@ let failf plan fmt =
     (fun msg -> Alcotest.failf "%s\nplan:\n%s" msg (Mil.to_string plan))
     fmt
 
+(* The Effcheck verdict over a one-plan bundle; [foreign] declares
+   operators. *)
+let verdict ?foreign catalog plan =
+  Effcheck.verdict (Milcheck.analyze (Milcheck.env ?foreign catalog) [ plan ])
+
 (* {1 Differential fuzz: parallel == sequential, bit for bit} *)
 
 let test_differential () =
   Parkernel.set_min_rows 0;
   let catalog = Milgen.fixture () in
-  let eenv = Effcheck.env () in
   let pools = List.map (fun d -> (d, Parkernel.create d)) domain_counts in
   let g = Prng.create 20260809 in
   let pool = ref (Milgen.seed_pool catalog Milgen.fixture_names) in
@@ -61,7 +67,7 @@ let test_differential () =
       for _ = 1 to plans_to_generate do
         let plan, hty, tty = Milgen.generate g !pool in
         let expected = Mil.exec (Mil.session catalog) plan in
-        let safe = (Effcheck.analyze eenv [ plan ]).Effcheck.safe in
+        let safe = (verdict catalog plan).Effcheck.safe in
         if not (safe plan) then
           failf plan "Effcheck refused a kernel-only plan as parallel-unsafe";
         List.iter
@@ -100,9 +106,24 @@ let clobber_dispatch saw_pool ~name ~args ~meta:_ =
     b
   | _ -> Alcotest.failf "unexpected foreign %s" name
 
+(* [clobber_name] declared (falsely) pure *)
+let pure_clobber name =
+  if name = clobber_name then
+    Some
+      {
+        Milcheck.f_arity = 1;
+        f_meta_min = 0;
+        f_result = Milprop.unknown;
+        f_pure = true;
+        f_shares = false;
+        f_writes = false;
+        f_rows = None;
+      }
+  else None
+
 let test_effcheck_flags_unsafe () =
   let plan = Mil.Foreign { name = clobber_name; args = [ Mil.Get "ints" ]; meta = [] } in
-  let v = Effcheck.analyze (Effcheck.env ()) [ plan ] in
+  let v = verdict (Milgen.fixture ()) plan in
   Alcotest.(check bool) "undeclared foreign raises a hazard" true (v.Effcheck.hazards <> []);
   Alcotest.(check bool) "verdict refuses the node" false (v.Effcheck.safe plan);
   (* the taint spreads over the whole partition: the argument scan the
@@ -123,7 +144,7 @@ let test_scheduler_refuses_unsafe () =
       let saw_pool = ref true in
       (* undeclared: the verdict marks the node unsafe, so the executor
          must dispatch it outside the pool scope *)
-      let safe = (Effcheck.analyze (Effcheck.env ()) [ plan ]).Effcheck.safe in
+      let safe = (verdict catalog plan).Effcheck.safe in
       let s =
         Mil.session ~foreign:(clobber_dispatch saw_pool) ~par:{ Mil.pool; safe; morsel = (fun _ -> None) } catalog
       in
@@ -132,12 +153,7 @@ let test_scheduler_refuses_unsafe () =
       Alcotest.(check int) "no operator went parallel" 0 (Mil.stats s).Mil.par_ops;
       (* the same operator with a (false) pure declaration is licensed:
          the scheduler exposes the pool to its dispatch *)
-      let eenv =
-        Effcheck.env
-          ~foreign:(fun n -> if n = clobber_name then Some Effcheck.pure_foreign else None)
-          ()
-      in
-      let safe = (Effcheck.analyze eenv [ plan ]).Effcheck.safe in
+      let safe = (verdict ~foreign:pure_clobber catalog plan).Effcheck.safe in
       let s2 =
         Mil.session ~foreign:(clobber_dispatch saw_pool) ~par:{ Mil.pool; safe; morsel = (fun _ -> None) } catalog
       in
@@ -149,14 +165,9 @@ let test_sanitizer_catches_forced () =
      runtime sanitizer compare observed behaviour against the
      declaration *)
   let catalog = Milgen.fixture () in
-  let eenv =
-    Effcheck.env
-      ~foreign:(fun n -> if n = clobber_name then Some Effcheck.pure_foreign else None)
-      ()
-  in
   let saw_pool = ref false in
   let s = Mil.session ~foreign:(clobber_dispatch saw_pool) catalog in
-  let san = Effcheck.sanitizer eenv s in
+  let san = Effcheck.sanitizer (Milcheck.env ~foreign:pure_clobber catalog) s in
   let plan = Mil.Foreign { name = clobber_name; args = [ Mil.Get "ints" ]; meta = [] } in
   match Effcheck.exec san plan with
   | exception Effcheck.Violation _ -> ()
@@ -280,7 +291,7 @@ let test_mixed_calc2 () =
     (fun () ->
       let plan = Mil.Calc2 (Bat.MinOp, Mil.Get "i", Mil.Get "f") in
       let expected = Mil.exec (Mil.session catalog) plan in
-      let safe = (Effcheck.analyze (Effcheck.env ()) [ plan ]).Effcheck.safe in
+      let safe = (verdict catalog plan).Effcheck.safe in
       let got = Mil.exec (Mil.session ~par:{ Mil.pool; safe; morsel = (fun _ -> None) } catalog) plan in
       Alcotest.(check bool) "mixed int/float Calc2 matches sequential" true
         (Bat.equal expected got))
@@ -335,7 +346,7 @@ let test_stats_and_trace () =
       Parkernel.shutdown pool)
     (fun () ->
       let plan = Mil.SelectCmp (Mil.Get "ints", Bat.Gt, Atom.Int 5) in
-      let safe = (Effcheck.analyze (Effcheck.env ()) [ plan ]).Effcheck.safe in
+      let safe = (verdict catalog plan).Effcheck.safe in
       let tr = Trace.create () in
       let s = Mil.session ~trace:tr ~par:{ Mil.pool; safe; morsel = (fun _ -> None) } catalog in
       ignore (Mil.exec s plan);
