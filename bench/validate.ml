@@ -87,8 +87,8 @@ let () =
       die "E6 dual-coding MAP %.3f is below the better single coding (text %.3f, image %.3f)"
         dual text image);
   (* the RECOVERY entry must show a real replay: records redone,
-     positive throughput, the post-recovery certification pass, and a
-     linear reopen *)
+     positive throughput, the post-recovery certification pass, a
+     linear reopen, and a reopened store whose getBL reads the index *)
   (match find "RECOVERY" with
   | None -> die "no entry for the crash-recovery experiment (RECOVERY)"
   | Some e ->
@@ -107,10 +107,15 @@ let () =
     | _ -> die "RECOVERY run was not certified");
     (* reopen is linear in the stored documents *)
     let field f = Option.bind (Json.member f e) Json.to_float in
-    match (field "reopen_n_ms", field "reopen_2n_ms") with
+    (match (field "reopen_n_ms", field "reopen_2n_ms") with
     | Some n, Some n2 when n > 0.0 ->
       if n2 /. n > 2.5 then die "RECOVERY reopen_2n_ms / reopen_n_ms = %.2f > 2.5" (n2 /. n)
     | _ -> die "RECOVERY entry lacks reopen_n_ms / reopen_2n_ms");
+    (* getBL on a reopened store reads the inverted index *)
+    match Option.bind (Json.member "getbl_scans_after_reopen" e) Json.to_int with
+    | Some 0 -> ()
+    | Some n -> die "RECOVERY: getBL scanned the occurrences %d times on a reopened store" n
+    | None -> die "RECOVERY entry lacks getbl_scans_after_reopen");
   (* the CHAOS entry must show the fault schedules actually converged:
      every schedule healed back to the failure-free store, and the
      recovery machinery (dead-letter queue + redelivery) saw traffic *)

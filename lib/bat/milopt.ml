@@ -14,6 +14,17 @@ let rules fired plan =
   | Mil.Unique (Mil.Unique p) -> fire (Mil.Unique p)
   | Mil.Append (p, Mil.Lit { pairs = []; _ }) -> fire p
   | Mil.Slice (Mil.SortTail (p, desc), 0, n) -> fire (Mil.TopN (p, n, desc))
+  (* A pair BAT X split into a set's link and elem over one fresh oid
+     range (getBL's result) and joined back, as every aggregate over
+     the set does: [reverse (number_head X b)] is (head_i, b+i) and
+     [number_tail X b] is (b+i, tail_i).  The join's right head is the
+     dense column b, b+1, …, so the join is positional: left row i
+     meets right row i and no other, and the result is
+     (head_i, tail_i) in row order — X itself, row for row, with X's
+     column types. *)
+  | Mil.Join (Mil.Reverse (Mil.NumberHead (x, b)), Mil.NumberTail (x', b'))
+    when b = b' && x = x' ->
+    fire x
   | Mil.CalcConst (op, Mil.Lit { hty; tty = _; pairs }, a) -> (
     match
       List.map (fun (h, t) -> (h, Bat.apply_binop op t a)) pairs
@@ -74,6 +85,7 @@ let rewrite_count plan =
     let p' = pass fired p in
     if p' = p then p else fix p'
   in
-  (fix plan, !fired)
+  let plan = fix plan in
+  (plan, !fired)
 
 let rewrite plan = fst (rewrite_count plan)

@@ -12,6 +12,8 @@
     - [kunion x x] → [x]; [unique (unique x)] → [unique x];
       appending an empty literal is dropped
     - [slice (sort_tail x) 0 n] → [topn x n]
+    - [join (reverse (number_head x b)) (number_tail x b)] → [x] (a
+      set's link and elem split from one pair BAT, joined back)
     - constant literal calculations fold into literals *)
 
 val rewrite : Mil.t -> Mil.t

@@ -162,31 +162,6 @@ module E = struct
     | "tf", _ -> fail "tf: malformed flattened operands"
     | _, _ -> fail "CONTREP: bad operands for %s" op
 
-  (* Register each (context, bag) with the statistics space, in order,
-     then build the inverted index (term -> context -> summed tf) the
-     physical getBL fast path uses, keyed to the occurrence head
-     column's physical identity. *)
-  let index_space space ~heads docs =
-    let postings : (string, (int, float) Hashtbl.t) Hashtbl.t = Hashtbl.create 256 in
-    List.iter
-      (fun (ctx, bag) ->
-        ignore (Space.add_doc space ~doc:ctx bag);
-        List.iter
-          (fun (term, tf) ->
-            let per_ctx =
-              match Hashtbl.find_opt postings term with
-              | Some h -> h
-              | None ->
-                let h = Hashtbl.create 8 in
-                Hashtbl.add postings term h;
-                h
-            in
-            let prev = Option.value ~default:0.0 (Hashtbl.find_opt per_ctx ctx) in
-            Hashtbl.replace per_ctx ctx (prev +. tf))
-          bag)
-      docs;
-    Space.set_index space ~heads ~postings
-
   let stored path =
     bundle ~meta:[ path ]
       ~bats:(List.map (fun suffix -> Mil.Get (path ^ suffix)) [ "#ctx"; "#term"; "#tf"; "#len" ])
@@ -211,15 +186,24 @@ module E = struct
             Column.Builder.add_float fb tf)
           bag)
       docs;
+    (* register each (context, bag) with the statistics space, in
+       order, then build the inverted index the physical getBL
+       operators read, keyed to the occurrence BATs' shared head
+       column *)
+    List.iter (fun (ctx, bag) -> ignore (Space.add_doc space ~doc:ctx bag)) docs;
     let heads = Column.Builder.finish hb in
-    index_space space ~heads:(Column.oid_exn heads) docs;
+    let occ_ctx = Bat.make heads (Column.Builder.finish cb) in
+    let occ_term = Bat.make heads (Column.Builder.finish tb) in
+    let occ_tf = Bat.make heads (Column.Builder.finish fb) in
+    let len =
+      Bat.of_pairs Atom.TOid Atom.TFlt
+        (List.map (fun (ctx, _) -> (Atom.Oid ctx, Atom.Flt (Space.doc_len space ctx))) docs)
+    in
+    Mirror_ir.Search.index_occurrences space ~occ_ctx ~occ_term ~occ_tf ~len;
     let cat = env.Extension.catalog in
-    Mirror_bat.Catalog.put cat (path ^ "#ctx") (Bat.make heads (Column.Builder.finish cb));
-    Mirror_bat.Catalog.put cat (path ^ "#term") (Bat.make heads (Column.Builder.finish tb));
-    Mirror_bat.Catalog.put cat (path ^ "#tf") (Bat.make heads (Column.Builder.finish fb));
-    Mirror_bat.Catalog.put cat (path ^ "#len")
-      (Bat.of_pairs Atom.TOid Atom.TFlt
-         (List.map (fun (ctx, _) -> (Atom.Oid ctx, Atom.Flt (Space.doc_len space ctx))) docs));
+    List.iter
+      (fun (suffix, b) -> Mirror_bat.Catalog.put cat (path ^ suffix) b)
+      [ ("#ctx", occ_ctx); ("#term", occ_term); ("#tf", occ_tf); ("#len", len) ];
     stored path
 
   (* Candidate-list style filtering (after Monet): every CONTREP
@@ -262,12 +246,36 @@ module E = struct
       | None -> failwith (Printf.sprintf "CONTREP.restore: missing catalog entry %s%s" path suffix)
     in
     let occ_ctx = get "#ctx" and occ_term = get "#term" and occ_tf = get "#tf" in
-    let occ_len = get "#len" and n = Bat.count occ_ctx in
+    let len = get "#len" and n = Bat.count occ_ctx in
     if Bat.count occ_term <> n || Bat.count occ_tf <> n then
       failwith (Printf.sprintf "CONTREP.restore: %s#term or #tf is not aligned with #ctx" path);
+    (* A loaded catalog gives every BAT its own head column.  Once the
+       three occurrence head columns are known equal, #term and #tf
+       are rebound over #ctx's, so the index below applies to the
+       loaded store as it does to a materialised one.  Rebinding
+       journals nothing: the rows are unchanged. *)
+    let heads = Bat.head occ_ctx in
+    let share suffix b =
+      if not (Column.equal (Bat.head b) heads) then begin
+        let present = Hashtbl.create n in
+        Array.iter (fun o -> Hashtbl.replace present o ()) (Column.oid_exn (Bat.head b));
+        match Array.find_opt (fun o -> not (Hashtbl.mem present o)) (Column.oid_exn heads) with
+        | Some o ->
+          (* the reifier's words for the same damage *)
+          failwith
+            (Printf.sprintf "CONTREP.restore: %s%s: reify: no value for context @%d" path suffix o)
+        | None ->
+          failwith
+            (Printf.sprintf "CONTREP.restore: %s%s rows are not in #ctx's occurrence order" path
+               suffix)
+      end;
+      let b = Bat.make heads (Bat.tail b) in
+      Mirror_bat.Catalog.put cat (path ^ suffix) b;
+      b
+    in
+    let occ_term = share "#term" occ_term and occ_tf = share "#tf" occ_tf in
     (* Rebuild the statistics space by replaying the documents in
-       context order (first appearance), then the inverted index keyed
-       to the loaded head column. *)
+       context order (first appearance), then the inverted index. *)
     let space = env.Extension.space_create path in
     let order = ref [] in
     let bags : (int, (string * float) list) Hashtbl.t = Hashtbl.create 64 in
@@ -289,10 +297,11 @@ module E = struct
           Hashtbl.add bags c [];
           order := c :: !order
         end)
-      occ_len;
-    index_space space
-      ~heads:(Column.oid_exn (Bat.head occ_ctx))
-      (List.rev_map (fun ctx -> (ctx, List.rev (Hashtbl.find bags ctx))) !order);
+      len;
+    List.iter
+      (fun ctx -> ignore (Space.add_doc space ~doc:ctx (List.rev (Hashtbl.find bags ctx))))
+      (List.rev !order);
+    Mirror_ir.Search.index_occurrences space ~occ_ctx ~occ_term ~occ_tf ~len;
     stored path
 
   (* Metrics wrapper shared by both belief operators: count calls and

@@ -18,6 +18,21 @@ val belief_oracle : Index.t -> doc:int -> string -> float
 (** The per-document leaf-belief function {!run} uses (exposed for
     tests and for the thesaurus). *)
 
+val index_occurrences :
+  Space.t ->
+  occ_ctx:Mirror_bat.Bat.t ->
+  occ_term:Mirror_bat.Bat.t ->
+  occ_tf:Mirror_bat.Bat.t ->
+  len:Mirror_bat.Bat.t ->
+  unit
+(** Build the space's inverted index from a CONTREP's base
+    representation: occurrence BATs that share one head column, and the
+    length BAT.  {!getbl_pairs} and {!getblnet_pairs} read the postings
+    when they are handed exactly these BATs; for any other occurrence
+    BATs they scan the occurrences and count the scan as the
+    [contrep.getbl.scans] metric.
+    @raise Invalid_argument if the occurrence heads are not shared. *)
+
 val getblnet_pairs :
   space:Space.t ->
   net:Querynet.t ->

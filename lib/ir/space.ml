@@ -1,3 +1,16 @@
+module Bat = Mirror_bat.Bat
+module Column = Mirror_bat.Column
+
+type postings = { ctxs : int array; tfs : float array; lens : float array }
+
+(* The index and the columns it was built from, compared with [==]. *)
+type index = {
+  occ_heads : int array;
+  len_heads : int array;
+  len_tails : float array;
+  terms : (string, postings) Hashtbl.t;
+}
+
 type t = {
   sname : string;
   voc : Vocab.t;
@@ -5,8 +18,7 @@ type t = {
   mutable df : int array;
   doclen : (int, float) Hashtbl.t;
   mutable total_len : float;
-  mutable idx_heads : int array option;
-  mutable idx_postings : (string, (int, float) Hashtbl.t) Hashtbl.t option;
+  mutable idx : index option;
 }
 
 let create sname =
@@ -17,8 +29,7 @@ let create sname =
     df = Array.make 256 0;
     doclen = Hashtbl.create 64;
     total_len = 0.0;
-    idx_heads = None;
-    idx_postings = None;
+    idx = None;
   }
 
 let name t = t.sname
@@ -57,13 +68,23 @@ let doc_len t doc = Option.value ~default:0.0 (Hashtbl.find_opt t.doclen doc)
 let avg_doc_len t = if t.ndocs = 0 then 0.0 else t.total_len /. Float.of_int t.ndocs
 let mem_doc t doc = Hashtbl.mem t.doclen doc
 
-let set_index t ~heads ~postings =
-  t.idx_heads <- Some heads;
-  t.idx_postings <- Some postings
+let no_postings = { ctxs = [||]; tfs = [||]; lens = [||] }
 
-let index t ~heads =
-  match (t.idx_heads, t.idx_postings) with
-  | Some h, Some p when h == heads -> Some p
+let set_index t ~heads ~len terms =
+  t.idx <-
+    Some
+      {
+        occ_heads = heads;
+        len_heads = Column.oid_exn (Bat.head len);
+        len_tails = Column.float_exn (Bat.tail len);
+        terms;
+      }
+
+let index t ~heads ~len =
+  match (t.idx, Bat.head len, Bat.tail len) with
+  | Some i, Column.O lh, Column.F lt
+    when i.occ_heads == heads && i.len_heads == lh && i.len_tails == lt ->
+    Some i.terms
   | _ -> None
 
 let belief t ~tf ~term doclen =

@@ -45,18 +45,30 @@ val belief : t -> tf:float -> term:int -> float -> float
 
 (** {1 Physical index}
 
-    The storage manager may attach an inverted index to the space when
-    it materialises the CONTREP occurrences.  The index is keyed by the
-    physical identity of the occurrence BATs' shared head column, so
-    physical operators can recognise "I was handed the unfiltered base
-    representation" and skip the occurrence scan. *)
+    The storage manager attaches an inverted index to the space when it
+    materialises or restores the CONTREP occurrences.  The index is
+    keyed by the physical identity of the occurrence BATs' shared head
+    column and of the length BAT's columns, so physical operators can
+    recognise "I was handed the unfiltered base representation" and
+    skip the occurrence scan. *)
+
+type postings = { ctxs : int array; tfs : float array; lens : float array }
+(** One term's postings as flat arrays, in ascending context order:
+    [tfs.(j)] is the term's summed tf in context [ctxs.(j)] and
+    [lens.(j)] that context's length as the length BAT states it (the
+    last row for the context, 0 when it has none). *)
+
+val no_postings : postings
+(** The postings of a term no context contains. *)
 
 val set_index :
-  t -> heads:int array -> postings:(string, (int, float) Hashtbl.t) Hashtbl.t -> unit
-(** Attach the inverted index: [postings] maps a term to its per-context
-    term frequencies; [heads] is the occurrence-oid column the index was
-    built from. *)
+  t -> heads:int array -> len:Mirror_bat.Bat.t -> (string, postings) Hashtbl.t -> unit
+(** Attach the inverted index: a term's postings, built from the
+    occurrences whose oid column is [heads] and from the length BAT
+    [len]. *)
 
-val index : t -> heads:int array -> (string, (int, float) Hashtbl.t) Hashtbl.t option
-(** The postings, provided [heads] is physically the indexed column
-    ([==]); [None] otherwise (filtered or rebased occurrences). *)
+val index :
+  t -> heads:int array -> len:Mirror_bat.Bat.t -> (string, postings) Hashtbl.t option
+(** The postings, provided [heads] is physically the indexed occurrence
+    column and [len] has physically the indexed columns ([==]); [None]
+    otherwise (filtered or rebased occurrences). *)

@@ -689,6 +689,30 @@ let test_milopt_preserves_results () =
       check_bat "rewrite preserves result" before after)
     plans
 
+(* A pair BAT split into a set's link and elem over one fresh oid
+   range, then joined back, is the pair BAT. *)
+let test_milopt_positional_join () =
+  let split_join x b c = Mil.Join (Mil.Reverse (Mil.NumberHead (x, b)), Mil.NumberTail (x, c)) in
+  let x = Mil.Get "vals" in
+  Alcotest.(check bool) "fires" true (Milopt.rewrite (split_join x 100 100) = x);
+  let _, fired = Milopt.rewrite_count (Mil.GroupAggr (Bat.Sum, split_join x 100 100)) in
+  Alcotest.(check int) "fires once under an aggregate" 1 fired;
+  Alcotest.(check bool) "different oid ranges: kept" true
+    (Milopt.rewrite (split_join x 100 200) = split_join x 100 200);
+  let y = Mil.Join (Mil.Reverse (Mil.NumberHead (x, 100)), Mil.NumberTail (Mil.Get "link", 100)) in
+  Alcotest.(check bool) "different pair BATs: kept" true (Milopt.rewrite y = y);
+  let c = mil_fixture () in
+  Catalog.put c "dup" (bat_oi [ (12, 1); (10, 5); (12, 1); (11, -3) ]);
+  Catalog.put c "strs"
+    (Bat.of_pairs Atom.TInt Atom.TStr [ (Atom.Int 4, Atom.Str "a"); (Atom.Int 4, Atom.Str "b") ]);
+  Catalog.put c "none" (Bat.empty Atom.TOid Atom.TFlt);
+  List.iter
+    (fun name ->
+      let p = split_join (Mil.Get name) 7 7 in
+      check_bat ("positional join of " ^ name) (Mil.exec (Mil.session c) p)
+        (Mil.exec (Mil.session c) (Milopt.rewrite p)))
+    [ "vals"; "link"; "dup"; "strs"; "none" ]
+
 (* {1 QCheck properties} *)
 
 let gen_small_bat =
@@ -959,6 +983,7 @@ let () =
           Alcotest.test_case "NaN ordering is total" `Quick test_nan_ordering_total;
           Alcotest.test_case "milopt rules" `Quick test_milopt_rules;
           Alcotest.test_case "milopt preserves results" `Quick test_milopt_preserves_results;
+          Alcotest.test_case "milopt positional join" `Quick test_milopt_positional_join;
           Alcotest.test_case "no per-cell boxing (minor words)" `Quick test_alloc_lint;
         ] );
       ( "properties",

@@ -48,9 +48,46 @@ let test_corpus () =
   Alcotest.(check bool) "corpus has a real battery" true (n >= 40);
   List.iter (run_query st) Corpus.queries
 
+(* Milopt's positional-join rule: in every corpus plan, each
+   [join (reverse (number_head x b)) (number_tail x b)] node evaluates
+   to exactly [x]. *)
+module Mil = Mirror_bat.Mil
+module Bat = Mirror_bat.Bat
+
+let test_positional_join () =
+  let st = Corpus.storage () in
+  let session () =
+    Mil.session
+      ~foreign:(Mirror_core.Extension.foreign_dispatch (Mirror_core.Storage.eval_env st))
+      (Mirror_core.Storage.catalog st)
+  in
+  let seen = ref 0 in
+  let rec visit = function
+    | Mil.Join (Mil.Reverse (Mil.NumberHead (x, b)), Mil.NumberTail (x', b')) as p
+      when b = b' && x = x' ->
+      incr seen;
+      if not (Bat.equal (Mil.exec (session ()) p) (Mil.exec (session ()) x)) then
+        Alcotest.failf "the positional join differs from its pair BAT:\n%s" (Mil.to_string p);
+      List.iter visit (Mil.children p)
+    | p -> List.iter visit (Mil.children p)
+  in
+  List.iter
+    (fun src ->
+      match Parser.parse_expr src with
+      | Error msg -> Alcotest.failf "corpus query failed to parse: %s" msg
+      | Ok e -> (
+        match Mirror_core.Flatten.compile st e with
+        | shape -> List.iter visit (Mirror_core.Shape.plans shape)
+        | exception Mirror_core.Flatten.Unsupported _ -> ()))
+    Corpus.queries;
+  Alcotest.(check bool) "the rule's pattern occurs in the corpus" true (!seen > 0)
+
 let () =
   Alcotest.run "differential"
     [
       ( "naive-vs-flattened",
-        [ Alcotest.test_case "all corpus queries, 4 pipeline variants" `Quick test_corpus ] );
+        [
+          Alcotest.test_case "all corpus queries, 4 pipeline variants" `Quick test_corpus;
+          Alcotest.test_case "milopt positional join = its pair BAT" `Quick test_positional_join;
+        ] );
     ]

@@ -376,6 +376,485 @@ let test_getbl_empty_query () =
   let r = Search.getbl_pairs ~space:sp ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~qlink ~qval in
   Alcotest.(check int) "no rows" 0 (Bat.count r)
 
+(* {1 The posting-list kernel against the old kernel} *)
+
+module Old = struct
+  module Column = Mirror_bat.Column
+
+  (* The old index lived in the space; here it lives beside it. *)
+  let indexes = ref []
+
+  module Space = struct
+    include Space
+
+    let set_index sp ~heads ~postings = indexes := (sp, (heads, postings)) :: !indexes
+
+    let index sp ~heads =
+      match List.assq_opt sp !indexes with Some (h, p) when h == heads -> Some p | _ -> None
+  end
+
+  (* Ext_contrep.index_space before the flat postings, verbatim. *)
+  let index_space space ~heads docs =
+    let postings : (string, (int, float) Hashtbl.t) Hashtbl.t = Hashtbl.create 256 in
+    List.iter
+      (fun (ctx, bag) ->
+        ignore (Space.add_doc space ~doc:ctx bag);
+        List.iter
+          (fun (term, tf) ->
+            let per_ctx =
+              match Hashtbl.find_opt postings term with
+              | Some h -> h
+              | None ->
+                let h = Hashtbl.create 8 in
+                Hashtbl.add postings term h;
+                h
+            in
+            let prev = Option.value ~default:0.0 (Hashtbl.find_opt per_ctx ctx) in
+            Hashtbl.replace per_ctx ctx (prev +. tf))
+          bag)
+      docs;
+    Space.set_index space ~heads ~postings
+
+  (* Search's belief operators before the flat postings, verbatim. *)
+  (* {1 Shared machinery for the physical belief operators}
+
+     Per-term resolution: idf is a per-term constant; term frequencies
+     come from the space's inverted index when the occurrence BATs are
+     physically the indexed base representation, and from a single
+     narrowed occurrence scan otherwise.  When the context oids form a
+     dense window, per-context state lives in flat arrays. *)
+
+  type ctx_window = { base : int; width : int; dense : bool }
+
+  let window_of dom_heads =
+    let n = Array.length dom_heads in
+    let min_ctx = ref max_int and max_ctx = ref min_int in
+    Array.iter
+      (fun c ->
+        if c < !min_ctx then min_ctx := c;
+        if c > !max_ctx then max_ctx := c)
+      dom_heads;
+    let dense = n > 0 && !max_ctx - !min_ctx < (4 * n) + 64 in
+    { base = !min_ctx; width = (if n = 0 then 0 else !max_ctx - !min_ctx + 1); dense }
+
+  let in_window w c = w.dense && c >= w.base && c - w.base < w.width
+
+  (* (idf, tf_at) per distinct term *)
+  let term_entries ~space ~distinct ~occ_ctx ~occ_term ~occ_tf ~window =
+    let voc = Space.vocab space in
+    let ndocs = Space.ndocs space in
+    let term_heads = Column.oid_exn (Bat.head occ_term) in
+    let ctx_heads = Column.oid_exn (Bat.head occ_ctx) in
+    let tf_heads = Column.oid_exn (Bat.head occ_tf) in
+    let postings =
+      if term_heads == ctx_heads && term_heads == tf_heads then
+        Space.index space ~heads:term_heads
+      else None
+    in
+    let slow_tf =
+      lazy
+        (let term_tails =
+           match Bat.tail occ_term with
+           | Column.S a -> a
+           | _ -> invalid_arg "belief operator: term column"
+         in
+         let interesting = Hashtbl.create 64 in
+         Array.iteri
+           (fun i occ ->
+             if Hashtbl.mem distinct term_tails.(i) then
+               Hashtbl.replace interesting occ term_tails.(i))
+           term_heads;
+         let tf_tails = Column.float_exn (Bat.tail occ_tf) in
+         let tf_of = Hashtbl.create (Hashtbl.length interesting) in
+         Array.iteri
+           (fun i occ ->
+             if Hashtbl.mem interesting occ then Hashtbl.replace tf_of occ tf_tails.(i))
+           tf_heads;
+         let ctx_tails = Column.oid_exn (Bat.tail occ_ctx) in
+         let tf_ctx_term = Hashtbl.create (Hashtbl.length interesting) in
+         Array.iteri
+           (fun i occ ->
+             match Hashtbl.find_opt interesting occ with
+             | None -> ()
+             | Some term ->
+               let tf = Option.value ~default:0.0 (Hashtbl.find_opt tf_of occ) in
+               let key = (ctx_tails.(i), term) in
+               let prev = Option.value ~default:0.0 (Hashtbl.find_opt tf_ctx_term key) in
+               Hashtbl.replace tf_ctx_term key (prev +. tf))
+           ctx_heads;
+         tf_ctx_term)
+    in
+    let entries = Hashtbl.create 16 in
+    Hashtbl.iter
+      (fun term () ->
+        let idf =
+          match Vocab.find voc term with
+          | None -> 0.0
+          | Some id -> Belief.idf_part ~df:(Space.df space id) ~ndocs
+        in
+        let tf_at =
+          match postings with
+          | Some idx -> (
+            match Hashtbl.find_opt idx term with
+            | None -> fun _ -> 0.0
+            | Some per_ctx ->
+              if window.dense then begin
+                let arr = Array.make window.width 0.0 in
+                Hashtbl.iter
+                  (fun c tf -> if in_window window c then arr.(c - window.base) <- tf)
+                  per_ctx;
+                fun c -> if in_window window c then arr.(c - window.base) else 0.0
+              end
+              else fun c -> Option.value ~default:0.0 (Hashtbl.find_opt per_ctx c))
+          | None ->
+            let tbl = Lazy.force slow_tf in
+            fun c -> Option.value ~default:0.0 (Hashtbl.find_opt tbl (c, term))
+        in
+        Hashtbl.replace entries term (idf, tf_at))
+      distinct;
+    entries
+
+  let doclen_at ~len ~window =
+    let len_heads = Column.oid_exn (Bat.head len) in
+    let len_tails = Column.float_exn (Bat.tail len) in
+    if window.dense then begin
+      let arr = Array.make window.width 0.0 in
+      Array.iteri
+        (fun i c -> if in_window window c then arr.(c - window.base) <- len_tails.(i))
+        len_heads;
+      fun c -> if in_window window c then arr.(c - window.base) else 0.0
+    end
+    else begin
+      let tbl = Hashtbl.create (Array.length len_heads) in
+      Array.iteri (fun i c -> Hashtbl.replace tbl c len_tails.(i)) len_heads;
+      fun c -> Option.value ~default:0.0 (Hashtbl.find_opt tbl c)
+    end
+
+  let getbl_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~qlink ~qval =
+    let dom_heads = Column.oid_exn (Bat.head dom) in
+    let window = window_of dom_heads in
+    (* distinct query terms *)
+    let qval_heads = Column.oid_exn (Bat.head qval) in
+    let qval_tails =
+      match Bat.tail qval with Column.S a -> a | _ -> invalid_arg "getbl: query column"
+    in
+    let term_name_of_qelem = Hashtbl.create (Array.length qval_heads) in
+    let distinct = Hashtbl.create 16 in
+    Array.iteri
+      (fun i qelem ->
+        Hashtbl.replace term_name_of_qelem qelem qval_tails.(i);
+        Hashtbl.replace distinct qval_tails.(i) ())
+      qval_heads;
+    let entry_of_term = term_entries ~space ~distinct ~occ_ctx ~occ_term ~occ_tf ~window in
+    (* per-context query entry lists, in qlink row order.  The common
+       case — a compiled query literal — produces qlink and qval rows
+       that are positionally aligned (same fresh oid sequence), so the
+       per-qelem indirection disappears entirely. *)
+    let qlink_heads = Column.oid_exn (Bat.head qlink) in
+    let qlink_tails = Column.oid_exn (Bat.tail qlink) in
+    let aligned =
+      Array.length qlink_heads = Array.length qval_heads
+      && (qlink_heads == qval_heads
+         ||
+         let ok = ref true in
+         let i = ref 0 in
+         while !ok && !i < Array.length qlink_heads do
+           if qlink_heads.(!i) <> qval_heads.(!i) then ok := false;
+           incr i
+         done;
+         !ok)
+    in
+    let entry_at =
+      if aligned then fun i -> Hashtbl.find_opt entry_of_term qval_tails.(i)
+      else begin
+        let entry_of_qelem = Hashtbl.create (Hashtbl.length term_name_of_qelem) in
+        Hashtbl.iter
+          (fun qelem term ->
+            Hashtbl.replace entry_of_qelem qelem (Hashtbl.find entry_of_term term))
+          term_name_of_qelem;
+        fun i -> Hashtbl.find_opt entry_of_qelem qlink_heads.(i)
+      end
+    in
+    let queries_dense = if window.dense then Array.make window.width [] else [||] in
+    let queries_tbl = Hashtbl.create (if window.dense then 1 else 64) in
+    for i = Array.length qlink_heads - 1 downto 0 do
+      match entry_at i with
+      | None -> ()
+      | Some entry ->
+        let c = qlink_tails.(i) in
+        if in_window window c then
+          queries_dense.(c - window.base) <- entry :: queries_dense.(c - window.base)
+        else if not window.dense then
+          Hashtbl.replace queries_tbl c
+            (entry :: Option.value ~default:[] (Hashtbl.find_opt queries_tbl c))
+    done;
+    let query_at c =
+      if window.dense then (if in_window window c then queries_dense.(c - window.base) else [])
+      else Option.value ~default:[] (Hashtbl.find_opt queries_tbl c)
+    in
+    let len_at = doclen_at ~len ~window in
+    let avg = Space.avg_doc_len space in
+    (* scoring is a pure map over contexts: every table the closures
+       above consult is fully built (the slow-tf lazy is forced inside
+       [term_entries]) and read-only from here on, so when the executor
+       runs this operator under a domain pool the context scan morsels
+       across domains, each range building private columns that are
+       concatenated in morsel order — bitwise the sequential output *)
+    let score_range lo hi =
+      let ctxb = Column.Builder.create Atom.TOid in
+      let belb = Column.Builder.create Atom.TFlt in
+      for k = lo to hi - 1 do
+        let c = dom_heads.(k) in
+        let doclen = len_at c in
+        List.iter
+          (fun (idf, tf_at) ->
+            let tf_part = Belief.tf_part ~tf:(tf_at c) ~doclen ~avg_doclen:avg in
+            let b = Belief.default_belief +. (Belief.belief_weight *. tf_part *. idf) in
+            Column.Builder.add_oid ctxb c;
+            Column.Builder.add_float belb b)
+          (query_at c)
+      done;
+      ( Column.oid_exn (Column.Builder.finish ctxb),
+        Column.float_exn (Column.Builder.finish belb) )
+    in
+    let n = Array.length dom_heads in
+    match Mirror_bat.Parkernel.current () with
+    | Some pool when n >= Mirror_bat.Parkernel.min_rows () && n > 0 ->
+      let parts, _ = Mirror_bat.Parkernel.map_ranges pool n score_range in
+      Bat.make
+        (Column.O (Array.concat (List.map fst (Array.to_list parts))))
+        (Column.F (Array.concat (List.map snd (Array.to_list parts))))
+    | _ ->
+      let ctxs, bels = score_range 0 n in
+      Bat.make (Column.O ctxs) (Column.F bels)
+
+  let getblnet_pairs ~space ~net ~occ_ctx ~occ_term ~occ_tf ~len ~dom =
+    let dom_heads = Column.oid_exn (Bat.head dom) in
+    let window = window_of dom_heads in
+    let distinct = Hashtbl.create 16 in
+    List.iter (fun (term, _) -> Hashtbl.replace distinct term ()) (Querynet.terms net);
+    let entry_of_term = term_entries ~space ~distinct ~occ_ctx ~occ_term ~occ_tf ~window in
+    let len_at = doclen_at ~len ~window in
+    let avg = Space.avg_doc_len space in
+    let ctxb = Column.Builder.create Atom.TOid in
+    let belb = Column.Builder.create Atom.TFlt in
+    Array.iter
+      (fun c ->
+        let doclen = len_at c in
+        let oracle term =
+          match Hashtbl.find_opt entry_of_term term with
+          | None -> Belief.default_belief
+          | Some (idf, tf_at) ->
+            let tf_part = Belief.tf_part ~tf:(tf_at c) ~doclen ~avg_doclen:avg in
+            Belief.default_belief +. (Belief.belief_weight *. tf_part *. idf)
+        in
+        Column.Builder.add_oid ctxb c;
+        Column.Builder.add_float belb (Querynet.eval oracle net))
+      dom_heads;
+    Bat.make (Column.Builder.finish ctxb) (Column.Builder.finish belb)
+end
+
+
+module Column = Mirror_bat.Column
+module Parkernel = Mirror_bat.Parkernel
+module Metrics = Mirror_util.Metrics
+module Prng = Mirror_util.Prng
+
+let words = [| "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" |]
+
+type corpus = {
+  space : Space.t;  (** holds the new index *)
+  old_space : Space.t;  (** the same statistics, with the old index *)
+  occ : Bat.t * Bat.t * Bat.t;  (** the base representation: one head column *)
+  len : Bat.t;
+  years : Bat.t;  (** ctx -> int, for select-filtered domains *)
+  ctxs : int list;
+}
+
+(* A CONTREP base representation laid out as [materialize] lays it out:
+   contexts in a dense window (with gaps) or spread sparsely, bags with
+   repeated terms, fractional and zero tfs, and empty bags. *)
+let corpus g ~sparse =
+  let ndocs = Prng.int g 30 in
+  let ctxs =
+    List.init ndocs (fun i -> if sparse then 5 + (i * 1000) + Prng.int g 900 else 40 + (2 * i))
+  in
+  let tf () =
+    match Prng.int g 4 with 0 -> 0.0 | 1 -> Prng.float g 3.0 | _ -> Float.of_int (1 + Prng.int g 3)
+  in
+  let docs =
+    List.map (fun c -> (c, List.init (Prng.int g 6) (fun _ -> (Prng.choose g words, tf ())))) ctxs
+  in
+  let space = Space.create "s" and old_space = Space.create "s" in
+  List.iter (fun (c, bag) -> ignore (Space.add_doc space ~doc:c bag)) docs;
+  let rows = List.concat_map (fun (c, bag) -> List.map (fun (t, f) -> (c, t, f)) bag) docs in
+  let heads = Column.O (Array.of_list (List.mapi (fun i _ -> 10_000 + i) rows)) in
+  let occ_ctx = Bat.make heads (Column.O (Array.of_list (List.map (fun (c, _, _) -> c) rows))) in
+  let occ_term = Bat.make heads (Column.S (Array.of_list (List.map (fun (_, t, _) -> t) rows))) in
+  let occ_tf = Bat.make heads (Column.F (Array.of_list (List.map (fun (_, _, f) -> f) rows))) in
+  let len =
+    Bat.of_pairs Atom.TOid Atom.TFlt
+      (List.map (fun c -> (Atom.Oid c, Atom.Flt (Space.doc_len space c))) ctxs)
+  in
+  Search.index_occurrences space ~occ_ctx ~occ_term ~occ_tf ~len;
+  Old.index_space old_space ~heads:(Column.oid_exn heads) docs;
+  let years =
+    Bat.of_pairs Atom.TOid Atom.TInt
+      (List.map (fun c -> (Atom.Oid c, Atom.Int (Prng.int g 4))) ctxs)
+  in
+  { space; old_space; occ = (occ_ctx, occ_term, occ_tf); len; years; ctxs }
+
+(* The same occurrences with private head columns: not the base
+   representation, so both kernels scan. *)
+let rebuilt (occ_ctx, occ_term, occ_tf) =
+  let copy b = Bat.make (Column.O (Array.copy (Column.oid_exn (Bat.head b)))) (Bat.tail b) in
+  (copy occ_ctx, copy occ_term, copy occ_tf)
+
+let oids l = Bat.of_pairs Atom.TOid Atom.TOid (List.map (fun c -> (Atom.Oid c, Atom.Oid c)) l)
+
+(* all contexts, a select-filtered subset, nothing, all twice, or all
+   out of order *)
+let domain g k =
+  match Prng.int g 5 with
+  | 0 -> oids k.ctxs
+  | 1 -> Bat.mirror (Bat.select_cmp k.years Bat.Ge (Atom.Int (Prng.int g 4)))
+  | 2 -> oids []
+  | 3 -> oids (k.ctxs @ List.filter (fun _ -> Prng.bool g) k.ctxs)
+  | _ ->
+    let a = Array.of_list k.ctxs in
+    Prng.shuffle g a;
+    oids (Array.to_list a)
+
+(* query terms: repeats, and terms missing from the vocabulary *)
+let query_terms g =
+  List.init (Prng.int g 5) (fun _ -> if Prng.int g 5 = 0 then "zz" else Prng.choose g words)
+
+(* A compiled literal gives positionally aligned qlink/qval with a copy
+   of the terms per context; the other shapes permute qval, drop qlink
+   rows, link qelems qval does not have, keep qlink and qval aligned
+   but not context-major, or give a qelem two terms in qval. *)
+let query_bats g ~dom terms =
+  let next = ref 500_000 in
+  let rows =
+    List.concat_map
+      (fun c ->
+        List.map
+          (fun t ->
+            incr next;
+            (!next, c, t))
+          terms)
+      (List.sort_uniq Int.compare (List.map Atom.as_oid (List.map fst (Bat.to_pairs dom))))
+  in
+  let link rows =
+    Bat.of_pairs Atom.TOid Atom.TOid (List.map (fun (q, c, _) -> (Atom.Oid q, Atom.Oid c)) rows)
+  in
+  let vals rows =
+    Bat.of_pairs Atom.TOid Atom.TStr (List.map (fun (q, _, t) -> (Atom.Oid q, Atom.Str t)) rows)
+  in
+  match Prng.int g 6 with
+  | 0 -> (link rows, vals rows)
+  | 1 ->
+    let a = Array.of_list rows in
+    Prng.shuffle g a;
+    (link rows, vals (Array.to_list a))
+  | 2 -> (link (List.filter (fun _ -> Prng.bool g) rows), vals rows)
+  | 3 ->
+    let dangling = match rows with (_, c, _) :: _ -> [ (900_000, c, "a") ] | [] -> [] in
+    (link (dangling @ rows), vals (List.filter (fun _ -> Prng.bool g) rows))
+  | 4 ->
+    let a = Array.of_list rows in
+    Prng.shuffle g a;
+    (link (Array.to_list a), vals (Array.to_list a))
+  | _ ->
+    let relabelled =
+      List.filter_map
+        (fun (q, c, _) -> if Prng.bool g then Some (q, c, Prng.choose g words) else None)
+        rows
+    in
+    (link rows, vals (rows @ relabelled))
+
+let bits b = Array.map Int64.bits_of_float (Column.float_exn (Bat.tail b))
+
+let check_same what expected actual =
+  Alcotest.(check (array int)) (what ^ ": contexts")
+    (Column.oid_exn (Bat.head expected)) (Column.oid_exn (Bat.head actual));
+  Alcotest.(check (array int64)) (what ^ ": belief bits") (bits expected) (bits actual)
+
+let random_net g terms =
+  let leaf () = Querynet.Term (List.nth terms (Prng.int g (List.length terms)), 1.0) in
+  let rec net d =
+    if d = 0 then leaf ()
+    else
+      let kids () = List.init (1 + Prng.int g 3) (fun _ -> net (d - 1)) in
+      match Prng.int g 6 with
+      | 0 -> Querynet.Sum (kids ())
+      | 1 -> Querynet.And (kids ())
+      | 2 -> Querynet.Or (kids ())
+      | 3 -> Querynet.Not (net (d - 1))
+      | 4 -> Querynet.Wsum (List.map (fun k -> (Prng.float g 2.0, k)) (kids ()))
+      | _ -> Querynet.Max (kids ())
+  in
+  if terms = [] then Querynet.flat [] else net (Prng.int g 3)
+
+(* One seeded case: both kernels on the base representation and on
+   rebuilt occurrences, getBL and getBLnet. *)
+let differential_case seed =
+  let g = Prng.create seed in
+  let k = corpus g ~sparse:(seed mod 3 = 0) in
+  let dom = domain g k in
+  let terms = query_terms g in
+  let qlink, qval = query_bats g ~dom terms in
+  let net = random_net g terms in
+  let len = k.len in
+  List.iter
+    (fun (path, (occ_ctx, occ_term, occ_tf)) ->
+      let what = Printf.sprintf "seed %d, %s" seed path in
+      check_same (what ^ ", getBL")
+        (Old.getbl_pairs ~space:k.old_space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~qlink ~qval)
+        (Search.getbl_pairs ~space:k.space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~qlink ~qval);
+      check_same (what ^ ", getBLnet")
+        (Old.getblnet_pairs ~space:k.old_space ~net ~occ_ctx ~occ_term ~occ_tf ~len ~dom)
+        (Search.getblnet_pairs ~space:k.space ~net ~occ_ctx ~occ_term ~occ_tf ~len ~dom))
+    [ ("indexed", k.occ); ("scanned", rebuilt k.occ) ]
+
+let test_kernel_differential () =
+  for seed = 1 to 400 do
+    differential_case seed
+  done
+
+let test_kernel_differential_pool () =
+  Parkernel.set_min_rows 0;
+  let pool = Parkernel.create 2 in
+  Fun.protect
+    ~finally:(fun () ->
+      Parkernel.set_min_rows 2048;
+      Parkernel.shutdown pool)
+    (fun () ->
+      Parkernel.with_morsel_size 3 (fun () ->
+          Parkernel.with_pool pool (fun () ->
+              for seed = 1 to 150 do
+                differential_case seed
+              done)))
+
+(* Only the rebuilt occurrences are scanned, and each scan is counted. *)
+let test_scans_counted () =
+  let k = corpus (Prng.create 7) ~sparse:false in
+  let dom = oids k.ctxs in
+  let qlink, qval = query_bats (Prng.create 1) ~dom [ "a"; "b" ] in
+  let scans occ =
+    Metrics.reset ();
+    Metrics.with_enabled (fun () ->
+        let occ_ctx, occ_term, occ_tf = occ in
+        let len = k.len in
+        ignore
+          (Search.getbl_pairs ~space:k.space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~qlink ~qval);
+        ignore
+          (Search.getblnet_pairs ~space:k.space ~net:(Querynet.flat [ "a" ]) ~occ_ctx ~occ_term
+             ~occ_tf ~len ~dom);
+        Metrics.counter "contrep.getbl.scans")
+  in
+  Alcotest.(check int) "base representation: no scan" 0 (scans k.occ);
+  Alcotest.(check int) "rebuilt occurrences: one scan per operator" 2 (scans (rebuilt k.occ))
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "mirror_ir"
@@ -436,6 +915,11 @@ let () =
           Alcotest.test_case "pair layout and defaults" `Quick test_getbl_pairs;
           Alcotest.test_case "agrees with oracle" `Quick test_getbl_agrees_with_oracle;
           Alcotest.test_case "empty query" `Quick test_getbl_empty_query;
+          Alcotest.test_case "postings kernel = old kernel, bitwise" `Quick
+            test_kernel_differential;
+          Alcotest.test_case "postings kernel = old kernel, 2-domain pool" `Quick
+            test_kernel_differential_pool;
+          Alcotest.test_case "occurrence scans are counted" `Quick test_scans_counted;
         ] );
       ("properties", qc [ prop_porter_sane; prop_belief_bounded; prop_run_indexed_equals_run ]);
     ]

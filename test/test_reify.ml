@@ -386,6 +386,85 @@ let test_reopen_linear () =
             Alcotest.failf "load 500 docs %.1f ms, 1000 docs %.1f ms: ratio %.2f > 2.5"
               (1000. *. !t500) (1000. *. !t1000) ratio))
 
+(* {1 A reopened store keeps the inverted index} *)
+
+(* The search workload's ranking shapes: full rank, top-k, select +
+   rank, and a query net. *)
+let rank terms = Printf.sprintf "sum(getBL(THIS.annotation, %s, stats))" terms
+
+let search_queries =
+  [
+    Printf.sprintf "map[%s](Docs)" (rank "{'w1', 'w7', 'w40'}");
+    Printf.sprintf "take(tolist_desc(map[tuple(source: THIS.source, score: %s)](Docs), 'score'), 9)"
+      (rank "{'w3', 'w12'}");
+    Printf.sprintf "map[tuple(s: THIS.source, score: %s)](select[THIS.year = 1995](Docs))"
+      (rank "{'w0', 'w5', 'w99', 'nosuchword'}");
+    "map[getBLnet(THIS.annotation, '#and( w2 #or( w9 w30 ) )')](Docs)";
+  ]
+
+(* A result with every float replaced by its bits, so equality is
+   bitwise. *)
+let rec float_bits = function
+  | Value.Atom (Atom.Flt f) -> Value.Atom (Atom.Int (Int64.to_int (Int64.bits_of_float f)))
+  | Value.Atom _ as v -> v
+  | Value.Tup fields -> Value.Tup (List.map (fun (l, v) -> (l, float_bits v)) fields)
+  | Value.VSet vs -> Value.VSet (List.map float_bits vs)
+  | Value.Xv x -> Value.Xv { x with items = List.map float_bits x.items }
+
+(* Run the search shapes; return their results and how many getBL
+   calls and occurrence scans they made. *)
+let run_search m =
+  Mirror_util.Metrics.reset ();
+  let results =
+    Mirror_util.Metrics.with_enabled (fun () ->
+        List.map (fun q -> float_bits (ok (Mirror_core.Mirror.run_query m q))) search_queries)
+  in
+  ( results,
+    Mirror_util.Metrics.counter "contrep.getbl.calls"
+    + Mirror_util.Metrics.counter "contrep.getblnet.calls",
+    Mirror_util.Metrics.counter "contrep.getbl.scans" )
+
+let test_reopened_store_uses_index () =
+  with_temp_dir (fun dir ->
+      let d, _ = ok (Durable.open_ ~dir ()) in
+      ok (Storage.define (Durable.storage d) ~name:"Docs" docs_type);
+      ignore (ok (Storage.load (Durable.storage d) ~name:"Docs" (docs (Prng.create 3) ~n:300)));
+      let fresh, calls, scans = run_search (Durable.mirror d) in
+      Alcotest.(check int) "fresh store: every belief operator ran" 4 calls;
+      Alcotest.(check int) "fresh store: no occurrence scan" 0 scans;
+      Durable.close d;
+      let d, _ = ok (Durable.open_ ~dir ()) in
+      Fun.protect
+        ~finally:(fun () -> Durable.close d)
+        (fun () ->
+          let cat = Storage.catalog (Durable.storage d) in
+          let heads suffix = Bat.head (Catalog.get cat ("Docs#el/annotation" ^ suffix)) in
+          Alcotest.(check bool)
+            "#term shares #ctx's head column" true
+            (heads "#term" == heads "#ctx");
+          Alcotest.(check bool) "#tf shares #ctx's head column" true (heads "#tf" == heads "#ctx");
+          let reopened, calls, scans = run_search (Durable.mirror d) in
+          Alcotest.(check int) "reopened store: every belief operator ran" 4 calls;
+          Alcotest.(check int) "reopened store: no occurrence scan" 0 scans;
+          List.iteri
+            (fun i (a, b) ->
+              if not (Value.equal a b) then
+                Alcotest.failf "query %d: the reopened store answers differently" i)
+            (List.combine fresh reopened)))
+
+(* Occurrence head columns that hold the same oids in another order
+   cannot share #ctx's column: the load fails, naming the extent. *)
+let test_unaligned_heads_fail () =
+  with_temp_dir (fun dir ->
+      ok (Persist.save (storage_of one_row) ~dir);
+      damage_terms ~dir List.rev;
+      match Persist.load ~dir with
+      | Ok _ -> Alcotest.fail "a store with permuted #term rows loaded"
+      | Error e ->
+        check_mentions "Persist.load"
+          ~needles:[ "extent \"T\""; "#term"; "not in #ctx's occurrence order" ]
+          e)
+
 let () =
   Alcotest.run "reify"
     [
@@ -403,4 +482,11 @@ let () =
           Alcotest.test_case "Durable.open_ names the extent" `Quick test_durable_open_names_extent;
         ] );
       ("scaling", [ Alcotest.test_case "reopen is linear" `Quick test_reopen_linear ]);
+      ( "index",
+        [
+          Alcotest.test_case "a reopened store ranks from the index" `Quick
+            test_reopened_store_uses_index;
+          Alcotest.test_case "permuted occurrence rows fail the load" `Quick
+            test_unaligned_heads_fail;
+        ] );
     ]
