@@ -1485,8 +1485,8 @@ let experiment_pchaos () =
 (* {1 PARALLEL: morsel-parallel kernel vs the sequential kernel}
 
    Direct operator-level comparison on 1M-row BATs (100k in quick
-   mode): full scans, a hash join and a grouped sum, sequential vs the
-   domain pool at 2 and 4 domains.  Timed with the trace's wall clock —
+   mode): a full scan, a join and a grouped sum — each one [Bat] call,
+   run sequentially and under [Parkernel.with_pool] at 2 and 4 domains.  Timed with the trace's wall clock —
    [Sys.time] sums CPU seconds across domains and would hide any
    speedup.  Every parallel result is checked [Bat.equal] against the
    sequential one (the kernel's determinism contract), and the entry
@@ -1515,15 +1515,9 @@ let experiment_parallel () =
   in
   let workloads =
     [
-      ( "scan select",
-        (fun () -> Bat.select_cmp scan_b Bat.Lt (Atom.Int 500)),
-        fun pool -> Parkernel.select_cmp pool scan_b Bat.Lt (Atom.Int 500) );
-      ( "hash join",
-        (fun () -> Bat.join join_l join_r),
-        fun pool -> Parkernel.join pool join_l join_r );
-      ( "group sum",
-        (fun () -> Bat.group_aggr Bat.Sum grp_b),
-        fun pool -> Parkernel.group_aggr pool Bat.Sum grp_b );
+      ("scan select", fun () -> Bat.select_cmp scan_b Bat.Lt (Atom.Int 500));
+      ("hash join", fun () -> Bat.join join_l join_r);
+      ("group sum", fun () -> Bat.group_aggr Bat.Sum grp_b);
     ]
   in
   (* wall clock, not [seconds_per_run]'s CPU clock *)
@@ -1559,29 +1553,24 @@ let experiment_parallel () =
   let digests_equal = ref true in
   let speedup4_min = ref infinity in
   List.iter
-    (fun (label, seq, par) ->
-      let expected = seq () in
-      let t_seq = wall seq in
+    (fun (label, op) ->
+      let expected = op () in
+      let t_seq = wall op in
       let timed =
         List.map
           (fun (d, pool) ->
-            match par pool with
-            | None ->
+            let par () = Parkernel.with_pool pool op in
+            let jobs = (Parkernel.totals pool).Parkernel.t_jobs in
+            let got = par () in
+            if (Parkernel.totals pool).Parkernel.t_jobs = jobs then begin
               Printf.printf "!! %s: no parallel path at %d domains\n" label d;
-              digests_equal := false;
-              (d, infinity)
-            | Some (got, _) ->
-              if not (Bat.equal expected got) then begin
-                Printf.printf "!! %s: parallel result differs at %d domains\n" label d;
-                digests_equal := false
-              end;
-              let tp =
-                wall (fun () ->
-                    match par pool with
-                    | Some (b, _) -> b
-                    | None -> assert false)
-              in
-              (d, tp))
+              digests_equal := false
+            end;
+            if not (Bat.equal expected got) then begin
+              Printf.printf "!! %s: parallel result differs at %d domains\n" label d;
+              digests_equal := false
+            end;
+            (d, wall par))
           pools
       in
       let speedup_at d =

@@ -23,8 +23,6 @@ module Value = Mirror_core.Value
 module Eval = Mirror_core.Eval
 module Parser = Mirror_core.Parser
 module Storage = Mirror_core.Storage
-module Optimize = Mirror_core.Optimize
-module Flatten = Mirror_core.Flatten
 module Plancheck = Mirror_core.Plancheck
 module Lintreport = Mirror_core.Lintreport
 module Moacheck = Mirror_core.Moacheck
@@ -33,7 +31,6 @@ module Corpus = Mirror_core.Corpus
 module Shape = Mirror_core.Shape
 module Milcheck = Mirror_bat.Milcheck
 module Milprop = Mirror_bat.Milprop
-module Milopt = Mirror_bat.Milopt
 module Mil = Mirror_bat.Mil
 module Catalog = Mirror_bat.Catalog
 module Bat = Mirror_bat.Bat
@@ -236,15 +233,14 @@ let explain_main check db src =
             Printf.printf "check: FAIL %s\n" e;
             1
           | Ok () -> (
-            match Flatten.compile st (Optimize.rewrite expr) with
-            | exception Flatten.Unsupported e ->
+            match Eval.compile st expr with
+            | Error e ->
               Printf.printf "check: FAIL flatten: %s\n" e;
               1
-            | shape ->
+            | Ok (_, shape) ->
               let menv = Moacheck.env_of_storage st in
               let prop, _ = Moacheck.infer menv expr in
               Printf.printf "-- moa envelope: %s\n" (Moaprop.to_string prop);
-              let shape = Shape.map Milopt.rewrite shape in
               let analysis = Storage.analyze st shape in
               List.iteri
                 (fun i p ->

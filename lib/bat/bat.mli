@@ -6,6 +6,12 @@
     operators are set-at-a-time: they consume whole BATs and produce
     fresh BATs, never mutating their inputs.
 
+    Scans, element-wise calculations, the join probe, grouped and
+    whole-column aggregates and the gathers behind them are written
+    over row ranges and run through {!Parkernel.ranges}: sequential
+    when no pool is current, morsel-parallel under
+    {!Parkernel.with_pool}, with the same result bit for bit.
+
     Naming follows MIL where a direct equivalent exists ([reverse],
     [mirror], [mark], [semijoin], [kdiff], …).  Operators that Monet
     obtains from its multiplex/[{...}] syntax are exposed as explicit
@@ -225,33 +231,3 @@ val group_rank : ?desc:bool -> link:t -> t -> t
 val histogram : t -> t
 (** Occurrence count per distinct tail value, i.e.
     [group_aggr Count (reverse b)]. *)
-
-(** {1 Typed kernel internals}
-
-    Monomorphic specialisation helpers shared with the parallel kernel
-    ({!Parkernel}), so both executors pick the same typed loop for the
-    same operands — a precondition for bitwise-identical results. *)
-
-val int_cmp : cmp -> int -> int -> bool
-(** Unboxed comparison on ints. *)
-
-val float_cmp : cmp -> float -> float -> bool
-(** Unboxed comparison on floats (via [Float.compare], so NaN obeys the
-    kernel's total order). *)
-
-val int_binop : binop -> (int -> int -> int) option
-(** Unboxed int kernel for a calculation operator, when one exists
-    ([Div]/[Pow] promote or trap and have none). *)
-
-val float_binop : binop -> (float -> float -> float) option
-(** Unboxed float kernel for a calculation operator, when one exists. *)
-
-val same_int_heads : t -> t -> bool
-(** Both heads are int/oid columns of the same type with equal cells
-    (physical equality short-circuits) — the row-alignment test behind
-    the positional {!calc2} fast path. *)
-
-val dense_base : int array -> int option
-(** [Some base] when the array is the dense sequence
-    [base, base+1, …] — Monet's "void" column test used to replace hash
-    lookups by position arithmetic. *)

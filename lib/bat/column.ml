@@ -76,13 +76,40 @@ let to_atoms c = List.init (length c) (get c)
 
 let dense base n = O (Array.init n (fun i -> base + i))
 
+(* Cells [lo, hi) of a gather into the preallocated [o]; one match per
+   range, so that the loops run on unboxed arrays. *)
+let gather_range o c idx lo hi =
+  match (o, c) with
+  | (I o | O o), (I a | O a) ->
+    for k = lo to hi - 1 do
+      o.(k) <- a.(idx.(k))
+    done
+  | F o, F a ->
+    for k = lo to hi - 1 do
+      o.(k) <- a.(idx.(k))
+    done
+  | S o, S a ->
+    for k = lo to hi - 1 do
+      o.(k) <- a.(idx.(k))
+    done
+  | B o, B a ->
+    for k = lo to hi - 1 do
+      o.(k) <- a.(idx.(k))
+    done
+  | _ -> invalid_arg "Column.gather: type mismatch"
+
 let gather c idx =
-  match c with
-  | I a -> I (Array.map (fun i -> a.(i)) idx)
-  | F a -> F (Array.map (fun i -> a.(i)) idx)
-  | S a -> S (Array.map (fun i -> a.(i)) idx)
-  | B a -> B (Array.map (fun i -> a.(i)) idx)
-  | O a -> O (Array.map (fun i -> a.(i)) idx)
+  let o = make (ty c) (Array.length idx) in
+  Parkernel.fill (Array.length idx) (gather_range o c idx);
+  o
+
+let gather_pair a ia b ib =
+  let n = Array.length ia in
+  let oa = make (ty a) n and ob = make (ty b) n in
+  Parkernel.fill n (fun lo hi ->
+      gather_range oa a ia lo hi;
+      gather_range ob b ib lo hi);
+  (oa, ob)
 
 let append c d =
   match (c, d) with

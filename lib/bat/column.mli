@@ -47,7 +47,13 @@ val dense : int -> int -> t
 
 val gather : t -> int array -> t
 (** [gather c idx] is the column [c.(idx.(0)); c.(idx.(1)); …] — the
-    positional take primitive behind selections and joins. *)
+    positional take primitive.  Filled range by range through
+    {!Parkernel.fill}. *)
+
+val gather_pair : t -> int array -> t -> int array -> t * t
+(** [gather_pair a ia b ib] is [(gather a ia, gather b ib)] for index
+    arrays of equal length, filled in one pass over the ranges of
+    {!Parkernel.fill} — the row take behind selections and joins. *)
 
 val append : t -> t -> t
 (** Concatenate two columns of the same type. *)

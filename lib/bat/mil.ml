@@ -187,39 +187,77 @@ let op_name = function
   | TopN _ -> "topn"
   | Foreign { name; _ } -> "foreign:" ^ name
 
-(* Attribute a parallel execution to the operator's open trace span
-   and the session counters.  Only the main domain gets here — workers
-   never touch Trace or Metrics. *)
-let note_par s pool (st : Parkernel.runstat) =
-  s.st.par_ops <- s.st.par_ops + 1;
-  s.st.par_morsels <- s.st.par_morsels + st.morsels;
-  if Mirror_util.Trace.is_on s.tr then
-    Mirror_util.Trace.attr s.tr "par"
-      (Printf.sprintf "%dd/%dm" (Parkernel.size pool) st.morsels);
-  if Mirror_util.Metrics.enabled () then begin
-    Mirror_util.Metrics.incr "mil.par.ops";
-    Mirror_util.Metrics.incr ~by:st.morsels "mil.par.morsels"
-  end
-
-(* Run the operator data-parallel when the session has a pool, Effcheck
-   proved this node's partition effect-free, and the parallel kernel
-   has a deterministic typed path for the operands; otherwise fall back
-   to the sequential kernel. *)
-let try_par s plan seq par_fn =
+(* The licence: a node Effcheck proved safe runs its operator with the
+   session's pool current, so [Parkernel.ranges] may split it;
+   any other node runs it inline.  The inputs were evaluated before, so
+   the licence never reaches an unsafe child.  The node's parallel
+   work is read off the growth of the pool's totals and attributed to
+   its open trace span and the session counters — only the main domain
+   gets here, workers never touch Trace or Metrics. *)
+let licensed s plan f =
   match s.par with
-  | Some { pool; safe; morsel } when safe plan -> (
-    let run () = par_fn pool in
-    let r =
-      match morsel plan with
-      | Some m -> Parkernel.with_morsel_size m run
-      | None -> run ()
+  | Some { pool; safe; morsel } when safe plan ->
+    let t0 = Parkernel.totals pool in
+    let run () = Parkernel.with_pool pool f in
+    let b =
+      match morsel plan with Some m -> Parkernel.with_morsel_size m run | None -> run ()
     in
-    match r with
-    | Some (r, st) ->
-      note_par s pool st;
-      r
-    | None -> seq ())
-  | _ -> seq ()
+    let t1 = Parkernel.totals pool in
+    let morsels = t1.Parkernel.t_morsels - t0.Parkernel.t_morsels in
+    if morsels > 0 then begin
+      s.st.par_ops <- s.st.par_ops + 1;
+      s.st.par_morsels <- s.st.par_morsels + morsels;
+      if Mirror_util.Trace.is_on s.tr then
+        Mirror_util.Trace.attr s.tr "par"
+          (Printf.sprintf "%dd/%dm" (Parkernel.size pool) morsels);
+      if Mirror_util.Metrics.enabled () then begin
+        Mirror_util.Metrics.incr "mil.par.ops";
+        Mirror_util.Metrics.incr ~by:morsels "mil.par.morsels"
+      end
+    end;
+    b
+  | _ -> f ()
+
+(* The node's kernel operator over its evaluated inputs. *)
+let apply s plan args =
+  match (plan, args) with
+  | Lit { hty; tty; pairs }, [] -> Bat.of_pairs hty tty pairs
+  | Reverse _, [ b ] -> Bat.reverse b
+  | Mirror _, [ b ] -> Bat.mirror b
+  | Mark (_, base), [ b ] -> Bat.mark b base
+  | NumberHead (_, base), [ b ] -> Bat.number_head b base
+  | NumberTail (_, base), [ b ] -> Bat.number_tail b base
+  | Project (_, a), [ b ] -> Bat.project b a
+  | Calc1 (op, _), [ b ] -> Bat.calc1 op b
+  | CalcConst (op, _, a), [ b ] -> Bat.calc_const op b a
+  | ConstCalc (op, a, _), [ b ] -> Bat.const_calc op a b
+  | Calc2 (op, _, _), [ l; r ] -> Bat.calc2 op l r
+  | SelectCmp (_, c, a), [ b ] -> Bat.select_cmp b c a
+  | SelectRange (_, lo, hi), [ b ] -> Bat.select_range b lo hi
+  | SelectBool _, [ b ] -> Bat.select_bool b
+  | Join _, [ l; r ] -> Bat.join l r
+  | LeftOuterJoin (_, _, d), [ l; r ] -> Bat.leftouterjoin l r d
+  | Semijoin _, [ l; r ] -> Bat.semijoin l r
+  | Antijoin _, [ l; r ] -> Bat.antijoin l r
+  | Kunion _, [ l; r ] -> Bat.kunion l r
+  | PairUnion _, [ l; r ] -> Bat.pair_union l r
+  | PairDiff _, [ l; r ] -> Bat.pair_diff l r
+  | PairInter _, [ l; r ] -> Bat.pair_inter l r
+  | Append _, [ l; r ] -> Bat.append l r
+  | Unique _, [ b ] -> Bat.unique b
+  | UniqueHead _, [ b ] -> Bat.unique_head b
+  | GroupAggr (op, _), [ b ] -> Bat.group_aggr op b
+  | AggrAll (op, _), [ b ] ->
+    let v = Bat.aggr_all op b in
+    Bat.of_pairs Atom.TOid (Atom.type_of v) [ (Atom.Oid 0, v) ]
+  | GroupRank { desc; _ }, [ link; key ] -> Bat.group_rank ~desc ~link key
+  | SortTail (_, desc), [ b ] -> Bat.sort_tail ~desc b
+  | Slice (_, pos, len), [ b ] -> Bat.slice b pos len
+  | TopN (_, n, desc), [ b ] -> Bat.topn ~desc b n
+  (* parallelism inside a foreign operator passes the same licence: an
+     unsafe foreign finds [Parkernel.current () = None] *)
+  | Foreign { name; meta; _ }, args -> s.foreign ~name ~args ~meta
+  | _ -> invalid_arg ("Mil.apply: arity mismatch at " ^ op_name plan)
 
 let rec eval s plan =
   match if s.cse then Tbl.find_opt s.memo plan else None with
@@ -261,82 +299,9 @@ and eval_raw s plan =
     match Catalog.find s.catalog name with
     | Some b -> b
     | None -> raise (Unbound name))
-  | Lit { hty; tty; pairs } -> Bat.of_pairs hty tty pairs
-  | Reverse p -> Bat.reverse (eval s p)
-  | Mirror p -> Bat.mirror (eval s p)
-  | Mark (p, base) -> Bat.mark (eval s p) base
-  | NumberHead (p, base) -> Bat.number_head (eval s p) base
-  | NumberTail (p, base) -> Bat.number_tail (eval s p) base
-  | Project (p, a) -> Bat.project (eval s p) a
-  | Calc1 (op, p) ->
-    let b = eval s p in
-    try_par s plan (fun () -> Bat.calc1 op b) (fun pool -> Parkernel.calc1 pool op b)
-  | CalcConst (op, p, a) ->
-    let b = eval s p in
-    try_par s plan
-      (fun () -> Bat.calc_const op b a)
-      (fun pool -> Parkernel.calc_const pool op b a)
-  | ConstCalc (op, a, p) ->
-    let b = eval s p in
-    try_par s plan
-      (fun () -> Bat.const_calc op a b)
-      (fun pool -> Parkernel.const_calc pool op a b)
-  | Calc2 (op, l, r) ->
-    let lb = eval s l and rb = eval s r in
-    try_par s plan
-      (fun () -> Bat.calc2 op lb rb)
-      (fun pool -> Parkernel.calc2 pool op lb rb)
-  | SelectCmp (p, c, a) ->
-    let b = eval s p in
-    try_par s plan
-      (fun () -> Bat.select_cmp b c a)
-      (fun pool -> Parkernel.select_cmp pool b c a)
-  | SelectRange (p, lo, hi) ->
-    let b = eval s p in
-    try_par s plan
-      (fun () -> Bat.select_range b lo hi)
-      (fun pool -> Parkernel.select_range pool b lo hi)
-  | SelectBool p ->
-    let b = eval s p in
-    try_par s plan (fun () -> Bat.select_bool b) (fun pool -> Parkernel.select_bool pool b)
-  | Join (l, r) ->
-    let lb = eval s l and rb = eval s r in
-    try_par s plan (fun () -> Bat.join lb rb) (fun pool -> Parkernel.join pool lb rb)
-  | LeftOuterJoin (l, r, d) -> Bat.leftouterjoin (eval s l) (eval s r) d
-  | Semijoin (l, r) -> Bat.semijoin (eval s l) (eval s r)
-  | Antijoin (l, r) -> Bat.antijoin (eval s l) (eval s r)
-  | Kunion (l, r) -> Bat.kunion (eval s l) (eval s r)
-  | PairUnion (l, r) -> Bat.pair_union (eval s l) (eval s r)
-  | PairDiff (l, r) -> Bat.pair_diff (eval s l) (eval s r)
-  | PairInter (l, r) -> Bat.pair_inter (eval s l) (eval s r)
-  | Append (l, r) -> Bat.append (eval s l) (eval s r)
-  | Unique p -> Bat.unique (eval s p)
-  | UniqueHead p -> Bat.unique_head (eval s p)
-  | GroupAggr (op, p) ->
-    let b = eval s p in
-    try_par s plan
-      (fun () -> Bat.group_aggr op b)
-      (fun pool -> Parkernel.group_aggr pool op b)
-  | AggrAll (op, p) ->
-    let b = eval s p in
-    let v =
-      try_par s plan (fun () -> Bat.aggr_all op b) (fun pool -> Parkernel.aggr_all pool op b)
-    in
-    Bat.of_pairs Atom.TOid (Atom.type_of v) [ (Atom.Oid 0, v) ]
-  | GroupRank { link; key; desc } -> Bat.group_rank ~desc ~link:(eval s link) (eval s key)
-  | SortTail (p, desc) -> Bat.sort_tail ~desc (eval s p)
-  | Slice (p, pos, len) -> Bat.slice (eval s p) pos len
-  | TopN (p, n, desc) -> Bat.topn ~desc (eval s p) n
-  | Foreign { name; args; meta } -> (
-    let args = List.map (eval s) args in
-    (* Parallelism inside a foreign operator is opt-in: the pool is
-       made dynamically visible only for Effcheck-safe dispatches, so
-       an unsafe foreign finds [Parkernel.current () = None] — the
-       scheduler's refusal layer. *)
-    match s.par with
-    | Some { pool; safe; _ } when safe plan ->
-      Parkernel.with_pool pool (fun () -> s.foreign ~name ~args ~meta)
-    | _ -> s.foreign ~name ~args ~meta)
+  | _ ->
+    let args = List.map (eval s) (children plan) in
+    licensed s plan (fun () -> apply s plan args)
 
 (* Admission gate: when the session has a byte budget, a root plan runs
    only if the budget's bound gives it a finite peak envelope that

@@ -65,22 +65,27 @@ type stats = {
   mutable evaluated : int;  (** Operator nodes actually executed. *)
   mutable memo_hits : int;  (** Nodes answered from the memo table. *)
   mutable rows_produced : int;  (** Total rows over executed nodes. *)
-  mutable par_ops : int;  (** Operators executed on the parallel kernel. *)
-  mutable par_morsels : int;  (** Morsels scheduled across those operators. *)
+  mutable par_ops : int;
+      (** Licensed operator calls, built-in or foreign, that scheduled
+          morsels on the pool. *)
+  mutable par_morsels : int;  (** Morsels scheduled across those calls. *)
 }
 
 type par = { pool : Parkernel.pool; safe : t -> bool; morsel : t -> int option }
 (** Parallel-execution licence for a session: the domain pool to run
     on, and the Effcheck verdict predicate ({!Effcheck.verdict.safe})
-    deciding per node whether its partition is effect-free.  Operators
-    whose node is unsafe — or whose operands have no deterministic
-    parallel path — run the sequential kernel; results are identical
-    either way.  [morsel] is an optional per-node morsel-size hint
-    (typically [Parkernel.morsel_for] over a [Boundcheck] row
-    estimate): when it returns [Some m] the node's parallel dispatch
-    runs under {!Parkernel.with_morsel_size}[ m], so small inputs are
-    split across the domains instead of landing in one default-sized
-    morsel.  [fun _ -> None] preserves the fixed default. *)
+    deciding per node whether its partition is effect-free.  A safe
+    node's operator — the same {!Bat} call, or the foreign dispatch —
+    runs under {!Parkernel.with_pool}, installed after the node's
+    inputs were evaluated, so the licence never reaches an unsafe
+    child; [Parkernel.ranges] then splits what it can.  Results
+    are identical either way.  [morsel] is an optional per-node
+    morsel-size hint (typically [Parkernel.morsel_for] over a
+    [Boundcheck] row estimate): when it returns [Some m] the node's
+    operator runs under {!Parkernel.with_morsel_size}[ m], so small
+    inputs are split across the domains instead of landing in one
+    default-sized morsel.  [fun _ -> None] preserves the fixed
+    default. *)
 
 type session
 (** An execution context: catalog + foreign dispatch + memo table.

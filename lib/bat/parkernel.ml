@@ -1,4 +1,5 @@
-(* Morsel-driven parallel kernel on OCaml 5 domains.
+(* The morsel scheduler on OCaml 5 domains, and [ranges], through
+   which the kernel operators in [Bat] run.
 
    One pool = [size - 1] worker domains parked on a condition variable
    plus the calling domain, which always participates in draining.  A
@@ -7,12 +8,9 @@
    cross-domain state is ever shared except through the mutex
    handshake and disjoint array cells.
 
-   Determinism contract (see parkernel.mli): every parallel operator
-   merges per-morsel partial state in morsel order and only uses
-   combining functions that are associative over the machine
-   representation (modular int arithmetic, Float.min/Float.max), so the
-   result is bitwise-identical to the sequential kernel for any domain
-   count and any morsel size. *)
+   This module knows no operator: determinism is the caller's side of
+   the contract (see parkernel.mli) — range results come back in range
+   order, and the operators merge them with associative combiners. *)
 
 module Trace = Mirror_util.Trace
 
@@ -76,13 +74,7 @@ type pool = {
   mutable t_wall : float;
 }
 
-type runstat = { morsels : int; busy : float; wall : float }
 type totals = { t_jobs : int; t_morsels : int; t_busy : float; t_wall : float }
-
-let zero_st = { morsels = 0; busy = 0.0; wall = 0.0 }
-
-let ( ++ ) a b =
-  { morsels = a.morsels + b.morsels; busy = a.busy +. b.busy; wall = a.wall +. b.wall }
 
 let size pool = pool.psize
 
@@ -154,8 +146,7 @@ let shutdown pool =
   end
 
 let run_tasks pool m task =
-  if m = 0 then zero_st
-  else begin
+  if m > 0 then begin
     let t0 = Trace.now () in
     let busy = Array.make m 0.0 in
     let timed i =
@@ -196,25 +187,18 @@ let run_tasks pool m task =
     pool.t_jobs <- pool.t_jobs + 1;
     pool.t_morsels <- pool.t_morsels + m;
     pool.t_busy <- pool.t_busy +. b;
-    pool.t_wall <- pool.t_wall +. wall;
-    { morsels = m; busy = b; wall }
+    pool.t_wall <- pool.t_wall +. wall
   end
 
 (* The effective morsel size is read once here, on the calling domain,
    and baked into the task closure — geometry is fixed before the job
    is posted, whatever other refs do while workers drain. *)
-let run_ranges pool n f =
-  let msz = effective_morsel () in
-  run_tasks pool ((n + msz - 1) / msz) (fun k -> f (k * msz) (min n ((k + 1) * msz)))
-
 let map_ranges pool n f =
   let msz = effective_morsel () in
   let m = (n + msz - 1) / msz in
   let parts = Array.make m None in
-  let st =
-    run_tasks pool m (fun k -> parts.(k) <- Some (f (k * msz) (min n ((k + 1) * msz))))
-  in
-  (Array.map Option.get parts, st)
+  run_tasks pool m (fun k -> parts.(k) <- Some (f (k * msz) (min n ((k + 1) * msz))));
+  Array.map Option.get parts
 
 (* {1 Default pool and current-pool plumbing} *)
 
@@ -246,648 +230,29 @@ let default_pool () =
       default := Some p;
       Some p
 
-let current_pool = ref None
+(* The current pool is domain-local: worker domains never see one, so
+   an operator reached from inside a range runs inline instead of
+   re-entering the pool. *)
+let current_pool : pool option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let current () = Domain.DLS.get current_pool
+
+let set_current p = Domain.DLS.set current_pool p
 
 let with_pool pool f =
-  let prev = !current_pool in
-  current_pool := Some pool;
-  Fun.protect ~finally:(fun () -> current_pool := prev) f
+  let prev = current () in
+  set_current (Some pool);
+  Fun.protect ~finally:(fun () -> set_current prev) f
 
-let current () = !current_pool
+(* {1 Ranges} *)
 
-(* {1 Growable scratch vectors (per-morsel, single-domain)} *)
+let ranges n f =
+  match current () with
+  | Some pool when n > 0 && n >= !c_min ->
+    (* the calling domain drains morsels too: it must not see the pool
+       while it runs them *)
+    set_current None;
+    Fun.protect ~finally:(fun () -> set_current (Some pool)) (fun () -> map_ranges pool n f)
+  | _ -> [| f 0 n |]
 
-module Gi = struct
-  type t = { mutable a : int array; mutable n : int }
-
-  let create () = { a = Array.make 16 0; n = 0 }
-
-  let push b v =
-    if b.n = Array.length b.a then begin
-      let fresh = Array.make (2 * b.n) 0 in
-      Array.blit b.a 0 fresh 0 b.n;
-      b.a <- fresh
-    end;
-    b.a.(b.n) <- v;
-    b.n <- b.n + 1
-
-  let get b i = b.a.(i)
-  let set b i v = b.a.(i) <- v
-  let len b = b.n
-  let finish b = Array.sub b.a 0 b.n
-end
-
-module Gf = struct
-  type t = { mutable a : float array; mutable n : int }
-
-  let create () = { a = Array.make 16 0.0; n = 0 }
-
-  let push b v =
-    if b.n = Array.length b.a then begin
-      let fresh = Array.make (2 * b.n) 0.0 in
-      Array.blit b.a 0 fresh 0 b.n;
-      b.a <- fresh
-    end;
-    b.a.(b.n) <- v;
-    b.n <- b.n + 1
-
-  let get b i = b.a.(i)
-  let set b i v = b.a.(i) <- v
-  let finish b = Array.sub b.a 0 b.n
-end
-
-(* {1 Shared result assembly} *)
-
-(* Parallel [Bat.take]: gather both columns through one index array,
-   each morsel filling its own disjoint slice of the outputs. *)
-let take_par pool b idx =
-  let n = Array.length idx in
-  let hd_src = Bat.head b and tl_src = Bat.tail b in
-  let hd_out = Column.make (Column.ty hd_src) n in
-  let tl_out = Column.make (Column.ty tl_src) n in
-  let filler dst src =
-    match (dst, src) with
-    | (Column.I o | Column.O o), (Column.I a | Column.O a) ->
-      fun lo hi ->
-        for i = lo to hi - 1 do
-          o.(i) <- a.(idx.(i))
-        done
-    | Column.F o, Column.F a ->
-      fun lo hi ->
-        for i = lo to hi - 1 do
-          o.(i) <- a.(idx.(i))
-        done
-    | Column.S o, Column.S a ->
-      fun lo hi ->
-        for i = lo to hi - 1 do
-          o.(i) <- a.(idx.(i))
-        done
-    | Column.B o, Column.B a ->
-      fun lo hi ->
-        for i = lo to hi - 1 do
-          o.(i) <- a.(idx.(i))
-        done
-    | _ -> assert false
-  in
-  let fill_hd = filler hd_out hd_src and fill_tl = filler tl_out tl_src in
-  let st =
-    run_ranges pool n (fun lo hi ->
-        fill_hd lo hi;
-        fill_tl lo hi)
-  in
-  (Bat.make hd_out tl_out, st)
-
-(* {1 Selections} *)
-
-(* Scan morsels collect survivor rows into per-morsel arrays; the
-   concatenation in morsel order is exactly the sequential survivor
-   index sequence, which the parallel take then gathers. *)
-let select_par pool b pred =
-  let n = Bat.count b in
-  let parts, st1 =
-    map_ranges pool n (fun lo hi ->
-        let buf = Array.make (hi - lo) 0 in
-        let c = ref 0 in
-        for i = lo to hi - 1 do
-          if pred i then begin
-            buf.(!c) <- i;
-            incr c
-          end
-        done;
-        Array.sub buf 0 !c)
-  in
-  let idx = Array.concat (Array.to_list parts) in
-  let out, st2 = take_par pool b idx in
-  (out, st1 ++ st2)
-
-let select_cmp pool b c a =
-  let n = Bat.count b in
-  if n < !c_min then None
-  else
-    let pred =
-      match (Bat.tail b, a) with
-      | (Column.I arr | Column.O arr), (Atom.Int v | Atom.Oid v)
-        when Atom.type_of a = Bat.tty b ->
-        let f = Bat.int_cmp c in
-        fun i -> f arr.(i) v
-      | Column.F arr, Atom.Flt v ->
-        let f = Bat.float_cmp c in
-        fun i -> f arr.(i) v
-      | Column.S arr, Atom.Str v ->
-        let f = Bat.int_cmp c in
-        fun i -> f (String.compare arr.(i) v) 0
-      | _ -> fun i -> Bat.apply_cmp c (Bat.tail_at b i) a
-    in
-    Some (select_par pool b pred)
-
-let select_range pool b lo hi =
-  let n = Bat.count b in
-  if n < !c_min then None
-  else
-    let pred =
-      match (Bat.tail b, lo, hi) with
-      | (Column.I arr | Column.O arr), (Atom.Int l | Atom.Oid l), (Atom.Int h | Atom.Oid h)
-        when Atom.type_of lo = Bat.tty b && Atom.type_of hi = Bat.tty b ->
-        fun i -> l <= arr.(i) && arr.(i) <= h
-      | Column.F arr, Atom.Flt l, Atom.Flt h ->
-        fun i -> Float.compare l arr.(i) <= 0 && Float.compare arr.(i) h <= 0
-      | Column.S arr, Atom.Str l, Atom.Str h ->
-        fun i -> String.compare l arr.(i) <= 0 && String.compare arr.(i) h <= 0
-      | _ ->
-        fun i ->
-          let t = Bat.tail_at b i in
-          Atom.compare lo t <= 0 && Atom.compare t hi <= 0
-    in
-    Some (select_par pool b pred)
-
-let select_bool pool b =
-  let n = Bat.count b in
-  if n < !c_min then None
-  else
-    match Bat.tail b with
-    | Column.B arr -> Some (select_par pool b (fun i -> arr.(i)))
-    | _ -> None (* let the sequential kernel raise its error *)
-
-(* {1 Element-wise calculation} *)
-
-(* Each map helper preallocates the output and lets every morsel fill
-   its own slice — disjoint writes, no merging needed. *)
-let map_ii pool a f =
-  let n = Array.length a in
-  let o = Array.make n 0 in
-  let st =
-    run_ranges pool n (fun lo hi ->
-        for i = lo to hi - 1 do
-          o.(i) <- f a.(i)
-        done)
-  in
-  (Column.I o, st)
-
-let map_ib pool a f =
-  let n = Array.length a in
-  let o = Array.make n false in
-  let st =
-    run_ranges pool n (fun lo hi ->
-        for i = lo to hi - 1 do
-          o.(i) <- f a.(i)
-        done)
-  in
-  (Column.B o, st)
-
-let map_if pool a f =
-  let n = Array.length a in
-  let o = Array.make n 0.0 in
-  let st =
-    run_ranges pool n (fun lo hi ->
-        for i = lo to hi - 1 do
-          o.(i) <- f a.(i)
-        done)
-  in
-  (Column.F o, st)
-
-let map_ff pool a f =
-  let n = Array.length a in
-  let o = Array.make n 0.0 in
-  let st =
-    run_ranges pool n (fun lo hi ->
-        for i = lo to hi - 1 do
-          o.(i) <- f a.(i)
-        done)
-  in
-  (Column.F o, st)
-
-let map_fb pool a f =
-  let n = Array.length a in
-  let o = Array.make n false in
-  let st =
-    run_ranges pool n (fun lo hi ->
-        for i = lo to hi - 1 do
-          o.(i) <- f a.(i)
-        done)
-  in
-  (Column.B o, st)
-
-let map_bb pool a f =
-  let n = Array.length a in
-  let o = Array.make n false in
-  let st =
-    run_ranges pool n (fun lo hi ->
-        for i = lo to hi - 1 do
-          o.(i) <- f a.(i)
-        done)
-  in
-  (Column.B o, st)
-
-(* The result head is the input's head column, shared physically, just
-   like the sequential calc operators. *)
-let with_head b (tl, st) = Some (Bat.make (Bat.head b) tl, st)
-
-let calc1 pool op b =
-  if Bat.count b < !c_min then None
-  else
-    match (op, Bat.tail b) with
-    | Bat.Not, Column.B a -> with_head b (map_bb pool a not)
-    | Bat.Neg, Column.I a -> with_head b (map_ii pool a (fun x -> -x))
-    | Bat.Neg, Column.F a -> with_head b (map_ff pool a (fun x -> -.x))
-    | Bat.Abs, Column.I a -> with_head b (map_ii pool a abs)
-    | Bat.Abs, Column.F a -> with_head b (map_ff pool a Float.abs)
-    | Bat.ToFlt, Column.I a -> with_head b (map_if pool a Float.of_int)
-    | Bat.ToFlt, Column.F a -> with_head b (map_ff pool a (fun x -> x))
-    | Bat.Log, Column.I a -> with_head b (map_if pool a (fun x -> log (Float.of_int x)))
-    | Bat.Log, Column.F a -> with_head b (map_ff pool a log)
-    | Bat.Exp, Column.I a -> with_head b (map_if pool a (fun x -> exp (Float.of_int x)))
-    | Bat.Exp, Column.F a -> with_head b (map_ff pool a exp)
-    | Bat.Sqrt, Column.I a -> with_head b (map_if pool a (fun x -> sqrt (Float.of_int x)))
-    | Bat.Sqrt, Column.F a -> with_head b (map_ff pool a sqrt)
-    | _ -> None
-
-let calc_const pool op b a =
-  if Bat.count b < !c_min then None
-  else
-    match (Bat.tail b, a) with
-    | Column.I arr, Atom.Int v -> (
-      match (op, Bat.int_binop op) with
-      | _, Some f -> with_head b (map_ii pool arr (fun x -> f x v))
-      | Bat.CmpOp c, _ ->
-        let f = Bat.int_cmp c in
-        with_head b (map_ib pool arr (fun x -> f x v))
-      | _ -> None)
-    | Column.F arr, Atom.Flt v -> (
-      match (op, Bat.float_binop op) with
-      | _, Some f -> with_head b (map_ff pool arr (fun x -> f x v))
-      | Bat.CmpOp c, _ ->
-        let f = Bat.float_cmp c in
-        with_head b (map_fb pool arr (fun x -> f x v))
-      | _ -> None)
-    | _ -> None
-
-let const_calc pool op a b =
-  if Bat.count b < !c_min then None
-  else
-    match (a, Bat.tail b) with
-    | Atom.Int v, Column.I arr -> (
-      match (op, Bat.int_binop op) with
-      | _, Some f -> with_head b (map_ii pool arr (fun x -> f v x))
-      | Bat.CmpOp c, _ ->
-        let f = Bat.int_cmp c in
-        with_head b (map_ib pool arr (fun x -> f v x))
-      | _ -> None)
-    | Atom.Flt v, Column.F arr -> (
-      match (op, Bat.float_binop op) with
-      | _, Some f -> with_head b (map_ff pool arr (fun x -> f v x))
-      | Bat.CmpOp c, _ ->
-        let f = Bat.float_cmp c in
-        with_head b (map_fb pool arr (fun x -> f v x))
-      | _ -> None)
-    | _ -> None
-
-let map2_ii pool a b f =
-  let n = Array.length a in
-  let o = Array.make n 0 in
-  let st =
-    run_ranges pool n (fun lo hi ->
-        for i = lo to hi - 1 do
-          o.(i) <- f a.(i) b.(i)
-        done)
-  in
-  (Column.I o, st)
-
-let map2_iib pool a b f =
-  let n = Array.length a in
-  let o = Array.make n false in
-  let st =
-    run_ranges pool n (fun lo hi ->
-        for i = lo to hi - 1 do
-          o.(i) <- f a.(i) b.(i)
-        done)
-  in
-  (Column.B o, st)
-
-let map2_ff pool a b f =
-  let n = Array.length a in
-  let o = Array.make n 0.0 in
-  let st =
-    run_ranges pool n (fun lo hi ->
-        for i = lo to hi - 1 do
-          o.(i) <- f a.(i) b.(i)
-        done)
-  in
-  (Column.F o, st)
-
-let map2_ffb pool a b f =
-  let n = Array.length a in
-  let o = Array.make n false in
-  let st =
-    run_ranges pool n (fun lo hi ->
-        for i = lo to hi - 1 do
-          o.(i) <- f a.(i) b.(i)
-        done)
-  in
-  (Column.B o, st)
-
-(* Only the row-aligned fast path runs parallel; the head-matching
-   generic path has per-row hash probes with first-match semantics that
-   the sequential kernel handles. *)
-let calc2 pool op l r =
-  let n = Bat.count l in
-  if n < !c_min || Bat.count r <> n || not (Bat.same_int_heads l r) then None
-  else
-    match (Bat.tail l, Bat.tail r) with
-    | Column.I a, Column.I b -> (
-      match (op, Bat.int_binop op) with
-      | _, Some f -> with_head l (map2_ii pool a b f)
-      | Bat.CmpOp c, _ -> with_head l (map2_iib pool a b (Bat.int_cmp c))
-      | _ -> None)
-    | Column.F a, Column.F b -> (
-      match (op, Bat.float_binop op) with
-      | _, Some f -> with_head l (map2_ff pool a b f)
-      | Bat.CmpOp c, _ -> with_head l (map2_ffb pool a b (Bat.float_cmp c))
-      | _ -> None)
-    | _ -> None
-
-(* {1 Join} *)
-
-(* Build: the right head is hashed in [size pool] contiguous chunks,
-   one table per chunk, built concurrently.  Probe: morsels over the
-   left rows consult the chunk tables in ascending chunk order, and
-   each table's match list is already ascending (built downto with
-   cons), so every probe emits exactly the ascending-j sequence the
-   sequential hash join emits.  Dense right heads skip the build and
-   use position arithmetic, like the sequential void path. *)
-let join pool l r =
-  if Bat.tty l <> Bat.hty r then None
-  else
-    match (Bat.tail l, Bat.head r) with
-    | (Column.I lt | Column.O lt), (Column.I rh | Column.O rh) ->
-      let n = Array.length lt in
-      if n < !c_min then None
-      else begin
-        let nr = Array.length rh in
-        let lookup, st_build =
-          match Bat.dense_base rh with
-          | Some base -> (`Dense base, zero_st)
-          | None ->
-            let nchunks = size pool in
-            let csz = (nr + nchunks - 1) / max 1 nchunks in
-            let tables = Array.init nchunks (fun _ -> Hashtbl.create 0) in
-            let st =
-              run_tasks pool nchunks (fun c ->
-                  let lo = c * csz and hi = min nr ((c + 1) * csz) in
-                  let tbl = Hashtbl.create (max 16 (hi - lo)) in
-                  for j = hi - 1 downto lo do
-                    Hashtbl.replace tbl rh.(j)
-                      (j :: Option.value ~default:[] (Hashtbl.find_opt tbl rh.(j)))
-                  done;
-                  tables.(c) <- tbl)
-            in
-            (`Chunks tables, st)
-        in
-        let parts, st_probe =
-          map_ranges pool n (fun lo hi ->
-              let li = Gi.create () and rj = Gi.create () in
-              (match lookup with
-              | `Dense base ->
-                for i = lo to hi - 1 do
-                  let j = lt.(i) - base in
-                  if j >= 0 && j < nr then begin
-                    Gi.push li i;
-                    Gi.push rj j
-                  end
-                done
-              | `Chunks tables ->
-                for i = lo to hi - 1 do
-                  let v = lt.(i) in
-                  Array.iter
-                    (fun tbl ->
-                      match Hashtbl.find_opt tbl v with
-                      | Some js ->
-                        List.iter
-                          (fun j ->
-                            Gi.push li i;
-                            Gi.push rj j)
-                          js
-                      | None -> ())
-                    tables
-                done);
-              (Gi.finish li, Gi.finish rj))
-        in
-        let li = Array.concat (Array.to_list (Array.map fst parts)) in
-        let rj = Array.concat (Array.to_list (Array.map snd parts)) in
-        let m = Array.length li in
-        let hd_src = Bat.head l and tl_src = Bat.tail r in
-        let hd_out = Column.make (Column.ty hd_src) m in
-        let tl_out = Column.make (Column.ty tl_src) m in
-        let filler dst src idx =
-          match (dst, src) with
-          | (Column.I o | Column.O o), (Column.I a | Column.O a) ->
-            fun lo hi ->
-              for i = lo to hi - 1 do
-                o.(i) <- a.(idx.(i))
-              done
-          | Column.F o, Column.F a ->
-            fun lo hi ->
-              for i = lo to hi - 1 do
-                o.(i) <- a.(idx.(i))
-              done
-          | Column.S o, Column.S a ->
-            fun lo hi ->
-              for i = lo to hi - 1 do
-                o.(i) <- a.(idx.(i))
-              done
-          | Column.B o, Column.B a ->
-            fun lo hi ->
-              for i = lo to hi - 1 do
-                o.(i) <- a.(idx.(i))
-              done
-          | _ -> assert false
-        in
-        let fill_hd = filler hd_out hd_src li and fill_tl = filler tl_out tl_src rj in
-        let st_gather =
-          run_ranges pool m (fun lo hi ->
-              fill_hd lo hi;
-              fill_tl lo hi)
-        in
-        Some (Bat.make hd_out tl_out, st_build ++ st_probe ++ st_gather)
-      end
-    | _ -> None
-
-(* {1 Grouping and aggregation} *)
-
-(* Per-morsel partial group tables (unboxed int keys, typed
-   accumulators) merged sequentially in morsel order: group keys keep
-   their global first-occurrence order and partials combine with the
-   same associative operator used within a morsel. *)
-let group_merge_int pool hs n mk_keys value comb =
-  let parts, st =
-    map_ranges pool n (fun lo hi ->
-        let tbl = Hashtbl.create 64 in
-        let keys = Gi.create () and vals = Gi.create () in
-        for i = lo to hi - 1 do
-          let h = hs.(i) in
-          match Hashtbl.find_opt tbl h with
-          | Some s -> Gi.set vals s (comb (Gi.get vals s) (value i))
-          | None ->
-            Hashtbl.add tbl h (Gi.len keys);
-            Gi.push keys h;
-            Gi.push vals (value i)
-        done;
-        (Gi.finish keys, Gi.finish vals))
-  in
-  let gtbl = Hashtbl.create 256 in
-  let gkeys = Gi.create () and gvals = Gi.create () in
-  Array.iter
-    (fun (ks, vs) ->
-      Array.iteri
-        (fun k h ->
-          match Hashtbl.find_opt gtbl h with
-          | Some s -> Gi.set gvals s (comb (Gi.get gvals s) vs.(k))
-          | None ->
-            Hashtbl.add gtbl h (Gi.len gkeys);
-            Gi.push gkeys h;
-            Gi.push gvals vs.(k))
-        ks)
-    parts;
-  (Bat.make (mk_keys (Gi.finish gkeys)) (Column.I (Gi.finish gvals)), st)
-
-let group_merge_flt pool hs n mk_keys value comb =
-  let parts, st =
-    map_ranges pool n (fun lo hi ->
-        let tbl = Hashtbl.create 64 in
-        let keys = Gi.create () and vals = Gf.create () in
-        for i = lo to hi - 1 do
-          let h = hs.(i) in
-          match Hashtbl.find_opt tbl h with
-          | Some s -> Gf.set vals s (comb (Gf.get vals s) (value i))
-          | None ->
-            Hashtbl.add tbl h (Gi.len keys);
-            Gi.push keys h;
-            Gf.push vals (value i)
-        done;
-        (Gi.finish keys, Gf.finish vals))
-  in
-  let gtbl = Hashtbl.create 256 in
-  let gkeys = Gi.create () and gvals = Gf.create () in
-  Array.iter
-    (fun (ks, vs) ->
-      Array.iteri
-        (fun k h ->
-          match Hashtbl.find_opt gtbl h with
-          | Some s -> Gf.set gvals s (comb (Gf.get gvals s) vs.(k))
-          | None ->
-            Hashtbl.add gtbl h (Gi.len gkeys);
-            Gi.push gkeys h;
-            Gf.push gvals vs.(k))
-        ks)
-    parts;
-  (Bat.make (mk_keys (Gi.finish gkeys)) (Column.F (Gf.finish gvals)), st)
-
-let group_aggr pool op b =
-  let n = Bat.count b in
-  if n < !c_min then None
-  else
-    match Bat.head b with
-    | Column.I hs | Column.O hs ->
-      let mk_keys ka =
-        match Bat.hty b with Atom.TOid -> Column.O ka | _ -> Column.I ka
-      in
-      (match (op, Bat.tail b) with
-      | Bat.Count, _ -> Some (group_merge_int pool hs n mk_keys (fun _ -> 1) ( + ))
-      | Bat.Sum, Column.I ts -> Some (group_merge_int pool hs n mk_keys (Array.get ts) ( + ))
-      | Bat.Min, Column.I ts -> Some (group_merge_int pool hs n mk_keys (Array.get ts) min)
-      | Bat.Max, Column.I ts -> Some (group_merge_int pool hs n mk_keys (Array.get ts) max)
-      | Bat.Prod, Column.I ts -> Some (group_merge_int pool hs n mk_keys (Array.get ts) ( * ))
-      | Bat.Min, Column.F ts -> Some (group_merge_flt pool hs n mk_keys (Array.get ts) Float.min)
-      | Bat.Max, Column.F ts -> Some (group_merge_flt pool hs n mk_keys (Array.get ts) Float.max)
-      (* Sum/Avg over floats: addition is not associative, a parallel
-         merge could change low bits — sequential only. *)
-      | _ -> None)
-    | _ -> None
-
-let fold_parts pool n fold_range comb =
-  let parts, st = map_ranges pool n fold_range in
-  let acc = ref parts.(0) in
-  for k = 1 to Array.length parts - 1 do
-    acc := comb !acc parts.(k)
-  done;
-  (!acc, st)
-
-let aggr_all pool op b =
-  let n = Bat.count b in
-  if n = 0 || n < !c_min then None
-  else
-    match (op, Bat.tail b) with
-    | Bat.Sum, Column.I ts ->
-      let v, st =
-        fold_parts pool n
-          (fun lo hi ->
-            let s = ref 0 in
-            for i = lo to hi - 1 do
-              s := !s + ts.(i)
-            done;
-            !s)
-          ( + )
-      in
-      Some (Atom.Int v, st)
-    | Bat.Prod, Column.I ts ->
-      let v, st =
-        fold_parts pool n
-          (fun lo hi ->
-            let s = ref ts.(lo) in
-            for i = lo + 1 to hi - 1 do
-              s := !s * ts.(i)
-            done;
-            !s)
-          ( * )
-      in
-      Some (Atom.Int v, st)
-    | Bat.Min, Column.I ts ->
-      let v, st =
-        fold_parts pool n
-          (fun lo hi ->
-            let s = ref ts.(lo) in
-            for i = lo + 1 to hi - 1 do
-              s := min !s ts.(i)
-            done;
-            !s)
-          min
-      in
-      Some (Atom.Int v, st)
-    | Bat.Max, Column.I ts ->
-      let v, st =
-        fold_parts pool n
-          (fun lo hi ->
-            let s = ref ts.(lo) in
-            for i = lo + 1 to hi - 1 do
-              s := max !s ts.(i)
-            done;
-            !s)
-          max
-      in
-      Some (Atom.Int v, st)
-    | Bat.Min, Column.F ts ->
-      let v, st =
-        fold_parts pool n
-          (fun lo hi ->
-            let s = ref ts.(lo) in
-            for i = lo + 1 to hi - 1 do
-              s := Float.min !s ts.(i)
-            done;
-            !s)
-          Float.min
-      in
-      Some (Atom.Flt v, st)
-    | Bat.Max, Column.F ts ->
-      let v, st =
-        fold_parts pool n
-          (fun lo hi ->
-            let s = ref ts.(lo) in
-            for i = lo + 1 to hi - 1 do
-              s := Float.max !s ts.(i)
-            done;
-            !s)
-          Float.max
-      in
-      Some (Atom.Flt v, st)
-    (* Count is O(1) sequentially; float Sum/Avg/Prod are
-       order-sensitive — all stay sequential. *)
-    | _ -> None
+let fill n f = ignore (ranges n f)

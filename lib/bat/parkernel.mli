@@ -1,25 +1,33 @@
-(** Morsel-driven parallel kernel on OCaml 5 domains.
+(** Morsel scheduling on OCaml 5 domains, which every set-at-a-time
+    operator runs through.
 
-    A {!type-pool} owns [size - 1] worker domains (the caller is the
-    remaining participant); {!run_tasks} hands out task indices through
-    an atomic counter — morsel-at-a-time work stealing — and joins the
-    pool before returning, so parallelism never escapes one operator
-    call.  Results are written into caller-preallocated per-morsel
-    slots and merged {e in morsel order}, which is what makes every
-    parallel operator bitwise-identical to its sequential twin.
+    The kernel is written once, in {!Bat}, over row ranges [lo, hi).
+    {!ranges} is the one entry point: with no pool current it calls the
+    range function once over the whole input, so the sequential kernel
+    is the one-range case of the parallel one.  Under {!with_pool} it
+    splits the input into morsels, runs them on the pool and returns
+    the parts in morsel order; the operator merges them with the same
+    associative combiners it uses within a range (modular int
+    arithmetic, [Float.min]/[Float.max]).  That is what makes every
+    result bitwise the sequential one at any domain count and morsel
+    size.  Operators whose merge would not be exact (float
+    [Sum]/[Avg]/[Prod]) never split.
 
-    The parallel operators below return [None] when no deterministic
-    typed path exists ([Sum]/[Avg] over floats is deliberately not
-    parallelised: float addition is not associative, so a morsel-order
-    merge could change low bits) or when the input is below
-    {!min_rows}; the caller then falls back to the sequential kernel.
-    The scheduler itself never inspects effect verdicts — gating on
-    {!Effcheck} safety is the executor's job ({!Mil.par}).
+    {b Domain ownership.}  A {!type-pool} owns [size - 1] worker
+    domains; the calling domain is the remaining participant.  The
+    current pool is domain-local: worker domains never see one, and the
+    calling domain hides it while it drains morsels, so a range
+    function that reaches another operator runs that operator inline
+    and never re-enters the pool.  Range functions must not touch
+    domain-unsafe globals ({!Mirror_util.Metrics},
+    {!Mirror_util.Trace}); per-morsel timings land in preallocated
+    slots and accumulate into {!totals}.
 
-    Pools must only be driven from the domain that created them; worker
-    tasks must not touch domain-unsafe globals ({!Mirror_util.Metrics},
-    {!Mirror_util.Trace}).  Per-morsel timings are collected into
-    preallocated slots and aggregated by the caller instead. *)
+    {b Licence scope.}  This module never inspects effect verdicts.
+    The executor ({!Mil}) installs the pool with {!with_pool} around a
+    single node's operator call, after the node's inputs were
+    evaluated, and only when {!Effcheck} proved the node safe; built-in
+    and foreign operators pass the same gate. *)
 
 type pool
 
@@ -78,13 +86,7 @@ val morsel_for : domains:int -> int -> int
 
 (** {1 Scheduling} *)
 
-type runstat = {
-  morsels : int;  (** Morsels executed for this operator call. *)
-  busy : float;  (** Summed per-morsel wall seconds (all domains). *)
-  wall : float;  (** Caller-observed wall seconds. *)
-}
-
-val run_tasks : pool -> int -> (int -> unit) -> runstat
+val run_tasks : pool -> int -> (int -> unit) -> unit
 (** [run_tasks p m task] runs [task 0 .. task (m-1)], possibly
     concurrently, and returns once all completed.  Tasks must write
     only to disjoint caller-owned slots.  If tasks raise, the exception
@@ -92,68 +94,39 @@ val run_tasks : pool -> int -> (int -> unit) -> runstat
     the same exception a sequential left-to-right loop would surface
     first. *)
 
-val map_ranges : pool -> int -> (int -> int -> 'a) -> 'a array * runstat
+val map_ranges : pool -> int -> (int -> int -> 'a) -> 'a array
 (** [map_ranges p n f] partitions [0..n-1] into {!morsel_size} ranges
     and returns [f lo hi] per range (hi exclusive), in range order. *)
 
-(** {1 Current-pool plumbing}
-
-    [Foreign] operators receive the session's pool dynamically: the
-    executor wraps Effcheck-safe dispatches in {!with_pool}, and the
-    extension's physical operator picks it up with {!current} (e.g. the
-    CONTREP belief scan).  Unsafe foreigns run with {!current} unset —
-    the scheduler's refusal layer. *)
+(** {1 The current pool and ranges} *)
 
 val with_pool : pool -> (unit -> 'a) -> 'a
+(** Run the thunk with [pool] current on this domain. *)
+
 val current : unit -> pool option
+(** This domain's current pool; always [None] on worker domains. *)
 
-(** {1 Parallel operators}
+val ranges : int -> (int -> int -> 'a) -> 'a array
+(** [ranges n f] is [[| f 0 n |]] — one part, run inline — when no pool
+    is current on this domain or [n < min_rows ()] (or [n = 0]);
+    otherwise {!map_ranges} over the current pool.  Parts come back in
+    range order, so a caller that concatenates or folds them left to
+    right sees the sequential order. *)
 
-    Each is the morsel-partitioned twin of the same-named {!Bat}
-    operator and returns the identical BAT (same values, same row
-    order; fresh output columns exactly where the sequential kernel
-    allocates fresh columns) plus its {!runstat}, or [None] to decline
-    (untyped operands, below {!min_rows}, or a non-associative float
-    aggregate). *)
-
-val select_cmp : pool -> Bat.t -> Bat.cmp -> Atom.t -> (Bat.t * runstat) option
-val select_range : pool -> Bat.t -> Atom.t -> Atom.t -> (Bat.t * runstat) option
-val select_bool : pool -> Bat.t -> (Bat.t * runstat) option
-val calc1 : pool -> Bat.unop -> Bat.t -> (Bat.t * runstat) option
-val calc_const : pool -> Bat.binop -> Bat.t -> Atom.t -> (Bat.t * runstat) option
-val const_calc : pool -> Bat.binop -> Atom.t -> Bat.t -> (Bat.t * runstat) option
-
-val calc2 : pool -> Bat.binop -> Bat.t -> Bat.t -> (Bat.t * runstat) option
-(** Only the row-aligned fast path (equal counts, equal int/oid heads)
-    parallelises; the head-matching generic path declines. *)
-
-val join : pool -> Bat.t -> Bat.t -> (Bat.t * runstat) option
-(** Int/oid key columns only.  The build side is hashed in [size p]
-    ascending chunks built concurrently; probes consult the chunk
-    tables in ascending order, reproducing the sequential hash join's
-    (ascending left row, ascending right row) output order exactly. *)
-
-val group_aggr : pool -> Bat.aggr -> Bat.t -> (Bat.t * runstat) option
-(** Int/oid heads with [Count], int [Sum]/[Min]/[Max], or float
-    [Min]/[Max] tails.  Per-morsel partial tables are merged in morsel
-    order, so group keys keep their global first-occurrence order and
-    the merged accumulators are domain-count independent (int addition
-    is modular-associative; [Float.min]/[Float.max] are associative and
-    NaN-propagating in either association). *)
-
-val aggr_all : pool -> Bat.aggr -> Bat.t -> (Atom.t * runstat) option
-(** Int [Sum]/[Prod]/[Min]/[Max] and float [Min]/[Max].  [Count] is
-    O(1) sequentially and float [Sum]/[Avg]/[Prod] are
-    order-sensitive, so those decline. *)
+val fill : int -> (int -> int -> unit) -> unit
+(** {!ranges} for range functions that write disjoint slices of a
+    preallocated output. *)
 
 (** {1 Pool-lifetime statistics} *)
 
 type totals = {
-  t_jobs : int;  (** {!run_tasks} invocations. *)
+  t_jobs : int;  (** {!run_tasks} jobs with at least one task. *)
   t_morsels : int;
-  t_busy : float;
-  t_wall : float;
+  t_busy : float;  (** Summed per-morsel wall seconds (all domains). *)
+  t_wall : float;  (** Caller-observed wall seconds. *)
 }
 
 val totals : pool -> totals
-(** Accumulated since [create]; read from the owning domain only. *)
+(** Accumulated since [create]; read from the owning domain only.  The
+    executor attributes an operator's parallel work from the growth of
+    these across its call. *)

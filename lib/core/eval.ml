@@ -102,15 +102,17 @@ let plan_nodes shape =
 
 module Trace = Mirror_util.Trace
 
-let query ?(cse = true) ?(optimize = true) ?(specialize = true) ?(check = false)
-    ?(trace = Trace.null) ?max_bytes storage expr =
+(* The one compile step: typecheck, [Optimize.rewrite], flatten, then
+   the physical peephole rewrite — deterministic, so shared subplans
+   stay shared for the executor's memo table. *)
+let compile ?(optimize = true) ?(specialize = true) ?(check = false) ?(trace = Trace.null)
+    storage expr =
   match
     Trace.with_span trace "typecheck" (fun () ->
         Typecheck.infer (Storage.typecheck_env storage) expr)
   with
   | Error e -> Error (Typecheck.diag_to_string e)
   | Ok result_type -> (
-    let raw_expr = expr in
     let expr =
       if not optimize then expr
       else if Trace.is_on trace then
@@ -124,9 +126,7 @@ let query ?(cse = true) ?(optimize = true) ?(specialize = true) ?(check = false)
     match Flatten.compile ~specialize ~check ~trace storage expr with
     | exception Flatten.Unsupported msg -> Error msg
     | exception Flatten.Ill_formed msg -> Error ("ill-formed plan: " ^ msg)
-    | shape -> (
-      (* physical peephole rewriting; deterministic, so shared subplans
-         stay shared for the executor's memo table *)
+    | shape ->
       let shape =
         if not optimize then shape
         else if Trace.is_on trace then
@@ -144,152 +144,152 @@ let query ?(cse = true) ?(optimize = true) ?(specialize = true) ?(check = false)
               shape)
         else Shape.map Mirror_bat.Milopt.rewrite shape
       in
-      let differential =
-        if check then
-          Trace.with_span trace "differential" (fun () ->
-              Plancheck.differential ~specialize storage raw_expr)
-        else Ok ()
+      Ok (result_type, shape))
+
+let query ?(cse = true) ?(optimize = true) ?(specialize = true) ?(check = false)
+    ?(trace = Trace.null) ?max_bytes storage expr =
+  match compile ~optimize ~specialize ~check ~trace storage expr with
+  | Error e -> Error e
+  | Ok (result_type, shape) -> (
+    let differential =
+      if check then
+        Trace.with_span trace "differential" (fun () ->
+            Plancheck.differential ~specialize storage expr)
+      else Ok ()
+    in
+    match differential with
+    | Error msg -> Error ("differential check: " ^ msg)
+    | Ok () -> (
+      (* the one static analysis of the optimised bundle (envelopes,
+         effects, row estimates, cell widths), analysed only when
+         read: by the parallel licence and morsel sizing below (so
+         eagerly when a domain pool is configured), the admission
+         budget, the checked executor, or the report's [bounds] *)
+      let analysis =
+        lazy (Trace.with_span trace "boundcheck" (fun () -> Storage.analyze storage shape))
       in
-      match differential with
-      | Error msg -> Error ("differential check: " ^ msg)
-      | Ok () -> (
-        (* the one static analysis of the optimised bundle (envelopes,
-           effects, row estimates, cell widths), analysed only when
-           read: by the parallel licence and morsel sizing below (so
-           eagerly when a domain pool is configured), the admission
-           budget, the checked executor, or the report's [bounds] *)
-        let analysis =
-          lazy (Trace.with_span trace "boundcheck" (fun () -> Storage.analyze storage shape))
-        in
-        let node_est plan =
-          Option.map
-            (fun (f : Milcheck.fact) -> f.Milcheck.est)
-            (Mil.Tbl.find_opt (Lazy.force analysis).Milcheck.table plan)
-        in
-        (* parallel licence: a domain pool (when [--domains] asked for
-           one) plus the Effcheck verdict over this very bundle — only
-           operators whose partition is provably effect-free may run
-           morsel-parallel.  The row estimate sizes the morsels,
-           clamped inside the configured knobs. *)
-        let par =
-          match Parkernel.default_pool () with
-          | None -> None
-          | Some pool ->
-            let v = Effcheck.verdict (Lazy.force analysis) in
-            let morsel plan =
-              match node_est plan with
-              | Some est when est > 0 ->
-                Some (Parkernel.morsel_for ~domains:(Parkernel.size pool) est)
-              | _ -> None
-            in
-            Some { Mil.pool; safe = v.Effcheck.safe; morsel }
-        in
-        (* each root is admitted on its resident bytes, read from the
-           same table *)
-        let budget =
-          Option.map
-            (fun max_bytes ->
-              { Mil.max_bytes; bound = Boundcheck.admission (Lazy.force analysis) })
-            max_bytes
-        in
-        let session =
-          Mil.session ~cse ~trace
-            ~foreign:(Extension.foreign_dispatch (Storage.eval_env storage))
-            ?par ?budget (Storage.catalog storage)
-        in
-        (* Under [check], the checked executor verifies each root's
-           envelope and — when the memo table is on — the effect
-           sanitizer first evaluates the node through the same session
-           (so the checked pass gets memo hits) while verifying its
-           observed aliasing against the Effcheck signature. *)
-        let sanitizer =
-          if check && cse then
-            Some (Effcheck.sanitizer (Lazy.force analysis).Milcheck.env session)
-          else None
-        in
-        let lookup =
-          if check then (
-            let checked = Milcheck.exec_checked (Lazy.force analysis) session in
-            fun plan ->
-              (match sanitizer with
-              | Some san -> ignore (Effcheck.exec san plan)
-              | None -> ());
-              checked plan)
-          else Mil.exec session
-        in
-        match
-          Trace.with_span trace "execute" (fun () ->
-              let value = reify ~lookup shape in
-              Option.iter Effcheck.finish sanitizer;
-              let stats = Mil.stats session in
-              Trace.attr trace "evaluated" (string_of_int stats.Mil.evaluated);
-              Trace.attr trace "memo_hits" (string_of_int stats.Mil.memo_hits);
-              value)
-        with
-        | value ->
-          let stats = Mil.stats session in
-          let bounds =
-            lazy
-              (let resident = (Boundcheck.footprints (Lazy.force analysis)).Boundcheck.resident in
-               {
-                 est_rows =
-                   List.fold_left
-                     (fun acc p -> acc + Option.value ~default:0 (node_est p))
-                     0 (Shape.plans shape);
-                 est_bytes = resident.Boundcheck.fp_est;
-                 peak_bytes = resident.Boundcheck.fp_hi;
-               })
+      let node_est plan =
+        Option.map
+          (fun (f : Milcheck.fact) -> f.Milcheck.est)
+          (Mil.Tbl.find_opt (Lazy.force analysis).Milcheck.table plan)
+      in
+      (* parallel licence: a domain pool (when [--domains] asked for
+         one) plus the Effcheck verdict over this very bundle — only
+         operators whose partition is provably effect-free may run
+         morsel-parallel.  The row estimate sizes the morsels,
+         clamped inside the configured knobs. *)
+      let par =
+        match Parkernel.default_pool () with
+        | None -> None
+        | Some pool ->
+          let v = Effcheck.verdict (Lazy.force analysis) in
+          let morsel plan =
+            match node_est plan with
+            | Some est when est > 0 ->
+              Some (Parkernel.morsel_for ~domains:(Parkernel.size pool) est)
+            | _ -> None
           in
-          Ok
-            {
-              value;
-              result_type;
-              plan_bats = Shape.count_bats shape;
-              plan_nodes = plan_nodes shape;
-              evaluated = stats.Mil.evaluated;
-              memo_hits = stats.Mil.memo_hits;
-              par_ops = stats.Mil.par_ops;
-              par_morsels = stats.Mil.par_morsels;
-              analysis;
-              bounds;
-              actual_bytes = Mil.resident_bytes session;
-            }
-        | exception Failure msg -> Error msg
-        | exception Invalid_argument msg -> Error msg
-        | exception Effcheck.Violation msg -> Error ("effect sanitizer: " ^ msg)
-        | exception Mil.Admission_refused { op; est_bytes; peak_bytes; budget } ->
-          Error
-            (Printf.sprintf
-               "admission refused: plan %s estimated %d bytes, peak %s, over the %d-byte budget"
-               op est_bytes
-               (match peak_bytes with Some b -> string_of_int b ^ " bytes" | None -> "unbounded")
-               budget)
-        | exception Mil.Unbound name ->
-          Error (Printf.sprintf "plan referenced the unbound catalog name %S" name))))
+          Some { Mil.pool; safe = v.Effcheck.safe; morsel }
+      in
+      (* each root is admitted on its resident bytes, read from the
+         same table *)
+      let budget =
+        Option.map
+          (fun max_bytes ->
+            { Mil.max_bytes; bound = Boundcheck.admission (Lazy.force analysis) })
+          max_bytes
+      in
+      let session =
+        Mil.session ~cse ~trace
+          ~foreign:(Extension.foreign_dispatch (Storage.eval_env storage))
+          ?par ?budget (Storage.catalog storage)
+      in
+      (* Under [check], the checked executor verifies each root's
+         envelope and — when the memo table is on — the effect
+         sanitizer first evaluates the node through the same session
+         (so the checked pass gets memo hits) while verifying its
+         observed aliasing against the Effcheck signature. *)
+      let sanitizer =
+        if check && cse then
+          Some (Effcheck.sanitizer (Lazy.force analysis).Milcheck.env session)
+        else None
+      in
+      let lookup =
+        if check then (
+          let checked = Milcheck.exec_checked (Lazy.force analysis) session in
+          fun plan ->
+            (match sanitizer with
+            | Some san -> ignore (Effcheck.exec san plan)
+            | None -> ());
+            checked plan)
+        else Mil.exec session
+      in
+      match
+        Trace.with_span trace "execute" (fun () ->
+            let value = reify ~lookup shape in
+            Option.iter Effcheck.finish sanitizer;
+            let stats = Mil.stats session in
+            Trace.attr trace "evaluated" (string_of_int stats.Mil.evaluated);
+            Trace.attr trace "memo_hits" (string_of_int stats.Mil.memo_hits);
+            value)
+      with
+      | value ->
+        let stats = Mil.stats session in
+        let bounds =
+          lazy
+            (let resident = (Boundcheck.footprints (Lazy.force analysis)).Boundcheck.resident in
+             {
+               est_rows =
+                 List.fold_left
+                   (fun acc p -> acc + Option.value ~default:0 (node_est p))
+                   0 (Shape.plans shape);
+               est_bytes = resident.Boundcheck.fp_est;
+               peak_bytes = resident.Boundcheck.fp_hi;
+             })
+        in
+        Ok
+          {
+            value;
+            result_type;
+            plan_bats = Shape.count_bats shape;
+            plan_nodes = plan_nodes shape;
+            evaluated = stats.Mil.evaluated;
+            memo_hits = stats.Mil.memo_hits;
+            par_ops = stats.Mil.par_ops;
+            par_morsels = stats.Mil.par_morsels;
+            analysis;
+            bounds;
+            actual_bytes = Mil.resident_bytes session;
+          }
+      | exception Failure msg -> Error msg
+      | exception Invalid_argument msg -> Error msg
+      | exception Effcheck.Violation msg -> Error ("effect sanitizer: " ^ msg)
+      | exception Mil.Admission_refused { op; est_bytes; peak_bytes; budget } ->
+        Error
+          (Printf.sprintf
+             "admission refused: plan %s estimated %d bytes, peak %s, over the %d-byte budget"
+             op est_bytes
+             (match peak_bytes with Some b -> string_of_int b ^ " bytes" | None -> "unbounded")
+             budget)
+      | exception Mil.Unbound name ->
+        Error (Printf.sprintf "plan referenced the unbound catalog name %S" name)))
 
 let query_value storage expr = Result.map (fun r -> r.value) (query storage expr)
 
+(* Per-operator rollup over the executor's spans: the children of the
+   trace's ["execute"] phase, compiler phases excluded. *)
+let exec_rollup ?flag trace =
+  Trace.aggregate ?flag
+    (List.concat_map
+       (fun (sp : Trace.span) -> if sp.Trace.name = "execute" then sp.Trace.children else [])
+       (Trace.roots trace))
+
 let profile storage expr =
-  match Typecheck.infer (Storage.typecheck_env storage) expr with
-  | Error e -> Error (Typecheck.diag_to_string e)
-  | Ok _ -> (
-    match Flatten.compile storage (Optimize.rewrite expr) with
-    | exception Flatten.Unsupported msg -> Error msg
-    | shape ->
-      let shape = Shape.map Mirror_bat.Milopt.rewrite shape in
-      (* only the session gets the trace, so the aggregation sees
-         operator spans alone (no compiler phases) *)
-      let session =
-        Mil.session ~trace:(Trace.create ())
-          ~foreign:(Extension.foreign_dispatch (Storage.eval_env storage))
-          (Storage.catalog storage)
-      in
-      (match reify ~lookup:(Mil.exec session) shape with
-      | _ -> Ok (Mil.profile session)
-      | exception Failure msg -> Error msg
-      | exception Invalid_argument msg -> Error msg
-      | exception Mil.Unbound name ->
-        Error (Printf.sprintf "plan referenced the unbound catalog name %S" name)))
+  let trace = Trace.create () in
+  Result.map
+    (fun _ ->
+      List.map (fun (name, a) -> (name, a.Trace.self, a.Trace.calls)) (exec_rollup trace))
+    (query ~trace storage expr)
 
 let fmt_bytes b =
   let f = float_of_int b in
@@ -354,17 +354,7 @@ let explain_analyze ?(optimize = true) ?(cse = true) ?max_bytes storage expr =
          (fmt_bytes report.actual_bytes));
     Buffer.add_char buf '\n';
     Buffer.add_string buf (Trace.render trace);
-    (* per-operator rollup over the executor spans only *)
-    let exec_spans =
-      List.concat_map
-        (fun (sp : Trace.span) -> if sp.Trace.name = "execute" then sp.Trace.children else [])
-        (Trace.roots trace)
-    in
-    let agg =
-      Trace.aggregate
-        ~flag:(fun sp -> List.mem_assoc "memo" sp.Trace.attrs)
-        exec_spans
-    in
+    let agg = exec_rollup ~flag:(fun sp -> List.mem_assoc "memo" sp.Trace.attrs) trace in
     if agg <> [] then begin
       Buffer.add_char buf '\n';
       let tbl =
@@ -396,20 +386,14 @@ let explain_analyze ?(optimize = true) ?(cse = true) ?max_bytes storage expr =
     Ok (Buffer.contents buf)
 
 let explain ?(optimize = true) storage expr =
-  let expr = Normalize.canonical expr in
-  match Typecheck.infer (Storage.typecheck_env storage) expr with
-  | Error e -> Error (Typecheck.diag_to_string e)
-  | Ok _ -> (
-    let expr = if optimize then Optimize.rewrite expr else expr in
-    match Flatten.compile storage expr with
-    | exception Flatten.Unsupported msg -> Error msg
-    | shape ->
-      let shape = if optimize then Shape.map Mirror_bat.Milopt.rewrite shape else shape in
-      let buf = Buffer.create 256 in
-      let k = ref 0 in
-      Shape.iter
-        (fun plan ->
-          incr k;
-          Buffer.add_string buf (Printf.sprintf "-- bat %d --\n%s\n" !k (Mil.to_string plan)))
-        shape;
-      Ok (Buffer.contents buf))
+  match compile ~optimize storage (Normalize.canonical expr) with
+  | Error e -> Error e
+  | Ok (_, shape) ->
+    let buf = Buffer.create 256 in
+    let k = ref 0 in
+    Shape.iter
+      (fun plan ->
+        incr k;
+        Buffer.add_string buf (Printf.sprintf "-- bat %d --\n%s\n" !k (Mil.to_string plan)))
+      shape;
+    Ok (Buffer.contents buf)

@@ -38,6 +38,20 @@ and bounds = {
           undeclared foreign leaves the plan unbounded. *)
 }
 
+val compile :
+  ?optimize:bool ->
+  ?specialize:bool ->
+  ?check:bool ->
+  ?trace:Mirror_util.Trace.t ->
+  Storage.t ->
+  Expr.t ->
+  (Types.t * Extension.planshape, string) result
+(** The compile step every query path shares: typecheck, then (when
+    [optimize], default true) [Optimize.rewrite], {!Flatten.compile}
+    and [Milopt.rewrite].  Returns the expression's type and the plan
+    bundle, or the first stage's error message.  [specialize], [check]
+    and [trace] are as for {!query}, which runs this step first. *)
+
 val query :
   ?cse:bool ->
   ?optimize:bool ->
@@ -71,8 +85,9 @@ val query_value : Storage.t -> Expr.t -> (Value.t, string) result
 (** Just the value. *)
 
 val profile : Storage.t -> Expr.t -> ((string * float * int) list, string) result
-(** Execute with per-operator profiling and return (operator, total
-    self seconds, evaluations), most expensive first. *)
+(** {!query} under a fresh trace, rolled up per operator over the
+    ["execute"] spans: (operator, total self seconds, evaluations),
+    most expensive first. *)
 
 val explain : ?optimize:bool -> Storage.t -> Expr.t -> (string, string) result
 (** The compiled plan bundle, pretty-printed. *)

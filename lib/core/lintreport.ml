@@ -42,11 +42,11 @@ let check st ~src expr =
   match Plancheck.vet st expr with
   | Error e -> failed_query src e
   | Ok () -> (
-    match Flatten.compile st (Optimize.rewrite expr) with
-    | exception Flatten.Unsupported e -> failed_query src ("flatten: " ^ e)
-    | shape ->
+    match Eval.compile st expr with
+    | Error e -> failed_query src ("flatten: " ^ e)
+    | Ok (_, shape) ->
       let moa = Moacheck.lint (Moacheck.env_of_storage st) expr in
-      let analysis = Storage.analyze st (Shape.map Mirror_bat.Milopt.rewrite shape) in
+      let analysis = Storage.analyze st shape in
       let mil = Milcheck.lint analysis in
       let verdict = Effcheck.verdict analysis in
       let bounds = Boundcheck.footprints analysis in

@@ -37,17 +37,7 @@ let of_storage stor =
     on_feedback = None;
   }
 
-let create () =
-  Bootstrap.ensure ();
-  {
-    stor = Storage.create ();
-    adapt = Adapt.create ();
-    thesaurus = None;
-    url_of = Hashtbl.create 64;
-    doc_of = Hashtbl.create 64;
-    visual = Hashtbl.create 64;
-    on_feedback = None;
-  }
+let create () = of_storage (Storage.create ())
 
 let storage t = t.stor
 let set_feedback_hook t h = t.on_feedback <- h

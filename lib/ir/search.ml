@@ -13,12 +13,8 @@ let belief_oracle index ~doc term =
     Belief.belief ~tf ~df:(Space.df sp id) ~ndocs:(Space.ndocs sp)
       ~doclen:(Space.doc_len sp doc) ~avg_doclen:(Space.avg_doc_len sp)
 
-let run index ?limit net =
-  let hits =
-    List.map
-      (fun doc -> { doc; score = Querynet.eval (belief_oracle index ~doc) net })
-      (Index.docs index)
-  in
+(* Best score first, ties by document id; at most [limit] hits. *)
+let ranked ?limit hits =
   let sorted =
     List.sort
       (fun a b ->
@@ -30,6 +26,12 @@ let run index ?limit net =
   | None -> sorted
   | Some n -> List.filteri (fun i _ -> i < n) sorted
 
+let run index ?limit net =
+  ranked ?limit
+    (List.map
+       (fun doc -> { doc; score = Querynet.eval (belief_oracle index ~doc) net })
+       (Index.docs index))
+
 let run_indexed index ?limit net =
   (* candidate generation from the inverted file: only documents that
      contain at least one query term can score differently from the
@@ -40,24 +42,13 @@ let run_indexed index ?limit net =
     (fun (term, _) ->
       List.iter (fun (doc, _) -> Hashtbl.replace candidates doc ()) (Index.postings index term))
     (Querynet.terms net);
-  let hits =
-    List.map
-      (fun doc ->
-        if Hashtbl.mem candidates doc then
-          { doc; score = Querynet.eval (belief_oracle index ~doc) net }
-        else { doc; score = default_score })
-      (Index.docs index)
-  in
-  let sorted =
-    List.sort
-      (fun a b ->
-        let c = Float.compare b.score a.score in
-        if c <> 0 then c else Int.compare a.doc b.doc)
-      hits
-  in
-  match limit with
-  | None -> sorted
-  | Some n -> List.filteri (fun i _ -> i < n) sorted
+  ranked ?limit
+    (List.map
+       (fun doc ->
+         if Hashtbl.mem candidates doc then
+           { doc; score = Querynet.eval (belief_oracle index ~doc) net }
+         else { doc; score = default_score })
+       (Index.docs index))
 
 (* {1 The physical belief operators}
 
@@ -392,15 +383,12 @@ let getbl_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~qlink ~qval =
   in
   if dom_is_groups then Bat.make (Column.O (Array.copy gctx)) (Column.F bel)
   else
-    match Mirror_bat.Parkernel.current () with
-    | Some pool when n >= Mirror_bat.Parkernel.min_rows () && n > 0 ->
-      let parts, _ = Mirror_bat.Parkernel.map_ranges pool n emit in
+    match Mirror_bat.Parkernel.ranges n emit with
+    | [| (ctxs, bels) |] -> Bat.make (Column.O ctxs) (Column.F bels)
+    | parts ->
       Bat.make
         (Column.O (Array.concat (List.map fst (Array.to_list parts))))
         (Column.F (Array.concat (List.map snd (Array.to_list parts))))
-    | _ ->
-      let ctxs, bels = emit 0 n in
-      Bat.make (Column.O ctxs) (Column.F bels)
 
 let getblnet_pairs ~space ~net ~occ_ctx ~occ_term ~occ_tf ~len ~dom =
   let dom_heads = Column.oid_exn (Bat.head dom) in

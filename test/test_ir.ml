@@ -617,16 +617,10 @@ module Old = struct
       ( Column.oid_exn (Column.Builder.finish ctxb),
         Column.float_exn (Column.Builder.finish belb) )
     in
-    let n = Array.length dom_heads in
-    match Mirror_bat.Parkernel.current () with
-    | Some pool when n >= Mirror_bat.Parkernel.min_rows () && n > 0 ->
-      let parts, _ = Mirror_bat.Parkernel.map_ranges pool n score_range in
-      Bat.make
-        (Column.O (Array.concat (List.map fst (Array.to_list parts))))
-        (Column.F (Array.concat (List.map snd (Array.to_list parts))))
-    | _ ->
-      let ctxs, bels = score_range 0 n in
-      Bat.make (Column.O ctxs) (Column.F bels)
+    let parts = Mirror_bat.Parkernel.ranges (Array.length dom_heads) score_range in
+    Bat.make
+      (Column.O (Array.concat (List.map fst (Array.to_list parts))))
+      (Column.F (Array.concat (List.map snd (Array.to_list parts))))
 
   let getblnet_pairs ~space ~net ~occ_ctx ~occ_term ~occ_tf ~len ~dom =
     let dom_heads = Column.oid_exn (Bat.head dom) in
@@ -834,7 +828,9 @@ let test_kernel_differential_pool () =
           Parkernel.with_pool pool (fun () ->
               for seed = 1 to 150 do
                 differential_case seed
-              done)))
+              done));
+      Alcotest.(check bool) "the scans were split into morsels" true
+        ((Parkernel.totals pool).Parkernel.t_morsels > 0))
 
 (* Only the rebuilt occurrences are scanned, and each scan is counted. *)
 let test_scans_counted () =
