@@ -492,7 +492,8 @@ let domains_arg =
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
 
 (* evaluates before the command body via [$]-application order, so the
-   default pool is sized when the command runs *)
+   default pool is sized when the command runs; bound only by the
+   commands that execute a plan (the REPL/-e, explain analyze, serve) *)
 let domains_term =
   Term.(const (fun n -> Mirror_bat.Parkernel.set_domains n) $ domains_arg)
 
@@ -555,9 +556,7 @@ let lint_cmd =
     "statically check Moa queries (plan verifier + lint + effect analysis + resource bounds)"
   in
   Cmd.v (Cmd.info "lint" ~doc)
-    Term.(
-      const (fun () -> lint_main)
-      $ domains_term $ db_arg $ lint_queries_arg $ lint_durable_arg $ lint_json_arg)
+    Term.(const lint_main $ db_arg $ lint_queries_arg $ lint_durable_arg $ lint_json_arg)
 
 (* {1 wal command group} *)
 
@@ -934,7 +933,7 @@ let explain_cmd =
   let doc = "show the compiled MIL plan bundle of a query (subcommand: analyze)" in
   Cmd.group
     ~default:
-      Term.(const (fun () -> explain_main) $ domains_term $ check_arg $ db_arg $ explain_query_arg)
+      Term.(const explain_main $ check_arg $ db_arg $ explain_query_arg)
     (Cmd.info "explain" ~doc)
     [ explain_analyze_cmd ]
 

@@ -505,7 +505,6 @@ let sorted_indices ?(desc = false) c =
   idx
 
 let sort_tail ?(desc = false) b = take b (sorted_indices ~desc b.tl)
-let sort_head ?(desc = false) b = take b (sorted_indices ~desc b.hd)
 
 let topn ?(desc = true) b n = slice (sort_tail ~desc b) 0 n
 

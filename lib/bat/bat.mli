@@ -135,9 +135,6 @@ val slice : t -> int -> int -> t
 val sort_tail : ?desc:bool -> t -> t
 (** Stable sort of rows by tail value. *)
 
-val sort_head : ?desc:bool -> t -> t
-(** Stable sort of rows by head value. *)
-
 val topn : ?desc:bool -> t -> int -> t
 (** [sort_tail] then take the first [n] rows ([desc] defaults to
     [true]: largest first). *)

@@ -107,8 +107,6 @@ let admission (t : Milcheck.t) root =
       let r = resident sub in
       Some (r.fp_est, r.fp_hi)
 
-let bat_bytes b = Column.bytes (Bat.head b) + Column.bytes (Bat.tail b)
-
 let bats_bytes bats =
   let seen = ref [] in
   let col c =

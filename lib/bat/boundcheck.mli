@@ -51,10 +51,6 @@ val admission : Milcheck.t -> Mil.t -> (int * int option) option
     in the bundle or its sub-DAG has verifier errors (the admission
     gate then refuses, fail-closed). *)
 
-val bat_bytes : Bat.t -> int
-(** {!Column.bytes} over both columns — the measured size of one
-    materialised BAT. *)
-
 val bats_bytes : Bat.t list -> int
 (** Total measured bytes of a set of BATs, physically shared columns
     counted once (the executor's reverse/mirror results alias their

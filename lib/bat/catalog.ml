@@ -1,25 +1,11 @@
-type t = {
-  tbl : (string, Bat.t) Hashtbl.t;
-  mutable observer : (string -> unit) option;
-}
+type t = { tbl : (string, Bat.t) Hashtbl.t }
 
-let create () : t = { tbl = Hashtbl.create 64; observer = None }
-let set_observer t obs = t.observer <- obs
-let notify t name = match t.observer with None -> () | Some f -> f name
-
-let put t name b =
-  Hashtbl.replace t.tbl name b;
-  notify t name
-
+let create () : t = { tbl = Hashtbl.create 64 }
+let put t name b = Hashtbl.replace t.tbl name b
 let get t name = Hashtbl.find t.tbl name
 let find t name = Hashtbl.find_opt t.tbl name
 let mem t name = Hashtbl.mem t.tbl name
-
-let remove t name =
-  if Hashtbl.mem t.tbl name then begin
-    Hashtbl.remove t.tbl name;
-    notify t name
-  end
+let remove t name = Hashtbl.remove t.tbl name
 
 (* A snapshot is a frozen copy of the binding table.  BATs themselves
    are immutable once built (the kernel's sharing discipline is
@@ -30,7 +16,7 @@ type snapshot = (string, Bat.t) Hashtbl.t
 
 let snapshot t : snapshot = Hashtbl.copy t.tbl
 
-let of_snapshot (s : snapshot) : t = { tbl = Hashtbl.copy s; observer = None }
+let of_snapshot (s : snapshot) : t = { tbl = Hashtbl.copy s }
 
 let names t = List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [])
 let cardinality t = Hashtbl.length t.tbl
@@ -42,8 +28,9 @@ let total_rows t = Hashtbl.fold (fun _ b acc -> acc + Bat.count b) t.tbl 0
    Atom rendering reuses Atom.to_string / Atom.parse.  [save_file]
    appends an integrity footer line
      %crc <8 hex digits>
-   over everything before it; [load_file] verifies the footer when
-   present (snapshots predating the footer still load). *)
+   over everything before it, and [parse] requires and verifies it: a
+   file cut at a stanza boundary would otherwise parse as a catalog
+   with entries missing. *)
 
 let escape_name name =
   let buf = Buffer.create (String.length name) in
@@ -87,11 +74,6 @@ let dump_buffer t buf =
           Buffer.add_char buf '\n')
         b)
     (names t)
-
-let dump t oc =
-  let buf = Buffer.create 4096 in
-  dump_buffer t buf;
-  Buffer.output_buffer oc buf
 
 let ty_of_name = function
   | "int" -> Ok Atom.TInt
@@ -172,15 +154,11 @@ let check_footer src =
           (Printf.sprintf "snapshot checksum mismatch: footer %s, content %s"
              (Mirror_util.Crc32.to_hex expect) (Mirror_util.Crc32.to_hex got))
       else Ok body)
-  | _ -> Ok src
+  | _ -> Error "snapshot is missing its %crc integrity footer"
 
 let parse src =
   let* body = check_footer src in
   parse_lines (String.split_on_char '\n' body)
-
-let load ic =
-  let src = really_input_string ic (in_channel_length ic - pos_in ic) in
-  parse src
 
 let save_file t path =
   let buf = Buffer.create 4096 in
@@ -198,4 +176,6 @@ let save_file t path =
 
 let load_file path =
   let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> load ic)
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> parse (really_input_string ic (in_channel_length ic)))

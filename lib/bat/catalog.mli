@@ -37,14 +37,8 @@ val snapshot : t -> snapshot
     to the snapshot. *)
 
 val of_snapshot : snapshot -> t
-(** A fresh catalog holding the snapshot's bindings (no observer).
-    Mutating it does not affect the snapshot or the original. *)
-
-val set_observer : t -> (string -> unit) option -> unit
-(** Install (or clear) a mutation observer: it is called with the
-    entry name on every {!put} and every effective {!remove}.  Used by
-    the durability layer to track physical churn between checkpoints
-    ({!Mirror_store.Durable}).  At most one observer is active. *)
+(** A fresh catalog holding the snapshot's bindings.  Mutating it does
+    not affect the snapshot or the original. *)
 
 val names : t -> string list
 (** All bound names, sorted. *)
@@ -56,24 +50,17 @@ val total_rows : t -> int
 (** Sum of row counts over all entries (storage-size proxy used in
     reports). *)
 
-val dump : t -> out_channel -> unit
-(** Write a textual snapshot of the whole catalog (no integrity
-    footer). *)
-
-val load : in_channel -> (t, string) result
-(** Read the rest of the channel as a snapshot ({!parse}). *)
-
 val parse : string -> (t, string) result
-(** Parse a snapshot produced by {!dump} or {!save_file}.  A trailing
-    [%crc] integrity footer, when present, is verified first; a
-    checksum mismatch is an error. *)
+(** Parse a snapshot produced by {!save_file}.  The trailing [%crc]
+    integrity footer is required and verified first: a missing footer
+    (a file cut short, even at a stanza boundary) or a checksum
+    mismatch is an error. *)
 
 val save_file : t -> string -> unit
-(** Atomically snapshot to a file path: the dump plus a [%crc]
-    integrity footer is written to [path ^ ".tmp"] and renamed over
-    [path], so a crash mid-write never clobbers the previous
-    snapshot. *)
+(** Atomically snapshot to a file path: a textual rendering of every
+    entry plus a [%crc] integrity footer is written to
+    [path ^ ".tmp"] and renamed over [path], so a crash mid-write
+    never clobbers the previous snapshot. *)
 
 val load_file : string -> (t, string) result
-(** {!parse} a file written by {!save_file} (or an older footer-less
-    {!dump}). *)
+(** {!parse} a file written by {!save_file}. *)

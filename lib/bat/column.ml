@@ -137,7 +137,6 @@ let bytes = function
   | S a -> Array.fold_left (fun acc s -> acc + 8 + String.length s) 0 a
 
 let oid_exn = function O a -> a | _ -> invalid_arg "Column.oid_exn: not an oid column"
-let int_exn = function I a -> a | _ -> invalid_arg "Column.int_exn: not an int column"
 let float_exn = function F a -> a | _ -> invalid_arg "Column.float_exn: not a float column"
 
 module Builder = struct

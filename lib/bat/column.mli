@@ -71,9 +71,6 @@ val bytes : t -> int
 val oid_exn : t -> int array
 (** Underlying array of an oid column. @raise Invalid_argument otherwise. *)
 
-val int_exn : t -> int array
-(** Underlying array of an int column. @raise Invalid_argument otherwise. *)
-
 val float_exn : t -> float array
 (** Underlying array of a float column. @raise Invalid_argument otherwise. *)
 

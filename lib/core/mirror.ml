@@ -108,9 +108,7 @@ let internal_schema =
 
 let build_image_library t ?daemons ?journal ~scenes () =
   let orch = Orchestrator.create ?daemons () in
-  (match journal with
-  | None -> ()
-  | Some _ -> Store.set_journal (Orchestrator.ctx orch).Daemon.store journal);
+  Store.set_hook (Orchestrator.ctx orch).Daemon.store journal;
   Array.iteri
     (fun i (s : Synth.scene) ->
       let url = Printf.sprintf "img://%d" i in
@@ -172,7 +170,6 @@ let build_image_library t ?daemons ?journal ~scenes () =
   t.thesaurus <- Store.thesaurus store;
   Ok report
 
-let url_of_doc t oid = Hashtbl.find_opt t.url_of oid
 let library_size t = Hashtbl.length t.url_of
 let visual_bag t url = Option.value ~default:[] (Hashtbl.find_opt t.visual url)
 

@@ -50,7 +50,7 @@ val run_expr : t -> Expr.t -> (Value.t, string) result
 val build_image_library :
   t ->
   ?daemons:Mirror_daemon.Daemon.t list ->
-  ?journal:(string -> string -> unit) ->
+  ?journal:(Mirror_daemon.Store.op -> unit) ->
   scenes:Mirror_mm.Synth.scene array ->
   unit ->
   (Mirror_daemon.Orchestrator.report, string) result
@@ -58,12 +58,9 @@ val build_image_library :
     application schema [ImageLibrary] (§5.2) and the internal dual-
     coded schema [ImageLibraryInternal] with the pipeline's CONTREP
     content, and adopt the pipeline's association thesaurus.
-    [?journal] is installed on the pipeline's metadata store
-    ({!Mirror_daemon.Store.set_journal}) so the durability layer can
-    log the staged writes. *)
-
-val url_of_doc : t -> int -> string option
-(** URL of a loaded library element (by its extent oid). *)
+    [?journal] becomes the write hook of the pipeline's authoritative
+    metadata store ({!Mirror_daemon.Store.set_hook}), so the
+    durability layer logs every write that store applies. *)
 
 val library_size : t -> int
 (** Number of images loaded into the library. *)

@@ -6,7 +6,7 @@
       paper's DDL syntax (re-parsed on load, so the schema file is also
       valid CLI input);
     - [catalog.bats] — the full BAT catalog snapshot
-      ({!Mirror_bat.Catalog.dump}).
+      ({!Mirror_bat.Catalog.save_file}).
 
     Loading rebuilds everything else: plan shapes follow the
     deterministic materialisation naming, extension side state

@@ -5,18 +5,13 @@ type op =
 type t = {
   versions : (string, (string * string) list) Hashtbl.t;
       (* name -> (schema, owner) versions, newest first *)
-  mutable sync : (op -> unit) option;
-  mutable journal : (op -> unit) option;
+  mutable hook : (op -> unit) option;
 }
 
-let create () = { versions = Hashtbl.create 16; sync = None; journal = None }
-let copy t = { versions = Hashtbl.copy t.versions; sync = None; journal = None }
-let set_sync t s = t.sync <- s
-let set_journal t j = t.journal <- j
-let fire hook op = match hook with None -> () | Some f -> f op
+let create () = { versions = Hashtbl.create 16; hook = None }
+let copy t = { versions = Hashtbl.copy t.versions; hook = None }
+let set_hook t h = t.hook <- h
 
-(* Apply [op] and tell the journal, but not the capture hook: a
-   captured change arriving here must not be re-emitted. *)
 let apply t op =
   (match op with
   | Registered { name; schema; owner } ->
@@ -27,17 +22,10 @@ let apply t op =
     match Hashtbl.find_opt t.versions name with
     | None -> raise Not_found
     | Some versions -> Hashtbl.replace t.versions name ((schema, by) :: versions)));
-  fire t.journal op
+  match t.hook with None -> () | Some f -> f op
 
-let register t ~name ~schema ~owner =
-  let op = Registered { name; schema; owner } in
-  apply t op;
-  fire t.sync op
-
-let evolve t ~name ~schema ~by =
-  let op = Evolved { name; schema; by } in
-  apply t op;
-  fire t.sync op
+let register t ~name ~schema ~owner = apply t (Registered { name; schema; owner })
+let evolve t ~name ~schema ~by = apply t (Evolved { name; schema; by })
 
 let schema_of t name =
   Option.map (fun versions -> fst (List.hd versions)) (Hashtbl.find_opt t.versions name)

@@ -28,30 +28,25 @@ val history : t -> string -> (string * string) list
 val extents : t -> string list
 (** Registered extents, sorted. *)
 
-(** {1 Write capture}
+(** {1 Changes and the write hook}
 
-    Same discipline as {!Store}'s: a daemon runs against a replica
-    dictionary, its changes are captured as {!op} values, and the
-    orchestrator applies them to the authoritative dictionary when the
-    delivery settles. *)
+    Same discipline as {!Store}'s: {!register} and {!evolve} each
+    apply one {!op} and hand it to the dictionary's one hook — the
+    durability journal on the orchestrator's authoritative dictionary,
+    the write capture on a daemon's replica. *)
 
 type op =
   | Registered of { name : string; schema : string; owner : string }
   | Evolved of { name : string; schema : string; by : string }
 
-val set_sync : t -> (op -> unit) option -> unit
-(** Install (or clear) the write-capture hook. *)
+val set_hook : t -> (op -> unit) option -> unit
+(** Install (or clear) the write hook. *)
 
 val apply : t -> op -> unit
-(** Apply a captured change without re-emitting it (the durability
-    journal still fires). *)
+(** Apply a change and hand it to the hook — how a captured change
+    settles on the authoritative dictionary and how a journaled one is
+    replayed.  @raise Invalid_argument or [Not_found] as {!register}
+    and {!evolve} do. *)
 
 val copy : t -> t
-(** An independent copy (no capture or journal hook). *)
-
-(** {1 Durability journal} *)
-
-val set_journal : t -> (op -> unit) option -> unit
-(** Install (or clear) the journal hook: every change, captured or
-    applied, is reported to it after it took effect.  The durable
-    orchestrator journals settled schema evolution through it. *)
+(** An independent copy, with no hook. *)

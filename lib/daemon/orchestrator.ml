@@ -403,10 +403,8 @@ let spawn t slot =
     Proc.spawn ~siblings (fun ic oc ->
         (* The child's fork-copy of the context is its replica; its
            writes leave only as captured [Op] frames. *)
-        Store.set_journal c.Daemon.store None;
-        Store.set_sync c.Daemon.store None;
-        Dictionary.set_journal c.Daemon.dict None;
-        Dictionary.set_sync c.Daemon.dict None;
+        Store.set_hook c.Daemon.store None;
+        Dictionary.set_hook c.Daemon.dict None;
         match Worker.serve ic oc slot.hosted ~ctx:{ c with Daemon.bus = Bus.create () } with
         | Worker.Closed -> 0
         | Worker.Fatal _ -> 70)

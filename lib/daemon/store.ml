@@ -8,8 +8,7 @@ type t = {
   texts : (int, (string * float) list) Hashtbl.t;
   visual : (int, (string, float) Hashtbl.t) Hashtbl.t;
   mutable thesaurus : Mirror_thesaurus.Concepts.t option;
-  mutable journal : (string -> string -> unit) option;
-  mutable sync : (op -> unit) option;
+  mutable hook : (op -> unit) option;
 }
 
 and op =
@@ -19,7 +18,7 @@ and op =
   | O_model of string * Mirror_mm.Autoclass.model
   | O_text of int * (string * float) list
   | O_visual of int * (string * float) list
-  | O_thesaurus of Mirror_thesaurus.Concepts.t
+  | O_thesaurus of Mirror_thesaurus.Concepts.t option
 
 let create () =
   {
@@ -32,8 +31,7 @@ let create () =
     texts = Hashtbl.create 64;
     visual = Hashtbl.create 64;
     thesaurus = None;
-    journal = None;
-    sync = None;
+    hook = None;
   }
 
 let copy t =
@@ -48,111 +46,16 @@ let copy t =
     models = Hashtbl.copy t.models;
     texts = Hashtbl.copy t.texts;
     visual;
-    journal = None;
-    sync = None;
+    hook = None;
   }
 
-let set_journal t j = t.journal <- j
-let log t tag payload = match t.journal with None -> () | Some f -> f tag payload
-let set_sync t s = t.sync <- s
-let emit t op = match t.sync with None -> () | Some f -> f op
+let set_hook t h = t.hook <- h
 
-(* Journal payload codecs.  Strings go through %S (OCaml literal
-   escapes) and term weights through %h (hex floats), both of which
-   round-trip exactly via Scanf. *)
-
-let encode_bag doc bag =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf (string_of_int doc);
-  List.iter (fun (w, tf) -> Buffer.add_string buf (Printf.sprintf " %S %h" w tf)) bag;
-  Buffer.contents buf
-
-let decode_bag payload =
-  try
-    let ib = Scanf.Scanning.from_string payload in
-    let doc = Scanf.bscanf ib " %d" Fun.id in
-    let rec pairs acc =
-      if Scanf.Scanning.end_of_input ib then List.rev acc
-      else pairs (Scanf.bscanf ib " %S %h" (fun w tf -> (w, tf)) :: acc)
-    in
-    Ok (doc, pairs [])
-  with
-  | Scanf.Scan_failure m | Failure m -> Error m
-  | End_of_file -> Error "truncated store record"
-
-let encode_segs doc segs =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf (Printf.sprintf "%d %d" doc (List.length segs));
-  List.iter
-    (fun (r : Mirror_mm.Segment.region) ->
-      Buffer.add_string buf
-        (Printf.sprintf " %d %d %d %d" r.Mirror_mm.Segment.x r.Mirror_mm.Segment.y
-           r.Mirror_mm.Segment.w r.Mirror_mm.Segment.h))
-    segs;
-  Buffer.contents buf
-
-let add_floats buf arr =
-  Buffer.add_string buf (Printf.sprintf " %d" (Array.length arr));
-  Array.iter (fun f -> Buffer.add_string buf (Printf.sprintf " %h" f)) arr
-
-let add_matrix buf m =
-  Buffer.add_string buf (Printf.sprintf " %d" (Array.length m));
-  Array.iter (add_floats buf) m
-
-let read_floats ib =
-  let n = Scanf.bscanf ib " %d" Fun.id in
-  Array.init n (fun _ -> Scanf.bscanf ib " %h" Fun.id)
-
-let read_matrix ib =
-  let n = Scanf.bscanf ib " %d" Fun.id in
-  Array.init n (fun _ -> read_floats ib)
-
-let encode_feats doc space vectors =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "%d %S" doc space);
-  add_matrix buf vectors;
-  Buffer.contents buf
-
-let encode_model space (m : Mirror_mm.Autoclass.model) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "%S %d" space m.Mirror_mm.Autoclass.k);
-  add_floats buf m.Mirror_mm.Autoclass.weights;
-  add_matrix buf m.Mirror_mm.Autoclass.means;
-  add_matrix buf m.Mirror_mm.Autoclass.variances;
-  Buffer.add_string buf (Printf.sprintf " %h" m.Mirror_mm.Autoclass.loglik);
-  add_floats buf (Array.of_list m.Mirror_mm.Autoclass.loglik_trace);
-  Buffer.contents buf
-
-(* Total decoding wrapper shared by the replay cases below. *)
-let scanning payload f =
-  try Ok (f (Scanf.Scanning.from_string payload)) with
-  | Scanf.Scan_failure m | Failure m -> Error m
-  | End_of_file -> Error "truncated store record"
-
-let register_doc t ~doc ~url =
-  if not (Hashtbl.mem t.urls doc) then begin
-    Hashtbl.add t.urls doc url;
-    t.docs_rev <- doc :: t.docs_rev;
-    log t "doc" (Printf.sprintf "%d %S" doc url);
-    emit t (O_doc (doc, url))
-  end
+(* {1 Reads} *)
 
 let url_of t doc = Hashtbl.find_opt t.urls doc
 let docs t = List.rev t.docs_rev
-
-let put_segments t ~doc segs =
-  Hashtbl.replace t.segs doc segs;
-  log t "segs" (encode_segs doc segs);
-  emit t (O_segments (doc, segs))
-
 let segments t ~doc = Hashtbl.find_opt t.segs doc
-
-let put_features t ~doc ~space vectors =
-  Hashtbl.replace t.feats (doc, space) vectors;
-  Hashtbl.replace t.spaces space ();
-  log t "feats" (encode_feats doc space vectors);
-  emit t (O_features (doc, space, vectors))
-
 let features t ~doc ~space = Hashtbl.find_opt t.feats (doc, space)
 
 let all_features t ~space =
@@ -163,39 +66,12 @@ let all_features t ~space =
 let feature_spaces t =
   List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) t.spaces [])
 
-let put_model t ~space m =
-  Hashtbl.replace t.models space m;
-  log t "model" (encode_model space m);
-  emit t (O_model (space, m))
-
 let model t ~space = Hashtbl.find_opt t.models space
 
 let clustered_spaces t =
   List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.models [])
 
-let put_text t ~doc bag =
-  Hashtbl.replace t.texts doc bag;
-  log t "text" (encode_bag doc bag);
-  emit t (O_text (doc, bag))
-
 let text t ~doc = Hashtbl.find_opt t.texts doc
-
-let add_visual_words t ~doc words =
-  let bag =
-    match Hashtbl.find_opt t.visual doc with
-    | Some b -> b
-    | None ->
-      let b = Hashtbl.create 16 in
-      Hashtbl.add t.visual doc b;
-      b
-  in
-  List.iter
-    (fun (w, tf) ->
-      let prev = Option.value ~default:0.0 (Hashtbl.find_opt bag w) in
-      Hashtbl.replace bag w (prev +. tf))
-    words;
-  log t "visual" (encode_bag doc words);
-  emit t (O_visual (doc, words))
 
 let visual_words t ~doc =
   match Hashtbl.find_opt t.visual doc with
@@ -203,15 +79,6 @@ let visual_words t ~doc =
   | Some bag ->
     Hashtbl.fold (fun w tf acc -> (w, tf) :: acc) bag []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let put_thesaurus t th =
-  t.thesaurus <- Some th;
-  (* The thesaurus is a deterministic function of the evidence already
-     journaled ahead of this record, so the record is a rebuild marker
-     rather than a serialized index: replay reconstructs it with
-     [Concepts.build] over the store state at this point in the log. *)
-  log t "thesaurus" "";
-  emit t (O_thesaurus th)
 
 let thesaurus t = t.thesaurus
 
@@ -225,81 +92,61 @@ let evidence t =
       })
     (docs t)
 
-let apply t op =
-  (* Apply a captured write without re-capturing it (the op log's
-     fan-out must not echo); the durability journal still fires, so
-     settled writes reach the orchestrator's WAL. *)
-  let saved = t.sync in
-  t.sync <- None;
-  Fun.protect
-    ~finally:(fun () -> t.sync <- saved)
-    (fun () ->
-      match op with
-      | O_doc (doc, url) -> register_doc t ~doc ~url
-      | O_segments (doc, segs) -> put_segments t ~doc segs
-      | O_features (doc, space, vectors) -> put_features t ~doc ~space vectors
-      | O_model (space, m) -> put_model t ~space m
-      | O_text (doc, bag) -> put_text t ~doc bag
-      | O_visual (doc, words) -> add_visual_words t ~doc words
-      | O_thesaurus th -> put_thesaurus t th)
+(* {1 Writes}
 
-let replay t tag payload =
-  let saved = t.journal in
-  let saved_sync = t.sync in
-  t.journal <- None;
-  t.sync <- None;
-  Fun.protect
-    ~finally:(fun () ->
-      t.journal <- saved;
-      t.sync <- saved_sync)
-    (fun () ->
-      match tag with
-      | "doc" -> (
-        try Scanf.sscanf payload " %d %S" (fun doc url -> register_doc t ~doc ~url) |> Result.ok
-        with
-        | Scanf.Scan_failure m | Failure m -> Error m
-        | End_of_file -> Error "truncated store record")
-      | "text" ->
-        Result.map (fun (doc, bag) -> Hashtbl.replace t.texts doc bag) (decode_bag payload)
-      | "visual" ->
-        Result.map (fun (doc, bag) -> add_visual_words t ~doc bag) (decode_bag payload)
-      | "segs" ->
-        Result.map
-          (fun (doc, segs) -> put_segments t ~doc segs)
-          (scanning payload (fun ib ->
-               let doc = Scanf.bscanf ib " %d" Fun.id in
-               let n = Scanf.bscanf ib " %d" Fun.id in
-               let rec go k acc =
-                 if k = 0 then List.rev acc
-                 else
-                   go (k - 1)
-                     (Scanf.bscanf ib " %d %d %d %d" (fun x y w h ->
-                          { Mirror_mm.Segment.x; y; w; h })
-                     :: acc)
-               in
-               (doc, go n [])))
-      | "feats" ->
-        Result.map
-          (fun (doc, space, vectors) -> put_features t ~doc ~space vectors)
-          (scanning payload (fun ib ->
-               let doc = Scanf.bscanf ib " %d" Fun.id in
-               let space = Scanf.bscanf ib " %S" Fun.id in
-               (doc, space, read_matrix ib)))
-      | "model" ->
-        Result.map
-          (fun (space, m) -> put_model t ~space m)
-          (scanning payload (fun ib ->
-               let space = Scanf.bscanf ib " %S" Fun.id in
-               let k = Scanf.bscanf ib " %d" Fun.id in
-               let weights = read_floats ib in
-               let means = read_matrix ib in
-               let variances = read_matrix ib in
-               let loglik = Scanf.bscanf ib " %h" Fun.id in
-               let loglik_trace = Array.to_list (read_floats ib) in
-               ( space,
-                 { Mirror_mm.Autoclass.k; weights; means; variances; loglik; loglik_trace }
-               )))
-      | "thesaurus" ->
-        put_thesaurus t (Mirror_thesaurus.Concepts.build (evidence t));
-        Ok ()
-      | _ -> Error (Printf.sprintf "unknown store record tag %S" tag))
+   Every mutator is [apply] of one op, and [apply] hands the op it
+   applied to the hook. *)
+
+let apply t op =
+  let fire op = match t.hook with None -> () | Some f -> f op in
+  match op with
+  | O_doc (doc, url) ->
+    if not (Hashtbl.mem t.urls doc) then begin
+      Hashtbl.add t.urls doc url;
+      t.docs_rev <- doc :: t.docs_rev;
+      fire op
+    end
+  | O_segments (doc, segs) ->
+    Hashtbl.replace t.segs doc segs;
+    fire op
+  | O_features (doc, space, vectors) ->
+    Hashtbl.replace t.feats (doc, space) vectors;
+    Hashtbl.replace t.spaces space ();
+    fire op
+  | O_model (space, m) ->
+    Hashtbl.replace t.models space m;
+    fire op
+  | O_text (doc, bag) ->
+    Hashtbl.replace t.texts doc bag;
+    fire op
+  | O_visual (doc, words) ->
+    let bag =
+      match Hashtbl.find_opt t.visual doc with
+      | Some b -> b
+      | None ->
+        let b = Hashtbl.create 16 in
+        Hashtbl.add t.visual doc b;
+        b
+    in
+    List.iter
+      (fun (w, tf) ->
+        let prev = Option.value ~default:0.0 (Hashtbl.find_opt bag w) in
+        Hashtbl.replace bag w (prev +. tf))
+      words;
+    fire op
+  | O_thesaurus th ->
+    (* [None] is the log's rebuild marker: the thesaurus is a
+       deterministic function of the evidence journaled ahead of it. *)
+    let th =
+      match th with Some th -> th | None -> Mirror_thesaurus.Concepts.build (evidence t)
+    in
+    t.thesaurus <- Some th;
+    fire (O_thesaurus (Some th))
+
+let register_doc t ~doc ~url = apply t (O_doc (doc, url))
+let put_segments t ~doc segs = apply t (O_segments (doc, segs))
+let put_features t ~doc ~space vectors = apply t (O_features (doc, space, vectors))
+let put_model t ~space m = apply t (O_model (space, m))
+let put_text t ~doc bag = apply t (O_text (doc, bag))
+let add_visual_words t ~doc words = apply t (O_visual (doc, words))
+let put_thesaurus t th = apply t (O_thesaurus (Some th))

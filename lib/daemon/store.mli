@@ -12,8 +12,8 @@ val create : unit -> t
 (** Empty store. *)
 
 val copy : t -> t
-(** An independent copy of the contents, with no journal or sync hook
-    — how the in-process transport refreshes a daemon's replica. *)
+(** An independent copy of the contents, with no hook — how the
+    in-process transport refreshes a daemon's replica. *)
 
 (** {1 Documents} *)
 
@@ -74,34 +74,19 @@ val evidence : t -> Mirror_thesaurus.Assoc.evidence list
 (** Per-document (text, visual) evidence for thesaurus construction,
     in document order. *)
 
-(** {1 Durability journal}
+(** {1 Writes and the write hook}
 
-    When a journal hook is installed, {e every} mutator emits an
-    opaque [(tag, payload)] record after applying, which the
-    durability layer appends to its write-ahead log; {!replay} applies
-    such a record back during crash recovery, reconstructing the
-    complete store state.  The ["thesaurus"] record is a rebuild
-    marker (the thesaurus is a deterministic function of the evidence
-    journaled ahead of it), so replay order matters. *)
-
-val set_journal : t -> (string -> string -> unit) option -> unit
-(** Install (or clear) the journal hook. *)
-
-val replay : t -> string -> string -> (unit, string) result
-(** [replay t tag payload] re-applies a journaled record.  Replay
-    never re-journals (and never fires the sync hook).  Errors on a
-    malformed or unknown record. *)
-
-(** {1 Write capture}
-
-    A daemon runs against a replica store (a copy in process, a
-    fork-copy in a worker process); its writes must reach the
-    orchestrator's store, and from there the other replicas.  When a
-    sync hook is installed, {e every} mutator emits the write it just
-    applied as a self-contained {!op} value — pure data, safe to
-    [Marshal] between forks of the same binary.  {!apply} is the
-    receiving side: it applies an op without re-emitting it (the
-    durability journal still fires). *)
+    Every mutator above applies one self-contained {!op} — pure data —
+    and hands it to the store's one hook.  On the orchestrator's
+    authoritative store the hook is the durability journal, which logs
+    each op ([Mirror_store.Record.Store_op]); on a daemon's replica
+    (a copy in process, a fork-copy in a worker process) it is the
+    write capture that carries the daemon's writes back to the
+    orchestrator ({!Worker.handle}).  {!apply} is also how an op is
+    replayed, and it fires the hook too: a captured write settling on
+    the authoritative store is journaled that way.  A fan-out to a
+    replica and a replay during recovery run while the store has no
+    hook, so nothing echoes. *)
 
 type op =
   | O_doc of int * string
@@ -110,12 +95,17 @@ type op =
   | O_model of string * Mirror_mm.Autoclass.model
   | O_text of int * (string * float) list
   | O_visual of int * (string * float) list
-  | O_thesaurus of Mirror_thesaurus.Concepts.t
-      (** One captured store write.  [O_visual] is tf-additive (not
-          idempotent) — apply each op exactly once. *)
+  | O_thesaurus of Mirror_thesaurus.Concepts.t option
+      (** One store write.  [O_visual] is tf-additive (not idempotent)
+          — apply each op exactly once.  [O_thesaurus None] is the
+          durability log's rebuild marker: applying it builds the
+          thesaurus from the store's {!evidence} at that point, so
+          replay order matters.  The hook always receives the built
+          value ([Some]). *)
 
-val set_sync : t -> (op -> unit) option -> unit
-(** Install (or clear) the write-capture hook. *)
+val set_hook : t -> (op -> unit) option -> unit
+(** Install (or clear) the write hook. *)
 
 val apply : t -> op -> unit
-(** Apply a captured write without re-emitting it. *)
+(** Apply a write and hand it to the hook.  [O_doc] of a registered
+    document changes nothing and fires nothing. *)

@@ -31,8 +31,8 @@ let unmarshal blob : write =
 let handle (ctx : Daemon.ctx) (d : Daemon.t) message =
   let writes = ref [] in
   let capture w = writes := w :: !writes in
-  Store.set_sync ctx.Daemon.store (Some (fun op -> capture (Store_op op)));
-  Dictionary.set_sync ctx.Daemon.dict (Some (fun op -> capture (Dict_op op)));
+  Store.set_hook ctx.Daemon.store (Some (fun op -> capture (Store_op op)));
+  Dictionary.set_hook ctx.Daemon.dict (Some (fun op -> capture (Dict_op op)));
   let t0 = Sys.time () in
   let pubs, (verdict : verdict) =
     match d.Daemon.handle ctx message with
@@ -41,8 +41,8 @@ let handle (ctx : Daemon.ctx) (d : Daemon.t) message =
     | exception e -> ([], Failed (Printexc.to_string e))
   in
   let cpu = Sys.time () -. t0 in
-  Store.set_sync ctx.Daemon.store None;
-  Dictionary.set_sync ctx.Daemon.dict None;
+  Store.set_hook ctx.Daemon.store None;
+  Dictionary.set_hook ctx.Daemon.dict None;
   { writes = List.rev !writes; pubs; cpu; verdict }
 
 let serve ic oc daemons ~(ctx : Daemon.ctx) =

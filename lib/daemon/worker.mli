@@ -3,8 +3,9 @@
 
     {!handle} is shared by both transports: it runs a daemon's handler
     against a replica context and captures everything the handler
-    did — store and dictionary writes (through the {!Store.set_sync} /
-    {!Dictionary.set_sync} hooks) and returned messages — without
+    did — store and dictionary writes (through the replica's
+    {!Store.set_hook} / {!Dictionary.set_hook} write hooks, installed
+    only while the handler runs) and returned messages — without
     letting any of it reach the orchestrator.  The orchestrator
     settles the {!outcome}: on success the writes are applied to the
     authoritative store and the messages published; on failure they
@@ -31,11 +32,14 @@ type outcome = {
 }
 
 val handle : Daemon.ctx -> Daemon.t -> Bus.message -> outcome
-(** Run the handler against [ctx] (a replica), capturing its effects.
-    Never raises for a handler exception. *)
+(** Run the handler against [ctx] (a replica, whose store and
+    dictionary carry no hook of their own: the capture is installed
+    for the handler's duration and cleared after), capturing its
+    effects.  Never raises for a handler exception. *)
 
 val apply : Daemon.ctx -> write -> unit
-(** Apply a captured write to a context without re-capturing it. *)
+(** Apply a captured write to a context ({!Store.apply} /
+    {!Dictionary.apply}): the context's hook, if any, sees it. *)
 
 val marshal : write -> string
 (** Marshal a write for the wire.  Only sound between forks of the

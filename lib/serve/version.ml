@@ -53,10 +53,6 @@ let pin t =
   v.pins <- v.pins + 1;
   v
 
-let pin_this v =
-  v.pins <- v.pins + 1;
-  v
-
 let unpin (_ : t) v =
   if v.pins <= 0 then invalid_arg "Version.unpin: version is not pinned";
   v.pins <- v.pins - 1

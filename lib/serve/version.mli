@@ -44,10 +44,6 @@ val pin : t -> version
 (** Pin the head and return it.  The caller must {!unpin} exactly
     once; a pinned version survives {!gc} no matter how old. *)
 
-val pin_this : version -> version
-(** Add a pin to a specific (already-held) version — a session
-    re-pinning the snapshot it is reading. *)
-
 val unpin : t -> version -> unit
 (** Release one pin.  Over-unpinning raises [Invalid_argument]. *)
 

@@ -29,7 +29,7 @@ type recovery = {
   replayed : int;
   wal_end : Wal.replay_end;
   feedback : (string * (string * bool) list) list;
-  store_ops : (string * string) list;
+  store_ops : Store.op list;
 }
 
 type dead = { route : Record.fab_route; cause : Deadletter.cause; at : float }
@@ -400,7 +400,7 @@ let install_hooks t =
   Mirror.set_feedback_hook t.mir
     (Some (fun ~query ~judgements -> log_record t (Record.Feedback { query; judgements })))
 
-let store_journal t tag payload = log_record t (Record.Store_op { tag; payload })
+let store_journal t op = log_record t (Record.Store_op op)
 
 (* {1 Open / recover} *)
 
@@ -416,7 +416,7 @@ let recovery_of st ~replayed ~wal_end =
         hist;
     store_ops =
       List.filter_map
-        (function Record.Store_op { tag; payload } -> Some (tag, payload) | _ -> None)
+        (function Record.Store_op op -> Some op | _ -> None)
         hist;
   }
 
@@ -722,10 +722,9 @@ let orchestrator ?daemons ?clock ?seed ?config t =
       (fun acc r ->
         let* () = acc in
         match r with
-        | Record.Store_op { tag; payload } ->
-          Result.map_error
-            (fun e -> Printf.sprintf "journal recovery: store record %S: %s" tag e)
-            (Store.replay ctx.Daemon.store tag payload)
+        | Record.Store_op op ->
+          Store.apply ctx.Daemon.store op;
+          Ok ()
         | Record.Dict_op op -> (
           match Dictionary.apply ctx.Daemon.dict op with
           | () -> Ok ()
@@ -734,8 +733,8 @@ let orchestrator ?daemons ?clock ?seed ?config t =
         | _ -> Ok ())
       (Ok ()) (List.rev t.st.side)
   in
-  Store.set_journal ctx.Daemon.store (Some (store_journal t));
-  Dictionary.set_journal ctx.Daemon.dict (Some (fun op -> log_record t (Record.Dict_op op)));
+  Store.set_hook ctx.Daemon.store (Some (store_journal t));
+  Dictionary.set_hook ctx.Daemon.dict (Some (fun op -> log_record t (Record.Dict_op op)));
   let bus = ctx.Daemon.bus in
   let d = deliveries_of t.st in
   List.iter

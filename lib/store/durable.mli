@@ -55,10 +55,10 @@ type recovery = {
           redone, but a caller that rebuilds session state (thesaurus,
           URL maps) can re-apply it with
           {!Mirror_core.Mirror.replay_feedback} *)
-  store_ops : (string * string) list;
-      (** the complete daemon-store record history (same sourcing),
-          for {!Mirror_daemon.Store.replay} into a rebuilt pipeline
-          store *)
+  store_ops : Mirror_daemon.Store.op list;
+      (** the complete daemon-store write history (same sourcing),
+          oldest first, for {!Mirror_daemon.Store.apply} into a
+          rebuilt pipeline store *)
 }
 
 type t
@@ -79,9 +79,11 @@ val mirror : t -> Mirror_core.Mirror.t
 val storage : t -> Mirror_core.Storage.t
 (** Shorthand for [Mirror.storage (mirror t)]. *)
 
-val store_journal : t -> string -> string -> unit
-(** Journal hook for the daemon pipeline's metadata store: pass as
-    [?journal] to {!Mirror_core.Mirror.build_image_library}. *)
+val store_journal : t -> Mirror_daemon.Store.op -> unit
+(** The daemon metadata store's write hook when this log is its
+    journal: logs each op as a [Store_op] record.  Pass as [?journal]
+    to {!Mirror_core.Mirror.build_image_library}; {!orchestrator}
+    installs it itself. *)
 
 val atomically : t -> (unit -> 'a) -> 'a
 (** Run the thunk with its journaled records buffered, then commit

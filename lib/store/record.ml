@@ -4,6 +4,9 @@ module Value = Mirror_core.Value
 module Parser = Mirror_core.Parser
 module Deadletter = Mirror_daemon.Deadletter
 module Dictionary = Mirror_daemon.Dictionary
+module Store = Mirror_daemon.Store
+module Segment = Mirror_mm.Segment
+module Autoclass = Mirror_mm.Autoclass
 
 type fab_route = {
   daemon : string;
@@ -18,7 +21,7 @@ type t =
   | Define of string * Types.t
   | Replace of string * Value.t list
   | Feedback of { query : string; judgements : (string * bool) list }
-  | Store_op of { tag : string; payload : string }
+  | Store_op of Store.op
   | Dict_op of Dictionary.op
   | Fab_route of fab_route
   | Fab_done of { daemon : string; seq : int }
@@ -35,9 +38,64 @@ type t =
 
 let add_int buf i = Buffer.add_int64_le buf (Int64.of_int i)
 
+let add_float buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
+
 let add_str buf s =
   add_int buf (String.length s);
   Buffer.add_string buf s
+
+let add_floats buf a =
+  add_int buf (Array.length a);
+  Array.iter (add_float buf) a
+
+let add_matrix buf m =
+  add_int buf (Array.length m);
+  Array.iter (add_floats buf) m
+
+let add_bag buf doc bag =
+  add_int buf doc;
+  add_int buf (List.length bag);
+  List.iter
+    (fun (w, tf) ->
+      add_str buf w;
+      add_float buf tf)
+    bag
+
+(* A store op: one sub-tag character, then its fields.  The thesaurus
+   travels as a bare rebuild marker ({!Store.op}). *)
+let add_store_op buf = function
+  | Store.O_doc (doc, url) ->
+    Buffer.add_char buf 'd';
+    add_int buf doc;
+    add_str buf url
+  | Store.O_segments (doc, segs) ->
+    Buffer.add_char buf 's';
+    add_int buf doc;
+    add_int buf (List.length segs);
+    List.iter
+      (fun { Segment.x; y; w; h } -> List.iter (add_int buf) [ x; y; w; h ])
+      segs
+  | Store.O_features (doc, space, vectors) ->
+    Buffer.add_char buf 'f';
+    add_int buf doc;
+    add_str buf space;
+    add_matrix buf vectors
+  | Store.O_model (space, m) ->
+    Buffer.add_char buf 'm';
+    add_str buf space;
+    add_int buf m.Autoclass.k;
+    add_floats buf m.Autoclass.weights;
+    add_matrix buf m.Autoclass.means;
+    add_matrix buf m.Autoclass.variances;
+    add_float buf m.Autoclass.loglik;
+    add_floats buf (Array.of_list m.Autoclass.loglik_trace)
+  | Store.O_text (doc, bag) ->
+    Buffer.add_char buf 't';
+    add_bag buf doc bag
+  | Store.O_visual (doc, words) ->
+    Buffer.add_char buf 'v';
+    add_bag buf doc words
+  | Store.O_thesaurus _ -> Buffer.add_char buf 'h'
 
 let add_atom buf = function
   | Atom.Int i ->
@@ -45,7 +103,7 @@ let add_atom buf = function
     add_int buf i
   | Atom.Flt f ->
     Buffer.add_char buf 'f';
-    Buffer.add_int64_le buf (Int64.bits_of_float f)
+    add_float buf f
   | Atom.Str s ->
     Buffer.add_char buf 's';
     add_str buf s
@@ -99,10 +157,9 @@ let rec encode r =
         add_str buf url;
         Buffer.add_char buf (if rel then '\001' else '\000'))
       judgements
-  | Store_op { tag; payload } ->
+  | Store_op op ->
     Buffer.add_char buf 'N';
-    add_str buf tag;
-    add_str buf payload
+    add_store_op buf op
   | Dict_op (Dictionary.Registered { name; schema; owner }) ->
     Buffer.add_string buf "Er";
     List.iter (add_str buf) [ name; schema; owner ]
@@ -138,7 +195,7 @@ let rec encode r =
       Buffer.add_char buf 'e';
       add_str buf st
     | Deadletter.Overflow -> Buffer.add_char buf 'o');
-    Buffer.add_int64_le buf (Int64.bits_of_float at)
+    add_float buf at
   | Fab_redeliver { daemon; seq } ->
     Buffer.add_char buf 'B';
     add_str buf daemon;
@@ -158,8 +215,10 @@ exception Bad of string
 
 type cursor = { src : string; mutable pos : int }
 
+(* [n > remaining], not [pos + n > length]: a length read from the
+   record may be near [max_int], where the sum wraps. *)
 let need c n =
-  if n < 0 || c.pos + n > String.length c.src then raise (Bad "truncated record")
+  if n < 0 || n > String.length c.src - c.pos then raise (Bad "truncated record")
 
 let read_char c =
   need c 1;
@@ -172,6 +231,12 @@ let read_int c =
   let v = Int64.to_int (String.get_int64_le c.src c.pos) in
   c.pos <- c.pos + 8;
   v
+
+let read_float c =
+  need c 8;
+  let bits = String.get_int64_le c.src c.pos in
+  c.pos <- c.pos + 8;
+  Int64.float_of_bits bits
 
 let read_str c =
   let n = read_int c in
@@ -197,14 +262,60 @@ let read_list c n f =
   let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (f c :: acc) in
   go n []
 
+let read_floats c = Array.of_list (read_list c (read_count c) read_float)
+let read_matrix c = Array.of_list (read_list c (read_count c) read_floats)
+
+let read_bag c =
+  let doc = read_int c in
+  let bag =
+    read_list c (read_count c) (fun c ->
+        let w = read_str c in
+        (w, read_float c))
+  in
+  (doc, bag)
+
+let read_store_op c =
+  match read_char c with
+  | 'd' ->
+    let doc = read_int c in
+    Store.O_doc (doc, read_str c)
+  | 's' ->
+    let doc = read_int c in
+    let segs =
+      read_list c (read_count c) (fun c ->
+          let x = read_int c in
+          let y = read_int c in
+          let w = read_int c in
+          let h = read_int c in
+          { Segment.x; y; w; h })
+    in
+    Store.O_segments (doc, segs)
+  | 'f' ->
+    let doc = read_int c in
+    let space = read_str c in
+    Store.O_features (doc, space, read_matrix c)
+  | 'm' ->
+    let space = read_str c in
+    let k = read_int c in
+    let weights = read_floats c in
+    let means = read_matrix c in
+    let variances = read_matrix c in
+    let loglik = read_float c in
+    let loglik_trace = Array.to_list (read_floats c) in
+    Store.O_model (space, { Autoclass.k; weights; means; variances; loglik; loglik_trace })
+  | 't' ->
+    let doc, bag = read_bag c in
+    Store.O_text (doc, bag)
+  | 'v' ->
+    let doc, words = read_bag c in
+    Store.O_visual (doc, words)
+  | 'h' -> Store.O_thesaurus None
+  | ch -> raise (Bad (Printf.sprintf "unknown store op %C" ch))
+
 let rec read_value c =
   match read_char c with
   | 'i' -> Value.Atom (Atom.Int (read_int c))
-  | 'f' ->
-    need c 8;
-    let bits = String.get_int64_le c.src c.pos in
-    c.pos <- c.pos + 8;
-    Value.Atom (Atom.Flt (Int64.float_of_bits bits))
+  | 'f' -> Value.Atom (Atom.Flt (read_float c))
   | 's' -> Value.Atom (Atom.Str (read_str c))
   | 'b' -> Value.Atom (Atom.Bool (read_bool c))
   | 'o' -> Value.Atom (Atom.Oid (read_int c))
@@ -248,10 +359,7 @@ let rec decode payload =
             (url, read_bool c))
       in
       Ok (Feedback { query; judgements })
-    | 'N' ->
-      let tag = read_str c in
-      let payload = read_str c in
-      Ok (Store_op { tag; payload })
+    | 'N' -> Ok (Store_op (read_store_op c))
     | 'E' -> (
       match read_char c with
       | 'r' ->
@@ -293,10 +401,8 @@ let rec decode payload =
         | 'o' -> Deadletter.Overflow
         | ch -> raise (Bad (Printf.sprintf "unknown dead-letter cause %C" ch))
       in
-      need c 8;
-      let bits = String.get_int64_le c.src c.pos in
-      c.pos <- c.pos + 8;
-      Ok (Fab_dead { daemon; seq; cause; at = Int64.float_of_bits bits })
+      let at = read_float c in
+      Ok (Fab_dead { daemon; seq; cause; at })
     | 'B' ->
       let daemon = read_str c in
       let seq = read_int c in
@@ -320,8 +426,18 @@ let describe = function
   | Replace (name, rows) -> Printf.sprintf "replace %s (%d rows)" name (List.length rows)
   | Feedback { query; judgements } ->
     Printf.sprintf "feedback %S (%d judgements)" query (List.length judgements)
-  | Store_op { tag; payload } ->
-    Printf.sprintf "store-op %s (%d bytes)" tag (String.length payload)
+  | Store_op (Store.O_doc (doc, url)) -> Printf.sprintf "store-op doc %d %S" doc url
+  | Store_op (Store.O_segments (doc, segs)) ->
+    Printf.sprintf "store-op segments doc %d (%d regions)" doc (List.length segs)
+  | Store_op (Store.O_features (doc, space, vectors)) ->
+    Printf.sprintf "store-op features %s doc %d (%d vectors)" space doc (Array.length vectors)
+  | Store_op (Store.O_model (space, m)) ->
+    Printf.sprintf "store-op model %s (k=%d)" space m.Autoclass.k
+  | Store_op (Store.O_text (doc, bag)) ->
+    Printf.sprintf "store-op text doc %d (%d terms)" doc (List.length bag)
+  | Store_op (Store.O_visual (doc, words)) ->
+    Printf.sprintf "store-op visual doc %d (%d words)" doc (List.length words)
+  | Store_op (Store.O_thesaurus _) -> "store-op thesaurus (rebuild)"
   | Dict_op (Dictionary.Registered { name; owner; _ }) ->
     Printf.sprintf "dict-op register %s by %s" name owner
   | Dict_op (Dictionary.Evolved { name; by; _ }) ->

@@ -4,7 +4,7 @@
     at the storage-manager level (extent DDL, whole-extent replacement
     — the copying DML discipline of {!Mirror_core.Storage} makes that
     the natural granularity), one relevance-feedback judgement, one
-    opaque daemon-store write, one data-dictionary change, or one step
+    daemon-store write, one data-dictionary change, or one step
     of the orchestrator's delivery state machine.  Redo is idempotent
     by construction: [Replace] carries the complete post-state of the extent, so
     applying a record twice (or applying it to a state that already
@@ -31,9 +31,11 @@ type t =
       (** Full new contents of an extent (load / insert / delete). *)
   | Feedback of { query : string; judgements : (string * bool) list }
       (** A {!Mirror_core.Mirror.give_feedback} call. *)
-  | Store_op of { tag : string; payload : string }
-      (** A daemon metadata-store write ({!Mirror_daemon.Store}
-          journal record), kept opaque here. *)
+  | Store_op of Mirror_daemon.Store.op
+      (** A daemon metadata-store write, as the store's write hook
+          reported it.  [O_thesaurus] is logged as a rebuild marker
+          and decodes to [O_thesaurus None] (see
+          {!Mirror_daemon.Store.op}). *)
   | Dict_op of Mirror_daemon.Dictionary.op
       (** A settled data-dictionary change (schema evolution). *)
   | Fab_route of fab_route

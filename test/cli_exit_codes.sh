@@ -2,7 +2,8 @@
 # Pin the exit codes of `mirror_cli daemons health|redeliver|deadletters`
 # on both delivery transports (in process and forked workers), check
 # that `--durable DIR` journals on both, and that the journal is the
-# durable store's one log (`deadletters` and `wal status` read it).
+# durable store's one log (`deadletters` and `wal status` read it), and
+# which commands take `--domains`.
 #
 #   usage: cli_exit_codes.sh PATH/TO/mirror_cli.exe
 #
@@ -58,6 +59,12 @@ done
 expect 3 daemons health --break annotation-indexer --procs 0 --durable "$tmp/one"
 expect 3 daemons deadletters --durable "$tmp/one"
 expect 0 wal status "$tmp/one"
+
+# --domains sizes the pool of a command that executes a plan; the
+# static ones (lint, plain explain) do not take it.
+expect 124 lint --domains 2
+expect 124 explain --domains 2 'count(R)'
+expect 0 explain analyze --domains 2 'count(R)'
 
 status=0
 for f in "$tmp"/fail.*; do

@@ -447,6 +447,37 @@ let test_catalog_round_trip () =
       (Catalog.names c));
   Sys.remove path
 
+(* A snapshot cut at a stanza boundary is a well-formed catalog with
+   entries missing; only the required footer tells it apart. *)
+let test_catalog_cut_at_stanza_refused () =
+  let c = Catalog.create () in
+  Catalog.put c "a" (bat_oi [ (0, 1); (1, 2) ]);
+  Catalog.put c "b" (bat_oi [ (0, 3) ]);
+  let path = Filename.temp_file "mirror" ".cat" in
+  Catalog.save_file c path;
+  let ic = open_in_bin path in
+  let src = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let rec stanza_starts i acc =
+    match String.index_from_opt src i '%' with
+    | Some j when j + 4 <= String.length src && String.sub src j 4 = "%bat" ->
+      stanza_starts (j + 1) (j :: acc)
+    | Some j -> stanza_starts (j + 1) acc
+    | None -> List.rev acc
+  in
+  let cut = List.nth (stanza_starts 0 []) 1 in
+  let oc = open_out_bin path in
+  output_string oc (String.sub src 0 cut);
+  close_out oc;
+  (match Catalog.load_file path with
+  | Ok c2 ->
+    Alcotest.failf "a cut snapshot loaded with entries [%s]"
+      (String.concat "; " (Catalog.names c2))
+  | Error e ->
+    Alcotest.(check bool) ("names the footer: " ^ e) true
+      (Mirror_util.Stringx.starts_with ~prefix:"snapshot is missing" e));
+  Sys.remove path
+
 (* {1 Mil executor} *)
 
 let mil_fixture () =
@@ -956,6 +987,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_catalog_basics;
           Alcotest.test_case "dump/load round-trip" `Quick test_catalog_round_trip;
+          Alcotest.test_case "a snapshot cut at a stanza boundary is refused" `Quick
+            test_catalog_cut_at_stanza_refused;
         ] );
       ( "mil",
         [

@@ -13,6 +13,7 @@
 module Durable = Mirror_store.Durable
 module Wal = Mirror_store.Wal
 module Faults = Mirror_daemon.Faults
+module Store = Mirror_daemon.Store
 module Mirror = Mirror_core.Mirror
 module Storage = Mirror_core.Storage
 module Eval = Mirror_core.Eval
@@ -359,6 +360,12 @@ let test_interior_truncation_detected () =
 
 (* {1 Feedback and daemon-store records} *)
 
+let store_op_history =
+  let describe op = Mirror_store.Record.describe (Mirror_store.Record.Store_op op) in
+  Alcotest.testable
+    (fun ppf ops -> Format.pp_print_string ppf (String.concat "; " (List.map describe ops)))
+    ( = )
+
 let test_feedback_and_store_ops_replayed () =
   with_temp_dir (fun dir ->
       (match Durable.open_ ~dir () with
@@ -371,7 +378,7 @@ let test_feedback_and_store_ops_replayed () =
           ];
         Mirror.give_feedback (Durable.mirror t) ~query:"sunset beach"
           ~judgements:[ ("img1", true); ("img2", false) ];
-        Durable.store_journal t "doc" "7 \"img7\"";
+        Durable.store_journal t (Store.O_doc (7, "img7"));
         Durable.abandon t);
       match Durable.open_ ~dir () with
       | Error e -> Alcotest.fail e
@@ -381,9 +388,8 @@ let test_feedback_and_store_ops_replayed () =
           "feedback replayed"
           [ ("sunset beach", [ ("img1", true); ("img2", false) ]) ]
           r.Durable.feedback;
-        Alcotest.(check (list (pair string string)))
-          "store ops replayed"
-          [ ("doc", "7 \"img7\"") ]
+        Alcotest.check store_op_history "store ops replayed"
+          [ Store.O_doc (7, "img7") ]
           r.Durable.store_ops;
         Durable.close t)
 
@@ -393,7 +399,6 @@ let test_feedback_and_store_ops_replayed () =
    here was: feedback, close (= checkpoint), open => empty history. *)
 
 let feedback_history = Alcotest.(list (pair string (list (pair string bool))))
-let store_op_history = Alcotest.(list (pair string string))
 
 let test_side_state_survives_checkpoint () =
   with_temp_dir (fun dir ->
@@ -407,7 +412,7 @@ let test_side_state_survives_checkpoint () =
           ];
         Mirror.give_feedback (Durable.mirror t) ~query:"before checkpoint"
           ~judgements:[ ("img1", true) ];
-        Durable.store_journal t "doc" "1 \"img1\"";
+        Durable.store_journal t (Store.O_doc (1, "img1"));
         ok (Durable.checkpoint t);
         Mirror.give_feedback (Durable.mirror t) ~query:"after checkpoint"
           ~judgements:[ ("img2", false) ];
@@ -430,7 +435,7 @@ let test_side_state_survives_checkpoint () =
             r.Durable.feedback;
           Alcotest.check store_op_history
             (Printf.sprintf "cycle %d: store-op history survives" cycle)
-            [ ("doc", "1 \"img1\"") ]
+            [ Store.O_doc (1, "img1") ]
             r.Durable.store_ops;
           Durable.close t
       done)
@@ -701,7 +706,7 @@ let test_fab_record_round_trips () =
           (* settlement batches nest arbitrary records *)
           Record.Fab_atomic
             [
-              Record.Store_op { tag = "text"; payload = "12 nasty\n\\payload" };
+              Record.Store_op (Store.O_text (12, [ ("nasty\n\\payload", 1.5) ]));
               Record.Fab_route (fab_route ~seq:9 ());
               Record.Fab_done { daemon = "thesaurus"; seq = 8 };
             ];
@@ -731,6 +736,212 @@ let test_fab_record_round_trips () =
       match Record.decode s with Ok _ | Error _ -> ())
     ("" :: "A" :: "Dgarbage" :: List.map Record.encode records
     |> List.map (fun s -> if s = "" then s else String.sub s 0 (String.length s - 1)))
+
+(* {1 Daemon-store records}
+
+   The daemon metadata store journals each write as the typed
+   [Store.op] its write hook received, in [Record]'s binary codec:
+   every float must come back with the same bits (NaN payloads and
+   signed zeros included) and every string byte for byte. *)
+
+let fbits f = Printf.sprintf "%Lx" (Int64.bits_of_float f)
+let render_floats a = String.concat "," (Array.to_list (Array.map fbits a))
+let render_matrix m = String.concat ";" (Array.to_list (Array.map render_floats m))
+
+let render_bag bag =
+  String.concat " " (List.map (fun (w, tf) -> Printf.sprintf "%S=%s" w (fbits tf)) bag)
+
+let render_segs segs =
+  String.concat " "
+    (List.map
+       (fun { Mirror_mm.Segment.x; y; w; h } -> Printf.sprintf "%d,%d,%d,%d" x y w h)
+       segs)
+
+let render_model (m : Mirror_mm.Autoclass.model) =
+  Printf.sprintf "k=%d w=%s mu=%s var=%s ll=%s trace=%s" m.k (render_floats m.weights)
+    (render_matrix m.means) (render_matrix m.variances) (fbits m.loglik)
+    (render_floats (Array.of_list m.loglik_trace))
+
+(* A rendering independent of the codec under test. *)
+let render_op = function
+  | Store.O_doc (doc, url) -> Printf.sprintf "doc %d %S" doc url
+  | Store.O_segments (doc, segs) -> Printf.sprintf "segs %d %s" doc (render_segs segs)
+  | Store.O_features (doc, space, v) -> Printf.sprintf "feats %d %S %s" doc space (render_matrix v)
+  | Store.O_model (space, m) -> Printf.sprintf "model %S %s" space (render_model m)
+  | Store.O_text (doc, bag) -> Printf.sprintf "text %d %s" doc (render_bag bag)
+  | Store.O_visual (doc, bag) -> Printf.sprintf "visual %d %s" doc (render_bag bag)
+  | Store.O_thesaurus None -> "thesaurus marker"
+  | Store.O_thesaurus (Some _) -> "thesaurus value"
+
+let nasty_floats =
+  [|
+    Float.nan;
+    Int64.float_of_bits 0x7ff8000000000abcL;
+    Int64.float_of_bits 0xfff8000000000001L;
+    -0.0;
+    0.0;
+    Float.ldexp 1.0 (-1074);
+    -.Float.ldexp 3.0 (-1070);
+    Float.infinity;
+    Float.neg_infinity;
+    Float.max_float;
+    1.0 /. 3.0;
+  |]
+
+let test_store_op_round_trips () =
+  let texts = "a \"quoted\" word" :: nasty_texts in
+  let bag = List.mapi (fun i w -> (w, nasty_floats.(i mod Array.length nasty_floats))) texts in
+  let model =
+    {
+      Mirror_mm.Autoclass.k = 2;
+      weights = nasty_floats;
+      means = [| nasty_floats; [||] |];
+      variances = [| [| 1e-300 |]; nasty_floats |];
+      loglik = Float.nan;
+      loglik_trace = Array.to_list nasty_floats;
+    }
+  in
+  let ops =
+    List.concat
+      [
+        List.mapi (fun i text -> Store.O_doc (i - 1, text)) texts;
+        [
+          Store.O_segments
+            ( 3,
+              [
+                { Mirror_mm.Segment.x = 0; y = 1; w = 2; h = 3 };
+                { x = max_int; y = min_int; w = -1; h = 1 };
+              ] );
+          Store.O_segments (4, []);
+          Store.O_features (5, "gabor", [| nasty_floats; [||]; [| -0.0 |] |]);
+          Store.O_features (6, "", [||]);
+          Store.O_text (8, bag);
+          Store.O_text (9, []);
+          Store.O_visual (10, bag);
+          Store.O_visual (11, []);
+          Store.O_thesaurus None;
+        ];
+        List.map (fun text -> Store.O_model (text, model)) texts;
+        List.map (fun text -> Store.O_features (7, text, [| nasty_floats |])) texts;
+      ]
+  in
+  List.iter
+    (fun op ->
+      let enc = Record.encode (Record.Store_op op) in
+      (match Record.decode enc with
+      | Ok (Record.Store_op op') ->
+        Alcotest.(check string) "store op round-trips bitwise" (render_op op) (render_op op')
+      | Ok r -> Alcotest.failf "%s decoded as %s" (render_op op) (Record.describe r)
+      | Error e -> Alcotest.failf "codec rejects %s: %s" (render_op op) e);
+      for k = 0 to String.length enc - 1 do
+        match Record.decode (String.sub enc 0 k) with
+        | Error _ -> ()
+        | Ok r ->
+          Alcotest.failf "a %d-byte prefix of %s decodes as %s" k (render_op op)
+            (Record.describe r)
+      done)
+    ops;
+  Alcotest.(check string) "describe names the kind and doc" "store-op visual doc 10 (2 words)"
+    (Record.describe (Record.Store_op (Store.O_visual (10, [ ("a", 1.0); ("b", 2.0) ]))));
+  (* the built thesaurus is logged as a rebuild marker *)
+  let th = Mirror_thesaurus.Concepts.build [] in
+  (match Record.decode (Record.encode (Record.Store_op (Store.O_thesaurus (Some th)))) with
+  | Ok (Record.Store_op (Store.O_thesaurus None)) -> ()
+  | _ -> Alcotest.fail "a thesaurus op must decode to the rebuild marker");
+  (* lengths and counts near max_int are refused, not trusted *)
+  let int64 i =
+    let b = Buffer.create 8 in
+    Buffer.add_int64_le b (Int64.of_int i);
+    Buffer.contents b
+  in
+  List.iter
+    (fun junk ->
+      match Record.decode junk with
+      | Error _ -> ()
+      | Ok r -> Alcotest.failf "junk decodes as %s" (Record.describe r))
+    [
+      "N";
+      "Nz";
+      "Nd" ^ int64 1 ^ int64 max_int;
+      "Nf" ^ int64 1 ^ int64 max_int;
+      "Nf" ^ int64 1 ^ int64 0 ^ int64 max_int;
+      "Ns" ^ int64 1 ^ int64 (max_int - 3);
+      "Nh" ^ "x";
+    ]
+
+(* Every read of the daemon store, floats as their bits. *)
+let render_store st =
+  let per_doc doc =
+    [
+      Printf.sprintf "doc %d %s" doc
+        (Option.fold ~none:"-" ~some:(Printf.sprintf "%S") (Store.url_of st doc));
+      Printf.sprintf "  segs %s" (Option.fold ~none:"-" ~some:render_segs (Store.segments st ~doc));
+      Printf.sprintf "  text %s" (Option.fold ~none:"-" ~some:render_bag (Store.text st ~doc));
+      Printf.sprintf "  visual %s" (render_bag (Store.visual_words st ~doc));
+    ]
+    @ List.map
+        (fun space ->
+          Printf.sprintf "  %s %s" space
+            (Option.fold ~none:"-" ~some:render_matrix (Store.features st ~doc ~space)))
+        (Store.feature_spaces st)
+  in
+  List.concat_map per_doc (Store.docs st)
+  @ [ "spaces " ^ String.concat "," (Store.feature_spaces st) ]
+  @ List.map
+      (fun space ->
+        Printf.sprintf "model %s %s" space
+          (Option.fold ~none:"-" ~some:render_model (Store.model st ~space)))
+      (Store.clustered_spaces st)
+  @ List.map
+      (fun space ->
+        Printf.sprintf "all %s %d" space (List.length (Store.all_features st ~space)))
+      (Store.feature_spaces st)
+  @ [
+      "concepts "
+      ^ Option.fold ~none:"-"
+          ~some:(fun th -> String.concat "," (Mirror_thesaurus.Concepts.concepts th))
+          (Store.thesaurus st);
+    ]
+
+(* The §5 library built against a durable store, then the store
+   abandoned as a crash would leave it: the metadata store that
+   [Durable.orchestrator] rebuilds from the log must answer every read
+   exactly as the live one did — the thesaurus rebuilt from the
+   evidence logged ahead of its marker. *)
+let test_image_library_store_reopens_bitwise () =
+  with_temp_dir @@ fun dir ->
+  let scenes =
+    Mirror_mm.Synth.corpus (Prng.create 11) ~n:4 ~width:24 ~height:24 ~annotated_fraction:0.75 ()
+  in
+  let d, _ = ok (Durable.open_ ~dir ()) in
+  (* The hook sees each op the pipeline's authoritative store applied,
+     in order, so applying them to a hookless store yields that store. *)
+  let live = Store.create () in
+  let journal op =
+    Durable.store_journal d op;
+    Store.apply live op
+  in
+  ignore (ok (Mirror.build_image_library (Durable.mirror d) ~journal ~scenes ()));
+  let m = Durable.mirror d in
+  Alcotest.(check bool) "the live store holds the library" true (List.length (Store.docs live) = 4);
+  List.iter
+    (fun doc ->
+      let url = Option.get (Store.url_of live doc) in
+      Alcotest.(check string)
+        ("library visual bag of " ^ url)
+        (render_bag (Mirror.visual_bag m url))
+        (render_bag (Store.visual_words live ~doc)))
+    (Store.docs live);
+  Alcotest.(check bool) "a thesaurus was built" true (Store.thesaurus live <> None);
+  Durable.abandon d;
+  let d2, r = ok (Durable.open_ ~dir ()) in
+  Alcotest.(check bool) "the store history was replayed" true (r.Durable.store_ops <> []);
+  let orch = ok (Durable.orchestrator d2) in
+  let rebuilt = (Mirror_daemon.Orchestrator.ctx orch).Mirror_daemon.Daemon.store in
+  Alcotest.(check (list string)) "every read matches" (render_store live) (render_store rebuilt);
+  Alcotest.(check bool) "thesaurus equal" true (Store.thesaurus rebuilt = Store.thesaurus live);
+  Alcotest.(check bool) "evidence equal" true (Store.evidence rebuilt = Store.evidence live);
+  Mirror_daemon.Orchestrator.shutdown orch
 
 (* Truncate the journal's live segment at every byte offset: recovery
    must always land on a prefix of the delivery history — both letters
@@ -901,6 +1112,12 @@ let () =
             test_fab_record_round_trips;
           Alcotest.test_case "dead letter survives a torn tail at every offset"
             `Quick test_fab_dead_letter_torn_tail;
+        ] );
+      ( "store-journal",
+        [
+          Alcotest.test_case "store ops round-trip bitwise" `Quick test_store_op_round_trips;
+          Alcotest.test_case "a reopened image-library store equals the live one" `Quick
+            test_image_library_store_reopens_bitwise;
         ] );
       ( "fuzz",
         [ Alcotest.test_case "500-seed crash fuzzer" `Slow test_crash_fuzz ] );
