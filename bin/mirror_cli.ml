@@ -124,7 +124,7 @@ let storage_for db =
   match db with
   | None -> Corpus.storage ()
   | Some dir -> (
-    match Mirror_core.Persist.load ~dir with
+    match Mirror_store.Snapshot.load ~dir with
     | Ok st -> st
     | Error e -> failwith (Printf.sprintf "cannot load database %s: %s" dir e))
 
@@ -276,13 +276,13 @@ let handle_line mref line =
       (Catalog.names (Storage.catalog (Mirror.storage m)))
   else if Mirror_util.Stringx.starts_with ~prefix:".save " line then begin
     let dir = String.trim (String.sub line 6 (String.length line - 6)) in
-    match Mirror_core.Persist.save (Mirror.storage m) ~dir with
+    match Mirror_store.Snapshot.save (Mirror.storage m) ~dir with
     | Ok () -> Printf.printf "saved to %s\n" dir
     | Error e -> Printf.printf "error: %s\n" e
   end
   else if Mirror_util.Stringx.starts_with ~prefix:".load " line then begin
     let dir = String.trim (String.sub line 6 (String.length line - 6)) in
-    match Mirror_core.Persist.load ~dir with
+    match Mirror_store.Snapshot.load ~dir with
     | Ok st ->
       mref := Mirror.of_storage st;
       Printf.printf "loaded %d extent(s) from %s\n"

@@ -175,9 +175,6 @@ module VEC = struct
       |> vec_value
     | _ -> failwith "VEC: malformed bundle"
 
-  let restore _env ~recurse:_ ~path ~ty_args:_ =
-    bundle [ Mil.Get (path ^ "#in"); Mil.Get (path ^ "#dim"); Mil.Get (path ^ "#val") ]
-
   let foreign_ops = []
 
   (* Sound defaults for the Moa-level analyzer: claim nothing about

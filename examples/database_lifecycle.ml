@@ -11,7 +11,7 @@
    Run with:  dune exec examples/database_lifecycle.exe *)
 
 module Mirror = Mirror_core.Mirror
-module Persist = Mirror_core.Persist
+module Snapshot = Mirror_store.Snapshot
 module Storage = Mirror_core.Storage
 module Value = Mirror_core.Value
 
@@ -78,10 +78,10 @@ let () =
            count(Notes);\n\
            map[tuple(id: THIS.id, score: sum(getBL(THIS.body, {'mirror'}, stats)))](Notes);"));
 
-  (* persistence: two human-readable files *)
+  (* persistence: one snapshot file, in the write-ahead log's own records *)
   let dir = Filename.temp_file "mirror" ".db" in
   Sys.remove dir;
-  ok (Persist.save (Mirror.storage m) ~dir);
+  ok (Snapshot.save (Mirror.storage m) ~dir);
   Printf.printf "\n-- saved to %s --\n" dir;
   List.iter
     (fun f ->
@@ -92,7 +92,7 @@ let () =
       Printf.printf "  %s (%d bytes)\n" f size)
     (Array.to_list (Sys.readdir dir));
 
-  let m2 = Mirror.of_storage (ok (Persist.load ~dir)) in
+  let m2 = Mirror.of_storage (ok (Snapshot.load ~dir)) in
   print_endline "\n-- reloaded; statistics and index survive --";
   show_outcomes
     (ok

@@ -1,10 +1,14 @@
-(** The BAT catalog: the kernel's persistent name space.
+(** The BAT catalog: the kernel's name space.
 
     Every materialised extent, statistics table and index lives here
     under a hierarchical name such as ["ImageLibrary#in"] or
     ["ImageLibrary/annotation@stats/df"].  Plans refer to catalog
     entries by name ({!Mil.Get}), which is what decouples the logical
-    algebra from physical storage. *)
+    algebra from physical storage.
+
+    A catalog is derived state and is never written out: a saved or
+    checkpointed database holds the logical rows, and reopening it
+    materialises every BAT again (see [Mirror_store.Snapshot]). *)
 
 type t
 (** A mutable catalog. *)
@@ -49,18 +53,3 @@ val cardinality : t -> int
 val total_rows : t -> int
 (** Sum of row counts over all entries (storage-size proxy used in
     reports). *)
-
-val parse : string -> (t, string) result
-(** Parse a snapshot produced by {!save_file}.  The trailing [%crc]
-    integrity footer is required and verified first: a missing footer
-    (a file cut short, even at a stanza boundary) or a checksum
-    mismatch is an error. *)
-
-val save_file : t -> string -> unit
-(** Atomically snapshot to a file path: a textual rendering of every
-    entry plus a [%crc] integrity footer is written to
-    [path ^ ".tmp"] and renamed over [path], so a crash mid-write
-    never clobbers the previous snapshot. *)
-
-val load_file : string -> (t, string) result
-(** {!parse} a file written by {!save_file}. *)

@@ -238,72 +238,6 @@ module E = struct
         (List.map (fun o -> (Atom.as_string (term o), Atom.as_float (tf o))) (members ctx_p ctx))
     | _ -> invalid_arg "CONTREP.reify: malformed bundle"
 
-  let restore env ~recurse:_ ~path ~ty_args:_ =
-    let cat = env.Extension.catalog in
-    let get suffix =
-      match Mirror_bat.Catalog.find cat (path ^ suffix) with
-      | Some b -> b
-      | None -> failwith (Printf.sprintf "CONTREP.restore: missing catalog entry %s%s" path suffix)
-    in
-    let occ_ctx = get "#ctx" and occ_term = get "#term" and occ_tf = get "#tf" in
-    let len = get "#len" and n = Bat.count occ_ctx in
-    if Bat.count occ_term <> n || Bat.count occ_tf <> n then
-      failwith (Printf.sprintf "CONTREP.restore: %s#term or #tf is not aligned with #ctx" path);
-    (* A loaded catalog gives every BAT its own head column.  Once the
-       three occurrence head columns are known equal, #term and #tf
-       are rebound over #ctx's, so the index below applies to the
-       loaded store as it does to a materialised one.  Rebinding
-       journals nothing: the rows are unchanged. *)
-    let heads = Bat.head occ_ctx in
-    let share suffix b =
-      if not (Column.equal (Bat.head b) heads) then begin
-        let present = Hashtbl.create n in
-        Array.iter (fun o -> Hashtbl.replace present o ()) (Column.oid_exn (Bat.head b));
-        match Array.find_opt (fun o -> not (Hashtbl.mem present o)) (Column.oid_exn heads) with
-        | Some o ->
-          (* the reifier's words for the same damage *)
-          failwith
-            (Printf.sprintf "CONTREP.restore: %s%s: reify: no value for context @%d" path suffix o)
-        | None ->
-          failwith
-            (Printf.sprintf "CONTREP.restore: %s%s rows are not in #ctx's occurrence order" path
-               suffix)
-      end;
-      let b = Bat.make heads (Bat.tail b) in
-      Mirror_bat.Catalog.put cat (path ^ suffix) b;
-      b
-    in
-    let occ_term = share "#term" occ_term and occ_tf = share "#tf" occ_tf in
-    (* Rebuild the statistics space by replaying the documents in
-       context order (first appearance), then the inverted index. *)
-    let space = env.Extension.space_create path in
-    let order = ref [] in
-    let bags : (int, (string * float) list) Hashtbl.t = Hashtbl.create 64 in
-    for i = 0 to n - 1 do
-      let ctx = Atom.as_oid (Bat.tail_at occ_ctx i) in
-      let term = Atom.as_string (Bat.tail_at occ_term i) in
-      let tf = Atom.as_float (Bat.tail_at occ_tf i) in
-      (match Hashtbl.find_opt bags ctx with
-      | Some bag -> Hashtbl.replace bags ctx ((term, tf) :: bag)
-      | None ->
-        Hashtbl.add bags ctx [ (term, tf) ];
-        order := ctx :: !order)
-    done;
-    (* contexts with an empty representation appear only in #len *)
-    Bat.iter
-      (fun ctx _ ->
-        let c = Atom.as_oid ctx in
-        if not (Hashtbl.mem bags c) then begin
-          Hashtbl.add bags c [];
-          order := c :: !order
-        end)
-      len;
-    List.iter
-      (fun ctx -> ignore (Space.add_doc space ~doc:ctx (List.rev (Hashtbl.find bags ctx))))
-      (List.rev !order);
-    Mirror_ir.Search.index_occurrences space ~occ_ctx ~occ_term ~occ_tf ~len;
-    stored path
-
   (* Metrics wrapper shared by both belief operators: count calls and
      produced rows, and record wall-time per call as a histogram.  The
      clock is only read when the registry is enabled. *)

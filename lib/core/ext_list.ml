@@ -175,21 +175,6 @@ module E = struct
       |> Value.vlist
     | _ -> invalid_arg "LIST.reify: malformed bundle"
 
-  let restore env ~recurse ~path ~ty_args =
-    let elem_ty = match ty_args with [ t ] -> t | _ -> failwith "LIST.restore: bad type args" in
-    List.iter
-      (fun suffix ->
-        if not (Mirror_bat.Catalog.mem env.Extension.catalog (path ^ suffix)) then
-          failwith (Printf.sprintf "LIST.restore: missing catalog entry %s%s" path suffix))
-      [ "#in"; "#pos" ];
-    Shape.Xstruct
-      {
-        ext = name;
-        meta = [];
-        bats = [ Mil.Get (path ^ "#in"); Mil.Get (path ^ "#pos") ];
-        subs = [ recurse ~path:(path ^ "#el") ~ty:elem_ty ];
-      }
-
   let foreign_ops = []
 
   let op_envelope ~op ~args ~ty ~top =

@@ -69,17 +69,6 @@ module type S = sig
     ctx:int ->
     Value.t
 
-  val restore :
-    store_env ->
-    recurse:(path:string -> ty:Types.t -> planshape) ->
-    path:string ->
-    ty_args:Types.t list ->
-    planshape
-  (** Rebuild the plan shape (and any side state, e.g. statistics
-      spaces and inverted indexes) for a structure previously written
-      by {!materialize} under [path], reading back from the catalog in
-      [store_env].  Used when loading a persisted database. *)
-
   val foreign_ops : (string * foreign) list
 
   val op_envelope :

@@ -123,17 +123,6 @@ module type S = sig
       the tail of [bat]'s first row with head [o], and fails with
       ["reify: no value for context @o"] when there is none. *)
 
-  val restore :
-    store_env ->
-    recurse:(path:string -> ty:Types.t -> planshape) ->
-    path:string ->
-    ty_args:Types.t list ->
-    planshape
-  (** Rebuild the plan shape (and any side state, e.g. statistics
-      spaces and inverted indexes) for a structure previously written
-      by {!materialize} under [path], reading back from the catalog in
-      [store_env].  Used when loading a persisted database. *)
-
   val foreign_ops : (string * foreign) list
   (** Physical operators this extension contributes to the kernel
       (dispatched from {!Mirror_bat.Mil.Foreign} nodes), each declared

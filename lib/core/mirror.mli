@@ -20,7 +20,7 @@ val create : unit -> t
 
 val of_storage : Storage.t -> t
 (** Wrap an existing storage manager (e.g. one loaded with
-    {!Persist.load}).  Demo-application state (thesaurus, adaptation,
+    {!Mirror_store.Snapshot.load}).  Demo-application state (thesaurus, adaptation,
     URL maps) starts empty — it is session state, not database
     state. *)
 

@@ -40,7 +40,6 @@ let create () =
 let catalog t = t.cat
 let set_journal t j = t.journal <- j
 let jlog t r = match t.journal with None -> () | Some f -> f r
-let store_base t = t.next_store
 
 let fresh_store t n =
   let base = t.next_store in
@@ -267,51 +266,6 @@ let load t ~name rows =
       jlog t (J_replace (name, rows));
       oids)
     (load_unlogged t ~name rows)
-
-(* Restore path: rebuild an extent's plan shape from the catalog's
-   deterministic naming (the dual of [materialize]); extension
-   structures rebuild their side state through their [restore] hook. *)
-let rec restore_shape t ~path ~ty : Extension.planshape =
-  let need name =
-    if not (Catalog.mem t.cat name) then
-      invalid_arg (Printf.sprintf "restore: missing catalog entry %S" name)
-  in
-  match ty with
-  | Types.Atomic _ ->
-    need path;
-    Shape.Atomic (Mil.Get path)
-  | Types.Tuple fields ->
-    Shape.Tuple
-      (List.map (fun (l, fty) -> (l, restore_shape t ~path:(path ^ "/" ^ l) ~ty:fty)) fields)
-  | Types.Set elem_ty ->
-    need (path ^ "#in");
-    Shape.Set
-      { link = Mil.Get (path ^ "#in"); elem = restore_shape t ~path:(path ^ "#el") ~ty:elem_ty }
-  | Types.Xt (name, ty_args) ->
-    let (module E : Extension.S) = Extension.find_exn name in
-    E.restore (store_env t)
-      ~recurse:(fun ~path ~ty -> restore_shape t ~path ~ty)
-      ~path ~ty_args
-
-let define_restored t ~name ty =
-  match define_raw t ~name ty with
-  | Error _ as e -> e
-  | Ok () -> (
-    let extent = Hashtbl.find t.exts name in
-    match restore_shape t ~path:name ~ty with
-    | shape ->
-      extent.shape <- Some shape;
-      Ok shape
-    | exception Invalid_argument msg | exception Failure msg ->
-      Hashtbl.remove t.exts name;
-      Error msg)
-
-let set_rows t ~name rows =
-  match Hashtbl.find_opt t.exts name with
-  | None -> invalid_arg (Printf.sprintf "Storage.set_rows: unknown extent %S" name)
-  | Some extent -> extent.rows <- Some rows
-
-let bump_store_base t oid = if oid >= t.next_store then t.next_store <- oid + 1
 
 (* A freshly-defined extent is immediately queryable as the empty set. *)
 let define t ~name ty =

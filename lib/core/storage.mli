@@ -88,23 +88,6 @@ val of_snapshot : snapshot -> t
     never journals and its query-base allocator is private; use it for
     reads — defining or loading through it affects only the view. *)
 
-(** {1 Restore (persisted databases — see {!Persist})} *)
-
-val define_restored : t -> name:string -> Types.t -> (Extension.planshape, string) result
-(** Register an extent whose BATs are already present in the catalog
-    (following the deterministic materialisation naming) and rebuild
-    its plan shape; extension structures rebuild side state (statistics
-    spaces, indexes) through their [restore] hook.  The logical rows
-    are not recovered here — reify them and call {!set_rows}. *)
-
-val set_rows : t -> name:string -> Value.t list -> unit
-(** Attach the logical rows of a restored extent (the naive evaluator's
-    view). *)
-
-val bump_store_base : t -> int -> unit
-(** Ensure future storage oids are allocated above the given oid (call
-    with the largest oid found in a loaded catalog). *)
-
 (** {1 Durability journal (see {!Mirror_store.Durable})} *)
 
 type journal_record =
@@ -116,10 +99,7 @@ type journal_record =
 
 val set_journal : t -> (journal_record -> unit) option -> unit
 (** Install (or clear) the journal hook.  It fires after a mutation
-    has applied cleanly; the restore path ({!define_restored},
-    {!set_rows}) never journals. *)
-
-val store_base : t -> int
-(** Current storage-oid allocator position.  Checkpoints persist it so
-    a recovered database allocates the same oids as the original run
-    (the catalog alone under-approximates it after deletes). *)
+    has applied cleanly.  Replaying the records it reported, in order,
+    into an empty storage manager ({!define}, then {!load} with each
+    record's rows) rebuilds the same extents: that is how a snapshot
+    or a log is read back ({!Mirror_store.Snapshot}). *)

@@ -46,7 +46,7 @@ val belief : t -> tf:float -> term:int -> float -> float
 (** {1 Physical index}
 
     The storage manager attaches an inverted index to the space when it
-    materialises or restores the CONTREP occurrences.  The index is
+    materialises the CONTREP occurrences.  The index is
     keyed by the physical identity of the occurrence BATs' shared head
     column and of the length BAT's columns, so physical operators can
     recognise "I was handed the unfiltered base representation" and

@@ -1,5 +1,4 @@
 module Storage = Mirror_core.Storage
-module Persist = Mirror_core.Persist
 module Mirror = Mirror_core.Mirror
 module Plancheck = Mirror_core.Plancheck
 module Expr = Mirror_core.Expr
@@ -34,13 +33,13 @@ type recovery = {
 
 type dead = { route : Record.fab_route; cause : Deadletter.cause; at : float }
 
-(* What the log holds beyond Storage: [Persist.save] captures schema
-   and catalog only, so everything else a record changes lives here —
-   the Feedback/Store_op/Dict_op history (whose effects sit in session
-   side state: [Mirror.t.adapt], the daemon store, the dictionary) and
-   the delivery state machine's pending and dead-letter sets.  Every
-   snapshot carries all of it in its side-state file, so checkpoint GC
-   never deletes the only copy. *)
+(* What the log holds beyond Storage: a snapshot rebuilds the extents
+   from one [Define] and one [Replace] each, so everything else a
+   record changes lives here — the Feedback/Store_op/Dict_op history
+   (whose effects sit in session side state: [Mirror.t.adapt], the
+   daemon store, the dictionary) and the delivery state machine's
+   pending and dead-letter sets.  Every snapshot carries all of it
+   after its extents, so checkpoint GC never deletes the only copy. *)
 type state = {
   mutable side : Record.t list;  (* Feedback/Store_op/Dict_op history, newest first *)
   pending : (string * int, Record.fab_route) Hashtbl.t;
@@ -94,15 +93,12 @@ let read_file path =
 
 (* {1 The CHECKPOINT metadata file}
 
-   Three [key value] lines plus a [%crc] footer; written to a temp
-   file and renamed, which is the commit point of the whole checkpoint
+   Two [key value] lines plus a [%crc] footer; written to a temp file
+   and renamed, which is the commit point of the whole checkpoint
    protocol. *)
 
-let meta_body ~snap ~lsn ~next_store =
-  Printf.sprintf "snap %s\nlsn %d\nnext_store %d\n" snap lsn next_store
-
-let write_meta dir ~snap ~lsn ~next_store =
-  let body = meta_body ~snap ~lsn ~next_store in
+let write_meta dir ~snap ~lsn =
+  let body = Printf.sprintf "snap %s\nlsn %d\n" snap lsn in
   let tmp = meta_file dir ^ ".tmp" in
   let oc = open_out tmp in
   Fun.protect
@@ -143,22 +139,22 @@ let read_meta dir =
     in
     let* snap = field "snap" in
     let* lsn = field "lsn" in
-    let* next_store = field "next_store" in
-    (match (int_of_string_opt lsn, int_of_string_opt next_store) with
-    | Some lsn, Some next_store -> Ok (snap, lsn, next_store)
-    | _ -> Error "CHECKPOINT has non-numeric fields")
+    match int_of_string_opt lsn with
+    | Some lsn -> Ok (snap, lsn)
+    | None -> Error "CHECKPOINT has a non-numeric lsn"
 
 (* {1 The one transition function}
 
    [apply ~redo st r] interprets a record against the side state.  The
-   live path and both replay sources (a snapshot's side state, the log
-   suffix) go through it, which is what makes "recovery reconstructs
-   the journaled state exactly" structural rather than hoped-for.
-   Records whose effect lives in the database itself (Define, Replace,
-   and Feedback's adaptation) are also handed to [redo]: a no-op on
-   the live path, where the effect has already happened.  An
-   inconsistent transition (a dead letter for an unknown delivery)
-   means a corrupt or foreign log: fail loudly. *)
+   live path and both replay sources (the snapshot, the log suffix) go
+   through it, which is what makes "recovery reconstructs the
+   journaled state exactly" structural rather than hoped-for.  Records
+   whose effect lives in the database itself (Define, Replace, and
+   Feedback's adaptation) are also handed to [redo] — on recovery
+   {!Snapshot.redo}, a no-op on the live path, where the effect has
+   already happened.  An inconsistent transition (a dead letter for an
+   unknown delivery, a snapshot's end marker) means a corrupt or
+   foreign log: fail loudly. *)
 let rec apply ~redo st r =
   match r with
   | Record.Define _ | Record.Replace _ -> redo r
@@ -194,72 +190,41 @@ let rec apply ~redo st r =
       Hashtbl.replace st.pending (daemon, seq) { d.route with Record.attempts = 0 };
       Ok ()
     | None -> Error (Printf.sprintf "redeliver of unknown dead letter #%d @ %s" seq daemon))
+  | Record.End _ -> Error "an end-of-snapshot marker outside a snapshot"
 
 let no_redo (_ : Record.t) = Ok ()
 
 let sorted_bindings tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
 
-(* {1 The snapshot side-state file}
+(* {1 The snapshot}
 
-   [side.log] inside each snapshot directory: WAL-framed records,
-   written and fsynced before the snapshot rename, hence covered by
-   the CHECKPOINT commit point.  It holds the side history, oldest
-   first, then the delivery state as the records that rebuild it — a
+   One file per checkpoint, [snap.<lsn>] ({!Snapshot}): the extents as
+   [Define]/[Replace] records, then the side history, oldest first,
+   then the delivery state as the records that rebuild it — a
    [Fab_route] per pending delivery, a [Fab_route] and [Fab_dead] per
-   dead letter — read back through {!apply} like any log suffix. *)
+   dead letter.  Recovery reads it back through {!apply} like any log
+   suffix. *)
 
-let side_file snap_dir = Filename.concat snap_dir "side.log"
-
-let side_records st =
-  List.rev st.side
+let snapshot_records stor st =
+  Snapshot.of_storage stor
+  @ List.rev st.side
   @ List.map (fun (_, fr) -> Record.Fab_route fr) (sorted_bindings st.pending)
   @ List.concat_map
       (fun ((daemon, seq), d) ->
         [ Record.Fab_route d.route; Record.Fab_dead { daemon; seq; cause = d.cause; at = d.at } ])
       (sorted_bindings st.dead)
 
-let write_side snap_dir st =
-  let oc = open_out_bin (side_file snap_dir) in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter (fun r -> output_bytes oc (Wal.frame (Record.encode r))) (side_records st);
-      Fsx.fsync_out oc)
-
-let read_side snap_dir ~redo st =
-  match read_file (side_file snap_dir) with
-  | exception Sys_error _ when not (Sys.file_exists (side_file snap_dir)) ->
-    (* a bare [Persist.save] snapshot (no durable session) has no side
-       state; the file is present, if empty, on every snapshot this
-       module writes *)
-    Ok ()
-  | exception Sys_error e -> Error ("snapshot side state: " ^ e)
-  | src ->
-    Result.map_error
-      (fun e -> "snapshot side state: " ^ e)
-      (let* frames = Wal.parse_frames src in
-       List.fold_left
-         (fun acc payload ->
-           let* () = acc in
-           let* r = Record.decode payload in
-           match r with
-           | Record.Define _ | Record.Replace _ -> Error "holds a storage record"
-           | _ -> apply ~redo st r)
-         (Ok ()) frames)
-
 (* {1 Checkpointing}
 
    Protocol (each step bracketed by a crash point):
-   1. write the snapshot — Storage via [Persist.save] plus the
-      side-state file — into [snap.<lsn>.tmp], fsync, and rename it in
-      place;
+   1. write the snapshot — the extents plus the side state — into
+      [snap.<lsn>.tmp], fsync, and rename it in place;
    2. write CHECKPOINT.tmp (fsynced) and rename it over CHECKPOINT,
       then fsync the directory — the commit;
    3. delete old snapshots and every log segment, oldest first (every
-      logged record is now covered by the snapshot — storage records
-      by the [Persist.save] state, the rest by [side.log] — and
-      oldest-first keeps any crash remnant a contiguous suffix the
-      replayer accepts);
+      logged record is now covered by the snapshot, and oldest-first
+      keeps any crash remnant a contiguous suffix the replayer
+      accepts);
    4. start a fresh segment at [lsn + 1].
    A crash before 2 leaves the previous checkpoint authoritative; a
    crash after 2 leaves at worst orphan files that the next
@@ -270,15 +235,12 @@ let commit_checkpoint ~dir ~wal_config ~stor ~st ~lsn ~old_wal =
   let snap = snap_name lsn in
   let snap_path = Filename.concat dir snap in
   let tmp = snap_path ^ ".tmp" in
-  rm_rf tmp;
-  let* () = Persist.save stor ~dir:tmp in
-  write_side tmp st;
+  Snapshot.write tmp (snapshot_records stor st);
   Faults.crash_hit "checkpoint.snapshot";
-  if Sys.file_exists snap_path then rm_rf snap_path;
   Sys.rename tmp snap_path;
   Fsx.fsync_dir dir;
   Faults.crash_hit "checkpoint.rename";
-  let meta_tmp = write_meta dir ~snap ~lsn ~next_store:(Storage.store_base stor) in
+  let meta_tmp = write_meta dir ~snap ~lsn in
   Faults.crash_hit "checkpoint.meta";
   Sys.rename meta_tmp (meta_file dir);
   (* the durable commit point: only after this fsync may anything the
@@ -299,7 +261,7 @@ let commit_checkpoint ~dir ~wal_config ~stor ~st ~lsn ~old_wal =
     (fun (_, path) -> try Sys.remove path with Sys_error _ -> ())
     (Wal.segments ~dir:(wal_dir dir));
   Faults.crash_hit "checkpoint.gc";
-  Ok (Wal.create ~config:wal_config ~dir:(wal_dir dir) ~start_lsn:(lsn + 1) (), lsn)
+  (Wal.create ~config:wal_config ~dir:(wal_dir dir) ~start_lsn:(lsn + 1) (), lsn)
 
 let checkpoint t =
   if t.closed then Error "durable store is closed"
@@ -329,8 +291,7 @@ let checkpoint t =
         | exception e ->
           ignore (fin (Error ""));
           raise e
-        | Error _ as e -> fin e
-        | Ok (wal, lsn) ->
+        | wal, lsn ->
           t.wal_hist <- Wal.add_stats t.wal_hist (Wal.stats t.wal);
           t.wal <- wal;
           t.checkpoint_lsn <- lsn;
@@ -420,11 +381,19 @@ let recovery_of st ~replayed ~wal_end =
         hist;
   }
 
-(* Rebuild the side state of the snapshot [snap] (covering the log up
-   to [lsn]) plus the log suffix.  Read-only. *)
+(* Replay the snapshot [snap] (covering the log up to [lsn]), then the
+   log suffix, through {!apply}: the side state is rebuilt here, the
+   database by [redo].  Reads the directory, writes nothing. *)
 let replay_dir ~dir ~snap ~lsn ~redo =
   let st = fresh_state () in
-  let* () = read_side (Filename.concat dir snap) ~redo st in
+  let* records = Snapshot.read (Filename.concat dir snap) in
+  let* () =
+    List.fold_left
+      (fun acc r ->
+        let* () = acc in
+        Result.map_error (Printf.sprintf "snapshot %s: %s" snap) (apply ~redo st r))
+      (Ok ()) records
+  in
   let replayed = ref 0 in
   let apply_err = ref None in
   let f rec_lsn payload =
@@ -473,31 +442,22 @@ let init_fresh ~dir ~(config : config) =
   | true -> if not (Sys.is_directory dir) then failwith (dir ^ " is not a directory"));
   let mir = Mirror.create () in
   let st = fresh_state () in
-  let* wal, lsn =
+  let wal, lsn =
     commit_checkpoint ~dir ~wal_config:config.wal ~stor:(Mirror.storage mir) ~st ~lsn:0
       ~old_wal:None
   in
   Ok (mk dir config mir st wal ~checkpoint_lsn:lsn, recovery_of st ~replayed:0 ~wal_end:Wal.Clean)
 
+(* Recovery is redo from nothing: an empty database, the snapshot's
+   records, then the log suffix, all through one [redo]. *)
 let recover ~dir ~(config : config) =
-  let* snap, lsn, next_store = read_meta dir in
-  let* stor =
-    Result.map_error
-      (fun e -> Printf.sprintf "snapshot %s: %s" snap e)
-      (Persist.load ~dir:(Filename.concat dir snap))
-  in
-  Storage.bump_store_base stor (next_store - 1);
-  let mir = Mirror.of_storage stor in
+  let* snap, lsn = read_meta dir in
+  let mir = Mirror.create () in
+  let stor = Mirror.storage mir in
   let redo r =
     Result.map_error
       (fun e -> Printf.sprintf "redo of %s: %s" (Record.describe r) e)
-      (match r with
-      | Record.Define (name, ty) -> Storage.define stor ~name ty
-      | Record.Replace (name, rows) -> Result.map ignore (Storage.load stor ~name rows)
-      | Record.Feedback { query; judgements } ->
-        Mirror.replay_feedback mir ~query ~judgements;
-        Ok ()
-      | _ -> Ok ())
+      (Snapshot.redo mir r)
   in
   let* st, next, recovery = replay_dir ~dir ~snap ~lsn ~redo in
   (* A replayed suffix or a torn tail leaves the log ahead of (or
@@ -508,7 +468,7 @@ let recover ~dir ~(config : config) =
   if recovery.replayed > 0 || recovery.wal_end <> Wal.Clean then
     (* the log's last good record is [next - 1]: make the fresh
        snapshot claim exactly that prefix *)
-    let* wal, ck_lsn =
+    let wal, ck_lsn =
       commit_checkpoint ~dir ~wal_config:config.wal ~stor ~st ~lsn:(next - 1) ~old_wal:None
     in
     Ok (mk dir config mir st wal ~checkpoint_lsn:ck_lsn, recovery)
@@ -576,7 +536,7 @@ let status t =
   }
 
 let inspect ~dir =
-  let* snap, lsn, (_ : int) = read_meta dir in
+  let* snap, lsn = read_meta dir in
   let* next, wal_end =
     Wal.replay ~dir:(wal_dir dir) ~from_lsn:(lsn + 1) ~f:(fun (_ : int) (_ : string) -> ())
   in
@@ -608,7 +568,7 @@ let deliveries_of (st : state) =
   }
 
 let deliveries ~dir =
-  let* snap, lsn, (_ : int) = read_meta dir in
+  let* snap, lsn = read_meta dir in
   let* st, (_ : int), (_ : recovery) = replay_dir ~dir ~snap ~lsn ~redo:no_redo in
   Ok (deliveries_of st)
 
@@ -656,7 +616,7 @@ let release t =
 let close t =
   if not t.closed then begin
     (* A failed close-time checkpoint loses nothing: every record is
-       still in the log (plus the last snapshot's side state), so the
+       still in the log (plus the last snapshot), so the
        next open replays it. *)
     (match checkpoint t with Ok () | (Error (_ : string)) -> ());
     release t

@@ -7,10 +7,9 @@
     On-disk layout of a durable database directory:
 
     {v
-    <dir>/CHECKPOINT          commit record: snapshot name, LSN, oid base
-    <dir>/snap.<lsn>/         Persist.save snapshot as of that LSN
-    <dir>/snap.<lsn>/side.log everything else the log has changed (below)
-    <dir>/wal/                log segments (see Wal)
+    <dir>/CHECKPOINT      commit record: snapshot name and LSN
+    <dir>/snap.<lsn>      the log as of that LSN, compacted (Snapshot)
+    <dir>/wal/            log segments (see Wal)
     v}
 
     {b Commits.}  Every completed logical update journals one
@@ -25,16 +24,16 @@
     metadata file is atomically renamed — the single commit point,
     made durable by fsyncing file contents before each rename and the
     directory after — before old snapshots and segments are
-    garbage-collected.  Storage records are covered by the snapshot's
-    [Persist.save] state.  The rest act on state the snapshot cannot
-    see, so the snapshot's [side.log] carries it: the whole
+    garbage-collected.  A snapshot is the log compacted, in the log's
+    own records ({!Snapshot}): one [Define] and one [Replace] per
+    extent, then what the extents cannot show — the whole
     Feedback / Store_op / Dict_op history, and the pending and
-    dead-letter deliveries.  {!open_} recovers by loading the snapshot
-    the [CHECKPOINT] names, restoring the side state, redoing the log
-    suffix through the same transition function the live path uses,
-    and (because a torn tail or replayed records leave the log ahead
-    of the snapshot) checkpointing again, so an opened store always
-    starts from a clean prefix. *)
+    dead-letter deliveries — then an end marker.  {!open_} recovers by
+    redo from an empty database: the snapshot the [CHECKPOINT] names,
+    then the log suffix, through the one transition function the live
+    path uses; and (because a torn tail or replayed records leave the
+    log ahead of the snapshot) it checkpoints again, so an opened store
+    always starts from a clean prefix. *)
 
 type config = {
   wal : Wal.config;
@@ -50,7 +49,7 @@ type recovery = {
   wal_end : Wal.replay_end;  (** how the scanned log ended *)
   feedback : (string * (string * bool) list) list;
       (** the {e complete} relevance-judgement history (query,
-          judgements), oldest first: the snapshot's side state plus
+          judgements), oldest first: the snapshot plus
           any log suffix — storage-level adaptation was already
           redone, but a caller that rebuilds session state (thesaurus,
           URL maps) can re-apply it with
@@ -68,8 +67,8 @@ val open_ : ?config:config -> dir:string -> unit -> (t * recovery, string) resul
     After a clean shutdown the recovery is empty; after a crash it
     reports what redo did.  [Error] means the directory is damaged
     beyond the torn-tail failure model (checksum mismatch mid-log,
-    missing segment, unreadable snapshot) — recovery never silently
-    drops interior history. *)
+    missing segment, a snapshot damaged or cut short) — recovery never
+    silently drops interior history. *)
 
 val mirror : t -> Mirror_core.Mirror.t
 (** The live database.  All mutations through it (Moa programs,
@@ -177,8 +176,8 @@ type deliveries = {
 
 val deliveries : dir:string -> (deliveries, string) result
 (** Read-only recovery of a directory's pending and dead-letter sets
-    (for [daemons deadletters]): snapshot side state plus log suffix,
-    without writing anything. *)
+    (for [daemons deadletters]): snapshot plus log suffix, without
+    writing anything. *)
 
 val state_keys : t -> (string * int) list * (string * int * string) list
 (** Canonical fingerprint of the journaled delivery state — pending

@@ -28,15 +28,26 @@ type t =
   | Fab_dead of { daemon : string; seq : int; cause : Deadletter.cause; at : float }
   | Fab_redeliver of { daemon : string; seq : int }
   | Fab_atomic of t list
+  | End of int
 
 (* {1 Writer}
 
-   Tagged binary: one tag character per node, 64-bit little-endian
-   integers, length-prefixed strings.  Floats are stored as their bit
-   pattern — [Value] round-trips must be exact, textual rendering is
-   not. *)
+   Tagged binary: one tag character per node; every integer, length
+   and count a zigzag LEB128 varint (seven bits a byte, least
+   significant group first, so a small magnitude of either sign takes
+   one byte); strings length-prefixed.  Floats are stored as their
+   64-bit pattern — [Value] round-trips must be exact, textual
+   rendering is not. *)
 
-let add_int buf i = Buffer.add_int64_le buf (Int64.of_int i)
+let add_int buf i =
+  let rec go z =
+    if z lsr 7 = 0 then Buffer.add_char buf (Char.unsafe_chr z)
+    else begin
+      Buffer.add_char buf (Char.unsafe_chr (z land 0x7f lor 0x80));
+      go (z lsr 7)
+    end
+  in
+  go ((i lsl 1) lxor (i asr (Sys.int_size - 1)))
 
 let add_float buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
 
@@ -206,14 +217,17 @@ let rec encode r =
        whole group or none of it, never a prefix. *)
     Buffer.add_char buf 'A';
     add_int buf (List.length rs);
-    List.iter (fun r -> add_str buf (encode r)) rs);
+    List.iter (fun r -> add_str buf (encode r)) rs
+  | End n ->
+    Buffer.add_char buf 'Z';
+    add_int buf n);
   Buffer.contents buf
 
 (* {1 Reader} *)
 
 exception Bad of string
 
-type cursor = { src : string; mutable pos : int }
+type cursor = { src : string; mutable pos : int; names : (string, string) Hashtbl.t }
 
 (* [n > remaining], not [pos + n > length]: a length read from the
    record may be near [max_int], where the sum wraps. *)
@@ -226,11 +240,20 @@ let read_char c =
   c.pos <- c.pos + 1;
   ch
 
+(* The one encoding of an int: a varint that ends in its last byte,
+   has no redundant zero group and fits the 63 bits of an OCaml int;
+   anything else is damage. *)
 let read_int c =
-  need c 8;
-  let v = Int64.to_int (String.get_int64_le c.src c.pos) in
-  c.pos <- c.pos + 8;
-  v
+  let rec go shift acc =
+    let b = Char.code (read_char c) in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then
+      if b = 0 && shift > 0 then raise (Bad "overlong varint") else acc
+    else if shift + 7 >= Sys.int_size then raise (Bad "varint wider than an int")
+    else go (shift + 7) acc
+  in
+  let z = go 0 0 in
+  (z lsr 1) lxor (-(z land 1))
 
 let read_float c =
   need c 8;
@@ -244,6 +267,17 @@ let read_str c =
   let s = String.sub c.src c.pos n in
   c.pos <- c.pos + n;
   s
+
+(* Tuple labels and structure names repeat in every row of a
+   [Replace]: one copy of each per record, as rows built in memory share
+   their literals, keeps a decoded extent as small as the live one. *)
+let read_name c =
+  let s = read_str c in
+  match Hashtbl.find_opt c.names s with
+  | Some s -> s
+  | None ->
+    Hashtbl.add c.names s s;
+    s
 
 let read_count c =
   let n = read_int c in
@@ -323,20 +357,20 @@ let rec read_value c =
     let n = read_count c in
     Value.Tup
       (read_list c n (fun c ->
-           let label = read_str c in
+           let label = read_name c in
            (label, read_value c)))
   | 'S' ->
     let n = read_count c in
     Value.VSet (read_list c n read_value)
   | 'X' ->
-    let ext = read_str c in
-    let meta = read_list c (read_count c) read_str in
+    let ext = read_name c in
+    let meta = read_list c (read_count c) read_name in
     let items = read_list c (read_count c) read_value in
     Value.Xv { ext; meta; items }
   | ch -> raise (Bad (Printf.sprintf "unknown value tag %C" ch))
 
 let rec decode payload =
-  let c = { src = payload; pos = 0 } in
+  let c = { src = payload; pos = 0; names = Hashtbl.create 8 } in
   let finish r =
     if c.pos <> String.length payload then Error "trailing bytes in record" else Ok r
   in
@@ -415,6 +449,7 @@ let rec decode payload =
                 match decode (read_str c) with
                 | Ok r -> r
                 | Error e -> raise (Bad ("in atomic batch: " ^ e)))))
+    | 'Z' -> Ok (End (read_int c))
     | ch -> Error (Printf.sprintf "unknown record tag %C" ch)
   with
   | Ok r -> finish r
@@ -449,3 +484,4 @@ let describe = function
     Printf.sprintf "fab-dead #%d @ %s (%s)" seq daemon (Deadletter.cause_tag cause)
   | Fab_redeliver { daemon; seq } -> Printf.sprintf "fab-redeliver #%d @ %s" seq daemon
   | Fab_atomic rs -> Printf.sprintf "fab-atomic (%d records)" (List.length rs)
+  | End n -> Printf.sprintf "end of snapshot (%d records)" n

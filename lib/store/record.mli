@@ -10,9 +10,16 @@
     applying a record twice (or applying it to a state that already
     includes it) converges to the same database.
 
-    The codec round-trips exactly: floats travel as their IEEE-754
-    bits, strings length-prefixed, so a replayed database is
-    bit-for-bit the one that was logged. *)
+    The same records, in the same codec and {!Wal} framing, make up a
+    snapshot ({!Snapshot}): the log compacted to one [Define] and one
+    [Replace] per extent plus the side records, closed by an {!End}
+    marker.
+
+    The codec round-trips exactly: every int, length and count is a
+    zigzag LEB128 varint (one byte for a magnitude below 64, ten never;
+    an overlong, unterminated or wider-than-63-bit varint is refused),
+    floats travel as their 64 IEEE-754 bits, strings length-prefixed,
+    so a replayed database is bit-for-bit the one that was logged. *)
 
 type fab_route = {
   daemon : string;  (** Destination subscriber. *)
@@ -64,6 +71,11 @@ type t =
           tier a write batch, so a crash loses the whole group or none
           of it — never a delivery left pending with its effects
           already applied, nor half a batch. *)
+  | End of int
+      (** Closes a snapshot file: the number of records before it.  A
+          snapshot cut at a frame boundary lacks it (or holds a wrong
+          count), so a cut is refused rather than read as a smaller
+          database.  Never journaled in the log. *)
 
 val encode : t -> string
 (** Serialise to the WAL payload form. *)

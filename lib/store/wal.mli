@@ -78,7 +78,7 @@ val close : t -> unit
 val frame : string -> bytes
 (** The on-disk framing of one payload:
     [[u32 len][u32 crc32(payload)][payload]].  Exposed so other
-    framed files (the checkpoint side-state file) share the format. *)
+    framed files (snapshots, see {!Snapshot}) share the format. *)
 
 val parse_frames : string -> (string list, string) result
 (** Strictly decode a byte string of consecutive {!frame}s.  Unlike

@@ -2,8 +2,9 @@
 # Pin the exit codes of `mirror_cli daemons health|redeliver|deadletters`
 # on both delivery transports (in process and forked workers), check
 # that `--durable DIR` journals on both, and that the journal is the
-# durable store's one log (`deadletters` and `wal status` read it), and
-# which commands take `--domains`.
+# durable store's one log (`deadletters` and `wal status` read it), that
+# `lint --db` reads what `.save` wrote and refuses it damaged, and which
+# commands take `--domains`.
 #
 #   usage: cli_exit_codes.sh PATH/TO/mirror_cli.exe
 #
@@ -59,6 +60,16 @@ done
 expect 3 daemons health --break annotation-indexer --procs 0 --durable "$tmp/one"
 expect 3 daemons deadletters --durable "$tmp/one"
 expect 0 wal status "$tmp/one"
+
+# `.save DIR` writes the snapshot that `lint --db DIR` reads back; with
+# one byte of it flipped, the same command refuses the database.
+printf 'define T as SET< TUPLE< Atomic<int>: a > >;\ninsert into T tuple(a: 7);\n.save %s\n.quit\n' \
+  "$tmp/saved" | "$cli" >/dev/null 2>&1
+expect 0 lint --db "$tmp/saved" 'count(T)'
+snap=$tmp/saved/snapshot
+byte=$(od -An -tu1 -j10 -N1 "$snap" | tr -d ' ')
+printf "$(printf '\\%03o' $((byte ^ 64)))" | dd of="$snap" bs=1 seek=10 count=1 conv=notrunc 2>/dev/null
+expect 1 lint --db "$tmp/saved" 'count(T)'
 
 # --domains sizes the pool of a command that executes a plan; the
 # static ones (lint, plain explain) do not take it.

@@ -430,53 +430,79 @@ let test_catalog_basics () =
   Catalog.remove c "x";
   Alcotest.(check bool) "removed" false (Catalog.mem c "x")
 
-let test_catalog_round_trip () =
-  let c = Catalog.create () in
-  Catalog.put c "weird name %\t" (bat_os [ (0, "hello\tworld"); (1, "") ]);
-  Catalog.put c "nums" (bat_oi [ (0, -5); (1, 7) ]);
-  Catalog.put c "floats"
-    (Bat.of_pairs Atom.TOid Atom.TFlt [ (oid 0, flt 1.5); (oid 1, flt (-0.25)) ]);
-  let path = Filename.temp_file "mirror" ".cat" in
-  Catalog.save_file c path;
-  (match Catalog.load_file path with
-  | Error e -> Alcotest.fail e
-  | Ok c2 ->
-    Alcotest.(check (list string)) "names" (Catalog.names c) (Catalog.names c2);
-    List.iter
-      (fun n -> check_bat ("entry " ^ n) (Catalog.get c n) (Catalog.get c2 n))
-      (Catalog.names c));
-  Sys.remove path
+(* {2 The catalog a snapshot rebuilds}
 
-(* A snapshot cut at a stanza boundary is a well-formed catalog with
-   entries missing; only the required footer tells it apart. *)
-let test_catalog_cut_at_stanza_refused () =
-  let c = Catalog.create () in
-  Catalog.put c "a" (bat_oi [ (0, 1); (1, 2) ]);
-  Catalog.put c "b" (bat_oi [ (0, 3) ]);
-  let path = Filename.temp_file "mirror" ".cat" in
-  Catalog.save_file c path;
-  let ic = open_in_bin path in
-  let src = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let rec stanza_starts i acc =
-    match String.index_from_opt src i '%' with
-    | Some j when j + 4 <= String.length src && String.sub src j 4 = "%bat" ->
-      stanza_starts (j + 1) (j :: acc)
-    | Some j -> stanza_starts (j + 1) acc
-    | None -> List.rev acc
+   A saved database is the log's records, not a catalog dump
+   ({!Mirror_store.Snapshot}); loading redoes them into an empty
+   storage manager.  Extents defined and loaded once each, in name
+   order, are the records' own history, so the rebuilt catalog holds
+   the very same BATs. *)
+
+module Storage = Mirror_core.Storage
+module Snapshot = Mirror_store.Snapshot
+module Types = Mirror_core.Types
+module Value = Mirror_core.Value
+
+let with_snapshot_dir f =
+  let dir = Filename.temp_file "mirror" ".db" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let awkward_storage () =
+  Mirror_core.Bootstrap.ensure ();
+  let st = Storage.create () in
+  let extent name ty rows =
+    (match Storage.define st ~name (Types.Set (Types.Atomic ty)) with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    match Storage.load st ~name (List.map (fun a -> Value.Atom a) rows) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e
   in
-  let cut = List.nth (stanza_starts 0 []) 1 in
-  let oc = open_out_bin path in
-  output_string oc (String.sub src 0 cut);
-  close_out oc;
-  (match Catalog.load_file path with
-  | Ok c2 ->
-    Alcotest.failf "a cut snapshot loaded with entries [%s]"
-      (String.concat "; " (Catalog.names c2))
-  | Error e ->
-    Alcotest.(check bool) ("names the footer: " ^ e) true
-      (Mirror_util.Stringx.starts_with ~prefix:"snapshot is missing" e));
-  Sys.remove path
+  extent "floats" Atom.TFlt [ flt 1.5; flt (-0.25); flt (1.0 /. 3.0) ];
+  extent "nums" Atom.TInt [ int (-5); int 7; int max_int; int min_int ];
+  extent "weird name %\t" Atom.TStr [ str "hello\tworld"; str ""; str "%bat x\n" ];
+  st
+
+let test_catalog_round_trip () =
+  with_snapshot_dir (fun dir ->
+      let st = awkward_storage () in
+      (match Snapshot.save st ~dir with Ok () -> () | Error e -> Alcotest.fail e);
+      match Snapshot.load ~dir with
+      | Error e -> Alcotest.fail e
+      | Ok st2 ->
+        let c = Storage.catalog st and c2 = Storage.catalog st2 in
+        Alcotest.(check (list string)) "names" (Catalog.names c) (Catalog.names c2);
+        List.iter
+          (fun n -> check_bat ("entry " ^ n) (Catalog.get c n) (Catalog.get c2 n))
+          (Catalog.names c))
+
+(* A snapshot cut at a frame boundary is a well-formed run of frames
+   with records missing; only its end marker tells it apart. *)
+let test_catalog_cut_at_stanza_refused () =
+  with_snapshot_dir (fun dir ->
+      (match Snapshot.save (awkward_storage ()) ~dir with Ok () -> () | Error e -> Alcotest.fail e);
+      let file = Filename.concat dir "snapshot" in
+      let src = In_channel.with_open_bin file In_channel.input_all in
+      let rec boundaries pos acc =
+        if pos >= String.length src then List.rev acc
+        else boundaries (pos + 8 + Int32.to_int (String.get_int32_le src pos)) (pos :: acc)
+      in
+      List.iter
+        (fun cut ->
+          Out_channel.with_open_bin file (fun oc -> output_string oc (String.sub src 0 cut));
+          match Snapshot.load ~dir with
+          | Ok st ->
+            Alcotest.failf "a snapshot cut at byte %d loaded with extents [%s]" cut
+              (String.concat "; " (Storage.extents st))
+          | Error e ->
+            Alcotest.(check bool) ("names the cut: " ^ e) true
+              (Mirror_util.Stringx.starts_with ~prefix:("snapshot " ^ file) e))
+        (boundaries 0 []))
 
 (* {1 Mil executor} *)
 

@@ -331,7 +331,7 @@ let test_parser_let_bindings () =
   | _ -> Alcotest.fail "unexpected outcomes"
 
 let test_parser_type_round_trip () =
-  (* Types print in a syntax the parser accepts (needed by Persist) *)
+  (* Types print in a syntax the parser accepts (needed by the snapshot codec) *)
   List.iter
     (fun ty ->
       let printed = Types.to_string ty in
@@ -1103,7 +1103,7 @@ let test_search_without_library () =
 
 (* {1 Persistence} *)
 
-module Persist = Mirror_core.Persist
+module Snapshot = Mirror_store.Snapshot
 
 let with_temp_dir f =
   let dir = Filename.temp_file "mirror" ".db" in
@@ -1117,7 +1117,8 @@ let with_temp_dir f =
     (fun () -> f dir)
 
 (* Every extent's logical rows (the naive evaluator's view, rebuilt by
-   reification at load) survive the round trip, in order. *)
+   the redo of each extent's [Replace] record) survive the round trip,
+   in order. *)
 let same_rows st st2 =
   List.for_all
     (fun name ->
@@ -1125,25 +1126,18 @@ let same_rows st st2 =
         (Storage.extent_rows st2 name))
     (Storage.extents st)
 
-(* [~rendered] compares rows as printed: the catalog keeps floats to 12
-   significant digits (Atom.pp), so computed feature weights come back
-   equal only at that precision. *)
-let check_rows ?(rendered = false) st st2 =
+let check_rows st st2 =
   List.iter
     (fun name ->
-      let what = "rows of " ^ name in
-      let rows st = Storage.extent_rows st name in
-      if rendered then
-        let text st = Option.map (List.map Value.to_string) (rows st) in
-        Alcotest.(check (option (list string))) what (text st) (text st2)
-      else Alcotest.(check (option (list value_testable))) what (rows st) (rows st2))
+      Alcotest.(check (option (list value_testable)))
+        ("rows of " ^ name) (Storage.extent_rows st name) (Storage.extent_rows st2 name))
     (Storage.extents st)
 
 let test_persist_round_trip () =
   with_temp_dir (fun dir ->
       let st = storage_with default_rows in
-      ok (Persist.save st ~dir);
-      let st2 = ok (Persist.load ~dir) in
+      ok (Snapshot.save st ~dir);
+      let st2 = ok (Snapshot.load ~dir) in
       Alcotest.(check (list string)) "extents" (Storage.extents st) (Storage.extents st2);
       check_rows st st2;
       (* every battery query gives identical results on the loaded DB,
@@ -1161,8 +1155,8 @@ let test_persist_round_trip () =
 let test_persist_space_restored () =
   with_temp_dir (fun dir ->
       let st = storage_with default_rows in
-      ok (Persist.save st ~dir);
-      let st2 = ok (Persist.load ~dir) in
+      ok (Snapshot.save st ~dir);
+      let st2 = ok (Snapshot.load ~dir) in
       let sp1 = Option.get (Storage.space_find st "R#el/c") in
       let sp2 = Option.get (Storage.space_find st2 "R#el/c") in
       Alcotest.(check int) "ndocs" (Mirror_ir.Space.ndocs sp1) (Mirror_ir.Space.ndocs sp2);
@@ -1173,8 +1167,8 @@ let test_persist_space_restored () =
 let test_persist_load_then_extend () =
   with_temp_dir (fun dir ->
       let st = storage_with default_rows in
-      ok (Persist.save st ~dir);
-      let st2 = ok (Persist.load ~dir) in
+      ok (Snapshot.save st ~dir);
+      let st2 = ok (Snapshot.load ~dir) in
       (* defining and loading new extents after a load must not collide
          with restored oids *)
       ok (Storage.define st2 ~name:"S" (Types.Set (Types.Atomic Atom.TInt)));
@@ -1192,9 +1186,9 @@ let test_persist_demo_library () =
         "map[sum(THIS)]( map[getBL(THIS.annotation, query, stats)]( ImageLibraryInternal ))"
       in
       let before = ok (Mirror.run_query m ~bindings qsrc) in
-      ok (Persist.save (Mirror.storage m) ~dir);
-      let m2 = Mirror.of_storage (ok (Persist.load ~dir)) in
-      check_rows ~rendered:true (Mirror.storage m) (Mirror.storage m2);
+      ok (Snapshot.save (Mirror.storage m) ~dir);
+      let m2 = Mirror.of_storage (ok (Snapshot.load ~dir)) in
+      check_rows (Mirror.storage m) (Mirror.storage m2);
       let after = ok (Mirror.run_query m2 ~bindings qsrc) in
       Alcotest.check value_testable "paper ranking survives persistence" before after;
       (* the image CONTREP space also came back *)
@@ -1211,8 +1205,8 @@ let prop_persist_round_trip =
     (QCheck.make gen_rows) (fun rows ->
       with_temp_dir (fun dir ->
           let st = storage_with rows in
-          (match Persist.save st ~dir with Ok () -> () | Error e -> failwith e);
-          let st2 = match Persist.load ~dir with Ok s -> s | Error e -> failwith e in
+          (match Snapshot.save st ~dir with Ok () -> () | Error e -> failwith e);
+          let st2 = match Snapshot.load ~dir with Ok s -> s | Error e -> failwith e in
           same_rows st st2
           && List.for_all
             (fun src ->
@@ -1227,7 +1221,7 @@ let prop_persist_round_trip =
             ]))
 
 let test_persist_missing_dir () =
-  match Persist.load ~dir:"/nonexistent-mirror-db" with
+  match Snapshot.load ~dir:"/nonexistent-mirror-db" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "loading a missing directory should fail"
 

@@ -144,15 +144,6 @@ module MSET = struct
       mset_value (List.map (fun o -> (atom v o, Atom.as_int (atom mult o))) (members link ctx))
     | _ -> failwith "MSET: malformed bundle"
 
-  let restore _env ~recurse:_ ~path ~ty_args:_ =
-    Shape.Xstruct
-      {
-        ext = name;
-        meta = [];
-        bats = [ Mil.Get (path ^ "#in"); Mil.Get (path ^ "#val"); Mil.Get (path ^ "#mult") ];
-        subs = [];
-      }
-
   let foreign_ops = []
 
   (* Sound defaults for the Moa-level analyzer: claim nothing about

@@ -200,7 +200,6 @@ module Brk : Extension.S = struct
   let filter_flat ~recurse:_ ~meta:_ ~bats:_ ~subs:_ ~survivors:_ = failwith "BRK bundles"
   let rebase_flat _ ~recurse:_ ~meta:_ ~bats:_ ~subs:_ ~m:_ = failwith "BRK bundles"
   let reify ~members:_ ~atom:_ ~recurse:_ ~meta:_ ~bats:_ ~subs:_ ~ctx:_ = failwith "BRK bundles"
-  let restore _ ~recurse:_ ~path:_ ~ty_args:_ = failwith "BRK is not storable"
   let foreign_ops = []
 
   let prop_flat ~ctx ~prop:_ ~meta:_ ~nbats ~nsubs =

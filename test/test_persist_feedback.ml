@@ -17,7 +17,7 @@ module Feedback = Mirror_core.Feedback
 module Mirror = Mirror_core.Mirror
 module Naive = Mirror_core.Naive
 module Parser = Mirror_core.Parser
-module Persist = Mirror_core.Persist
+module Snapshot = Mirror_store.Snapshot
 module Storage = Mirror_core.Storage
 module Value = Mirror_core.Value
 module Prng = Mirror_util.Prng
@@ -41,8 +41,8 @@ let with_temp_dir f =
 let test_catalog_restored () =
   with_temp_dir (fun dir ->
       let st = Corpus.storage () in
-      ok (Persist.save st ~dir);
-      let st2 = ok (Persist.load ~dir) in
+      ok (Snapshot.save st ~dir);
+      let st2 = ok (Snapshot.load ~dir) in
       let c1 = Storage.catalog st and c2 = Storage.catalog st2 in
       let names c = List.sort compare (Catalog.names c) in
       Alcotest.(check (list string)) "catalog names" (names c1) (names c2);
@@ -58,8 +58,8 @@ let test_catalog_restored () =
 let test_queries_survive_reload () =
   with_temp_dir (fun dir ->
       let st = Corpus.storage () in
-      ok (Persist.save st ~dir);
-      let st2 = ok (Persist.load ~dir) in
+      ok (Snapshot.save st ~dir);
+      let st2 = ok (Snapshot.load ~dir) in
       List.iter
         (fun src ->
           let e =

@@ -317,7 +317,7 @@ let test_meta_corruption_detected () =
       flip_byte (Filename.concat dir "CHECKPOINT") 5;
       expect_open_error ~what:"checkpoint metadata flip" ~needle:"CHECKPOINT" dir)
 
-(* Tiny segments force a roll on every append; deleting an interior
+(* One-byte segments force a roll on every append; deleting an interior
    segment leaves a gap in the LSN tiling, which must be flagged as
    corruption, not silently replayed around. *)
 let test_missing_segment_detected () =
@@ -325,7 +325,7 @@ let test_missing_segment_detected () =
       let config =
         {
           Durable.default_config with
-          Durable.wal = { Wal.segment_bytes = 32 };
+          Durable.wal = { Wal.segment_bytes = 1 };
         }
       in
       (match Durable.open_ ~config ~dir () with
@@ -393,9 +393,9 @@ let test_feedback_and_store_ops_replayed () =
           r.Durable.store_ops;
         Durable.close t)
 
-(* The snapshot only captures Storage; feedback and daemon-store
-   effects live in session side state.  Their records must survive
-   checkpoint GC (via the snapshot's side-state file) — the regression
+(* Feedback and daemon-store effects live in session side state,
+   outside Storage.  Their records must survive checkpoint GC (the
+   snapshot carries them after the extents) — the regression
    here was: feedback, close (= checkpoint), open => empty history. *)
 
 let feedback_history = Alcotest.(list (pair string (list (pair string bool))))
@@ -442,7 +442,7 @@ let test_side_state_survives_checkpoint () =
 
 (* Whichever side of the commit point a checkpoint crash lands on, the
    feedback history must come back — from the old log, or from the new
-   snapshot's side-state file. *)
+   snapshot's side records. *)
 let test_side_state_survives_checkpoint_crash () =
   List.iter
     (fun point ->
@@ -788,6 +788,20 @@ let nasty_floats =
     1.0 /. 3.0;
   |]
 
+(* A zigzag LEB128 varint, written here independently of the codec:
+   seven bits a byte, low group first, the sign in the lowest bit. *)
+let varint i =
+  let b = Buffer.create 10 in
+  let rec go z =
+    if z lsr 7 = 0 then Buffer.add_char b (Char.chr z)
+    else begin
+      Buffer.add_char b (Char.chr (z land 0x7f lor 0x80));
+      go (z lsr 7)
+    end
+  in
+  go ((i lsl 1) lxor (i asr 62));
+  Buffer.contents b
+
 let test_store_op_round_trips () =
   let texts = "a \"quoted\" word" :: nasty_texts in
   let bag = List.mapi (fun i w -> (w, nasty_floats.(i mod Array.length nasty_floats))) texts in
@@ -849,11 +863,7 @@ let test_store_op_round_trips () =
   | Ok (Record.Store_op (Store.O_thesaurus None)) -> ()
   | _ -> Alcotest.fail "a thesaurus op must decode to the rebuild marker");
   (* lengths and counts near max_int are refused, not trusted *)
-  let int64 i =
-    let b = Buffer.create 8 in
-    Buffer.add_int64_le b (Int64.of_int i);
-    Buffer.contents b
-  in
+  let int64 = varint in
   List.iter
     (fun junk ->
       match Record.decode junk with
@@ -868,6 +878,95 @@ let test_store_op_round_trips () =
       "Ns" ^ int64 1 ^ int64 (max_int - 3);
       "Nh" ^ "x";
     ]
+
+(* {1 Varint boundaries}
+
+   Every int, length and count in a record is a varint.  [Replace]
+   rows holding ints at the encoding's boundaries round-trip, in the
+   bytes written above; a varint that is overlong, unterminated or
+   wider than an int is refused; and every cut of every record
+   decodes to [Error], never an exception. *)
+
+let int_boundaries =
+  [ 0; 1; -1; 63; -63; 64; -64; max_int; min_int; max_int - 1; min_int + 1 ]
+  @ List.concat_map
+      (fun k ->
+        let p = 1 lsl k in
+        [ p; -p; p - 1; 1 - p ])
+      (List.init 62 Fun.id)
+
+let test_replace_int_boundaries () =
+  let module Value = Mirror_core.Value in
+  List.iter
+    (fun (i, bytes) -> Alcotest.(check string) (Printf.sprintf "varint %d" i) bytes (varint i))
+    [
+      (0, "\000");
+      (-1, "\001");
+      (1, "\002");
+      (63, "\126");
+      (-64, "\127");
+      (64, "\128\001");
+      (max_int, "\254" ^ String.make 7 '\255' ^ "\127");
+      (min_int, String.make 8 '\255' ^ "\127");
+    ];
+  let head = "R" ^ varint 1 ^ "T" in
+  List.iter
+    (fun i ->
+      let r = Record.Replace ("T", [ Value.int i ]) in
+      let enc = Record.encode r in
+      Alcotest.(check string) (Printf.sprintf "encoding of %d" i) (head ^ varint 1 ^ "i" ^ varint i) enc;
+      match Record.decode enc with
+      | Ok r' when r' = r -> ()
+      | Ok r' -> Alcotest.failf "%d decodes as %s" i (Record.describe r')
+      | Error e -> Alcotest.failf "%d is refused: %s" i e)
+    int_boundaries;
+  let rows =
+    Record.Replace
+      ( "T",
+        List.map
+          (fun i ->
+            Value.Tup
+              [
+                ("n", Value.int i);
+                ("o", Value.Atom (Mirror_bat.Atom.Oid i));
+                ("s", Value.VSet [ Value.str (String.make (abs (i mod 300)) 'x') ]);
+              ])
+          int_boundaries )
+  in
+  let one = head ^ varint 1 ^ "i" in
+  List.iter
+    (fun (what, junk) ->
+      match Record.decode junk with
+      | Error _ -> ()
+      | Ok r -> Alcotest.failf "%s decodes as %s" what (Record.describe r)
+      | exception e -> Alcotest.failf "%s raises %s" what (Printexc.to_string e))
+    [
+      ("an overlong zero", one ^ "\128\000");
+      ("an overlong one", one ^ "\130\000");
+      ("an overlong count", head ^ "\130\000" ^ "i\000");
+      ("an unterminated varint", one ^ "\128");
+      ("an unterminated count", head ^ "\255");
+      ("a varint wider than an int", one ^ String.make 8 '\255' ^ "\255\001");
+      ("a ten-byte varint", one ^ String.make 9 '\128' ^ "\001");
+      ("a varint over 64 bits", one ^ String.make 10 '\255' ^ "\001");
+    ];
+  List.iter
+    (fun r ->
+      let enc = Record.encode r in
+      (match Record.decode enc with
+      | Ok r' when r' = r -> ()
+      | _ -> Alcotest.failf "%s does not round-trip" (Record.describe r));
+      for k = 0 to String.length enc - 1 do
+        match Record.decode (String.sub enc 0 k) with
+        | Error _ -> ()
+        | Ok r' ->
+          Alcotest.failf "a %d-byte prefix of %s decodes as %s" k (Record.describe r)
+            (Record.describe r')
+        | exception e ->
+          Alcotest.failf "a %d-byte prefix of %s raises %s" k (Record.describe r)
+            (Printexc.to_string e)
+      done)
+    (rows :: List.map (fun i -> Record.Replace ("T", [ Value.int i ])) int_boundaries)
 
 (* Every read of the daemon store, floats as their bits. *)
 let render_store st =
@@ -1065,6 +1164,107 @@ let test_rows_survive_replayed_suffix () =
         before;
       Durable.close t2)
 
+(* A checkpoint holds the extents as their records, so float attributes
+   and CONTREP term frequencies come back with the same bits: NaN
+   payloads, signed zeros, subnormals and the extremes included — from
+   a checkpoint and from [Snapshot.save]. *)
+let test_floats_survive_bitwise () =
+  let module Value = Mirror_core.Value in
+  let module Atom = Mirror_bat.Atom in
+  let rec bits = function
+    | Value.Atom (Atom.Flt f) -> Value.str (fbits f)
+    | Value.Atom _ as v -> v
+    | Value.Tup fs -> Value.Tup (List.map (fun (l, v) -> (l, bits v)) fs)
+    | Value.VSet vs -> Value.VSet (List.map bits vs)
+    | Value.Xv x -> Value.Xv { x with items = List.map bits x.items }
+  in
+  let rendered st =
+    List.map
+      (fun n ->
+        (n, Option.map (List.map (fun v -> Value.to_string (bits v))) (Storage.extent_rows st n)))
+      (Storage.extents st)
+  in
+  let ty =
+    Types.Set
+      (Types.Tuple
+         [ ("x", Types.Atomic Atom.TFlt); ("c", Types.Xt ("CONTREP", [ Types.Atomic Atom.TStr ])) ])
+  in
+  let rows =
+    Array.to_list
+      (Array.mapi
+         (fun i f ->
+           Value.Tup
+             [ ("x", Value.flt f); ("c", Value.contrep [ (Printf.sprintf "w%d" i, f); ("all", f) ]) ])
+         nasty_floats)
+  in
+  let state = Alcotest.(list (pair string (option (list string)))) in
+  with_temp_dir (fun dir ->
+      let t, _ = ok (Durable.open_ ~dir ()) in
+      let st = Durable.storage t in
+      ok (Storage.define st ~name:"F" ty);
+      ignore (ok (Storage.load st ~name:"F" rows));
+      let live = rendered st in
+      ok (Durable.checkpoint t);
+      Durable.abandon t;
+      let t2, r = ok (Durable.open_ ~dir ()) in
+      Alcotest.(check int) "nothing past the checkpoint" 0 r.Durable.replayed;
+      Alcotest.check state "rows after checkpoint + reopen" live (rendered (Durable.storage t2));
+      let saved = Filename.concat dir "saved" in
+      ok (Mirror_store.Snapshot.save (Durable.storage t2) ~dir:saved);
+      Alcotest.check state "rows after save + load" live
+        (rendered (ok (Mirror_store.Snapshot.load ~dir:saved)));
+      Durable.close t2)
+
+(* A checkpoint's snapshot cut at any frame boundary is a run of whole
+   frames with records missing — extents, side history or deliveries.
+   Its end marker is what refuses it, naming the snapshot, both to
+   [open_] and to the read-only [deliveries]. *)
+let test_snapshot_cut_refused () =
+  with_temp_dir (fun dir ->
+      let t, _ = ok (Durable.open_ ~dir ()) in
+      List.iter (apply_durable t)
+        [
+          Exec (Printf.sprintf "define T as %s;" schema_src);
+          Exec "insert into T tuple(a: 1, s: {1, 2});";
+          Exec "define U as SET< Atomic<str> >;";
+          Exec "insert into U 'u';";
+        ];
+      Mirror.give_feedback (Durable.mirror t) ~query:"q" ~judgements:[ ("img1", true) ];
+      List.iter (fun i -> Durable.store_journal t (Store.O_doc (i, Printf.sprintf "img%d" i))) [ 1; 2; 3 ];
+      let j = Durable.journal t in
+      let delivery seq =
+        { Bus.seq; message = { Bus.topic = "t"; subject = seq; payload = [] }; attempts = 0; deadline = None }
+      in
+      j.Mirror_daemon.Orchestrator.routed "thesaurus" (delivery 1);
+      j.Mirror_daemon.Orchestrator.routed "autoclass" (delivery 2);
+      j.Mirror_daemon.Orchestrator.dead
+        { Deadletter.daemon = "thesaurus"; delivery = delivery 1; cause = Deadletter.Overflow; at = 1.0 };
+      Durable.close t;
+      let snap = (fst (ok (Durable.inspect ~dir))).Durable.snapshot in
+      let file = Filename.concat dir snap in
+      let src = In_channel.with_open_bin file In_channel.input_all in
+      let rec boundaries pos acc =
+        if pos >= String.length src then List.rev acc
+        else boundaries (pos + 8 + Int32.to_int (String.get_int32_le src pos)) (pos :: acc)
+      in
+      let cuts = boundaries 0 [] in
+      Alcotest.(check bool) "extents, side records and deliveries" true (List.length cuts > 10);
+      List.iter
+        (fun cut ->
+          Out_channel.with_open_bin file (fun oc -> output_string oc (String.sub src 0 cut));
+          (match Durable.open_ ~dir () with
+          | Ok _ -> Alcotest.failf "a snapshot cut at byte %d/%d opened" cut (String.length src)
+          | Error e -> if not (contains ~needle:snap e) then Alcotest.failf "%S does not name %s" e snap);
+          match Durable.deliveries ~dir with
+          | Ok _ -> Alcotest.failf "deliveries read a snapshot cut at byte %d" cut
+          | Error _ -> ())
+        cuts;
+      Out_channel.with_open_bin file (fun oc -> output_string oc src);
+      let t2, r = ok (Durable.open_ ~dir ()) in
+      Alcotest.(check int) "the whole snapshot reopens" 3 (List.length r.Durable.store_ops);
+      Alcotest.(check (list string)) "both extents" [ "T"; "U" ] (Storage.extents (Durable.storage t2));
+      Durable.close t2)
+
 let () =
   Alcotest.run "recovery"
     [
@@ -1085,6 +1285,8 @@ let () =
             test_missing_segment_detected;
           Alcotest.test_case "interior truncation detected" `Quick
             test_interior_truncation_detected;
+          Alcotest.test_case "a snapshot cut at any frame boundary is refused" `Quick
+            test_snapshot_cut_refused;
         ] );
       ( "replay",
         [
@@ -1098,6 +1300,8 @@ let () =
             test_side_state_survives_auto_checkpoint;
           Alcotest.test_case "rows survive a replayed WAL suffix" `Quick
             test_rows_survive_replayed_suffix;
+          Alcotest.test_case "floats survive checkpoint + reopen bitwise" `Quick
+            test_floats_survive_bitwise;
         ] );
       ( "group-commit",
         [
@@ -1116,6 +1320,8 @@ let () =
       ( "store-journal",
         [
           Alcotest.test_case "store ops round-trip bitwise" `Quick test_store_op_round_trips;
+          Alcotest.test_case "replace records round-trip int boundaries" `Quick
+            test_replace_int_boundaries;
           Alcotest.test_case "a reopened image-library store equals the live one" `Quick
             test_image_library_store_reopens_bitwise;
         ] );

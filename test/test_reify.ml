@@ -6,8 +6,8 @@
    reifier.  This suite keeps the old CONTREP and LIST bodies verbatim
    as an oracle and checks that both give the same values, in the same
    bag and list order; that a missing occurrence payload now fails
-   loudly (the old bodies dropped it); and that reopening scales
-   linearly. *)
+   loudly (the old bodies dropped it); that a damaged snapshot fails to
+   load, naming the extent; and that reopening scales linearly. *)
 
 module Atom = Mirror_bat.Atom
 module Bat = Mirror_bat.Bat
@@ -20,7 +20,8 @@ module Storage = Mirror_core.Storage
 module Eval = Mirror_core.Eval
 module Flatten = Mirror_core.Flatten
 module Parser = Mirror_core.Parser
-module Persist = Mirror_core.Persist
+module Snapshot = Mirror_store.Snapshot
+module Record = Mirror_store.Record
 module Extension = Mirror_core.Extension
 module Bootstrap = Mirror_core.Bootstrap
 module Durable = Mirror_store.Durable
@@ -283,19 +284,36 @@ let test_missing_payload_fails () =
   | exception Failure msg ->
     check_mentions "new reify" ~needles:[ "reify: no value for context @103" ] msg
 
-(* Rewrite the occurrence terms of T's CONTREP in a saved catalog. *)
-let damage_terms ~dir f =
-  let file = Filename.concat dir "catalog.bats" in
-  let cat = ok (Catalog.load_file file) in
-  let b = Catalog.get cat "T#el/c#term" in
-  Catalog.put cat "T#el/c#term" (Bat.of_pairs (Bat.hty b) (Bat.tty b) (f (Bat.to_pairs b)));
-  Catalog.save_file cat file
+(* Rewrite the rows of T's [Replace] record in a snapshot file,
+   keeping the framing and the end marker intact. *)
+let damage_rows file f =
+  let records = ok (Snapshot.read file) in
+  Snapshot.write file
+    (List.map
+       (function Record.Replace ("T", rows) -> Record.Replace ("T", f rows) | r -> r)
+       records)
 
-(* Rows stay aligned, but one occurrence's term is filed under an oid
-   no context owns. *)
-let rekey_first = function
-  | (_, t) :: rest -> (Atom.Oid (-7), t) :: rest
-  | [] -> Alcotest.fail "no occurrences"
+(* Map the first row's CONTREP occurrences. *)
+let damage_first_bag f = function
+  | Value.Tup fields :: rest ->
+    Value.Tup
+      (List.map
+         (function
+           | "c", Value.Xv x -> ("c", Value.Xv { x with items = f x.items })
+           | field -> field)
+         fields)
+    :: rest
+  | _ -> Alcotest.fail "no row to damage"
+
+(* One occurrence's term re-typed: the rows no longer fit T's type. *)
+let retype_first_term =
+  damage_first_bag (function
+    | Value.Tup [ ("term", _); tf ] :: rest -> Value.Tup [ ("term", Value.int 7); tf ] :: rest
+    | _ -> Alcotest.fail "no occurrence to damage")
+
+let drop_field label = function
+  | Value.Tup fields :: rest -> Value.Tup (List.remove_assoc label fields) :: rest
+  | _ -> Alcotest.fail "no row to damage"
 
 let one_row =
   [
@@ -308,18 +326,20 @@ let one_row =
       ];
   ]
 
+(* A snapshot whose rows do not fit the extent's type is refused by
+   the redo that rebuilds the extent, and the error names it. *)
 let test_damaged_term_is_an_error () =
   List.iter
     (fun (what, f, needles) ->
       with_temp_dir (fun dir ->
-          ok (Persist.save (storage_of one_row) ~dir);
-          damage_terms ~dir f;
-          match Persist.load ~dir with
+          ok (Snapshot.save (storage_of one_row) ~dir);
+          damage_rows (Filename.concat dir "snapshot") f;
+          match Snapshot.load ~dir with
           | Ok _ -> Alcotest.failf "%s: the damaged database loaded" what
           | Error e -> check_mentions what ~needles:("extent \"T\"" :: needles) e))
     [
-      ("one #term row removed", List.tl, [ "#term" ]);
-      ("one #term row re-keyed", rekey_first, [ "reify: no value for context" ]);
+      ("one #term re-typed", retype_first_term, [ "malformed CONTREP item" ]);
+      ("a row without its CONTREP", drop_field "c", [ "does not match" ]);
     ]
 
 let test_durable_open_names_extent () =
@@ -328,11 +348,11 @@ let test_durable_open_names_extent () =
       ok (Storage.define (Durable.storage d) ~name:"T" t_type);
       ignore (ok (Storage.load (Durable.storage d) ~name:"T" one_row));
       Durable.close d;
-      damage_terms ~dir:(Filename.concat dir (fst (ok (Durable.inspect ~dir))).Durable.snapshot)
-        rekey_first;
+      let snap = (fst (ok (Durable.inspect ~dir))).Durable.snapshot in
+      damage_rows (Filename.concat dir snap) retype_first_term;
       match Durable.open_ ~dir () with
       | Ok _ -> Alcotest.fail "the damaged store opened"
-      | Error e -> check_mentions "Durable.open_" ~needles:[ "extent \"T\"" ] e)
+      | Error e -> check_mentions "Durable.open_" ~needles:[ snap; "extent \"T\"" ] e)
 
 (* {1 Reopen scales linearly} *)
 
@@ -360,11 +380,11 @@ let save_docs ~dir n =
   let st = Storage.create () in
   ok (Storage.define st ~name:"Docs" docs_type);
   ignore (ok (Storage.load st ~name:"Docs" (docs (Prng.create 1) ~n)));
-  ok (Persist.save st ~dir)
+  ok (Snapshot.save st ~dir)
 
 let load_s dir =
   let t0 = Mirror_util.Trace.now () in
-  ignore (ok (Persist.load ~dir));
+  ignore (ok (Snapshot.load ~dir));
   Mirror_util.Trace.now () -. t0
 
 (* Fastest of five loads at each size, interleaved so that a burst of
@@ -452,18 +472,30 @@ let test_reopened_store_uses_index () =
                 Alcotest.failf "query %d: the reopened store answers differently" i)
             (List.combine fresh reopened)))
 
-(* Occurrence head columns that hold the same oids in another order
-   cannot share #ctx's column: the load fails, naming the extent. *)
+(* A snapshot is read strictly in order: with its records permuted
+   (T's rows ahead of T's definition) or one byte of a frame flipped,
+   the load fails and names what it could not rebuild. *)
 let test_unaligned_heads_fail () =
+  let swap_define_replace = function
+    | (Record.Define ("T", _) as d) :: (Record.Replace ("T", _) as r) :: rest -> r :: d :: rest
+    | _ -> Alcotest.fail "T's records are not first"
+  in
   with_temp_dir (fun dir ->
-      ok (Persist.save (storage_of one_row) ~dir);
-      damage_terms ~dir List.rev;
-      match Persist.load ~dir with
-      | Ok _ -> Alcotest.fail "a store with permuted #term rows loaded"
+      let file = Filename.concat dir "snapshot" in
+      ok (Snapshot.save (storage_of one_row) ~dir);
+      Snapshot.write file (swap_define_replace (ok (Snapshot.read file)));
+      (match Snapshot.load ~dir with
+      | Ok _ -> Alcotest.fail "a snapshot with permuted records loaded"
       | Error e ->
-        check_mentions "Persist.load"
-          ~needles:[ "extent \"T\""; "#term"; "not in #ctx's occurrence order" ]
-          e)
+        check_mentions "permuted records" ~needles:[ "extent \"T\""; "unknown extent" ] e);
+      ok (Snapshot.save (storage_of one_row) ~dir);
+      let b = Bytes.of_string (In_channel.with_open_bin file In_channel.input_all) in
+      (* inside the first frame's payload *)
+      Bytes.set b 10 (Char.chr (Char.code (Bytes.get b 10) lxor 0x40));
+      Out_channel.with_open_bin file (fun oc -> output_bytes oc b);
+      match Snapshot.load ~dir with
+      | Ok _ -> Alcotest.fail "a snapshot with a flipped byte loaded"
+      | Error e -> check_mentions "flipped byte" ~needles:[ file; "checksum" ] e)
 
 let () =
   Alcotest.run "reify"
