@@ -1086,27 +1086,29 @@ let experiment_recovery () =
   Durable.close t2;
   let replayed = r.Durable.replayed in
   let per_s = Float.of_int replayed /. Float.max recovery_s 1e-9 in
-  (* reopening a checkpointed Docs store (fastest of three) at n and 2n
-     documents: reification is linear, so the ratio stays near 2 *)
-  let reopen_s n =
+  (* reopening a checkpointed Docs store at n and 2n documents:
+     reification is linear, so the ratio stays near 2.  Both stores are
+     built first and their opens interleaved, fastest of five each, so
+     a GC slice or scheduler hiccup in one open decides neither side. *)
+  let build_store n =
     let dir = Filename.temp_file "mirror-bench-reopen" ".db" in
     Sys.remove dir;
-    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
     let t, _ = ok (Durable.open_ ~dir ()) in
     ignore (ok (Mirror.exec_program (Durable.mirror t) docs_schema));
     ignore (ok (Mirror.load (Durable.mirror t) ~name:"Docs" (text_rows (Prng.create 77) ~n)));
     Durable.close t;
-    let best =
-      List.fold_left Float.min infinity
-        (List.init 3 (fun _ ->
-             let t0 = Trace.now () in
-             let t, _ = ok (Durable.open_ ~dir ()) in
-             let s = Trace.now () -. t0 in
-             Durable.abandon t;
-             s))
-    in
-    (* one getBL query on the reopened store: it reads the inverted
-       index, so it makes no occurrence scan *)
+    dir
+  in
+  let open_s dir =
+    let t0 = Trace.now () in
+    let t, _ = ok (Durable.open_ ~dir ()) in
+    let s = Trace.now () -. t0 in
+    Durable.abandon t;
+    s
+  in
+  (* one getBL query on the reopened store: it reads the inverted
+     index, so it makes no occurrence scan *)
+  let scans_after_open dir =
     let t, _ = ok (Durable.open_ ~dir ()) in
     let scans () = Metrics.counter "contrep.getbl.scans" in
     let before = scans () in
@@ -1118,11 +1120,23 @@ let experiment_recovery () =
                    (String.concat ", " (List.map (Printf.sprintf "'%s'") query_terms))))));
     let scanned = scans () - before in
     Durable.abandon t;
-    (best, scanned)
+    scanned
   in
   let docs = if quick then 250 else 1000 in
-  let reopen_n, scans_after_reopen = reopen_s docs in
-  let reopen_2n, _ = reopen_s (2 * docs) in
+  let dir_n = build_store docs and dir_2n = build_store (2 * docs) in
+  let reopen_n, reopen_2n, scans_after_reopen =
+    Fun.protect
+      ~finally:(fun () ->
+        rm_rf dir_n;
+        rm_rf dir_2n)
+    @@ fun () ->
+    let best_n = ref infinity and best_2n = ref infinity in
+    for _ = 1 to 5 do
+      best_n := Float.min !best_n (open_s dir_n);
+      best_2n := Float.min !best_2n (open_s dir_2n)
+    done;
+    (!best_n, !best_2n, scans_after_open dir_n)
+  in
   let t =
     Tablefmt.create ~title:"crash recovery (single shot)"
       [ ("measure", Tablefmt.Left); ("value", Tablefmt.Right) ]

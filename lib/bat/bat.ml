@@ -491,22 +491,66 @@ let column_comparator c =
   | Column.S a -> fun i j -> String.compare a.(i) a.(j)
   | Column.B a -> fun i j -> Bool.compare a.(i) a.(j)
 
-let sorted_indices ?(desc = false) c =
-  let n = Column.length c in
-  let idx = Array.init n (fun i -> i) in
+(* Row order by tail value ([desc] flips it), ties by position: a
+   total order, so every sort or selection under it agrees. *)
+let tail_order ~desc c =
   let cmp = column_comparator c in
-  let cmp = if desc then fun i j -> cmp j i else cmp in
-  (* Stable: break ties by original position. *)
-  let cmp i j =
-    let r = cmp i j in
+  fun i j ->
+    let r = if desc then cmp j i else cmp i j in
     if r <> 0 then r else Int.compare i j
-  in
-  Array.sort cmp idx;
+
+let sorted_indices ?(desc = false) c =
+  let idx = Array.init (Column.length c) (fun i -> i) in
+  Array.sort (tail_order ~desc c) idx;
   idx
+
+(* The one top-k routine: the [k] least of [idx.(lo)] .. [idx.(hi-1)]
+   under the total order [cmp], ascending.  A max-heap holds the [k]
+   least seen so far, so each further row costs one comparison with
+   the root unless it displaces it: O(n log k), where sorting all [n]
+   rows to keep [k] is O(n log n).  Under a total order the result is
+   the sorted prefix, row for row. *)
+let smallest cmp k (idx : int array) lo hi =
+  let k = max 0 (min k (hi - lo)) in
+  if k = hi - lo then begin
+    let a = Array.sub idx lo k in
+    Array.stable_sort cmp a;
+    a
+  end
+  else if k = 0 then [||]
+  else begin
+    let h = Array.sub idx lo k in
+    let rec sift i =
+      let l = (2 * i) + 1 in
+      if l < k then begin
+        let c = if l + 1 < k && cmp h.(l + 1) h.(l) > 0 then l + 1 else l in
+        if cmp h.(c) h.(i) > 0 then begin
+          let t = h.(i) in
+          h.(i) <- h.(c);
+          h.(c) <- t;
+          sift c
+        end
+      end
+    in
+    for i = (k / 2) - 1 downto 0 do
+      sift i
+    done;
+    for p = lo + k to hi - 1 do
+      let x = idx.(p) in
+      if cmp x h.(0) < 0 then begin
+        h.(0) <- x;
+        sift 0
+      end
+    done;
+    Array.stable_sort cmp h;
+    h
+  end
 
 let sort_tail ?(desc = false) b = take b (sorted_indices ~desc b.tl)
 
-let topn ?(desc = true) b n = slice (sort_tail ~desc b) 0 n
+let topn ?(desc = true) b n =
+  let m = count b in
+  take b (smallest (tail_order ~desc b.tl) n (Array.init m (fun i -> i)) 0 m)
 
 let unique b =
   let seen = AtomTbl.create (count b) in
@@ -637,12 +681,26 @@ let membership_index c =
   done;
   tbl
 
-let join_generic l r =
+(* {2 Join matches}
+
+   Both joins compute row pairs first — for every left row, its
+   matching right rows in right order — and then gather both output
+   columns from them, unboxed.  With [outer], a left row without a
+   match is paired with the default slot [count r], one past the right
+   rows: the left outer join gathers its tail from the right tail with
+   the default appended. *)
+
+let generic_matches ~outer l r =
   let idx = positions_index r.hd in
+  let nr = count r in
   let li = Ibuf.create () and rj = Ibuf.create () in
   for i = 0 to count l - 1 do
     match AtomTbl.find_opt idx (tail_at l i) with
-    | None -> ()
+    | None ->
+      if outer then begin
+        Ibuf.push li i;
+        Ibuf.push rj nr
+      end
     | Some js ->
       List.iter
         (fun j ->
@@ -650,8 +708,7 @@ let join_generic l r =
           Ibuf.push rj j)
         js
   done;
-  let hd, tl = Column.gather_pair l.hd (Ibuf.finish li) r.tl (Ibuf.finish rj) in
-  { hd; tl }
+  (Ibuf.finish li, Ibuf.finish rj)
 
 (* First position in the ascending [rh] whose value is [>= v]. *)
 let lower_bound rh v =
@@ -662,11 +719,17 @@ let lower_bound rh v =
   done;
   !lo
 
-(* The build side is indexed once; the probe over [l]'s rows runs range
-   by range, each range emitting its matches in (left row, right row)
-   order, so the parts concatenate to the sequential sequence. *)
-let join_int l r lt rh =
+(* The build side is indexed once; the probe over the left rows runs
+   range by range, each range emitting its matches in (left row, right
+   row) order, so the parts concatenate to the sequential sequence. *)
+let int_matches ~outer lt rh =
   let nr = Array.length rh in
+  let[@inline] miss li rj i =
+    if outer then begin
+      Ibuf.push li i;
+      Ibuf.push rj nr
+    end
+  in
   let probe : Ibuf.t -> Ibuf.t -> int -> int -> unit =
     match dense_base rh with
     | Some base ->
@@ -678,6 +741,7 @@ let join_int l r lt rh =
             Ibuf.push li i;
             Ibuf.push rj j
           end
+          else miss li rj i
         done
     | None when is_nondecreasing lt && is_strictly_increasing rh ->
       (* merge join over sorted oid columns *)
@@ -691,6 +755,7 @@ let join_int l r lt rh =
             Ibuf.push li i;
             Ibuf.push rj !j
           end
+          else miss li rj i
         done
     | None ->
       let idx = Hashtbl.create nr in
@@ -701,7 +766,7 @@ let join_int l r lt rh =
       fun li rj lo hi ->
         for i = lo to hi - 1 do
           match Hashtbl.find_opt idx lt.(i) with
-          | None -> ()
+          | None -> miss li rj i
           | Some js ->
             List.iter
               (fun j ->
@@ -713,60 +778,38 @@ let join_int l r lt rh =
   let n = Array.length lt in
   let parts =
     Parkernel.ranges n (fun lo hi ->
-        (* as in [scan]: a range of a split probe reserves a match per row *)
-        let cap = if hi - lo < n then hi - lo else 16 in
+        (* as in [scan]: a range of a split probe reserves a match per
+           row; an outer join has at least one *)
+        let cap = if outer || hi - lo < n then hi - lo else 16 in
         let li = Ibuf.with_capacity cap and rj = Ibuf.with_capacity cap in
         probe li rj lo hi;
         (Ibuf.finish li, Ibuf.finish rj))
   in
-  let li, rj =
-    match parts with
-    | [| p |] -> p
-    | _ -> (concat_parts (Array.map fst parts), concat_parts (Array.map snd parts))
-  in
-  let hd, tl = Column.gather_pair l.hd li r.tl rj in
-  { hd; tl }
+  match parts with
+  | [| p |] -> p
+  | _ -> (concat_parts (Array.map fst parts), concat_parts (Array.map snd parts))
+
+(* Int and oid columns match by value, whatever their kinds. *)
+let matches ~outer l r =
+  match (l.tl, r.hd) with
+  | (Column.I lt | Column.O lt), (Column.I rh | Column.O rh) -> int_matches ~outer lt rh
+  | _ -> generic_matches ~outer l r
 
 let join l r =
   if tty l <> hty r then
     invalid_arg
       (Printf.sprintf "Bat.join: tail type %s does not match head type %s"
          (Atom.ty_name (tty l)) (Atom.ty_name (hty r)));
-  match (l.tl, r.hd) with
-  | (Column.I lt | Column.O lt), (Column.I rh | Column.O rh) -> join_int l r lt rh
-  | _ -> join_generic l r
+  let li, rj = matches ~outer:false l r in
+  let hd, tl = Column.gather_pair l.hd li r.tl rj in
+  { hd; tl }
 
 let leftouterjoin l r default =
   if Atom.type_of default <> tty r then
     invalid_arg "Bat.leftouterjoin: default type does not match right tail";
-  let emit_rows find_positions =
-    let hb = Column.Builder.create (hty l) in
-    let tb = Column.Builder.create (tty r) in
-    for i = 0 to count l - 1 do
-      let h = head_at l i in
-      match find_positions i with
-      | None ->
-        Column.Builder.add hb h;
-        Column.Builder.add tb default
-      | Some js ->
-        List.iter
-          (fun j ->
-            Column.Builder.add hb h;
-            Column.Builder.add tb (tail_at r j))
-          js
-    done;
-    { hd = Column.Builder.finish hb; tl = Column.Builder.finish tb }
-  in
-  match (l.tl, r.hd) with
-  | (Column.I lt | Column.O lt), (Column.I rh | Column.O rh) ->
-    let idx = Hashtbl.create (Array.length rh) in
-    for j = Array.length rh - 1 downto 0 do
-      Hashtbl.replace idx rh.(j) (j :: Option.value ~default:[] (Hashtbl.find_opt idx rh.(j)))
-    done;
-    emit_rows (fun i -> Hashtbl.find_opt idx lt.(i))
-  | _ ->
-    let idx = positions_index r.hd in
-    emit_rows (fun i -> AtomTbl.find_opt idx (tail_at l i))
+  let li, rj = matches ~outer:true l r in
+  let hd, tl = Column.gather_pair l.hd li (Column.append r.tl (Column.const default 1)) rj in
+  { hd; tl }
 
 let int_members arr =
   let tbl = Hashtbl.create (Array.length arr) in
@@ -1295,44 +1338,64 @@ let key_positions link key =
         Option.value ~default:(-1) (AtomTbl.find_opt first (head_at link i)))
 
 (* The order is total: link tail, then key value (present before
-   missing; [desc] flips present values), then row position.  Each
-   row's tail and value are read once, not once per comparison; int/oid
-   groups with float keys sort on unboxed arrays. *)
-let group_rank ?(desc = false) ~link key =
+   missing; [desc] flips present values), then row position.  Rows are
+   grouped into runs of equal tails in tail order (already so when the
+   tails are sorted, as a set's link usually is), and each run keeps
+   its [limit] least rows through {!smallest}.  Each row's tail and
+   value are read once, not once per comparison; int/oid tails and
+   float keys compare unboxed. *)
+let group_rank ?(desc = false) ?limit ~link key =
   let n = count link in
   let pos = key_positions link key in
-  let idx = Array.init n (fun i -> i) in
-  let by_value c_val i j =
-    match (pos.(i) >= 0, pos.(j) >= 0) with
-    | true, true -> if desc then c_val j i else c_val i j
-    | true, false -> -1
-    | false, true -> 1
-    | false, false -> 0
+  let c_tail =
+    match link.tl with
+    | Column.I lt | Column.O lt -> fun i j -> Int.compare lt.(i) lt.(j)
+    | _ ->
+      let tails = Array.init n (tail_at link) in
+      fun i j -> Atom.compare tails.(i) tails.(j)
   in
-  let ranks = Array.make n 0 in
-  let sort_and_rank c_tail c_val =
-    Array.stable_sort
-      (fun i j ->
-        let c = c_tail i j in
-        if c <> 0 then c
-        else
-          let c = by_value c_val i j in
-          if c <> 0 then c else Int.compare i j)
-      idx;
-    for k = 1 to n - 1 do
-      if c_tail idx.(k) idx.(k - 1) = 0 then ranks.(k) <- ranks.(k - 1) + 1
-    done
+  let c_val =
+    match key.tl with
+    | Column.F kt ->
+      let v = Array.map (fun p -> if p >= 0 then kt.(p) else 0.0) pos in
+      fun i j -> Float.compare v.(i) v.(j)
+    | _ ->
+      let v = Array.map (fun p -> if p >= 0 then tail_at key p else Atom.Int 0) pos in
+      fun i j -> Atom.compare v.(i) v.(j)
   in
-  (match (link.tl, key.tl) with
-  | (Column.I lt | Column.O lt), Column.F kt ->
-    let v = Array.map (fun p -> if p >= 0 then kt.(p) else 0.0) pos in
-    sort_and_rank (fun i j -> Int.compare lt.(i) lt.(j)) (fun i j -> Float.compare v.(i) v.(j))
-  | _ ->
-    let tails = Array.init n (tail_at link) in
-    let v = Array.map (fun p -> if p >= 0 then tail_at key p else Atom.Int 0) pos in
-    sort_and_rank
-      (fun i j -> Atom.compare tails.(i) tails.(j))
-      (fun i j -> Atom.compare v.(i) v.(j)));
-  { hd = Column.gather link.hd idx; tl = Column.I ranks }
+  let within i j =
+    let c =
+      match (pos.(i) >= 0, pos.(j) >= 0) with
+      | true, true -> if desc then c_val j i else c_val i j
+      | true, false -> -1
+      | false, true -> 1
+      | false, false -> 0
+    in
+    if c <> 0 then c else Int.compare i j
+  in
+  let order = Array.init n (fun i -> i) in
+  let sorted = ref true and i = ref 1 in
+  while !sorted && !i < n do
+    if c_tail (!i - 1) !i > 0 then sorted := false;
+    incr i
+  done;
+  if not !sorted then Array.stable_sort c_tail order;
+  let k = Option.value limit ~default:n in
+  let cap = min n (max k 0) in
+  let rows = Ibuf.with_capacity cap and ranks = Ibuf.with_capacity cap in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = ref (!lo + 1) in
+    while !hi < n && c_tail order.(!lo) order.(!hi) = 0 do
+      incr hi
+    done;
+    Array.iteri
+      (fun r row ->
+        Ibuf.push rows row;
+        Ibuf.push ranks r)
+      (smallest within k order !lo !hi);
+    lo := !hi
+  done;
+  { hd = Column.gather link.hd (Ibuf.finish rows); tl = Column.I (Ibuf.finish ranks) }
 
 let histogram b = group_aggr Count (reverse b)

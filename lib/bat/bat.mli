@@ -136,8 +136,8 @@ val sort_tail : ?desc:bool -> t -> t
 (** Stable sort of rows by tail value. *)
 
 val topn : ?desc:bool -> t -> int -> t
-(** [sort_tail] then take the first [n] rows ([desc] defaults to
-    [true]: largest first). *)
+(** The first [n] rows of [sort_tail] ([desc] defaults to [true]:
+    largest first), selected without sorting the rest. *)
 
 val unique : t -> t
 (** Distinct [(head, tail)] pairs, keeping first occurrences in order. *)
@@ -168,7 +168,8 @@ val join : t -> t -> t
     multiple matches expanded in [r] order. *)
 
 val leftouterjoin : t -> t -> Atom.t -> t
-(** Like {!join} but rows of [l] without a match produce [(lh, default)]. *)
+(** Like {!join} but rows of [l] without a match produce [(lh, default)].
+    Int and oid columns match by value whatever their kinds. *)
 
 val semijoin : t -> t -> t
 (** Rows of [l] whose head occurs among [r]'s heads. *)
@@ -218,12 +219,15 @@ val aggr_all : aggr -> t -> Atom.t
     neutral element for [Sum]/[Count]/[Prod] ([0] / [0] / [1]) and
     raises [Invalid_argument] for [Min]/[Max]/[Avg]. *)
 
-val group_rank : ?desc:bool -> link:t -> t -> t
+val group_rank : ?desc:bool -> ?limit:int -> link:t -> t -> t
 (** Per-group ranking: [link] maps element to group, [key] maps the same
     elements to an orderable value (aligned by head value).  The result
     maps each element to its 0-based rank within its group, ordered by
     key ([desc] defaults to [false]).  Elements of [link] missing from
-    [key] are ranked last in input order. *)
+    [key] are ranked last in input order.  Rows come grouped, groups in
+    link-tail order, each in rank order.  With [limit] only the rows of
+    rank below it are kept (and ranked), which costs O(n log limit) —
+    row for row [select_cmp (group_rank …) Lt (Int limit)]. *)
 
 val histogram : t -> t
 (** Occurrence count per distinct tail value, i.e.

@@ -27,7 +27,7 @@ type t =
   | UniqueHead of t
   | GroupAggr of Bat.aggr * t
   | AggrAll of Bat.aggr * t
-  | GroupRank of { link : t; key : t; desc : bool }
+  | GroupRank of { link : t; key : t; desc : bool; limit : int option }
   | SortTail of t * bool
   | Slice of t * int * int
   | TopN of t * int * bool
@@ -250,7 +250,7 @@ let apply s plan args =
   | AggrAll (op, _), [ b ] ->
     let v = Bat.aggr_all op b in
     Bat.of_pairs Atom.TOid (Atom.type_of v) [ (Atom.Oid 0, v) ]
-  | GroupRank { desc; _ }, [ link; key ] -> Bat.group_rank ~desc ~link key
+  | GroupRank { desc; limit; _ }, [ link; key ] -> Bat.group_rank ~desc ?limit ~link key
   | SortTail (_, desc), [ b ] -> Bat.sort_tail ~desc b
   | Slice (_, pos, len), [ b ] -> Bat.slice b pos len
   | TopN (_, n, desc), [ b ] -> Bat.topn ~desc b n
@@ -464,8 +464,12 @@ let rec pp ppf plan =
   | UniqueHead p -> node "unique_head" [ p ]
   | GroupAggr (op, p) -> node (Printf.sprintf "group_%s" (aggr_name op)) [ p ]
   | AggrAll (op, p) -> node (Printf.sprintf "aggr_%s" (aggr_name op)) [ p ]
-  | GroupRank { link; key; desc } ->
-    node (Printf.sprintf "group_rank[%s]" (if desc then "desc" else "asc")) [ link; key ]
+  | GroupRank { link; key; desc; limit } ->
+    node
+      (Printf.sprintf "group_rank[%s%s]"
+         (if desc then "desc" else "asc")
+         (match limit with Some k -> Printf.sprintf ",<%d" k | None -> ""))
+      [ link; key ]
   | SortTail (p, desc) ->
     node (Printf.sprintf "sort_tail[%s]" (if desc then "desc" else "asc")) [ p ]
   | Slice (p, pos, len) -> node (Printf.sprintf "slice[%d,%d]" pos len) [ p ]

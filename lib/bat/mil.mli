@@ -45,7 +45,9 @@ type t =
       (** Single-row result [(@0, v)]; empty inputs yield the
           aggregate's neutral element (and raise for min/max/avg as in
           {!Bat.aggr_all}). *)
-  | GroupRank of { link : t; key : t; desc : bool }
+  | GroupRank of { link : t; key : t; desc : bool; limit : int option }
+      (** {!Bat.group_rank}; [limit = Some k] keeps only the rows of
+          rank below [k] in each group. *)
   | SortTail of t * bool  (** [true] = descending. *)
   | Slice of t * int * int
   | TopN of t * int * bool

@@ -46,7 +46,7 @@ type fact = {
 }
 
 type foreign = {
-  f_arity : int;
+  f_arities : int list;
   f_meta_min : int;
   f_result : P.t;
   f_pure : bool;
@@ -665,21 +665,32 @@ let rule env ~emit plan (kids : fact array) =
       1,
       fixed_rb,
       aggr_tail op c tty )
-  | Mil.GroupRank _ ->
+  | Mil.GroupRank { limit; _ } ->
     let l = kid 0 and k = kid 1 in
     (match (l.prop.hty, k.prop.hty) with
     | Some a, Some b when a <> b ->
       warn "group_rank link heads (%s) never match key heads (%s) — all elements rank last"
         (Atom.ty_name a) (Atom.ty_name b)
     | _ -> ());
+    (* a limit of k keeps min(k, size) rows of every group, and the sum
+       over the groups is at least min(k, all rows); the estimate
+       assumes one group *)
+    let card, est =
+      match limit with
+      | None -> (l.prop.card, l.est)
+      | Some k ->
+        let k = max 0 k in
+        let hi = if k = 0 then Some 0 else l.prop.card.P.hi in
+        ({ P.lo = min k l.prop.card.P.lo; hi }, min k l.est)
+    in
     ( {
         P.unknown with
         hty = l.prop.hty;
         tty = Some Atom.TInt;
         head_key = l.prop.head_key;
-        card = l.prop.card;
+        card;
       },
-      l.est,
+      est,
       l.head_rb,
       fixed_rb )
   | Mil.SortTail (_, desc) ->
@@ -720,8 +731,10 @@ let rule env ~emit plan (kids : fact array) =
       err "physical operator %S has no registered signature" name;
       (P.unknown, 0, unknown_rb, unknown_rb)
     | Some f ->
-      if List.length args <> f.f_arity then
-        err "%S expects %d plan arguments, got %d" name f.f_arity (List.length args);
+      if not (List.mem (List.length args) f.f_arities) then
+        err "%S expects %s plan arguments, got %d" name
+          (String.concat " or " (List.map string_of_int f.f_arities))
+          (List.length args);
       if List.length meta < f.f_meta_min then
         err "%S expects at least %d meta strings, got %d" name f.f_meta_min
           (List.length meta);

@@ -111,7 +111,7 @@ type fact = {
 (** {1 Environment} *)
 
 type foreign = {
-  f_arity : int;  (** Exact number of plan arguments. *)
+  f_arities : int list;  (** The accepted numbers of plan arguments. *)
   f_meta_min : int;  (** Minimum number of meta strings. *)
   f_result : Milprop.t;  (** Envelope of the operator's result. *)
   f_pure : bool;

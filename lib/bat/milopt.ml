@@ -14,6 +14,11 @@ let rules fired plan =
   | Mil.Unique (Mil.Unique p) -> fire (Mil.Unique p)
   | Mil.Append (p, Mil.Lit { pairs = []; _ }) -> fire p
   | Mil.Slice (Mil.SortTail (p, desc), 0, n) -> fire (Mil.TopN (p, n, desc))
+  (* [take]'s cut of a ranked list: the ranks below k are exactly what a
+     group_rank limited to k keeps, in the same rows and order. *)
+  | Mil.SelectCmp (Mil.GroupRank { link; key; desc; limit }, Bat.Lt, Atom.Int k) ->
+    let limit = Some (match limit with Some l -> min l k | None -> k) in
+    fire (Mil.GroupRank { link; key; desc; limit })
   (* A pair BAT X split into a set's link and elem over one fresh oid
      range (getBL's result) and joined back, as every aggregate over
      the set does: [reverse (number_head X b)] is (head_i, b+i) and
@@ -66,8 +71,8 @@ let rec pass fired plan =
     | Mil.UniqueHead p -> Mil.UniqueHead (descend p)
     | Mil.GroupAggr (op, p) -> Mil.GroupAggr (op, descend p)
     | Mil.AggrAll (op, p) -> Mil.AggrAll (op, descend p)
-    | Mil.GroupRank { link; key; desc } ->
-      Mil.GroupRank { link = descend link; key = descend key; desc }
+    | Mil.GroupRank { link; key; desc; limit } ->
+      Mil.GroupRank { link = descend link; key = descend key; desc; limit }
     | Mil.SortTail (p, d) -> Mil.SortTail (descend p, d)
     | Mil.Slice (p, pos, len) -> Mil.Slice (descend p, pos, len)
     | Mil.TopN (p, n, d) -> Mil.TopN (descend p, n, d)

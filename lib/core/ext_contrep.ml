@@ -110,11 +110,27 @@ module E = struct
           Shape.Xstruct { ext = "CONTREP"; meta; bats = [ ctx; term; tf; len ]; _ };
           Shape.Set { link = qlink; elem = Shape.Atomic qval };
         ] ) ->
+      (* A query literal reaches the operator once, as a one-column
+         operand it broadcasts over the domain; its flattened per-
+         context copy (|dom| x |terms| rows) stays unbuilt. *)
+      let query =
+        match raw with
+        | [ _; Expr.Lit (Value.VSet items, _) ] ->
+          [
+            Mil.Lit
+              {
+                hty = Atom.TOid;
+                tty = Atom.TStr;
+                pairs = List.map (fun v -> (Atom.Oid 0, Value.as_atom v)) items;
+              };
+          ]
+        | _ -> [ qlink; qval ]
+      in
       let pairs =
         Mil.Foreign
           {
             name = "contrep_getbl";
-            args = [ ctx; term; tf; len; env.Extension.dom; qlink; qval ];
+            args = [ ctx; term; tf; len; env.Extension.dom ] @ query;
             meta;
           }
       in
@@ -255,12 +271,17 @@ module E = struct
 
   let getbl_foreign env ~args ~meta =
     match (args, meta) with
-    | [ occ_ctx; occ_term; occ_tf; len; dom; qlink; qval ], space_name :: _ -> (
+    | occ_ctx :: occ_term :: occ_tf :: len :: dom :: q, space_name :: _ -> (
+      let query =
+        match q with
+        | [ qlink; qval ] -> Mirror_ir.Search.Linked { qlink; qval }
+        | [ lit ] -> Mirror_ir.Search.Broadcast lit
+        | _ -> failwith "contrep_getbl: malformed query operands"
+      in
       match env.Extension.space space_name with
       | Some space ->
         metered "contrep.getbl" (fun () ->
-            Mirror_ir.Search.getbl_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom
-              ~qlink ~qval)
+            Mirror_ir.Search.getbl_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~query)
       | None -> failwith (Printf.sprintf "contrep_getbl: unknown space %S" space_name))
     | _ -> failwith "contrep_getbl: malformed physical operands"
 
@@ -278,14 +299,17 @@ module E = struct
 
   (* Both operators build fresh (ctx oid, belief) columns from the
      space's statistics, never aliasing or touching their argument
-     columns.  getbl emits one row per context of [dom] and [qlink]
-     entry attached to it, so heads repeat: at most [qlink] rows when
-     [dom]'s contexts are distinct, else [dom] x [qlink].  getblnet
-     folds the whole query into one belief per context. *)
+     columns.  getbl emits one row per context of [dom] and query
+     element attached to it, so heads repeat.  Linked (7 arguments): at
+     most [qlink] rows when [dom]'s contexts are distinct, else [dom] x
+     [qlink].  Broadcast (6): exactly [dom] x [lit] rows when [dom]'s
+     contexts are distinct; a context repeated m times emits m x m x
+     [lit] rows, so at most [dom] x [dom] x [lit].  getblnet folds the
+     whole query into one belief per context. *)
   let foreign_ops =
-    let decl ~arity ~meta_min ~head_key rows =
+    let decl ~arities ~meta_min ~head_key rows =
       {
-        Milcheck.f_arity = arity;
+        Milcheck.f_arities = arities;
         f_meta_min = meta_min;
         f_result = { Milprop.unknown with hty = Some Atom.TOid; tty = Some Atom.TFlt; head_key };
         f_pure = true;
@@ -299,6 +323,14 @@ module E = struct
       | [ _; _; _; _; dom; qlink; _ ] ->
         if dom.prop.head_key then (Milprop.card_upto qlink.prop.card, qlink.est)
         else (Milprop.card_mul dom.prop.card qlink.prop.card, Milprop.smul dom.est qlink.est)
+      | [ _; _; _; _; dom; lit ] ->
+        let d = dom.prop.card and l = lit.prop.card in
+        let card =
+          if dom.prop.head_key then
+            { Milprop.lo = d.lo * l.lo; hi = (Milprop.card_mul d l).hi }
+          else { Milprop.lo = d.lo * l.lo; hi = (Milprop.card_mul d (Milprop.card_mul d l)).hi }
+        in
+        (card, Milprop.smul dom.est lit.est)
       | _ -> (Milprop.any_card, 0)
     in
     let getblnet_rows (args : Milcheck.fact list) =
@@ -310,12 +342,12 @@ module E = struct
       ( "contrep_getbl",
         {
           Extension.run = getbl_foreign;
-          decl = decl ~arity:7 ~meta_min:1 ~head_key:false getbl_rows;
+          decl = decl ~arities:[ 6; 7 ] ~meta_min:1 ~head_key:false getbl_rows;
         } );
       ( "contrep_getblnet",
         {
           Extension.run = getblnet_foreign;
-          decl = decl ~arity:5 ~meta_min:2 ~head_key:true getblnet_rows;
+          decl = decl ~arities:[ 5 ] ~meta_min:2 ~head_key:true getblnet_rows;
         } );
     ]
 

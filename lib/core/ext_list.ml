@@ -64,7 +64,7 @@ module E = struct
               | None -> fail "%s: no field %S" op field)
             | _ -> fail "%s: elements are not tuples" op
         in
-        let pos = Mil.GroupRank { link; key; desc = op = "tolist_desc" } in
+        let pos = Mil.GroupRank { link; key; desc = op = "tolist_desc"; limit = None } in
         Shape.Xstruct { ext = name; meta = []; bats = [ link; pos ]; subs = [ elem ] }
       | _ -> fail "%s: expected a flattened set" op)
     | "take", [ _; n_raw ], [ self; _n_shape ] -> (

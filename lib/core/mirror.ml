@@ -192,7 +192,7 @@ let thesaurus_lookup t ?(limit = 10) text =
      take(tolist_desc(
        map[tuple<source: THIS.source, score: sum(getBL(THIS.<field>, q))>](
          ImageLibraryInternal), "score"), limit) *)
-let rank_by_terms t ?(limit = 10) ~field terms =
+let ranking_query ?(limit = 10) ~field terms =
   let body =
     Expr.Tuple
       [
@@ -201,18 +201,18 @@ let rank_by_terms t ?(limit = 10) ~field terms =
       ]
   in
   let scored = Expr.Map { v = "x"; body; src = Expr.Extent "ImageLibraryInternal" } in
-  let listed =
-    Expr.ExtOp
-      {
-        op = "take";
-        args =
-          [
-            Expr.ExtOp { op = "tolist_desc"; args = [ scored; Expr.lit_str "score" ] };
-            Expr.lit_int limit;
-          ];
-      }
-  in
-  let* v = run_expr t listed in
+  Expr.ExtOp
+    {
+      op = "take";
+      args =
+        [
+          Expr.ExtOp { op = "tolist_desc"; args = [ scored; Expr.lit_str "score" ] };
+          Expr.lit_int limit;
+        ];
+    }
+
+let rank_by_terms t ?limit ~field terms =
+  let* v = run_expr t (ranking_query ?limit ~field terms) in
   match v with
   | Value.Xv { ext = "LIST"; items; _ } ->
     Ok

@@ -75,6 +75,10 @@ val thesaurus_lookup : t -> ?limit:int -> string -> (string * float) list
 (** Concepts (visual words) associated with a text query, adaptation
     applied — the §5.2 query-formulation step. *)
 
+val ranking_query : ?limit:int -> field:string -> string list -> Expr.t
+(** The expression {!rank_by_terms} runs: the top [limit] (default 10)
+    of the ranking below, as a LIST. *)
+
 val rank_by_terms :
   t -> ?limit:int -> field:string -> string list -> ((string * float) list, string) result
 (** Run the paper's ranking query

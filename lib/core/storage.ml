@@ -205,23 +205,23 @@ let rec bind_value t ~path ~ty v =
       ~ty_args v
   | _, _ -> v
 
+(* Remove the extent's BATs and statistics spaces, returning them so
+   that a failed load can put them back. *)
 let clear_prefix t name =
-  List.iter
-    (fun entry ->
-      if
-        entry = name
-        || Mirror_util.Stringx.starts_with ~prefix:(name ^ "#") entry
-        || Mirror_util.Stringx.starts_with ~prefix:(name ^ "/") entry
-      then Catalog.remove t.cat entry)
-    (Catalog.names t.cat);
-  List.iter
-    (fun sp ->
-      if
-        sp = name
-        || Mirror_util.Stringx.starts_with ~prefix:(name ^ "#") sp
-        || Mirror_util.Stringx.starts_with ~prefix:(name ^ "/") sp
-      then Hashtbl.remove t.spaces sp)
-    (List.of_seq (Hashtbl.to_seq_keys t.spaces))
+  let owned entry =
+    entry = name
+    || Mirror_util.Stringx.starts_with ~prefix:(name ^ "#") entry
+    || Mirror_util.Stringx.starts_with ~prefix:(name ^ "/") entry
+  in
+  let bats =
+    List.filter_map
+      (fun entry -> if owned entry then Some (entry, Catalog.get t.cat entry) else None)
+      (Catalog.names t.cat)
+  in
+  let spaces = List.filter (fun (sp, _) -> owned sp) (List.of_seq (Hashtbl.to_seq t.spaces)) in
+  List.iter (fun (entry, _) -> Catalog.remove t.cat entry) bats;
+  List.iter (fun (sp, _) -> Hashtbl.remove t.spaces sp) spaces;
+  (bats, spaces)
 
 let load_unlogged t ~name rows =
   match Hashtbl.find_opt t.exts name with
@@ -234,7 +234,7 @@ let load_unlogged t ~name rows =
         (Printf.sprintf "row %s does not match element type %s" (Value.to_string bad)
            (Types.to_string elem_ty))
     | None -> (
-      clear_prefix t name;
+      let old_bats, old_spaces = clear_prefix t name in
       let base = fresh_store t (List.length rows) in
       let oids = List.mapi (fun i _ -> base + i) rows in
       let hb = Column.Builder.create Atom.TOid in
@@ -254,7 +254,14 @@ let load_unlogged t ~name rows =
         extent.rows <-
           Some (List.map (bind_value t ~path:(name ^ "#el") ~ty:elem_ty) rows);
         Ok oids
-      | exception Invalid_argument msg -> Error msg))
+      | exception Invalid_argument msg ->
+        (* a value the type check let through failed to materialize:
+           drop what was built and put the old contents back, so the
+           failed load leaves the extent as it was *)
+        ignore (clear_prefix t name);
+        List.iter (fun (entry, b) -> Catalog.put t.cat entry b) old_bats;
+        List.iter (fun (sp, s) -> Hashtbl.replace t.spaces sp s) old_spaces;
+        Error msg))
 
 (* The journal records an operation only after it applied cleanly: a
    crash in between means the caller never saw it succeed, so losing

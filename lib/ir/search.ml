@@ -255,12 +255,15 @@ let locate keys n cur (c : int) =
   cur := i;
   if i < n && keys.(i) = c then i else -1
 
-let getbl_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~qlink ~qval =
+type query = Linked of { qlink : Bat.t; qval : Bat.t } | Broadcast of Bat.t
+
+let str_tails what b =
+  match Bat.tail b with Column.S a -> a | _ -> invalid_arg ("getbl: " ^ what ^ " column")
+
+let linked_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~qlink ~qval =
   let dom_heads = Column.oid_exn (Bat.head dom) in
   let qval_heads = Column.oid_exn (Bat.head qval) in
-  let qval_tails =
-    match Bat.tail qval with Column.S a -> a | _ -> invalid_arg "getbl: query column"
-  in
+  let qval_tails = str_tails "query" qval in
   let qlink_heads = Column.oid_exn (Bat.head qlink) in
   let qlink_tails = Column.oid_exn (Bat.tail qlink) in
   (* the term id of every qlink row (-1: its qelem has no term).  A
@@ -389,6 +392,58 @@ let getbl_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~qlink ~qval =
       Bat.make
         (Column.O (Array.concat (List.map fst (Array.to_list parts))))
         (Column.F (Array.concat (List.map snd (Array.to_list parts))))
+
+(* One query for every context of [dom]: context k's rows are
+   [k * nt] .. [k * nt + nt - 1], its beliefs for the literal's terms
+   in literal order — the layout the linked form produces for the
+   literal replicated per context.  A postings context finds its dom
+   row by a galloping search, so [dom] must be strictly ascending, as
+   a compiled plan's domain is (an extent's elements or a selection of
+   them); any other [dom] is answered by the linked form over the
+   literal replicated per dom row. *)
+let broadcast_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom lit =
+  let dom_heads = Column.oid_exn (Bat.head dom) in
+  let terms = str_tails "query literal" lit in
+  let n = Array.length dom_heads and nt = Array.length terms in
+  let ctx_of_row = Array.init (n * nt) (fun r -> dom_heads.(r / nt)) in
+  let ascending =
+    let k = ref 1 in
+    while !k < n && dom_heads.(!k - 1) < dom_heads.(!k) do
+      incr k
+    done;
+    !k >= n
+  in
+  if not ascending then
+    let elems = Column.dense 0 (n * nt) in
+    linked_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom
+      ~qlink:(Bat.make elems (Column.O ctx_of_row))
+      ~qval:(Bat.make elems (Column.S (Array.init (n * nt) (fun r -> terms.(r mod nt)))))
+  else begin
+    let ts = new_terms () in
+    let lit_tid = Array.map (term_id ts) terms in
+    let idf, postings = resolve ~space ~occ_ctx ~occ_term ~occ_tf ~len ts in
+    let bel = Array.make (n * nt) Belief.default_belief in
+    let avg = Space.avg_doc_len space in
+    Array.iteri
+      (fun t (p : Space.postings) ->
+        let cur = ref 0 in
+        for j = 0 to Array.length p.ctxs - 1 do
+          let k = locate dom_heads n cur p.ctxs.(j) in
+          if k >= 0 then begin
+            let b = belief_of ~idf:idf.(t) ~p ~avg j in
+            for q = 0 to nt - 1 do
+              if lit_tid.(q) = t then bel.((k * nt) + q) <- b
+            done
+          end
+        done)
+      postings;
+    Bat.make (Column.O ctx_of_row) (Column.F bel)
+  end
+
+let getbl_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~query =
+  match query with
+  | Linked { qlink; qval } -> linked_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~qlink ~qval
+  | Broadcast lit -> broadcast_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom lit
 
 let getblnet_pairs ~space ~net ~occ_ctx ~occ_term ~occ_tf ~len ~dom =
   let dom_heads = Column.oid_exn (Bat.head dom) in

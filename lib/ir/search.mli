@@ -47,6 +47,15 @@ val getblnet_pairs :
     [(ctx, belief)] row per context in [dom] order.  Leaf beliefs use
     the same statistics and fast paths as {!getbl_pairs}. *)
 
+(** The query of {!getbl_pairs}. *)
+type query =
+  | Linked of { qlink : Mirror_bat.Bat.t; qval : Mirror_bat.Bat.t }
+      (** A flattened per-context set: [qlink : qelem->ctx],
+          [qval : qelem->str]. *)
+  | Broadcast of Mirror_bat.Bat.t
+      (** One set for every context of [dom]: its tails are the terms,
+          in order (a compiled query literal). *)
+
 val getbl_pairs :
   space:Space.t ->
   occ_ctx:Mirror_bat.Bat.t ->
@@ -54,19 +63,19 @@ val getbl_pairs :
   occ_tf:Mirror_bat.Bat.t ->
   len:Mirror_bat.Bat.t ->
   dom:Mirror_bat.Bat.t ->
-  qlink:Mirror_bat.Bat.t ->
-  qval:Mirror_bat.Bat.t ->
+  query:query ->
   Mirror_bat.Bat.t
 (** The physical probabilistic operator behind the Moa-level [getBL]:
     given a CONTREP occurrence decomposition ([occ_oid->ctx],
     [occ_oid->term_string], [occ_oid->tf]), the per-context document
     lengths ([ctx->flt], carried in the representation so that the
     algebra can rebase contexts under joins), the context domain [dom]
-    (a [(ctx,ctx)] mirror), and the query as a flattened per-context
-    set ([qlink : qelem->ctx], [qval : qelem->str]; a context-constant
-    query simply links a copy of its terms to every context), produce
-    one [(ctx, belief)] row per context x query term, context-major in
-    [dom] order, each context's query terms in [qlink] order.  The
+    (a [(ctx,ctx)] mirror), and the {!type-query}, produce one
+    [(ctx, belief)] row per context x query term, context-major in
+    [dom] order, each context's query terms in [qlink] order.  A
+    [Broadcast] query answers exactly as the same terms linked to every
+    context of [dom] would, without building that |dom| x |terms|
+    link.  The
     [space] supplies the collection-global statistics (df, N, average
     length); terms unknown to the space or absent from a context
     contribute the default belief. *)

@@ -9,9 +9,10 @@
    Deliberately excluded operators: Div/Pow (division by a randomly
    zero constant; Pow widens to float with rounding concerns),
    Log/Exp/Sqrt (NaN results break bit-for-bit comparison), AggrAll
-   Min/Max/Avg (raise on empty input by contract), GroupRank (needs an
-   aligned link/key pair the pool does not track) and Foreign (the
-   fixture has no extension registry). *)
+   Min/Max/Avg (raise on empty input by contract) and Foreign (the
+   fixture has no extension registry).  GroupRank pairs any link with
+   any key of the same head type; heads that never meet rank every
+   element as missing. *)
 
 module Prng = Mirror_util.Prng
 module Atom = Mirror_bat.Atom
@@ -264,6 +265,22 @@ let generators :
         Option.map
           (fun e -> (Mil.TopN (e.plan, 1 + Prng.int g 10, Prng.bool g), e.hty, e.tty))
           (pick g pool any) );
+    ( "group_rank",
+      fun g pool ->
+        Option.bind (pick g pool any) (fun link ->
+            Option.map
+              (fun key ->
+                let limit = if Prng.bool g then Some (Prng.int g 6) else None in
+                let rank =
+                  Mil.GroupRank { link = link.plan; key = key.plan; desc = Prng.bool g; limit }
+                in
+                (* take's cut, which Milopt fuses into the limit *)
+                let node =
+                  if Prng.int g 3 = 0 then Mil.SelectCmp (rank, Bat.Lt, Atom.Int (Prng.int g 6))
+                  else rank
+                in
+                (node, link.hty, Atom.TInt))
+              (pick g pool (fun key -> key.hty = link.hty))) );
   |]
 
 let generate g pool =

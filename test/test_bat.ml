@@ -409,6 +409,282 @@ let test_group_rank_oracle () =
   done;
   case "empty" ~link:(bat_oo []) ~key:(Bat.of_pairs Atom.TOid Atom.TFlt [])
 
+(* {1 The ranking path against the kernels it replaced}
+
+   [leftouterjoin] and [group_rank] as they were before the outer join
+   gathered typed columns and the ranking learned a limit, kept
+   verbatim (module paths qualified, records built with [make]) as the
+   oracles the current kernels must match row for row.  The limited
+   ranking is checked against [select_cmp (group_rank …) Lt k], the
+   plan it replaces, and [topn] against the full sort it replaces. *)
+module Old_bat = struct
+  open Bat
+
+  module AtomTbl = Hashtbl.Make (struct
+    type t = Atom.t
+
+    let equal = Atom.equal
+    let hash = Atom.hash
+  end)
+
+  let dense_base arr =
+    let n = Array.length arr in
+    if n = 0 then None
+    else begin
+      let base = arr.(0) in
+      let ok = ref true in
+      let i = ref 1 in
+      while !ok && !i < n do
+        if arr.(!i) <> base + !i then ok := false;
+        incr i
+      done;
+      if !ok then Some base else None
+    end
+
+  let positions_index c =
+    let tbl = AtomTbl.create (Column.length c) in
+    for i = Column.length c - 1 downto 0 do
+      let v = Column.get c i in
+      let rest = try AtomTbl.find tbl v with Not_found -> [] in
+      AtomTbl.replace tbl v (i :: rest)
+    done;
+    tbl
+
+  let first_position_index c =
+    let tbl = AtomTbl.create (Column.length c) in
+    for i = 0 to Column.length c - 1 do
+      let v = Column.get c i in
+      if not (AtomTbl.mem tbl v) then AtomTbl.add tbl v i
+    done;
+    tbl
+
+  let leftouterjoin l r default =
+    if Atom.type_of default <> tty r then
+      invalid_arg "Bat.leftouterjoin: default type does not match right tail";
+    let emit_rows find_positions =
+      let hb = Column.Builder.create (hty l) in
+      let tb = Column.Builder.create (tty r) in
+      for i = 0 to count l - 1 do
+        let h = head_at l i in
+        match find_positions i with
+        | None ->
+          Column.Builder.add hb h;
+          Column.Builder.add tb default
+        | Some js ->
+          List.iter
+            (fun j ->
+              Column.Builder.add hb h;
+              Column.Builder.add tb (tail_at r j))
+            js
+      done;
+      make (Column.Builder.finish hb) (Column.Builder.finish tb)
+    in
+    match (tail l, head r) with
+    | (Column.I lt | Column.O lt), (Column.I rh | Column.O rh) ->
+      let idx = Hashtbl.create (Array.length rh) in
+      for j = Array.length rh - 1 downto 0 do
+        Hashtbl.replace idx rh.(j) (j :: Option.value ~default:[] (Hashtbl.find_opt idx rh.(j)))
+      done;
+      emit_rows (fun i -> Hashtbl.find_opt idx lt.(i))
+    | _ ->
+      let idx = positions_index (head r) in
+      emit_rows (fun i -> AtomTbl.find_opt idx (tail_at l i))
+
+  let key_positions link key =
+    let n = count link in
+    match (head link, head key) with
+    | Column.O lh, Column.O kh | Column.I lh, Column.I kh -> (
+      match dense_base kh with
+      | Some base ->
+        let nk = Array.length kh in
+        Array.init n (fun i ->
+            let j = lh.(i) - base in
+            if j >= 0 && j < nk then j else -1)
+      | None ->
+        let first = Hashtbl.create (Array.length kh) in
+        for j = Array.length kh - 1 downto 0 do
+          Hashtbl.replace first kh.(j) j
+        done;
+        Array.init n (fun i -> Option.value ~default:(-1) (Hashtbl.find_opt first lh.(i))))
+    | _ ->
+      let first = first_position_index (head key) in
+      Array.init n (fun i ->
+          Option.value ~default:(-1) (AtomTbl.find_opt first (head_at link i)))
+
+  let group_rank ?(desc = false) ~link key =
+    let n = count link in
+    let pos = key_positions link key in
+    let idx = Array.init n (fun i -> i) in
+    let by_value c_val i j =
+      match (pos.(i) >= 0, pos.(j) >= 0) with
+      | true, true -> if desc then c_val j i else c_val i j
+      | true, false -> -1
+      | false, true -> 1
+      | false, false -> 0
+    in
+    let ranks = Array.make n 0 in
+    let sort_and_rank c_tail c_val =
+      Array.stable_sort
+        (fun i j ->
+          let c = c_tail i j in
+          if c <> 0 then c
+          else
+            let c = by_value c_val i j in
+            if c <> 0 then c else Int.compare i j)
+        idx;
+      for k = 1 to n - 1 do
+        if c_tail idx.(k) idx.(k - 1) = 0 then ranks.(k) <- ranks.(k - 1) + 1
+      done
+    in
+    (match (tail link, tail key) with
+    | (Column.I lt | Column.O lt), Column.F kt ->
+      let v = Array.map (fun p -> if p >= 0 then kt.(p) else 0.0) pos in
+      sort_and_rank (fun i j -> Int.compare lt.(i) lt.(j)) (fun i j -> Float.compare v.(i) v.(j))
+    | _ ->
+      let tails = Array.init n (tail_at link) in
+      let v = Array.map (fun p -> if p >= 0 then tail_at key p else Atom.Int 0) pos in
+      sort_and_rank
+        (fun i j -> Atom.compare tails.(i) tails.(j))
+        (fun i j -> Atom.compare v.(i) v.(j)));
+    make (Column.gather (head link) idx) (Column.I ranks)
+end
+
+let check_same_kinds label expected actual =
+  check_bat label expected actual;
+  Alcotest.(check bool) (label ^ ": same column kinds") true
+    (Column.ty (Bat.head actual) = Column.ty (Bat.head expected)
+    && Column.ty (Bat.tail actual) = Column.ty (Bat.tail expected))
+
+(* Seeded outer joins: right heads with duplicates and missing keys,
+   dense (void), sorted (merge) and scattered (hash) right heads, int
+   against oid columns, and str join columns; sequentially and under a
+   2-domain pool split into 3-row morsels. *)
+let leftouterjoin_cases g =
+  let cases = ref [] in
+  let add name l r d = cases := (name, l, r, d) :: !cases in
+  for round = 0 to 59 do
+    let n = Mirror_util.Prng.int g 30 and m = Mirror_util.Prng.int g 20 in
+    let range = 1 + Mirror_util.Prng.int g 25 in
+    let keys k = List.init k (fun _ -> Mirror_util.Prng.int g range) in
+    let lt = keys n in
+    let l_sorted = List.sort Int.compare lt in
+    let rh =
+      match round mod 4 with
+      | 0 -> List.init m (fun j -> 3 + j) (* dense *)
+      | 1 -> List.sort_uniq Int.compare (keys m) (* strictly increasing *)
+      | _ -> keys m (* duplicates, unordered *)
+    in
+    let rt = List.map (fun _ -> flt (Mirror_util.Prng.float g 10.0)) rh in
+    let l kind tails =
+      Bat.of_pairs Atom.TOid kind (List.mapi (fun i t -> (oid (100 + i), if kind = Atom.TInt then int t else oid t)) tails)
+    in
+    let r kind =
+      Bat.of_pairs kind Atom.TFlt (List.map2 (fun h t -> ((if kind = Atom.TInt then int h else oid h), t)) rh rt)
+    in
+    let d = flt (Mirror_util.Prng.float g 1.0) in
+    add (Printf.sprintf "oid/oid, round %d" round) (l Atom.TOid lt) (r Atom.TOid) d;
+    add (Printf.sprintf "sorted left, round %d" round) (l Atom.TOid l_sorted) (r Atom.TOid) d;
+    add (Printf.sprintf "int/oid, round %d" round) (l Atom.TInt lt) (r Atom.TOid) d;
+    let s k = str (String.make 1 "abcdefgh".[k mod 8]) in
+    add (Printf.sprintf "str/str, round %d" round)
+      (Bat.of_pairs Atom.TOid Atom.TStr (List.mapi (fun i t -> (oid i, s t)) lt))
+      (Bat.of_pairs Atom.TStr Atom.TInt (List.mapi (fun j h -> (s h, int j)) rh))
+      (int (-1))
+  done;
+  add "empty left" (bat_oo []) (bat_oi [ (1, 2) ]) (int 0);
+  add "empty right" (bat_oo [ (0, 1) ]) (bat_oi []) (int 0);
+  List.rev !cases
+
+let test_leftouterjoin_oracle () =
+  let cases = leftouterjoin_cases (Mirror_util.Prng.create 11) in
+  let run () =
+    List.iter
+      (fun (name, l, r, d) ->
+        check_same_kinds name (Old_bat.leftouterjoin l r d) (Bat.leftouterjoin l r d))
+      cases
+  in
+  run ();
+  let module P = Mirror_bat.Parkernel in
+  P.set_min_rows 0;
+  let pool = P.create 2 in
+  Fun.protect
+    ~finally:(fun () ->
+      P.set_min_rows 2048;
+      P.shutdown pool)
+    (fun () -> P.with_morsel_size 3 (fun () -> P.with_pool pool run))
+
+(* Seeded rankings: float, int and str keys with many ties (so the
+   k-th rank often ties the (k+1)-th), missing keys, one to many
+   groups of oid, int and str tails, sorted and unsorted links, both
+   directions, and limits from below 0 to past every group. *)
+let test_group_rank_limit_oracle () =
+  let g = Mirror_util.Prng.create 13 in
+  for round = 0 to 79 do
+    let n = Mirror_util.Prng.int g 60 in
+    let groups = 1 + Mirror_util.Prng.int g (if round mod 2 = 0 then 3 else 12) in
+    let gs = List.init n (fun _ -> Mirror_util.Prng.int g groups) in
+    let gs = if round mod 3 = 0 then List.sort Int.compare gs else gs in
+    let link tail = Bat.of_pairs Atom.TOid (Atom.type_of (tail 0)) (List.mapi (fun i k -> (oid (100 + i), tail k)) gs) in
+    let heads = List.filter (fun _ -> Mirror_util.Prng.int g 5 > 0) (List.init n (fun i -> 100 + i)) in
+    let key f ty = Bat.of_pairs Atom.TOid ty (List.map (fun h -> (oid h, f ())) heads) in
+    let keys =
+      [
+        ("float", key (fun () -> flt (Float.of_int (Mirror_util.Prng.int g 4) /. 2.0)) Atom.TFlt);
+        ("int", key (fun () -> int (Mirror_util.Prng.int g 3)) Atom.TInt);
+        ("str", key (fun () -> str (String.make 1 "ab".[Mirror_util.Prng.int g 2])) Atom.TStr);
+      ]
+    in
+    let links = [ ("oid", link oid); ("int", link int); ("str", link (fun k -> str (string_of_int k))) ] in
+    List.iter
+      (fun (lname, link) ->
+        List.iter
+          (fun (kname, key) ->
+            List.iter
+              (fun desc ->
+                let label = Printf.sprintf "round %d, %s groups, %s keys, desc=%b" round lname kname desc in
+                let full = Old_bat.group_rank ~desc ~link key in
+                check_same_kinds label full (Bat.group_rank ~desc ~link key);
+                List.iter
+                  (fun k ->
+                    check_same_kinds
+                      (Printf.sprintf "%s, limit %d" label k)
+                      (Bat.select_cmp full Bat.Lt (int k))
+                      (Bat.group_rank ~desc ~limit:k ~link key))
+                  [ -1; 0; 1; 2; 3; 5; n; n + 1 ])
+              [ false; true ])
+          keys)
+      links
+  done
+
+(* [topn] keeps exactly the prefix of the full sort, for every column
+   kind, both directions and every n from below 0 to past the end. *)
+let test_topn_oracle () =
+  let g = Mirror_util.Prng.create 17 in
+  for round = 0 to 59 do
+    let n = Mirror_util.Prng.int g 40 in
+    let tails =
+      [
+        Bat.of_pairs Atom.TOid Atom.TInt (List.init n (fun i -> (oid i, int (Mirror_util.Prng.int g 5))));
+        Bat.of_pairs Atom.TOid Atom.TFlt
+          (List.init n (fun i -> (oid i, flt [| 1.0; -0.0; 0.0; Float.nan; 2.5 |].(Mirror_util.Prng.int g 5))));
+        Bat.of_pairs Atom.TOid Atom.TStr (List.init n (fun i -> (oid i, str (String.make 1 "abc".[Mirror_util.Prng.int g 3]))));
+      ]
+    in
+    List.iter
+      (fun b ->
+        List.iter
+          (fun desc ->
+            List.iter
+              (fun k ->
+                check_same_kinds
+                  (Printf.sprintf "round %d, %s, desc=%b, top %d" round (Atom.ty_name (Bat.tty b)) desc k)
+                  (Bat.slice (Bat.sort_tail ~desc b) 0 k)
+                  (Bat.topn ~desc b k))
+              [ -1; 0; 1; 3; n - 1; n; n + 2 ])
+          [ false; true ])
+      tails
+  done
+
 let test_histogram () =
   let b = bat_os [ (0, "a"); (1, "b"); (2, "a") ] in
   let h = Bat.histogram b in
@@ -995,6 +1271,8 @@ let () =
           Alcotest.test_case "join on strings" `Quick test_join_generic_strings;
           Alcotest.test_case "join type check" `Quick test_join_type_check;
           Alcotest.test_case "left outer join" `Quick test_leftouterjoin;
+          Alcotest.test_case "left outer join matches the old kernel" `Quick
+            test_leftouterjoin_oracle;
           Alcotest.test_case "semijoin/antijoin" `Quick test_semijoin_antijoin;
           Alcotest.test_case "kunion" `Quick test_kunion;
           Alcotest.test_case "pair ops" `Quick test_pair_ops;
@@ -1007,6 +1285,9 @@ let () =
           Alcotest.test_case "float group sum" `Quick test_float_group_sum;
           Alcotest.test_case "group_rank" `Quick test_group_rank;
           Alcotest.test_case "group_rank matches the old kernel" `Quick test_group_rank_oracle;
+          Alcotest.test_case "limited group_rank is the cut of the old ranking" `Quick
+            test_group_rank_limit_oracle;
+          Alcotest.test_case "topn is the prefix of the full sort" `Quick test_topn_oracle;
           Alcotest.test_case "histogram" `Quick test_histogram;
         ] );
       ( "catalog",

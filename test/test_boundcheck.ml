@@ -113,7 +113,7 @@ let test_string_payload () =
 (* a pure one-argument operator with no row rule *)
 let probe_decl =
   {
-    Milcheck.f_arity = 1;
+    Milcheck.f_arities = [ 1 ];
     f_meta_min = 0;
     f_result = { Milprop.unknown with hty = Some Atom.TOid; tty = Some Atom.TInt };
     f_pure = true;

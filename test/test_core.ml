@@ -434,6 +434,41 @@ let test_storage_load_type_check () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "ill-typed row accepted"
 
+(* A CONTREP whose items are malformed passes the row type check (it
+   names the right extension) and fails inside materialisation, after
+   the extent's BATs were cleared: the failed load must leave the
+   extent, its rows, its statistics space and its queries as before. *)
+let test_storage_failed_load_keeps_extent () =
+  let st = storage_with default_rows in
+  let queries =
+    List.map parse_q
+      [ "count(R)"; "map[sum(getBL(THIS.c, {'cat', 'dog'}))](R)"; "sum(map[THIS.a](R))" ]
+  in
+  let before = List.map (fun q -> ok (Eval.query_value st q)) queries in
+  let rows_before = Storage.extent_rows st "R" in
+  let space_before = Storage.space_find st "R#el/c" in
+  let bad =
+    Value.Tup
+      [
+        ("a", Value.int 9);
+        ("b", Value.int 9);
+        ("s", Value.VSet []);
+        ("c", Value.Xv { ext = "CONTREP"; meta = []; items = [ Value.int 7 ] });
+      ]
+  in
+  (match Storage.load st ~name:"R" [ bad ] with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a malformed CONTREP was loaded");
+  Alcotest.(check int) "extent_count unchanged" 4 (Storage.extent_count st "R");
+  Alcotest.(check bool) "rows unchanged" true (Storage.extent_rows st "R" = rows_before);
+  Alcotest.(check bool) "the same statistics space" true
+    (match (space_before, Storage.space_find st "R#el/c") with
+    | Some a, Some b -> a == b
+    | _ -> false);
+  List.iter2
+    (fun q v -> Alcotest.check value_testable "query unchanged" v (ok (Eval.query_value st q)))
+    queries before
+
 let test_storage_reload_replaces () =
   let st = storage_with default_rows in
   let q = parse_q "count(R)" in
@@ -992,6 +1027,48 @@ let test_mirror_search_finds_relevant () =
   let rec desc = function a :: (b :: _ as r) -> a >= b && desc r | _ -> true in
   Alcotest.(check bool) "descending" true (desc scores)
 
+(* The compiled top-k ranking: the query literal reaches contrep_getbl
+   as one operand (no join replicates it per context), and take's cut
+   is a group_rank limited to k that emits at most k rows. *)
+let test_ranking_plan_shape () =
+  let module Mil = Mirror_bat.Mil in
+  let m, _, _ = demo_mirror () in
+  let st = Mirror.storage m in
+  let expr = Mirror.ranking_query ~limit:3 ~field:"annotation" [ "stripe"; "sky" ] in
+  let _, shape = ok (Eval.compile st expr) in
+  let plans = Mirror_core.Shape.plans shape in
+  let rec nodes p = p :: List.concat_map nodes (Mil.children p) in
+  let all = List.concat_map nodes plans in
+  let getbls =
+    List.filter (function Mil.Foreign { name = "contrep_getbl"; _ } -> true | _ -> false) all
+  in
+  Alcotest.(check bool) "contrep_getbl in the plan" true (getbls <> []);
+  List.iter
+    (fun g ->
+      List.iter
+        (function
+          | Mil.Join (Mil.Lit _, _) | Mil.Join (_, Mil.Lit _) ->
+            Alcotest.fail "a join fed by a literal under contrep_getbl"
+          | _ -> ())
+        (nodes g))
+    getbls;
+  let ranks =
+    List.filter_map
+      (function Mil.GroupRank { limit; _ } as p -> Some (p, limit) | _ -> None)
+      all
+  in
+  Alcotest.(check bool) "a group_rank" true (ranks <> []);
+  let session =
+    Mil.session ~foreign:(Extension.foreign_dispatch (Storage.eval_env st)) (Storage.catalog st)
+  in
+  List.iter
+    (fun (p, limit) ->
+      Alcotest.(check (option int)) "limited to k" (Some 3) limit;
+      Alcotest.(check bool) "at most k rows" true (Bat.count (Mil.exec session p) <= 3))
+    ranks;
+  let hits = ok (Mirror.rank_by_terms m ~limit:3 ~field:"annotation" [ "stripe"; "sky" ]) in
+  Alcotest.(check int) "k hits" 3 (List.length hits)
+
 let test_mirror_thesaurus_lookup () =
   let m, _, _ = demo_mirror () in
   let concepts = Mirror.thesaurus_lookup m "stripes" in
@@ -1326,6 +1403,8 @@ let () =
         [
           Alcotest.test_case "define validation" `Quick test_storage_define_errors;
           Alcotest.test_case "load type checks" `Quick test_storage_load_type_check;
+          Alcotest.test_case "a failed load keeps the extent" `Quick
+            test_storage_failed_load_keeps_extent;
           Alcotest.test_case "reload replaces" `Quick test_storage_reload_replaces;
           Alcotest.test_case "stats space registered" `Quick test_storage_space_registered;
           Alcotest.test_case "insert/delete" `Quick test_storage_insert_delete;
@@ -1358,6 +1437,7 @@ let () =
           Alcotest.test_case "demo pipeline" `Quick test_mirror_demo_pipeline;
           Alcotest.test_case "paper query runs" `Quick test_mirror_paper_query_runs;
           Alcotest.test_case "search finds hits" `Quick test_mirror_search_finds_relevant;
+          Alcotest.test_case "top-k ranking plan shape" `Quick test_ranking_plan_shape;
           Alcotest.test_case "thesaurus lookup" `Quick test_mirror_thesaurus_lookup;
           Alcotest.test_case "modes and feedback" `Quick test_mirror_modes_and_feedback;
           Alcotest.test_case "rocchio-refined search" `Quick test_mirror_refined_search;

@@ -43,7 +43,7 @@ let ints = Mil.Get "ints"
 (* a one-argument foreign declaration with the given effect *)
 let decl ~pure ~writes =
   {
-    Milcheck.f_arity = 1;
+    Milcheck.f_arities = [ 1 ];
     f_meta_min = 0;
     f_result = Milprop.unknown;
     f_pure = pure;

@@ -326,7 +326,8 @@ let test_getbl_pairs () =
          (fun c -> [ (Atom.Oid (10 + (2 * c)), Atom.Str "cat"); (Atom.Oid (11 + (2 * c)), Atom.Str "zz") ])
          [ 0; 1; 2 ])
   in
-  let r = Search.getbl_pairs ~space:sp ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~qlink ~qval in
+  let r = Search.getbl_pairs ~space:sp ~occ_ctx ~occ_term ~occ_tf ~len ~dom
+      ~query:(Search.Linked { qlink; qval }) in
   (* |dom| x |query| rows, ctx-major *)
   Alcotest.(check int) "rows" 6 (Bat.count r);
   Alcotest.(check int) "first ctx" 0 (Atom.as_oid (Bat.head_at r 0));
@@ -356,7 +357,8 @@ let test_getbl_agrees_with_oracle () =
     Bat.of_pairs Atom.TOid Atom.TStr
       (List.map (fun c -> (Atom.Oid (10 + c), Atom.Str "stripe")) [ 0; 1; 2 ])
   in
-  let r = Search.getbl_pairs ~space:sp ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~qlink ~qval in
+  let r = Search.getbl_pairs ~space:sp ~occ_ctx ~occ_term ~occ_tf ~len ~dom
+      ~query:(Search.Linked { qlink; qval }) in
   List.iteri
     (fun i doc ->
       let expected = Search.belief_oracle idx ~doc "stripe" in
@@ -373,7 +375,8 @@ let test_getbl_empty_query () =
   let dom = Bat.of_pairs Atom.TOid Atom.TOid [ (Atom.Oid 0, Atom.Oid 0) ] in
   let qlink = Bat.empty Atom.TOid Atom.TOid in
   let qval = Bat.empty Atom.TOid Atom.TStr in
-  let r = Search.getbl_pairs ~space:sp ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~qlink ~qval in
+  let r = Search.getbl_pairs ~space:sp ~occ_ctx ~occ_term ~occ_tf ~len ~dom
+      ~query:(Search.Linked { qlink; qval }) in
   Alcotest.(check int) "no rows" 0 (Bat.count r)
 
 (* {1 The posting-list kernel against the old kernel} *)
@@ -805,7 +808,18 @@ let differential_case seed =
       let what = Printf.sprintf "seed %d, %s" seed path in
       check_same (what ^ ", getBL")
         (Old.getbl_pairs ~space:k.old_space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~qlink ~qval)
-        (Search.getbl_pairs ~space:k.space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~qlink ~qval);
+        (Search.getbl_pairs ~space:k.space ~occ_ctx ~occ_term ~occ_tf ~len ~dom
+           ~query:(Search.Linked { qlink; qval }));
+      (* a query literal: broadcast once, and replicated per context
+         the way its compiled plan used to build it *)
+      let lit = Bat.of_pairs Atom.TOid Atom.TStr (List.map (fun t -> (Atom.Oid 0, Atom.Str t)) terms) in
+      let cross = Bat.join (Bat.project dom (Atom.Oid 0)) lit in
+      let qlink = Bat.number_head cross 700_000 and qval = Bat.number_tail cross 700_000 in
+      check_same (what ^ ", getBL of a literal")
+        (Search.getbl_pairs ~space:k.space ~occ_ctx ~occ_term ~occ_tf ~len ~dom
+           ~query:(Search.Linked { qlink; qval }))
+        (Search.getbl_pairs ~space:k.space ~occ_ctx ~occ_term ~occ_tf ~len ~dom
+           ~query:(Search.Broadcast lit));
       check_same (what ^ ", getBLnet")
         (Old.getblnet_pairs ~space:k.old_space ~net ~occ_ctx ~occ_term ~occ_tf ~len ~dom)
         (Search.getblnet_pairs ~space:k.space ~net ~occ_ctx ~occ_term ~occ_tf ~len ~dom))
@@ -843,7 +857,8 @@ let test_scans_counted () =
         let occ_ctx, occ_term, occ_tf = occ in
         let len = k.len in
         ignore
-          (Search.getbl_pairs ~space:k.space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~qlink ~qval);
+          (Search.getbl_pairs ~space:k.space ~occ_ctx ~occ_term ~occ_tf ~len ~dom
+           ~query:(Search.Linked { qlink; qval }));
         ignore
           (Search.getblnet_pairs ~space:k.space ~net:(Querynet.flat [ "a" ]) ~occ_ctx ~occ_term
              ~occ_tf ~len ~dom);

@@ -57,7 +57,7 @@ let fixture_catalog () =
 
 let test_decl =
   {
-    Milcheck.f_arity = 1;
+    Milcheck.f_arities = [ 1 ];
     f_meta_min = 1;
     f_result = { Milprop.unknown with hty = Some Atom.TOid; tty = Some Atom.TFlt };
     f_pure = true;
@@ -117,7 +117,7 @@ let well_formed_plans =
     Mil.AggrAll (Bat.Count, g);
     Mil.AggrAll (Bat.Sum, g);
     Mil.AggrAll (Bat.Max, g);
-    Mil.GroupRank { link = links; key = g; desc = true };
+    Mil.GroupRank { link = links; key = g; desc = true; limit = None };
     Mil.SortTail (g, false);
     Mil.SortTail (g, true);
     Mil.Slice (g, 1, 2);

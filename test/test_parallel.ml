@@ -907,7 +907,7 @@ let pure_clobber name =
   if name = clobber_name then
     Some
       {
-        Milcheck.f_arity = 1;
+        Milcheck.f_arities = [ 1 ];
         f_meta_min = 0;
         f_result = Milprop.unknown;
         f_pure = true;
