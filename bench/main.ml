@@ -1725,6 +1725,7 @@ let experiment_bound () =
 
 module Serve = Mirror_serve.Serve
 module Qcache = Mirror_serve.Qcache
+module Protocol = Mirror_serve.Protocol
 
 let experiment_serve () =
   section "SERVE: concurrent sessions, snapshot reads, result cache";
@@ -1745,6 +1746,8 @@ let experiment_serve () =
   let latencies = ref [] in
   let refusals = ref 0 in
   let requests = ref 0 in
+  (* wall seconds spent in [Protocol.render_reply], and replies rendered *)
+  let render_s = ref 0.0 and rendered = ref 0 in
   (* every session reads one frozen snapshot for the whole run *)
   Array.iter (fun s -> ignore (ok_s (Serve.submit srv s Serve.Pin))) sessions;
   Serve.drain srv;
@@ -1771,6 +1774,11 @@ let experiment_serve () =
         pump ();
         Array.iteri
           (fun i s ->
+            let replies = Serve.replies s in
+            let r0 = Mirror_util.Clock.(now wall) in
+            List.iter (fun (rid, reply) -> ignore (Protocol.render_reply rid reply : string)) replies;
+            render_s := !render_s +. (Mirror_util.Clock.(now wall) -. r0);
+            rendered := !rendered + List.length replies;
             List.iter
               (fun (_rid, reply) ->
                 match reply with
@@ -1779,7 +1787,7 @@ let experiment_serve () =
                   Buffer.add_char streams.(i) '\n'
                 | Ok _ -> ()
                 | Error e -> ok_s (Error e))
-              (Serve.replies s))
+              replies)
           sessions)
       docs_workload
   done;
@@ -1806,6 +1814,7 @@ let experiment_serve () =
   let st = Serve.stats srv in
   let hit_rate = Qcache.hit_rate st.Serve.cache in
   let throughput = Float.of_int !requests /. elapsed in
+  let render_us = 1e6 *. !render_s /. Float.of_int (max 1 !rendered) in
   Array.iter (fun s -> Serve.close_session srv s) sessions;
   let t =
     Tablefmt.create
@@ -1818,6 +1827,7 @@ let experiment_serve () =
   Tablefmt.add_row t [ "throughput (req/s)"; Tablefmt.cell_float ~prec:0 throughput ];
   Tablefmt.add_row t [ "latency p50 (ms)"; ms p50 ];
   Tablefmt.add_row t [ "latency p95 (ms)"; ms p95 ];
+  Tablefmt.add_row t [ "reply rendering (us)"; Tablefmt.cell_float ~prec:1 render_us ];
   Tablefmt.add_row t [ "cache hit rate"; Tablefmt.cell_float ~prec:3 hit_rate ];
   Tablefmt.add_row t [ "refusals"; Tablefmt.cell_int !refusals ];
   Tablefmt.add_row t [ "digests equal"; (if digests_equal then "yes" else "NO") ];
@@ -1833,6 +1843,7 @@ let experiment_serve () =
       ("throughput_rps", Json.Float throughput);
       ("p50_ms", json_ms p50);
       ("p95_ms", json_ms p95);
+      ("render_us", Json.Float render_us);
       ("cache_hit_rate", Json.Float hit_rate);
       ("refusals", Json.Int !refusals);
       ("digests_equal", Json.Bool digests_equal);

@@ -296,6 +296,10 @@ let () =
         | Some v when v >= 0.0 -> ()
         | _ -> die "SERVE entry lacks %s" f)
       [ "p50_ms"; "p95_ms" ];
+    (match Option.bind (Json.member "render_us" s) Json.to_float with
+    | Some r when r > 0.0 -> ()
+    | Some r -> die "SERVE render_us %f is not positive" r
+    | None -> die "SERVE entry lacks render_us");
     (match Option.bind (Json.member "refusals" s) Json.to_int with
     | Some n when n >= 0 -> ()
     | _ -> die "SERVE entry lacks refusals"));

@@ -53,14 +53,28 @@ let hash = function
   | Bool x -> Hashtbl.hash (3, x)
   | Oid x -> Hashtbl.hash (4, x)
 
-let pp ppf = function
-  | Int x -> Format.pp_print_int ppf x
-  | Flt x -> Format.fprintf ppf "%.12g" x
-  | Str x -> Format.fprintf ppf "%S" x
-  | Bool x -> Format.pp_print_bool ppf x
-  | Oid x -> Format.fprintf ppf "@%d" x
+(* What [Printf]'s ["%.12g"] calls, without the format interpreter:
+   [nan], [inf], [-0] and subnormals print as they always have. *)
+external format_float : string -> float -> string = "caml_format_float"
 
-let to_string a = Format.asprintf "%a" pp a
+let to_buffer buf = function
+  | Int x -> Buffer.add_string buf (Int.to_string x)
+  | Flt x -> Buffer.add_string buf (format_float "%.12g" x)
+  | Str x ->
+    Buffer.add_char buf '"';
+    Buffer.add_string buf (String.escaped x);
+    Buffer.add_char buf '"'
+  | Bool x -> Buffer.add_string buf (if x then "true" else "false")
+  | Oid x ->
+    Buffer.add_char buf '@';
+    Buffer.add_string buf (Int.to_string x)
+
+let to_string a =
+  let buf = Buffer.create 16 in
+  to_buffer buf a;
+  Buffer.contents buf
+
+let pp ppf a = Format.pp_print_string ppf (to_string a)
 
 let parse ty s =
   let fail () = Error (Printf.sprintf "cannot parse %S as %s" s (ty_name ty)) in

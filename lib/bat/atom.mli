@@ -34,11 +34,16 @@ val compare : t -> t -> int
 val hash : t -> int
 (** Hash compatible with {!equal}. *)
 
-val pp : Format.formatter -> t -> unit
-(** Human-readable rendering (strings are quoted). *)
+val to_buffer : Buffer.t -> t -> unit
+(** Append the textual form: ints in decimal, floats as ["%.12g"],
+    strings as [%S] quotes them ([String.escaped] between double
+    quotes), [true]/[false], and oids as [@n].  Never a line break. *)
 
 val to_string : t -> string
-(** [Format.asprintf "%a" pp]. *)
+(** The text {!to_buffer} appends: one line, whatever the atom. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string} as one token. *)
 
 val parse : ty -> string -> (t, string) result
 (** Parse the textual form produced by {!to_string} back into an atom of

@@ -841,11 +841,40 @@ let int_membership_pred ?(probe_sorted = false) rh =
       fun v -> Hashtbl.mem members v
     end
 
+(* The rows of a void head (row [i] holds [base + i], [n] rows) whose
+   value occurs in [rh], ascending: each right head finds its row by the
+   arithmetic of [int_matches] and marks it once, so a k-row right side
+   costs k probes and one pass over the marks, not n membership tests. *)
+let dense_rows_in base n rh =
+  let marked = Bytes.make n '\000' in
+  let hits = ref 0 in
+  Array.iter
+    (fun v ->
+      let i = v - base in
+      if i >= 0 && i < n && Bytes.get marked i = '\000' then begin
+        Bytes.set marked i '\001';
+        incr hits
+      end)
+    rh;
+  let rows = Array.make !hits 0 in
+  let k = ref 0 and i = ref 0 in
+  while !k < !hits do
+    if Bytes.get marked !i <> '\000' then begin
+      rows.(!k) <- !i;
+      incr k
+    end;
+    incr i
+  done;
+  rows
+
 let semijoin l r =
   match (l.hd, r.hd) with
-  | (Column.I lh | Column.O lh), (Column.I rh | Column.O rh) ->
-    let mem = int_membership_pred ~probe_sorted:(is_nondecreasing lh) rh in
-    select_indices (fun i -> mem lh.(i)) l
+  | (Column.I lh | Column.O lh), (Column.I rh | Column.O rh) -> (
+    match dense_base lh with
+    | Some base -> take l (dense_rows_in base (Array.length lh) rh)
+    | None ->
+      let mem = int_membership_pred ~probe_sorted:(is_nondecreasing lh) rh in
+      select_indices (fun i -> mem lh.(i)) l)
   | _ ->
     let members = membership_index r.hd in
     select_indices (fun i -> AtomTbl.mem members (head_at l i)) l

@@ -134,47 +134,76 @@ let op_name = function
   | Unnest _ -> "unnest"
   | ExtOp { op; _ } -> op
 
-let rec pp ppf expr =
-  let plist sep f ppf = Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf sep) f ppf in
+let rec to_buffer buf expr =
+  let str = Buffer.add_string buf in
+  let go = to_buffer buf in
+  let args es = Mirror_util.Stringx.add_list buf ", " go es in
+  let call name es =
+    str name;
+    str "(";
+    args es;
+    str ")"
+  in
+  (* [head[binders: pred; tail](srcs)] *)
+  let bind head binders pred tail srcs =
+    str head;
+    str "[";
+    str binders;
+    str ": ";
+    go pred;
+    str tail;
+    str "](";
+    args srcs;
+    str ")"
+  in
   match expr with
-  | Extent name -> Format.pp_print_string ppf name
-  | Lit (v, _) -> Value.pp ppf v
-  | Var v -> Format.pp_print_string ppf v
-  | Field (e, f) -> Format.fprintf ppf "%a.%s" pp e f
+  | Extent name -> str name
+  | Lit (v, _) -> Value.to_buffer buf v
+  | Var v -> str v
+  | Field (e, f) ->
+    go e;
+    str ".";
+    str f
   | Tuple fields ->
-    Format.fprintf ppf "tuple(%a)"
-      (plist ",@ " (fun ppf (l, e) -> Format.fprintf ppf "%s: %a" l pp e))
-      fields
-  | Map { v; body; src } -> Format.fprintf ppf "@[<hov 2>map[%s: %a](@,%a)@]" v pp body pp src
-  | Select { v; pred; src } ->
-    Format.fprintf ppf "@[<hov 2>select[%s: %a](@,%a)@]" v pp pred pp src
+    str "tuple(";
+    Mirror_util.Stringx.add_list buf ", "
+      (fun (l, e) ->
+        str l;
+        str ": ";
+        go e)
+      fields;
+    str ")"
+  | Map { v; body; src } -> bind "map" v body "" [ src ]
+  | Select { v; pred; src } -> bind "select" v pred "" [ src ]
   | Join { v1; v2; pred; left; right; l1; l2 } ->
-    Format.fprintf ppf "@[<hov 2>join[%s, %s: %a; %s, %s](@,%a,@ %a)@]" v1 v2 pp pred l1 l2 pp
-      left pp right
+    bind "join" (v1 ^ ", " ^ v2) pred ("; " ^ l1 ^ ", " ^ l2) [ left; right ]
   | Semijoin { v1; v2; pred; left; right } ->
-    Format.fprintf ppf "@[<hov 2>semijoin[%s, %s: %a](@,%a,@ %a)@]" v1 v2 pp pred pp left pp
-      right
-  | Aggr (a, e) -> Format.fprintf ppf "%s(%a)" (aggr_name a) pp e
-  | Binop (((Bat.Pow | Bat.MinOp | Bat.MaxOp) as op), a, b) ->
-    Format.fprintf ppf "%s(%a, %a)"
-      (match op with Bat.Pow -> "pow" | Bat.MinOp -> "min2" | _ -> "max2")
-      pp a pp b
-  | Binop (op, a, b) -> Format.fprintf ppf "(%a %s %a)" pp a (binop_sym op) pp b
-  | Unop (op, e) -> Format.fprintf ppf "%s(%a)" (unop_name op) pp e
-  | Exists e -> Format.fprintf ppf "exists(%a)" pp e
-  | Member (x, s) -> Format.fprintf ppf "in(%a, %a)" pp x pp s
-  | Union (a, b) -> Format.fprintf ppf "union(%a, %a)" pp a pp b
-  | Diff (a, b) -> Format.fprintf ppf "diff(%a, %a)" pp a pp b
-  | Inter (a, b) -> Format.fprintf ppf "inter(%a, %a)" pp a pp b
-  | Flat e -> Format.fprintf ppf "flatten(%a)" pp e
-  | Nest { src; key; inner } -> Format.fprintf ppf "nest[%s, %s](%a)" key inner pp src
-  | Unnest { src; field } -> Format.fprintf ppf "unnest[%s](%a)" field pp src
-  | ExtOp { op; args } -> Format.fprintf ppf "%s(%a)" op (plist ",@ " pp) args
+    bind "semijoin" (v1 ^ ", " ^ v2) pred "" [ left; right ]
+  | Aggr (a, e) -> call (aggr_name a) [ e ]
+  | Binop (Bat.Pow, a, b) -> call "pow" [ a; b ]
+  | Binop (((Bat.MinOp | Bat.MaxOp) as op), a, b) -> call (binop_sym op) [ a; b ]
+  | Binop (op, a, b) ->
+    str "(";
+    go a;
+    str " ";
+    str (binop_sym op);
+    str " ";
+    go b;
+    str ")"
+  | Unop (op, e) -> call (unop_name op) [ e ]
+  | Exists e -> call "exists" [ e ]
+  | Member (x, s) -> call "in" [ x; s ]
+  | Union (a, b) -> call "union" [ a; b ]
+  | Diff (a, b) -> call "diff" [ a; b ]
+  | Inter (a, b) -> call "inter" [ a; b ]
+  | Flat e -> call "flatten" [ e ]
+  | Nest { src; key; inner } -> call ("nest[" ^ key ^ ", " ^ inner ^ "]") [ src ]
+  | Unnest { src; field } -> call ("unnest[" ^ field ^ "]") [ src ]
+  | ExtOp { op; args } -> call op args
 
 let to_string e =
-  let buf = Buffer.create 64 in
-  let ppf = Format.formatter_of_buffer buf in
-  Format.pp_set_margin ppf 1000000;
-  Format.pp_set_max_indent ppf 999999;
-  Format.fprintf ppf "@[<h>%a@]@?" pp e;
+  let buf = Buffer.create 256 in
+  to_buffer buf e;
   Buffer.contents buf
+
+let pp ppf e = Format.pp_print_string ppf (to_string e)

@@ -85,9 +85,14 @@ val free_vars : t -> string list
 val size : t -> int
 (** Number of AST nodes. *)
 
-val pp : Format.formatter -> t -> unit
-(** Concrete-syntax-compatible rendering (binders print as THIS when
-    unambiguous, as named variables otherwise). *)
+val to_buffer : Buffer.t -> t -> unit
+(** Append a concrete-syntax-like rendering: binders print as named
+    variables ([map\[v: body\](src)]), literals as {!Value.to_buffer},
+    arguments separated by [", "].  No line is ever broken, whatever
+    the size; {!Normalize.key} is this text of the canonical form. *)
 
 val to_string : t -> string
-(** [Format.asprintf "%a" pp]. *)
+(** The text {!to_buffer} appends: one line at any size. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string} as one token. *)

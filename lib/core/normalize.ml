@@ -23,7 +23,9 @@ let rec db_key env buf e =
   in
   match (e : Expr.t) with
   | Expr.Extent n -> Buffer.add_string buf ("E:" ^ n)
-  | Expr.Lit (v, _) -> Buffer.add_string buf ("L:" ^ Value.to_string v)
+  | Expr.Lit (v, _) ->
+    Buffer.add_string buf "L:";
+    Value.to_buffer buf v
   | Expr.Var x -> (
     match List.find_index (String.equal x) env with
     | Some i -> Buffer.add_string buf (Printf.sprintf "#%d" i)

@@ -44,31 +44,38 @@ let rec compare a b =
 
 let equal a b = compare a b = 0
 
-let rec pp ppf = function
-  | Atom a -> Atom.pp ppf a
+let rec to_buffer buf = function
+  | Atom a -> Atom.to_buffer buf a
   | Tup fields ->
-    Format.fprintf ppf "@[<hov 1><%a>@]"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-         (fun ppf (label, v) -> Format.fprintf ppf "%s: %a" label pp v))
-      fields
+    Buffer.add_char buf '<';
+    Mirror_util.Stringx.add_list buf ", "
+      (fun (label, v) ->
+        Buffer.add_string buf label;
+        Buffer.add_string buf ": ";
+        to_buffer buf v)
+      fields;
+    Buffer.add_char buf '>'
   | VSet items ->
-    Format.fprintf ppf "@[<hov 1>{%a}@]"
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ") pp)
-      items
+    Buffer.add_char buf '{';
+    Mirror_util.Stringx.add_list buf ", " (to_buffer buf) items;
+    Buffer.add_char buf '}'
   | Xv { ext; meta; items } ->
-    Format.fprintf ppf "@[<hov 1>%s%s[%a]@]" ext
-      (if meta = [] then "" else "(" ^ String.concat "," meta ^ ")")
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ") pp)
-      items
+    Buffer.add_string buf ext;
+    if meta <> [] then begin
+      Buffer.add_char buf '(';
+      Buffer.add_string buf (String.concat "," meta);
+      Buffer.add_char buf ')'
+    end;
+    Buffer.add_char buf '[';
+    Mirror_util.Stringx.add_list buf ", " (to_buffer buf) items;
+    Buffer.add_char buf ']'
 
 let to_string v =
-  let buf = Buffer.create 64 in
-  let ppf = Format.formatter_of_buffer buf in
-  Format.pp_set_margin ppf 1000000;
-  Format.pp_set_max_indent ppf 999999;
-  Format.fprintf ppf "@[<h>%a@]@?" pp v;
+  let buf = Buffer.create 256 in
+  to_buffer buf v;
   Buffer.contents buf
+
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 let int i = Atom (Atom.Int i)
 let flt f = Atom (Atom.Flt f)

@@ -22,11 +22,18 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 (** [compare a b = 0]. *)
 
-val pp : Format.formatter -> t -> unit
-(** Debug/CLI rendering. *)
+val to_buffer : Buffer.t -> t -> unit
+(** Append the textual form: atoms as {!Mirror_bat.Atom.to_buffer},
+    tuples as [<l: v, …>], sets as [{v, …}], extension values as
+    [EXT(meta,…)\[v, …\]] (no parentheses without meta).  Items are
+    separated by [", "] and no line is ever broken, whatever the
+    size. *)
 
 val to_string : t -> string
-(** [Format.asprintf "%a" pp]. *)
+(** The text {!to_buffer} appends: one line at any size. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string} as one token. *)
 
 (** {1 Constructors and accessors} *)
 

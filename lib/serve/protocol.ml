@@ -24,15 +24,28 @@ let parse line =
   | "", _ -> Error "empty request"
   | w, _ -> Error ("unknown request " ^ w)
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
+(* [s] with its bytes from [from] on escaped, or [s] itself when none
+   of them needs it *)
+let escape_from from s =
+  let n = String.length s in
+  let rec first_special i =
+    if i = n then n else match s.[i] with '\\' | '\n' -> i | _ -> first_special (i + 1)
+  in
+  let start = first_special from in
+  if start = n then s
+  else begin
+    let buf = Buffer.create (n + 16) in
+    Buffer.add_substring buf s 0 start;
+    for i = start to n - 1 do
+      match s.[i] with
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+      | c -> Buffer.add_char buf c
+    done;
+    Buffer.contents buf
+  end
+
+let escape s = escape_from 0 s
 
 let kind = function
   | Serve.Admission_refused _ -> "admission"
@@ -46,14 +59,26 @@ let message = function
 
 let render_error rid e = Printf.sprintf "%d err %s: %s" rid (kind e) (escape (message e))
 
+(* [<rid> <status> v<version> <payload>], built in one buffer and
+   escaped in place of a copy when the payload needs it *)
+let render_payload rid status version write =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf (Int.to_string rid);
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf status;
+  Buffer.add_string buf " v";
+  Buffer.add_string buf (Int.to_string version);
+  Buffer.add_char buf ' ';
+  let from = Buffer.length buf in
+  write buf;
+  escape_from from (Buffer.contents buf)
+
 let render_reply rid = function
   | Ok (Serve.Value { value; cached; version }) ->
-    Printf.sprintf "%d %s v%d %s" rid
-      (if cached then "hit" else "ok")
-      version
-      (escape (Value.to_string value))
+    render_payload rid (if cached then "hit" else "ok") version (fun buf -> Value.to_buffer buf value)
   | Ok (Serve.Executed { version; outcomes }) ->
-    Printf.sprintf "%d ok v%d %s" rid version (escape (String.concat "; " outcomes))
+    render_payload rid "ok" version (fun buf ->
+        Mirror_util.Stringx.add_list buf "; " (Buffer.add_string buf) outcomes)
   | Ok (Serve.Pinned v) -> Printf.sprintf "%d ok pinned v%d" rid v
   | Ok Serve.Unpinned -> Printf.sprintf "%d ok unpinned" rid
   | Error e -> render_error rid e

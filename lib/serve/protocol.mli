@@ -24,10 +24,14 @@ val parse : string -> (command, string) result
 (** Parse one request line (leading/trailing whitespace ignored). *)
 
 val escape : string -> string
-(** Newlines and backslashes to [\n]/[\\] — payloads stay one line. *)
+(** Newlines and backslashes to [\n]/[\\] — payloads stay one line at
+    any size.  A string with neither is returned as is (physically, no
+    copy). *)
 
 val render_reply : int -> Serve.reply -> string
-(** One reply line (no trailing newline). *)
+(** One reply line (no trailing newline).  A value's payload is
+    [escape (Value.to_string v)], written with the status and version
+    into one buffer. *)
 
 val render_refusal : Serve.error -> string
 (** A submission-time refusal line, request id 0. *)

@@ -31,3 +31,10 @@ let pad_left w s =
   if String.length s >= w then s else String.make (w - String.length s) ' ' ^ s
 
 let concat_map sep f xs = String.concat sep (List.map f xs)
+
+let add_list buf sep f xs =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string buf sep;
+      f x)
+    xs

@@ -31,3 +31,7 @@ val pad_left : int -> string -> string
 
 val concat_map : string -> ('a -> string) -> 'a list -> string
 (** [concat_map sep f xs] is [String.concat sep (List.map f xs)]. *)
+
+val add_list : Buffer.t -> string -> ('a -> unit) -> 'a list -> unit
+(** [add_list buf sep f xs] runs [f] over [xs], appending [sep] to
+    [buf] between two items — the [Buffer] form of [concat_map]. *)

@@ -547,6 +547,56 @@ module Old_bat = struct
         (fun i j -> Atom.compare tails.(i) tails.(j))
         (fun i j -> Atom.compare v.(i) v.(j)));
     make (Column.gather (head link) idx) (Column.I ranks)
+
+  let is_nondecreasing arr =
+    let ok = ref true in
+    let i = ref 1 in
+    while !ok && !i < Array.length arr do
+      if arr.(!i) < arr.(!i - 1) then ok := false;
+      incr i
+    done;
+    !ok
+
+  let int_members arr =
+    let tbl = Hashtbl.create (Array.length arr) in
+    Array.iter (fun v -> Hashtbl.replace tbl v ()) arr;
+    tbl
+
+  let int_membership_pred ?(probe_sorted = false) rh =
+    match dense_base rh with
+    | Some base ->
+      let n = Array.length rh in
+      fun v ->
+        let j = v - base in
+        j >= 0 && j < n
+    | None ->
+      if probe_sorted && is_nondecreasing rh then begin
+        let n = Array.length rh in
+        let j = ref 0 in
+        fun v ->
+          while !j < n && rh.(!j) < v do
+            incr j
+          done;
+          !j < n && rh.(!j) = v
+      end
+      else begin
+        let members = int_members rh in
+        fun v -> Hashtbl.mem members v
+      end
+
+  let select_indices pred b =
+    let keep = Array.of_list (List.filter pred (List.init (count b) Fun.id)) in
+    make (Column.gather (head b) keep) (Column.gather (tail b) keep)
+
+  (* before a void left head gathered its rows by position *)
+  let semijoin l r =
+    match (head l, head r) with
+    | (Column.I lh | Column.O lh), (Column.I rh | Column.O rh) ->
+      let mem = int_membership_pred ~probe_sorted:(is_nondecreasing lh) rh in
+      select_indices (fun i -> mem lh.(i)) l
+    | _ ->
+      let members = first_position_index (head r) in
+      select_indices (fun i -> AtomTbl.mem members (head_at l i)) l
 end
 
 let check_same_kinds label expected actual =
@@ -602,6 +652,59 @@ let test_leftouterjoin_oracle () =
       (fun (name, l, r, d) ->
         check_same_kinds name (Old_bat.leftouterjoin l r d) (Bat.leftouterjoin l r d))
       cases
+  in
+  run ();
+  let module P = Mirror_bat.Parkernel in
+  P.set_min_rows 0;
+  let pool = P.create 2 in
+  Fun.protect
+    ~finally:(fun () ->
+      P.set_min_rows 2048;
+      P.shutdown pool)
+    (fun () -> P.with_morsel_size 3 (fun () -> P.with_pool pool run))
+
+(* Seeded semijoins over dense (void) left heads based at 0 and at an
+   offset, against right heads that are dense, offset past either end,
+   sparse, duplicated, out of range on both sides or empty; int against
+   oid columns; and non-dense and str left heads, which keep the
+   membership probe; sequentially and under a 2-domain pool split into
+   3-row morsels. *)
+let test_semijoin_oracle () =
+  let g = Mirror_util.Prng.create 19 in
+  let cases = ref [] in
+  let add name l r = cases := (name, l, r) :: !cases in
+  for round = 0 to 59 do
+    let n = Mirror_util.Prng.int g 40 in
+    let base = if round mod 2 = 0 then 0 else 100 + Mirror_util.Prng.int g 50 in
+    let m = Mirror_util.Prng.int g 25 in
+    let rh =
+      match round mod 6 with
+      | 0 -> List.init m (fun j -> base + j) (* dense, aligned *)
+      | 1 -> List.init m (fun j -> base + j + Mirror_util.Prng.int g 30 - 10) (* dense, offset *)
+      | 2 -> List.init m (fun _ -> base + Mirror_util.Prng.int g (n + 1) * 3) (* sparse *)
+      | 3 -> List.init m (fun _ -> base + Mirror_util.Prng.int g (max 1 (n / 4 + 1))) (* duplicates *)
+      | 4 -> List.init m (fun _ -> base - 20 + Mirror_util.Prng.int g (n + 40)) (* out of range *)
+      | _ -> []
+    in
+    let tails = List.init n (fun _ -> Mirror_util.Prng.float g 10.0) in
+    let l hk = Bat.of_pairs hk Atom.TFlt (List.mapi (fun i t -> ((if hk = Atom.TInt then int (base + i) else oid (base + i)), flt t)) tails) in
+    let r hk = Bat.of_pairs hk Atom.TInt (List.mapi (fun j h -> ((if hk = Atom.TInt then int h else oid h), int j)) rh) in
+    add (Printf.sprintf "dense oid/oid, round %d" round) (l Atom.TOid) (r Atom.TOid);
+    add (Printf.sprintf "dense int/oid, round %d" round) (l Atom.TInt) (r Atom.TOid);
+    add (Printf.sprintf "dense oid/int, round %d" round) (l Atom.TOid) (r Atom.TInt);
+    add (Printf.sprintf "empty right, round %d" round) (l Atom.TOid) (bat_oi []);
+    let scattered = Bat.of_pairs Atom.TOid Atom.TFlt (List.map (fun t -> (oid (base + Mirror_util.Prng.int g (n + 1)), flt t)) tails) in
+    add (Printf.sprintf "non-dense left, round %d" round) scattered (r Atom.TOid);
+    let s k = str (String.make 1 "abcdef".[((k mod 6) + 6) mod 6]) in
+    add (Printf.sprintf "str heads, round %d" round)
+      (Bat.of_pairs Atom.TStr Atom.TInt (List.mapi (fun i _ -> (s i, int i)) tails))
+      (Bat.of_pairs Atom.TStr Atom.TInt (List.map (fun h -> (s h, int h)) rh))
+  done;
+  add "empty left" (bat_oi []) (bat_oi [ (0, 1); (1, 2) ]);
+  add "both empty" (bat_oi []) (bat_oi []);
+  let cases = List.rev !cases in
+  let run () =
+    List.iter (fun (name, l, r) -> check_same_kinds name (Old_bat.semijoin l r) (Bat.semijoin l r)) cases
   in
   run ();
   let module P = Mirror_bat.Parkernel in
@@ -1314,6 +1417,7 @@ let () =
           Alcotest.test_case "merge join on sorted oids" `Quick test_join_merge_sorted;
           Alcotest.test_case "hash vs merge agree" `Quick test_join_fastpaths_match_generic;
           Alcotest.test_case "semijoin dense + merge" `Quick test_semijoin_dense_and_merge;
+          Alcotest.test_case "semijoin matches the old kernel" `Quick test_semijoin_oracle;
           Alcotest.test_case "calc2 aligned vs indexed" `Quick test_calc2_aligned_vs_indexed;
           Alcotest.test_case "calc2 typed float" `Quick test_calc2_float_aligned;
           Alcotest.test_case "group_aggr windowed slots" `Quick test_group_aggr_windowed_slots;
