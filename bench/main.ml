@@ -19,8 +19,8 @@
 
    Besides the printed tables, every experiment appends an entry to
    BENCH_core.json (schema documented in EXPERIMENTS.md) so later PRs
-   can diff sizes, median latencies and op-level metric snapshots
-   against this baseline.
+   can diff sizes, median latencies and per-operator rollups against
+   this baseline.
 
    Run with:  dune exec bench/main.exe            (full suite)
               dune exec bench/main.exe -- quick   (smaller sizes) *)
@@ -28,7 +28,6 @@
 module Prng = Mirror_util.Prng
 module Tablefmt = Mirror_util.Tablefmt
 module Json = Mirror_util.Jsonx
-module Metrics = Mirror_util.Metrics
 module Trace = Mirror_util.Trace
 module Atom = Mirror_bat.Atom
 module Bat = Mirror_bat.Bat
@@ -93,41 +92,38 @@ let record_entry id fields =
 
 let json_ms s = Json.Float (1000.0 *. s)
 
-let json_of_snapshot (s : Metrics.snapshot) =
+(* One untimed, traced run of a query: the per-operator rollup of its
+   execute spans ({!Eval.rollup}, the table explain analyze prints),
+   with the executor's own counts so validate can check that the
+   rollup adds up.  Timed runs stay untraced. *)
+let rollup ?optimize st expr =
+  let trace = Trace.create () in
+  let r = ok (Eval.query ?optimize ~trace st expr) in
   Json.Obj
     [
-      ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) s.Metrics.counters));
-      ( "histograms",
-        Json.Obj
+      ("evaluated", Json.Int r.Eval.evaluated);
+      ("memo_hits", Json.Int r.Eval.memo_hits);
+      ( "operators",
+        Json.Arr
           (List.map
-             (fun (k, h) ->
-               ( k,
-                 Json.Obj
-                   [
-                     ("count", Json.Int h.Metrics.count);
-                     ("p50", Json.Float h.Metrics.p50);
-                     ("p95", Json.Float h.Metrics.p95);
-                     ("max", Json.Float h.Metrics.max);
-                     ("total", Json.Float h.Metrics.total);
-                   ] ))
-             s.Metrics.histograms) );
+             (fun (op, (a : Trace.agg)) ->
+               Json.Obj
+                 [
+                   ("op", Json.Str op);
+                   ("calls", Json.Int a.Trace.calls);
+                   ("memo_hits", Json.Int a.Trace.flagged);
+                   ("rows", Json.Int a.Trace.rows);
+                   ("total_ms", json_ms a.Trace.total);
+                   ("self_ms", json_ms a.Trace.self);
+                 ])
+             (Eval.rollup trace)) );
     ]
-
-(* One untimed evaluation with the metrics registry enabled; returns the
-   resulting op-level snapshot as JSON.  The registry is reset on both
-   sides so timed runs never pay for metric recording. *)
-let metered f =
-  Metrics.reset ();
-  ignore (Metrics.with_enabled f);
-  let snap = json_of_snapshot (Metrics.snapshot ()) in
-  Metrics.reset ();
-  snap
 
 let write_bench_json () =
   let doc =
     Json.Obj
       [
-        ("schema", Json.Str "mirror-bench-core/v1");
+        ("schema", Json.Str "mirror-bench-core/v2");
         ("mode", Json.Str (if quick then "quick" else "full"));
         ("experiments", Json.Arr (List.rev !json_entries));
       ]
@@ -190,36 +186,31 @@ let docs_workload =
 let vet_workloads () =
   let m = make_docs ~n:16 in
   let st = Mirror.storage m in
-  (* metered so the VET entry snapshots the translation-validation
-     counters (moacheck.validations / moacheck.envelope_checks) *)
-  Metrics.reset ();
-  let failures =
-    Metrics.with_enabled (fun () ->
-        List.filter_map
-          (fun src ->
-            match Mirror_core.Plancheck.vet st (ok (Parser.parse_expr ~bindings src)) with
-            | Ok () -> None
-            | Error e -> Some (Printf.sprintf "  %s\n    %s" src e))
-          docs_workload)
+  let vetted =
+    List.map
+      (fun src ->
+        match Mirror_core.Plancheck.vet st (ok (Parser.parse_expr ~bindings src)) with
+        | Ok v -> v
+        | Error e ->
+          Printf.printf "workload vetting FAILED:\n  %s\n    %s\n" src e;
+          exit 1)
+      docs_workload
   in
-  let snap = Metrics.snapshot () in
-  let snapshot = json_of_snapshot snap in
-  Metrics.reset ();
-  if failures <> [] then begin
-    Printf.printf "workload vetting FAILED:\n%s\n" (String.concat "\n" failures);
-    exit 1
-  end;
-  let counter k = Option.value ~default:0 (List.assoc_opt k snap.Metrics.counters) in
+  (* what the analyses covered, summed over the workload *)
+  let sum f = List.fold_left (fun acc (v : Mirror_core.Plancheck.vetted) -> acc + f v) 0 vetted in
+  let envelope_checks = sum (fun v -> v.envelope_checks) in
   Printf.printf
     "workloads vetted: %d queries pass both analysis layers (%d flattenings validated, %d \
      envelopes checked)\n"
-    (List.length docs_workload)
-    (counter "moacheck.validations")
-    (counter "moacheck.envelope_checks");
+    (List.length docs_workload) (List.length vetted) envelope_checks;
   record_entry "VET"
     [
       ("queries", Json.Int (List.length docs_workload));
-      ("metrics", snapshot);
+      ("envelope_checks", Json.Int envelope_checks);
+      ("plans", Json.Int (sum (fun v -> v.plans)));
+      ("nodes", Json.Int (sum (fun v -> v.verdict.nodes)));
+      ("partitions", Json.Int (sum (fun v -> v.verdict.partitions)));
+      ("hazards", Json.Int (sum (fun v -> List.length v.verdict.hazards)));
     ]
 
 (* {1 F1: the figure-1 pipeline} *)
@@ -229,14 +220,9 @@ let experiment_f1 () =
   let n = if quick then 8 else 16 in
   let scenes = Synth.corpus (Prng.create 11) ~n ~width:48 ~height:48 () in
   let m = Mirror.create () in
-  (* metrics on for the (single-shot) build: per-daemon latency
-     histograms and bus counters land in the F1 snapshot *)
-  Metrics.reset ();
   let t0 = Sys.time () in
-  let report = Metrics.with_enabled (fun () -> ok (Mirror.build_image_library m ~scenes ())) in
+  let report = ok (Mirror.build_image_library m ~scenes ()) in
   let elapsed = Sys.time () -. t0 in
-  let snapshot = json_of_snapshot (Metrics.snapshot ()) in
-  Metrics.reset ();
   let t =
     Tablefmt.create
       ~title:
@@ -286,7 +272,6 @@ let experiment_f1 () =
                    ("cpu_seconds", Json.Float s.Orchestrator.cpu_seconds);
                  ])
              report.Orchestrator.stats) );
-      ("metrics", snapshot);
     ]
 
 (* {1 Q1: the section-3 query, latency vs collection size} *)
@@ -303,7 +288,7 @@ let experiment_q1 () =
       ]
   in
   let rows = ref [] in
-  let last_snapshot = ref Json.Null in
+  let last_rollup = ref Json.Null in
   List.iter
     (fun n ->
       let m = make_docs ~n in
@@ -314,7 +299,7 @@ let experiment_q1 () =
       in
       let st = Mirror.storage m in
       let s = seconds_per_run (fun () -> ok (Eval.query_value st expr)) in
-      last_snapshot := metered (fun () -> ok (Eval.query_value st expr));
+      last_rollup := rollup st expr;
       rows :=
         Json.Obj
           [
@@ -335,7 +320,7 @@ let experiment_q1 () =
     [
       ("sizes", Json.Arr (List.map (fun n -> Json.Int n) sizes));
       ("rows", Json.Arr (List.rev !rows));
-      ("metrics", !last_snapshot);
+      ("rollup", !last_rollup);
     ];
   print_endline "expected shape: latency grows ~linearly; per-document cost roughly flat."
 
@@ -364,7 +349,7 @@ let experiment_e1 () =
       ]
   in
   let rows = ref [] in
-  let last_snapshot = ref Json.Null in
+  let last_rollup = ref Json.Null in
   List.iter
     (fun n ->
       let m = make_docs ~n in
@@ -379,8 +364,7 @@ let experiment_e1 () =
           end;
           let t_naive = seconds_per_run (fun () -> Naive.eval st expr) in
           let t_flat = seconds_per_run (fun () -> ok (Eval.query_value st expr)) in
-          if label = "rank" then
-            last_snapshot := metered (fun () -> ok (Eval.query_value st expr));
+          if label = "rank" then last_rollup := rollup st expr;
           rows :=
             Json.Obj
               [
@@ -406,7 +390,7 @@ let experiment_e1 () =
     [
       ("sizes", Json.Arr (List.map (fun n -> Json.Int n) sizes));
       ("rows", Json.Arr (List.rev !rows));
-      ("metrics", !last_snapshot);
+      ("rollup", !last_rollup);
     ];
   print_endline
     "expected shape: the flattened plans win, and the factor grows with collection\n\
@@ -420,7 +404,7 @@ let experiment_e2 () =
   section "E2: physical getBL operator vs belief composed from generic operators";
   let sizes = if quick then [ 200 ] else [ 200; 800 ] in
   let rows = ref [] in
-  let last_snapshot = ref Json.Null in
+  let last_rollup = ref Json.Null in
   let t =
     Tablefmt.create
       ~title:"single-term belief over the whole collection (ms); results identical"
@@ -468,7 +452,7 @@ let experiment_e2 () =
       in
       let t_phys = seconds_per_run (fun () -> ok (Eval.query_value st physical)) in
       let t_comp = seconds_per_run (fun () -> ok (Eval.query_value st composed)) in
-      last_snapshot := metered (fun () -> ok (Eval.query_value st physical));
+      last_rollup := rollup st physical;
       rows :=
         Json.Obj
           [
@@ -493,7 +477,7 @@ let experiment_e2 () =
     [
       ("sizes", Json.Arr (List.map (fun n -> Json.Int n) sizes));
       ("rows", Json.Arr (List.rev !rows));
-      ("metrics", !last_snapshot);
+      ("rollup", !last_rollup);
     ];
   print_endline
     "expected shape: the dedicated probabilistic operator beats the equivalent\n\
@@ -756,7 +740,7 @@ let experiment_e4 () =
           ] );
       ("join_rows", Json.Arr (List.rev !join_rows));
       ("cse_rows", Json.Arr (List.rev !cse_rows));
-      ("metrics", metered (fun () -> ok (Eval.query ~optimize:false std repeated)));
+      ("rollup", rollup ~optimize:false std repeated);
     ];
   print_endline
     "expected shape: optimised plans are smaller and faster; CSE halves the work of\n\
@@ -874,7 +858,7 @@ let experiment_e5 () =
              (fun (name, ns) ->
                Json.Obj [ ("benchmark", Json.Str name); ("ns_per_op", Json.Float ns) ])
              rows) );
-      ("metrics", metered (fun () -> ok (Eval.query_value st rank_expr)));
+      ("rollup", rollup st rank_expr);
     ]
 
 (* {1 Q2 + E6: the retrieval session and its quality} *)
@@ -1088,8 +1072,10 @@ let experiment_recovery () =
   let per_s = Float.of_int replayed /. Float.max recovery_s 1e-9 in
   (* reopening a checkpointed Docs store at n and 2n documents:
      reification is linear, so the ratio stays near 2.  Both stores are
-     built first and their opens interleaved, fastest of five each, so
-     a GC slice or scheduler hiccup in one open decides neither side. *)
+     built first and their opens interleaved, fastest of nine each, so
+     a GC slice or scheduler hiccup in one open decides neither side;
+     each open starts from a fully collected heap, so it pays for its
+     own garbage and not for what the previous one left. *)
   let build_store n =
     let dir = Filename.temp_file "mirror-bench-reopen" ".db" in
     Sys.remove dir;
@@ -1100,6 +1086,7 @@ let experiment_recovery () =
     dir
   in
   let open_s dir =
+    Gc.full_major ();
     let t0 = Trace.now () in
     let t, _ = ok (Durable.open_ ~dir ()) in
     let s = Trace.now () -. t0 in
@@ -1110,15 +1097,16 @@ let experiment_recovery () =
      index, so it makes no occurrence scan *)
   let scans_after_open dir =
     let t, _ = ok (Durable.open_ ~dir ()) in
-    let scans () = Metrics.counter "contrep.getbl.scans" in
-    let before = scans () in
+    let space =
+      Option.get (Storage.space_find (Mirror.storage (Durable.mirror t)) "Docs#el/annotation")
+    in
+    let before = Space.scans space in
     ignore
       (ok
-         (Metrics.with_enabled (fun () ->
-              Mirror.run_query (Durable.mirror t)
-                (Printf.sprintf "map[sum(getBL(THIS.annotation, {%s}, stats))](Docs)"
-                   (String.concat ", " (List.map (Printf.sprintf "'%s'") query_terms))))));
-    let scanned = scans () - before in
+         (Mirror.run_query (Durable.mirror t)
+            (Printf.sprintf "map[sum(getBL(THIS.annotation, {%s}, stats))](Docs)"
+               (String.concat ", " (List.map (Printf.sprintf "'%s'") query_terms)))));
+    let scanned = Space.scans space - before in
     Durable.abandon t;
     scanned
   in
@@ -1131,7 +1119,7 @@ let experiment_recovery () =
         rm_rf dir_2n)
     @@ fun () ->
     let best_n = ref infinity and best_2n = ref infinity in
-    for _ = 1 to 5 do
+    for _ = 1 to 9 do
       best_n := Float.min !best_n (open_s dir_n);
       best_2n := Float.min !best_2n (open_s dir_2n)
     done;

@@ -19,7 +19,7 @@ let () =
   let src = try read_file path with Sys_error e -> die "cannot read: %s" e in
   let doc = match Json.parse src with Ok v -> v | Error e -> die "parse error: %s" e in
   (match Json.member "schema" doc with
-  | Some (Json.Str "mirror-bench-core/v1") -> ()
+  | Some (Json.Str "mirror-bench-core/v2") -> ()
   | Some (Json.Str other) -> die "unexpected schema %S" other
   | _ -> die "missing \"schema\" field");
   (match Json.member "mode" doc with
@@ -49,6 +49,28 @@ let () =
         in
         if not has_rows then die "entry %s has no rows" id)
     [ "E1"; "E2"; "E3"; "E4"; "E5" ];
+  (* each kernel-bound entry carries a per-operator rollup, and it adds
+     up to the executor's own counts: each executed operator is one
+     span and each memo-table answer one flagged event, so no operator
+     escapes the trace *)
+  List.iter
+    (fun id ->
+      match Option.bind (find id) (Json.member "rollup") with
+      | None -> die "entry %s lacks a rollup" id
+      | Some r ->
+        let int o f =
+          match Option.bind (Json.member f o) Json.to_int with
+          | Some n -> n
+          | None -> die "%s rollup lacks %s" id f
+        in
+        let ops = Option.value ~default:[] (Option.bind (Json.member "operators" r) Json.to_list) in
+        if ops = [] then die "%s rollup has no operators" id;
+        let sum f = List.fold_left (fun acc o -> acc + int o f) 0 ops in
+        let hits = sum "memo_hits" in
+        if sum "calls" - hits <> int r "evaluated" || hits <> int r "memo_hits" then
+          die "%s rollup: %d calls with %d memo-hit events, but %d evaluated and %d memo hits" id
+            (sum "calls") hits (int r "evaluated") (int r "memo_hits"))
+    [ "Q1"; "E1"; "E2"; "E4"; "E5" ];
   (* E4 must carry the tracing ablation used by the acceptance check *)
   (match find "E4" with
   | Some e4 ->
@@ -181,30 +203,17 @@ let () =
   (match find "VET" with
   | None -> die "no entry for the workload vetting pass (VET)"
   | Some v ->
-    let counter name =
-      Option.bind (Json.member "metrics" v) (fun m ->
-          Option.bind (Json.member "counters" m) (Json.member name))
+    let count name =
+      match Option.bind (Json.member name v) Json.to_int with
+      | Some n -> n
+      | None -> die "VET entry lacks %s" name
     in
-    (match counter "moacheck.envelope_checks" with
-    | Some (Json.Int n) when n > 0 -> ()
-    | Some (Json.Int _) -> die "VET ran zero envelope checks"
-    | _ -> die "VET entry lacks the moacheck.envelope_checks counter");
-    (match counter "effcheck.plans" with
-    | Some (Json.Int n) when n > 0 -> ()
-    | Some (Json.Int _) -> die "VET analyzed zero plans with effcheck"
-    | _ -> die "VET entry lacks the effcheck.plans counter");
-    (match counter "effcheck.partitions" with
-    | Some (Json.Int n) when n > 0 -> ()
-    | Some (Json.Int _) -> die "VET found zero safe partitions"
-    | _ -> die "VET entry lacks the effcheck.partitions counter");
-    (match counter "effcheck.hazards" with
-    | Some (Json.Int 0) -> ()
-    | Some (Json.Int n) -> die "VET found %d effcheck hazard(s) over the corpus" n
-    | _ -> die "VET entry lacks the effcheck.hazards counter");
-    (match counter "milcheck.plans" with
-    | Some (Json.Int n) when n > 0 -> ()
-    | Some (Json.Int _) -> die "VET analyzed zero plans"
-    | _ -> die "VET entry lacks the milcheck.plans counter"));
+    if count "envelope_checks" <= 0 then die "VET ran zero envelope checks";
+    if count "nodes" <= 0 then die "VET analyzed zero operators with effcheck";
+    if count "partitions" <= 0 then die "VET found zero safe partitions";
+    if count "hazards" <> 0 then
+      die "VET found %d effcheck hazard(s) over the corpus" (count "hazards");
+    if count "plans" <= 0 then die "VET analyzed zero plans");
   (* the BOUND entry must carry one row per workload query with a
      finite, >= 1 estimation error ratio — the envelope may be loose
      but never degenerate — and a finite peak bound within 100x of the

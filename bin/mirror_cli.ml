@@ -232,7 +232,7 @@ let explain_main check db src =
           | Error e ->
             Printf.printf "check: FAIL %s\n" e;
             1
-          | Ok () -> (
+          | Ok (_ : Plancheck.vetted) -> (
             match Eval.compile st expr with
             | Error e ->
               Printf.printf "check: FAIL flatten: %s\n" e;

@@ -167,15 +167,7 @@ let verdict (t : Milcheck.t) =
     | Some i -> not (Hashtbl.mem unsafe_roots (find i.id))
     | None -> false
   in
-  let v = { nodes = n; shared_columns; partitions; hazards; safe } in
-  if Mirror_util.Metrics.enabled () then begin
-    Mirror_util.Metrics.incr ~by:(List.length t.roots) "effcheck.plans";
-    Mirror_util.Metrics.incr ~by:v.nodes "effcheck.nodes";
-    Mirror_util.Metrics.incr ~by:v.partitions "effcheck.partitions";
-    Mirror_util.Metrics.incr ~by:v.shared_columns "effcheck.shared_columns";
-    Mirror_util.Metrics.incr ~by:(List.length hazards) "effcheck.hazards"
-  end;
-  v
+  { nodes = n; shared_columns; partitions; hazards; safe }
 
 (* {1 Runtime sanitizer} *)
 

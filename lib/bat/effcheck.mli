@@ -45,10 +45,7 @@ type verdict = {
 }
 
 val verdict : Milcheck.t -> verdict
-(** The verdict over the analysed bundle.  When the
-    {!Mirror_util.Metrics} registry is enabled, bumps the
-    ["effcheck.plans"], ["effcheck.nodes"], ["effcheck.partitions"],
-    ["effcheck.shared_columns"] and ["effcheck.hazards"] counters. *)
+(** The verdict over the analysed bundle. *)
 
 (** {1 Runtime sanitizer} *)
 

@@ -193,7 +193,7 @@ let op_name = function
    the licence never reaches an unsafe child.  The node's parallel
    work is read off the growth of the pool's totals and attributed to
    its open trace span and the session counters — only the main domain
-   gets here, workers never touch Trace or Metrics. *)
+   gets here, workers never touch Trace. *)
 let licensed s plan f =
   match s.par with
   | Some { pool; safe; morsel } when safe plan ->
@@ -209,11 +209,7 @@ let licensed s plan f =
       s.st.par_morsels <- s.st.par_morsels + morsels;
       if Mirror_util.Trace.is_on s.tr then
         Mirror_util.Trace.attr s.tr "par"
-          (Printf.sprintf "%dd/%dm" (Parkernel.size pool) morsels);
-      if Mirror_util.Metrics.enabled () then begin
-        Mirror_util.Metrics.incr "mil.par.ops";
-        Mirror_util.Metrics.incr ~by:morsels "mil.par.morsels"
-      end
+          (Printf.sprintf "%dd/%dm" (Parkernel.size pool) morsels)
     end;
     b
   | _ -> f ()
@@ -285,11 +281,6 @@ let rec eval s plan =
     in
     s.st.evaluated <- s.st.evaluated + 1;
     s.st.rows_produced <- s.st.rows_produced + Bat.count b;
-    if Mirror_util.Metrics.enabled () then begin
-      let name = op_name plan in
-      Mirror_util.Metrics.incr ("mil.op." ^ name);
-      Mirror_util.Metrics.incr ~by:(Bat.count b) ("mil.rows." ^ name)
-    end;
     if s.cse then Tbl.add s.memo plan b;
     b
 
@@ -314,17 +305,11 @@ let admit s plan =
   | Some _ when Tbl.mem s.admitted plan -> ()
   | Some { max_bytes = budget; bound } -> (
     match bound plan with
-    | Some (_, Some peak) when peak <= budget ->
-      if Mirror_util.Metrics.enabled () then Mirror_util.Metrics.incr "mil.admission.ok";
-      Tbl.add s.admitted plan ()
+    | Some (_, Some peak) when peak <= budget -> Tbl.add s.admitted plan ()
     | Some (est, peak) ->
-      if Mirror_util.Metrics.enabled () then
-        Mirror_util.Metrics.incr "mil.admission.refused";
       raise
         (Admission_refused { op = op_name plan; est_bytes = est; peak_bytes = peak; budget })
     | None ->
-      if Mirror_util.Metrics.enabled () then
-        Mirror_util.Metrics.incr "mil.admission.refused";
       raise
         (Admission_refused { op = op_name plan; est_bytes = 0; peak_bytes = None; budget }))
 

@@ -129,19 +129,16 @@ val session :
     and exists for the optimisation-benefit experiments.  [trace]
     (default {!Mirror_util.Trace.null}) receives one span per executed
     operator — nested like the plan, with the produced row count — and
-    a zero-duration ["memo=hit"] event per memo-table answer.  When the
-    {!Mirror_util.Metrics} registry is enabled the executor also bumps
-    ["mil.op.<name>"] / ["mil.rows.<name>"] counters per operator.
+    a zero-duration ["memo=hit"] event per memo-table answer.
     [par] (default: none, fully sequential) enables morsel-parallel
     operator execution gated on its {!type-par} predicate; parallel
     executions add a ["par=<domains>d/<morsels>m"] attribute to their
-    span and bump ["mil.par.ops"] / ["mil.par.morsels"].  [budget]
+    span and count in {!stats}' [par_ops] / [par_morsels].  [budget]
     (default: unlimited) arms the admission gate: every distinct root
     handed to {!exec} is first vetted against the budget's bound, and
     plans whose static peak-memory envelope exceeds [max_bytes] — or
     cannot be bounded — raise {!Admission_refused} before any operator
-    runs.  Admissions bump ["mil.admission.ok"]/["mil.admission.refused"]
-    when metrics are enabled. *)
+    runs. *)
 
 val exec : session -> t -> Bat.t
 (** Evaluate a plan.

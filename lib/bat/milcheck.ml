@@ -823,8 +823,6 @@ let rec visit w path plan =
     f
 
 let analyze env roots =
-  if Mirror_util.Metrics.enabled () then
-    Mirror_util.Metrics.incr ~by:(List.length roots) "milcheck.plans";
   let w =
     { w_env = env; w_table = Mil.Tbl.create 64; w_nodes = []; w_catalog = Hashtbl.create 8 }
   in

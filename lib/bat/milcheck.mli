@@ -147,8 +147,7 @@ type t = {
 }
 
 val analyze : env -> Mil.t list -> t
-(** Analyze a bundle of roots; linear in its distinct nodes.  Bumps
-    ["milcheck.plans"] per root when the metrics registry is enabled. *)
+(** Analyze a bundle of roots; linear in its distinct nodes. *)
 
 val prop : t -> Mil.t -> Milprop.t
 (** The envelope of a node of the bundle; {!Milprop.unknown} for any

@@ -18,10 +18,9 @@
     current pool is domain-local: worker domains never see one, and the
     calling domain hides it while it drains morsels, so a range
     function that reaches another operator runs that operator inline
-    and never re-enters the pool.  Range functions must not touch
-    domain-unsafe globals ({!Mirror_util.Metrics},
-    {!Mirror_util.Trace}); per-morsel timings land in preallocated
-    slots and accumulate into {!totals}.
+    and never re-enters the pool.  Range functions must not touch a
+    {!Mirror_util.Trace}, which is not domain-safe; per-morsel timings
+    land in preallocated slots and accumulate into {!totals}.
 
     {b Licence scope.}  This module never inspects effect verdicts.
     The executor ({!Mil}) installs the pool with {!with_pool} around a

@@ -278,8 +278,9 @@ let query_value storage expr = Result.map (fun r -> r.value) (query storage expr
 
 (* Per-operator rollup over the executor's spans: the children of the
    trace's ["execute"] phase, compiler phases excluded. *)
-let exec_rollup ?flag trace =
-  Trace.aggregate ?flag
+let rollup trace =
+  Trace.aggregate
+    ~flag:(fun sp -> List.mem_assoc "memo" sp.Trace.attrs)
     (List.concat_map
        (fun (sp : Trace.span) -> if sp.Trace.name = "execute" then sp.Trace.children else [])
        (Trace.roots trace))
@@ -287,8 +288,7 @@ let exec_rollup ?flag trace =
 let profile storage expr =
   let trace = Trace.create () in
   Result.map
-    (fun _ ->
-      List.map (fun (name, a) -> (name, a.Trace.self, a.Trace.calls)) (exec_rollup trace))
+    (fun _ -> List.map (fun (name, a) -> (name, a.Trace.self, a.Trace.calls)) (rollup trace))
     (query ~trace storage expr)
 
 let fmt_bytes b =
@@ -354,7 +354,7 @@ let explain_analyze ?(optimize = true) ?(cse = true) ?max_bytes storage expr =
          (fmt_bytes report.actual_bytes));
     Buffer.add_char buf '\n';
     Buffer.add_string buf (Trace.render trace);
-    let agg = exec_rollup ~flag:(fun sp -> List.mem_assoc "memo" sp.Trace.attrs) trace in
+    let agg = rollup trace in
     if agg <> [] then begin
       Buffer.add_char buf '\n';
       let tbl =

@@ -84,10 +84,16 @@ val query :
 val query_value : Storage.t -> Expr.t -> (Value.t, string) result
 (** Just the value. *)
 
+val rollup : Mirror_util.Trace.t -> (string * Mirror_util.Trace.agg) list
+(** Per-operator rollup of a {!query} trace's ["execute"] spans, most
+    self time first — the table {!explain_analyze} prints.  Memo-hit
+    events count as calls and in [flagged], so over one query the
+    calls less the flagged events are the report's [evaluated] and the
+    flagged events its [memo_hits]. *)
+
 val profile : Storage.t -> Expr.t -> ((string * float * int) list, string) result
-(** {!query} under a fresh trace, rolled up per operator over the
-    ["execute"] spans: (operator, total self seconds, evaluations),
-    most expensive first. *)
+(** {!query} under a fresh trace, read through {!rollup}: (operator,
+    total self seconds, calls), most expensive first. *)
 
 val explain : ?optimize:bool -> Storage.t -> Expr.t -> (string, string) result
 (** The compiled plan bundle, pretty-printed. *)

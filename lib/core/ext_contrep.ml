@@ -254,21 +254,6 @@ module E = struct
         (List.map (fun o -> (Atom.as_string (term o), Atom.as_float (tf o))) (members ctx_p ctx))
     | _ -> invalid_arg "CONTREP.reify: malformed bundle"
 
-  (* Metrics wrapper shared by both belief operators: count calls and
-     produced rows, and record wall-time per call as a histogram.  The
-     clock is only read when the registry is enabled. *)
-  let metered name f =
-    if not (Mirror_util.Metrics.enabled ()) then f ()
-    else begin
-      let t0 = Mirror_util.Trace.now () in
-      let b = f () in
-      Mirror_util.Metrics.incr (name ^ ".calls");
-      Mirror_util.Metrics.incr ~by:(Bat.count b) (name ^ ".rows");
-      Mirror_util.Metrics.observe (name ^ ".ms")
-        (1000.0 *. (Mirror_util.Trace.now () -. t0));
-      b
-    end
-
   let getbl_foreign env ~args ~meta =
     match (args, meta) with
     | occ_ctx :: occ_term :: occ_tf :: len :: dom :: q, space_name :: _ -> (
@@ -280,8 +265,7 @@ module E = struct
       in
       match env.Extension.space space_name with
       | Some space ->
-        metered "contrep.getbl" (fun () ->
-            Mirror_ir.Search.getbl_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~query)
+        Mirror_ir.Search.getbl_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~query
       | None -> failwith (Printf.sprintf "contrep_getbl: unknown space %S" space_name))
     | _ -> failwith "contrep_getbl: malformed physical operands"
 
@@ -290,9 +274,7 @@ module E = struct
     | [ occ_ctx; occ_term; occ_tf; len; dom ], [ space_name; net_src ] -> (
       match (env.Extension.space space_name, Mirror_ir.Querynet.of_string net_src) with
       | Some space, Ok net ->
-        metered "contrep.getblnet" (fun () ->
-            Mirror_ir.Search.getblnet_pairs ~space ~net ~occ_ctx ~occ_term ~occ_tf ~len
-              ~dom)
+        Mirror_ir.Search.getblnet_pairs ~space ~net ~occ_ctx ~occ_term ~occ_tf ~len ~dom
       | None, _ -> failwith (Printf.sprintf "contrep_getblnet: unknown space %S" space_name)
       | _, Error e -> failwith ("contrep_getblnet: " ^ e))
     | _ -> failwith "contrep_getblnet: malformed physical operands"

@@ -448,7 +448,7 @@ let compile ?(specialize = true) ?(check = false) ?(trace = Mirror_util.Trace.nu
     in
     Mirror_util.Trace.with_span trace "flatten.validate" (fun () ->
         match Moacheck.validate storage expr analysis shape with
-        | Ok () -> ()
+        | Ok (_ : int) -> ()
         | Error ds ->
           raise
             (Ill_formed (String.concat "; " (List.map Moaprop.diag_to_string ds))))

@@ -41,7 +41,7 @@ let failed_query src error =
 let check st ~src expr =
   match Plancheck.vet st expr with
   | Error e -> failed_query src e
-  | Ok () -> (
+  | Ok (_ : Plancheck.vetted) -> (
     match Eval.compile st expr with
     | Error e -> failed_query src ("flatten: " ^ e)
     | Ok (_, shape) ->

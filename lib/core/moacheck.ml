@@ -3,7 +3,6 @@ module Bat = Mirror_bat.Bat
 module P = Mirror_bat.Milprop
 module Milcheck = Mirror_bat.Milcheck
 module Mil = Mirror_bat.Mil
-module Metrics = Mirror_util.Metrics
 
 type env = {
   extent_type : string -> Types.t option;
@@ -666,8 +665,7 @@ let validate storage expr analysis shape =
   match Moaprop.errors diags with
   | _ :: _ as es -> Stdlib.Error es
   | [] ->
-    if Metrics.enabled () then Metrics.incr "moacheck.validations";
-    let bad = ref [] in
+    let bad = ref [] and checks = ref 0 in
     let fail path op fmt =
       Printf.ksprintf
         (fun message ->
@@ -675,7 +673,7 @@ let validate storage expr analysis shape =
         fmt
     in
     let check path expected plan =
-      if Metrics.enabled () then Metrics.incr "moacheck.envelope_checks";
+      incr checks;
       let inferred = Milcheck.prop analysis plan in
       if not (P.compatible expected inferred) then
         fail path (Mil.op_name plan)
@@ -741,4 +739,4 @@ let validate storage expr analysis shape =
           (Moaprop.to_string prop)
     in
     walk (Expr.op_name expr) (P.exactly 1) prop shape;
-    (match List.rev !bad with [] -> Ok () | ds -> Stdlib.Error ds)
+    (match List.rev !bad with [] -> Ok !checks | ds -> Stdlib.Error ds)

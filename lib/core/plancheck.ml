@@ -80,6 +80,8 @@ let diags_to_string ds = String.concat "; " (List.map Milcheck.diag_to_string ds
 
 let moa_diags_to_string ds = String.concat "; " (List.map Moaprop.diag_to_string ds)
 
+type vetted = { plans : int; envelope_checks : int; verdict : Mirror_bat.Effcheck.verdict }
+
 let vet ?(specialize = true) storage expr =
   let stage name to_string r = Result.map_error (fun e -> name ^ ": " ^ to_string e) r in
   let* _ =
@@ -98,10 +100,14 @@ let vet ?(specialize = true) storage expr =
   (* one analysis of the bundle serves every stage below *)
   let a = Storage.analyze storage shape in
   let* () = stage "verify" diags_to_string (Milcheck.verify a) in
+  let verdict = Mirror_bat.Effcheck.verdict a in
   let* () =
-    match Milcheck.errors (Mirror_bat.Effcheck.verdict a).hazards with
+    match Milcheck.errors verdict.hazards with
     | [] -> Ok ()
     | errors -> Error ("effcheck: " ^ diags_to_string errors)
   in
-  let* () = stage "validate" moa_diags_to_string (Moacheck.validate storage expr a shape) in
-  differential ~specialize storage expr
+  let* envelope_checks =
+    stage "validate" moa_diags_to_string (Moacheck.validate storage expr a shape)
+  in
+  let* () = differential ~specialize storage expr in
+  Ok { plans = List.length a.Milcheck.roots; envelope_checks; verdict }

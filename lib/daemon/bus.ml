@@ -89,12 +89,10 @@ let enqueue t name d =
     match t.policy with
     | Backpressure ->
       t.stalls <- t.stalls + 1;
-      if Mirror_util.Metrics.enabled () then Mirror_util.Metrics.incr "bus.stalled";
       Queue.push d ib.stall
     | Shed_oldest ->
       let old = Queue.pop ib.q in
       t.shed <- t.shed + 1;
-      if Mirror_util.Metrics.enabled () then Mirror_util.Metrics.incr "bus.shed";
       Queue.push d ib.q;
       (match t.on_overflow with Some f -> f name old | None -> ())
 
@@ -105,14 +103,8 @@ let fresh_delivery t m =
 
 let publish t m =
   t.published <- t.published + 1;
-  if Mirror_util.Metrics.enabled () then begin
-    Mirror_util.Metrics.incr "bus.published";
-    Mirror_util.Metrics.incr ("bus.topic." ^ m.topic)
-  end;
   match Hashtbl.find_opt t.subscribers m.topic with
-  | None | Some [] ->
-    t.dropped <- t.dropped + 1;
-    if Mirror_util.Metrics.enabled () then Mirror_util.Metrics.incr "bus.dropped"
+  | None | Some [] -> t.dropped <- t.dropped + 1
   | Some subs -> List.iter (fun name -> enqueue t name (fresh_delivery t m)) (List.rev subs)
 
 let fetch_delivery t ~name =

@@ -70,9 +70,8 @@ val set_route_hook : t -> (string -> delivery -> unit) option -> unit
 val publish : t -> message -> unit
 (** Fan the message out as one fresh delivery per subscriber.
     Messages on topics nobody subscribes to are counted as dropped.
-    When the {!Mirror_util.Metrics} registry is enabled,
-    ["bus.published"], ["bus.topic.<topic>"], ["bus.dropped"],
-    ["bus.stalled"] and ["bus.shed"] counters are bumped. *)
+    The counts are read with {!published}, {!dropped}, {!stalls} and
+    {!shed}. *)
 
 val fetch : t -> name:string -> message option
 (** Pop the next message queued for a daemon (envelope discarded). *)

@@ -1,6 +1,5 @@
 module Clock = Mirror_util.Clock
 module Trace = Mirror_util.Trace
-module Metrics = Mirror_util.Metrics
 
 type config = {
   procs : int;
@@ -73,8 +72,7 @@ type slot = {
   id : int;
   hosted : Daemon.t list;
   mutable host : host;
-  mutable inflight : (string * Bus.delivery * float) option;
-      (* daemon, delivery, wall-clock dispatch time *)
+  mutable inflight : (string * Bus.delivery) option;  (* daemon, delivery *)
   mutable staged : Worker.write list;  (* [Op] frames so far, reversed *)
   mutable staged_pubs : Bus.message list;  (* [Pub] frames so far, reversed *)
   mutable synced : int;  (* op-log cursor already sent to the worker *)
@@ -133,8 +131,7 @@ let push t origin w =
 let add_dead t name delivery cause =
   let e = { Deadletter.daemon = name; delivery; cause; at = Clock.now t.clk } in
   Deadletter.add t.dlq e;
-  Option.iter (fun j -> j.dead e) t.journal;
-  if Metrics.enabled () then Metrics.incr "deadletter.count"
+  Option.iter (fun j -> j.dead e) t.journal
 
 let create ?daemons ?clock ?(seed = 7901) ?(config = default_config) ?journal () =
   if config.procs < 0 then invalid_arg "Orchestrator.create: negative procs";
@@ -269,7 +266,7 @@ let state_keys t =
       t.daemons
     @ Array.fold_left
         (fun acc s ->
-          match s.inflight with Some (n, dv, _) -> (n, dv.Bus.seq) :: acc | None -> acc)
+          match s.inflight with Some (n, dv) -> (n, dv.Bus.seq) :: acc | None -> acc)
         [] t.slots
   in
   ( List.sort compare pending,
@@ -298,8 +295,7 @@ let redeliver ?daemon ?(probe = false) t =
       let d = e.Deadletter.delivery in
       d.Bus.attempts <- 0;
       d.Bus.deadline <- None;
-      Bus.requeue_delivery t.context.Daemon.bus ~name:e.Deadletter.daemon d;
-      if Metrics.enabled () then Metrics.incr "deadletter.redelivered")
+      Bus.requeue_delivery t.context.Daemon.bus ~name:e.Deadletter.daemon d)
     letters;
   List.length letters
 
@@ -354,7 +350,6 @@ let formulated t =
    a tf-additive visual-word op. *)
 let settle t slot name (dv : Bus.delivery) (o : Worker.outcome) =
   let bus = t.context.Daemon.bus in
-  let started = match slot.inflight with Some (_, _, w) -> w | None -> 0.0 in
   slot.inflight <- None;
   let tally = Hashtbl.find t.tallies name in
   tally.cpu <- tally.cpu +. o.Worker.cpu;
@@ -372,16 +367,11 @@ let settle t slot name (dv : Bus.delivery) (o : Worker.outcome) =
       List.iter (Bus.publish bus) o.Worker.pubs;
       Option.iter (fun j -> j.settled name dv) t.journal
     in
-    (match t.journal with Some j -> j.atomically commit | None -> commit ());
-    if Metrics.enabled () then begin
-      Metrics.incr ("daemon." ^ name ^ ".handled");
-      Metrics.observe ("daemon." ^ name ^ ".ms") (1000.0 *. (Trace.now () -. started))
-    end
+    (match t.journal with Some j -> j.atomically commit | None -> commit ())
   | Worker.Failed text ->
     tally.failures <- tally.failures + 1;
     if o.Worker.writes <> [] then slot.stale <- true;
     Supervisor.failure t.sup name;
-    if Metrics.enabled () then Metrics.incr ("daemon." ^ name ^ ".failures");
     if dv.Bus.attempts <= t.config.max_retries then Bus.requeue_delivery bus ~name dv
     else add_dead t name dv (Deadletter.Failed text)
   | Worker.Fatal _ ->
@@ -424,7 +414,7 @@ let mark_dead t slot p =
   t.deaths <- t.deaths + 1;
   (match slot.inflight with
   | None -> ()
-  | Some (name, dv, _) ->
+  | Some (name, dv) ->
     settle t slot name dv
       {
         Worker.writes = [];
@@ -467,7 +457,7 @@ let barrier_held t (m : Bus.message) =
         || Array.exists
              (fun s ->
                match s.inflight with
-               | Some (_, dv, _) -> String.equal dv.Bus.message.Bus.topic topic
+               | Some (_, dv) -> String.equal dv.Bus.message.Bus.topic topic
                | None -> false)
              t.slots)
       awaits
@@ -500,7 +490,7 @@ let deliver t ~fatal slot (d : Daemon.t) (dv : Bus.delivery) =
   if slot.stale then refresh t slot;
   let name = d.Daemon.name in
   dv.Bus.attempts <- dv.Bus.attempts + 1;
-  slot.inflight <- Some (name, dv, if Metrics.enabled () then Trace.now () else 0.0);
+  slot.inflight <- Some (name, dv);
   match slot.host with
   | Local c ->
     let o = Worker.handle c d dv.Bus.message in
@@ -531,8 +521,6 @@ let serve_daemon t ~fatal ~attempts ~held trace (d : Daemon.t) =
   let slot = Hashtbl.find t.slot_of name in
   let tally = Hashtbl.find t.tallies name in
   sweep t name;
-  if Metrics.enabled () then
-    Metrics.observe ("daemon." ^ name ^ ".depth") (float_of_int (Bus.queued bus ~name));
   let budget =
     match Supervisor.state t.sup name with
     | Supervisor.Open _ -> 0
@@ -592,7 +580,7 @@ let respawn t slot =
 let on_reply t trace slot reply =
   let finish seq (o : Worker.outcome) =
     match slot.inflight with
-    | Some (name, dv, _) when dv.Bus.seq = seq ->
+    | Some (name, dv) when dv.Bus.seq = seq ->
       slot.staged <- [];
       slot.staged_pubs <- [];
       Trace.enter trace name;
@@ -663,7 +651,7 @@ let stop_workers t ~kill =
         (* An unsettled delivery goes back on the bus (its attempt
            counts); the journal still has it pending. *)
         Option.iter
-          (fun (name, dv, _) -> Bus.requeue_delivery t.context.Daemon.bus ~name dv)
+          (fun (name, dv) -> Bus.requeue_delivery t.context.Daemon.bus ~name dv)
           slot.inflight;
         slot.inflight <- None;
         slot.host <- Down

@@ -187,11 +187,8 @@ val run : ?max_rounds:int -> ?trace:Mirror_util.Trace.t -> t -> report
     [trace] records an ["orchestrator.run"] span with one child per
     round, per-daemon spans beneath (around the in-process handling,
     or a worker delivery's settlement), and zero-duration ["breaker"]
-    events on breaker transitions.  When the {!Mirror_util.Metrics}
-    registry is enabled, per-daemon
-    ["daemon.<name>.handled"/".failures"/".ms"/".depth"] metrics,
-    ["breaker.<name>.opened"/".half_open"/".closed"] counters and the
-    ["bus.*"] counters are recorded.
+    events on breaker transitions.  Per-daemon tallies are read from
+    {!report}'s [stats], bus counts from {!Bus}.
 
     @raise Faults.Crash (and re-raises [Out_of_memory] /
     [Stack_overflow]) after requeueing an in-process handler's

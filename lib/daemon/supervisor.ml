@@ -1,5 +1,4 @@
 module Clock = Mirror_util.Clock
-module Metrics = Mirror_util.Metrics
 module Prng = Mirror_util.Prng
 
 type state = Closed | Open of float | Half_open
@@ -49,14 +48,8 @@ let breaker_of t name =
     Hashtbl.add t.breakers name b;
     b
 
-let metric_suffix = function
-  | Closed -> "closed"
-  | Open _ -> "opened"
-  | Half_open -> "half_open"
-
 let transition t name b st =
   b.st <- st;
-  if Metrics.enabled () then Metrics.incr ("breaker." ^ name ^ "." ^ metric_suffix st);
   match t.listener with Some f -> f name st | None -> ()
 
 (* Deterministic jittered exponential backoff for the n-th trip. *)

@@ -36,9 +36,7 @@ val create : ?config:config -> clock:Mirror_util.Clock.t -> seed:int -> unit -> 
 
 val set_listener : t -> (string -> state -> unit) option -> unit
 (** Observe transitions (daemon name, new state) — the orchestrator
-    forwards them to its trace.  When the {!Mirror_util.Metrics}
-    registry is enabled, ["breaker.<name>.opened"/".half_open"/
-    ".closed"] counters are bumped regardless of the listener. *)
+    forwards them to its trace as ["breaker"] events. *)
 
 val state : t -> string -> state
 (** Current breaker state, performing the [Open] → [Half_open]

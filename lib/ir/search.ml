@@ -57,8 +57,8 @@ let run_indexed index ?limit net =
    tfs and the contexts' lengths.  When the occurrence BATs are
    physically the base representation the space's inverted index
    supplies them; otherwise one occurrence scan, narrowed to the query
-   terms, builds them, and the scan is counted as
-   [contrep.getbl.scans].
+   terms, builds them, and the scan is counted on the space
+   ([Space.scans]).
 
    A context that does not contain a term scores exactly
    [Belief.default_belief] for it: its tf is 0, so [tf_part] is 0.0,
@@ -141,7 +141,6 @@ let index_occurrences space ~occ_ctx ~occ_term ~occ_tf ~len =
    (rebased or rebuilt occurrences): an occurrence's term and tf are
    the last rows for its oid, and only the query terms are kept. *)
 let scan_postings ~distinct ~occ_ctx ~occ_term ~occ_tf ~len =
-  Mirror_util.Metrics.incr "contrep.getbl.scans";
   let term_heads = Column.oid_exn (Bat.head occ_term) in
   let term_tails =
     match Bat.tail occ_term with Column.S a -> a | _ -> invalid_arg "belief operator: term column"
@@ -217,7 +216,9 @@ let resolve ~space ~occ_ctx ~occ_term ~occ_tf ~len ts =
       when Column.oid_exn (Bat.head occ_term) == heads
            && Column.oid_exn (Bat.head occ_tf) == heads ->
       idx
-    | _ -> scan_postings ~distinct:ts.tid ~occ_ctx ~occ_term ~occ_tf ~len
+    | _ ->
+      Space.count_scan space;
+      scan_postings ~distinct:ts.tid ~occ_ctx ~occ_term ~occ_tf ~len
   in
   let postings =
     Array.map

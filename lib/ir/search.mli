@@ -29,8 +29,8 @@ val index_occurrences :
     representation: occurrence BATs that share one head column, and the
     length BAT.  {!getbl_pairs} and {!getblnet_pairs} read the postings
     when they are handed exactly these BATs; for any other occurrence
-    BATs they scan the occurrences and count the scan as the
-    [contrep.getbl.scans] metric.
+    BATs they scan the occurrences and count the scan on the space
+    ({!Space.scans}).
     @raise Invalid_argument if the occurrence heads are not shared. *)
 
 val getblnet_pairs :

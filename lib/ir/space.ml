@@ -19,6 +19,7 @@ type t = {
   doclen : (int, float) Hashtbl.t;
   mutable total_len : float;
   mutable idx : index option;
+  mutable scans : int;
 }
 
 let create sname =
@@ -30,6 +31,7 @@ let create sname =
     doclen = Hashtbl.create 64;
     total_len = 0.0;
     idx = None;
+    scans = 0;
   }
 
 let name t = t.sname
@@ -86,6 +88,9 @@ let index t ~heads ~len =
     when i.occ_heads == heads && i.len_heads == lh && i.len_tails == lt ->
     Some i.terms
   | _ -> None
+
+let scans t = t.scans
+let count_scan t = t.scans <- t.scans + 1
 
 let belief t ~tf ~term doclen =
   Belief.belief ~tf ~df:(df t term) ~ndocs:t.ndocs ~doclen ~avg_doclen:(avg_doc_len t)

@@ -72,3 +72,11 @@ val index :
 (** The postings, provided [heads] is physically the indexed occurrence
     column and [len] has physically the indexed columns ([==]); [None]
     otherwise (filtered or rebased occurrences). *)
+
+val scans : t -> int
+(** Occurrence scans run over this space's occurrences because the
+    operator was not handed the indexed columns; 0 when every belief
+    operator read the index. *)
+
+val count_scan : t -> unit
+(** Count one occurrence scan (the belief operators call it). *)

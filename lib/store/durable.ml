@@ -14,7 +14,6 @@ module Store = Mirror_daemon.Store
 module Faults = Mirror_daemon.Faults
 module Crc32 = Mirror_util.Crc32
 module Fsx = Mirror_util.Fsx
-module Metrics = Mirror_util.Metrics
 module Trace = Mirror_util.Trace
 module Stringx = Mirror_util.Stringx
 
@@ -271,16 +270,11 @@ let checkpoint t =
     Fun.protect
       ~finally:(fun () -> t.in_checkpoint <- false)
       (fun () ->
-        let t0 = Trace.now () in
         Trace.enter t.trace "wal.checkpoint";
         let fin result =
           Trace.leave
             ~attrs:[ ("lsn", string_of_int (Wal.next_lsn t.wal - 1)) ]
             t.trace;
-          if Metrics.enabled () then begin
-            Metrics.incr "wal.checkpoint";
-            Metrics.observe "wal.checkpoint.ms" ((Trace.now () -. t0) *. 1000.)
-          end;
           result
         in
         match
@@ -477,22 +471,12 @@ let recover ~dir ~(config : config) =
     Ok (mk dir config mir st wal ~checkpoint_lsn:lsn, recovery)
 
 let open_ ?(config = default_config) ~dir () =
-  let t0 = Trace.now () in
   let fresh =
     (not (Sys.file_exists (meta_file dir))) && Wal.segments ~dir:(wal_dir dir) = []
   in
-  let result =
-    try if fresh then init_fresh ~dir ~config else recover ~dir ~config with
-    | Sys_error e -> Error e
-    | Failure e -> Error e
-  in
-  if Metrics.enabled () then begin
-    Metrics.observe "wal.recovery.ms" ((Trace.now () -. t0) *. 1000.);
-    match result with
-    | Ok ((_ : t), r) -> Metrics.incr ~by:r.replayed "wal.replayed"
-    | Error (_ : string) -> ()
-  end;
-  result
+  try if fresh then init_fresh ~dir ~config else recover ~dir ~config with
+  | Sys_error e -> Error e
+  | Failure e -> Error e
 
 (* {1 Introspection} *)
 
@@ -586,7 +570,7 @@ let certify t =
     | [] -> Ok ()
     | name :: rest -> (
       let q = Expr.Extent name in
-      let* () =
+      let* (_ : Plancheck.vetted) =
         Result.map_error (fun e -> Printf.sprintf "vet of extent %s: %s" name e)
           (Plancheck.vet stor q)
       in

@@ -109,7 +109,9 @@ type status = {
   since_checkpoint : int;  (** commits logged since the checkpoint *)
   segments : int;
   log_bytes : int;
-  snapshot : string;  (** current snapshot directory name *)
+  snapshot : string;
+      (** file name of the current snapshot, [snap.<lsn>], relative to
+          the store directory *)
   last_error : string option;
       (** most recent auto-checkpoint failure, if it has not been
           cleared by a later successful checkpoint.  Auto-checkpoints

@@ -1,7 +1,6 @@
 module Crc32 = Mirror_util.Crc32
 module Faults = Mirror_daemon.Faults
 module Fsx = Mirror_util.Fsx
-module Metrics = Mirror_util.Metrics
 
 type config = { segment_bytes : int }
 
@@ -121,10 +120,6 @@ let append t payload =
   t.appends <- t.appends + 1;
   t.dirty <- true;
   flush t.oc;
-  if Metrics.enabled () then begin
-    Metrics.incr "wal.append";
-    Metrics.incr ~by:(Bytes.length b) "wal.bytes"
-  end;
   lsn
 
 let close t =

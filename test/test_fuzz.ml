@@ -583,7 +583,7 @@ let moa_check st tenv menv { expr; ty } =
   | exception Flatten.Ill_formed msg -> moa_failf expr "compile rejected: %s" msg
   | shape -> (
     match Moacheck.validate st expr (Storage.analyze st shape) shape with
-    | Ok () -> ()
+    | Ok (_ : int) -> ()
     | Error ds ->
       moa_failf expr "translation validation failed: %s"
         (String.concat "; " (List.map Moaprop.diag_to_string ds))));

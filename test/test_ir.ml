@@ -654,7 +654,6 @@ end
 
 module Column = Mirror_bat.Column
 module Parkernel = Mirror_bat.Parkernel
-module Metrics = Mirror_util.Metrics
 module Prng = Mirror_util.Prng
 
 let words = [| "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" |]
@@ -852,17 +851,16 @@ let test_scans_counted () =
   let dom = oids k.ctxs in
   let qlink, qval = query_bats (Prng.create 1) ~dom [ "a"; "b" ] in
   let scans occ =
-    Metrics.reset ();
-    Metrics.with_enabled (fun () ->
-        let occ_ctx, occ_term, occ_tf = occ in
-        let len = k.len in
-        ignore
-          (Search.getbl_pairs ~space:k.space ~occ_ctx ~occ_term ~occ_tf ~len ~dom
-           ~query:(Search.Linked { qlink; qval }));
-        ignore
-          (Search.getblnet_pairs ~space:k.space ~net:(Querynet.flat [ "a" ]) ~occ_ctx ~occ_term
-             ~occ_tf ~len ~dom);
-        Metrics.counter "contrep.getbl.scans")
+    let before = Space.scans k.space in
+    let occ_ctx, occ_term, occ_tf = occ in
+    let len = k.len in
+    ignore
+      (Search.getbl_pairs ~space:k.space ~occ_ctx ~occ_term ~occ_tf ~len ~dom
+         ~query:(Search.Linked { qlink; qval }));
+    ignore
+      (Search.getblnet_pairs ~space:k.space ~net:(Querynet.flat [ "a" ]) ~occ_ctx ~occ_term
+         ~occ_tf ~len ~dom);
+    Space.scans k.space - before
   in
   Alcotest.(check int) "base representation: no scan" 0 (scans k.occ);
   Alcotest.(check int) "rebuilt occurrences: one scan per operator" 2 (scans (rebuilt k.occ))

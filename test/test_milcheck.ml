@@ -18,6 +18,8 @@ module Optimize = Mirror_core.Optimize
 module Eval = Mirror_core.Eval
 module Parser = Mirror_core.Parser
 module Plancheck = Mirror_core.Plancheck
+module Moacheck = Mirror_core.Moacheck
+module Trace = Mirror_util.Trace
 module Corpus = Mirror_core.Corpus
 module Bootstrap = Mirror_core.Bootstrap
 module Value = Mirror_core.Value
@@ -278,9 +280,40 @@ let test_corpus_vet () =
   List.iter
     (fun src ->
       match Plancheck.vet st (parse_q src) with
-      | Ok () -> ()
+      | Ok (_ : Plancheck.vetted) -> ()
       | Error e -> Alcotest.failf "%s: %s" src e)
     Corpus.queries
+
+(* Every executed operator is seen by the trace: over each corpus
+   query, with and without the memo table, the rollup's calls less its
+   memo-hit events are the operators the executor evaluated, and the
+   memo-hit events are its memo hits.  Translation validation compares
+   at least one envelope per query. *)
+let test_corpus_rollup_adds_up () =
+  let st = Corpus.storage () in
+  let all_hits = ref 0 in
+  List.iter
+    (fun src ->
+      let expr = parse_q src in
+      List.iter
+        (fun cse ->
+          let trace = Trace.create () in
+          let r = ok (Eval.query ~cse ~trace st expr) in
+          let calls, hits =
+            List.fold_left
+              (fun (c, h) (_, (a : Trace.agg)) -> (c + a.calls, h + a.flagged))
+              (0, 0) (Eval.rollup trace)
+          in
+          Alcotest.(check int) (src ^ ": calls less memo hits") r.Eval.evaluated (calls - hits);
+          Alcotest.(check int) (src ^ ": memo-hit events") r.Eval.memo_hits hits;
+          all_hits := !all_hits + hits)
+        [ true; false ];
+      let shape = Flatten.compile st expr in
+      match Moacheck.validate st expr (Storage.analyze st shape) shape with
+      | Ok n -> Alcotest.(check bool) (src ^ ": envelopes compared") true (n > 0)
+      | Error _ -> Alcotest.failf "%s: translation validation failed" src)
+    Corpus.queries;
+  Alcotest.(check bool) "the corpus exercises the memo table" true (!all_hits > 0)
 
 (* Checked execution across the whole corpus: ~check must neither
    change any result nor trip an envelope violation. *)
@@ -359,6 +392,7 @@ let () =
           Alcotest.test_case "golden envelopes" `Quick test_property_golden;
           Alcotest.test_case "corpus vet (verify + differential)" `Quick test_corpus_vet;
           Alcotest.test_case "corpus checked execution" `Quick test_corpus_checked_execution;
+          Alcotest.test_case "corpus rollup adds up" `Quick test_corpus_rollup_adds_up;
         ] );
       ( "satellites",
         [

@@ -226,7 +226,7 @@ let test_broken_rule () =
   (* validation sees the physical bundle disagree *)
   let shape = Flatten.compile st e in
   (match Moacheck.validate st e (Mirror_core.Storage.analyze st shape) shape with
-  | Ok () -> Alcotest.fail "validate certified a broken flattening rule"
+  | Ok (_ : int) -> Alcotest.fail "validate certified a broken flattening rule"
   | Error ds ->
     Alcotest.(check bool) "mismatch names the flattening" true
       (has_diag ds "flattening broke the envelope"));
@@ -236,7 +236,7 @@ let test_broken_rule () =
   | _ -> Alcotest.fail "compile ~check:true accepted a broken flattening rule");
   (* and so does full vetting *)
   match Plancheck.vet st e with
-  | Ok () -> Alcotest.fail "vet certified a broken flattening rule"
+  | Ok (_ : Plancheck.vetted) -> Alcotest.fail "vet certified a broken flattening rule"
   | Error _ -> ()
 
 (* {1 Daemon topic-graph lint} *)

@@ -431,18 +431,28 @@ let rec float_bits = function
   | Value.VSet vs -> Value.VSet (List.map float_bits vs)
   | Value.Xv x -> Value.Xv { x with items = List.map float_bits x.items }
 
-(* Run the search shapes; return their results and how many getBL
-   calls and occurrence scans they made. *)
+(* Run the search shapes; return their results, how many belief
+   operators they executed (read off each query's trace rollup) and
+   how many occurrence scans the annotation space counted. *)
 let run_search m =
-  Mirror_util.Metrics.reset ();
+  let st = Mirror_core.Mirror.storage m in
+  let space = Option.get (Storage.space_find st "Docs#el/annotation") in
+  let scans0 = Mirror_ir.Space.scans space in
+  let calls = ref 0 in
   let results =
-    Mirror_util.Metrics.with_enabled (fun () ->
-        List.map (fun q -> float_bits (ok (Mirror_core.Mirror.run_query m q))) search_queries)
+    List.map
+      (fun q ->
+        let trace = Mirror_util.Trace.create () in
+        let r = ok (Eval.query ~trace st (ok (Parser.parse_expr q))) in
+        List.iter
+          (fun (op, (a : Mirror_util.Trace.agg)) ->
+            if op = "foreign:contrep_getbl" || op = "foreign:contrep_getblnet" then
+              calls := !calls + a.calls - a.flagged)
+          (Eval.rollup trace);
+        float_bits r.Eval.value)
+      search_queries
   in
-  ( results,
-    Mirror_util.Metrics.counter "contrep.getbl.calls"
-    + Mirror_util.Metrics.counter "contrep.getblnet.calls",
-    Mirror_util.Metrics.counter "contrep.getbl.scans" )
+  (results, !calls, Mirror_ir.Space.scans space - scans0)
 
 let test_reopened_store_uses_index () =
   with_temp_dir (fun dir ->

@@ -322,44 +322,6 @@ let test_trace_with_span_error () =
       (List.mem_assoc "error" sp.Trace.attrs)
   | None -> Alcotest.fail "span not closed on exception"
 
-(* {1 Metrics} *)
-
-module Metrics = Mirror_util.Metrics
-
-let test_metrics_disabled_noop () =
-  Metrics.reset ();
-  Alcotest.(check bool) "disabled by default" false (Metrics.enabled ());
-  Metrics.incr "off.counter";
-  Metrics.observe "off.histo" 1.0;
-  let s = Metrics.snapshot () in
-  Alcotest.(check int) "no counters" 0 (List.length s.Metrics.counters);
-  Alcotest.(check int) "no histograms" 0 (List.length s.Metrics.histograms)
-
-let test_metrics_counters_histos () =
-  Metrics.reset ();
-  Metrics.with_enabled (fun () ->
-      Metrics.incr "b.count";
-      Metrics.incr ~by:4 "b.count";
-      Metrics.incr "a.count";
-      for i = 1 to 100 do
-        Metrics.observe "a.ms" (Float.of_int i)
-      done);
-  Alcotest.(check bool) "with_enabled restored" false (Metrics.enabled ());
-  Alcotest.(check int) "counter value" 5 (Metrics.counter "b.count");
-  let s = Metrics.snapshot () in
-  Alcotest.(check (list (pair string int))) "counters sorted by name"
-    [ ("a.count", 1); ("b.count", 5) ] s.Metrics.counters;
-  (match List.assoc_opt "a.ms" s.Metrics.histograms with
-  | None -> Alcotest.fail "histogram missing"
-  | Some h ->
-    Alcotest.(check int) "count" 100 h.Metrics.count;
-    Alcotest.(check bool) "p50 near middle" true (feq ~eps:2.0 50.0 h.Metrics.p50);
-    Alcotest.(check bool) "p95 near tail" true (feq ~eps:2.0 95.0 h.Metrics.p95);
-    check_float "max" 100.0 h.Metrics.max;
-    check_float "total" 5050.0 h.Metrics.total);
-  Metrics.reset ();
-  Alcotest.(check int) "reset drops counters" 0 (Metrics.counter "b.count")
-
 (* {1 Jsonx} *)
 
 module Json = Mirror_util.Jsonx
@@ -577,11 +539,6 @@ let () =
           Alcotest.test_case "aggregate and render" `Quick test_trace_aggregate_render;
           Alcotest.test_case "unbalanced leave raises" `Quick test_trace_unbalanced_leave;
           Alcotest.test_case "with_span records errors" `Quick test_trace_with_span_error;
-        ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "disabled registry records nothing" `Quick test_metrics_disabled_noop;
-          Alcotest.test_case "counters and histograms" `Quick test_metrics_counters_histos;
         ] );
       ( "jsonx",
         [
