@@ -1347,24 +1347,30 @@ let aggr_all op b =
    without boxing (by position arithmetic on a dense key head). *)
 let key_positions link key =
   let n = count link in
-  match (link.hd, key.hd) with
+  let pos = Array.make n (-1) in
+  (match (link.hd, key.hd) with
   | Column.O lh, Column.O kh | Column.I lh, Column.I kh -> (
     match dense_base kh with
     | Some base ->
       let nk = Array.length kh in
-      Array.init n (fun i ->
-          let j = lh.(i) - base in
-          if j >= 0 && j < nk then j else -1)
+      for i = 0 to n - 1 do
+        let j = lh.(i) - base in
+        if j >= 0 && j < nk then pos.(i) <- j
+      done
     | None ->
       let first = Hashtbl.create (Array.length kh) in
       for j = Array.length kh - 1 downto 0 do
         Hashtbl.replace first kh.(j) j
       done;
-      Array.init n (fun i -> Option.value ~default:(-1) (Hashtbl.find_opt first lh.(i))))
+      for i = 0 to n - 1 do
+        match Hashtbl.find_opt first lh.(i) with Some j -> pos.(i) <- j | None -> ()
+      done)
   | _ ->
     let first = first_position_index key.hd in
-    Array.init n (fun i ->
-        Option.value ~default:(-1) (AtomTbl.find_opt first (head_at link i)))
+    for i = 0 to n - 1 do
+      match AtomTbl.find_opt first (head_at link i) with Some j -> pos.(i) <- j | None -> ()
+    done);
+  pos
 
 (* The order is total: link tail, then key value (present before
    missing; [desc] flips present values), then row position.  Rows are
@@ -1383,32 +1389,47 @@ let group_rank ?(desc = false) ?limit ~link key =
       let tails = Array.init n (tail_at link) in
       fun i j -> Atom.compare tails.(i) tails.(j)
   in
-  let c_val =
+  let sorted =
+    match link.tl with
+    | Column.I lt | Column.O lt -> is_nondecreasing lt
+    | _ ->
+      let i = ref 1 in
+      while !i < n && c_tail (!i - 1) !i <= 0 do
+        incr i
+      done;
+      !i >= n
+  in
+  (* the order within a run, the heap comparator of {!smallest}: one
+     closure whose float-key case compares unboxed in place *)
+  let within =
     match key.tl with
     | Column.F kt ->
-      let v = Array.map (fun p -> if p >= 0 then kt.(p) else 0.0) pos in
-      fun i j -> Float.compare v.(i) v.(j)
+      let v = Array.make n 0.0 in
+      for i = 0 to n - 1 do
+        if pos.(i) >= 0 then v.(i) <- kt.(pos.(i))
+      done;
+      fun i j ->
+        let pi = pos.(i) >= 0 and pj = pos.(j) >= 0 in
+        let c =
+          if pi && pj then if desc then Float.compare v.(j) v.(i) else Float.compare v.(i) v.(j)
+          else Bool.compare pj pi
+        in
+        if c <> 0 then c else Int.compare i j
     | _ ->
       let v = Array.map (fun p -> if p >= 0 then tail_at key p else Atom.Int 0) pos in
-      fun i j -> Atom.compare v.(i) v.(j)
+      fun i j ->
+        let pi = pos.(i) >= 0 and pj = pos.(j) >= 0 in
+        let c =
+          if pi && pj then if desc then Atom.compare v.(j) v.(i) else Atom.compare v.(i) v.(j)
+          else Bool.compare pj pi
+        in
+        if c <> 0 then c else Int.compare i j
   in
-  let within i j =
-    let c =
-      match (pos.(i) >= 0, pos.(j) >= 0) with
-      | true, true -> if desc then c_val j i else c_val i j
-      | true, false -> -1
-      | false, true -> 1
-      | false, false -> 0
-    in
-    if c <> 0 then c else Int.compare i j
-  in
-  let order = Array.init n (fun i -> i) in
-  let sorted = ref true and i = ref 1 in
-  while !sorted && !i < n do
-    if c_tail (!i - 1) !i > 0 then sorted := false;
-    incr i
+  let order = Array.make n 0 in
+  for i = 1 to n - 1 do
+    order.(i) <- i
   done;
-  if not !sorted then Array.stable_sort c_tail order;
+  if not sorted then Array.stable_sort c_tail order;
   let k = Option.value limit ~default:n in
   let cap = min n (max k 0) in
   let rows = Ibuf.with_capacity cap and ranks = Ibuf.with_capacity cap in

@@ -26,31 +26,58 @@ and bounds = { est_rows : int; est_bytes : int; peak_bytes : int option }
 
    Rebuilding logical values from evaluated BATs needs two indexes per
    BAT: head oid -> first tail (atomic payloads) and tail oid -> heads
-   (set links, queried by parent).  Both are cached per evaluated
-   BAT and shared with extension [reify]s, so rebuilding every context
-   of an extent costs one pass per BAT. *)
+   (set links, queried by parent).  Both are cached per evaluated BAT
+   and shared with extension [reify]s, so rebuilding every context of
+   an extent costs one pass per BAT.  The rebuild itself is staged per
+   shape node: a node finds its BAT's index once, on first use, and
+   then reads one row per context. *)
 
 type reifier = {
   lookup : Mil.t -> Bat.t;
-  atom_idx : (int, Atom.t) Hashtbl.t Mil.Tbl.t;
+  atom_idx : (int -> Atom.t) Mil.Tbl.t;
   link_idx : (int, int list) Hashtbl.t Mil.Tbl.t;
 }
 
 let make_reifier lookup =
   { lookup; atom_idx = Mil.Tbl.create 16; link_idx = Mil.Tbl.create 16 }
 
-let atom_index r plan =
+let no_value ctx = failwith (Printf.sprintf "reify: no value for context @%d" ctx)
+
+(* The tail of the first row headed [o]: by position when the heads
+   are the dense range [base, base + n), through a head -> first row
+   table otherwise. *)
+let atom r plan =
   match Mil.Tbl.find_opt r.atom_idx plan with
-  | Some idx -> idx
+  | Some get -> get
   | None ->
     let bat = r.lookup plan in
-    let idx = Hashtbl.create (Bat.count bat) in
     let heads = Mirror_bat.Column.oid_exn (Bat.head bat) in
-    Array.iteri
-      (fun i key -> if not (Hashtbl.mem idx key) then Hashtbl.add idx key (Bat.tail_at bat i))
-      heads;
-    Mil.Tbl.add r.atom_idx plan idx;
-    idx
+    let n = Array.length heads in
+    let base = if n > 0 then heads.(0) else 0 in
+    let dense =
+      let i = ref 0 in
+      while !i < n && heads.(!i) = base + !i do
+        incr i
+      done;
+      !i = n
+    in
+    let get =
+      if dense then fun o ->
+        let i = o - base in
+        if i >= 0 && i < n then Bat.tail_at bat i else no_value o
+      else begin
+        let first = Hashtbl.create n in
+        for i = n - 1 downto 0 do
+          Hashtbl.replace first heads.(i) i
+        done;
+        fun o ->
+          match Hashtbl.find_opt first o with
+          | Some i -> Bat.tail_at bat i
+          | None -> no_value o
+      end
+    in
+    Mil.Tbl.add r.atom_idx plan get;
+    get
 
 (* tail oid -> head oids in row order *)
 let link_index r plan =
@@ -70,28 +97,44 @@ let link_index r plan =
     Mil.Tbl.add r.link_idx plan idx;
     idx
 
-(* staged: [atom r plan] finds the index once, then probes per oid *)
-let atom r plan =
-  let idx = atom_index r plan in
-  fun ctx ->
-    match Hashtbl.find_opt idx ctx with
-    | Some a -> a
-    | None -> failwith (Printf.sprintf "reify: no value for context @%d" ctx)
-
 let members r link ctx = Option.value ~default:[] (Hashtbl.find_opt (link_index r link) ctx)
 
-let rec reify_at r shape ctx =
+(* [once make] is [make ()] applied, made on the first application:
+   a shape node whose contexts are never asked for evaluates nothing. *)
+let once make =
+  let f = ref None in
+  fun ctx ->
+    match !f with
+    | Some f -> f ctx
+    | None ->
+      let g = make () in
+      f := Some g;
+      g ctx
+
+(* The value of [shape] at a context, staged: the indexes are looked
+   up once per shape node, not once per context. *)
+let rec reify_fn r shape =
   match shape with
-  | Shape.Atomic plan -> Value.Atom (atom r plan ctx)
+  | Shape.Atomic plan ->
+    once (fun () ->
+        let get = atom r plan in
+        fun ctx -> Value.Atom (get ctx))
   | Shape.Tuple fields ->
-    Value.Tup (List.map (fun (l, s) -> (l, reify_at r s ctx)) fields)
+    let fields = List.map (fun (l, s) -> (l, reify_fn r s)) fields in
+    fun ctx -> Value.Tup (List.map (fun (l, f) -> (l, f ctx)) fields)
   | Shape.Set { link; elem } ->
-    Value.VSet (List.map (fun e -> reify_at r elem e) (members r link ctx))
+    let elem = reify_fn r elem in
+    once (fun () ->
+        let idx = link_index r link in
+        fun ctx ->
+          Value.VSet (List.map elem (Option.value ~default:[] (Hashtbl.find_opt idx ctx))))
   | Shape.Xstruct { ext; meta; bats; subs } ->
     let (module E : Extension.S) = Extension.find_exn ext in
-    E.reify ~members:(members r) ~atom:(atom r) ~recurse:(reify_at r) ~meta ~bats ~subs ~ctx
+    let staged = List.map (fun s -> (s, reify_fn r s)) subs in
+    let recurse s = match List.assq_opt s staged with Some f -> f | None -> reify_fn r s in
+    fun ctx -> E.reify ~members:(members r) ~atom:(atom r) ~recurse ~meta ~bats ~subs ~ctx
 
-let reify ~lookup shape = reify_at (make_reifier lookup) shape 0
+let reify ~lookup shape = reify_fn (make_reifier lookup) shape 0
 
 (* {1 Query execution} *)
 

@@ -269,6 +269,14 @@ module E = struct
       | None -> failwith (Printf.sprintf "contrep_getbl: unknown space %S" space_name))
     | _ -> failwith "contrep_getbl: malformed physical operands"
 
+  let getbl_sum_foreign env ~args ~meta =
+    match (args, meta) with
+    | [ occ_ctx; occ_term; occ_tf; len; dom; lit ], space_name :: _ -> (
+      match env.Extension.space space_name with
+      | Some space -> Mirror_ir.Search.getbl_sum ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom lit
+      | None -> failwith (Printf.sprintf "contrep_getbl_sum: unknown space %S" space_name))
+    | _ -> failwith "contrep_getbl_sum: malformed physical operands"
+
   let getblnet_foreign env ~args ~meta =
     match (args, meta) with
     | [ occ_ctx; occ_term; occ_tf; len; dom ], [ space_name; net_src ] -> (
@@ -286,8 +294,11 @@ module E = struct
      most [qlink] rows when [dom]'s contexts are distinct, else [dom] x
      [qlink].  Broadcast (6): exactly [dom] x [lit] rows when [dom]'s
      contexts are distinct; a context repeated m times emits m x m x
-     [lit] rows, so at most [dom] x [dom] x [lit].  getblnet folds the
-     whole query into one belief per context. *)
+     [lit] rows, so at most [dom] x [dom] x [lit].  getbl_sum (getbl's
+     summed form, for a literal) and getblnet fold the whole query into
+     one score per row of [dom]; their heads are [dom]'s, distinct in
+     every compiled plan (a domain mirrors a set's link, whose heads
+     are element oids). *)
   let foreign_ops =
     let decl ~arities ~meta_min ~head_key rows =
       {
@@ -315,6 +326,11 @@ module E = struct
         (card, Milprop.smul dom.est lit.est)
       | _ -> (Milprop.any_card, 0)
     in
+    let getbl_sum_rows (args : Milcheck.fact list) =
+      match args with
+      | [ _; _; _; _; dom; _ ] -> (dom.prop.card, dom.est)
+      | _ -> (Milprop.any_card, 0)
+    in
     let getblnet_rows (args : Milcheck.fact list) =
       match args with
       | [ _; _; _; _; dom ] -> (Milprop.card_upto dom.prop.card, dom.est)
@@ -325,11 +341,19 @@ module E = struct
         {
           Extension.run = getbl_foreign;
           decl = decl ~arities:[ 6; 7 ] ~meta_min:1 ~head_key:false getbl_rows;
+          summed = Some "contrep_getbl_sum";
+        } );
+      ( "contrep_getbl_sum",
+        {
+          Extension.run = getbl_sum_foreign;
+          decl = decl ~arities:[ 6 ] ~meta_min:1 ~head_key:true getbl_sum_rows;
+          summed = None;
         } );
       ( "contrep_getblnet",
         {
           Extension.run = getblnet_foreign;
           decl = decl ~arities:[ 5 ] ~meta_min:2 ~head_key:true getblnet_rows;
+          summed = None;
         } );
     ]
 

@@ -16,6 +16,7 @@ type store_env = {
 type foreign = {
   run : eval_env -> args:Mirror_bat.Bat.t list -> meta:string list -> Mirror_bat.Bat.t;
   decl : Mirror_bat.Milcheck.foreign;
+  summed : string option;
 }
 
 module type S = sig
@@ -128,6 +129,14 @@ let find_foreign name =
     by_name None
 
 let foreign_decl name = Option.map (fun f -> f.decl) (find_foreign name)
+
+let summed_form name ~nargs =
+  match find_foreign name with
+  | Some { summed = Some s; _ } -> (
+    match foreign_decl s with
+    | Some d when List.mem nargs d.Mirror_bat.Milcheck.f_arities -> Some s
+    | _ -> None)
+  | _ -> None
 
 let foreign_dispatch env ~name ~args ~meta =
   match find_foreign name with

@@ -44,6 +44,16 @@ type foreign = {
           verifier rejects a plan calling an operator no extension
           declares; well-behaved operators are pure ([f_pure = true],
           [f_shares = f_writes = false]). *)
+  summed : string option;
+      (** The operator's per-context summed form, when it has one: a
+          foreign operator that takes the same plan arguments and meta
+          strings and returns, for each row of the flattening domain
+          ([flat_env.dom]), in that order and with its heads, the sum
+          from [0.0] of the tails of this operator's rows headed by that
+          context, in row order — [0.0] where there are none.  That is
+          [sum] over the set this operator's result is split into, so
+          {!Flatten} compiles such a [sum] to one call of the summed
+          form where its declaration accepts the arguments. *)
 }
 (** One physical operator contributed by an extension. *)
 
@@ -184,6 +194,11 @@ val registered : unit -> string list
 val foreign_dispatch : eval_env -> Mirror_bat.Mil.foreign_fn
 (** The kernel-level dispatch function combining every registered
     extension's physical operators. *)
+
+val summed_form : string -> nargs:int -> string option
+(** The summed form ({!foreign}[.summed]) of a physical operator
+    called with [nargs] plan arguments, when it declares one whose
+    arities accept [nargs]. *)
 
 val foreign_decl : string -> Mirror_bat.Milcheck.foreign option
 (** The declaration of a physical operator, searched across every

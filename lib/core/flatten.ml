@@ -160,18 +160,21 @@ let rec compile_env env expr =
     let link, _ = as_set "count" (compile_env env e) in
     let counts = Mil.GroupAggr (Bat.Count, Mil.Reverse link) in
     Shape.Atomic (Mil.LeftOuterJoin (env.dom, counts, Atom.Int 0))
-  | Expr.Aggr (a, e) ->
+  | Expr.Aggr (a, e) -> (
     let link, elem = as_set "aggregate" (compile_env env e) in
-    let v = as_atomic "aggregate" elem in
-    let pairs = Mil.Join (Mil.Reverse link, v) in
-    let grouped = Mil.GroupAggr (a, pairs) in
-    let base =
-      match infer env e with
-      | Types.Set (Types.Atomic b) -> b
-      | _ -> fail "aggregate of non-atomic set"
-    in
-    let default = Naive.aggr_empty_default a base in
-    Shape.Atomic (Mil.LeftOuterJoin (env.dom, grouped, default))
+    match summed env a link elem with
+    | Some plan -> Shape.Atomic plan
+    | None ->
+      let v = as_atomic "aggregate" elem in
+      let pairs = Mil.Join (Mil.Reverse link, v) in
+      let grouped = Mil.GroupAggr (a, pairs) in
+      let base =
+        match infer env e with
+        | Types.Set (Types.Atomic b) -> b
+        | _ -> fail "aggregate of non-atomic set"
+      in
+      let default = Naive.aggr_empty_default a base in
+      Shape.Atomic (Mil.LeftOuterJoin (env.dom, grouped, default)))
   | Expr.Binop (op, a, b) ->
     let pa = as_atomic "binop" (compile_env env a) in
     let pb = as_atomic "binop" (compile_env env b) in
@@ -290,6 +293,25 @@ let rec compile_env env expr =
       let arg_tys = List.map (infer env) args in
       let shapes = List.map (compile_env env) args in
       E.op_flatten (flat_env env) ~op ~arg_tys ~raw:args ~args:shapes)
+
+(* [sum] over the set a physical operator's pair result is split into
+   (its link and element numbered over one fresh oid range, as an
+   operator flattened in this very domain returns them) is one call of
+   the operator's summed form, when it declares one for these
+   arguments ({!Extension.summed_form}): one sum per context of the
+   domain, 0.0 for a context without rows — what the grouped sum and
+   the defaulting outer join compute, without the per-element pairs.
+   A specialisation, like the equi-join's. *)
+and summed env a link elem =
+  match (a, link, elem) with
+  | ( Bat.Sum,
+      Mil.NumberHead ((Mil.Foreign { name; args; meta } as pairs), b),
+      Shape.Atomic (Mil.NumberTail (pairs', b')) )
+    when env.specialize && b = b' && pairs = pairs' ->
+    Option.map
+      (fun name -> Mil.Foreign { name; args; meta })
+      (Extension.summed_form name ~nargs:(List.length args))
+  | _ -> None
 
 (* A compiled set operand of a join or semijoin: (link, elements,
    element type). *)

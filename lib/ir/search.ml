@@ -394,6 +394,13 @@ let linked_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~qlink ~qval =
         (Column.O (Array.concat (List.map fst (Array.to_list parts))))
         (Column.F (Array.concat (List.map snd (Array.to_list parts))))
 
+let strictly_ascending (a : int array) =
+  let k = ref 1 in
+  while !k < Array.length a && a.(!k - 1) < a.(!k) do
+    incr k
+  done;
+  !k >= Array.length a
+
 (* One query for every context of [dom]: context k's rows are
    [k * nt] .. [k * nt + nt - 1], its beliefs for the literal's terms
    in literal order — the layout the linked form produces for the
@@ -407,14 +414,7 @@ let broadcast_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom lit =
   let terms = str_tails "query literal" lit in
   let n = Array.length dom_heads and nt = Array.length terms in
   let ctx_of_row = Array.init (n * nt) (fun r -> dom_heads.(r / nt)) in
-  let ascending =
-    let k = ref 1 in
-    while !k < n && dom_heads.(!k - 1) < dom_heads.(!k) do
-      incr k
-    done;
-    !k >= n
-  in
-  if not ascending then
+  if not (strictly_ascending dom_heads) then
     let elems = Column.dense 0 (n * nt) in
     linked_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom
       ~qlink:(Bat.make elems (Column.O ctx_of_row))
@@ -446,42 +446,92 @@ let getbl_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~query =
   | Linked { qlink; qval } -> linked_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~qlink ~qval
   | Broadcast lit -> broadcast_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom lit
 
-let getblnet_pairs ~space ~net ~occ_ctx ~occ_term ~occ_tf ~len ~dom =
+(* {1 Candidate scoring}
+
+   Only a context some query term's postings name can score anything
+   but the all-defaults score.  So both folds below — the literal's
+   sum and a query net — score those candidates from their leaf
+   beliefs, one belief per posting, and give every other context one
+   all-defaults score, computed once. *)
+
+(* [score ... ~dom ts fold]: one score per row of [dom], in [dom]
+   order, with [dom]'s heads.  A context is a candidate once a
+   posting of one of [ts]'s terms names it.  A candidate's leaves
+   start at the default and take one belief per posting; it scores
+   [fold leaves (s * nterms)], where [leaves.(s * nterms + t)] is its
+   belief for term [t], and every other context scores [fold] over one
+   block of defaults.  Postings are located among [dom]'s rows when
+   [dom] is strictly ascending (a compiled plan's domain), so only the
+   contexts in [dom] become candidates and a row finds its own; any
+   other [dom] locates its rows among the postings' contexts. *)
+let score ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ts fold =
   let dom_heads = Column.oid_exn (Bat.head dom) in
-  let ts = new_terms () in
-  List.iter (fun (term, _) -> ignore (term_id ts term)) (Querynet.terms net);
   let idf, postings = resolve ~space ~occ_ctx ~occ_term ~occ_tf ~len ts in
   let nterms = Array.length idf in
-  (* a context no query term's postings name scores the all-defaults
-     net; a candidate's leaf beliefs start at the default and take one
-     belief per posting *)
-  let cands =
-    Array.of_list
-      (List.sort_uniq Int.compare
-         (List.concat_map
-            (fun (p : Space.postings) -> Array.to_list p.ctxs)
-            (Array.to_list postings)))
+  let ascending = strictly_ascending dom_heads in
+  let keys =
+    if ascending then dom_heads
+    else
+      Array.of_list
+        (List.sort_uniq Int.compare
+           (List.concat_map
+              (fun (p : Space.postings) -> Array.to_list p.ctxs)
+              (Array.to_list postings)))
   in
-  let ncands = Array.length cands in
-  let leaves = Array.make (ncands * nterms) Belief.default_belief in
+  let nkeys = Array.length keys in
+  let nposted =
+    Array.fold_left (fun acc (p : Space.postings) -> acc + Array.length p.ctxs) 0 postings
+  in
+  (* [slot.(i)]: key [i]'s block of leaves, -1 while no posting names it *)
+  let slot = Array.make nkeys (-1) and nslots = ref 0 in
+  let leaves = Array.make (Int.min nkeys nposted * nterms) Belief.default_belief in
   let avg = Space.avg_doc_len space in
   Array.iteri
     (fun t (p : Space.postings) ->
       let cur = ref 0 in
       for j = 0 to Array.length p.ctxs - 1 do
-        let g = locate cands ncands cur p.ctxs.(j) in
-        leaves.((g * nterms) + t) <- belief_of ~idf:idf.(t) ~p ~avg j
+        let i = locate keys nkeys cur p.ctxs.(j) in
+        if i >= 0 then begin
+          if slot.(i) < 0 then begin
+            slot.(i) <- !nslots;
+            incr nslots
+          end;
+          leaves.((slot.(i) * nterms) + t) <- belief_of ~idf:idf.(t) ~p ~avg j
+        end
       done)
     postings;
-  let default_score = Querynet.eval (fun _ -> Belief.default_belief) net in
+  let default = fold (Array.make nterms Belief.default_belief) 0 in
+  let scores = Array.make (Array.length dom_heads) default in
   let cur = ref 0 in
-  let bels =
-    Array.map
-      (fun c ->
-        let g = locate cands ncands cur c in
-        if g < 0 then default_score
-        else
-          Querynet.eval (fun term -> leaves.((g * nterms) + term_id ts term)) net)
-      dom_heads
-  in
-  Bat.make (Column.O (Array.copy dom_heads)) (Column.F bels)
+  Array.iteri
+    (fun k c ->
+      let i = if ascending then k else locate keys nkeys cur c in
+      if i >= 0 && slot.(i) >= 0 then scores.(k) <- fold leaves (slot.(i) * nterms))
+    dom_heads;
+  Bat.make (Column.O (Array.copy dom_heads)) (Column.F scores)
+
+let getbl_sum ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom lit =
+  if not (strictly_ascending (Column.oid_exn (Bat.head dom))) then
+    (* a repeated context sums its block of rows once per repetition,
+       so a domain no compiled plan has takes the composed form *)
+    Bat.leftouterjoin dom
+      (Bat.group_aggr Bat.Sum (broadcast_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom lit))
+      (Atom.Flt 0.0)
+  else begin
+    let ts = new_terms () in
+    let lit_tid = Array.map (term_id ts) (str_tails "query literal" lit) in
+    (* the literal's beliefs in literal order, from 0.0: [group_sum]'s
+       [0.0 +. b1 +. ...] over a context's block of rows *)
+    score ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ts (fun leaves base ->
+        let s = ref 0.0 in
+        for q = 0 to Array.length lit_tid - 1 do
+          s := !s +. leaves.(base + lit_tid.(q))
+        done;
+        !s)
+  end
+
+let getblnet_pairs ~space ~net ~occ_ctx ~occ_term ~occ_tf ~len ~dom =
+  let ts = new_terms () in
+  List.iter (fun (term, _) -> ignore (term_id ts term)) (Querynet.terms net);
+  score ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ts (fun leaves base ->
+      Querynet.eval (fun term -> leaves.(base + term_id ts term)) net)

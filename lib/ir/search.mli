@@ -45,7 +45,10 @@ val getblnet_pairs :
 (** The physical operator behind the Moa-level [getBLnet]: evaluate a
     full inference-network operator tree per context, producing one
     [(ctx, belief)] row per context in [dom] order.  Leaf beliefs use
-    the same statistics and fast paths as {!getbl_pairs}. *)
+    the same statistics and fast paths as {!getbl_pairs}, and the
+    candidate scorer of {!getbl_sum}: the net is evaluated once per
+    context a query term's postings name, and every other context gets
+    the all-defaults net, evaluated once. *)
 
 (** The query of {!getbl_pairs}. *)
 type query =
@@ -79,3 +82,22 @@ val getbl_pairs :
     [space] supplies the collection-global statistics (df, N, average
     length); terms unknown to the space or absent from a context
     contribute the default belief. *)
+
+val getbl_sum :
+  space:Space.t ->
+  occ_ctx:Mirror_bat.Bat.t ->
+  occ_term:Mirror_bat.Bat.t ->
+  occ_tf:Mirror_bat.Bat.t ->
+  len:Mirror_bat.Bat.t ->
+  dom:Mirror_bat.Bat.t ->
+  Mirror_bat.Bat.t ->
+  Mirror_bat.Bat.t
+(** The summed form of {!getbl_pairs} for a query literal (its tails
+    are the terms, in order): one [(ctx, sum)] row per row of [dom], in
+    [dom] order, bitwise what summing the [Broadcast] result per context
+    from [0.0] ([Bat.group_aggr Sum]) and giving every other context of
+    [dom] [0.0] ([Bat.leftouterjoin]) produce.  Over a strictly
+    ascending [dom] (a compiled plan's domain) only the query terms'
+    postings are read: each candidate context sums its leaf beliefs in
+    literal order, and every other context shares one all-defaults
+    sum.  Any other [dom] is answered by that composition itself. *)

@@ -1027,9 +1027,10 @@ let test_mirror_search_finds_relevant () =
   let rec desc = function a :: (b :: _ as r) -> a >= b && desc r | _ -> true in
   Alcotest.(check bool) "descending" true (desc scores)
 
-(* The compiled top-k ranking: the query literal reaches contrep_getbl
-   as one operand (no join replicates it per context), and take's cut
-   is a group_rank limited to k that emits at most k rows. *)
+(* The compiled top-k ranking: the query literal reaches the belief
+   operator (contrep_getbl's summed form) as one operand (no join
+   replicates it per context), and take's cut is a group_rank limited
+   to k that emits at most k rows. *)
 let test_ranking_plan_shape () =
   let module Mil = Mirror_bat.Mil in
   let m, _, _ = demo_mirror () in
@@ -1040,9 +1041,12 @@ let test_ranking_plan_shape () =
   let rec nodes p = p :: List.concat_map nodes (Mil.children p) in
   let all = List.concat_map nodes plans in
   let getbls =
-    List.filter (function Mil.Foreign { name = "contrep_getbl"; _ } -> true | _ -> false) all
+    List.filter
+      (function
+        | Mil.Foreign { name = "contrep_getbl" | "contrep_getbl_sum"; _ } -> true | _ -> false)
+      all
   in
-  Alcotest.(check bool) "contrep_getbl in the plan" true (getbls <> []);
+  Alcotest.(check bool) "a belief operator in the plan" true (getbls <> []);
   List.iter
     (fun g ->
       List.iter
@@ -1068,6 +1072,211 @@ let test_ranking_plan_shape () =
     ranks;
   let hits = ok (Mirror.rank_by_terms m ~limit:3 ~field:"annotation" [ "stripe"; "sky" ]) in
   Alcotest.(check int) "k hits" 3 (List.length hits)
+
+(* {2 Summed ranking plans}
+
+   sum(getBL(x, {literal})) compiles to contrep_getbl's summed form:
+   one belief-sum per context, with no group_sum or outer join above
+   the belief operator, in every ranking class of the search mix and
+   the bench shapes — and the same values, bit for bit, as the
+   composed plan ~specialize:false still builds. *)
+
+let docs_store () =
+  let m = Mirror.create () in
+  ignore
+    (ok
+       (Mirror.exec_program m
+          "define Docs as SET< TUPLE< Atomic<URL>: source, Atomic<int>: year, CONTREP<Text>: \
+           annotation > >;"));
+  let g = Prng.create 11 in
+  let words = [| "w0"; "w1"; "w2"; "w3"; "w4"; "w5"; "w6"; "w7" |] in
+  ignore
+    (ok
+       (Mirror.load m ~name:"Docs"
+          (List.init 40 (fun i ->
+               Value.Tup
+                 [
+                   ("source", Value.str (Printf.sprintf "img://%d" i));
+                   ("year", Value.int (1990 + Prng.int g 4));
+                   ( "annotation",
+                     Value.contrep
+                       (Mirror_ir.Tokenize.bag_of_words
+                          (List.init (1 + Prng.int g 8) (fun _ -> Prng.choose g words))) );
+                 ]))));
+  m
+
+let rec float_bits = function
+  | Value.Atom (Atom.Flt f) -> Value.Atom (Atom.Int (Int64.to_int (Int64.bits_of_float f)))
+  | Value.Atom _ as v -> v
+  | Value.Tup fields -> Value.Tup (List.map (fun (l, v) -> (l, float_bits v)) fields)
+  | Value.VSet vs -> Value.VSet (List.map float_bits vs)
+  | Value.Xv x -> Value.Xv { x with items = List.map float_bits x.items }
+
+let check_summed_plan st what expr =
+  let module Mil = Mirror_bat.Mil in
+  let _, shape = ok (Eval.compile st expr) in
+  let rec nodes p = p :: List.concat_map nodes (Mil.children p) in
+  let all = List.concat_map nodes (Mirror_core.Shape.plans shape) in
+  let belief = function
+    | Mil.Foreign { name = "contrep_getbl" | "contrep_getbl_sum"; _ } -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) (what ^ ": the summed form") true
+    (List.exists
+       (function Mil.Foreign { name = "contrep_getbl_sum"; _ } -> true | _ -> false)
+       all);
+  List.iter
+    (function
+      | (Mil.GroupAggr _ | Mil.LeftOuterJoin _) as p when List.exists belief (nodes p) ->
+        Alcotest.failf "%s: %s above a belief operator" what (Mil.op_name p)
+      | _ -> ())
+    all;
+  let fused = ok (Eval.query st expr) and composed = ok (Eval.query ~specialize:false st expr) in
+  Alcotest.(check string) (what ^ ": bitwise the composed plan")
+    (Value.to_string (float_bits composed.Eval.value))
+    (Value.to_string (float_bits fused.Eval.value))
+
+let test_summed_ranking_plans () =
+  let m, _, _ = demo_mirror () in
+  check_summed_plan (Mirror.storage m) "ranking_query"
+    (Mirror.ranking_query ~limit:3 ~field:"annotation" [ "stripe"; "sky" ]);
+  let st = Mirror.storage (docs_store ()) in
+  let rank = "sum(getBL(THIS.annotation, {'w1', 'w3', 'w1', 'zz'}, stats))" in
+  List.iter
+    (fun (what, src) -> check_summed_plan st what (ok (Parser.parse_expr src)))
+    [
+      ("rank-all", Printf.sprintf "map[%s](Docs)" rank);
+      ( "top-k",
+        Printf.sprintf
+          "take(tolist_desc(map[tuple(source: THIS.source, score: %s)](Docs), 'score'), 5)" rank
+      );
+      ( "select+rank",
+        Printf.sprintf "map[tuple(s: THIS.source, score: %s)](select[THIS.year = 1991](Docs))"
+          rank );
+      ("Q1", "map[sum(THIS)](map[getBL(THIS.annotation, {'w2', 'w5'}, stats)](Docs))");
+      ("CSE", Printf.sprintf "map[%s + %s](Docs)" rank rank);
+    ]
+
+(* {2 The reifier}
+
+   Eval's reifier before it looked its indexes up once per shape node
+   and read dense heads by position, verbatim, as the oracle. *)
+module Old_reify = struct
+  module Mil = Mirror_bat.Mil
+  module Shape = Mirror_core.Shape
+
+  type reifier = {
+    lookup : Mil.t -> Bat.t;
+    atom_idx : (int, Atom.t) Hashtbl.t Mil.Tbl.t;
+    link_idx : (int, int list) Hashtbl.t Mil.Tbl.t;
+  }
+
+  let make_reifier lookup =
+    { lookup; atom_idx = Mil.Tbl.create 16; link_idx = Mil.Tbl.create 16 }
+
+  let atom_index r plan =
+    match Mil.Tbl.find_opt r.atom_idx plan with
+    | Some idx -> idx
+    | None ->
+      let bat = r.lookup plan in
+      let idx = Hashtbl.create (Bat.count bat) in
+      let heads = Mirror_bat.Column.oid_exn (Bat.head bat) in
+      Array.iteri
+        (fun i key -> if not (Hashtbl.mem idx key) then Hashtbl.add idx key (Bat.tail_at bat i))
+        heads;
+      Mil.Tbl.add r.atom_idx plan idx;
+      idx
+
+  let link_index r plan =
+    match Mil.Tbl.find_opt r.link_idx plan with
+    | Some idx -> idx
+    | None ->
+      let bat = r.lookup plan in
+      let idx = Hashtbl.create (Bat.count bat) in
+      let heads = Mirror_bat.Column.oid_exn (Bat.head bat) in
+      let tails = Mirror_bat.Column.oid_exn (Bat.tail bat) in
+      for i = Array.length heads - 1 downto 0 do
+        let key = tails.(i) in
+        Hashtbl.replace idx key
+          (heads.(i) :: Option.value ~default:[] (Hashtbl.find_opt idx key))
+      done;
+      Mil.Tbl.add r.link_idx plan idx;
+      idx
+
+  let atom r plan =
+    let idx = atom_index r plan in
+    fun ctx ->
+      match Hashtbl.find_opt idx ctx with
+      | Some a -> a
+      | None -> failwith (Printf.sprintf "reify: no value for context @%d" ctx)
+
+  let members r link ctx = Option.value ~default:[] (Hashtbl.find_opt (link_index r link) ctx)
+
+  let rec reify_at r shape ctx =
+    match shape with
+    | Shape.Atomic plan -> Value.Atom (atom r plan ctx)
+    | Shape.Tuple fields ->
+      Value.Tup (List.map (fun (l, s) -> (l, reify_at r s ctx)) fields)
+    | Shape.Set { link; elem } ->
+      Value.VSet (List.map (fun e -> reify_at r elem e) (members r link ctx))
+    | Shape.Xstruct { ext; meta; bats; subs } ->
+      let (module E : Extension.S) = Extension.find_exn ext in
+      E.reify ~members:(members r) ~atom:(atom r) ~recurse:(reify_at r) ~meta ~bats ~subs ~ctx
+
+  let reify ~lookup shape = reify_at (make_reifier lookup) shape 0
+end
+
+let test_reify_matches_old_reifier () =
+  let corpus_st = Mirror_core.Corpus.storage () in
+  let docs_st = Mirror.storage (docs_store ()) in
+  let check st src =
+    let _, shape = ok (Eval.compile st (ok (Parser.parse_expr src))) in
+    let session () =
+      Mirror_bat.Mil.session ~foreign:(Extension.foreign_dispatch (Storage.eval_env st))
+        (Storage.catalog st)
+    in
+    let old = Old_reify.reify ~lookup:(Mirror_bat.Mil.exec (session ())) shape in
+    let fresh = Eval.reify ~lookup:(Mirror_bat.Mil.exec (session ())) shape in
+    Alcotest.(check string) src
+      (Value.to_string (float_bits old))
+      (Value.to_string (float_bits fresh))
+  in
+  (* hand-built: repeated, unordered heads (the first row wins) and
+     dense heads starting past 0 *)
+  let module Mil = Mirror_bat.Mil in
+  let lit hty tty pairs = Mil.Lit { hty; tty; pairs } in
+  let link =
+    lit Atom.TOid Atom.TOid (List.map (fun e -> (Atom.Oid e, Atom.Oid 0)) [ 12; 10; 11 ])
+  in
+  let repeated =
+    lit Atom.TOid Atom.TStr
+      [
+        (Atom.Oid 12, Atom.Str "b");
+        (Atom.Oid 10, Atom.Str "a");
+        (Atom.Oid 12, Atom.Str "c");
+        (Atom.Oid 11, Atom.Str "d");
+        (Atom.Oid 10, Atom.Str "e");
+      ]
+  in
+  let dense =
+    lit Atom.TOid Atom.TInt (List.map (fun e -> (Atom.Oid e, Atom.Int (e * e))) [ 10; 11; 12 ])
+  in
+  let shape =
+    Mirror_core.Shape.(Set { link; elem = Tuple [ ("r", Atomic repeated); ("d", Atomic dense) ] })
+  in
+  let session () = Mil.session (Storage.catalog corpus_st) in
+  Alcotest.(check string) "hand-built heads"
+    (Value.to_string (Old_reify.reify ~lookup:(Mil.exec (session ())) shape))
+    (Value.to_string (Eval.reify ~lookup:(Mil.exec (session ())) shape));
+  Alcotest.(check int) "the corpus" 59 (List.length Mirror_core.Corpus.queries);
+  List.iter (check corpus_st) Mirror_core.Corpus.queries;
+  List.iter (check docs_st)
+    [
+      "map[sum(getBL(THIS.annotation, {'w1', 'w2'}, stats))](Docs)";
+      "take(tolist_desc(map[tuple(source: THIS.source, score: sum(getBL(THIS.annotation, \
+       {'w4'}, stats)))](Docs), 'score'), 7)";
+      "map[tuple(s: THIS.source, y: THIS.year)](select[THIS.year > 1991](Docs))";
+    ]
 
 let test_mirror_thesaurus_lookup () =
   let m, _, _ = demo_mirror () in
@@ -1438,6 +1647,8 @@ let () =
           Alcotest.test_case "paper query runs" `Quick test_mirror_paper_query_runs;
           Alcotest.test_case "search finds hits" `Quick test_mirror_search_finds_relevant;
           Alcotest.test_case "top-k ranking plan shape" `Quick test_ranking_plan_shape;
+          Alcotest.test_case "summed ranking plans" `Quick test_summed_ranking_plans;
+          Alcotest.test_case "reify matches the old reifier" `Quick test_reify_matches_old_reifier;
           Alcotest.test_case "thesaurus lookup" `Quick test_mirror_thesaurus_lookup;
           Alcotest.test_case "modes and feedback" `Quick test_mirror_modes_and_feedback;
           Alcotest.test_case "rocchio-refined search" `Quick test_mirror_refined_search;

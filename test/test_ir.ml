@@ -801,6 +801,9 @@ let differential_case seed =
   let terms = query_terms g in
   let qlink, qval = query_bats g ~dom terms in
   let net = random_net g terms in
+  (* the summed literal: up to five terms, one more that may repeat a
+     term, miss the vocabulary ("zz") or name no context ("q") *)
+  let sum_terms = terms @ List.init (Prng.int g 2) (fun _ -> Prng.choose g [| "a"; "zz"; "q" |]) in
   let len = k.len in
   List.iter
     (fun (path, (occ_ctx, occ_term, occ_tf)) ->
@@ -819,6 +822,18 @@ let differential_case seed =
            ~query:(Search.Linked { qlink; qval }))
         (Search.getbl_pairs ~space:k.space ~occ_ctx ~occ_term ~occ_tf ~len ~dom
            ~query:(Search.Broadcast lit));
+      (* its summed form against the plan it replaces, verbatim:
+         getbl_pairs -> group_aggr Sum -> leftouterjoin 0.0 *)
+      let lit =
+        Bat.of_pairs Atom.TOid Atom.TStr (List.map (fun t -> (Atom.Oid 0, Atom.Str t)) sum_terms)
+      in
+      check_same (what ^ ", summed getBL of a literal")
+        (Bat.leftouterjoin dom
+           (Bat.group_aggr Bat.Sum
+              (Search.getbl_pairs ~space:k.space ~occ_ctx ~occ_term ~occ_tf ~len ~dom
+                 ~query:(Search.Broadcast lit)))
+           (Atom.Flt 0.0))
+        (Search.getbl_sum ~space:k.space ~occ_ctx ~occ_term ~occ_tf ~len ~dom lit);
       check_same (what ^ ", getBLnet")
         (Old.getblnet_pairs ~space:k.old_space ~net ~occ_ctx ~occ_term ~occ_tf ~len ~dom)
         (Search.getblnet_pairs ~space:k.space ~net ~occ_ctx ~occ_term ~occ_tf ~len ~dom))

@@ -446,7 +446,10 @@ let run_search m =
         let r = ok (Eval.query ~trace st (ok (Parser.parse_expr q))) in
         List.iter
           (fun (op, (a : Mirror_util.Trace.agg)) ->
-            if op = "foreign:contrep_getbl" || op = "foreign:contrep_getblnet" then
+            if
+              List.mem op
+                [ "foreign:contrep_getbl"; "foreign:contrep_getbl_sum"; "foreign:contrep_getblnet" ]
+            then
               calls := !calls + a.calls - a.flagged)
           (Eval.rollup trace);
         float_bits r.Eval.value)
