@@ -133,6 +133,13 @@ let () =
     | Some n, Some n2 when n > 0.0 ->
       if n2 /. n > 2.5 then die "RECOVERY reopen_2n_ms / reopen_n_ms = %.2f > 2.5" (n2 /. n)
     | _ -> die "RECOVERY entry lacks reopen_n_ms / reopen_2n_ms");
+    (* the words each reopen allocates per document, present and positive *)
+    List.iter
+      (fun f ->
+        match field f with
+        | Some w when w > 0.0 -> ()
+        | _ -> die "RECOVERY entry lacks a positive %s" f)
+      [ "reopen_n_words_per_doc"; "reopen_2n_words_per_doc" ];
     (* getBL on a reopened store reads the inverted index *)
     match Option.bind (Json.member "getbl_scans_after_reopen" e) Json.to_int with
     | Some 0 -> ()

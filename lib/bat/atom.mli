@@ -34,6 +34,17 @@ val compare : t -> t -> int
 val hash : t -> int
 (** Hash compatible with {!equal}. *)
 
+val add_int : Buffer.t -> int -> unit
+(** Append [string_of_int n], written from a two-digit table. *)
+
+val add_float : Buffer.t -> float -> unit
+(** Append [Printf.sprintf "%.12g" x], byte for byte.  Values with
+    1e-4 <= |x| < 1e12 (the fixed notation) are written from their
+    12 rounded digits; the rest — [nan], infinities, zeros, the
+    exponent form — and the rare value whose scaled digits land on a
+    rounding tie or that sits within an ulp of a power of ten go
+    through C's [printf]. *)
+
 val to_buffer : Buffer.t -> t -> unit
 (** Append the textual form: ints in decimal, floats as ["%.12g"],
     strings as [%S] quotes them ([String.escaped] between double

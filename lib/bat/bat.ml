@@ -321,6 +321,15 @@ let calc_pos_tails op lt rt =
       let f = float_cmp c in
       Some (Column.B (bools n (fun i -> f a.(i) b.(i))))
     | _ -> None)
+  | _, Column.B a, Column.B b -> (
+    match op with
+    | And -> Some (Column.B (bools n (fun i -> a.(i) && b.(i))))
+    | Or -> Some (Column.B (bools n (fun i -> a.(i) || b.(i))))
+    | CmpOp c ->
+      (* [false < true], as [Atom.compare] orders them *)
+      let f = int_cmp c in
+      Some (Column.B (bools n (fun i -> f (Bool.to_int a.(i)) (Bool.to_int b.(i)))))
+    | _ -> None)
   | _ -> None
 
 (* Monet's "void" columns: a head of consecutive oids needs no hash
@@ -340,7 +349,9 @@ let dense_base arr =
     if !ok then Some base else None
   end
 
-let is_nondecreasing arr =
+(* These checks and [lower_bound] are typed [int array] so that their
+   comparisons compile in line, not to a C [compare] call each. *)
+let is_nondecreasing (arr : int array) =
   let ok = ref true in
   let i = ref 1 in
   while !ok && !i < Array.length arr do
@@ -349,7 +360,7 @@ let is_nondecreasing arr =
   done;
   !ok
 
-let is_strictly_increasing arr =
+let is_strictly_increasing (arr : int array) =
   let ok = ref true in
   let i = ref 1 in
   while !ok && !i < Array.length arr do
@@ -504,13 +515,29 @@ let sorted_indices ?(desc = false) c =
   Array.sort (tail_order ~desc c) idx;
   idx
 
+(* Restore the max-heap order of [h.(0)] .. [h.(k-1)] under [cmp]
+   below slot [i]. *)
+let rec sift cmp h k i =
+  let l = (2 * i) + 1 in
+  if l < k then begin
+    let c = if l + 1 < k && cmp h.(l + 1) h.(l) > 0 then l + 1 else l in
+    if cmp h.(c) h.(i) > 0 then begin
+      let t = h.(i) in
+      h.(i) <- h.(c);
+      h.(c) <- t;
+      sift cmp h k c
+    end
+  end
+
 (* The one top-k routine: the [k] least of [idx.(lo)] .. [idx.(hi-1)]
    under the total order [cmp], ascending.  A max-heap holds the [k]
    least seen so far, so each further row costs one comparison with
    the root unless it displaces it: O(n log k), where sorting all [n]
    rows to keep [k] is O(n log n).  Under a total order the result is
-   the sorted prefix, row for row. *)
-let smallest cmp k (idx : int array) lo hi =
+   the sorted prefix, row for row.  [scan h k from hi] passes the rows
+   [idx.(from)] .. [idx.(hi-1)] over the heap [h] of [k] rows: each row
+   that precedes the root under [cmp] replaces it and is sifted down. *)
+let smallest_by scan cmp k (idx : int array) lo hi =
   let k = max 0 (min k (hi - lo)) in
   if k = hi - lo then begin
     let a = Array.sub idx lo k in
@@ -520,31 +547,25 @@ let smallest cmp k (idx : int array) lo hi =
   else if k = 0 then [||]
   else begin
     let h = Array.sub idx lo k in
-    let rec sift i =
-      let l = (2 * i) + 1 in
-      if l < k then begin
-        let c = if l + 1 < k && cmp h.(l + 1) h.(l) > 0 then l + 1 else l in
-        if cmp h.(c) h.(i) > 0 then begin
-          let t = h.(i) in
-          h.(i) <- h.(c);
-          h.(c) <- t;
-          sift c
-        end
-      end
-    in
     for i = (k / 2) - 1 downto 0 do
-      sift i
+      sift cmp h k i
     done;
-    for p = lo + k to hi - 1 do
-      let x = idx.(p) in
-      if cmp x h.(0) < 0 then begin
-        h.(0) <- x;
-        sift 0
-      end
-    done;
+    scan h k (lo + k) hi;
     Array.stable_sort cmp h;
     h
   end
+
+let smallest cmp k idx lo hi =
+  let scan h k from hi =
+    for p = from to hi - 1 do
+      let x = idx.(p) in
+      if cmp x h.(0) < 0 then begin
+        h.(0) <- x;
+        sift cmp h k 0
+      end
+    done
+  in
+  smallest_by scan cmp k idx lo hi
 
 let sort_tail ?(desc = false) b = take b (sorted_indices ~desc b.tl)
 
@@ -711,7 +732,7 @@ let generic_matches ~outer l r =
   (Ibuf.finish li, Ibuf.finish rj)
 
 (* First position in the ascending [rh] whose value is [>= v]. *)
-let lower_bound rh v =
+let lower_bound (rh : int array) v =
   let lo = ref 0 and hi = ref (Array.length rh) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -1376,9 +1397,10 @@ let key_positions link key =
    missing; [desc] flips present values), then row position.  Rows are
    grouped into runs of equal tails in tail order (already so when the
    tails are sorted, as a set's link usually is), and each run keeps
-   its [limit] least rows through {!smallest}.  Each row's tail and
-   value are read once, not once per comparison; int/oid tails and
-   float keys compare unboxed. *)
+   its [limit] least rows through {!smallest_by}.  Each row's key
+   position is found once; int/oid tails and float keys compare
+   unboxed, and a float key's scan compares each row with the heap
+   root in line. *)
 let group_rank ?(desc = false) ?limit ~link key =
   let n = count link in
   let pos = key_positions link key in
@@ -1399,52 +1421,88 @@ let group_rank ?(desc = false) ?limit ~link key =
       done;
       !i >= n
   in
-  (* the order within a run, the heap comparator of {!smallest}: one
-     closure whose float-key case compares unboxed in place *)
-  let within =
-    match key.tl with
-    | Column.F kt ->
-      let v = Array.make n 0.0 in
-      for i = 0 to n - 1 do
-        if pos.(i) >= 0 then v.(i) <- kt.(pos.(i))
-      done;
-      fun i j ->
-        let pi = pos.(i) >= 0 and pj = pos.(j) >= 0 in
-        let c =
-          if pi && pj then if desc then Float.compare v.(j) v.(i) else Float.compare v.(i) v.(j)
-          else Bool.compare pj pi
-        in
-        if c <> 0 then c else Int.compare i j
-    | _ ->
-      let v = Array.map (fun p -> if p >= 0 then tail_at key p else Atom.Int 0) pos in
-      fun i j ->
-        let pi = pos.(i) >= 0 and pj = pos.(j) >= 0 in
-        let c =
-          if pi && pj then if desc then Atom.compare v.(j) v.(i) else Atom.compare v.(i) v.(j)
-          else Bool.compare pj pi
-        in
-        if c <> 0 then c else Int.compare i j
-  in
   let order = Array.make n 0 in
   for i = 1 to n - 1 do
     order.(i) <- i
   done;
   if not sorted then Array.stable_sort c_tail order;
+  (* the end of the run that starts at [order.(lo)] *)
+  let run_end =
+    match link.tl with
+    | Column.I lt | Column.O lt ->
+      fun lo ->
+        let t = lt.(order.(lo)) and hi = ref (lo + 1) in
+        while !hi < n && lt.(order.(!hi)) = t do
+          incr hi
+        done;
+        !hi
+    | _ ->
+      fun lo ->
+        let hi = ref (lo + 1) in
+        while !hi < n && c_tail order.(lo) order.(!hi) = 0 do
+          incr hi
+        done;
+        !hi
+  in
+  (* the order within a run: the heap comparator, and the run's top k *)
+  let top =
+    match key.tl with
+    | Column.F kt ->
+      let within i j =
+        let pi = pos.(i) and pj = pos.(j) in
+        let c =
+          if pi >= 0 && pj >= 0 then
+            if desc then Float.compare kt.(pj) kt.(pi) else Float.compare kt.(pi) kt.(pj)
+          else Bool.compare (pj >= 0) (pi >= 0)
+        in
+        if c <> 0 then c else Int.compare i j
+      in
+      (* [within x root < 0] in line, the root's key reread only when a
+         row displaces it *)
+      let scan h k from hi =
+        let r = ref h.(0) in
+        let rp = ref (pos.(!r) >= 0) in
+        let rv = ref (if !rp then kt.(pos.(!r)) else 0.0) in
+        for p = from to hi - 1 do
+          let x = order.(p) in
+          let px = pos.(x) in
+          let c =
+            if px >= 0 && !rp then
+              if desc then Float.compare !rv kt.(px) else Float.compare kt.(px) !rv
+            else Bool.compare !rp (px >= 0)
+          in
+          if c < 0 || (c = 0 && x < !r) then begin
+            h.(0) <- x;
+            sift within h k 0;
+            r := h.(0);
+            rp := pos.(!r) >= 0;
+            rv := if !rp then kt.(pos.(!r)) else 0.0
+          end
+        done
+      in
+      smallest_by scan within
+    | _ ->
+      let v = Array.map (fun p -> if p >= 0 then tail_at key p else Atom.Int 0) pos in
+      smallest (fun i j ->
+          let pi = pos.(i) >= 0 and pj = pos.(j) >= 0 in
+          let c =
+            if pi && pj then if desc then Atom.compare v.(j) v.(i) else Atom.compare v.(i) v.(j)
+            else Bool.compare pj pi
+          in
+          if c <> 0 then c else Int.compare i j)
+  in
   let k = Option.value limit ~default:n in
   let cap = min n (max k 0) in
   let rows = Ibuf.with_capacity cap and ranks = Ibuf.with_capacity cap in
   let lo = ref 0 in
   while !lo < n do
-    let hi = ref (!lo + 1) in
-    while !hi < n && c_tail order.(!lo) order.(!hi) = 0 do
-      incr hi
-    done;
+    let hi = run_end !lo in
     Array.iteri
       (fun r row ->
         Ibuf.push rows row;
         Ibuf.push ranks r)
-      (smallest within k order !lo !hi);
-    lo := !hi
+      (top k order !lo hi);
+    lo := hi
   done;
   { hd = Column.gather link.hd (Ibuf.finish rows); tl = Column.I (Ibuf.finish ranks) }
 

@@ -28,13 +28,34 @@ val escape : string -> string
     any size.  A string with neither is returned as is (physically, no
     copy). *)
 
+(** {1 Reply lines} *)
+
+type line
+(** A reusable reply line.  Each [*_into] renders one line into the
+    line's text buffer, copies it once into the line's bytes, escapes
+    it there and ends it with a newline; {!bytes} and {!length} are then
+    exactly what goes down the socket, until the next render. *)
+
+val line : unit -> line
+val bytes : line -> Bytes.t
+val length : line -> int
+(** The rendered line is [Bytes.sub (bytes l) 0 (length l)], newline
+    included. *)
+
+val reply_into : line -> int -> Serve.reply -> unit
+(** One reply.  A value's payload is [escape (Value.to_string v)]. *)
+
+val refusal_into : line -> Serve.error -> unit
+(** A submission-time refusal, request id 0. *)
+
+val stats_into : line -> Serve.stats -> unit
+(** {!render_stats}'s line. *)
+
 val render_reply : int -> Serve.reply -> string
-(** One reply line (no trailing newline).  A value's payload is
-    [escape (Value.to_string v)], written with the status and version
-    into one buffer. *)
+(** {!reply_into}'s line as a string, without its newline. *)
 
 val render_refusal : Serve.error -> string
-(** A submission-time refusal line, request id 0. *)
+(** {!refusal_into}'s line as a string, without its newline. *)
 
 val render_stats : Serve.stats -> string
 (** [0 ok stats sessions=... served=... hit_rate=...] — one line. *)

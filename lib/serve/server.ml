@@ -7,12 +7,12 @@ type conn = {
   mutable closing : bool; (* flush replies, then close *)
 }
 
+(* The rendered line, all of it, down [fd]. *)
 let write_line fd line =
-  let data = line ^ "\n" in
-  let len = String.length data in
+  let data = Protocol.bytes line and len = Protocol.length line in
   let rec go off =
     if off < len then
-      match Unix.write_substring fd data off (len - off) with
+      match Unix.write fd data off (len - off) with
       | n -> go (off + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in
@@ -23,18 +23,26 @@ let write_line fd line =
 let try_write_line fd line =
   match write_line fd line with () -> true | exception Unix.Unix_error _ -> false
 
-let split_lines pending data =
-  Buffer.add_string pending data;
-  let s = Buffer.contents pending in
-  let rec go start acc =
-    match String.index_from_opt s start '\n' with
-    | Some i -> go (i + 1) (String.sub s start (i - start) :: acc)
-    | None ->
-      Buffer.clear pending;
-      Buffer.add_substring pending s start (String.length s - start);
-      List.rev acc
+(* Each complete line in [data]'s first [n] bytes, after what [pending]
+   holds, to [f]; the unfinished rest goes to [pending].  A line that
+   arrived in one read is copied once, out of [data]. *)
+let iter_lines pending data n f =
+  let rec newline i = if i = n || Bytes.unsafe_get data i = '\n' then i else newline (i + 1) in
+  let rec go start =
+    let i = newline start in
+    if i = n then Buffer.add_subbytes pending data start (n - start)
+    else begin
+      if Buffer.length pending = 0 then f (Bytes.sub_string data start (i - start))
+      else begin
+        Buffer.add_subbytes pending data start (i - start);
+        let line = Buffer.contents pending in
+        Buffer.clear pending;
+        f line
+      end;
+      go (i + 1)
+    end
   in
-  go 0 []
+  go 0
 
 let run ?config ?bindings ?durable ?(stop = fun () -> false) ~socket mir =
   let t = Serve.local ?config ?bindings ?durable mir in
@@ -57,6 +65,12 @@ let run ?config ?bindings ?durable ?(stop = fun () -> false) ~socket mir =
     Error (Printf.sprintf "cannot listen on %s: %s" socket (Unix.error_message err))
   | () ->
     let conns = ref [] in
+    (* one read buffer and one reply line, reused by every connection *)
+    let input = Bytes.create 65536 and out = Protocol.line () in
+    let send fd into =
+      into out;
+      try_write_line fd out
+    in
     let close_conn c =
       Serve.close_session t c.session;
       (try Unix.close c.fd with Unix.Unix_error _ -> ());
@@ -70,37 +84,36 @@ let run ?config ?bindings ?durable ?(stop = fun () -> false) ~socket mir =
         | Ok session ->
           conns := { fd; session; pending = Buffer.create 256; closing = false } :: !conns
         | Error e ->
-          ignore (try_write_line fd (Protocol.render_refusal e) : bool);
+          ignore (send fd (fun l -> Protocol.refusal_into l e) : bool);
           (try Unix.close fd with Unix.Unix_error _ -> ()))
     in
     let handle_line c line =
       if String.trim line <> "" then
         match Protocol.parse line with
         | Error e ->
-          ignore (try_write_line c.fd (Protocol.render_refusal (Serve.Bad_request e)) : bool)
+          ignore (send c.fd (fun l -> Protocol.refusal_into l (Serve.Bad_request e)) : bool)
         | Ok Protocol.Quit -> c.closing <- true
         | Ok Protocol.Stats ->
-          ignore (try_write_line c.fd (Protocol.render_stats (Serve.stats t)) : bool)
+          ignore (send c.fd (fun l -> Protocol.stats_into l (Serve.stats t)) : bool)
         | Ok (Protocol.Req req) -> (
           match Serve.submit t c.session req with
           | Ok (_ : int) -> ()
           | Error e ->
-            ignore (try_write_line c.fd (Protocol.render_refusal e) : bool))
+            ignore (send c.fd (fun l -> Protocol.refusal_into l e) : bool))
     in
     let read_conn c =
-      let buf = Bytes.create 4096 in
-      match Unix.read c.fd buf 0 4096 with
+      match Unix.read c.fd input 0 (Bytes.length input) with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | exception Unix.Unix_error _ -> close_conn c
       | 0 -> close_conn c
-      | n -> List.iter (handle_line c) (split_lines c.pending (Bytes.sub_string buf 0 n))
+      | n -> iter_lines c.pending input n (handle_line c)
     in
     let flush_replies () =
       List.iter
         (fun c ->
           let ok =
             List.for_all
-              (fun (rid, reply) -> try_write_line c.fd (Protocol.render_reply rid reply))
+              (fun (rid, reply) -> send c.fd (fun l -> Protocol.reply_into l rid reply))
               (Serve.replies c.session)
           in
           if not ok || c.closing then close_conn c)

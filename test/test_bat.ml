@@ -1016,6 +1016,44 @@ let test_calc2_float_aligned () =
   let cmp = Bat.calc2 (Bat.CmpOp Bat.Gt) l r in
   Alcotest.check atom_testable "float cmp" (Atom.Bool true) (Bat.tail_at cmp 0)
 
+(* The typed bool loop of [calc2] and [calc2_pos] against
+   [apply_binop] row by row: seeded bool columns of 0 to 49 rows and
+   every operator over bools; sequentially and under a 2-domain pool
+   split into 3-row morsels. *)
+let test_calc2_bool_oracle () =
+  let g = Mirror_util.Prng.create 29 in
+  let ops = Bat.[ And; Or; CmpOp Eq; CmpOp Ne; CmpOp Lt; CmpOp Le; CmpOp Gt; CmpOp Ge ] in
+  let bools n = List.init n (fun i -> (oid i, Atom.Bool (Mirror_util.Prng.bool g))) in
+  let cases =
+    List.init 40 (fun round ->
+        let n = Mirror_util.Prng.int g 50 in
+        (round, Bat.of_pairs Atom.TOid Atom.TBool (bools n), Bat.of_pairs Atom.TOid Atom.TBool (bools n)))
+  in
+  let run () =
+    List.iter
+      (fun (round, l, r) ->
+        List.iteri
+          (fun o op ->
+            let want =
+              Bat.of_pairs Atom.TOid Atom.TBool
+                (List.map2 (fun (h, a) (_, b) -> (h, Bat.apply_binop op a b)) (Bat.to_pairs l) (Bat.to_pairs r))
+            in
+            let label = Printf.sprintf "round %d, operator %d" round o in
+            check_same_kinds label want (Bat.calc2 op l r);
+            check_same_kinds (label ^ ", positional") want (Bat.calc2_pos op l r))
+          ops)
+      cases
+  in
+  run ();
+  let module P = Mirror_bat.Parkernel in
+  P.set_min_rows 0;
+  let pool = P.create 2 in
+  Fun.protect
+    ~finally:(fun () ->
+      P.set_min_rows 2048;
+      P.shutdown pool)
+    (fun () -> P.with_morsel_size 3 (fun () -> P.with_pool pool run))
+
 let test_group_aggr_windowed_slots () =
   (* heads within a small window use the flat slot table *)
   let b = bat_oi [ (1000, 1); (1001, 2); (1000, 3); (1002, 4) ] in
@@ -1420,6 +1458,7 @@ let () =
           Alcotest.test_case "semijoin matches the old kernel" `Quick test_semijoin_oracle;
           Alcotest.test_case "calc2 aligned vs indexed" `Quick test_calc2_aligned_vs_indexed;
           Alcotest.test_case "calc2 typed float" `Quick test_calc2_float_aligned;
+          Alcotest.test_case "calc2 typed bool oracle" `Quick test_calc2_bool_oracle;
           Alcotest.test_case "group_aggr windowed slots" `Quick test_group_aggr_windowed_slots;
           Alcotest.test_case "group_aggr typed float" `Quick test_group_aggr_float_sum_typed;
           Alcotest.test_case "select_cmp typed paths" `Quick test_select_cmp_typed_paths;

@@ -301,6 +301,123 @@ let test_corpus_values () =
 let test_seeded_values () =
   List.iteri (fun i v -> check_value (Printf.sprintf "seeded value %d" i) v) (seeded_values ())
 
+(* {1 The number writers}
+
+   [Atom.add_float] against [Printf.sprintf "%.12g"] and [Atom.add_int]
+   against [string_of_int], byte for byte. *)
+
+let float_text x =
+  let buf = Buffer.create 32 in
+  Atom.add_float buf x;
+  Buffer.contents buf
+
+let int_text n =
+  let buf = Buffer.create 24 in
+  Atom.add_int buf n;
+  Buffer.contents buf
+
+let check_float x =
+  let want = Printf.sprintf "%.12g" x and got = float_text x in
+  if not (String.equal want got) then Alcotest.failf "%h: %%.12g gives %s, the writer %s" x want got
+
+let check_floats xs = List.iter (fun x -> check_float x; check_float (Float.neg x)) xs
+
+(* [x] and its [k] neighbours either side *)
+let around k x =
+  let rec walk f x i acc = if i = 0 then acc else walk f (f x) (i - 1) (f x :: acc) in
+  x :: (walk Float.pred x k [] @ walk Float.succ x k [])
+
+let pow10 e = float_of_string ("1e" ^ string_of_int e)
+
+let test_float_writer_seeded () =
+  let g = Prng.create 27 in
+  (* what a ranking reply holds: sums of one to four beliefs *)
+  for _ = 1 to 250_000 do
+    let terms = 1 + Prng.int g 4 in
+    let sum = ref 0.0 in
+    for _ = 1 to terms do
+      sum := !sum +. if Prng.int g 3 = 0 then 0.4 else 0.4 +. Prng.float g 0.6
+    done;
+    check_float !sum
+  done;
+  (* any double at all, either sign *)
+  for _ = 1 to 250_000 do
+    check_float (Int64.float_of_bits (Prng.bits64 g))
+  done;
+  (* uniform in each decade from 1e-6 to 1e14, either sign *)
+  for e = -6 to 14 do
+    let lo = pow10 e in
+    for _ = 1 to 12_000 do
+      check_floats [ lo +. Prng.float g (9.0 *. lo) ]
+    done
+  done
+
+let test_float_writer_edges () =
+  (* powers of ten and their neighbours, across the whole range *)
+  for e = -323 to 308 do
+    check_floats (around 3 (pow10 e))
+  done;
+  (* a carry through all twelve digits, into the next decade (and out
+     of the fixed notation at 1e12) *)
+  for e = -6 to 14 do
+    let top = pow10 (e + 1) in
+    check_floats (around 3 (top -. (top *. 5e-13)));
+    check_floats (around 3 (top -. (top *. 4.9e-13)))
+  done;
+  check_floats
+    [ 999999999999.5; 9.9999999999995; 99999999999.95; 0.000999999999999995; 0.00999999999999995 ];
+  (* exactly halfway at the twelfth digit: [j / 2^(12-e)] for odd [j]
+     has thirteen significant digits ending in 5 *)
+  let g = Prng.create 28 in
+  for e = -4 to 11 do
+    let d = 12 - e in
+    let lo = Float.to_int (Float.ceil (Float.ldexp (pow10 e) d))
+    and hi = Float.to_int (Float.ldexp (pow10 (e + 1)) d) in
+    for _ = 1 to 200 do
+      let j = (lo + Prng.int g (hi - lo)) lor 1 in
+      if j < hi then check_floats (around 1 (Float.ldexp (Float.of_int j) (-d)))
+    done
+  done;
+  (* and within a few ulps of halfway, either side, in every decade of
+     the fixed notation *)
+  for e = -4 to 11 do
+    let s = pow10 (11 - e) in
+    for _ = 1 to 300 do
+      let n = 100_000_000_000 + Prng.int g 900_000_000_000 in
+      check_floats (around 4 ((Float.of_int n +. 0.5) /. s))
+    done
+  done;
+  for e = 12 to 15 do
+    for _ = 1 to 200 do
+      let m = 100_000_000_000 + Prng.int g 900_000_000_000 in
+      check_floats [ Float.of_int ((10 * m) + 5) *. pow10 (e - 12) ]
+    done
+  done;
+  (* the values every fallback must keep *)
+  check_floats
+    ([ Float.nan; Float.infinity; 0.0; Float.min_float; Float.max_float; 5e-324; 1e-310 ]
+    @ around 2 Float.min_float @ around 2 Float.max_float
+    @ around 2 (Float.pred Float.min_float)
+    @ [ 1e-4; 1e12; 0.1; 0.5; 1.5; 2.5; 1.0 /. 3.0; 2.0 /. 3.0 ])
+
+let test_int_writer () =
+  let check n = Alcotest.(check string) (string_of_int n) (string_of_int n) (int_text n) in
+  List.iter check (Int.min_int :: Int.max_int :: (Int.min_int + 1) :: (Int.max_int - 1) :: edge_ints);
+  for n = -1000 to 1000 do
+    check n
+  done;
+  let p = ref 1 in
+  for _ = 1 to 18 do
+    p := !p * 10;
+    List.iter check [ !p - 1; !p; !p + 1; - !p + 1; - !p; - !p - 1 ]
+  done;
+  let g = Prng.create 29 in
+  for _ = 1 to 100_000 do
+    let n = Int64.to_int (Prng.bits64 g) in
+    if not (String.equal (string_of_int n) (int_text n)) then
+      Alcotest.failf "%d: the writer gives %s" n (int_text n)
+  done
+
 (* {1 Result-cache keys} *)
 
 (* Every binder renamed ([x] becomes [r_x]); the query means the same
@@ -383,6 +500,21 @@ let test_render_reply () =
       Alcotest.(check string) (Printf.sprintf "reply %d" i)
         (Old_print.render_reply i reply) (Protocol.render_reply i reply))
     (replies values);
+  (* one line reused for every reply, as the server does: the bytes it
+     sends are the old line and its newline *)
+  let l = Protocol.line () in
+  let sent () = Bytes.sub_string (Protocol.bytes l) 0 (Protocol.length l) in
+  List.iteri
+    (fun i reply ->
+      Protocol.reply_into l i reply;
+      Alcotest.(check string) (Printf.sprintf "reply %d, reused line" i)
+        (Old_print.render_reply i reply ^ "\n") (sent ()))
+    (replies values);
+  List.iter
+    (fun e ->
+      Protocol.refusal_into l e;
+      Alcotest.(check string) "refusal, reused line" (Old_print.render_error 0 e ^ "\n") (sent ()))
+    [ Serve.Admission_refused "sessions\\full\n"; Serve.Breaker_open 0.5 ];
   List.iter
     (fun e ->
       Alcotest.(check string) "refusal" (Old_print.render_error 0 e) (Protocol.render_refusal e))
@@ -419,6 +551,13 @@ let test_over_the_margin () =
   let n = String.length prefix in
   Alcotest.(check bool) "payload is the escaped value" true
     (String.equal (String.sub line n (String.length line - n)) (Protocol.escape text));
+  (* a line that carried it carries a small reply next *)
+  let l = Protocol.line () in
+  Protocol.reply_into l 3 (Ok (Serve.Value { value = v; cached = false; version = 2 }));
+  Alcotest.(check int) "the reused line holds it and a newline" (String.length line + 1) (Protocol.length l);
+  Protocol.reply_into l 4 (Ok (Serve.Value { value = Value.str "a\nb"; cached = true; version = 5 }));
+  Alcotest.(check string) "then a small reply" "4 hit v5 \"a\\\\nb\"\n"
+    (Bytes.sub_string (Protocol.bytes l) 0 (Protocol.length l));
   let e = Expr.Lit (v, Mirror_core.Types.Set (Mirror_core.Types.Atomic Atom.TInt)) in
   Alcotest.(check bool) "no line break in an expression" false
     (String.contains (Expr.to_string (Expr.Map { v = "x"; body = Expr.Var "x"; src = e })) '\n')
@@ -434,6 +573,12 @@ let () =
           Alcotest.test_case "normalize keys, renamed binders" `Quick test_normalize_keys;
           Alcotest.test_case "reply lines of every kind" `Quick test_render_reply;
           Alcotest.test_case "escape, no copy when clean" `Quick test_escape;
+        ] );
+      ( "numbers",
+        [
+          Alcotest.test_case "1M seeded floats against %.12g" `Quick test_float_writer_seeded;
+          Alcotest.test_case "powers of ten, carries, ties, fallbacks" `Quick test_float_writer_edges;
+          Alcotest.test_case "ints against string_of_int" `Quick test_int_writer;
         ] );
       ("margin", [ Alcotest.test_case "a value over 1 MB is one line" `Quick test_over_the_margin ]);
     ]

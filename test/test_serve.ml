@@ -328,6 +328,51 @@ let test_socket_roundtrip () =
               | ls -> Alcotest.failf "expected 2 lines, got %d" (List.length ls));
               send "quit\n")))
 
+(* Requests split across writes and packed several to a write reach the
+   server as whole lines, and a reply whose payload needs escaping
+   arrives as the line [Protocol.render_reply] gives. *)
+let test_socket_framing () =
+  with_temp_dir (fun dir ->
+      Sys.mkdir dir 0o755;
+      let socket = Filename.concat dir "serve.sock" in
+      let m = Mirror.create () in
+      ignore
+        (ok
+           (Mirror.exec_program m
+              "define S as SET< TUPLE< Atomic<str>: s > >; insert into S tuple(s: \"a\\nb\");")
+          : Mirror.outcome list);
+      let payload = Protocol.escape (Value.to_string (ok (Mirror.run_query m "S"))) in
+      let stop = Atomic.make false in
+      let server = Domain.spawn (fun () -> Server.run ~stop:(fun () -> Atomic.get stop) ~socket m) in
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set stop true;
+          ok (Domain.join server))
+        (fun () ->
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          while not (Sys.file_exists socket) do
+            if Unix.gettimeofday () > deadline then Alcotest.fail "socket never appeared";
+            Unix.sleepf 0.01
+          done;
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () ->
+              Unix.connect fd (Unix.ADDR_UNIX socket);
+              List.iter
+                (fun s ->
+                  ignore (Unix.write_substring fd s 0 (String.length s) : int);
+                  Unix.sleepf 0.05)
+                [ "que"; "ry S\nquery cou"; "nt(S)\nqu"; "ery count(S)\n" ];
+              let lines = read_lines fd 3 in
+              let ends_with suffix l = String.ends_with ~suffix l in
+              Alcotest.(check int) "one reply holds the escaped set" 1
+                (List.length (List.filter (ends_with (" " ^ payload)) lines));
+              Alcotest.(check bool) "the payload needed escaping" true (String.contains payload '\\');
+              Alcotest.(check int) "two replies count one row" 2
+                (List.length (List.filter (ends_with " 1") lines));
+              ignore (Unix.write_substring fd "quit\n" 0 5 : int))))
+
 (* {1 The 500-schedule chaos suite} *)
 
 type ev =
@@ -610,6 +655,8 @@ let () =
             test_socket_roundtrip;
           Alcotest.test_case "socket file appears only once listening" `Quick
             test_socket_ready_when_visible;
+          Alcotest.test_case "socket lines split and packed across writes" `Quick
+            test_socket_framing;
         ] );
       ( "chaos",
         [
