@@ -133,13 +133,13 @@ let () =
     | Some n, Some n2 when n > 0.0 ->
       if n2 /. n > 2.5 then die "RECOVERY reopen_2n_ms / reopen_n_ms = %.2f > 2.5" (n2 /. n)
     | _ -> die "RECOVERY entry lacks reopen_n_ms / reopen_2n_ms");
-    (* the words each reopen allocates per document, present and positive *)
-    List.iter
-      (fun f ->
-        match field f with
-        | Some w when w > 0.0 -> ()
-        | _ -> die "RECOVERY entry lacks a positive %s" f)
-      [ "reopen_n_words_per_doc"; "reopen_2n_words_per_doc" ];
+    (* the words each reopen allocates per document: a host-independent
+       count, so linear reopen holds it within 10% *)
+    (match (field "reopen_n_words_per_doc", field "reopen_2n_words_per_doc") with
+    | Some w, Some w2 when w > 0.0 && w2 > 0.0 ->
+      if w2 /. w > 1.10 then
+        die "RECOVERY reopen_2n_words_per_doc / reopen_n_words_per_doc = %.3f > 1.10" (w2 /. w)
+    | _ -> die "RECOVERY entry lacks a positive reopen_n_words_per_doc / reopen_2n_words_per_doc");
     (* getBL on a reopened store reads the inverted index *)
     match Option.bind (Json.member "getbl_scans_after_reopen" e) Json.to_int with
     | Some 0 -> ()

@@ -493,7 +493,7 @@ let slice b pos len =
   let n = count b in
   let pos = max 0 pos in
   let len = max 0 (min len (n - pos)) in
-  take b (Array.init len (fun i -> pos + i))
+  take b (Column.iota pos len)
 
 let column_comparator c =
   match c with
@@ -511,7 +511,7 @@ let tail_order ~desc c =
     if r <> 0 then r else Int.compare i j
 
 let sorted_indices ?(desc = false) c =
-  let idx = Array.init (Column.length c) (fun i -> i) in
+  let idx = Column.iota 0 (Column.length c) in
   Array.sort (tail_order ~desc c) idx;
   idx
 
@@ -571,7 +571,7 @@ let sort_tail ?(desc = false) b = take b (sorted_indices ~desc b.tl)
 
 let topn ?(desc = true) b n =
   let m = count b in
-  take b (smallest (tail_order ~desc b.tl) n (Array.init m (fun i -> i)) 0 m)
+  take b (smallest (tail_order ~desc b.tl) n (Column.iota 0 m) 0 m)
 
 let unique b =
   let seen = AtomTbl.create (count b) in

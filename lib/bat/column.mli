@@ -42,6 +42,9 @@ val of_atoms : Atom.ty -> Atom.t list -> t
 val to_atoms : t -> Atom.t list
 (** Box all cells. *)
 
+val iota : int -> int -> int array
+(** [iota base n] is the int array [base, base+1, …, base+n-1]. *)
+
 val dense : int -> int -> t
 (** [dense base n] is the oid column [base, base+1, …, base+n-1]. *)
 

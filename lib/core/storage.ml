@@ -14,6 +14,8 @@ type extent = {
 type journal_record =
   | J_define of string * Types.t
   | J_replace of string * Value.t list
+  | J_insert of string * Value.t list
+  | J_delete of string * int list
 
 type t = {
   cat : Catalog.t;
@@ -283,38 +285,53 @@ let define t ~name ty =
       (fun (_ : int list) -> jlog t (J_define (name, ty)))
       (load_unlogged t ~name [])
 
-(* DML is copying: BATs are append-only in spirit, but replacing the
-   extent wholesale keeps every invariant (statistics spaces, indexes)
-   trivially correct.  Element oids are re-assigned. *)
-let insert t ~name new_rows =
+(* DML is copying in memory: BATs are append-only in spirit, but
+   rebuilding the extent wholesale keeps every invariant (statistics
+   spaces, indexes) trivially correct, and element oids are
+   re-assigned.  The journal records only the statement's own rows or
+   positions, which recovery redoes through these same functions. *)
+let loaded_rows t name =
   match Hashtbl.find_opt t.exts name with
   | None -> Error (Printf.sprintf "unknown extent %S" name)
-  | Some extent -> (
-    match extent.rows with
-    | None -> Error (Printf.sprintf "extent %S has no loaded contents" name)
-    | Some old_rows ->
-      let all = old_rows @ new_rows in
+  | Some { rows = None; _ } -> Error (Printf.sprintf "extent %S has no loaded contents" name)
+  | Some { rows = Some rows; _ } -> Ok rows
+
+let insert t ~name new_rows =
+  Result.bind (loaded_rows t name) (fun old_rows ->
       Result.map
         (fun oids ->
-          jlog t (J_replace (name, all));
+          jlog t (J_insert (name, new_rows));
           oids)
-        (load_unlogged t ~name all))
+        (load_unlogged t ~name (old_rows @ new_rows)))
+
+(* The survivors of deleting [positions] from [rows], or an error when
+   the positions are not strictly ascending or fall outside the rows. *)
+let drop_positions rows positions =
+  let rec go i rows positions acc =
+    match (positions, rows) with
+    | [], _ -> Ok (List.rev_append acc rows)
+    | p :: _, _ when p < i -> Error "delete positions are not strictly ascending"
+    | _, [] -> Error "delete position out of range"
+    | p :: ps, _ :: rest when p = i -> go (i + 1) rest ps acc
+    | _, r :: rest -> go (i + 1) rest positions (r :: acc)
+  in
+  match positions with
+  | p :: _ when p < 0 -> Error "delete position out of range"
+  | _ -> go 0 rows positions []
+
+let delete_positions t ~name positions =
+  Result.bind (loaded_rows t name) (fun old_rows ->
+      Result.bind (drop_positions old_rows positions) (fun survivors ->
+          Result.map
+            (fun (_ : int list) -> jlog t (J_delete (name, positions)))
+            (load_unlogged t ~name survivors)))
 
 let delete_where t ~name pred =
-  match Hashtbl.find_opt t.exts name with
-  | None -> Error (Printf.sprintf "unknown extent %S" name)
-  | Some extent -> (
-    match extent.rows with
-    | None -> Error (Printf.sprintf "extent %S has no loaded contents" name)
-    | Some old_rows ->
-      let survivors = List.filter (fun r -> not (pred r)) old_rows in
-      let removed = List.length old_rows - List.length survivors in
-      Result.map
-        (fun (_ : int list) ->
-          (* predicates are closures, so the log keeps the survivors *)
-          jlog t (J_replace (name, survivors));
-          removed)
-        (load_unlogged t ~name survivors))
+  Result.bind (loaded_rows t name) (fun old_rows ->
+      let positions =
+        List.filter_map Fun.id (List.mapi (fun i r -> if pred r then Some i else None) old_rows)
+      in
+      Result.map (fun () -> List.length positions) (delete_positions t ~name positions))
 
 (* {1 Copy-on-write snapshots (the serving tier's version store)}
 

@@ -27,13 +27,22 @@ val load : t -> name:string -> Value.t list -> (int list, string) result
     assigned to the rows, in order. *)
 
 val insert : t -> name:string -> Value.t list -> (int list, string) result
-(** Append rows to a loaded extent (copying implementation: the whole
-    extent re-materialises, so previously returned element oids are
-    invalidated).  Returns the oids of all rows, old first. *)
+(** Append rows to a loaded extent and journal [J_insert] with only the
+    new rows.  In memory the whole extent re-materialises, so
+    previously returned element oids are invalidated.  Returns the
+    oids of all rows, old first. *)
+
+val delete_positions : t -> name:string -> int list -> (unit, string) result
+(** Remove the rows at the given positions (0-based, in the extent's
+    current row order) and journal [J_delete] with those positions.
+    The positions must be strictly ascending and in range; otherwise
+    the result is [Error] and the extent is unchanged.  Copying in
+    memory, like {!insert}.  The one delete path: {!delete_where} and
+    the redo of a logged delete both come here. *)
 
 val delete_where : t -> name:string -> (Value.t -> bool) -> (int, string) result
-(** Remove the rows satisfying the predicate; returns how many were
-    removed.  Copying, like {!insert}. *)
+(** Remove the rows satisfying the predicate through
+    {!delete_positions}; returns how many were removed. *)
 
 val extents : t -> string list
 (** Defined extents, sorted. *)
@@ -93,13 +102,16 @@ val of_snapshot : snapshot -> t
 type journal_record =
   | J_define of string * Types.t  (** extent DDL *)
   | J_replace of string * Value.t list
-      (** full post-state of an extent after a copying DML statement
-          ([load]/[insert]/[delete_where] all journal the complete new
-          contents, which makes redo trivially idempotent) *)
+      (** full new contents of an extent after a {!load} *)
+  | J_insert of string * Value.t list  (** the rows an {!insert} appended *)
+  | J_delete of string * int list
+      (** the positions a {!delete_positions} removed: strictly
+          ascending, in the extent's row order before the statement *)
 
 val set_journal : t -> (journal_record -> unit) option -> unit
-(** Install (or clear) the journal hook.  It fires after a mutation
-    has applied cleanly.  Replaying the records it reported, in order,
-    into an empty storage manager ({!define}, then {!load} with each
-    record's rows) rebuilds the same extents: that is how a snapshot
-    or a log is read back ({!Mirror_store.Snapshot}). *)
+(** Install (or clear) the journal hook.  It fires once per statement,
+    after the mutation has applied cleanly.  Replaying the records it
+    reported, in order and exactly once each, into an empty storage
+    manager ({!define}, {!load}, {!insert} or {!delete_positions} per
+    record) rebuilds the same extents: that is how a snapshot or a log
+    is read back ({!Mirror_store.Snapshot}). *)

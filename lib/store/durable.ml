@@ -148,15 +148,15 @@ let read_meta dir =
    live path and both replay sources (the snapshot, the log suffix) go
    through it, which is what makes "recovery reconstructs the
    journaled state exactly" structural rather than hoped-for.  Records
-   whose effect lives in the database itself (Define, Replace, and
-   Feedback's adaptation) are also handed to [redo] — on recovery
-   {!Snapshot.redo}, a no-op on the live path, where the effect has
-   already happened.  An inconsistent transition (a dead letter for an
+   whose effect lives in the database itself (Define, Replace, Insert,
+   Delete, and Feedback's adaptation) are also handed to [redo] — on
+   recovery {!Snapshot.redo}, a no-op on the live path, where the
+   effect has already happened.  An inconsistent transition (a dead letter for an
    unknown delivery, a snapshot's end marker) means a corrupt or
    foreign log: fail loudly. *)
 let rec apply ~redo st r =
   match r with
-  | Record.Define _ | Record.Replace _ -> redo r
+  | Record.Define _ | Record.Replace _ | Record.Insert _ | Record.Delete _ -> redo r
   | Record.Feedback _ ->
     st.side <- r :: st.side;
     redo r
@@ -351,7 +351,9 @@ let install_hooks t =
     (Some
        (function
        | Storage.J_define (name, ty) -> log_record t (Record.Define (name, ty))
-       | Storage.J_replace (name, rows) -> log_record t (Record.Replace (name, rows))));
+       | Storage.J_replace (name, rows) -> log_record t (Record.Replace (name, rows))
+       | Storage.J_insert (name, rows) -> log_record t (Record.Insert (name, rows))
+       | Storage.J_delete (name, positions) -> log_record t (Record.Delete (name, positions))));
   Mirror.set_feedback_hook t.mir
     (Some (fun ~query ~judgements -> log_record t (Record.Feedback { query; judgements })))
 

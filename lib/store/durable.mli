@@ -30,10 +30,12 @@
     Feedback / Store_op / Dict_op history, and the pending and
     dead-letter deliveries — then an end marker.  {!open_} recovers by
     redo from an empty database: the snapshot the [CHECKPOINT] names,
-    then the log suffix, through the one transition function the live
-    path uses; and (because a torn tail or replayed records leave the
-    log ahead of the snapshot) it checkpoints again, so an opened store
-    always starts from a clean prefix. *)
+    then the log suffix — every record past the snapshot's LSN, once
+    each and in order, since an [Insert] or [Delete] is not idempotent
+    — through the one transition function the live path uses; and
+    (because a torn tail or replayed records leave the log ahead of the
+    snapshot) it checkpoints again, so an opened store always starts
+    from a clean prefix. *)
 
 type config = {
   wal : Wal.config;

@@ -20,6 +20,8 @@ type fab_route = {
 type t =
   | Define of string * Types.t
   | Replace of string * Value.t list
+  | Insert of string * Value.t list
+  | Delete of string * int list
   | Feedback of { query : string; judgements : (string * bool) list }
   | Store_op of Store.op
   | Dict_op of Dictionary.op
@@ -147,6 +149,13 @@ let rec add_value buf = function
     add_int buf (List.length items);
     List.iter (add_value buf) items
 
+(* An extent's records: tag, extent name, then a counted list. *)
+let add_named_list buf tag name add items =
+  Buffer.add_char buf tag;
+  add_str buf name;
+  add_int buf (List.length items);
+  List.iter (add buf) items
+
 let rec encode r =
   let buf = Buffer.create 256 in
   (match r with
@@ -154,11 +163,9 @@ let rec encode r =
     Buffer.add_char buf 'D';
     add_str buf name;
     add_str buf (Types.to_string ty)
-  | Replace (name, rows) ->
-    Buffer.add_char buf 'R';
-    add_str buf name;
-    add_int buf (List.length rows);
-    List.iter (add_value buf) rows
+  | Replace (name, rows) -> add_named_list buf 'R' name add_value rows
+  | Insert (name, rows) -> add_named_list buf 'I' name add_value rows
+  | Delete (name, positions) -> add_named_list buf 'P' name add_int positions
   | Feedback { query; judgements } ->
     Buffer.add_char buf 'F';
     add_str buf query;
@@ -269,8 +276,9 @@ let read_str c =
   s
 
 (* Tuple labels and structure names repeat in every row of a
-   [Replace]: one copy of each per record, as rows built in memory share
-   their literals, keeps a decoded extent as small as the live one. *)
+   [Replace] or an [Insert]: one copy of each per record, as rows built
+   in memory share their literals, keeps a decoded extent as small as
+   the live one. *)
 let read_name c =
   let s = read_str c in
   match Hashtbl.find_opt c.names s with
@@ -369,6 +377,11 @@ let rec read_value c =
     Value.Xv { ext; meta; items }
   | ch -> raise (Bad (Printf.sprintf "unknown value tag %C" ch))
 
+let read_named_list c read =
+  let name = read_str c in
+  let n = read_count c in
+  (name, read_list c n read)
+
 let rec decode payload =
   let c = { src = payload; pos = 0; names = Hashtbl.create 8 } in
   let finish r =
@@ -381,9 +394,14 @@ let rec decode payload =
       let tys = read_str c in
       Result.map (fun ty -> Define (name, ty)) (Parser.parse_type tys)
     | 'R' ->
-      let name = read_str c in
-      let n = read_count c in
-      Ok (Replace (name, read_list c n read_value))
+      let name, rows = read_named_list c read_value in
+      Ok (Replace (name, rows))
+    | 'I' ->
+      let name, rows = read_named_list c read_value in
+      Ok (Insert (name, rows))
+    | 'P' ->
+      let name, positions = read_named_list c read_int in
+      Ok (Delete (name, positions))
     | 'F' ->
       let query = read_str c in
       let n = read_count c in
@@ -459,6 +477,9 @@ let rec decode payload =
 let describe = function
   | Define (name, ty) -> Printf.sprintf "define %s as %s" name (Types.to_string ty)
   | Replace (name, rows) -> Printf.sprintf "replace %s (%d rows)" name (List.length rows)
+  | Insert (name, rows) -> Printf.sprintf "insert into %s (%d rows)" name (List.length rows)
+  | Delete (name, positions) ->
+    Printf.sprintf "delete from %s (%d rows)" name (List.length positions)
   | Feedback { query; judgements } ->
     Printf.sprintf "feedback %S (%d judgements)" query (List.length judgements)
   | Store_op (Store.O_doc (doc, url)) -> Printf.sprintf "store-op doc %d %S" doc url

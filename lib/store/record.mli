@@ -1,14 +1,15 @@
 (** Logical write-ahead-log records and their binary codec.
 
     The log is *logical*: each record describes one completed update
-    at the storage-manager level (extent DDL, whole-extent replacement
-    — the copying DML discipline of {!Mirror_core.Storage} makes that
-    the natural granularity), one relevance-feedback judgement, one
-    daemon-store write, one data-dictionary change, or one step
-    of the orchestrator's delivery state machine.  Redo is idempotent
-    by construction: [Replace] carries the complete post-state of the extent, so
-    applying a record twice (or applying it to a state that already
-    includes it) converges to the same database.
+    at the storage-manager level (extent DDL, a load's whole new
+    contents, the rows one insert appended, the positions one delete
+    removed), one relevance-feedback judgement, one daemon-store
+    write, one data-dictionary change, or one step of the
+    orchestrator's delivery state machine.  A record is the size of
+    its statement, not of the extent it changes.  Redo is exactly-once
+    by LSN: recovery applies each record after the snapshot's LSN once,
+    in log order, to the state the records before it built — an
+    [Insert] or [Delete] applied twice would change the extent twice.
 
     The same records, in the same codec and {!Wal} framing, make up a
     snapshot ({!Snapshot}): the log compacted to one [Define] and one
@@ -35,7 +36,15 @@ type fab_route = {
 type t =
   | Define of string * Mirror_core.Types.t  (** [define <name> as <ty>] *)
   | Replace of string * Mirror_core.Value.t list
-      (** Full new contents of an extent (load / insert / delete). *)
+      (** Full new contents of an extent (a load, or a snapshot's
+          copy of the extent). *)
+  | Insert of string * Mirror_core.Value.t list
+      (** The rows one insert statement appended to the extent. *)
+  | Delete of string * int list
+      (** The positions of the rows one delete statement removed:
+          strictly ascending, in the extent's row order before the
+          statement.  Redo refuses positions that are out of range or
+          not ascending. *)
   | Feedback of { query : string; judgements : (string * bool) list }
       (** A {!Mirror_core.Mirror.give_feedback} call. *)
   | Store_op of Mirror_daemon.Store.op

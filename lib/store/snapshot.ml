@@ -59,6 +59,8 @@ let redo mir r =
   match r with
   | Record.Define (name, ty) -> in_extent name (Storage.define stor ~name ty)
   | Record.Replace (name, rows) -> in_extent name (Result.map ignore (Storage.load stor ~name rows))
+  | Record.Insert (name, rows) -> in_extent name (Result.map ignore (Storage.insert stor ~name rows))
+  | Record.Delete (name, positions) -> in_extent name (Storage.delete_positions stor ~name positions)
   | Record.Feedback { query; judgements } ->
     Mirror.replay_feedback mir ~query ~judgements;
     Ok ()

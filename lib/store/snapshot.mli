@@ -31,10 +31,14 @@ val read : string -> (Record.t list, string) result
     [Error] naming the file.  Returns the records before the marker. *)
 
 val redo : Mirror_core.Mirror.t -> Record.t -> (unit, string) result
-(** The database effect of one record: [Define] and [Replace] act on
-    the storage, [Feedback] on the session's adaptation; every other
-    record acts elsewhere (see {!Durable}) and is a no-op here.  A
-    storage error names the extent. *)
+(** The database effect of one record: [Define], [Replace], [Insert]
+    and [Delete] act on the storage through the functions the live
+    statement called ({!Mirror_core.Storage.define}, [load], [insert],
+    [delete_positions]), [Feedback] on the session's adaptation; every
+    other record acts elsewhere (see {!Durable}) and is a no-op here.
+    A storage error — an unknown extent, a row of the wrong type, a
+    delete position out of range or out of order — is an [Error]
+    naming the extent, never an exception. *)
 
 val save : Mirror_core.Storage.t -> dir:string -> (unit, string) result
 (** Write [dir/snapshot] ([dir] is created if missing) through a

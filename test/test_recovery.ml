@@ -12,6 +12,8 @@
 
 module Durable = Mirror_store.Durable
 module Wal = Mirror_store.Wal
+module Record = Mirror_store.Record
+module Snapshot = Mirror_store.Snapshot
 module Faults = Mirror_daemon.Faults
 module Store = Mirror_daemon.Store
 module Mirror = Mirror_core.Mirror
@@ -19,6 +21,7 @@ module Storage = Mirror_core.Storage
 module Eval = Mirror_core.Eval
 module Expr = Mirror_core.Expr
 module Types = Mirror_core.Types
+module Value = Mirror_core.Value
 module Prng = Mirror_util.Prng
 
 let ok = function Ok v -> v | Error e -> Alcotest.fail e
@@ -150,6 +153,23 @@ let recover_and_check ~what ~dir fps =
     | Error e -> Alcotest.failf "%s: certification failed: %s" what e);
     Durable.close t
 
+(* The row-level records a store's log holds, as (inserts, deletes):
+   read before recovery, which folds the log into a checkpoint. *)
+let row_records dir =
+  let ins = ref 0 and del = ref 0 in
+  let rec count = function
+    | Record.Insert _ -> incr ins
+    | Record.Delete _ -> incr del
+    | Record.Fab_atomic rs -> List.iter count rs
+    | _ -> ()
+  in
+  let f _ payload = match Record.decode payload with Ok r -> count r | Error _ -> () in
+  let dir = Filename.concat dir "wal" in
+  (match Wal.segments ~dir with
+  | (from_lsn, _) :: _ -> ignore (ok (Wal.replay ~dir ~from_lsn ~f))
+  | [] -> ());
+  (!ins, !del)
+
 (* {1 Torn-write sweep} *)
 
 (* Crash the log append at every byte offset of a small fixed program:
@@ -162,6 +182,10 @@ let test_torn_sweep () =
       Exec "insert into T tuple(a: 1, s: {1, 2});";
       Exec "insert into T tuple(a: 2, s: {3});";
       Exec "delete from T where THIS.a = 1;";
+      Exec "insert into T tuple(a: 3, s: {6});";
+      Exec "insert into T tuple(a: 4, s: {4, 5});";
+      (* two rows, not adjacent: positions 0 and 2 *)
+      Exec "delete from T where THIS.a <> 3;";
     ]
   in
   let fps = prefixes ops in
@@ -174,6 +198,7 @@ let test_torn_sweep () =
           List.iter (apply_durable t) ops;
           let bytes = (Durable.status t).Durable.log_bytes in
           Durable.abandon t;
+          Alcotest.(check (pair int int)) "the log's inserts and deletes" (4, 2) (row_records dir);
           bytes)
   in
   Alcotest.(check bool) "rehearsal logged something" true (total > 0);
@@ -630,13 +655,16 @@ let test_serve_batch_torn () =
 (* {1 The 500-seed crash fuzzer} *)
 
 let test_crash_fuzz () =
+  let crashes = ref 0 and inserts = ref 0 and deletes = ref 0 in
   for seed = 1 to 500 do
     let g = Prng.create seed in
     let ops = gen_ops g (3 + Prng.int g 10) in
     let fps = prefixes ops in
     let arm () =
       match Prng.int g 3 with
-      | 0 -> Faults.arm_torn_write ~bytes:(Prng.int g 2000)
+      (* a program's log is a few hundred bytes: row-level records are
+         the size of their statement *)
+      | 0 -> Faults.arm_torn_write ~bytes:(Prng.int g 300)
       | 1 ->
         Faults.arm_crash
           (Prng.choose g (Array.of_list checkpoint_points))
@@ -645,9 +673,16 @@ let test_crash_fuzz () =
     in
     with_temp_dir (fun dir ->
         let what = Printf.sprintf "seed %d" seed in
-        ignore (run_until_crash ~dir ~arm ops : bool);
+        if run_until_crash ~dir ~arm ops then incr crashes;
+        let ins, del = row_records dir in
+        inserts := !inserts + ins;
+        deletes := !deletes + del;
         recover_and_check ~what ~dir fps)
-  done
+  done;
+  (* the crashed logs held row-level records for recovery to redo *)
+  if !crashes < 150 || !inserts < 100 || !deletes < 40 then
+    Alcotest.failf "%d crashes left %d inserts and %d deletes in the logs" !crashes !inserts
+      !deletes
 
 (* {1 Delivery-journal records}
 
@@ -658,7 +693,6 @@ let test_crash_fuzz () =
    to a clean prefix of the delivery history, exactly like store
    records. *)
 
-module Record = Mirror_store.Record
 module Bus = Mirror_daemon.Bus
 module Deadletter = Mirror_daemon.Deadletter
 module Dictionary = Mirror_daemon.Dictionary
@@ -745,6 +779,16 @@ let test_fab_record_round_trips () =
    signed zeros included) and every string byte for byte. *)
 
 let fbits f = Printf.sprintf "%Lx" (Int64.bits_of_float f)
+
+(* A value with every float replaced by its bits, so that comparing
+   renderings compares floats bitwise (NaN payloads, signed zeros). *)
+let rec value_bits = function
+  | Value.Atom (Mirror_bat.Atom.Flt f) -> Value.str (fbits f)
+  | Value.Atom _ as v -> v
+  | Value.Tup fs -> Value.Tup (List.map (fun (l, v) -> (l, value_bits v)) fs)
+  | Value.VSet vs -> Value.VSet (List.map value_bits vs)
+  | Value.Xv x -> Value.Xv { x with items = List.map value_bits x.items }
+
 let render_floats a = String.concat "," (Array.to_list (Array.map fbits a))
 let render_matrix m = String.concat ";" (Array.to_list (Array.map render_floats m))
 
@@ -896,7 +940,6 @@ let int_boundaries =
       (List.init 62 Fun.id)
 
 let test_replace_int_boundaries () =
-  let module Value = Mirror_core.Value in
   List.iter
     (fun (i, bytes) -> Alcotest.(check string) (Printf.sprintf "varint %d" i) bytes (varint i))
     [
@@ -967,6 +1010,267 @@ let test_replace_int_boundaries () =
             (Printexc.to_string e)
       done)
     (rows :: List.map (fun i -> Record.Replace ("T", [ Value.int i ])) int_boundaries)
+
+(* {1 Row-level DML records}
+
+   An insert journals only its rows, a delete only the positions it
+   removed.  Both round-trip exactly (ints at the varint boundaries,
+   nasty strings, nested sets, CONTREP bags); every cut of either is
+   refused, and so is every single-bit flip of one in its WAL frame. *)
+
+let test_row_records_round_trip () =
+  let rows =
+    List.mapi
+      (fun i text ->
+        Value.Tup
+          [
+            ("n", Value.int (List.nth int_boundaries (i * 7)));
+            ("t", Value.str text);
+            ("s", Value.VSet [ Value.VSet [ Value.int i; Value.int (-i) ]; Value.VSet [] ]);
+            ("c", Value.contrep [ (text, nasty_floats.(i)); ("all", 1.0) ]);
+          ])
+      nasty_texts
+  in
+  Alcotest.(check string) "a delete's layout"
+    ("P" ^ varint 1 ^ "T" ^ varint 3 ^ varint 0 ^ varint 2 ^ varint 64)
+    (Record.encode (Record.Delete ("T", [ 0; 2; 64 ])));
+  let records =
+    [
+      Record.Insert ("T", rows);
+      Record.Insert ("T", []);
+      Record.Insert ("nul\000name", [ List.hd rows ]);
+      Record.Delete ("T", []);
+      Record.Delete ("T", int_boundaries);
+      Record.Delete ("T", [ 0; 1; 63; 64; max_int ]);
+    ]
+    @ List.map (fun i -> Record.Insert ("T", [ Value.int i ])) int_boundaries
+  in
+  List.iter
+    (fun r ->
+      let enc = Record.encode r in
+      (* re-encoding compares the floats bitwise, NaNs included *)
+      (match Record.decode enc with
+      | Ok r' when Record.encode r' = enc -> ()
+      | Ok r' -> Alcotest.failf "%s decodes as %s" (Record.describe r) (Record.describe r')
+      | Error e -> Alcotest.failf "%s is refused: %s" (Record.describe r) e);
+      for k = 0 to String.length enc - 1 do
+        match Record.decode (String.sub enc 0 k) with
+        | Error _ -> ()
+        | Ok r' ->
+          Alcotest.failf "a %d-byte prefix of %s decodes as %s" k (Record.describe r)
+            (Record.describe r')
+        | exception e ->
+          Alcotest.failf "a %d-byte prefix of %s raises %s" k (Record.describe r)
+            (Printexc.to_string e)
+      done;
+      let framed = Wal.frame enc in
+      for bit = 0 to (8 * Bytes.length framed) - 1 do
+        let b = Bytes.copy framed in
+        Bytes.set b (bit / 8)
+          (Char.chr (Char.code (Bytes.get b (bit / 8)) lxor (1 lsl (bit mod 8))));
+        (match Wal.parse_frames (Bytes.to_string b) with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.failf "bit %d flipped in %s passes the frame" bit (Record.describe r));
+        (* and the record decoder, handed the damaged payload, never raises *)
+        match Record.decode (Bytes.sub_string b 8 (Bytes.length b - 8)) with
+        | Ok _ | Error _ -> ()
+        | exception e ->
+          Alcotest.failf "bit %d flipped in %s raises %s" bit (Record.describe r)
+            (Printexc.to_string e)
+      done)
+    records
+
+(* Append framed records to the last log segment of an abandoned store,
+   as a build writing them would have. *)
+let append_records dir records =
+  let seg = List.nth (wal_segments dir) (List.length (wal_segments dir) - 1) in
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 seg (fun oc ->
+      List.iter (fun r -> output_bytes oc (Wal.frame (Record.encode r))) records)
+
+(* Redo refuses a delete whose positions are out of range or not
+   strictly ascending: an [Error], never an exception, and the extent
+   is left as it was.  Recovery refuses a log that holds one. *)
+let test_corrupt_delete_refused () =
+  let mir = Mirror.create () in
+  let st = Mirror.storage mir in
+  ignore
+    (ok
+       (Mirror.exec_program mir
+          (Printf.sprintf
+             "define T as %s; insert into T tuple(a: 1, s: {1}); insert into T tuple(a: 2, s: \
+              {2}); insert into T tuple(a: 3, s: {3});"
+             schema_src)));
+  let before = fingerprint st in
+  List.iter
+    (fun (what, name, positions) ->
+      match Snapshot.redo mir (Record.Delete (name, positions)) with
+      | Ok () -> Alcotest.failf "%s: redo accepted it" what
+      | Error _ ->
+        Alcotest.(check string) (what ^ ": the extent is unchanged") before (fingerprint st)
+      | exception e -> Alcotest.failf "%s: redo raises %s" what (Printexc.to_string e))
+    [
+      ("one past the end", "T", [ 3 ]);
+      ("far past the end", "T", [ max_int ]);
+      ("negative", "T", [ -1 ]);
+      ("min_int", "T", [ min_int ]);
+      ("descending", "T", [ 2; 0 ]);
+      ("repeated", "T", [ 1; 1 ]);
+      ("in range, then past the end", "T", [ 0; 3 ]);
+      ("ascending, then back", "T", [ 0; 2; 1 ]);
+      ("an unknown extent", "U", [ 0 ]);
+    ];
+  ok (Snapshot.redo mir (Record.Delete ("T", [ 0; 2 ])));
+  Alcotest.(check int) "a valid delete removes its rows" 1 (Storage.extent_count st "T");
+  with_temp_dir (fun dir ->
+      build_dirty dir;
+      append_records dir [ Record.Delete ("T", [ 1; 0 ]) ];
+      expect_open_error ~what:"a descending delete in the log" ~needle:"ascending" dir)
+
+(* A log written before inserts and deletes had records of their own
+   holds a [Replace] of the whole post-state for each; it still replays
+   to the same extents. *)
+let test_replace_only_log_replays () =
+  let program =
+    [
+      "insert into T tuple(a: 1, s: {1, 2});";
+      "insert into T tuple(a: 2, s: {3});";
+      "delete from T where THIS.a = 1;";
+      "insert into T tuple(a: 4, s: {4, 5});";
+    ]
+  in
+  let define = Printf.sprintf "define T as %s;" schema_src in
+  let reference = Mirror.create () in
+  ignore (ok (Mirror.exec_program reference define));
+  let replaces =
+    List.map
+      (fun src ->
+        ignore (ok (Mirror.exec_program reference src));
+        Record.Replace ("T", Option.get (Storage.extent_rows (Mirror.storage reference) "T")))
+      program
+  in
+  with_temp_dir (fun dir ->
+      let t, _ = ok (Durable.open_ ~dir ()) in
+      ignore (ok (Mirror.exec_program (Durable.mirror t) define));
+      Durable.abandon t;
+      append_records dir replaces;
+      let t2, r = ok (Durable.open_ ~dir ()) in
+      Alcotest.(check int) "the define and every replace redone" 5 r.Durable.replayed;
+      Alcotest.(check string) "the same extents" (fingerprint (Mirror.storage reference))
+        (fingerprint (Durable.storage t2));
+      ok (Durable.certify t2);
+      Durable.close t2)
+
+(* {1 Row-level records against one Replace}
+
+   Seeded runs of up to 20 inserts and deletes, on an extent shaped as
+   the corpus's [R] (a nested set and a CONTREP bag per row) and on
+   one shaped as mirrorbench's [Side], are journaled as row-level
+   records and redone by a reopen.  Every query must then answer
+   bitwise as it does over one [Replace] of the same final rows. *)
+
+type dml = Ins of Value.t list | Del of (Value.t -> bool)
+
+(* [n] draws of [f], in order: the PRNG's sequence decides the data *)
+let draws n f =
+  let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (f () :: acc) in
+  go n []
+
+let corpus_row g =
+  let a = Prng.int g 8 - 2 in
+  let b = Prng.int g 6 in
+  let s = draws (Prng.int g 4) (fun () -> Value.int (Prng.int g 10)) in
+  let c =
+    List.filter_map
+      (fun w ->
+        if Prng.int g 3 = 0 then Some (w, Float.of_int (1 + Prng.int g 4) /. 2.0) else None)
+      [ "cat"; "dog"; "stripe"; "zebra" ]
+  in
+  Value.Tup
+    [ ("a", Value.int a); ("b", Value.int b); ("s", Value.VSet s); ("c", Value.contrep c) ]
+
+let corpus_pred g =
+  let x = Value.int (Prng.int g 8 - 2) in
+  fun r -> Value.field_exn r "a" = x
+
+let side_schema =
+  Types.Set
+    (Types.Tuple [ ("k", Types.Atomic Mirror_bat.Atom.TInt); ("v", Types.Atomic Mirror_bat.Atom.TInt) ])
+
+let side_row g =
+  let k = Prng.int g 64 in
+  let v = Prng.int g 1000 in
+  Value.Tup [ ("k", Value.int k); ("v", Value.int v) ]
+
+(* one row by key, or every row under a value bound *)
+let side_pred g =
+  let field, below = if Prng.int g 2 = 0 then ("k", false) else ("v", true) in
+  let x = Prng.int g (if below then 300 else 64) in
+  fun r ->
+    match Value.field_exn r field with
+    | Value.Atom (Mirror_bat.Atom.Int y) -> if below then y < x else y = x
+    | _ -> false
+
+let side_queries =
+  [
+    "Side";
+    "count(Side)";
+    "sum(map[THIS.v](Side))";
+    "max(map[THIS.v](Side))";
+    "count(select[THIS.v < 500](Side))";
+    "sum(map[THIS.v](select[THIS.k < 16](Side)))";
+    "map[tuple(k: THIS.k, w: THIS.v * 2)](Side)";
+    "count(join[THIS1.k = THIS2.k](Side, Side))";
+  ]
+
+let check_row_records ~name ~ty ~init ~row ~pred ~queries seed =
+  let g = Prng.create seed in
+  let ops =
+    draws (1 + Prng.int g 20) (fun () ->
+        if Prng.int g 5 < 3 then Ins (draws (1 + Prng.int g 2) (fun () -> row g))
+        else Del (pred g))
+  in
+  let answer st q =
+    match Result.bind (Mirror_core.Parser.parse_expr q) (Eval.query_value st) with
+    | Ok v -> Value.to_string (value_bits v)
+    | Error e -> "error: " ^ e
+  in
+  with_temp_dir (fun dir ->
+      let t, _ = ok (Durable.open_ ~dir ()) in
+      let st = Durable.storage t in
+      ok (Storage.define st ~name ty);
+      ignore (ok (Storage.load st ~name init));
+      ok (Durable.checkpoint t);
+      List.iter
+        (function
+          | Ins rows -> ignore (ok (Storage.insert st ~name rows))
+          | Del p -> ignore (ok (Storage.delete_where st ~name p)))
+        ops;
+      let final = Option.get (Storage.extent_rows st name) in
+      let ins, del = row_records dir in
+      Alcotest.(check int) "one row-level record per statement" (List.length ops) (ins + del);
+      Durable.abandon t;
+      let t2, r = ok (Durable.open_ ~dir ()) in
+      Alcotest.(check int) "every statement redone" (List.length ops) r.Durable.replayed;
+      let once = Mirror.create () in
+      ok (Snapshot.redo once (Record.Define (name, ty)));
+      ok (Snapshot.redo once (Record.Replace (name, final)));
+      List.iter
+        (fun q ->
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d: %s" seed q)
+            (answer (Mirror.storage once) q)
+            (answer (Durable.storage t2) q))
+        (name :: queries);
+      Durable.close t2)
+
+let test_row_records_differential () =
+  for seed = 1 to 20 do
+    check_row_records ~name:"R" ~ty:Mirror_core.Corpus.schema ~init:Mirror_core.Corpus.rows
+      ~row:corpus_row ~pred:corpus_pred ~queries:Mirror_core.Corpus.queries seed;
+    check_row_records ~name:"Side" ~ty:side_schema
+      ~init:(draws 8 (let g = Prng.create (1000 + seed) in fun () -> side_row g))
+      ~row:side_row ~pred:side_pred ~queries:side_queries seed
+  done
 
 (* Every read of the daemon store, floats as their bits. *)
 let render_store st =
@@ -1126,8 +1430,7 @@ let test_fab_dead_letter_torn_tail () =
    order included, must come back equal and in order. *)
 let test_rows_survive_replayed_suffix () =
   with_temp_dir (fun dir ->
-      let module Value = Mirror_core.Value in
-      let contrep = Types.Xt ("CONTREP", [ Types.Atomic Mirror_bat.Atom.TStr ]) in
+          let contrep = Types.Xt ("CONTREP", [ Types.Atomic Mirror_bat.Atom.TStr ]) in
       let ty =
         Types.Set
           (Types.Tuple
@@ -1169,19 +1472,11 @@ let test_rows_survive_replayed_suffix () =
    payloads, signed zeros, subnormals and the extremes included — from
    a checkpoint and from [Snapshot.save]. *)
 let test_floats_survive_bitwise () =
-  let module Value = Mirror_core.Value in
   let module Atom = Mirror_bat.Atom in
-  let rec bits = function
-    | Value.Atom (Atom.Flt f) -> Value.str (fbits f)
-    | Value.Atom _ as v -> v
-    | Value.Tup fs -> Value.Tup (List.map (fun (l, v) -> (l, bits v)) fs)
-    | Value.VSet vs -> Value.VSet (List.map bits vs)
-    | Value.Xv x -> Value.Xv { x with items = List.map bits x.items }
-  in
   let rendered st =
     List.map
       (fun n ->
-        (n, Option.map (List.map (fun v -> Value.to_string (bits v))) (Storage.extent_rows st n)))
+        (n, Option.map (List.map (fun v -> Value.to_string (value_bits v))) (Storage.extent_rows st n)))
       (Storage.extents st)
   in
   let ty =
@@ -1322,6 +1617,13 @@ let () =
           Alcotest.test_case "store ops round-trip bitwise" `Quick test_store_op_round_trips;
           Alcotest.test_case "replace records round-trip int boundaries" `Quick
             test_replace_int_boundaries;
+          Alcotest.test_case "insert and delete records round-trip" `Quick
+            test_row_records_round_trip;
+          Alcotest.test_case "redo refuses a corrupt delete" `Quick test_corrupt_delete_refused;
+          Alcotest.test_case "a log of replace records still replays" `Quick
+            test_replace_only_log_replays;
+          Alcotest.test_case "row-level records answer as one replace" `Quick
+            test_row_records_differential;
           Alcotest.test_case "a reopened image-library store equals the live one" `Quick
             test_image_library_store_reopens_bitwise;
         ] );
