@@ -250,7 +250,7 @@ let explain_main check db src =
               print_endline "check: ok";
               0))))
 
-let handle_line mref line =
+let handle_line ~durable mref line =
   let m = !mref in
   let line = String.trim line in
   if line = "" then ()
@@ -282,12 +282,16 @@ let handle_line mref line =
   end
   else if Mirror_util.Stringx.starts_with ~prefix:".load " line then begin
     let dir = String.trim (String.sub line 6 (String.length line - 6)) in
-    match Mirror_store.Snapshot.load ~dir with
-    | Ok st ->
-      mref := Mirror.of_storage st;
-      Printf.printf "loaded %d extent(s) from %s\n"
-        (List.length (Storage.extents st)) dir
-    | Error e -> Printf.printf "error: %s\n" e
+    (* The loaded database would have no journal: every later write
+       would be acknowledged and never logged. *)
+    if durable then
+      print_endline "error: .load is refused in a --durable session (it would not be journaled)"
+    else
+      match Mirror_store.Snapshot.load ~dir with
+      | Ok st ->
+        mref := Mirror.of_storage st;
+        Printf.printf "loaded %d extent(s) from %s\n" (List.length (Storage.extents st)) dir
+      | Error e -> Printf.printf "error: %s\n" e
   end
   else if Mirror_util.Stringx.starts_with ~prefix:".profile " line then begin
     let src = String.sub line 9 (String.length line - 9) in
@@ -353,14 +357,14 @@ let load_demo ?journal m ~seed ~n =
       Printf.printf "DEGRADED: %s\n" (String.concat ", " report.Orchestrator.degraded)
   | Error e -> Printf.printf "demo build failed: %s\n" e
 
-let repl m =
+let repl ~durable m =
   let mref = ref m in
   print_endline "Mirror DBMS shell — .help for commands";
   try
     while true do
       print_string "mirror> ";
       match read_line () with
-      | line -> ( try handle_line mref line with Failure e -> Printf.printf "error: %s\n" e)
+      | line -> ( try handle_line ~durable mref line with Failure e -> Printf.printf "error: %s\n" e)
       | exception End_of_file -> raise Exit
     done
   with Exit -> print_endline "bye"
@@ -399,7 +403,7 @@ let run_session ?durable eval_opt demo seed =
       Printf.eprintf "error: %s\n" e;
       finish 1)
   | None ->
-    repl m;
+    repl ~durable:(durable <> None) m;
     finish 0
 
 let main eval_opt demo seed durable =
@@ -772,13 +776,13 @@ let deadletters_inspect dir =
     List.iter
       (fun (r : Record.fab_route) ->
         Printf.printf "pending  %-20s %-20s subject %-4d seq %-5d attempts %d\n"
-          r.Record.daemon r.Record.topic r.Record.subject r.Record.seq
+          r.Record.daemon r.Record.message.topic r.Record.message.subject r.Record.seq
           r.Record.attempts)
       pending;
     List.iter
       (fun ((r : Record.fab_route), cause, _at) ->
         Printf.printf "dead     %-20s %-20s subject %-4d seq %-5d %s\n"
-          r.Record.daemon r.Record.topic r.Record.subject r.Record.seq
+          r.Record.daemon r.Record.message.topic r.Record.message.subject r.Record.seq
           (Mirror_daemon.Deadletter.cause_to_string cause))
       dead_letters;
     Printf.printf "%d pending, %d dead letter(s) journaled\n" (List.length pending)

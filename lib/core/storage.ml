@@ -319,12 +319,16 @@ let drop_positions rows positions =
   | p :: _ when p < 0 -> Error "delete position out of range"
   | _ -> go 0 rows positions []
 
+(* A delete that matches no row changes nothing: no rebuild, no
+   journal record. *)
 let delete_positions t ~name positions =
   Result.bind (loaded_rows t name) (fun old_rows ->
-      Result.bind (drop_positions old_rows positions) (fun survivors ->
-          Result.map
-            (fun (_ : int list) -> jlog t (J_delete (name, positions)))
-            (load_unlogged t ~name survivors)))
+      if positions = [] then Ok ()
+      else
+        Result.bind (drop_positions old_rows positions) (fun survivors ->
+            Result.map
+              (fun (_ : int list) -> jlog t (J_delete (name, positions)))
+              (load_unlogged t ~name survivors)))
 
 let delete_where t ~name pred =
   Result.bind (loaded_rows t name) (fun old_rows ->

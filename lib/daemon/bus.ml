@@ -6,6 +6,18 @@ type message = {
 
 let attr m key = List.assoc_opt key m.payload
 
+module Codec = Mirror_util.Codec
+
+let add_message buf m =
+  Codec.add_str buf m.topic;
+  Codec.add_int buf m.subject;
+  Codec.add_list buf (Codec.add_pair Codec.add_str Codec.add_str) m.payload
+
+let read_message c =
+  let topic = Codec.read_str c in
+  let subject = Codec.read_int c in
+  { topic; subject; payload = Codec.read_list c (Codec.read_pair Codec.read_str Codec.read_str) }
+
 type delivery = {
   seq : int;
   message : message;

@@ -26,6 +26,14 @@ type message = {
 val attr : message -> string -> string option
 (** Payload attribute lookup. *)
 
+val add_message : Buffer.t -> message -> unit
+(** Write a message in the log's codec ({!Mirror_util.Codec}): topic,
+    subject, then the counted payload pairs. *)
+
+val read_message : Mirror_util.Codec.cursor -> message
+(** Read a message written by {!add_message}.
+    @raise Mirror_util.Codec.Bad on damage. *)
+
 type delivery = {
   seq : int;  (** Unique per enqueued copy, assigned by {!publish}. *)
   message : message;

@@ -34,3 +34,27 @@ let history t name = List.rev (Option.value ~default:[] (Hashtbl.find_opt t.vers
 
 let extents t =
   List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.versions [])
+
+(* {1 Codec}: a sub-tag character, then three strings. *)
+
+module Codec = Mirror_util.Codec
+
+let add_op buf op =
+  let tag, fields =
+    match op with
+    | Registered { name; schema; owner } -> ('r', [ name; schema; owner ])
+    | Evolved { name; schema; by } -> ('e', [ name; schema; by ])
+  in
+  Buffer.add_char buf tag;
+  List.iter (Codec.add_str buf) fields
+
+let read_op c =
+  let make =
+    match Codec.read_char c with
+    | 'r' -> fun name schema owner -> Registered { name; schema; owner }
+    | 'e' -> fun name schema by -> Evolved { name; schema; by }
+    | ch -> raise (Codec.Bad (Printf.sprintf "unknown dictionary change %C" ch))
+  in
+  let name = Codec.read_str c in
+  let schema = Codec.read_str c in
+  make name schema (Codec.read_str c)

@@ -50,3 +50,10 @@ val apply : t -> op -> unit
 
 val copy : t -> t
 (** An independent copy, with no hook. *)
+
+val add_op : Buffer.t -> op -> unit
+(** Write a change in the log's codec ({!Mirror_util.Codec}). *)
+
+val read_op : Mirror_util.Codec.cursor -> op
+(** Read a change written by {!add_op}.
+    @raise Mirror_util.Codec.Bad on damage. *)

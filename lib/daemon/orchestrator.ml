@@ -73,7 +73,7 @@ type slot = {
   hosted : Daemon.t list;
   mutable host : host;
   mutable inflight : (string * Bus.delivery) option;  (* daemon, delivery *)
-  mutable staged : Worker.write list;  (* [Op] frames so far, reversed *)
+  mutable staged : Transport.write list;  (* [Op] frames so far, reversed *)
   mutable staged_pubs : Bus.message list;  (* [Pub] frames so far, reversed *)
   mutable synced : int;  (* op-log cursor already sent to the worker *)
   mutable stale : bool;  (* ran a failed delivery that wrote *)
@@ -97,7 +97,7 @@ type t = {
      every settled write itself.  (Writes made on the authoritative
      store between runs reach the replicas through the refresh every
      run starts with.) *)
-  mutable log : (int * Worker.write) array;
+  mutable log : (int * Transport.write) array;
   mutable nlog : int;
   mutable tick_hook : (int -> unit) option;
   mutable deaths : int;
@@ -436,7 +436,7 @@ let catch_up t slot p =
     if slot.synced >= t.nlog then true
     else
       let origin, w = t.log.(slot.synced) in
-      (origin = slot.id || Proc.send p (Transport.Sync (Worker.marshal w)))
+      (origin = slot.id || Proc.send p (Transport.Sync w))
       && (slot.synced <- slot.synced + 1; go ())
   in
   go ()
@@ -589,7 +589,7 @@ let on_reply t trace slot reply =
     | _ -> raise (Transport.Bad (Printf.sprintf "unexpected terminator for #%d" seq))
   in
   match reply with
-  | Transport.Op blob -> slot.staged <- Worker.unmarshal blob :: slot.staged
+  | Transport.Op w -> slot.staged <- w :: slot.staged
   | Transport.Pub m -> slot.staged_pubs <- m :: slot.staged_pubs
   | Transport.Done (seq, cpu) ->
     finish seq

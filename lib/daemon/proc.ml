@@ -1,3 +1,5 @@
+module Codec = Mirror_util.Codec
+
 type t = {
   pid : int;
   rfd : Unix.file_descr;  (* replies, non-blocking (see [read]) *)
@@ -44,20 +46,18 @@ let send p req =
   | () -> true
   | exception Sys_error _ -> false
 
-(* Complete frames out of [p.buf]; a torn last line stays buffered. *)
-let frames p =
-  let s = Buffer.contents p.buf in
-  match String.rindex_opt s '\n' with
-  | None -> []
-  | Some last ->
-    Buffer.clear p.buf;
-    Buffer.add_substring p.buf s (last + 1) (String.length s - last - 1);
-    List.map
-      (fun line ->
-        match Transport.reply_of_line line with
-        | Ok r -> r
-        | Error e -> raise (Transport.Bad e))
-      (String.split_on_char '\n' (String.sub s 0 last))
+(* Complete frames out of [buf]; a torn last frame stays buffered. *)
+let frames buf =
+  let s = Buffer.contents buf in
+  let rec go pos acc =
+    match Codec.unframe s pos with
+    | Codec.Frame (payload, next) -> go next (Transport.decode_reply payload :: acc)
+    | Codec.Cut _ ->
+      Buffer.clear buf;
+      Buffer.add_substring buf s pos (String.length s - pos);
+      List.rev acc
+  in
+  go 0 []
 
 (* Bytes stay buffered here, never in an [in_channel]: select must only
    report an fd ready when a read would actually return data. *)
@@ -72,7 +72,7 @@ let read p =
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> false
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> true
   in
-  if drain () then None else Some (frames p)
+  if drain () then None else Some (frames p.buf)
 
 let wait procs timeout =
   match Unix.select (List.map (fun p -> p.rfd) procs) [] [] timeout with

@@ -24,6 +24,12 @@ val read : t -> Transport.reply list option
     received so far, or [None] on EOF (the process is gone).
     @raise Transport.Bad on a malformed frame. *)
 
+val frames : Buffer.t -> Transport.reply list
+(** The complete reply frames at the front of the buffer, removed from
+    it; a torn last frame stays buffered until the rest arrives (a
+    worker killed mid-frame shows up as EOF, not as damage).
+    @raise Transport.Bad on a malformed frame. *)
+
 val wait : t list -> float -> t list
 (** The processes with reply bytes (or EOF) ready, waiting at most the
     given seconds. *)

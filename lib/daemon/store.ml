@@ -150,3 +150,100 @@ let put_model t ~space m = apply t (O_model (space, m))
 let put_text t ~doc bag = apply t (O_text (doc, bag))
 let add_visual_words t ~doc words = apply t (O_visual (doc, words))
 let put_thesaurus t th = apply t (O_thesaurus (Some th))
+
+(* {1 Codec}
+
+   One sub-tag character, then the fields.  The thesaurus travels as a
+   bare rebuild marker: it is a function of the evidence written
+   before it. *)
+
+module Codec = Mirror_util.Codec
+
+let add_array buf add a =
+  Codec.add_int buf (Array.length a);
+  Array.iter (add buf) a
+
+let add_floats buf a = add_array buf Codec.add_float a
+let add_matrix buf m = add_array buf add_floats m
+
+let add_bag buf doc bag =
+  Codec.add_int buf doc;
+  Codec.add_list buf (Codec.add_pair Codec.add_str Codec.add_float) bag
+
+let add_op buf = function
+  | O_doc (doc, url) ->
+    Buffer.add_char buf 'd';
+    Codec.add_int buf doc;
+    Codec.add_str buf url
+  | O_segments (doc, segs) ->
+    Buffer.add_char buf 's';
+    Codec.add_int buf doc;
+    Codec.add_list buf
+      (fun buf { Mirror_mm.Segment.x; y; w; h } -> List.iter (Codec.add_int buf) [ x; y; w; h ])
+      segs
+  | O_features (doc, space, vectors) ->
+    Buffer.add_char buf 'f';
+    Codec.add_int buf doc;
+    Codec.add_str buf space;
+    add_matrix buf vectors
+  | O_model (space, m) ->
+    Buffer.add_char buf 'm';
+    Codec.add_str buf space;
+    Codec.add_int buf m.Mirror_mm.Autoclass.k;
+    add_floats buf m.Mirror_mm.Autoclass.weights;
+    add_matrix buf m.Mirror_mm.Autoclass.means;
+    add_matrix buf m.Mirror_mm.Autoclass.variances;
+    Codec.add_float buf m.Mirror_mm.Autoclass.loglik;
+    Codec.add_list buf Codec.add_float m.Mirror_mm.Autoclass.loglik_trace
+  | O_text (doc, bag) ->
+    Buffer.add_char buf 't';
+    add_bag buf doc bag
+  | O_visual (doc, words) ->
+    Buffer.add_char buf 'v';
+    add_bag buf doc words
+  | O_thesaurus _ -> Buffer.add_char buf 'h'
+
+let read_floats c = Array.of_list (Codec.read_list c Codec.read_float)
+let read_matrix c = Array.of_list (Codec.read_list c read_floats)
+
+let read_bag c =
+  let doc = Codec.read_int c in
+  (doc, Codec.read_list c (Codec.read_pair Codec.read_str Codec.read_float))
+
+let read_op c =
+  match Codec.read_char c with
+  | 'd' ->
+    let doc = Codec.read_int c in
+    O_doc (doc, Codec.read_str c)
+  | 's' ->
+    let doc = Codec.read_int c in
+    let segs =
+      Codec.read_list c (fun c ->
+          let x = Codec.read_int c in
+          let y = Codec.read_int c in
+          let w = Codec.read_int c in
+          let h = Codec.read_int c in
+          { Mirror_mm.Segment.x; y; w; h })
+    in
+    O_segments (doc, segs)
+  | 'f' ->
+    let doc = Codec.read_int c in
+    let space = Codec.read_str c in
+    O_features (doc, space, read_matrix c)
+  | 'm' ->
+    let space = Codec.read_str c in
+    let k = Codec.read_int c in
+    let weights = read_floats c in
+    let means = read_matrix c in
+    let variances = read_matrix c in
+    let loglik = Codec.read_float c in
+    let loglik_trace = Codec.read_list c Codec.read_float in
+    O_model (space, { Mirror_mm.Autoclass.k; weights; means; variances; loglik; loglik_trace })
+  | 't' ->
+    let doc, bag = read_bag c in
+    O_text (doc, bag)
+  | 'v' ->
+    let doc, words = read_bag c in
+    O_visual (doc, words)
+  | 'h' -> O_thesaurus None
+  | ch -> raise (Codec.Bad (Printf.sprintf "unknown store op %C" ch))

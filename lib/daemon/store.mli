@@ -109,3 +109,12 @@ val set_hook : t -> (op -> unit) option -> unit
 val apply : t -> op -> unit
 (** Apply a write and hand it to the hook.  [O_doc] of a registered
     document changes nothing and fires nothing. *)
+
+val add_op : Buffer.t -> op -> unit
+(** Write an op in the log's codec ({!Mirror_util.Codec}): a sub-tag
+    character, then its fields.  [O_thesaurus] is written as the bare
+    rebuild marker. *)
+
+val read_op : Mirror_util.Codec.cursor -> op
+(** Read an op written by {!add_op}; the rebuild marker reads as
+    [O_thesaurus None].  @raise Mirror_util.Codec.Bad on damage. *)

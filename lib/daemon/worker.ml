@@ -1,8 +1,7 @@
-type write = Store_op of Store.op | Dict_op of Dictionary.op
 type verdict = Handled | Failed of string | Fatal of exn
 
 type outcome = {
-  writes : write list;
+  writes : Transport.write list;
   pubs : Bus.message list;
   cpu : float;
   verdict : verdict;
@@ -18,21 +17,14 @@ let is_fatal = function
   | _ -> false
 
 let apply (ctx : Daemon.ctx) = function
-  | Store_op op -> Store.apply ctx.Daemon.store op
-  | Dict_op op -> Dictionary.apply ctx.Daemon.dict op
-
-let marshal (w : write) = Marshal.to_string w []
-
-let unmarshal blob : write =
-  (* Same-binary fork IPC only: the blob never touches disk and both
-     ends are the same executable image, so Marshal is sound here. *)
-  Marshal.from_string blob 0
+  | Transport.Store_op op -> Store.apply ctx.Daemon.store op
+  | Transport.Dict_op op -> Dictionary.apply ctx.Daemon.dict op
 
 let handle (ctx : Daemon.ctx) (d : Daemon.t) message =
   let writes = ref [] in
   let capture w = writes := w :: !writes in
-  Store.set_hook ctx.Daemon.store (Some (fun op -> capture (Store_op op)));
-  Dictionary.set_hook ctx.Daemon.dict (Some (fun op -> capture (Dict_op op)));
+  Store.set_hook ctx.Daemon.store (Some (fun op -> capture (Transport.Store_op op)));
+  Dictionary.set_hook ctx.Daemon.dict (Some (fun op -> capture (Transport.Dict_op op)));
   let t0 = Sys.time () in
   let pubs, (verdict : verdict) =
     match d.Daemon.handle ctx message with
@@ -52,8 +44,8 @@ let serve ic oc daemons ~(ctx : Daemon.ctx) =
   let rec loop () =
     match Transport.recv_request ic with
     | None -> Closed
-    | Some (Transport.Sync blob) ->
-      apply ctx (unmarshal blob);
+    | Some (Transport.Sync w) ->
+      apply ctx w;
       loop ()
     | Some (Transport.Deliver { seq; daemon; message }) -> (
       match Hashtbl.find_opt by_name daemon with
@@ -67,7 +59,7 @@ let serve ic oc daemons ~(ctx : Daemon.ctx) =
         | Handled | Failed _ ->
           (* A failed delivery's writes travel too: they are discarded,
              but tell the orchestrator this replica is now dirty. *)
-          List.iter (fun w -> send (Transport.Op (marshal w))) o.writes;
+          List.iter (fun w -> send (Transport.Op w)) o.writes;
           (match o.verdict with
           | Failed text -> send (Transport.Fail (seq, o.cpu, text))
           | _ ->

@@ -13,10 +13,6 @@
     worker process {!serve} streams it back as [Op]/[Pub] frames and
     a [Done]/[Fail] terminator. *)
 
-type write =
-  | Store_op of Store.op
-  | Dict_op of Dictionary.op  (** One captured write. *)
-
 type verdict =
   | Handled
   | Failed of string  (** A daemon failure, with the exception text. *)
@@ -25,7 +21,7 @@ type verdict =
           process death, not a daemon failure. *)
 
 type outcome = {
-  writes : write list;  (** In the order performed. *)
+  writes : Transport.write list;  (** In the order performed. *)
   pubs : Bus.message list;  (** Returned messages ([[]] unless handled). *)
   cpu : float;  (** Processor seconds inside the handler. *)
   verdict : verdict;
@@ -37,15 +33,9 @@ val handle : Daemon.ctx -> Daemon.t -> Bus.message -> outcome
     for the handler's duration and cleared after), capturing its
     effects.  Never raises for a handler exception. *)
 
-val apply : Daemon.ctx -> write -> unit
+val apply : Daemon.ctx -> Transport.write -> unit
 (** Apply a captured write to a context ({!Store.apply} /
     {!Dictionary.apply}): the context's hook, if any, sees it. *)
-
-val marshal : write -> string
-(** Marshal a write for the wire.  Only sound between forks of the
-    same binary — never persist these blobs. *)
-
-val unmarshal : string -> write
 
 type exit_reason =
   | Closed

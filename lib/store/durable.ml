@@ -620,17 +620,9 @@ let journal t =
   {
     Orchestrator.routed =
       (fun daemon (d : Bus.delivery) ->
-        let m = d.Bus.message in
         event "fabric.route"
           (Record.Fab_route
-             {
-               Record.daemon;
-               seq = d.Bus.seq;
-               topic = m.Bus.topic;
-               subject = m.Bus.subject;
-               payload = m.Bus.payload;
-               attempts = d.Bus.attempts;
-             }));
+             { Record.daemon; seq = d.Bus.seq; message = d.Bus.message; attempts = d.Bus.attempts }));
     settled =
       (fun daemon d -> event "fabric.done" (Record.Fab_done { daemon; seq = d.Bus.seq }));
     dead =
@@ -650,9 +642,6 @@ let journal t =
     abandon = (fun () -> abandon t);
     close = (fun () -> close t);
   }
-
-let message_of (fr : Record.fab_route) =
-  { Bus.topic = fr.Record.topic; subject = fr.Record.subject; payload = fr.Record.payload }
 
 let orchestrator ?daemons ?clock ?seed ?config t =
   let orch = Orchestrator.create ?daemons ?clock ?seed ?config ~journal:(journal t) () in
@@ -687,7 +676,7 @@ let orchestrator ?daemons ?clock ?seed ?config t =
     (fun (fr : Record.fab_route) ->
       ignore
         (Bus.inject bus ~name:fr.Record.daemon ~seq:fr.Record.seq ~attempts:fr.Record.attempts
-           (message_of fr)))
+           fr.Record.message))
     d.pending;
   List.iter
     (fun ((fr : Record.fab_route), cause, at) ->
@@ -698,7 +687,7 @@ let orchestrator ?daemons ?clock ?seed ?config t =
           delivery =
             {
               Bus.seq = fr.Record.seq;
-              message = message_of fr;
+              message = fr.Record.message;
               attempts = fr.Record.attempts;
               deadline = None;
             };

@@ -11,23 +11,23 @@
     in log order, to the state the records before it built — an
     [Insert] or [Delete] applied twice would change the extent twice.
 
-    The same records, in the same codec and {!Wal} framing, make up a
+    The same records, in the same codec and frame, make up a
     snapshot ({!Snapshot}): the log compacted to one [Define] and one
     [Replace] per extent plus the side records, closed by an {!End}
     marker.
 
-    The codec round-trips exactly: every int, length and count is a
-    zigzag LEB128 varint (one byte for a magnitude below 64, ten never;
-    an overlong, unterminated or wider-than-63-bit varint is refused),
-    floats travel as their 64 IEEE-754 bits, strings length-prefixed,
-    so a replayed database is bit-for-bit the one that was logged. *)
+    The codec is {!Mirror_util.Codec}'s: varints, floats as their 64
+    bits, length-prefixed strings, so a replayed database is
+    bit-for-bit the one that was logged.  The daemon types write
+    themselves ({!Mirror_daemon.Store.add_op},
+    {!Mirror_daemon.Dictionary.add_op}, {!Mirror_daemon.Bus.add_message}),
+    and the worker pipe ({!Mirror_daemon.Transport}) carries a captured
+    write in the same bytes as its [Store_op] or [Dict_op] record. *)
 
 type fab_route = {
   daemon : string;  (** Destination subscriber. *)
   seq : int;  (** Bus sequence id — unique per enqueued copy. *)
-  topic : string;
-  subject : int;
-  payload : (string * string) list;
+  message : Mirror_daemon.Bus.message;
   attempts : int;  (** Attempts consumed when journaled (0 if fresh). *)
 }
 (** One in-flight delivery, self-contained: recovery re-materializes

@@ -1,6 +1,7 @@
 module Storage = Mirror_core.Storage
 module Mirror = Mirror_core.Mirror
 module Fsx = Mirror_util.Fsx
+module Codec = Mirror_util.Codec
 
 let ( let* ) = Result.bind
 
@@ -21,37 +22,35 @@ let write path records =
       let n =
         List.fold_left
           (fun n r ->
-            output_bytes oc (Wal.frame (Record.encode r));
+            output_string oc (Codec.frame (Record.encode r));
             n + 1)
           0 records
       in
-      output_bytes oc (Wal.frame (Record.encode (Record.End n)));
+      output_string oc (Codec.frame (Record.encode (Record.End n)));
       Fsx.fsync_out oc)
 
-(* The frames are whole and checksummed; the [End] marker, last and
-   counting every record before it, is what tells a complete file from
-   one cut at a frame boundary. *)
+(* The frames are read one at a time, whole and checksummed; the [End]
+   marker, last and counting every record before it, is what tells a
+   complete file from one cut anywhere, at a frame boundary too. *)
 let read path =
   Mirror_core.Bootstrap.ensure ();
+  let rec decode ic k acc =
+    match Codec.input_frame ic with
+    | None -> Error "cut short: no end marker"
+    | Some payload -> (
+      match Record.decode payload with
+      | Error e -> Error (Printf.sprintf "record %d: %s" k e)
+      | Ok (Record.End _) when In_channel.input_char ic <> None ->
+        Error (Printf.sprintf "record %d: an end marker before the end" k)
+      | Ok (Record.End n) when n <> k ->
+        Error (Printf.sprintf "the end marker counts %d records, the file holds %d" n k)
+      | Ok (Record.End _) -> Ok (List.rev acc)
+      | Ok r -> decode ic (k + 1) (r :: acc))
+  in
   Result.map_error (Printf.sprintf "snapshot %s: %s" path)
-    (let* src =
-       match In_channel.with_open_bin path In_channel.input_all with
-       | src -> Ok src
-       | exception Sys_error e -> Error e
-     in
-     let* frames = Wal.parse_frames src in
-     let rec decode k acc = function
-       | [] -> Error "cut short: no end marker"
-       | payload :: rest -> (
-         match Record.decode payload with
-         | Error e -> Error (Printf.sprintf "record %d: %s" k e)
-         | Ok (Record.End n) when rest = [] ->
-           if n = k then Ok (List.rev acc)
-           else Error (Printf.sprintf "the end marker counts %d records, the file holds %d" n k)
-         | Ok (Record.End _) -> Error (Printf.sprintf "record %d: an end marker before the end" k)
-         | Ok r -> decode (k + 1) (r :: acc) rest)
-     in
-     decode 0 [] frames)
+    (match In_channel.with_open_bin path (fun ic -> decode ic 0 []) with
+    | r -> r
+    | exception (Sys_error e | Codec.Bad e) -> Error e)
 
 let redo mir r =
   let stor = Mirror.storage mir in

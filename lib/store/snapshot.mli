@@ -1,7 +1,7 @@
 (** Snapshots: the log, compacted.
 
     A snapshot file is a sequence of {!Record.t}s in {!Record}'s codec
-    and {!Wal.frame} framing: one [Define] and one [Replace] (its rows)
+    and {!Mirror_util.Codec.frame} framing: one [Define] and one [Replace] (its rows)
     per extent, in name order; then any side records the writer adds
     (a durable store's feedback, daemon-store and delivery history, see
     {!Durable}); and last an [End] record counting the records before

@@ -1,15 +1,10 @@
-module Crc32 = Mirror_util.Crc32
+module Codec = Mirror_util.Codec
 module Faults = Mirror_daemon.Faults
 module Fsx = Mirror_util.Fsx
 
 type config = { segment_bytes : int }
 
 let default_config = { segment_bytes = 1 lsl 20 }
-
-(* Frames over [max_record] are rejected on both sides: the writer
-   never produces them, so on replay an implausible length field is
-   proof of damage rather than a huge allocation request. *)
-let max_record = 1 lsl 26
 
 let seg_name first_lsn = Printf.sprintf "wal.%012d.log" first_lsn
 
@@ -95,26 +90,17 @@ let roll t =
   t.oc <- open_segment t.dir t.next;
   t.seg_bytes <- 0
 
-let frame payload =
-  let len = String.length payload in
-  if len > max_record then invalid_arg "Wal.append: record too large";
-  let b = Bytes.create (8 + len) in
-  Bytes.set_int32_le b 0 (Int32.of_int len);
-  Bytes.set_int32_le b 4 (Int32.of_int (Crc32.string payload));
-  Bytes.blit_string payload 0 b 8 len;
-  b
-
 let append t payload =
   check_broken t;
   if t.seg_bytes >= t.config.segment_bytes then roll t;
-  let b = frame payload in
-  (match Faults.write_allowance (Bytes.length b) with
-  | None -> output_bytes t.oc b
+  let b = Codec.frame payload in
+  (match Faults.write_allowance (String.length b) with
+  | None -> output_string t.oc b
   | Some k ->
-    output_bytes t.oc (Bytes.sub b 0 k);
+    output_string t.oc (String.sub b 0 k);
     flush t.oc;
-    raise (Faults.Crash (Printf.sprintf "torn WAL append (%d of %d bytes)" k (Bytes.length b))));
-  t.seg_bytes <- t.seg_bytes + Bytes.length b;
+    raise (Faults.Crash (Printf.sprintf "torn WAL append (%d of %d bytes)" k (String.length b))));
+  t.seg_bytes <- t.seg_bytes + String.length b;
   let lsn = t.next in
   t.next <- lsn + 1;
   t.appends <- t.appends + 1;
@@ -129,64 +115,25 @@ let close t =
     if t.dirty then sync t;
     close_out t.oc
 
-(* Strict scan of a framed byte string (no torn-tail allowance): used
-   for framed files that are written atomically, where any damage at
-   all is corruption rather than a crash shape. *)
-let parse_frames src =
-  let len = String.length src in
-  let rec go pos acc =
-    if pos = len then Ok (List.rev acc)
-    else if pos + 8 > len then Error "truncated frame header"
-    else
-      let rlen = Int32.to_int (String.get_int32_le src pos) in
-      let crc = Int32.to_int (String.get_int32_le src (pos + 4)) land 0xFFFFFFFF in
-      if rlen < 0 || rlen > max_record then
-        Error (Printf.sprintf "implausible frame length %d" rlen)
-      else if pos + 8 + rlen > len then Error "truncated frame payload"
-      else
-        let payload = String.sub src (pos + 8) rlen in
-        if Crc32.string payload <> crc then Error "frame checksum mismatch"
-        else go (pos + 8 + rlen) (payload :: acc)
-  in
-  go 0 []
-
 (* {1 Replay} *)
 
 type replay_end = Clean | Torn of string | Corrupt of string
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Scan one segment.  Returns the LSN after its last good record and
    how it ended; [Torn] is only legitimate in the final segment. *)
 let scan_segment ~is_last ~first_lsn ~from_lsn ~f path =
-  let src = read_file path in
-  let len = String.length src in
+  let src = In_channel.with_open_bin path In_channel.input_all in
   let where lsn = Printf.sprintf "%s, record %d" (Filename.basename path) lsn in
   let rec go pos lsn =
-    if pos = len then (lsn, Clean)
-    else if pos + 8 > len then
-      if is_last then (lsn, Torn (where lsn ^ ": truncated frame header"))
-      else (lsn, Corrupt (where lsn ^ ": truncated frame header mid-log"))
+    if pos = String.length src then (lsn, Clean)
     else
-      let rlen = Int32.to_int (String.get_int32_le src pos) in
-      let crc = Int32.to_int (String.get_int32_le src (pos + 4)) land 0xFFFFFFFF in
-      if rlen < 0 || rlen > max_record then
-        (lsn, Corrupt (Printf.sprintf "%s: implausible record length %d" (where lsn) rlen))
-      else if pos + 8 + rlen > len then
-        if is_last then (lsn, Torn (where lsn ^ ": truncated record payload"))
-        else (lsn, Corrupt (where lsn ^ ": truncated record payload mid-log"))
-      else
-        let payload = String.sub src (pos + 8) rlen in
-        if Crc32.string payload <> crc then
-          (lsn, Corrupt (where lsn ^ ": record checksum mismatch"))
-        else begin
-          if lsn >= from_lsn then f lsn payload;
-          go (pos + 8 + rlen) (lsn + 1)
-        end
+      match Codec.unframe src pos with
+      | Codec.Frame (payload, next) ->
+        if lsn >= from_lsn then f lsn payload;
+        go next (lsn + 1)
+      | Codec.Cut m when is_last -> (lsn, Torn (where lsn ^ ": " ^ m))
+      | Codec.Cut m -> (lsn, Corrupt (where lsn ^ ": " ^ m ^ " mid-log"))
+      | exception Codec.Bad m -> (lsn, Corrupt (where lsn ^ ": " ^ m))
   in
   go 0 first_lsn
 

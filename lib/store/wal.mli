@@ -1,8 +1,8 @@
 (** The segmented, checksummed write-ahead log.
 
     On disk a log is a directory of segment files named
-    [wal.<first-lsn>.log]; a segment holds consecutive records framed
-    as
+    [wal.<first-lsn>.log]; a segment holds consecutive records in the
+    shared frame ({!Mirror_util.Codec.frame}, also the worker pipe's)
 
     {v [len : u32 le][crc32(payload) : u32 le][payload bytes] v}
 
@@ -74,17 +74,6 @@ val close : t -> unit
 (** Close the current segment, syncing it first if anything appended
     is not yet fsynced (a segment roll does the same).  A poisoned writer is closed
     without the final sync (its appends are not durable anyway). *)
-
-val frame : string -> bytes
-(** The on-disk framing of one payload:
-    [[u32 len][u32 crc32(payload)][payload]].  Exposed so other
-    framed files (snapshots, see {!Snapshot}) share the format. *)
-
-val parse_frames : string -> (string list, string) result
-(** Strictly decode a byte string of consecutive {!frame}s.  Unlike
-    {!replay} there is no torn-tail allowance: the input is expected
-    to have been written atomically, so any truncation or checksum
-    mismatch is an [Error]. *)
 
 (** {1 Replay} *)
 

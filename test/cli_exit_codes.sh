@@ -3,8 +3,9 @@
 # on both delivery transports (in process and forked workers), check
 # that `--durable DIR` journals on both, and that the journal is the
 # durable store's one log (`deadletters` and `wal status` read it), that
-# `lint --db` reads what `.save` wrote and refuses it damaged, and which
-# commands take `--domains`.
+# `lint --db` reads what `.save` wrote and refuses it damaged, that a
+# `--durable` session refuses `.load`, and which commands take
+# `--domains`.
 #
 #   usage: cli_exit_codes.sh PATH/TO/mirror_cli.exe
 #
@@ -70,6 +71,19 @@ snap=$tmp/saved/snapshot
 byte=$(od -An -tu1 -j10 -N1 "$snap" | tr -d ' ')
 printf "$(printf '\\%03o' $((byte ^ 64)))" | dd of="$snap" bs=1 seek=10 count=1 conv=notrunc 2>/dev/null
 expect 1 lint --db "$tmp/saved" 'count(T)'
+
+# In a `--durable` session `.load` is refused (the loaded database would
+# not be journaled): the rows inserted before and after it both survive
+# a reopen.
+printf 'define U as SET< TUPLE< Atomic<int>: b > >;\n.save %s\n.quit\n' "$tmp/other" \
+  | "$cli" >/dev/null 2>&1
+printf 'define T as SET< TUPLE< Atomic<int>: a > >;\ninsert into T tuple(a: 1);\n.load %s\ninsert into T tuple(a: 2);\n.quit\n' \
+  "$tmp/other" | "$cli" --durable "$tmp/loaded" >"$tmp/load.out" 2>&1
+grep -q "error: .load is refused" "$tmp/load.out" \
+  || echo "mirror_cli --durable DIR: .load was not refused" >"$tmp/fail.load"
+rows=$("$cli" --durable "$tmp/loaded" -e 'count(T);' 2>&1)
+[ "$rows" = 2 ] \
+  || echo "mirror_cli --durable DIR: reopened T has count $rows, expected 2" >"$tmp/fail.reload"
 
 # --domains sizes the pool of a command that executes a plan; the
 # static ones (lint, plain explain) do not take it.

@@ -688,6 +688,215 @@ let test_pipeline_stats_shape () =
   (* one clustering.done per space + contrep.ready *)
   Alcotest.(check int) "clusterer produced 7 messages" 7 cl.Orchestrator.produced
 
+(* {1 Transport}
+
+   The worker pipe speaks the log's codec and frame.  Every request and
+   reply round-trips bit for bit (floats by their 64 bits, text with
+   the bytes the old line protocol had to escape); a damaged frame is
+   refused with [Transport.Bad] and a cut one stays buffered; random
+   payloads never raise anything else. *)
+
+module Transport = Mirror_daemon.Transport
+module Proc = Mirror_daemon.Proc
+module Codec = Mirror_util.Codec
+
+let wire_floats = [ nan; -.nan; -0.0; 0.0; 4.9e-324; Float.min_float /. 3.0; infinity; neg_infinity; 1.5 ]
+let wire_texts = [ ""; "a\nb"; " spaced  out "; "back\\slash \\n \\s"; "nul\000"; String.make 200 '\xff' ]
+let wire_message text = { Bus.topic = text; subject = -7; payload = [ (text, text); ("", "k v\n") ] }
+
+let wire_writes =
+  let model =
+    {
+      Mirror_mm.Autoclass.k = 2;
+      weights = [| 0.5; 0.5 |];
+      means = [| Array.of_list wire_floats; [||] |];
+      variances = [| [| 4.9e-324 |]; [| -0.0 |] |];
+      loglik = nan;
+      loglik_trace = wire_floats;
+    }
+  in
+  [
+    Transport.Store_op (Store.O_doc (max_int, "img://a b\n"));
+    Transport.Store_op
+      (Store.O_segments (1, [ { Mirror_mm.Segment.x = 0; y = -1; w = 64; h = min_int } ]));
+    Transport.Store_op (Store.O_features (2, "gabor", [| Array.of_list wire_floats |]));
+    Transport.Store_op (Store.O_model ("rgb", model));
+    Transport.Store_op (Store.O_text (3, List.map (fun t -> (t, -0.0)) wire_texts));
+    Transport.Store_op (Store.O_visual (4, [ ("gabor_0", 4.9e-324) ]));
+    Transport.Store_op (Store.O_thesaurus None);
+    Transport.Dict_op (Dictionary.Registered { name = "Lib"; schema = "S\n"; owner = " " });
+    Transport.Dict_op (Dictionary.Evolved { name = "Lib"; schema = "\\"; by = "rgb" });
+  ]
+
+let wire_requests =
+  List.map (fun w -> Transport.Sync w) wire_writes
+  @ List.map
+      (fun t -> Transport.Deliver { seq = 300; daemon = t; message = wire_message t })
+      wire_texts
+
+let wire_replies =
+  List.map (fun w -> Transport.Op w) wire_writes
+  @ List.map (fun t -> Transport.Pub (wire_message t)) wire_texts
+  @ List.concat_map
+      (fun cpu -> [ Transport.Done (max_int, cpu); Transport.Fail (-1, cpu, "Failure(\"x\ny \\ z\")") ])
+      wire_floats
+
+let with_wire_file f =
+  let file = Filename.temp_file "mirror-wire" ".bin" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) (fun () -> f file)
+
+(* What a worker's request reader makes of these bytes: the number of
+   requests, or [None] once a frame is refused. *)
+let requests_read file bytes =
+  Out_channel.with_open_bin file (fun oc -> output_string oc bytes);
+  In_channel.with_open_bin file (fun ic ->
+      let rec go n =
+        match Transport.recv_request ic with
+        | None -> Some n
+        | Some _ -> go (n + 1)
+        | exception Transport.Bad _ -> None
+      in
+      go 0)
+
+(* What the orchestrator's reply splitter makes of these bytes: the
+   replies and the bytes left buffered, or [None] once a frame is
+   refused. *)
+let replies_read bytes =
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf bytes;
+  match Proc.frames buf with
+  | replies -> Some (List.length replies, Buffer.length buf)
+  | exception Transport.Bad _ -> None
+
+let test_transport_round_trips () =
+  with_wire_file @@ fun file ->
+  let check what encode decode values =
+    List.iter
+      (fun v ->
+        let payload = encode v in
+        Alcotest.(check string) what payload (encode (decode payload)))
+      values
+  in
+  check "request" Transport.encode_request Transport.decode_request wire_requests;
+  check "reply" Transport.encode_reply Transport.decode_reply wire_replies;
+  (* through the channels, in one stream *)
+  Out_channel.with_open_bin file (fun oc -> List.iter (Transport.send_request oc) wire_requests);
+  let read =
+    In_channel.with_open_bin file (fun ic ->
+        let rec go acc =
+          match Transport.recv_request ic with None -> List.rev acc | Some r -> go (r :: acc)
+        in
+        go [])
+  in
+  Alcotest.(check (list string)) "requests through a channel"
+    (List.map Transport.encode_request wire_requests)
+    (List.map Transport.encode_request read);
+  Out_channel.with_open_bin file (fun oc -> List.iter (Transport.send_reply oc) wire_replies);
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf (In_channel.with_open_bin file In_channel.input_all);
+  Alcotest.(check (list string)) "replies through the splitter"
+    (List.map Transport.encode_reply wire_replies)
+    (List.map Transport.encode_reply (Proc.frames buf));
+  (* the CPU time crosses as its bits *)
+  List.iter
+    (fun cpu ->
+      match Transport.decode_reply (Transport.encode_reply (Transport.Done (1, cpu))) with
+      | Transport.Done (1, cpu') ->
+        Alcotest.(check int64) "cpu bits" (Int64.bits_of_float cpu) (Int64.bits_of_float cpu')
+      | _ -> Alcotest.fail "Done decodes as another reply")
+    wire_floats;
+  (* a thesaurus crosses as the log's rebuild marker *)
+  let th = Mirror_thesaurus.Concepts.build [] in
+  match Transport.decode_reply (Transport.encode_reply (Transport.Op (Transport.Store_op (Store.O_thesaurus (Some th))))) with
+  | Transport.Op (Transport.Store_op (Store.O_thesaurus None)) -> ()
+  | _ -> Alcotest.fail "a thesaurus write does not cross as the rebuild marker"
+
+(* Every single-bit flip of a framed request or reply is refused.  A
+   flip that grows the length past the bytes present cannot be told
+   from a frame still arriving: nothing is delivered, every byte stays
+   buffered, and it is refused once the announced bytes are there
+   (checked for growths up to 64 KiB). *)
+let test_transport_bit_flips () =
+  with_wire_file @@ fun file ->
+  let next_frame = Codec.frame (Transport.encode_reply (Transport.Done (0, 0.0))) in
+  let flips framed ~refused ~waiting =
+    let len = String.length framed - 8 in
+    for bit = 0 to (8 * String.length framed) - 1 do
+      let b = Bytes.of_string framed in
+      Bytes.set b (bit / 8) (Char.chr (Char.code (Bytes.get b (bit / 8)) lxor (1 lsl (bit mod 8))));
+      let flipped = Bytes.to_string b in
+      let len' = Int32.to_int (String.get_int32_le flipped 0) land 0xFFFFFFFF in
+      let stream = flipped ^ next_frame in
+      if len' > len && len' <= Codec.max_record && len' - len > String.length next_frame then begin
+        if not (waiting stream) then Alcotest.failf "bit %d: a grown frame was not kept waiting" bit;
+        if len' - len <= 65536 && not (refused (flipped ^ String.make (len' - len) '\000')) then
+          Alcotest.failf "bit %d: a grown frame passed once complete" bit
+      end
+      else if not (refused stream) then Alcotest.failf "bit %d flipped in %S passes" bit framed
+    done
+  in
+  List.iter
+    (fun r ->
+      flips
+        (Codec.frame (Transport.encode_request r))
+        ~refused:(fun s -> requests_read file s = None)
+        ~waiting:(fun s -> requests_read file s = Some 0))
+    wire_requests;
+  List.iter
+    (fun r ->
+      flips
+        (Codec.frame (Transport.encode_reply r))
+        ~refused:(fun s -> replies_read s = None)
+        ~waiting:(fun s -> replies_read s = Some (0, String.length s)))
+    wire_replies
+
+(* Every proper prefix of a frame is no frame: the splitter keeps all of
+   its bytes, the request reader sees the end of the stream. *)
+let test_transport_prefixes () =
+  with_wire_file @@ fun file ->
+  List.iter
+    (fun r ->
+      let framed = Codec.frame (Transport.encode_reply r) in
+      for k = 0 to String.length framed - 1 do
+        Alcotest.(check (option (pair int int))) "kept buffered" (Some (0, k))
+          (replies_read (String.sub framed 0 k))
+      done)
+    wire_replies;
+  List.iter
+    (fun r ->
+      let framed = Codec.frame (Transport.encode_request r) in
+      for k = 0 to String.length framed - 1 do
+        Alcotest.(check (option int)) "end of stream" (Some 0) (requests_read file (String.sub framed 0 k))
+      done)
+    wire_requests
+
+(* 10,000 seeded random payloads, half of them opening with a real tag:
+   each is refused with [Bad] or decodes to a value that re-encodes to
+   the same bytes — never another exception. *)
+let test_transport_random_payloads () =
+  let g = Prng.create 29 in
+  let tags = "SDOPKFNE" in
+  let try_decode what encode decode p =
+    match decode p with
+    | v -> if encode v <> p then Alcotest.failf "%s %S decodes to other bytes" what p
+    | exception Transport.Bad _ -> ()
+    | exception e -> Alcotest.failf "%s %S raises %s" what p (Printexc.to_string e)
+  in
+  for _ = 1 to 10_000 do
+    let n = Prng.int g 24 in
+    let b = Bytes.create n in
+    for i = 0 to n - 1 do
+      Bytes.set b i (Char.chr (Prng.int g 256))
+    done;
+    if n > 0 && Prng.bool g then Bytes.set b 0 tags.[Prng.int g (String.length tags)];
+    let p = Bytes.to_string b in
+    try_decode "request" Transport.encode_request Transport.decode_request p;
+    try_decode "reply" Transport.encode_reply Transport.decode_reply p;
+    match replies_read (Codec.frame p) with
+    | None | Some (1, 0) -> ()
+    | Some _ -> Alcotest.failf "framed %S splits oddly" p
+  done
+
 let () =
   Alcotest.run "mirror_daemon"
     [
@@ -708,6 +917,15 @@ let () =
           Alcotest.test_case "reopen backs off longer" `Quick test_breaker_reopen_backs_off_longer;
         ] );
       ("dictionary", [ Alcotest.test_case "register/evolve/history" `Quick test_dictionary ]);
+      ( "transport",
+        [
+          Alcotest.test_case "every constructor round-trips bit for bit" `Quick
+            test_transport_round_trips;
+          Alcotest.test_case "every bit flip is refused" `Quick test_transport_bit_flips;
+          Alcotest.test_case "every proper prefix stays buffered" `Quick test_transport_prefixes;
+          Alcotest.test_case "random payloads raise only Bad" `Quick
+            test_transport_random_payloads;
+        ] );
       ( "store",
         [
           Alcotest.test_case "visual word merge" `Quick test_store_visual_merge;

@@ -23,6 +23,7 @@ module Expr = Mirror_core.Expr
 module Types = Mirror_core.Types
 module Value = Mirror_core.Value
 module Prng = Mirror_util.Prng
+module Codec = Mirror_util.Codec
 
 let ok = function Ok v -> v | Error e -> Alcotest.fail e
 
@@ -75,6 +76,7 @@ let schema_src = "SET< TUPLE< Atomic<int>: a, SET< Atomic<int> > : s > >"
    (not [List.init]) so the PRNG draws in a fixed order. *)
 let gen_ops g n =
   let defined = ref [] in
+  let live = ref [] in
   let count = ref 0 in
   let one () =
     let roll = Prng.int g 100 in
@@ -87,6 +89,7 @@ let gen_ops g n =
     else if roll < 70 then begin
       let name = Prng.choose g (Array.of_list !defined) in
       let a = Prng.int g 50 in
+      live := (name, a) :: !live;
       let rec draw k acc = if k = 0 then List.rev acc else draw (k - 1) (Prng.int g 20 :: acc) in
       let s =
         draw (1 + Prng.int g 3) [] |> List.map string_of_int |> String.concat ", "
@@ -94,8 +97,15 @@ let gen_ops g n =
       Exec (Printf.sprintf "insert into %s tuple(a: %d, s: {%s});" name a s)
     end
     else if roll < 90 then begin
-      let name = Prng.choose g (Array.of_list !defined) in
-      Exec (Printf.sprintf "delete from %s where THIS.a = %d;" name (Prng.int g 50))
+      (* a live row's key, so that a delete removes rows whenever
+         there are any (one that matches nothing logs nothing) *)
+      let name, a =
+        match !live with
+        | [] -> (Prng.choose g (Array.of_list !defined), Prng.int g 50)
+        | rows -> Prng.choose g (Array.of_list rows)
+      in
+      live := List.filter (( <> ) (name, a)) !live;
+      Exec (Printf.sprintf "delete from %s where THIS.a = %d;" name a)
     end
     else Checkpoint
   in
@@ -713,9 +723,12 @@ let fab_route ?(attempts = 0) ~seq () =
   {
     Record.daemon = "thesaurus";
     seq;
-    topic = "annotation.indexed";
-    subject = 42;
-    payload = [ ("text", "a\nb\\c d"); ("", "empty key above") ];
+    message =
+      {
+        Bus.topic = "annotation.indexed";
+        subject = 42;
+        payload = [ ("text", "a\nb\\c d"); ("", "empty key above") ];
+      };
     attempts;
   }
 
@@ -1063,14 +1076,14 @@ let test_row_records_round_trip () =
           Alcotest.failf "a %d-byte prefix of %s raises %s" k (Record.describe r)
             (Printexc.to_string e)
       done;
-      let framed = Wal.frame enc in
+      let framed = Bytes.of_string (Codec.frame enc) in
       for bit = 0 to (8 * Bytes.length framed) - 1 do
         let b = Bytes.copy framed in
         Bytes.set b (bit / 8)
           (Char.chr (Char.code (Bytes.get b (bit / 8)) lxor (1 lsl (bit mod 8))));
-        (match Wal.parse_frames (Bytes.to_string b) with
-        | Error _ -> ()
-        | Ok _ -> Alcotest.failf "bit %d flipped in %s passes the frame" bit (Record.describe r));
+        (match Codec.unframe (Bytes.to_string b) 0 with
+        | Codec.Cut _ | (exception Codec.Bad _) -> ()
+        | Codec.Frame _ -> Alcotest.failf "bit %d flipped in %s passes the frame" bit (Record.describe r));
         (* and the record decoder, handed the damaged payload, never raises *)
         match Record.decode (Bytes.sub_string b 8 (Bytes.length b - 8)) with
         | Ok _ | Error _ -> ()
@@ -1085,7 +1098,7 @@ let test_row_records_round_trip () =
 let append_records dir records =
   let seg = List.nth (wal_segments dir) (List.length (wal_segments dir) - 1) in
   Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 seg (fun oc ->
-      List.iter (fun r -> output_bytes oc (Wal.frame (Record.encode r))) records)
+      List.iter (fun r -> output_string oc (Codec.frame (Record.encode r))) records)
 
 (* Redo refuses a delete whose positions are out of range or not
    strictly ascending: an [Error], never an exception, and the extent
@@ -1240,17 +1253,22 @@ let check_row_records ~name ~ty ~init ~row ~pred ~queries seed =
       ok (Storage.define st ~name ty);
       ignore (ok (Storage.load st ~name init));
       ok (Durable.checkpoint t);
+      (* a delete that matches no row changes nothing and logs nothing *)
+      let writes = ref 0 in
       List.iter
         (function
-          | Ins rows -> ignore (ok (Storage.insert st ~name rows))
-          | Del p -> ignore (ok (Storage.delete_where st ~name p)))
+          | Ins rows ->
+            ignore (ok (Storage.insert st ~name rows));
+            incr writes
+          | Del p -> if ok (Storage.delete_where st ~name p) > 0 then incr writes)
         ops;
+      let writes = !writes in
       let final = Option.get (Storage.extent_rows st name) in
       let ins, del = row_records dir in
-      Alcotest.(check int) "one row-level record per statement" (List.length ops) (ins + del);
+      Alcotest.(check int) "one row-level record per statement" writes (ins + del);
       Durable.abandon t;
       let t2, r = ok (Durable.open_ ~dir ()) in
-      Alcotest.(check int) "every statement redone" (List.length ops) r.Durable.replayed;
+      Alcotest.(check int) "every statement redone" writes r.Durable.replayed;
       let once = Mirror.create () in
       ok (Snapshot.redo once (Record.Define (name, ty)));
       ok (Snapshot.redo once (Record.Replace (name, final)));
@@ -1358,8 +1376,7 @@ let test_fab_dead_letter_torn_tail () =
   let delivery (fr : Record.fab_route) =
     {
       Bus.seq = fr.Record.seq;
-      message =
-        { Bus.topic = fr.Record.topic; subject = fr.Record.subject; payload = fr.Record.payload };
+      message = fr.Record.message;
       attempts = fr.Record.attempts;
       deadline = None;
     }
@@ -1560,6 +1577,138 @@ let test_snapshot_cut_refused () =
       Alcotest.(check (list string)) "both extents" [ "T"; "U" ] (Storage.extents (Durable.storage t2));
       Durable.close t2)
 
+(* The log format, pinned: the exact bytes of one record of every
+   constructor (every store op, dictionary change and dead-letter
+   cause).  A codec change that still round-trips fails here: logs and
+   snapshots already on disk must keep reading. *)
+let golden_records =
+  let ty = ok (Mirror_core.Parser.parse_type "SET< TUPLE< Atomic<int>: a, Atomic<str>: s > >") in
+  let module Atom = Mirror_bat.Atom in
+  let row a s = Value.Tup [ ("a", Value.Atom (Atom.Int a)); ("s", Value.Atom (Atom.Str s)) ] in
+  [
+    Record.Define ("T", ty);
+    Record.Replace
+      ( "T",
+        [
+          row (-3) "x y\n";
+          Value.VSet
+            [
+              Value.Atom (Atom.Flt 1.5);
+              Value.Atom (Atom.Flt (-0.0));
+              Value.Atom (Atom.Bool true);
+              Value.Atom (Atom.Bool false);
+              Value.Atom (Atom.Oid 42);
+            ];
+          Value.Xv { ext = "LIST"; meta = [ "m" ]; items = [ Value.Atom (Atom.Int 300) ] };
+        ] );
+    Record.Insert ("T", [ row 7 "\\" ]);
+    Record.Delete ("T", [ 0; 2; 300 ]);
+    Record.Feedback { query = "zebra"; judgements = [ ("u1", true); ("u2", false) ] };
+    Record.Store_op (Store.O_doc (3, "file:/a"));
+    Record.Store_op (Store.O_segments (3, [ { Mirror_mm.Segment.x = 1; y = 2; w = 3; h = 4 } ]));
+    Record.Store_op (Store.O_features (3, "rgb", [| [| 0.5; -0.0 |] |]));
+    Record.Store_op
+      (Store.O_model
+         ( "rgb",
+           {
+             Mirror_mm.Autoclass.k = 1;
+             weights = [| 1.0 |];
+             means = [| [| 0.25 |] |];
+             variances = [| [| 2.0 |] |];
+             loglik = -1.5;
+             loglik_trace = [ -2.0; -1.5 ];
+           } ));
+    Record.Store_op (Store.O_text (3, [ ("zebra", 2.0) ]));
+    Record.Store_op (Store.O_visual (3, [ ("gabor_0", 1.0) ]));
+    Record.Store_op (Store.O_thesaurus None);
+    Record.Dict_op (Dictionary.Registered { name = "Lib"; schema = "S"; owner = "app" });
+    Record.Dict_op (Dictionary.Evolved { name = "Lib"; schema = "S2"; by = "rgb" });
+    Record.Fab_route
+      {
+        daemon = "rgb";
+        seq = 300;
+        message = { Bus.topic = "segmented"; subject = 3; payload = [ ("k", "v w") ] };
+        attempts = 2;
+      };
+    Record.Fab_done { daemon = "rgb"; seq = 300 };
+    Record.Fab_dead { daemon = "rgb"; seq = 1; cause = Deadletter.Failed "boom\n"; at = 12.5 };
+    Record.Fab_dead { daemon = "rgb"; seq = 2; cause = Deadletter.Expired "open"; at = 0.0 };
+    Record.Fab_dead { daemon = "rgb"; seq = 3; cause = Deadletter.Overflow; at = -1.0 };
+    Record.Fab_redeliver { daemon = "rgb"; seq = 1 };
+    Record.Fab_atomic
+      [ Record.Fab_done { daemon = "a"; seq = 0 }; Record.Store_op (Store.O_doc (1, "u")) ];
+    Record.End 21;
+  ]
+
+let golden_hex =
+  [
+    "4402545c5345543c205455504c453c2041746f6d69633c696e743e3a20612c2041746f6d69633c7374723e3a2073203e203e";
+    "52025406540402616905027373087820790a530a66000000000000f83f660000000000000080620162006f5458084c49535402026d0269d804";
+    "4902540254040261690e027373025c";
+    "500254060004d804";
+    "460a7a65627261040475310104753200";
+    "4e64060e66696c653a2f61";
+    "4e73060202040608";
+    "4e6606067267620204000000000000e03f0000000000000080";
+    "4e6d067267620202000000000000f03f0202000000000000d03f02020000000000000040000000000000f8bf0400000000000000c0000000000000f8bf";
+    "4e7406020a7a656272610000000000000040";
+    "4e7606020e6761626f725f30000000000000f03f";
+    "4e68";
+    "4572064c6962025306617070";
+    "4565064c696204533206726762";
+    "5106726762d804127365676d656e7465640602026b0676207704";
+    "4806726762d804";
+    "4c0672676202660a626f6f6d0a0000000000002940";
+    "4c067267620465086f70656e0000000000000000";
+    "4c06726762066f000000000000f0bf";
+    "420672676202";
+    "410408480261000a4e64020275";
+    "5a2a";
+  ]
+
+let test_log_format_pinned () =
+  let hex s =
+    String.to_seq s |> Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c)) |> List.of_seq
+    |> String.concat ""
+  in
+  List.iter2
+    (fun r expected ->
+      let enc = Record.encode r in
+      Alcotest.(check string) (Record.describe r) expected (hex enc);
+      match Record.decode enc with
+      | Ok r' -> Alcotest.(check string) "decodes to the same bytes" expected (hex (Record.encode r'))
+      | Error e -> Alcotest.failf "%s is refused: %s" (Record.describe r) e)
+    golden_records golden_hex
+
+(* A delete that matches no row changes nothing and logs nothing: a
+   define, an insert and two deletes that match no row leave two
+   records, and the directory reopens to the same rows.  An unknown
+   extent is still refused, with or without positions. *)
+let test_empty_delete_logs_nothing () =
+  with_temp_dir (fun dir ->
+      let t, _ = ok (Durable.open_ ~dir ()) in
+      List.iter (apply_durable t)
+        [
+          Exec (Printf.sprintf "define T as %s;" schema_src);
+          Exec "insert into T tuple(a: 1, s: {1, 2});";
+          Exec "delete from T where THIS.a = 2;";
+          Exec "delete from T where THIS.a = 3;";
+        ];
+      (match Storage.delete_positions (Durable.storage t) ~name:"Nope" [] with
+      | Error _ -> ()
+      | Ok () -> Alcotest.fail "an empty delete from an unknown extent passed");
+      let live = fingerprint (Durable.storage t) in
+      Durable.abandon t;
+      let records = ref 0 in
+      let wal = Filename.concat dir "wal" in
+      (match Wal.segments ~dir:wal with
+      | (from_lsn, _) :: _ -> ignore (ok (Wal.replay ~dir:wal ~from_lsn ~f:(fun _ _ -> incr records)))
+      | [] -> ());
+      Alcotest.(check int) "records logged" 2 !records;
+      let t2, _ = ok (Durable.open_ ~dir ()) in
+      Alcotest.(check string) "reopened rows" live (fingerprint (Durable.storage t2));
+      Durable.close t2)
+
 let () =
   Alcotest.run "recovery"
     [
@@ -1615,6 +1764,10 @@ let () =
       ( "store-journal",
         [
           Alcotest.test_case "store ops round-trip bitwise" `Quick test_store_op_round_trips;
+          Alcotest.test_case "the log format is pinned byte for byte" `Quick
+            test_log_format_pinned;
+          Alcotest.test_case "a delete that matches no row logs nothing" `Quick
+            test_empty_delete_logs_nothing;
           Alcotest.test_case "replace records round-trip int boundaries" `Quick
             test_replace_int_boundaries;
           Alcotest.test_case "insert and delete records round-trip" `Quick

@@ -2,7 +2,6 @@
 
 module Assoc = Mirror_thesaurus.Assoc
 module Concepts = Mirror_thesaurus.Concepts
-module Emim = Mirror_thesaurus.Emim
 module Adapt = Mirror_thesaurus.Adapt
 module Querynet = Mirror_ir.Querynet
 
@@ -72,41 +71,6 @@ let test_concepts_unannotated_ignored () =
   let t = Concepts.build only_unannotated in
   Alcotest.(check int) "no concepts from unannotated docs" 0 (Concepts.concept_count t)
 
-(* {1 Emim} *)
-
-let test_emim_scores () =
-  let t = Emim.build evidence in
-  Alcotest.(check int) "only dual-evidence docs" 4 (Emim.ndocs t);
-  let zebra_gabor = Emim.score t ~term:"zebra" ~concept:"gabor_0" in
-  let zebra_rgb = Emim.score t ~term:"zebra" ~concept:"rgb_1" in
-  Alcotest.(check bool)
-    (Printf.sprintf "zebra associates with gabor_0 (%.3f vs %.3f)" zebra_gabor zebra_rgb)
-    true (zebra_gabor > zebra_rgb);
-  Alcotest.(check (float 1e-9)) "unknown term scores 0" 0.0
-    (Emim.score t ~term:"nope" ~concept:"gabor_0")
-
-let test_emim_independent_is_low () =
-  (* a concept present in every document carries no information about
-     any term: its EMIM with everything is ~0 *)
-  let evs =
-    [
-      { Assoc.doc = 0; text = [ ("zebra", 1.0) ]; visual = [ ("always", 1.0) ] };
-      { Assoc.doc = 1; text = [ ("sky", 1.0) ]; visual = [ ("always", 1.0) ] };
-      { Assoc.doc = 2; text = [ ("zebra", 1.0) ]; visual = [ ("always", 1.0) ] };
-      { Assoc.doc = 3; text = [ ("sky", 1.0) ]; visual = [ ("always", 1.0) ] };
-    ]
-  in
-  let t = Emim.build evs in
-  Alcotest.(check (float 1e-9)) "independent pair" 0.0 (Emim.score t ~term:"zebra" ~concept:"always")
-
-let test_emim_top_concepts () =
-  let t = Emim.build evidence in
-  match Emim.top_concepts t "sky" with
-  | (c, s) :: _ ->
-    Alcotest.(check string) "top concept" "rgb_1" c;
-    Alcotest.(check bool) "positive" true (s > 0.0)
-  | [] -> Alcotest.fail "no concepts"
-
 (* {1 Adapt} *)
 
 let test_adapt_reinforce () =
@@ -163,12 +127,6 @@ let () =
           Alcotest.test_case "ranking order" `Quick test_concepts_scores_ordered;
           Alcotest.test_case "formulate wsum" `Quick test_concepts_formulate;
           Alcotest.test_case "unannotated ignored" `Quick test_concepts_unannotated_ignored;
-        ] );
-      ( "emim",
-        [
-          Alcotest.test_case "scores" `Quick test_emim_scores;
-          Alcotest.test_case "independence scores zero" `Quick test_emim_independent_is_low;
-          Alcotest.test_case "top concepts" `Quick test_emim_top_concepts;
         ] );
       ( "adapt",
         [
