@@ -1020,14 +1020,6 @@ let experiment_q2_e6 () =
 
 module Durable = Mirror_store.Durable
 
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | exception Sys_error _ -> ()
-  | true ->
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    (try Sys.rmdir path with Sys_error _ -> ())
-  | false -> ( try Sys.remove path with Sys_error _ -> ())
-
 (* Build a durable store whose log holds [records] updates spread over
    [extents] extents (a Replace record's size grows with its extent, so
    spreading keeps record sizes realistic), abandon it uncheckpointed —
@@ -1040,7 +1032,7 @@ let experiment_recovery () =
   let extents = 32 in
   let dir = Filename.temp_file "mirror-bench-recovery" ".db" in
   Sys.remove dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Mirror_util.Fsx.rm_rf dir) @@ fun () ->
   (match Durable.open_ ~dir () with
   | Error e -> ok (Error e)
   | Ok (t, _) ->
@@ -1123,8 +1115,8 @@ let experiment_recovery () =
   let (reopen_n, words_n), (reopen_2n, words_2n), scans_after_reopen =
     Fun.protect
       ~finally:(fun () ->
-        rm_rf dir_n;
-        rm_rf dir_2n)
+        Mirror_util.Fsx.rm_rf dir_n;
+        Mirror_util.Fsx.rm_rf dir_2n)
     @@ fun () ->
     (* fastest of nine, and the fewest words *)
     let best (s, w) (s', w') = (Float.min s s', Float.min w w') in
@@ -1407,7 +1399,7 @@ let experiment_pchaos () =
            crash point and recovers from the delivery journal *)
         let dir = Filename.temp_file "mirror-bench-pchaos" ".db" in
         Sys.remove dir;
-        Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+        Fun.protect ~finally:(fun () -> Mirror_util.Fsx.rm_rf dir) @@ fun () ->
         let open_ ?(checkpoint_every = 0) () =
           let config = { Durable.default_config with Durable.checkpoint_every } in
           match

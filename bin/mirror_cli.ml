@@ -128,18 +128,10 @@ let storage_for db =
     | Ok st -> st
     | Error e -> failwith (Printf.sprintf "cannot load database %s: %s" dir e))
 
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | exception Sys_error _ -> ()
-  | true ->
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    (try Sys.rmdir path with Sys_error _ -> ())
-  | false -> ( try Sys.remove path with Sys_error _ -> ())
-
 let with_temp_dir f =
   let dir = Filename.temp_file "mirror-durable" ".db" in
   Sys.remove dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> Mirror_util.Fsx.rm_rf dir) (fun () -> f dir)
 
 let report_sweep ~suffix srcs failures =
   Printf.printf "%d quer%s checked%s, %d problem%s\n" (List.length srcs)

@@ -1,7 +1,6 @@
 module Mil = Mirror_bat.Mil
 module Bat = Mirror_bat.Bat
 module Atom = Mirror_bat.Atom
-module Column = Mirror_bat.Column
 module Milprop = Mirror_bat.Milprop
 module Milcheck = Mirror_bat.Milcheck
 module Space = Mirror_ir.Space
@@ -37,62 +36,42 @@ module E = struct
     | "clen", _ -> Error "clen expects a CONTREP<_>"
     | _, _ -> Error ("CONTREP: unknown operator " ^ op)
 
+  (* The naive reference belief of [self]'s bag for one term, read
+     off the statistics space the value is bound to: [op] names the
+     operator in its errors. *)
+  let naive_belief env ~op self =
+    let bag = Value.contrep_bag self in
+    let space_name =
+      match Value.contrep_space self with
+      | Some s -> s
+      | None -> failwith (op ^ ": CONTREP value is not bound to a statistics space")
+    in
+    let space =
+      match env.Extension.space space_name with
+      | Some sp -> sp
+      | None -> failwith (Printf.sprintf "%s: unknown statistics space %S" op space_name)
+    in
+    let doclen = List.fold_left (fun acc (_, tf) -> acc +. tf) 0.0 bag in
+    fun term ->
+      match Vocab.find (Space.vocab space) term with
+      | None -> Belief.default_belief
+      | Some id ->
+        let tf = Option.value ~default:0.0 (List.assoc_opt term bag) in
+        Belief.belief ~tf ~df:(Space.df space id) ~ndocs:(Space.ndocs space) ~doclen
+          ~avg_doclen:(Space.avg_doc_len space)
+
   let op_eval env ~op ~args =
     match (op, args) with
     | "getBL", [ self; query ] ->
-      let bag = Value.contrep_bag self in
-      let space_name =
-        match Value.contrep_space self with
-        | Some s -> s
-        | None -> failwith "getBL: CONTREP value is not bound to a statistics space"
-      in
-      let space =
-        match env.Extension.space space_name with
-        | Some sp -> sp
-        | None -> failwith (Printf.sprintf "getBL: unknown statistics space %S" space_name)
-      in
-      let doclen = List.fold_left (fun acc (_, tf) -> acc +. tf) 0.0 bag in
-      let beliefs =
-        List.map
-          (fun qv ->
-            let term = Atom.as_string (Value.as_atom qv) in
-            let b =
-              match Vocab.find (Space.vocab space) term with
-              | None -> Belief.default_belief
-              | Some id ->
-                let tf = Option.value ~default:0.0 (List.assoc_opt term bag) in
-                Belief.belief ~tf ~df:(Space.df space id) ~ndocs:(Space.ndocs space) ~doclen
-                  ~avg_doclen:(Space.avg_doc_len space)
-            in
-            Value.flt b)
-          (Value.as_set query)
-      in
-      Value.VSet beliefs
+      let belief = naive_belief env ~op self in
+      Value.VSet
+        (List.map
+           (fun qv -> Value.flt (belief (Atom.as_string (Value.as_atom qv))))
+           (Value.as_set query))
     | "getBLnet", [ self; Value.Atom (Atom.Str net_src) ] -> (
       match Mirror_ir.Querynet.of_string net_src with
       | Error e -> failwith ("getBLnet: " ^ e)
-      | Ok net ->
-        let bag = Value.contrep_bag self in
-        let space_name =
-          match Value.contrep_space self with
-          | Some s -> s
-          | None -> failwith "getBLnet: CONTREP value is not bound to a statistics space"
-        in
-        let space =
-          match env.Extension.space space_name with
-          | Some sp -> sp
-          | None -> failwith (Printf.sprintf "getBLnet: unknown statistics space %S" space_name)
-        in
-        let doclen = List.fold_left (fun acc (_, tf) -> acc +. tf) 0.0 bag in
-        let oracle term =
-          match Vocab.find (Space.vocab space) term with
-          | None -> Belief.default_belief
-          | Some id ->
-            let tf = Option.value ~default:0.0 (List.assoc_opt term bag) in
-            Belief.belief ~tf ~df:(Space.df space id) ~ndocs:(Space.ndocs space) ~doclen
-              ~avg_doclen:(Space.avg_doc_len space)
-        in
-        Value.flt (Mirror_ir.Querynet.eval oracle net))
+      | Ok net -> Value.flt (Mirror_ir.Querynet.eval (naive_belief env ~op self) net))
     | "terms", [ self ] ->
       Value.VSet (List.map (fun (term, _) -> Value.str term) (Value.contrep_bag self))
     | "tf", [ self; Value.Atom (Atom.Str term) ] ->
@@ -186,36 +165,9 @@ module E = struct
     let space = env.Extension.space_create path in
     let docs = List.map (fun (ctx, v) -> (ctx, Value.contrep_bag v)) dom in
     let total = List.fold_left (fun acc (_, bag) -> acc + List.length bag) 0 docs in
-    let next = ref (env.Extension.fresh_store total) in
-    let hb = Column.Builder.create Atom.TOid in
-    let cb = Column.Builder.create Atom.TOid in
-    let tb = Column.Builder.create Atom.TStr in
-    let fb = Column.Builder.create Atom.TFlt in
-    List.iter
-      (fun (ctx, bag) ->
-        List.iter
-          (fun (term, tf) ->
-            Column.Builder.add_oid hb !next;
-            incr next;
-            Column.Builder.add_oid cb ctx;
-            Column.Builder.add tb (Atom.Str term);
-            Column.Builder.add_float fb tf)
-          bag)
-      docs;
-    (* register each (context, bag) with the statistics space, in
-       order, then build the inverted index the physical getBL
-       operators read, keyed to the occurrence BATs' shared head
-       column *)
-    List.iter (fun (ctx, bag) -> ignore (Space.add_doc space ~doc:ctx bag)) docs;
-    let heads = Column.Builder.finish hb in
-    let occ_ctx = Bat.make heads (Column.Builder.finish cb) in
-    let occ_term = Bat.make heads (Column.Builder.finish tb) in
-    let occ_tf = Bat.make heads (Column.Builder.finish fb) in
-    let len =
-      Bat.of_pairs Atom.TOid Atom.TFlt
-        (List.map (fun (ctx, _) -> (Atom.Oid ctx, Atom.Flt (Space.doc_len space ctx))) docs)
+    let occ_ctx, occ_term, occ_tf, len =
+      Mirror_ir.Search.index_bags space ~base:(env.Extension.fresh_store total) docs
     in
-    Mirror_ir.Search.index_occurrences space ~occ_ctx ~occ_term ~occ_tf ~len;
     let cat = env.Extension.catalog in
     List.iter
       (fun (suffix, b) -> Mirror_bat.Catalog.put cat (path ^ suffix) b)

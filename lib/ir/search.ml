@@ -2,54 +2,6 @@ module Bat = Mirror_bat.Bat
 module Atom = Mirror_bat.Atom
 module Column = Mirror_bat.Column
 
-type hit = { doc : int; score : float }
-
-let belief_oracle index ~doc term =
-  let sp = Index.space index in
-  match Vocab.find (Space.vocab sp) term with
-  | None -> Belief.default_belief
-  | Some id ->
-    let tf = Index.doc_tf index ~doc ~term in
-    Belief.belief ~tf ~df:(Space.df sp id) ~ndocs:(Space.ndocs sp)
-      ~doclen:(Space.doc_len sp doc) ~avg_doclen:(Space.avg_doc_len sp)
-
-(* Best score first, ties by document id; at most [limit] hits. *)
-let ranked ?limit hits =
-  let sorted =
-    List.sort
-      (fun a b ->
-        let c = Float.compare b.score a.score in
-        if c <> 0 then c else Int.compare a.doc b.doc)
-      hits
-  in
-  match limit with
-  | None -> sorted
-  | Some n -> List.filteri (fun i _ -> i < n) sorted
-
-let run index ?limit net =
-  ranked ?limit
-    (List.map
-       (fun doc -> { doc; score = Querynet.eval (belief_oracle index ~doc) net })
-       (Index.docs index))
-
-let run_indexed index ?limit net =
-  (* candidate generation from the inverted file: only documents that
-     contain at least one query term can score differently from the
-     all-defaults belief, so everything else is scored as a block *)
-  let default_score = Querynet.eval (fun _ -> Belief.default_belief) net in
-  let candidates = Hashtbl.create 64 in
-  List.iter
-    (fun (term, _) ->
-      List.iter (fun (doc, _) -> Hashtbl.replace candidates doc ()) (Index.postings index term))
-    (Querynet.terms net);
-  ranked ?limit
-    (List.map
-       (fun doc ->
-         if Hashtbl.mem candidates doc then
-           { doc; score = Querynet.eval (belief_oracle index ~doc) net }
-         else { doc; score = default_score })
-       (Index.docs index))
-
 (* {1 The physical belief operators}
 
    Both operators read each query term's postings: flat arrays of the
@@ -125,17 +77,35 @@ let build_postings ~len feed =
     per_term;
   postings
 
-let index_occurrences space ~occ_ctx ~occ_term ~occ_tf ~len =
-  let heads = Column.oid_exn (Bat.head occ_ctx) in
-  if
-    not
-      (Column.oid_exn (Bat.head occ_term) == heads && Column.oid_exn (Bat.head occ_tf) == heads)
-  then invalid_arg "Search.index_occurrences: the occurrence BATs do not share one head column";
-  let ctxs = Column.oid_exn (Bat.tail occ_ctx) in
-  let terms = match Bat.tail occ_term with Column.S a -> a | _ -> invalid_arg "term column" in
-  let tfs = Column.float_exn (Bat.tail occ_tf) in
-  Space.set_index space ~heads ~len
-    (build_postings ~len (fun add -> Array.iteri (fun i c -> add c terms.(i) tfs.(i)) ctxs))
+let index_bags space ~base docs =
+  let total = List.fold_left (fun acc (_, bag) -> acc + List.length bag) 0 docs in
+  let ctxs = Array.make total 0 and terms = Array.make total "" and tfs = Array.make total 0.0 in
+  let ndocs = List.length docs in
+  let len_ctxs = Array.make ndocs 0 and lens = Array.make ndocs 0.0 in
+  let i = ref 0 in
+  List.iteri
+    (fun d (ctx, bag) ->
+      ignore (Space.add_doc space ~doc:ctx bag : int list);
+      List.iter
+        (fun (term, tf) ->
+          ctxs.(!i) <- ctx;
+          terms.(!i) <- term;
+          tfs.(!i) <- tf;
+          incr i)
+        bag;
+      len_ctxs.(d) <- ctx;
+      lens.(d) <- Space.doc_len space ctx)
+    docs;
+  (* one head column, shared by the three occurrence BATs: the index
+     is keyed to it *)
+  let heads = Column.dense base total in
+  let len = Bat.make (Column.O len_ctxs) (Column.F lens) in
+  Space.set_index space ~heads:(Column.oid_exn heads) ~len
+    (build_postings ~len (fun add -> Array.iteri (fun i c -> add c terms.(i) tfs.(i)) ctxs));
+  ( Bat.make heads (Column.O ctxs),
+    Bat.make heads (Column.S terms),
+    Bat.make heads (Column.F tfs),
+    len )
 
 (* The occurrence scan for BATs that are not the base representation
    (rebased or rebuilt occurrences): an occurrence's term and tf are

@@ -1,37 +1,25 @@
-(** Ranking: query nets against indexes, and the physical [getbl]
-    operator that the CONTREP structure contributes to the kernel. *)
+(** The physical belief operators that the CONTREP structure
+    contributes to the kernel, and the one way to index a collection of
+    term bags for them.  Every ranking — a compiled [getBL]/[getBLnet]
+    plan and the thesaurus's concept ranking alike — runs one of these
+    operators over a space's inverted index. *)
 
-type hit = { doc : int; score : float }
-
-val run : Index.t -> ?limit:int -> Querynet.t -> hit list
-(** Rank every indexed document by the query net's belief, descending;
-    ties break by document id.  [limit] truncates the result. *)
-
-val run_indexed : Index.t -> ?limit:int -> Querynet.t -> hit list
-(** Same contract as {!run}, but candidate documents come from the
-    inverted file: only documents containing at least one of the net's
-    terms are scored through the oracle — the rest share the
-    all-defaults belief.  Equivalent to {!run} (tested), much cheaper
-    when query terms are selective. *)
-
-val belief_oracle : Index.t -> doc:int -> string -> float
-(** The per-document leaf-belief function {!run} uses (exposed for
-    tests and for the thesaurus). *)
-
-val index_occurrences :
+val index_bags :
   Space.t ->
-  occ_ctx:Mirror_bat.Bat.t ->
-  occ_term:Mirror_bat.Bat.t ->
-  occ_tf:Mirror_bat.Bat.t ->
-  len:Mirror_bat.Bat.t ->
-  unit
-(** Build the space's inverted index from a CONTREP's base
-    representation: occurrence BATs that share one head column, and the
-    length BAT.  {!getbl_pairs} and {!getblnet_pairs} read the postings
-    when they are handed exactly these BATs; for any other occurrence
+  base:int ->
+  (int * (string * float) list) list ->
+  Mirror_bat.Bat.t * Mirror_bat.Bat.t * Mirror_bat.Bat.t * Mirror_bat.Bat.t
+(** [index_bags space ~base docs] registers each [(ctx, bag)] with
+    [space], in order, and returns the CONTREP base representation
+    [(occ->ctx, occ->term, occ->tf, ctx->length)]: one occurrence per
+    bag entry, in [docs] order, with oids [base], [base + 1], … in one
+    head column the three occurrence BATs share, and one length row
+    per context.  It attaches the space's inverted index to exactly
+    these BATs: {!getbl_pairs}, {!getbl_sum} and {!getblnet_pairs} read
+    the postings when they are handed them; for any other occurrence
     BATs they scan the occurrences and count the scan on the space
     ({!Space.scans}).
-    @raise Invalid_argument if the occurrence heads are not shared. *)
+    @raise Invalid_argument if a context appears twice. *)
 
 val getblnet_pairs :
   space:Space.t ->

@@ -91,6 +91,3 @@ let index t ~heads ~len =
 
 let scans t = t.scans
 let count_scan t = t.scans <- t.scans + 1
-
-let belief t ~tf ~term doclen =
-  Belief.belief ~tf ~df:(df t term) ~ndocs:t.ndocs ~doclen ~avg_doclen:(avg_doc_len t)

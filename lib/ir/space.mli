@@ -38,15 +38,11 @@ val avg_doc_len : t -> float
 val mem_doc : t -> int -> bool
 (** Was this document registered? *)
 
-val belief : t -> tf:float -> term:int -> float -> float
-(** [belief space ~tf ~term doclen] — the InQuery default belief of a
-    document with the given length containing [term] [tf] times; see
-    {!Belief.belief}. *)
-
 (** {1 Physical index}
 
-    The storage manager attaches an inverted index to the space when it
-    materialises the CONTREP occurrences.  The index is
+    {!Search.index_bags} attaches an inverted index to the space when
+    it builds a CONTREP base representation (an extent's
+    materialisation, the thesaurus's concepts).  The index is
     keyed by the physical identity of the occurrence BATs' shared head
     column and of the length BAT's columns, so physical operators can
     recognise "I was handed the unfiltered base representation" and

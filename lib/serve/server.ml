@@ -64,6 +64,12 @@ let run ?config ?bindings ?durable ?(stop = fun () -> false) ~socket mir =
     (try Sys.remove staging with Sys_error _ -> ());
     Error (Printf.sprintf "cannot listen on %s: %s" socket (Unix.error_message err))
   | () ->
+    (* A client that closes with replies outstanding makes the next
+       write fail with EPIPE, which [try_write_line] reports as a dead
+       connection; the SIGPIPE that comes with it would kill the
+       server, so it is ignored while the server runs. *)
+    let prev_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+    Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev_sigpipe) @@ fun () ->
     let conns = ref [] in
     (* one read buffer and one reply line, reused by every connection *)
     let input = Bytes.create 65536 and out = Protocol.line () in

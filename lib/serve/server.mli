@@ -21,4 +21,6 @@ val run :
     true; then close every connection and remove the socket.  [Error]
     for a socket that cannot be bound.  [config]/[bindings]/[durable]
     are passed to {!Serve.local}; sessions refused at the cap get one
-    refusal line and an immediate close. *)
+    refusal line and an immediate close.  [SIGPIPE] is ignored while
+    it runs (a client that vanished is a closed connection, not a dead
+    server) and restored on return. *)

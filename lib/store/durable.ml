@@ -76,14 +76,6 @@ let meta_file dir = Filename.concat dir "CHECKPOINT"
 let wal_dir dir = Filename.concat dir "wal"
 let snap_name lsn = Printf.sprintf "snap.%d" lsn
 
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | exception Sys_error _ -> ()
-  | true ->
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    (try Sys.rmdir path with Sys_error _ -> ())
-  | false -> ( try Sys.remove path with Sys_error _ -> ())
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -254,7 +246,7 @@ let commit_checkpoint ~dir ~wal_config ~stor ~st ~lsn ~old_wal =
   Array.iter
     (fun f ->
       if Stringx.starts_with ~prefix:"snap." f && f <> snap then
-        rm_rf (Filename.concat dir f))
+        Fsx.rm_rf (Filename.concat dir f))
     (Sys.readdir dir);
   List.iter
     (fun (_, path) -> try Sys.remove path with Sys_error _ -> ())

@@ -19,3 +19,11 @@ let fsync_dir dir =
         | Unix.Unix_error ((Unix.EINVAL | Unix.EBADF), _, _) -> ()
         | Unix.Unix_error (err, _, _) ->
           raise (Sys_error (Printf.sprintf "fsync %s: %s" dir (Unix.error_message err))))
+
+let rec rm_rf path =
+  match Sys.is_directory path with
+  | exception Sys_error _ -> ()
+  | true ->
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    (try Sys.rmdir path with Sys_error _ -> ())
+  | false -> ( try Sys.remove path with Sys_error _ -> ())

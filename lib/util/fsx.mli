@@ -1,4 +1,5 @@
-(** Durability-ordering helpers for atomic file replacement.
+(** File-system helpers: durability ordering for atomic file
+    replacement, and recursive removal.
 
     The temp-file + [Sys.rename] idiom is only crash-safe if the temp
     file's {e contents} reach stable storage before the rename does:
@@ -19,3 +20,7 @@ val fsync_dir : string -> unit
 (** fsync a directory, persisting recent renames/creations inside it.
     Filesystems that refuse fsync on directory fds are tolerated
     (there is no stronger primitive available there). *)
+
+val rm_rf : string -> unit
+(** Remove a file or a directory tree; a path that does not exist, or
+    an entry that cannot be removed, is skipped. *)

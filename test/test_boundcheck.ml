@@ -31,7 +31,6 @@ module Eval = Mirror_core.Eval
 module Expr = Mirror_core.Expr
 module Value = Mirror_core.Value
 module Extension = Mirror_core.Extension
-module Index = Mirror_ir.Index
 module Prng = Mirror_util.Prng
 
 let oid i = Atom.Oid i
@@ -288,10 +287,11 @@ let test_getbl_peak () =
    three rows, which the analysed interval must admit. *)
 let test_getbl_rows_sound () =
   Mirror_core.Bootstrap.ensure ();
-  let idx = Index.create "lib" in
-  Index.add_doc idx ~doc:0 [ ("cat", 2.0) ];
+  let space = Mirror_ir.Space.create "lib" in
+  let occ_ctx, occ_term, occ_tf, len =
+    Mirror_ir.Search.index_bags space ~base:1000 [ (0, [ ("cat", 2.0) ]) ]
+  in
   let cat = Catalog.create () in
-  let occ_ctx, occ_term, occ_tf, len = Index.to_bats idx ~base:1000 in
   let put name b = Catalog.put cat name b in
   put "occ_ctx" occ_ctx;
   put "occ_term" occ_term;
@@ -312,7 +312,6 @@ let test_getbl_rows_sound () =
       }
   in
   let a = analyze_one ~foreign:Extension.foreign_decl cat plan in
-  let space = Index.space idx in
   let session =
     Mil.session
       ~foreign:(Extension.foreign_dispatch { Extension.space = (fun _ -> Some space) })

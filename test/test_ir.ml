@@ -7,8 +7,9 @@ module Vocab = Mirror_ir.Vocab
 module Space = Mirror_ir.Space
 module Belief = Mirror_ir.Belief
 module Querynet = Mirror_ir.Querynet
-module Index = Mirror_ir.Index
 module Search = Mirror_ir.Search
+module Assoc = Mirror_thesaurus.Assoc
+module Concepts = Mirror_thesaurus.Concepts
 module Bat = Mirror_bat.Bat
 module Atom = Mirror_bat.Atom
 
@@ -219,96 +220,229 @@ let test_space_df_counts_docs_not_occurrences () =
   let id = Option.get (Vocab.find (Space.vocab sp) "cat") in
   Alcotest.(check int) "df 1 despite tf 5" 1 (Space.df sp id)
 
-(* {1 Index + Search} *)
+(* {1 Ranking}
 
-let small_index () =
-  let idx = Index.create "lib" in
-  Index.add_doc idx ~doc:0 [ ("cat", 2.0); ("stripe", 1.0) ];
-  Index.add_doc idx ~doc:1 [ ("dog", 1.0); ("stripe", 1.0) ];
-  Index.add_doc idx ~doc:2 [ ("fish", 3.0) ];
-  idx
+   The concept ranker before it ran on the physical getBLnet operator,
+   kept as the oracle: a per-document index of term bags; [run], which
+   scores every document through the per-term [leaf_belief] (verbatim
+   but for that function's name); and [Concepts.build]'s
+   pseudo-documents over that index, verbatim. *)
 
-let test_index_postings () =
-  let idx = small_index () in
-  Alcotest.(check (list (pair int (float 1e-9)))) "stripe postings"
-    [ (0, 1.0); (1, 1.0) ]
-    (Index.postings idx "stripe");
-  Alcotest.(check (list (pair int (float 1e-9)))) "unknown term" [] (Index.postings idx "zz");
-  Alcotest.(check (float 1e-9)) "doc_tf" 2.0 (Index.doc_tf idx ~doc:0 ~term:"cat");
-  Alcotest.(check (float 1e-9)) "doc_tf absent" 0.0 (Index.doc_tf idx ~doc:1 ~term:"cat");
-  Alcotest.(check int) "ndocs" 3 (Index.ndocs idx);
-  Alcotest.(check (list int)) "docs in order" [ 0; 1; 2 ] (Index.docs idx)
+module Oracle = struct
+  module Index = struct
+    type t = {
+      sp : Space.t;
+      mutable docs_rev : int list;
+      doc_terms : (int, (int * float) list) Hashtbl.t;  (* doc -> (term id, tf) *)
+    }
+
+    let create name = { sp = Space.create name; docs_rev = []; doc_terms = Hashtbl.create 64 }
+    let space t = t.sp
+
+    let add_doc t ~doc bag =
+      let ids = Space.add_doc t.sp ~doc bag in
+      t.docs_rev <- doc :: t.docs_rev;
+      Hashtbl.add t.doc_terms doc (List.map2 (fun (_, tf) id -> (id, tf)) bag ids)
+
+    let doc_tf t ~doc ~term =
+      match Vocab.find (Space.vocab t.sp) term with
+      | None -> 0.0
+      | Some id -> (
+        match Hashtbl.find_opt t.doc_terms doc with
+        | None -> 0.0
+        | Some terms -> ( match List.assoc_opt id terms with Some tf -> tf | None -> 0.0))
+
+    let docs t = List.rev t.docs_rev
+  end
+
+  type hit = { doc : int; score : float }
+
+  let leaf_belief index ~doc term =
+    let sp = Index.space index in
+    match Vocab.find (Space.vocab sp) term with
+    | None -> Belief.default_belief
+    | Some id ->
+      let tf = Index.doc_tf index ~doc ~term in
+      Belief.belief ~tf ~df:(Space.df sp id) ~ndocs:(Space.ndocs sp)
+        ~doclen:(Space.doc_len sp doc) ~avg_doclen:(Space.avg_doc_len sp)
+
+  (* Best score first, ties by document id; at most [limit] hits. *)
+  let ranked ?limit hits =
+    let sorted =
+      List.sort
+        (fun a b ->
+          let c = Float.compare b.score a.score in
+          if c <> 0 then c else Int.compare a.doc b.doc)
+        hits
+    in
+    match limit with
+    | None -> sorted
+    | Some n -> List.filteri (fun i _ -> i < n) sorted
+
+  let run index ?limit net =
+    ranked ?limit
+      (List.map
+         (fun doc -> { doc; score = Querynet.eval (leaf_belief index ~doc) net })
+         (Index.docs index))
+
+  let build evidence =
+    let pseudo : (string, (string, float) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
+    let order = ref [] in
+    List.iter
+      (fun ev ->
+        if ev.Assoc.text <> [] && ev.Assoc.visual <> [] then
+          List.iter
+            (fun (concept, ctf) ->
+              let bag =
+                match Hashtbl.find_opt pseudo concept with
+                | Some b -> b
+                | None ->
+                  let b = Hashtbl.create 16 in
+                  Hashtbl.add pseudo concept b;
+                  order := concept :: !order;
+                  b
+              in
+              List.iter
+                (fun (term, ttf) ->
+                  let prev = Option.value ~default:0.0 (Hashtbl.find_opt bag term) in
+                  Hashtbl.replace bag term (prev +. (ctf *. ttf)))
+                ev.Assoc.text)
+            ev.Assoc.visual)
+      evidence;
+    let names = Array.of_list (List.rev !order) in
+    let index = Index.create "thesaurus" in
+    Array.iteri
+      (fun cid concept ->
+        let bag = Hashtbl.find pseudo concept in
+        let terms = Hashtbl.fold (fun term tf acc -> (term, tf) :: acc) bag [] in
+        (* Deterministic order for reproducibility. *)
+        let terms = List.sort (fun (a, _) (b, _) -> String.compare a b) terms in
+        Index.add_doc index ~doc:cid terms)
+      names;
+    (index, names)
+
+  let associate (index, names) ?(limit = 10) query =
+    run index ~limit query |> List.map (fun h -> (names.(h.doc), h.score))
+end
+
+(* Three documents; concept [ci]'s pseudo-document is document [i]'s
+   bag. *)
+let small_docs =
+  [
+    (0, [ ("cat", 2.0); ("stripe", 1.0) ]);
+    (1, [ ("dog", 1.0); ("stripe", 1.0) ]);
+    (2, [ ("fish", 3.0) ]);
+  ]
+
+let small_evidence =
+  List.map
+    (fun (doc, text) -> { Assoc.doc; text; visual = [ (Printf.sprintf "c%d" doc, 1.0) ] })
+    small_docs
+
+(* Names and score bits, so that scores compare bitwise. *)
+let bits ranked = List.map (fun (c, s) -> (c, Int64.bits_of_float s)) ranked
 
 let test_search_ranks_match_first () =
-  let idx = small_index () in
-  let hits = Search.run idx (Querynet.flat [ "cat" ]) in
-  Alcotest.(check int) "cat doc first" 0 (List.hd hits).Search.doc;
-  Alcotest.(check int) "all docs scored" 3 (List.length hits);
-  let top = (List.hd hits).Search.score in
-  let rest = List.tl hits |> List.map (fun h -> h.Search.score) in
-  List.iter (fun s -> Alcotest.(check bool) "descending" true (s <= top)) rest
+  let hits = Concepts.associate (Concepts.build small_evidence) (Querynet.flat [ "cat" ]) in
+  Alcotest.(check string) "cat concept first" "c0" (fst (List.hd hits));
+  Alcotest.(check int) "all concepts scored" 3 (List.length hits);
+  let top = snd (List.hd hits) in
+  List.iter (fun (_, s) -> Alcotest.(check bool) "descending" true (s <= top)) (List.tl hits)
 
 let test_search_limit () =
-  let idx = small_index () in
-  Alcotest.(check int) "limit" 2 (List.length (Search.run idx ~limit:2 (Querynet.flat [ "stripe" ])))
+  let t = Concepts.build small_evidence in
+  Alcotest.(check int) "limit" 2
+    (List.length (Concepts.associate t ~limit:2 (Querynet.flat [ "stripe" ])))
 
 let test_search_default_for_nonmatch () =
-  let idx = small_index () in
-  let hits = Search.run idx (Querynet.flat [ "cat" ]) in
-  let doc2 = List.find (fun h -> h.Search.doc = 2) hits in
-  Alcotest.(check (float 1e-9)) "non-matching doc gets default" Belief.default_belief
-    doc2.Search.score
+  let hits = Concepts.associate (Concepts.build small_evidence) (Querynet.flat [ "cat" ]) in
+  Alcotest.(check (float 0.0)) "non-matching concept gets default" Belief.default_belief
+    (List.assoc "c2" hits)
 
 let test_search_multi_term_beats_single () =
-  let idx = small_index () in
-  let hits = Search.run idx (Querynet.flat [ "cat"; "stripe" ]) in
-  Alcotest.(check int) "doc 0 has both terms" 0 (List.hd hits).Search.doc;
-  let d0 = List.hd hits and d1 = List.nth hits 1 in
-  Alcotest.(check int) "doc 1 has one term" 1 d1.Search.doc;
-  Alcotest.(check bool) "strictly better" true (d0.Search.score > d1.Search.score)
+  match Concepts.associate (Concepts.build small_evidence) (Querynet.flat [ "cat"; "stripe" ]) with
+  | (c0, s0) :: (c1, s1) :: _ ->
+    Alcotest.(check string) "c0 has both terms" "c0" c0;
+    Alcotest.(check string) "c1 has one term" "c1" c1;
+    Alcotest.(check bool) "strictly better" true (s0 > s1)
+  | _ -> Alcotest.fail "fewer than two concepts ranked"
 
-let test_run_indexed_equals_run () =
-  let idx = small_index () in
+let test_associate_equals_oracle () =
+  let t = Concepts.build small_evidence and oracle = Oracle.build small_evidence in
   List.iter
     (fun net ->
-      let a = Search.run idx net in
-      let b = Search.run_indexed idx net in
-      Alcotest.(check int) "same length" (List.length a) (List.length b);
-      List.iter2
-        (fun x y ->
-          Alcotest.(check int) "same doc" x.Search.doc y.Search.doc;
-          Alcotest.(check (float 1e-12)) "same score" x.Search.score y.Search.score)
-        a b)
+      Alcotest.(check (list (pair string int64)))
+        (Querynet.to_string net)
+        (bits (Oracle.associate oracle net))
+        (bits (Concepts.associate t net)))
     [
       Querynet.flat [ "cat" ];
       Querynet.flat [ "stripe"; "fish" ];
       Querynet.And [ Querynet.Term ("cat", 1.0); Querynet.Term ("stripe", 1.0) ];
       Querynet.Not (Querynet.Term ("dog", 1.0));
       Querynet.flat [ "unknownterm" ];
-    ]
+      Querynet.Sum [];
+    ];
+  (* the daemon tests compare thesauri with [=] *)
+  Alcotest.(check bool) "ranking leaves the thesaurus as built" true
+    (t = Concepts.build small_evidence)
 
-let prop_run_indexed_equals_run =
-  QCheck.Test.make ~name:"indexed retrieval = exhaustive retrieval" ~count:100
+(* Random nets over a few terms ("z" is in no collection), with
+   weights, of depth at most 3. *)
+let net_gen =
+  let open QCheck.Gen in
+  let term =
+    map2 (fun w weight -> Querynet.Term (w, weight)) (oneofa [| "a"; "b"; "c"; "z" |])
+      (oneofa [| 1.0; 0.5; 2.0 |])
+  in
+  let children self n = list_size (int_range 0 3) (self (n - 1)) in
+  sized_size (int_range 0 3)
+  @@ fix (fun self n ->
+         if n = 0 then term
+         else
+           frequency
+             [
+               (3, term);
+               (1, map (fun l -> Querynet.Sum l) (children self n));
+               ( 1,
+                 map
+                   (fun l -> Querynet.Wsum l)
+                   (list_size (int_range 0 3) (pair (oneofa [| 0.5; 1.0; 3.0 |]) (self (n - 1)))) );
+               (1, map (fun l -> Querynet.And l) (children self n));
+               (1, map (fun l -> Querynet.Or l) (children self n));
+               (1, map (fun l -> Querynet.Max l) (children self n));
+               (1, map (fun t -> Querynet.Not t) (self (n - 1)));
+             ])
+
+(* Concept collections from random evidence — text and visual words
+   drawn from four each, so that scores tie often — ranked by random
+   nets with a random limit: [Concepts.associate] returns the oracle's
+   names, order and score bits. *)
+let prop_associate_equals_oracle =
+  let evidence =
     QCheck.(
-      pair
-        (list_of_size (Gen.int_range 0 8)
-           (small_list (QCheck.oneofa [| "a"; "b"; "c"; "d" |])))
-        (small_list (QCheck.oneofa [| "a"; "b"; "z" |])))
-    (fun (docs, qterms) ->
-      let idx = Index.create "p" in
-      List.iteri
-        (fun i words ->
-          Index.add_doc idx ~doc:i (Tokenize.bag_of_words words))
-        docs;
-      let net = Querynet.flat qterms in
-      Search.run idx net = Search.run_indexed idx net)
+      list_of_size (Gen.int_range 0 8)
+        (pair
+           (small_list (oneofa [| "a"; "b"; "c"; "d" |]))
+           (small_list (oneofa [| "v0"; "v1"; "v2"; "v3" |]))))
+  in
+  QCheck.Test.make ~name:"indexed retrieval = exhaustive retrieval" ~count:500
+    QCheck.(triple evidence (make ~print:Querynet.to_string net_gen) (int_range 0 6))
+    (fun (docs, net, limit) ->
+      let evidence =
+        List.mapi
+          (fun doc (text, visual) ->
+            { Assoc.doc; text = Tokenize.bag_of_words text; visual = Tokenize.bag_of_words visual })
+          docs
+      in
+      bits (Concepts.associate (Concepts.build evidence) ~limit net)
+      = bits (Oracle.associate (Oracle.build evidence) ~limit net))
 
 (* {1 Physical getbl operator} *)
 
 let test_getbl_pairs () =
-  let idx = small_index () in
-  let sp = Index.space idx in
-  let occ_ctx, occ_term, occ_tf, len = Index.to_bats idx ~base:1000 in
+  let sp = Space.create "lib" in
+  let occ_ctx, occ_term, occ_tf, len = Search.index_bags sp ~base:1000 small_docs in
   let dom =
     Bat.of_pairs Atom.TOid Atom.TOid
       [ (Atom.Oid 0, Atom.Oid 0); (Atom.Oid 1, Atom.Oid 1); (Atom.Oid 2, Atom.Oid 2) ]
@@ -342,9 +476,10 @@ let test_getbl_pairs () =
   Alcotest.(check (float 1e-9)) "doc2 default 2" Belief.default_belief b21
 
 let test_getbl_agrees_with_oracle () =
-  let idx = small_index () in
-  let sp = Index.space idx in
-  let occ_ctx, occ_term, occ_tf, len = Index.to_bats idx ~base:1000 in
+  let sp = Space.create "lib" in
+  let occ_ctx, occ_term, occ_tf, len = Search.index_bags sp ~base:1000 small_docs in
+  let idx = Oracle.Index.create "lib" in
+  List.iter (fun (doc, bag) -> Oracle.Index.add_doc idx ~doc bag) small_docs;
   let dom =
     Bat.of_pairs Atom.TOid Atom.TOid
       [ (Atom.Oid 0, Atom.Oid 0); (Atom.Oid 1, Atom.Oid 1); (Atom.Oid 2, Atom.Oid 2) ]
@@ -361,7 +496,7 @@ let test_getbl_agrees_with_oracle () =
       ~query:(Search.Linked { qlink; qval }) in
   List.iteri
     (fun i doc ->
-      let expected = Search.belief_oracle idx ~doc "stripe" in
+      let expected = Oracle.leaf_belief idx ~doc "stripe" in
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "doc %d matches oracle" doc)
         expected
@@ -369,9 +504,8 @@ let test_getbl_agrees_with_oracle () =
     [ 0; 1; 2 ]
 
 let test_getbl_empty_query () =
-  let idx = small_index () in
-  let sp = Index.space idx in
-  let occ_ctx, occ_term, occ_tf, len = Index.to_bats idx ~base:0 in
+  let sp = Space.create "lib" in
+  let occ_ctx, occ_term, occ_tf, len = Search.index_bags sp ~base:0 small_docs in
   let dom = Bat.of_pairs Atom.TOid Atom.TOid [ (Atom.Oid 0, Atom.Oid 0) ] in
   let qlink = Bat.empty Atom.TOid Atom.TOid in
   let qval = Bat.empty Atom.TOid Atom.TStr in
@@ -682,18 +816,8 @@ let corpus g ~sparse =
     List.map (fun c -> (c, List.init (Prng.int g 6) (fun _ -> (Prng.choose g words, tf ())))) ctxs
   in
   let space = Space.create "s" and old_space = Space.create "s" in
-  List.iter (fun (c, bag) -> ignore (Space.add_doc space ~doc:c bag)) docs;
-  let rows = List.concat_map (fun (c, bag) -> List.map (fun (t, f) -> (c, t, f)) bag) docs in
-  let heads = Column.O (Array.of_list (List.mapi (fun i _ -> 10_000 + i) rows)) in
-  let occ_ctx = Bat.make heads (Column.O (Array.of_list (List.map (fun (c, _, _) -> c) rows))) in
-  let occ_term = Bat.make heads (Column.S (Array.of_list (List.map (fun (_, t, _) -> t) rows))) in
-  let occ_tf = Bat.make heads (Column.F (Array.of_list (List.map (fun (_, _, f) -> f) rows))) in
-  let len =
-    Bat.of_pairs Atom.TOid Atom.TFlt
-      (List.map (fun c -> (Atom.Oid c, Atom.Flt (Space.doc_len space c))) ctxs)
-  in
-  Search.index_occurrences space ~occ_ctx ~occ_term ~occ_tf ~len;
-  Old.index_space old_space ~heads:(Column.oid_exn heads) docs;
+  let occ_ctx, occ_term, occ_tf, len = Search.index_bags space ~base:10_000 docs in
+  Old.index_space old_space ~heads:(Column.oid_exn (Bat.head occ_ctx)) docs;
   let years =
     Bat.of_pairs Atom.TOid Atom.TInt
       (List.map (fun c -> (Atom.Oid c, Atom.Int (Prng.int g 4))) ctxs)
@@ -927,12 +1051,11 @@ let () =
         ] );
       ( "search",
         [
-          Alcotest.test_case "postings" `Quick test_index_postings;
           Alcotest.test_case "match ranks first" `Quick test_search_ranks_match_first;
           Alcotest.test_case "limit" `Quick test_search_limit;
           Alcotest.test_case "non-match gets default" `Quick test_search_default_for_nonmatch;
           Alcotest.test_case "two terms beat one" `Quick test_search_multi_term_beats_single;
-          Alcotest.test_case "indexed = exhaustive" `Quick test_run_indexed_equals_run;
+          Alcotest.test_case "indexed = exhaustive" `Quick test_associate_equals_oracle;
         ] );
       ( "getbl",
         [
@@ -945,5 +1068,11 @@ let () =
             test_kernel_differential_pool;
           Alcotest.test_case "occurrence scans are counted" `Quick test_scans_counted;
         ] );
-      ("properties", qc [ prop_porter_sane; prop_belief_bounded; prop_run_indexed_equals_run ]);
+      ( "properties",
+        qc [ prop_porter_sane; prop_belief_bounded ]
+        @ [
+            (* seeded: the same 500 cases every run *)
+            QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 31 |])
+              prop_associate_equals_oracle;
+          ] );
     ]

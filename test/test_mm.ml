@@ -447,74 +447,6 @@ let test_vocabmap_words () =
   let total_h = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 hard in
   Alcotest.(check (float 1e-9)) "hard tfs sum to n" 60.0 total_h
 
-(* {1 PPM serialisation} *)
-
-module Ppm = Mirror_mm.Ppm
-
-let images_close a b =
-  a.Image.width = b.Image.width
-  && a.Image.height = b.Image.height
-  &&
-  let ok = ref true in
-  for y = 0 to a.Image.height - 1 do
-    for x = 0 to a.Image.width - 1 do
-      let r1, g1, b1 = Image.get a ~x ~y and r2, g2, b2 = Image.get b ~x ~y in
-      (* 8-bit quantisation error bound *)
-      if
-        Float.abs (r1 -. r2) > 1.0 /. 254.0
-        || Float.abs (g1 -. g2) > 1.0 /. 254.0
-        || Float.abs (b1 -. b2) > 1.0 /. 254.0
-      then ok := false
-    done
-  done;
-  !ok
-
-let test_ppm_round_trip () =
-  let img = Synth.render_texture (Prng.create 5) ~width:17 ~height:9 Synth.Blobs 2 in
-  match Ppm.decode (Ppm.encode img) with
-  | Ok back -> Alcotest.(check bool) "round trip within quantisation" true (images_close img back)
-  | Error e -> Alcotest.fail e
-
-let test_ppm_file_round_trip () =
-  let img = Synth.render_texture (Prng.create 6) ~width:8 ~height:8 Synth.Waves 1 in
-  let path = Filename.temp_file "mirror" ".ppm" in
-  (match Ppm.save img path with Ok () -> () | Error e -> Alcotest.fail e);
-  (match Ppm.load path with
-  | Ok back -> Alcotest.(check bool) "file round trip" true (images_close img back)
-  | Error e -> Alcotest.fail e);
-  Sys.remove path
-
-let test_ppm_ascii () =
-  let src = "P3
-# a comment
-2 1
-255
-255 0 0   0 0 255
-" in
-  match Ppm.decode src with
-  | Ok img ->
-    let r, _, _ = Image.get img ~x:0 ~y:0 in
-    let _, _, b = Image.get img ~x:1 ~y:0 in
-    Alcotest.(check (float 1e-6)) "red" 1.0 r;
-    Alcotest.(check (float 1e-6)) "blue" 1.0 b
-  | Error e -> Alcotest.fail e
-
-let test_ppm_errors () =
-  let bad s = match Ppm.decode s with Error _ -> () | Ok _ -> Alcotest.failf "%S should fail" s in
-  bad "";
-  bad "P5
-1 1
-255
-x";
-  bad "P6
-2 2
-255
-short";
-  bad "P6
-0 2
-255
-"
-
 (* {1 QCheck properties} *)
 
 let prop_segment_covers =
@@ -1151,13 +1083,6 @@ let () =
             (check_extractor "fractal" Old_fractal.extract Fractal.extract);
           Alcotest.test_case "fractal box counts" `Quick test_fractal_box_counts_oracle;
           Alcotest.test_case "autoclass select" `Quick test_autoclass_oracle;
-        ] );
-      ( "ppm",
-        [
-          Alcotest.test_case "binary round trip" `Quick test_ppm_round_trip;
-          Alcotest.test_case "file round trip" `Quick test_ppm_file_round_trip;
-          Alcotest.test_case "ascii P3 with comments" `Quick test_ppm_ascii;
-          Alcotest.test_case "malformed inputs" `Quick test_ppm_errors;
         ] );
       ( "vocabmap",
         [

@@ -51,18 +51,10 @@ let open_durable ?daemons ?(checkpoint_every = 0) ~config ?seed ~dir () =
   let d, (_ : Durable.recovery) = ok (Durable.open_ ~config:config' ~dir ()) in
   (ok (Durable.orchestrator ?daemons ~config ?seed d), d)
 
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | exception Sys_error _ -> ()
-  | true ->
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    (try Sys.rmdir path with Sys_error _ -> ())
-  | false -> ( try Sys.remove path with Sys_error _ -> ())
-
 let with_temp_dir f =
   let dir = Filename.temp_file "mirror-pchaos" ".db" in
   Sys.remove dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> Mirror_util.Fsx.rm_rf dir) (fun () -> f dir)
 
 (* In process: the default configuration on its virtual clock.  Worker
    processes run on the wall clock, so they get small real-time

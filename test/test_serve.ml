@@ -35,18 +35,10 @@ let ok_serve tag = function
   | Ok v -> v
   | Error e -> Alcotest.failf "%s: %s" tag (Serve.error_to_string e)
 
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | exception Sys_error _ -> ()
-  | true ->
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    (try Sys.rmdir path with Sys_error _ -> ())
-  | false -> ( try Sys.remove path with Sys_error _ -> ())
-
 let with_temp_dir f =
   let dir = Filename.temp_file "mirror-serve" ".db" in
   Sys.remove dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> Mirror_util.Fsx.rm_rf dir) (fun () -> f dir)
 
 (* {1 The canonical query normalizer} *)
 
@@ -327,6 +319,84 @@ let test_socket_roundtrip () =
                   (has ~needle:"hit" l3 && has ~needle:"42" l3)
               | ls -> Alcotest.failf "expected 2 lines, got %d" (List.length ls));
               send "quit\n")))
+
+(* A client that sends 2000 [stats] lines and closes without reading a
+   reply leaves the server writing into a closed socket.  The server
+   must drop that connection and answer the next client, not die of
+   SIGPIPE.  It runs in a process of its own ([serve_child], this
+   executable started with [serve SOCKET STOP]), so a death shows as
+   that process's exit status, not as the test runner's. *)
+let serve_child ~socket ~stop =
+  (* SIGPIPE at its default, as in a freshly started server, even when
+     the test runner ignores it *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_default;
+  match Server.run ~stop:(fun () -> Sys.file_exists stop) ~socket (Mirror.create ()) with
+  | Ok () -> exit 0
+  | Error e ->
+    prerr_endline e;
+    exit 2
+
+let test_socket_client_vanishes () =
+  with_temp_dir (fun dir ->
+      Sys.mkdir dir 0o755;
+      let socket = Filename.concat dir "serve.sock" and stop = Filename.concat dir "stop" in
+      let pid =
+        Unix.create_process Sys.executable_name
+          [| Sys.executable_name; "serve"; socket; stop |]
+          Unix.stdin Unix.stdout Unix.stderr
+      in
+      (* the clients' own writes must not kill the test runner *)
+      let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+      let reply =
+        Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev) @@ fun () ->
+        let connect () =
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_UNIX socket);
+          fd
+        in
+        match
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          while not (Sys.file_exists socket) do
+            if Unix.gettimeofday () > deadline then failwith "socket never appeared";
+            Unix.sleepf 0.02
+          done;
+          let burst = String.concat "" (List.init 2000 (fun _ -> "stats\n")) in
+          let fd = connect () in
+          ignore (Unix.write_substring fd burst 0 (String.length burst) : int);
+          Unix.close fd;
+          let fd = connect () in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              ignore (Unix.write_substring fd "stats\n" 0 6 : int);
+              read_lines fd 1)
+        with
+        | lines -> Ok lines
+        | exception e -> Error (Printexc.to_string e)
+      in
+      (* stop the server, or kill it if it does not stop *)
+      close_out (open_out stop);
+      let rec reap n =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ when n > 0 ->
+          Unix.sleepf 0.05;
+          reap (n - 1)
+        | 0, _ ->
+          Unix.kill pid Sys.sigkill;
+          snd (Unix.waitpid [] pid)
+        | _, status -> status
+      in
+      (match reap 200 with
+      | Unix.WEXITED 0 -> ()
+      | Unix.WSIGNALED s when s = Sys.sigpipe -> Alcotest.fail "the server died of SIGPIPE"
+      | Unix.WSIGNALED s | Unix.WSTOPPED s -> Alcotest.failf "the server died of signal %d" s
+      | Unix.WEXITED c -> Alcotest.failf "the server exited with status %d" c);
+      match reply with
+      | Ok [ line ] ->
+        Alcotest.(check bool) "the next client gets its stats line" true
+          (String.starts_with ~prefix:"0 ok stats" line)
+      | Ok lines -> Alcotest.failf "expected 1 line, got %d" (List.length lines)
+      | Error e -> Alcotest.failf "the next client got no reply: %s" e)
 
 (* Requests split across writes and packed several to a write reach the
    server as whole lines, and a reply whose payload needs escaping
@@ -630,6 +700,9 @@ let test_chaos_schedules () =
     Alcotest.fail "no admission refusal in 500 schedules (queues never overflowed?)"
 
 let () =
+  (match Sys.argv with
+  | [| _; "serve"; socket; stop |] -> serve_child ~socket ~stop
+  | _ -> ());
   Alcotest.run "serve"
     [
       ( "normalize",
@@ -657,6 +730,8 @@ let () =
             test_socket_ready_when_visible;
           Alcotest.test_case "socket lines split and packed across writes" `Quick
             test_socket_framing;
+          Alcotest.test_case "a client that vanishes mid-reply does not kill the server"
+            `Quick test_socket_client_vanishes;
         ] );
       ( "chaos",
         [
