@@ -266,13 +266,13 @@ let handle_line ~durable mref line =
           (Mirror_bat.Atom.ty_name (Bat.hty b))
           (Mirror_bat.Atom.ty_name (Bat.tty b)))
       (Catalog.names (Storage.catalog (Mirror.storage m)))
-  else if Mirror_util.Stringx.starts_with ~prefix:".save " line then begin
+  else if String.starts_with ~prefix:".save " line then begin
     let dir = String.trim (String.sub line 6 (String.length line - 6)) in
     match Mirror_store.Snapshot.save (Mirror.storage m) ~dir with
     | Ok () -> Printf.printf "saved to %s\n" dir
     | Error e -> Printf.printf "error: %s\n" e
   end
-  else if Mirror_util.Stringx.starts_with ~prefix:".load " line then begin
+  else if String.starts_with ~prefix:".load " line then begin
     let dir = String.trim (String.sub line 6 (String.length line - 6)) in
     (* The loaded database would have no journal: every later write
        would be acknowledged and never logged. *)
@@ -285,7 +285,7 @@ let handle_line ~durable mref line =
         Printf.printf "loaded %d extent(s) from %s\n" (List.length (Storage.extents st)) dir
       | Error e -> Printf.printf "error: %s\n" e
   end
-  else if Mirror_util.Stringx.starts_with ~prefix:".profile " line then begin
+  else if String.starts_with ~prefix:".profile " line then begin
     let src = String.sub line 9 (String.length line - 9) in
     match
       Result.bind (Parser.parse_expr src) (fun e -> Eval.profile (Mirror.storage m) e)
@@ -296,7 +296,7 @@ let handle_line ~durable mref line =
         rows
     | Error e -> Printf.printf "error: %s\n" e
   end
-  else if Mirror_util.Stringx.starts_with ~prefix:".trace " line then begin
+  else if String.starts_with ~prefix:".trace " line then begin
     let src = String.sub line 7 (String.length line - 7) in
     match
       Result.bind (Parser.parse_expr src) (fun e ->
@@ -305,11 +305,11 @@ let handle_line ~durable mref line =
     | Ok text -> print_string text
     | Error e -> Printf.printf "error: %s\n" e
   end
-  else if Mirror_util.Stringx.starts_with ~prefix:".lint " line then begin
+  else if String.starts_with ~prefix:".lint " line then begin
     let src = String.trim (String.sub line 6 (String.length line - 6)) in
     ignore (lint_query (Mirror.storage m) src)
   end
-  else if Mirror_util.Stringx.starts_with ~prefix:".explain " line then begin
+  else if String.starts_with ~prefix:".explain " line then begin
     let src = String.sub line 9 (String.length line - 9) in
     match
       Result.bind (Parser.parse_expr src) (fun e -> Eval.explain (Mirror.storage m) e)
@@ -317,7 +317,7 @@ let handle_line ~durable mref line =
     | Ok plan -> print_endline plan
     | Error e -> Printf.printf "error: %s\n" e
   end
-  else if Mirror_util.Stringx.starts_with ~prefix:".search " line then begin
+  else if String.starts_with ~prefix:".search " line then begin
     let text = String.sub line 8 (String.length line - 8) in
     if Mirror.library_size m = 0 then
       print_endline "no demo library loaded; start with --demo N"

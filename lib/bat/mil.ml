@@ -81,6 +81,44 @@ let children = function
   | GroupRank { link; key; _ } -> [ link; key ]
   | Foreign { args; _ } -> args
 
+let with_children plan cs =
+  match (plan, cs) with
+  | (Get _ | Lit _), [] -> plan
+  | Reverse _, [ p ] -> Reverse p
+  | Mirror _, [ p ] -> Mirror p
+  | Mark (_, b), [ p ] -> Mark (p, b)
+  | NumberHead (_, b), [ p ] -> NumberHead (p, b)
+  | NumberTail (_, b), [ p ] -> NumberTail (p, b)
+  | Project (_, a), [ p ] -> Project (p, a)
+  | Calc1 (op, _), [ p ] -> Calc1 (op, p)
+  | CalcConst (op, _, a), [ p ] -> CalcConst (op, p, a)
+  | ConstCalc (op, a, _), [ p ] -> ConstCalc (op, a, p)
+  | SelectCmp (_, c, a), [ p ] -> SelectCmp (p, c, a)
+  | SelectRange (_, lo, hi), [ p ] -> SelectRange (p, lo, hi)
+  | SelectBool _, [ p ] -> SelectBool p
+  | Unique _, [ p ] -> Unique p
+  | UniqueHead _, [ p ] -> UniqueHead p
+  | GroupAggr (op, _), [ p ] -> GroupAggr (op, p)
+  | AggrAll (op, _), [ p ] -> AggrAll (op, p)
+  | SortTail (_, d), [ p ] -> SortTail (p, d)
+  | Slice (_, pos, len), [ p ] -> Slice (p, pos, len)
+  | TopN (_, n, d), [ p ] -> TopN (p, n, d)
+  | Calc2 (op, _, _), [ l; r ] -> Calc2 (op, l, r)
+  | Join _, [ l; r ] -> Join (l, r)
+  | LeftOuterJoin (_, _, d), [ l; r ] -> LeftOuterJoin (l, r, d)
+  | Semijoin _, [ l; r ] -> Semijoin (l, r)
+  | Antijoin _, [ l; r ] -> Antijoin (l, r)
+  | Kunion _, [ l; r ] -> Kunion (l, r)
+  | PairUnion _, [ l; r ] -> PairUnion (l, r)
+  | PairDiff _, [ l; r ] -> PairDiff (l, r)
+  | PairInter _, [ l; r ] -> PairInter (l, r)
+  | Append _, [ l; r ] -> Append (l, r)
+  | GroupRank g, [ link; key ] -> GroupRank { g with link; key }
+  | Foreign f, args when List.compare_lengths args f.args = 0 -> Foreign { f with args }
+  | _ -> invalid_arg "Mil.with_children: wrong number of children"
+
+let rec size p = List.fold_left (fun acc c -> acc + size c) 1 (children p)
+
 (* {1 Plan hashing}
 
    Every plan-keyed table (the CSE memo, the analyzer walks) needs a
@@ -107,7 +145,7 @@ module Tbl = Hashtbl.Make (struct
   let hash = hash
 end)
 
-type par = { pool : Parkernel.pool; safe : t -> bool; morsel : t -> int option }
+type par = { pool : Parkernel.pool; safe : t -> bool }
 
 type budget = { max_bytes : int; bound : t -> (int * int option) option }
 
@@ -196,12 +234,9 @@ let op_name = function
    gets here, workers never touch Trace. *)
 let licensed s plan f =
   match s.par with
-  | Some { pool; safe; morsel } when safe plan ->
+  | Some { pool; safe } when safe plan ->
     let t0 = Parkernel.totals pool in
-    let run () = Parkernel.with_pool pool f in
-    let b =
-      match morsel plan with Some m -> Parkernel.with_morsel_size m run | None -> run ()
-    in
+    let b = Parkernel.with_pool pool f in
     let t1 = Parkernel.totals pool in
     let morsels = t1.Parkernel.t_morsels - t0.Parkernel.t_morsels in
     if morsels > 0 then begin
@@ -331,46 +366,6 @@ let resident_bytes s =
     end
   in
   Tbl.fold (fun _ b acc -> acc + col (Bat.head b) + col (Bat.tail b)) s.memo 0
-
-let profile s =
-  Mirror_util.Trace.aggregate (Mirror_util.Trace.roots s.tr)
-  |> List.map (fun (name, a) -> (name, a.Mirror_util.Trace.self, a.Mirror_util.Trace.calls))
-
-let rec size = function
-  | Get _ | Lit _ -> 1
-  | Reverse p
-  | Mirror p
-  | Mark (p, _)
-  | NumberHead (p, _)
-  | NumberTail (p, _)
-  | Project (p, _)
-  | Calc1 (_, p)
-  | CalcConst (_, p, _)
-  | ConstCalc (_, _, p)
-  | SelectCmp (p, _, _)
-  | SelectRange (p, _, _)
-  | SelectBool p
-  | Unique p
-  | UniqueHead p
-  | GroupAggr (_, p)
-  | AggrAll (_, p)
-  | SortTail (p, _)
-  | Slice (p, _, _)
-  | TopN (p, _, _) ->
-    1 + size p
-  | Calc2 (_, l, r)
-  | Join (l, r)
-  | LeftOuterJoin (l, r, _)
-  | Semijoin (l, r)
-  | Antijoin (l, r)
-  | Kunion (l, r)
-  | PairUnion (l, r)
-  | PairDiff (l, r)
-  | PairInter (l, r)
-  | Append (l, r) ->
-    1 + size l + size r
-  | GroupRank { link; key; _ } -> 1 + size link + size key
-  | Foreign { args; _ } -> List.fold_left (fun acc p -> acc + size p) 1 args
 
 let cmp_name = function
   | Bat.Eq -> "="

@@ -73,21 +73,16 @@ type stats = {
   mutable par_morsels : int;  (** Morsels scheduled across those calls. *)
 }
 
-type par = { pool : Parkernel.pool; safe : t -> bool; morsel : t -> int option }
+type par = { pool : Parkernel.pool; safe : t -> bool }
 (** Parallel-execution licence for a session: the domain pool to run
     on, and the Effcheck verdict predicate ({!Effcheck.verdict.safe})
     deciding per node whether its partition is effect-free.  A safe
     node's operator — the same {!Bat} call, or the foreign dispatch —
     runs under {!Parkernel.with_pool}, installed after the node's
     inputs were evaluated, so the licence never reaches an unsafe
-    child; [Parkernel.ranges] then splits what it can.  Results
-    are identical either way.  [morsel] is an optional per-node
-    morsel-size hint (typically [Parkernel.morsel_for] over a
-    [Boundcheck] row estimate): when it returns [Some m] the node's
-    operator runs under {!Parkernel.with_morsel_size}[ m], so small
-    inputs are split across the domains instead of landing in one
-    default-sized morsel.  [fun _ -> None] preserves the fixed
-    default. *)
+    child; [Parkernel.ranges] then splits what it can, sizing the
+    morsels from the rows it is handed.  Results are identical either
+    way. *)
 
 type session
 (** An execution context: catalog + foreign dispatch + memo table.
@@ -161,17 +156,17 @@ val trace : session -> Mirror_util.Trace.t
 (** The trace the session was opened with ({!Mirror_util.Trace.null}
     when none was given). *)
 
-val profile : session -> (string * float * int) list
-(** Per-operator (name, self seconds, evaluations) aggregated from the
-    session's trace, most expensive first; empty unless the session was
-    opened with an enabled [trace]. *)
-
 val size : t -> int
 (** Number of operator nodes (tree size, before sharing). *)
 
 val children : t -> t list
 (** Direct subplans, in evaluation order (the order {!exec} evaluates
     them and the order analyzer slot paths [:l]/[:r]/[:0]… follow). *)
+
+val with_children : t -> t list -> t
+(** [with_children p cs] is [p] with its direct subplans replaced by
+    [cs], in {!children} order, so [with_children p (children p) = p].
+    @raise Invalid_argument when [cs] has the wrong length. *)
 
 val hash : t -> int
 (** Structural hash of a plan, consistent with structural equality.

@@ -41,45 +41,7 @@ let rules fired plan =
   | p -> p
 
 let rec pass fired plan =
-  let descend p = pass fired p in
-  let p =
-    match plan with
-    | Mil.Get _ | Mil.Lit _ -> plan
-    | Mil.Reverse p -> Mil.Reverse (descend p)
-    | Mil.Mirror p -> Mil.Mirror (descend p)
-    | Mil.Mark (p, b) -> Mil.Mark (descend p, b)
-    | Mil.NumberHead (p, b) -> Mil.NumberHead (descend p, b)
-    | Mil.NumberTail (p, b) -> Mil.NumberTail (descend p, b)
-    | Mil.Project (p, a) -> Mil.Project (descend p, a)
-    | Mil.Calc1 (op, p) -> Mil.Calc1 (op, descend p)
-    | Mil.CalcConst (op, p, a) -> Mil.CalcConst (op, descend p, a)
-    | Mil.ConstCalc (op, a, p) -> Mil.ConstCalc (op, a, descend p)
-    | Mil.Calc2 (op, l, r) -> Mil.Calc2 (op, descend l, descend r)
-    | Mil.SelectCmp (p, c, a) -> Mil.SelectCmp (descend p, c, a)
-    | Mil.SelectRange (p, lo, hi) -> Mil.SelectRange (descend p, lo, hi)
-    | Mil.SelectBool p -> Mil.SelectBool (descend p)
-    | Mil.Join (l, r) -> Mil.Join (descend l, descend r)
-    | Mil.LeftOuterJoin (l, r, d) -> Mil.LeftOuterJoin (descend l, descend r, d)
-    | Mil.Semijoin (l, r) -> Mil.Semijoin (descend l, descend r)
-    | Mil.Antijoin (l, r) -> Mil.Antijoin (descend l, descend r)
-    | Mil.Kunion (l, r) -> Mil.Kunion (descend l, descend r)
-    | Mil.PairUnion (l, r) -> Mil.PairUnion (descend l, descend r)
-    | Mil.PairDiff (l, r) -> Mil.PairDiff (descend l, descend r)
-    | Mil.PairInter (l, r) -> Mil.PairInter (descend l, descend r)
-    | Mil.Append (l, r) -> Mil.Append (descend l, descend r)
-    | Mil.Unique p -> Mil.Unique (descend p)
-    | Mil.UniqueHead p -> Mil.UniqueHead (descend p)
-    | Mil.GroupAggr (op, p) -> Mil.GroupAggr (op, descend p)
-    | Mil.AggrAll (op, p) -> Mil.AggrAll (op, descend p)
-    | Mil.GroupRank { link; key; desc; limit } ->
-      Mil.GroupRank { link = descend link; key = descend key; desc; limit }
-    | Mil.SortTail (p, d) -> Mil.SortTail (descend p, d)
-    | Mil.Slice (p, pos, len) -> Mil.Slice (descend p, pos, len)
-    | Mil.TopN (p, n, d) -> Mil.TopN (descend p, n, d)
-    | Mil.Foreign { name; args; meta } ->
-      Mil.Foreign { name; args = List.map descend args; meta }
-  in
-  rules fired p
+  rules fired (Mil.with_children plan (List.map (pass fired) (Mil.children plan)))
 
 (* Every rule strictly decreases the node count, so iterating to a
    fixpoint terminates — no pass cap needed (a cap would let deep

@@ -22,32 +22,7 @@ let c_min = ref 2048
 let set_morsel_size n = c_morsel := max 1 n
 let morsel_size () = !c_morsel
 let set_min_rows n = c_min := max 0 n
-let min_rows () = !c_min
 let domains () = !c_domains
-
-(* Dynamic morsel-size override, installed around one operator dispatch
-   by [with_morsel_size] (the executor's Boundcheck-estimated sizing).
-   Only ever read on the calling domain: the range helpers below
-   capture the effective size into their task closures before the job
-   is posted, so workers never touch this ref. *)
-let m_override = ref None
-
-let effective_morsel () = match !m_override with Some m -> m | None -> !c_morsel
-
-let with_morsel_size m f =
-  let prev = !m_override in
-  m_override := Some (max 1 m);
-  Fun.protect ~finally:(fun () -> m_override := prev) f
-
-(* Estimate-derived morsel size: aim for one morsel per domain so small
-   inputs still spread across the pool, but never below a per-domain
-   share of [min_rows] (scheduling overhead floor) and never above the
-   configured [morsel_size] (cache-residency ceiling). *)
-let morsel_for ~domains rows =
-  let d = max 1 domains in
-  let per = (max 0 rows + d - 1) / d in
-  let floor_rows = max 1 (!c_min / d) in
-  min !c_morsel (max floor_rows per)
 
 (* {1 The pool} *)
 
@@ -145,6 +120,8 @@ let shutdown pool =
     pool.workers <- [||]
   end
 
+(* Run [task 0 .. task (m-1)] on the pool and return once all finished;
+   tasks write only to disjoint caller-owned slots. *)
 let run_tasks pool m task =
   if m > 0 then begin
     let t0 = Trace.now () in
@@ -189,16 +166,6 @@ let run_tasks pool m task =
     pool.t_busy <- pool.t_busy +. b;
     pool.t_wall <- pool.t_wall +. wall
   end
-
-(* The effective morsel size is read once here, on the calling domain,
-   and baked into the task closure — geometry is fixed before the job
-   is posted, whatever other refs do while workers drain. *)
-let map_ranges pool n f =
-  let msz = effective_morsel () in
-  let m = (n + msz - 1) / msz in
-  let parts = Array.make m None in
-  run_tasks pool m (fun k -> parts.(k) <- Some (f (k * msz) (min n ((k + 1) * msz))));
-  Array.map Option.get parts
 
 (* {1 Default pool and current-pool plumbing} *)
 
@@ -246,13 +213,24 @@ let with_pool pool f =
 
 (* {1 Ranges} *)
 
+(* Morsel geometry is decided here and nowhere else, from the rows in
+   hand and the pool's size: at most [morsel_size] rows per morsel (the
+   cache-residency ceiling), and no more than one domain's share of
+   the input, so an input just above [min_rows] still spreads across
+   the pool.  It is fixed on the calling domain and baked into the task
+   closure before the job is posted. *)
 let ranges n f =
   match current () with
   | Some pool when n > 0 && n >= !c_min ->
+    let msz = min !c_morsel ((n + pool.psize - 1) / pool.psize) in
+    let m = (n + msz - 1) / msz in
+    let parts = Array.make m None in
     (* the calling domain drains morsels too: it must not see the pool
        while it runs them *)
     set_current None;
-    Fun.protect ~finally:(fun () -> set_current (Some pool)) (fun () -> map_ranges pool n f)
+    let task k = parts.(k) <- Some (f (k * msz) (min n ((k + 1) * msz))) in
+    Fun.protect ~finally:(fun () -> set_current (Some pool)) (fun () -> run_tasks pool m task);
+    Array.map Option.get parts
   | _ -> [| f 0 n |]
 
 let fill n f = ignore (ranges n f)

@@ -5,8 +5,8 @@
     {!ranges} is the one entry point: with no pool current it calls the
     range function once over the whole input, so the sequential kernel
     is the one-range case of the parallel one.  Under {!with_pool} it
-    splits the input into morsels, runs them on the pool and returns
-    the parts in morsel order; the operator merges them with the same
+    splits the input into morsels sized from the rows in hand, runs
+    them on the pool and returns the parts in morsel order; the operator merges them with the same
     associative combiners it uses within a range (modular int
     arithmetic, [Float.min]/[Float.max]).  That is what makes every
     result bitwise the sequential one at any domain count and morsel
@@ -43,7 +43,8 @@ val size : pool -> int
 (** {1 Global configuration}
 
     The CLI's [--domains N] sets the process-wide default; tests inject
-    their own pools and morsel geometry. *)
+    their own pools and bound the morsel geometry with the two row
+    knobs. *)
 
 val set_domains : int -> unit
 (** Set the default pool size (clamped to [1..64]).  Shuts down any
@@ -65,38 +66,6 @@ val set_min_rows : int -> unit
 (** Inputs smaller than this stay sequential (default 2048; tests set 0
     to force tiny BATs through the parallel path). *)
 
-val min_rows : unit -> int
-
-val with_morsel_size : int -> (unit -> 'a) -> 'a
-(** [with_morsel_size m f] runs [f] with the morsel size dynamically
-    overridden to [max 1 m], restoring the previous size afterwards
-    (exception-safe).  The executor wraps a single operator dispatch in
-    this when it has a {!morsel_for} hint; the override is read once on
-    the calling domain when the operator fixes its morsel geometry, so
-    nesting and sequential re-entry are safe. *)
-
-val morsel_for : domains:int -> int -> int
-(** [morsel_for ~domains rows] is the estimate-derived morsel size for
-    an operator expected to process [rows] rows on a [domains]-wide
-    pool: one morsel per domain, clamped below by a per-domain share of
-    {!min_rows} and above by the configured {!morsel_size} — so small
-    (but admissible) inputs spread across the pool instead of landing
-    in a single default-sized morsel. *)
-
-(** {1 Scheduling} *)
-
-val run_tasks : pool -> int -> (int -> unit) -> unit
-(** [run_tasks p m task] runs [task 0 .. task (m-1)], possibly
-    concurrently, and returns once all completed.  Tasks must write
-    only to disjoint caller-owned slots.  If tasks raise, the exception
-    of the lowest-numbered failing task is re-raised after the join —
-    the same exception a sequential left-to-right loop would surface
-    first. *)
-
-val map_ranges : pool -> int -> (int -> int -> 'a) -> 'a array
-(** [map_ranges p n f] partitions [0..n-1] into {!morsel_size} ranges
-    and returns [f lo hi] per range (hi exclusive), in range order. *)
-
 (** {1 The current pool and ranges} *)
 
 val with_pool : pool -> (unit -> 'a) -> 'a
@@ -107,10 +76,17 @@ val current : unit -> pool option
 
 val ranges : int -> (int -> int -> 'a) -> 'a array
 (** [ranges n f] is [[| f 0 n |]] — one part, run inline — when no pool
-    is current on this domain or [n < min_rows ()] (or [n = 0]);
-    otherwise {!map_ranges} over the current pool.  Parts come back in
-    range order, so a caller that concatenates or folds them left to
-    right sees the sequential order. *)
+    is current on this domain or [n] is below {!set_min_rows}' threshold
+    (or [n = 0]).  Otherwise it partitions [0..n-1] into morsels of
+    [min (morsel_size ()) (ceil (n / d))] rows, [d] the current pool's
+    {!size}, runs [f lo hi] per morsel on the pool (hi exclusive) and
+    returns the parts in range order, so a caller that concatenates or
+    folds them left to right sees the sequential order.  If range
+    functions raise, the exception of the lowest-numbered failing
+    morsel is re-raised after the join — the one a sequential
+    left-to-right loop would surface first.  This is the only place
+    morsel geometry is decided: it depends on the rows in hand, never
+    on a plan's estimates. *)
 
 val fill : int -> (int -> int -> unit) -> unit
 (** {!ranges} for range functions that write disjoint slices of a
@@ -119,7 +95,7 @@ val fill : int -> (int -> int -> unit) -> unit
 (** {1 Pool-lifetime statistics} *)
 
 type totals = {
-  t_jobs : int;  (** {!run_tasks} jobs with at least one task. *)
+  t_jobs : int;  (** Split {!ranges} calls (jobs of at least one morsel). *)
   t_morsels : int;
   t_busy : float;  (** Summed per-morsel wall seconds (all domains). *)
   t_wall : float;  (** Caller-observed wall seconds. *)

@@ -205,34 +205,21 @@ let query ?(cse = true) ?(optimize = true) ?(specialize = true) ?(check = false)
     | Ok () -> (
       (* the one static analysis of the optimised bundle (envelopes,
          effects, row estimates, cell widths), analysed only when
-         read: by the parallel licence and morsel sizing below (so
-         eagerly when a domain pool is configured), the admission
-         budget, the checked executor, or the report's [bounds] *)
+         read: by the parallel licence below (so eagerly when a domain
+         pool is configured), the admission budget, the checked
+         executor, or the report's [bounds] *)
       let analysis =
         lazy (Trace.with_span trace "boundcheck" (fun () -> Storage.analyze storage shape))
-      in
-      let node_est plan =
-        Option.map
-          (fun (f : Milcheck.fact) -> f.Milcheck.est)
-          (Mil.Tbl.find_opt (Lazy.force analysis).Milcheck.table plan)
       in
       (* parallel licence: a domain pool (when [--domains] asked for
          one) plus the Effcheck verdict over this very bundle — only
          operators whose partition is provably effect-free may run
-         morsel-parallel.  The row estimate sizes the morsels,
-         clamped inside the configured knobs. *)
+         morsel-parallel *)
       let par =
-        match Parkernel.default_pool () with
-        | None -> None
-        | Some pool ->
-          let v = Effcheck.verdict (Lazy.force analysis) in
-          let morsel plan =
-            match node_est plan with
-            | Some est when est > 0 ->
-              Some (Parkernel.morsel_for ~domains:(Parkernel.size pool) est)
-            | _ -> None
-          in
-          Some { Mil.pool; safe = v.Effcheck.safe; morsel }
+        Option.map
+          (fun pool ->
+            { Mil.pool; safe = (Effcheck.verdict (Lazy.force analysis)).Effcheck.safe })
+          (Parkernel.default_pool ())
       in
       (* each root is admitted on its resident bytes, read from the
          same table *)
@@ -280,12 +267,15 @@ let query ?(cse = true) ?(optimize = true) ?(specialize = true) ?(check = false)
         let stats = Mil.stats session in
         let bounds =
           lazy
-            (let resident = (Boundcheck.footprints (Lazy.force analysis)).Boundcheck.resident in
+            (let a = Lazy.force analysis in
+             let resident = (Boundcheck.footprints a).Boundcheck.resident in
+             let est p =
+               match Mil.Tbl.find_opt a.Milcheck.table p with
+               | Some f -> f.Milcheck.est
+               | None -> 0
+             in
              {
-               est_rows =
-                 List.fold_left
-                   (fun acc p -> acc + Option.value ~default:0 (node_est p))
-                   0 (Shape.plans shape);
+               est_rows = List.fold_left (fun acc p -> acc + est p) 0 (Shape.plans shape);
                est_bytes = resident.Boundcheck.fp_est;
                peak_bytes = resident.Boundcheck.fp_hi;
              })

@@ -473,6 +473,6 @@ let compile ?(specialize = true) ?(check = false) ?(trace = Mirror_util.Trace.nu
         | Ok (_ : int) -> ()
         | Error ds ->
           raise
-            (Ill_formed (String.concat "; " (List.map Moaprop.diag_to_string ds))))
+            (Ill_formed (String.concat "; " (List.map Mirror_bat.Milcheck.diag_to_string ds))))
   end;
   shape

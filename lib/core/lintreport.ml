@@ -56,7 +56,7 @@ let check st ~src expr =
          bound layer only warns: an unbounded-foreign warning degrades
          the envelope without invalidating the plan. *)
       let failed =
-        Moaprop.errors moa <> [] || Milcheck.errors mil <> [] || verdict.Effcheck.hazards <> []
+        Milcheck.errors moa <> [] || Milcheck.errors mil <> [] || verdict.Effcheck.hazards <> []
       in
       {
         src;
@@ -85,39 +85,20 @@ let sweep st srcs =
 
 (* {1 JSON rendering} *)
 
-let moa_severity = function
-  | Moaprop.Error -> "error"
-  | Moaprop.Warning -> "warning"
-  | Moaprop.Hint -> "hint"
+(* Every layer speaks the one diagnostic type, in this order. *)
+let diags q = [ ("moa", q.moa); ("mil", q.mil); ("eff", q.eff); ("bound", q.bound) ]
 
-let mil_severity = function
-  | Milcheck.Error -> "error"
-  | Milcheck.Warning -> "warning"
-  | Milcheck.Hint -> "hint"
-
-let diag_json ~layer ~severity ~path ~op ~message =
+let diag_json layer (d : Milcheck.diag) =
   Jsonx.Obj
     [
       ("layer", Jsonx.Str layer);
-      ("severity", Jsonx.Str severity);
-      ("path", Jsonx.Str path);
-      ("op", Jsonx.Str op);
-      ("message", Jsonx.Str message);
+      ("severity", Jsonx.Str (Milcheck.severity_name d.severity));
+      ("path", Jsonx.Str d.path);
+      ("op", Jsonx.Str d.op);
+      ("message", Jsonx.Str d.message);
     ]
 
 let query_json q =
-  let moa =
-    List.map
-      (fun (d : Moaprop.diag) ->
-        diag_json ~layer:"moa" ~severity:(moa_severity d.Moaprop.severity) ~path:d.Moaprop.path
-          ~op:d.Moaprop.op ~message:d.Moaprop.message)
-      q.moa
-  in
-  let mil_layer layer =
-    List.map (fun (d : Milcheck.diag) ->
-        diag_json ~layer ~severity:(mil_severity d.Milcheck.severity) ~path:d.Milcheck.path
-          ~op:d.Milcheck.op ~message:d.Milcheck.message)
-  in
   Jsonx.Obj
     [
       ("src", Jsonx.Str q.src);
@@ -130,8 +111,7 @@ let query_json q =
       ("peak_bytes", match q.peak_bytes with Some b -> Jsonx.Int b | None -> Jsonx.Null);
       ("reclaim_bytes", Jsonx.Int q.reclaim_bytes);
       ( "diagnostics",
-        Jsonx.Arr
-          (moa @ mil_layer "mil" q.mil @ mil_layer "eff" q.eff @ mil_layer "bound" q.bound) );
+        Jsonx.Arr (List.concat_map (fun (layer, ds) -> List.map (diag_json layer) ds) (diags q)) );
     ]
 
 let layers_json =
@@ -163,7 +143,7 @@ let print_query q =
   | Some e -> Printf.printf "FAIL  %s\n  %s\n" q.src e
   | None ->
     Printf.printf "%s  %s\n" (if q.failed then "FAIL" else "ok  ") q.src;
-    List.iter (fun d -> Printf.printf "  moa: %s\n" (Moaprop.diag_to_string d)) q.moa;
-    List.iter (fun d -> Printf.printf "  mil: %s\n" (Milcheck.diag_to_string d)) q.mil;
-    List.iter (fun d -> Printf.printf "  eff: %s\n" (Milcheck.diag_to_string d)) q.eff;
-    List.iter (fun d -> Printf.printf "  bound: %s\n" (Milcheck.diag_to_string d)) q.bound
+    List.iter
+      (fun (layer, ds) ->
+        List.iter (fun d -> Printf.printf "  %s: %s\n" layer (Milcheck.diag_to_string d)) ds)
+      (diags q)

@@ -578,7 +578,7 @@ let infer env expr =
 
 let verify env expr =
   let prop, diags = infer env expr in
-  match Moaprop.errors diags with [] -> Ok prop | es -> Stdlib.Error es
+  match Milcheck.errors diags with [] -> Ok prop | es -> Stdlib.Error es
 
 (* ------------------------------------------------------------------ *)
 (* Logical-level lint                                                  *)
@@ -662,7 +662,7 @@ let lint env expr =
 let validate storage expr analysis shape =
   let env = env_of_storage storage in
   let prop, diags = infer env expr in
-  match Moaprop.errors diags with
+  match Milcheck.errors diags with
   | _ :: _ as es -> Stdlib.Error es
   | [] ->
     let bad = ref [] and checks = ref 0 in

@@ -5,28 +5,14 @@ module P = Mirror_bat.Milprop
 (* Diagnostics (shared by Typecheck and Moacheck)                     *)
 (* ------------------------------------------------------------------ *)
 
-type severity = Error | Warning | Hint
+type severity = Mirror_bat.Milcheck.severity = Error | Warning | Hint
 
-type diag = {
+type diag = Mirror_bat.Milcheck.diag = {
   severity : severity;
   path : string;
   op : string;
   message : string;
 }
-
-let severity_name = function Error -> "error" | Warning -> "warning" | Hint -> "hint"
-
-let pp_diag ppf d =
-  Format.fprintf ppf "%s at %s (%s): %s" (severity_name d.severity) d.path d.op d.message
-
-let diag_to_string d =
-  let buf = Buffer.create 64 in
-  let ppf = Format.formatter_of_buffer buf in
-  Format.pp_set_margin ppf 1000000;
-  Format.fprintf ppf "@[<h>%a@]@?" pp_diag d;
-  Buffer.contents buf
-
-let errors diags = List.filter (fun d -> d.severity = Error) diags
 
 (* ------------------------------------------------------------------ *)
 (* The abstract domain                                                 *)

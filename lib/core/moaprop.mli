@@ -17,23 +17,17 @@ module P = Mirror_bat.Milprop
 
 (** {1 Diagnostics} *)
 
-type severity = Error | Warning | Hint
+type severity = Mirror_bat.Milcheck.severity = Error | Warning | Hint
 
-type diag = {
+type diag = Mirror_bat.Milcheck.diag = {
   severity : severity;
   path : string;  (** Slash-separated path of constructor names. *)
   op : string;  (** Constructor name of the offending node. *)
   message : string;
 }
-
-val severity_name : severity -> string
-val pp_diag : Format.formatter -> diag -> unit
-(** e.g. [error at map/select (select): predicate is not boolean]. *)
-
-val diag_to_string : diag -> string
-
-val errors : diag list -> diag list
-(** Just the [Error]-severity diagnostics. *)
+(** The MIL layer's diagnostic, so both layers share one printer
+    ({!Mirror_bat.Milcheck.pp_diag}, e.g. [error at map/select (select):
+    predicate is not boolean]) and one {!Mirror_bat.Milcheck.errors}. *)
 
 (** {1 The domain} *)
 

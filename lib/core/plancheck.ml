@@ -78,7 +78,7 @@ let differential ?(specialize = true) storage expr =
 
 let diags_to_string ds = String.concat "; " (List.map Milcheck.diag_to_string ds)
 
-let moa_diags_to_string ds = String.concat "; " (List.map Moaprop.diag_to_string ds)
+let moa_diags_to_string ds = String.concat "; " (List.map Milcheck.diag_to_string ds)
 
 type vetted = { plans : int; envelope_checks : int; verdict : Mirror_bat.Effcheck.verdict }
 

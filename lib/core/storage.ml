@@ -212,8 +212,8 @@ let rec bind_value t ~path ~ty v =
 let clear_prefix t name =
   let owned entry =
     entry = name
-    || Mirror_util.Stringx.starts_with ~prefix:(name ^ "#") entry
-    || Mirror_util.Stringx.starts_with ~prefix:(name ^ "/") entry
+    || String.starts_with ~prefix:(name ^ "#") entry
+    || String.starts_with ~prefix:(name ^ "/") entry
   in
   let bats =
     List.filter_map

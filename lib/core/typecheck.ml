@@ -232,4 +232,4 @@ let infer_with ?path env ~vars expr =
   let path = match path with Some p -> p | None -> Expr.op_name expr in
   infer_at env vars path expr
 
-let diag_to_string = Moaprop.diag_to_string
+let diag_to_string = Mirror_bat.Milcheck.diag_to_string

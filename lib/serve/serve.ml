@@ -7,7 +7,6 @@ module Value = Mirror_core.Value
 module Durable = Mirror_store.Durable
 module Supervisor = Mirror_daemon.Supervisor
 module Clock = Mirror_util.Clock
-module Stringx = Mirror_util.Stringx
 
 type config = {
   max_sessions : int;
@@ -224,7 +223,7 @@ let do_query t s rid src =
       | Ok report ->
         Qcache.add t.cache ~version:vid ~key report.Eval.value;
         deliver t s rid (Ok (Value { value = report.Eval.value; cached = false; version = vid }))
-      | Error e when Stringx.starts_with ~prefix:admission_prefix e ->
+      | Error e when String.starts_with ~prefix:admission_prefix e ->
         deliver t s rid (Error (Admission_refused e))
       | Error e -> deliver t s rid (Error (Exec_error e))));
     if transient then begin

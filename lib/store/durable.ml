@@ -15,7 +15,6 @@ module Faults = Mirror_daemon.Faults
 module Crc32 = Mirror_util.Crc32
 module Fsx = Mirror_util.Fsx
 module Trace = Mirror_util.Trace
-module Stringx = Mirror_util.Stringx
 
 let ( let* ) = Result.bind
 
@@ -109,7 +108,7 @@ let read_meta dir =
   | src ->
     let rec split_footer body = function
       | [] | [ "" ] -> Error "CHECKPOINT is missing its %crc footer"
-      | (line :: rest) when Stringx.starts_with ~prefix:"%crc " line && (rest = [] || rest = [ "" ])
+      | (line :: rest) when String.starts_with ~prefix:"%crc " line && (rest = [] || rest = [ "" ])
         -> (
         let body = String.concat "" (List.rev_map (fun l -> l ^ "\n") body) in
         match Crc32.of_hex (String.trim (String.sub line 5 (String.length line - 5))) with
@@ -123,7 +122,7 @@ let read_meta dir =
     let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' body) in
     let field key =
       let prefix = key ^ " " in
-      match List.find_opt (Stringx.starts_with ~prefix) lines with
+      match List.find_opt (String.starts_with ~prefix) lines with
       | Some l ->
         Ok (String.sub l (String.length prefix) (String.length l - String.length prefix))
       | None -> Error ("CHECKPOINT is missing field " ^ key)
@@ -245,7 +244,7 @@ let commit_checkpoint ~dir ~wal_config ~stor ~st ~lsn ~old_wal =
   | None -> ());
   Array.iter
     (fun f ->
-      if Stringx.starts_with ~prefix:"snap." f && f <> snap then
+      if String.starts_with ~prefix:"snap." f && f <> snap then
         Fsx.rm_rf (Filename.concat dir f))
     (Sys.readdir dir);
   List.iter

@@ -152,22 +152,30 @@ let read_bool c =
   | '\001' -> true
   | ch -> raise (Bad (Printf.sprintf "bad boolean byte %C" ch))
 
-let rec read_value names c =
-  match read_char c with
-  | 'i' -> Value.Atom (Atom.Int (read_int c))
-  | 'f' -> Value.Atom (Atom.Flt (read_float c))
-  | 's' -> Value.Atom (Atom.Str (read_str c))
-  | 'b' -> Value.Atom (Atom.Bool (read_bool c))
-  | 'o' -> Value.Atom (Atom.Oid (read_int c))
-  | 'T' ->
-    Value.Tup (read_list c (read_pair (read_name names) (read_value names)))
-  | 'S' -> Value.VSet (read_list c (read_value names))
-  | 'X' ->
-    let ext = read_name names c in
-    let meta = read_list c (read_name names) in
-    let items = read_list c (read_value names) in
-    Value.Xv { ext; meta; items }
-  | ch -> raise (Bad (Printf.sprintf "unknown value tag %C" ch))
+(* The readers over one record's name table are built once per record,
+   not partially applied again at every tuple, set and field. *)
+let read_value names =
+  let name c = read_name names c in
+  let rec value c =
+    match read_char c with
+    | 'i' -> Value.Atom (Atom.Int (read_int c))
+    | 'f' -> Value.Atom (Atom.Flt (read_float c))
+    | 's' -> Value.Atom (Atom.Str (read_str c))
+    | 'b' -> Value.Atom (Atom.Bool (read_bool c))
+    | 'o' -> Value.Atom (Atom.Oid (read_int c))
+    | 'T' -> Value.Tup (read_list c field)
+    | 'S' -> Value.VSet (read_list c value)
+    | 'X' ->
+      let ext = name c in
+      let meta = read_list c name in
+      let items = read_list c value in
+      Value.Xv { ext; meta; items }
+    | ch -> raise (Bad (Printf.sprintf "unknown value tag %C" ch))
+  and field c =
+    let label = name c in
+    (label, value c)
+  in
+  value
 
 let read_named_list c read =
   let name = read_str c in

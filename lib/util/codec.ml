@@ -75,10 +75,16 @@ let read_count c =
   need c n;
   n
 
-(* strictly left-to-right (the cursor is stateful) *)
+(* strictly left-to-right (the cursor is stateful), and built in place
+   front to back rather than reversed *)
 let read_list c f =
-  let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (f c :: acc) in
-  go (read_count c) []
+  let[@tail_mod_cons] rec go k =
+    if k = 0 then []
+    else
+      let x = f c in
+      x :: go (k - 1)
+  in
+  go (read_count c)
 
 let read_pair read_a read_b c =
   let a = read_a c in

@@ -656,12 +656,14 @@ let test_leftouterjoin_oracle () =
   run ();
   let module P = Mirror_bat.Parkernel in
   P.set_min_rows 0;
+  P.set_morsel_size 3;
   let pool = P.create 2 in
   Fun.protect
     ~finally:(fun () ->
       P.set_min_rows 2048;
+      P.set_morsel_size 16_384;
       P.shutdown pool)
-    (fun () -> P.with_morsel_size 3 (fun () -> P.with_pool pool run))
+    (fun () -> P.with_pool pool run)
 
 (* Seeded semijoins over dense (void) left heads based at 0 and at an
    offset, against right heads that are dense, offset past either end,
@@ -709,12 +711,14 @@ let test_semijoin_oracle () =
   run ();
   let module P = Mirror_bat.Parkernel in
   P.set_min_rows 0;
+  P.set_morsel_size 3;
   let pool = P.create 2 in
   Fun.protect
     ~finally:(fun () ->
       P.set_min_rows 2048;
+      P.set_morsel_size 16_384;
       P.shutdown pool)
-    (fun () -> P.with_morsel_size 3 (fun () -> P.with_pool pool run))
+    (fun () -> P.with_pool pool run)
 
 (* Seeded rankings: float, int and str keys with many ties (so the
    k-th rank often ties the (k+1)-th), missing keys, one to many
@@ -880,7 +884,7 @@ let test_catalog_cut_at_stanza_refused () =
               (String.concat "; " (Storage.extents st))
           | Error e ->
             Alcotest.(check bool) ("names the cut: " ^ e) true
-              (Mirror_util.Stringx.starts_with ~prefix:("snapshot " ^ file) e))
+              (String.starts_with ~prefix:("snapshot " ^ file) e))
         (boundaries 0 []))
 
 (* {1 Mil executor} *)
@@ -951,6 +955,30 @@ let test_mil_unknown_foreign () =
   Alcotest.check_raises "unknown foreign" (Failure "Mil: unknown foreign operator \"nope\"")
     (fun () ->
       ignore (Mil.exec s (Mil.Foreign { name = "nope"; args = []; meta = [] })))
+
+(* [with_children] inverts [children] on every constructor: on every
+   subterm of seeded {!Milgen} plans, and on a foreign call, which the
+   generator never makes. *)
+let test_mil_with_children () =
+  let g = Mirror_util.Prng.create 11 in
+  let pool = ref (Milgen.seed_pool (Milgen.fixture ()) Milgen.fixture_names) in
+  for _ = 1 to 400 do
+    let plan, hty, tty = Milgen.generate g !pool in
+    pool := { Milgen.plan; hty; tty } :: !pool
+  done;
+  let foreign = Mil.Foreign { name = "f"; args = [ Mil.Get "a"; Mil.Get "b" ]; meta = [ "m" ] } in
+  let seen = Hashtbl.create 64 in
+  let rec visit p =
+    Hashtbl.replace seen (Mil.op_name p) ();
+    if compare (Mil.with_children p (Mil.children p)) p <> 0 then
+      Alcotest.failf "with_children changed a %s node" (Mil.op_name p);
+    List.iter visit (Mil.children p)
+  in
+  List.iter (fun e -> visit e.Milgen.plan) !pool;
+  visit foreign;
+  Alcotest.(check int) "every constructor visited" 33 (Hashtbl.length seen);
+  Alcotest.check_raises "wrong arity" (Invalid_argument "Mil.with_children: wrong number of children")
+    (fun () -> ignore (Mil.with_children foreign [ Mil.Get "a" ]))
 
 let test_mil_size_and_pp () =
   let p = Mil.GroupAggr (Bat.Sum, Mil.Join (Mil.Reverse (Mil.Get "a"), Mil.Get "b")) in
@@ -1047,12 +1075,14 @@ let test_calc2_bool_oracle () =
   run ();
   let module P = Mirror_bat.Parkernel in
   P.set_min_rows 0;
+  P.set_morsel_size 3;
   let pool = P.create 2 in
   Fun.protect
     ~finally:(fun () ->
       P.set_min_rows 2048;
+      P.set_morsel_size 16_384;
       P.shutdown pool)
-    (fun () -> P.with_morsel_size 3 (fun () -> P.with_pool pool run))
+    (fun () -> P.with_pool pool run)
 
 let test_group_aggr_windowed_slots () =
   (* heads within a small window use the flat slot table *)
@@ -1089,12 +1119,13 @@ let test_mil_profiling () =
     Mil.GroupAggr (Bat.Sum, Mil.Join (Mil.Reverse (Mil.Get "link"), Mil.Get "vals"))
   in
   let result = Mil.exec s plan in
-  let prof = Mil.profile s in
+  let profile s = Mirror_util.Trace.aggregate (Mirror_util.Trace.roots (Mil.trace s)) in
+  let prof = profile s in
   Alcotest.(check bool) "profile recorded" true (List.length prof >= 3);
   List.iter
-    (fun (_, t, n) ->
-      Alcotest.(check bool) "non-negative time" true (t >= 0.0);
-      Alcotest.(check bool) "positive count" true (n > 0))
+    (fun (_, a) ->
+      Alcotest.(check bool) "non-negative time" true (a.Mirror_util.Trace.self >= 0.0);
+      Alcotest.(check bool) "positive count" true (a.Mirror_util.Trace.calls > 0))
     prof;
   (* the trace mirrors the plan: one root span, rows = result size *)
   (match Mirror_util.Trace.root tr with
@@ -1107,7 +1138,7 @@ let test_mil_profiling () =
   (* untraced sessions report nothing *)
   let s2 = Mil.session c in
   ignore (Mil.exec s2 (Mil.Get "link"));
-  Alcotest.(check int) "no profile by default" 0 (List.length (Mil.profile s2))
+  Alcotest.(check int) "no profile by default" 0 (List.length (profile s2))
 
 let test_nan_ordering_total () =
   let b =
@@ -1448,6 +1479,7 @@ let () =
           Alcotest.test_case "foreign dispatch" `Quick test_mil_foreign;
           Alcotest.test_case "unknown foreign fails" `Quick test_mil_unknown_foreign;
           Alcotest.test_case "size and pp" `Quick test_mil_size_and_pp;
+          Alcotest.test_case "with_children inverts children" `Quick test_mil_with_children;
         ] );
       ( "fast-paths",
         [

@@ -938,7 +938,7 @@ let test_eval_explain () =
   Alcotest.(check bool) "mentions semijoin" true
     (Mirror_util.Stringx.split_on (fun c -> c = '\n') plan
     |> List.exists (fun l ->
-           Mirror_util.Stringx.starts_with ~prefix:"semijoin" (String.trim l)))
+           String.starts_with ~prefix:"semijoin" (String.trim l)))
 
 let test_eval_type_error_reported () =
   let st = storage_with default_rows in
@@ -1353,7 +1353,7 @@ let test_expr_helpers () =
   Alcotest.(check bool) "size counts nodes" true (Expr.size e > 8);
   Alcotest.(check bool) "to_string mentions select" true
     (Mirror_util.Stringx.split_on (fun c -> c = '(') (Expr.to_string e)
-    |> List.exists (fun s -> Mirror_util.Stringx.starts_with ~prefix:"select" s))
+    |> List.exists (fun s -> String.starts_with ~prefix:"select" s))
 
 let test_value_compare_edges () =
   (* CONTREP compares as a bag: item order irrelevant *)
@@ -1540,7 +1540,7 @@ let test_explain_getblnet () =
   Alcotest.(check bool) "physical operator visible" true
     (Mirror_util.Stringx.split_on (fun c -> c = '\n') plan
     |> List.exists (fun l ->
-           Mirror_util.Stringx.starts_with ~prefix:"foreign[contrep_getblnet" (String.trim l)))
+           String.starts_with ~prefix:"foreign[contrep_getblnet" (String.trim l)))
 
 (* {1 Feedback math} *)
 

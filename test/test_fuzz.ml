@@ -567,11 +567,11 @@ let moa_check st tenv menv { expr; ty } =
       moa_failf expr "generator claimed type %s, typechecker inferred %s"
         (Types.to_string ty) (Types.to_string t));
   let prop, diags = Moacheck.infer menv expr in
-  (match Moaprop.errors diags with
+  (match Milcheck.errors diags with
   | [] -> ()
   | ds ->
     moa_failf expr "analyzer rejected a well-typed expression: %s"
-      (String.concat "; " (List.map Moaprop.diag_to_string ds)));
+      (String.concat "; " (List.map Milcheck.diag_to_string ds)));
   let v = Naive.eval st expr in
   (match Moaprop.value_ok prop v with
   | Ok () -> ()
@@ -586,7 +586,7 @@ let moa_check st tenv menv { expr; ty } =
     | Ok (_ : int) -> ()
     | Error ds ->
       moa_failf expr "translation validation failed: %s"
-        (String.concat "; " (List.map Moaprop.diag_to_string ds))));
+        (String.concat "; " (List.map Milcheck.diag_to_string ds))));
   (match Eval.query st expr with
   | Error msg -> moa_failf expr "flattened evaluation failed: %s" msg
   | Ok r ->

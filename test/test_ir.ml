@@ -970,17 +970,18 @@ let test_kernel_differential () =
 
 let test_kernel_differential_pool () =
   Parkernel.set_min_rows 0;
+  Parkernel.set_morsel_size 3;
   let pool = Parkernel.create 2 in
   Fun.protect
     ~finally:(fun () ->
       Parkernel.set_min_rows 2048;
+      Parkernel.set_morsel_size 16_384;
       Parkernel.shutdown pool)
     (fun () ->
-      Parkernel.with_morsel_size 3 (fun () ->
-          Parkernel.with_pool pool (fun () ->
-              for seed = 1 to 150 do
-                differential_case seed
-              done));
+      Parkernel.with_pool pool (fun () ->
+          for seed = 1 to 150 do
+            differential_case seed
+          done);
       Alcotest.(check bool) "the scans were split into morsels" true
         ((Parkernel.totals pool).Parkernel.t_morsels > 0))
 

@@ -41,7 +41,7 @@ let infer_ok e =
   | Ok prop -> prop
   | Error ds ->
     Alcotest.failf "analyzer rejected %s: %s" (Expr.to_string e)
-      (String.concat "; " (List.map Moaprop.diag_to_string ds))
+      (String.concat "; " (List.map Mirror_bat.Milcheck.diag_to_string ds))
 
 (* {1 Envelope precision} *)
 

@@ -20,8 +20,11 @@
      sizes, must equal the sequential kernel as it was written before
      the fold (the verbatim [Old_bat] oracle), including float min/max
      with NaN and signed zeros and the mixed int/float Calc2 case;
-   - morsel edge cases: empty input, single row, morsel size larger
-     than the BAT;
+   - morsel edge cases: empty input, single row, a morsel size set
+     larger than the BAT (a morsel is at most one domain's share of
+     the rows, so on one domain that is one morsel of the whole BAT),
+     and an input too small for one default morsel, which still
+     spreads over the pool;
    - the corpus: every query of the shared lint corpus, run through
      [Eval.query] with a 2-domain default pool, must produce the
      sequential value. *)
@@ -869,7 +872,7 @@ let test_differential () =
         List.iter
           (fun (d, p) ->
             Parkernel.set_morsel_size (Prng.choose g morsel_sizes);
-            let s = Mil.session ~par:{ Mil.pool = p; safe; morsel = (fun _ -> None) } catalog in
+            let s = Mil.session ~par:{ Mil.pool = p; safe } catalog in
             let got = Mil.exec s plan in
             if not (Bat.equal expected got) then
               failf plan "parallel result differs at %d domains (morsel %d)" d
@@ -942,7 +945,7 @@ let test_scheduler_refuses_unsafe () =
          must dispatch it outside the pool scope *)
       let safe = (verdict catalog plan).Effcheck.safe in
       let s =
-        Mil.session ~foreign:(clobber_dispatch saw_pool) ~par:{ Mil.pool; safe; morsel = (fun _ -> None) } catalog
+        Mil.session ~foreign:(clobber_dispatch saw_pool) ~par:{ Mil.pool; safe } catalog
       in
       ignore (Mil.exec s plan);
       Alcotest.(check bool) "unsafe foreign ran without a pool" false !saw_pool;
@@ -951,7 +954,7 @@ let test_scheduler_refuses_unsafe () =
          the scheduler exposes the pool to its dispatch *)
       let safe = (verdict ~foreign:pure_clobber catalog plan).Effcheck.safe in
       let s2 =
-        Mil.session ~foreign:(clobber_dispatch saw_pool) ~par:{ Mil.pool; safe; morsel = (fun _ -> None) } catalog
+        Mil.session ~foreign:(clobber_dispatch saw_pool) ~par:{ Mil.pool; safe } catalog
       in
       ignore (Mil.exec s2 plan);
       Alcotest.(check bool) "declared-pure foreign sees the pool" true !saw_pool)
@@ -1225,9 +1228,7 @@ let test_mixed_calc2 () =
       let safe = (verdict catalog plan).Effcheck.safe in
       List.iter
         (fun (_, pool) ->
-          let got =
-            Mil.exec (Mil.session ~par:{ Mil.pool; safe; morsel = (fun _ -> None) } catalog) plan
-          in
+          let got = Mil.exec (Mil.session ~par:{ Mil.pool; safe } catalog) plan in
           Alcotest.(check bool) "mixed int/float Calc2 matches sequential" true (same expected got))
         pools)
 
@@ -1240,6 +1241,20 @@ let test_morsel_edges () =
           check_cases pools
             (List.map (fun (op, run, oracle) -> (label ^ ": " ^ op, run, oracle)) (battery n)))
         [ ("empty BAT", 0); ("single row", 1); ("morsel larger than BAT", 10) ])
+
+(* Geometry comes from the rows in hand: with the default knobs, an
+   input above [min_rows] but under one default morsel still gives each
+   domain of the pool a morsel. *)
+let test_ranges_small_input () =
+  let pool = Parkernel.create 2 in
+  Fun.protect
+    ~finally:(fun () -> Parkernel.shutdown pool)
+    (fun () ->
+      let parts =
+        Parkernel.with_pool pool (fun () -> Parkernel.ranges 5000 (fun lo hi -> (lo, hi)))
+      in
+      Alcotest.(check (array (pair int int)))
+        "5000 rows at 2 domains split in two" [| (0, 2500); (2500, 5000) |] parts)
 
 (* {1 Observability: stats and trace attributes} *)
 
@@ -1255,7 +1270,7 @@ let test_stats_and_trace () =
       let plan = Mil.SelectCmp (Mil.Get "ints", Bat.Gt, Atom.Int 5) in
       let safe = (verdict catalog plan).Effcheck.safe in
       let tr = Trace.create () in
-      let s = Mil.session ~trace:tr ~par:{ Mil.pool; safe; morsel = (fun _ -> None) } catalog in
+      let s = Mil.session ~trace:tr ~par:{ Mil.pool; safe } catalog in
       ignore (Mil.exec s plan);
       let st = Mil.stats s in
       Alcotest.(check bool) "par_ops counted" true (st.Mil.par_ops > 0);
@@ -1302,7 +1317,7 @@ let test_unsafe_child () =
       let child = Mil.Foreign { name = "test.probe"; args = [ Mil.Get "ints" ]; meta = [] } in
       let plan = Mil.SelectCmp (child, Bat.Gt, Atom.Int 5) in
       let safe p = p == plan in
-      let s = Mil.session ~foreign:probe ~par:{ Mil.pool; safe; morsel = (fun _ -> None) } catalog in
+      let s = Mil.session ~foreign:probe ~par:{ Mil.pool; safe } catalog in
       let got = Mil.exec s plan in
       Alcotest.(check bool) "the unsafe child saw no pool" false !saw_pool;
       Alcotest.(check int) "the child's scan ran as one range" 0 !child_morsels;
@@ -1382,6 +1397,8 @@ let () =
         [
           Alcotest.test_case "empty, single-row and oversized morsels" `Quick
             test_morsel_edges;
+          Alcotest.test_case "an input under one morsel spreads over the pool" `Quick
+            test_ranges_small_input;
           Alcotest.test_case "stats and trace attributes" `Quick test_stats_and_trace;
         ] );
     ]

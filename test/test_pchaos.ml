@@ -20,7 +20,8 @@
    crash at an armed journal crash point, the recovered pending /
    dead-letter state is exactly the journaled one.  It is POSIX-only
    (fork/pipes/signals) and runs a 50-seed slice; set
-   MIRROR_PCHAOS_FULL=1 for all 500. *)
+   MIRROR_PCHAOS_FULL=1 for all 500, as `dune build @bench-smoke`
+   does. *)
 
 module Prng = Mirror_util.Prng
 module Synth = Mirror_mm.Synth

@@ -217,12 +217,6 @@ let test_split_on () =
     (Stringx.split_on (fun c -> c = ' ') " a bc  d ");
   Alcotest.(check (list string)) "empty" [] (Stringx.split_on (fun c -> c = ' ') "   ")
 
-let test_affixes () =
-  Alcotest.(check bool) "prefix" true (Stringx.starts_with ~prefix:"ab" "abc");
-  Alcotest.(check bool) "not prefix" false (Stringx.starts_with ~prefix:"bc" "abc");
-  Alcotest.(check bool) "suffix" true (Stringx.ends_with ~suffix:"bc" "abc");
-  Alcotest.(check bool) "not suffix" false (Stringx.ends_with ~suffix:"ab" "abc")
-
 let test_pad () =
   Alcotest.(check string) "right" "ab  " (Stringx.pad_right 4 "ab");
   Alcotest.(check string) "left" "  ab" (Stringx.pad_left 4 "ab");
@@ -241,7 +235,7 @@ let test_table_render () =
   Tablefmt.add_row t [ "alpha"; "1" ];
   Tablefmt.add_row t [ "b"; "100" ];
   let s = Tablefmt.render t in
-  Alcotest.(check bool) "header present" true (Stringx.starts_with ~prefix:"name" s);
+  Alcotest.(check bool) "header present" true (String.starts_with ~prefix:"name" s);
   Alcotest.(check bool) "right aligned" true
     (String.length s > 0 && String.split_on_char '\n' s |> List.exists (fun l -> l = "alpha    1"))
 
@@ -306,7 +300,7 @@ let test_trace_aggregate_render () =
     Alcotest.(check int) "flagged memo hits" 1 a.Trace.flagged);
   let s = Trace.render t in
   Alcotest.(check bool) "render names the span" true
-    (String.split_on_char '\n' s |> List.exists (fun l -> Stringx.starts_with ~prefix:"op" (String.trim l)))
+    (String.split_on_char '\n' s |> List.exists (fun l -> String.starts_with ~prefix:"op" (String.trim l)))
 
 let test_trace_unbalanced_leave () =
   let t = Trace.create () in
@@ -515,7 +509,6 @@ let () =
       ( "stringx",
         [
           Alcotest.test_case "split_on" `Quick test_split_on;
-          Alcotest.test_case "prefix/suffix" `Quick test_affixes;
           Alcotest.test_case "padding" `Quick test_pad;
           Alcotest.test_case "char classes" `Quick test_char_classes;
         ] );
